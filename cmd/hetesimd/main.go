@@ -85,6 +85,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -178,6 +179,7 @@ func main() {
 		server.WithWALCompactBytes(*walCompact),
 		server.WithRelevanceLimits(*relMaxLen, *relMaxPaths),
 		server.WithPathWeights(learned),
+		server.WithLogf(log.Printf),
 	)
 
 	// Warm-start from the snapshot before materialization kicks off: paths
@@ -232,7 +234,7 @@ func main() {
 	// Materialization runs in the background; /readyz flips to 200 once it
 	// finishes (immediately with no paths). A malformed path still fails
 	// startup here.
-	if err := srv.PrecomputeBackground(specs, log.Printf); err != nil {
+	if err := srv.PrecomputeBackground(specs); err != nil {
 		log.Fatal("hetesimd: ", err)
 	}
 
@@ -283,10 +285,19 @@ func main() {
 		}
 	}()
 
+	// The saver and the follower are blocking calls that return once ctx is
+	// canceled; shutdown waits for them before closing the server, so
+	// neither can write after Close.
+	var loops sync.WaitGroup
+	runLoop := func(f func()) {
+		loops.Add(1)
+		go func() { defer loops.Done(); f() }()
+	}
+
 	// Periodic snapshot saves bound the materialization work lost to a
 	// crash to one interval.
 	if *snapshotPath != "" && *snapshotEvery > 0 {
-		go srv.RunSnapshotSaver(ctx, *snapshotEvery, log.Printf)
+		runLoop(func() { srv.RunSnapshotSaver(ctx, *snapshotEvery) })
 	}
 
 	// Follower mode: replicate the primary's WAL tail into this process,
@@ -298,14 +309,15 @@ func main() {
 		if *walPath == "" {
 			log.Fatal("hetesimd: -follow requires -wal-path (replicated deltas must be durable before they are acked upstream)")
 		}
-		go srv.RunFollower(ctx, server.FollowerOptions{
-			Target:   strings.TrimRight(*follow, "/"),
-			Self:     strings.TrimRight(*advertise, "/"),
-			Interval: *followEvery,
-			FetchSnapshot: func(fctx context.Context, base string) (*snapshot.Snapshot, error) {
-				return router.FetchSnapshot(fctx, nil, base, 3)
-			},
-			Logf: log.Printf,
+		runLoop(func() {
+			srv.RunFollower(ctx, server.FollowerOptions{
+				Target:   strings.TrimRight(*follow, "/"),
+				Self:     strings.TrimRight(*advertise, "/"),
+				Interval: *followEvery,
+				FetchSnapshot: func(fctx context.Context, base string) (*snapshot.Snapshot, error) {
+					return router.FetchSnapshot(fctx, nil, base, 3)
+				},
+			})
 		})
 		log.Printf("hetesimd: following %s (interval %s)", *follow, *followEvery)
 	}
@@ -322,21 +334,15 @@ func main() {
 		log.Printf("hetesimd: shutting down, draining for up to %s", *shutdownGrace)
 		// Refuse mutations and reloads before the HTTP drain starts: no
 		// graph swap may race the shutdown, and a client whose mutation is
-		// 409ed here knows to retry against the replacement process.
+		// 409ed here knows to retry against the replacement process. Close
+		// then stops the server's background work, saves the final snapshot
+		// (with -snapshot-path) and closes the write-ahead log.
 		srv.BeginDrain()
 		drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
 		defer cancel()
 		drainErr := httpSrv.Shutdown(drainCtx)
-		if err := srv.CloseWAL(); err != nil {
-			log.Printf("hetesimd: closing wal: %v", err)
-		}
-		if *snapshotPath != "" {
-			if err := srv.SaveSnapshot(); err != nil {
-				log.Printf("hetesimd: final snapshot save: %v", err)
-			} else {
-				log.Printf("hetesimd: chain cache saved to %s", *snapshotPath)
-			}
-		}
+		loops.Wait()
+		srv.Close()
 		if drainErr != nil {
 			log.Printf("hetesimd: drain incomplete: %v", drainErr)
 			httpSrv.Close()

@@ -60,14 +60,14 @@ func TestEndToEndPipeline(t *testing.T) {
 		}
 	}
 
-	// Materialized-path snapshot round trip into a third engine.
-	var mbuf bytes.Buffer
-	if err := e1.SaveMaterialized(context.Background(), &mbuf, p); err != nil {
+	// Materialized-chain round trip into a third engine, the way snapshots
+	// carry them: export the half-chain matrices, import, query.
+	if err := e1.Precompute(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	e3 := core.NewEngine(g2)
-	if err := e3.LoadMaterialized(&mbuf, p2); err != nil {
-		t.Fatal(err)
+	if n := e3.ImportChains(e1.ExportChains()); n == 0 {
+		t.Fatal("no materialized chains crossed the export/import boundary")
 	}
 	got3, err := e3.SingleSourceByIndex(context.Background(), p2, 0)
 	if err != nil {

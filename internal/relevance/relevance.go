@@ -144,7 +144,7 @@ func pair(ctx context.Context, e *core.Engine, srcType string, src int, dstType 
 	o.defaults()
 	tr := obs.FromContext(ctx)
 	esp := tr.Start("enumerate")
-	paths, weights, err := candidates(e, srcType, dstType, &o)
+	paths, weights, err := Candidates(e.Graph().Schema(), e.Graph(), srcType, dstType, o)
 	if esp != nil {
 		esp.SetAttr("candidates", strconv.Itoa(len(paths))).End()
 	}
@@ -218,7 +218,7 @@ func topK(ctx context.Context, e *core.Engine, srcType string, src int, targetTy
 	}
 	tr := obs.FromContext(ctx)
 	esp := tr.Start("enumerate")
-	paths, weights, err := candidates(e, srcType, targetType, &o)
+	paths, weights, err := Candidates(e.Graph().Schema(), e.Graph(), srcType, targetType, o)
 	if esp != nil {
 		esp.SetAttr("candidates", strconv.Itoa(len(paths))).End()
 	}
@@ -283,11 +283,14 @@ func topK(ctx context.Context, e *core.Engine, srcType string, src int, targetTy
 	return res, ranked, nil
 }
 
-// candidates resolves the ensemble's paths and weights: explicit specs or
-// schema enumeration, then the weighting mode. Zero-weight paths are
-// dropped so they never cost a batch query.
-func candidates(e *core.Engine, srcType, dstType string, o *Options) ([]*metapath.Path, []float64, error) {
-	s := e.Graph().Schema()
+// Candidates resolves an ensemble's member paths and weights: explicit specs
+// (each must parse and connect the endpoint types) or schema enumeration,
+// then the weighting mode. Zero-weight paths are dropped so they never cost
+// a query. Everything but degree weighting needs only the schema, so a
+// router without the graph passes g == nil and scores exactly the ensemble
+// a replica would.
+func Candidates(s *hin.Schema, g *hin.Graph, srcType, dstType string, o Options) ([]*metapath.Path, []float64, error) {
+	o.defaults()
 	var paths []*metapath.Path
 	if len(o.Paths) > 0 {
 		for _, spec := range o.Paths {
@@ -314,7 +317,7 @@ func candidates(e *core.Engine, srcType, dstType string, o *Options) ([]*metapat
 		return nil, nil, fmt.Errorf("%w: no %s→%s path within length %d",
 			ErrNoPaths, srcType, dstType, o.MaxLen)
 	}
-	weights, err := Weigh(e, paths, o.Weighting, o.Learned)
+	weights, err := Weigh(g, paths, o.Weighting, o.Learned)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -336,8 +339,9 @@ func candidates(e *core.Engine, srcType, dstType string, o *Options) ([]*metapat
 // Weigh computes ensemble weights for the given paths under a weighting
 // mode. Uniform and degree weights are normalized to sum to 1; learned
 // weights are the caller's regression coefficients and are used as-is
-// (normalizing them would change the calibrated scale).
-func Weigh(e *core.Engine, paths []*metapath.Path, mode string, learned map[string]float64) ([]float64, error) {
+// (normalizing them would change the calibrated scale). Only degree mode
+// reads g.
+func Weigh(g *hin.Graph, paths []*metapath.Path, mode string, learned map[string]float64) ([]float64, error) {
 	w := make([]float64, len(paths))
 	switch mode {
 	case WeightUniform, "":
@@ -345,6 +349,9 @@ func Weigh(e *core.Engine, paths []*metapath.Path, mode string, learned map[stri
 			w[i] = 1 / float64(len(paths))
 		}
 	case WeightDegree:
+		if g == nil {
+			return nil, fmt.Errorf("%w: degree weighting needs the graph", ErrBadOptions)
+		}
 		// Long high-fanout paths spread probability mass over huge
 		// intermediate frontiers and correlate poorly with semantic
 		// relatedness (the paper's Section 5.1 observation that longer
@@ -352,7 +359,7 @@ func Weigh(e *core.Engine, paths []*metapath.Path, mode string, learned map[stri
 		// log of its expected frontier growth and normalize.
 		var sum float64
 		for i, p := range paths {
-			w[i] = 1 / (1 + math.Log(1+pathFanout(e.Graph(), p)))
+			w[i] = 1 / (1 + math.Log(1+pathFanout(g, p)))
 			sum += w[i]
 		}
 		for i := range w {

@@ -77,7 +77,7 @@ func TestPairEnsembleMatchesSoloWeightedSum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		weights, err := Weigh(fresh, paths, mode, opts.Learned)
+		weights, err := Weigh(fresh.Graph(), paths, mode, opts.Learned)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestTopKMatchesHandCombination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weights, err := Weigh(fresh, paths, WeightUniform, nil)
+	weights, err := Weigh(fresh.Graph(), paths, WeightUniform, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,6 +60,7 @@ func (tr *testReplica) revive() { tr.fl.Refuse(false) }
 func newTestReplica(t *testing.T) *testReplica {
 	t.Helper()
 	tr := &testReplica{srv: server.New(testGraph())}
+	t.Cleanup(tr.srv.Close)
 	tr.srv.MarkReady()
 	h := tr.srv.Handler()
 	tr.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -511,6 +512,61 @@ func TestRelevancePartialFailure(t *testing.T) {
 	if *part.Score >= *full.Score {
 		t.Errorf("partial score %v not below full score %v; failed weight must not be redistributed",
 			*part.Score, *full.Score)
+	}
+}
+
+// TestRelevanceRoutedMatchesDirect pins routed == direct for /v1/relevance:
+// the router builds the ensemble with the replica's own candidate code, so
+// a valid request scores bit-identically through either door and a request
+// whose explicit path does not connect the asked endpoint types is the same
+// 400 at both (the router used to score it).
+func TestRelevanceRoutedMatchesDirect(t *testing.T) {
+	rt, reps := newCluster(t, 2)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	client := &http.Client{Timeout: 5 * time.Second}
+
+	for _, req := range []map[string]any{
+		{"source": "Tom", "source_type": "author", "target": "Mary", "target_type": "author"},
+		{"source": "Tom", "source_type": "author", "target": "Mary", "target_type": "author", "paths": []string{"APA", "APCPA"}},
+	} {
+		var routed, direct relevanceResponse
+		for url, into := range map[string]*relevanceResponse{front.URL: &routed, reps[0].ts.URL: &direct} {
+			resp, body := postJSON(t, client, url+"/v1/relevance", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("POST %s %v = %d %s", url, req, resp.StatusCode, body)
+			}
+			if err := json.Unmarshal(body, into); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if routed.Score == nil || direct.Score == nil || *routed.Score != *direct.Score || *routed.Score <= 0 {
+			t.Fatalf("%v: routed score %v != direct score %v", req, routed.Score, direct.Score)
+		}
+		if len(routed.Paths) != len(direct.Paths) {
+			t.Fatalf("%v: routed ensemble has %d paths, direct %d", req, len(routed.Paths), len(direct.Paths))
+		}
+		for i, pb := range routed.Paths {
+			if d := direct.Paths[i]; pb.Path != d.Path || pb.Weight != d.Weight || pb.Score != d.Score {
+				t.Errorf("%v: path %d routed %+v != direct %+v", req, i, pb, d)
+			}
+		}
+	}
+
+	// APC ends at conference; the query asks author→author.
+	bad := map[string]any{
+		"source": "Tom", "source_type": "author", "target": "Mary", "target_type": "author",
+		"paths": []string{"APC"},
+	}
+	for _, url := range []string{front.URL, reps[0].ts.URL} {
+		resp, body := postJSON(t, client, url+"/v1/relevance", bad)
+		var e errorBody
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Code != "bad_request" {
+			t.Errorf("POST %s mismatched explicit path = %d %q, want 400 bad_request: %s", url, resp.StatusCode, e.Code, body)
+		}
 	}
 }
 

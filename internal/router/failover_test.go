@@ -35,6 +35,7 @@ func newWALReplica(t *testing.T) *testReplica {
 		server.WithWALPath(filepath.Join(dir, "edges.wal")),
 		server.WithReloadFrom(graphPath),
 		server.WithLogf(t.Logf))}
+	t.Cleanup(tr.srv.Close)
 	tr.srv.MarkReady()
 	if _, err := tr.srv.OpenWAL(); err != nil {
 		t.Fatal(err)

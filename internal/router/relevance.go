@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"hetesim/internal/hin"
-	"hetesim/internal/metapath"
+	"hetesim/internal/relevance"
 )
 
 // POST /v1/relevance at the router. Pair-mode ensembles scatter: each
@@ -127,74 +127,27 @@ func (r *Router) scatterRelevance(w http.ResponseWriter, req *http.Request, rreq
 	if rreq.MaxPaths > 0 {
 		maxPaths = rreq.MaxPaths
 	}
-
-	var paths []*metapath.Path
-	if len(rreq.Paths) > 0 {
-		if len(rreq.Paths) > maxPaths {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: fmt.Sprintf("%d explicit paths exceed limit %d", len(rreq.Paths), maxPaths), Code: "bad_request"})
-			return
-		}
-		for _, spec := range rreq.Paths {
-			p, err := metapath.Parse(schema, spec)
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest,
-					errorBody{Error: fmt.Sprintf("path %q: %v", spec, err), Code: "bad_request"})
-				return
-			}
-			paths = append(paths, p)
-		}
-	} else {
-		var err error
-		paths, err = metapath.EnumerateWith(schema, rreq.SourceType, rreq.TargetType,
-			metapath.EnumerateOptions{MaxLen: maxLen, MaxPaths: maxPaths, DedupReverse: true})
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: "enumerating paths: " + err.Error(), Code: "bad_request"})
-			return
-		}
-	}
-	if len(paths) == 0 {
+	if len(rreq.Paths) > maxPaths {
 		writeJSON(w, http.StatusBadRequest,
-			errorBody{Error: fmt.Sprintf("no schema-valid paths from %s to %s within %d steps",
-				rreq.SourceType, rreq.TargetType, maxLen), Code: "no_paths"})
+			errorBody{Error: fmt.Sprintf("%d explicit paths exceed limit %d", len(rreq.Paths), maxPaths), Code: "bad_request"})
 		return
 	}
 
-	// Router-side ensemble weights. The replicas return RAW per-path scores
-	// (weights are a combine-time concern), so the router owns the weighting
-	// exactly like a single replica's ensemble layer would.
+	// The ensemble's paths and weights come from the same code a replica
+	// runs, so a routed request is validated and weighted exactly like a
+	// direct one. The replicas return RAW per-path scores (weights are a
+	// combine-time concern); the router owns the combine.
+	paths, weights, err := relevance.Candidates(schema, nil, rreq.SourceType, rreq.TargetType, relevance.Options{
+		MaxLen: maxLen, MaxPaths: maxPaths, Paths: rreq.Paths,
+		Weighting: rreq.Weighting, Learned: r.pathWeights,
+	})
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Code: "bad_request"})
+		return
+	}
 	specs := make([]string, len(paths))
-	weights := make([]float64, len(paths))
-	switch rreq.Weighting {
-	case "uniform":
-		for i, p := range paths {
-			specs[i] = p.String()
-			weights[i] = 1 / float64(len(paths))
-		}
-	case "learned":
-		if r.pathWeights == nil {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: "learned weighting needs router path weights (-path-weights)", Code: "bad_request"})
-			return
-		}
-		kept := paths[:0]
-		kw := weights[:0]
-		ks := specs[:0]
-		for _, p := range paths {
-			spec := p.String()
-			if wt := r.pathWeights[spec]; wt > 0 {
-				kept = append(kept, p)
-				ks = append(ks, spec)
-				kw = append(kw, wt)
-			}
-		}
-		paths, specs, weights = kept, ks, kw
-		if len(paths) == 0 {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: "no enumerated path has a positive learned weight", Code: "no_paths"})
-			return
-		}
+	for i, p := range paths {
+		specs[i] = p.String()
 	}
 
 	// One raw pair query per path, routed by the path's canonical key.

@@ -225,10 +225,9 @@ func (s *Server) fillBatchResult(es *engineSet, slot *batchResultBody, p *metapa
 	case "single_source":
 		slot.Scores = res.Scores
 	case "topk":
-		ids := es.g.NodeIDs(p.Target())
 		slot.Results = make([]hitBody, 0, len(res.TopK))
 		for _, hit := range res.TopK {
-			slot.Results = append(slot.Results, hitBody{ID: ids[hit.Index], Score: hit.Score})
+			slot.Results = append(slot.Results, hitBody{ID: nodeID(es.g, p.Target(), hit.Index), Score: hit.Score})
 		}
 	}
 }

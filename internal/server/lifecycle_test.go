@@ -37,6 +37,7 @@ func lifecycleGraph(t *testing.T) *hin.Graph {
 func lifecycleServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(lifecycleGraph(t), opts...)
+	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -290,7 +291,7 @@ func TestReadiness(t *testing.T) {
 
 	// A malformed spec fails synchronously and does not mark the server
 	// ready by accident.
-	if err := srv.PrecomputeBackground([]string{"not a path"}, t.Logf); err == nil {
+	if err := srv.PrecomputeBackground([]string{"not a path"}); err == nil {
 		t.Fatal("PrecomputeBackground accepted a malformed path")
 	}
 	if srv.Ready() {
@@ -298,7 +299,7 @@ func TestReadiness(t *testing.T) {
 	}
 
 	// Nothing to materialize: ready immediately.
-	if err := srv.PrecomputeBackground(nil, t.Logf); err != nil {
+	if err := srv.PrecomputeBackground(nil); err != nil {
 		t.Fatal(err)
 	}
 	if !srv.Ready() {
@@ -309,7 +310,7 @@ func TestReadiness(t *testing.T) {
 		t.Errorf("readyz = %v", body)
 	}
 
-	if err := srv.PrecomputeBackground([]string{"APC", "APCPA"}, t.Logf); err != nil {
+	if err := srv.PrecomputeBackground([]string{"APC", "APCPA"}); err != nil {
 		t.Fatal(err)
 	}
 	// Materialization runs in the background; readiness must flip to true

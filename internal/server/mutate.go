@@ -1,15 +1,10 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"net/http"
-	"os"
-	"path/filepath"
-	"time"
 
 	"hetesim/internal/core"
 	"hetesim/internal/hin"
@@ -19,80 +14,23 @@ import (
 
 // Crash-safe incremental mutation. POST /v1/admin/edges applies a batch of
 // edge/node deltas to the serving graph without a restart and without
-// rebuilding the chain cache: the batch is validated against the current
-// graph, appended (and fsynced) to the write-ahead log, and only then
-// applied — a fresh engine set is built over the copy-on-write graph, its
-// cached chain matrices maintained row-incrementally from the serving set
-// (Property 2 locality), and the serving pointer swapped. In-flight queries
-// drain against the set they started with; an acked batch survives any
-// crash because boot replays the log over the base graph.
+// rebuilding the chain cache: the batch goes through the store's apply —
+// validated against the current graph, appended (and fsynced) to the
+// write-ahead log, and only then published as a fresh engine set over the
+// copy-on-write graph whose cached chain matrices are maintained
+// row-incrementally from the serving set. In-flight queries drain against
+// the set they started with; an acked batch survives any crash because boot
+// replays the log over the base graph through the same apply.
 var (
 	metMutations = obs.Default().Counter("hetesim_mutations_total",
 		"Mutation batches acked through POST /v1/admin/edges.")
 	metMutationOps = obs.Default().Counter("hetesim_mutation_ops_total",
 		"Individual mutation operations acked.")
-	metMutationDuplicates = obs.Default().Counter("hetesim_mutation_duplicates_total",
-		"Mutation batches answered from the idempotency table without re-applying.")
 	metMutationBackpressure = obs.Default().Counter("hetesim_mutation_backpressure_total",
 		"Mutation batches shed with 503 because a write was already in flight.")
-	metWALBytes = obs.Default().Gauge("hetesim_wal_bytes",
-		"Current size of the edge-delta write-ahead log.")
 	metWALReplayed = obs.Default().Counter("hetesim_wal_replayed_total",
 		"Mutation batches re-applied from the write-ahead log at boot.")
-	metWALCompactions = obs.Default().Counter("hetesim_wal_compactions_total",
-		"Write-ahead log compactions (log folded into a new base graph).")
-	metSnapshotSaveRetries = obs.Default().Counter("hetesim_snapshot_save_retries_total",
-		"Snapshot save attempts retried after a failure.")
 )
-
-// errDraining marks mutations and reloads refused during shutdown drain.
-var errDraining = errors.New("server: draining, mutating requests refused")
-
-// maxAppliedKeys bounds the idempotency table: beyond it the oldest acked
-// keys are evicted FIFO, so neither the in-memory table nor the checkpoint
-// written at compaction can grow without bound. Retrying a batch acked
-// more than 64Ki keyed batches ago re-applies it — idempotency is a
-// crash-retry window, not an unbounded ledger.
-const maxAppliedKeys = 1 << 16
-
-// rememberKeyLocked records an acked idempotency key and its sequence,
-// evicting the oldest keys beyond maxAppliedKeys. Callers hold walMu.
-func (s *Server) rememberKeyLocked(key string, seq uint64) {
-	if key == "" {
-		return
-	}
-	if _, ok := s.applied[key]; !ok {
-		s.appliedOrder = append(s.appliedOrder, key)
-	}
-	s.applied[key] = seq
-	for len(s.appliedOrder) > maxAppliedKeys {
-		delete(s.applied, s.appliedOrder[0])
-		s.appliedOrder = s.appliedOrder[1:]
-	}
-}
-
-// checkpointEntriesLocked snapshots the idempotency table for a WAL reset,
-// oldest ack first (insertion order is ack order — sequences are monotonic
-// across compactions). Callers hold walMu.
-func (s *Server) checkpointEntriesLocked() []wal.CheckpointEntry {
-	entries := make([]wal.CheckpointEntry, 0, len(s.appliedOrder))
-	for _, k := range s.appliedOrder {
-		entries = append(entries, wal.CheckpointEntry{Key: k, Seq: s.applied[k]})
-	}
-	return entries
-}
-
-// errMutationBusy marks a mutation shed because a write was in flight.
-var errMutationBusy = errors.New("server: a mutation is already in flight")
-
-// BeginDrain puts the server into shutdown drain: in-flight and new
-// queries keep being answered (the HTTP server's own Shutdown bounds
-// that), but mutations and reloads are refused with 409 from here on, so
-// no graph swap races the drain. Drain is one-way.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // WALStatus reports what OpenWAL found and did.
 type WALStatus struct {
@@ -113,25 +51,19 @@ type WALStatus struct {
 // already folded into the base by a compaction that crashed before
 // resetting the log).
 func (s *Server) OpenWAL() (*WALStatus, error) {
-	if s.walPath == "" {
+	if s.st.walPath == "" {
 		return nil, nil
 	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	l, rep, err := wal.Open(s.fsys, s.walPath, s.current().fingerprint)
+	s.st.admit.Lock()
+	defer s.st.admit.Unlock()
+	rep, err := s.st.openWAL()
 	if err != nil {
 		return nil, err
 	}
-	s.wal = l
-	s.lastWalSeq.Store(l.LastSeq())
-	metWALBytes.Set(float64(l.Size()))
 	st := &WALStatus{
 		Checkpointed:   len(rep.Checkpoint),
 		TruncatedBytes: rep.TruncatedBytes,
 		SetAside:       rep.SetAside,
-	}
-	for _, e := range rep.Checkpoint {
-		s.rememberKeyLocked(e.Key, e.Seq)
 	}
 	if len(rep.Batches) == 0 {
 		return st, nil
@@ -141,22 +73,14 @@ func (s *Server) OpenWAL() (*WALStatus, error) {
 	s.setState(StateReplaying)
 	defer s.setState(prev)
 	for _, b := range rep.Batches {
-		if b.Key != "" {
-			if _, dup := s.applied[b.Key]; dup {
-				// A client retry that raced a crash: the ack made it to the
-				// log twice, the mutation must land once. The replication
-				// position still advances — the batch is durably recorded.
-				metMutationDuplicates.Inc()
-				s.walBatches++
-				s.lastWalSeq.Store(b.Seq)
-				continue
-			}
-		}
-		if _, err := s.applyLocked(context.Background(), b.Key, b.Ops, b.Seq); err != nil {
+		res, err := s.st.apply(s.st.ctx, b, true)
+		if err != nil {
 			return st, fmt.Errorf("server: replaying wal batch %d: %w", b.Seq, err)
 		}
-		metWALReplayed.Inc()
-		st.Replayed++
+		if !res.duplicate {
+			metWALReplayed.Inc()
+			st.Replayed++
+		}
 	}
 
 	// Delta-snapshot retry: a snapshot saved after mutations names the
@@ -164,142 +88,15 @@ func (s *Server) OpenWAL() (*WALStatus, error) {
 	// graph rejected it. Now that replay caught the graph up, try again —
 	// unless the base warm start already landed, in which case the replay
 	// loop carried its chains forward incrementally.
-	if s.snapshotPath != "" && s.current().engine.CacheSize() == 0 {
-		if n, err := s.warmInto(s.current()); err == nil && n > 0 {
-			metWarmStart.Set(1)
-		}
+	if es := s.current(); es.engine.CacheSize() == 0 {
+		s.st.loadSnapshot(es) // best effort: cold is always correct
 	}
 	return st, nil
 }
 
 // CloseWAL fsyncs and closes the write-ahead log. Call after the HTTP
-// server has shut down; a no-op when no WAL is open.
-func (s *Server) CloseWAL() error {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if s.wal == nil {
-		return nil
-	}
-	err := s.wal.Close()
-	s.wal = nil
-	return err
-}
-
-// applyLocked runs the in-memory half of a mutation: apply the ops to the
-// serving graph copy-on-write, build the next engine set, maintain its
-// chain caches incrementally from the serving set, and swap. Callers hold
-// walMu and have already made the batch durable (or are replaying one that
-// is). Rewarm failure is not batch failure — durability was decided at the
-// log append; the next set just starts colder.
-func (s *Server) applyLocked(ctx context.Context, key string, ops []hin.Op, seq uint64) (core.RewarmStats, error) {
-	cur := s.current()
-	ng, dirty, err := cur.g.Apply(ops)
-	if err != nil {
-		return core.RewarmStats{}, err
-	}
-	next := s.newEngineSet(ng)
-	stats, err := next.engine.RewarmFrom(ctx, cur.engine, dirty)
-	if err != nil {
-		s.logf("server: incremental rewarm: %v", err)
-	}
-	if _, err := next.raw.RewarmFrom(ctx, cur.raw, dirty); err != nil {
-		s.logf("server: incremental rewarm (raw): %v", err)
-	}
-	s.cur.Store(next)
-	s.rememberKeyLocked(key, seq)
-	s.lastWalSeq.Store(seq)
-	s.walBatches++
-	return stats, nil
-}
-
-// compactLocked folds the write-ahead log into its base: the current
-// (post-mutation) graph is written crash-safely to the configured graph
-// path, then the log is reset against the new base fingerprint with the
-// idempotency table carried as checkpoint records. Crash-safe in both
-// orders: before the graph rename the old base + old log still replay to
-// the same graph; between rename and reset the log names the old
-// fingerprint and is set aside at boot — its batches are already folded
-// into the base. A graph file this process did not write — an operator
-// dropping in a replacement generation — is never overwritten: compaction
-// refuses with an error naming both fingerprints instead of silently
-// destroying the replacement. Callers hold walMu.
-func (s *Server) compactLocked() error {
-	if s.wal == nil || s.walBatches == 0 {
-		return nil
-	}
-	if s.graphPath == "" {
-		return errors.New("server: wal compaction needs a base graph path (WithReloadFrom)")
-	}
-	es := s.current()
-	// The file is ours to overwrite only if it holds the log's base, the
-	// graph we are about to write anyway, or the half of a previous
-	// compaction that crashed between its graph write and log reset.
-	if fp, err := s.diskGraphFingerprint(); err == nil &&
-		fp != s.wal.Fingerprint() && fp != es.fingerprint && fp != s.lastSavedFP {
-		return fmt.Errorf("server: refusing to compact over a replaced graph file: %s holds fingerprint %016x, the log's base is %016x — restart (the log is set aside at boot) or remove the replacement before mutating further",
-			s.graphPath, fp, s.wal.Fingerprint())
-	}
-	if err := s.saveGraph(es.g); err != nil {
-		return fmt.Errorf("server: writing compacted base graph: %w", err)
-	}
-	s.lastSavedFP = es.fingerprint
-	if err := s.wal.Reset(es.fingerprint, s.checkpointEntriesLocked()); err != nil {
-		return fmt.Errorf("server: resetting wal: %w", err)
-	}
-	s.walBatches = 0
-	metWALCompactions.Inc()
-	metWALBytes.Set(float64(s.wal.Size()))
-	return nil
-}
-
-// diskGraphFingerprint reads the graph file at graphPath and reports the
-// fingerprint of the graph it holds — the compaction guard's evidence of
-// an operator-placed replacement. Unreadable or corrupt files report an
-// error; the guard then lets compaction proceed, since overwriting a
-// broken base with a coherent one is a repair, not a loss.
-func (s *Server) diskGraphFingerprint() (uint64, error) {
-	f, err := os.Open(s.graphPath)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	g, err := hin.Read(f)
-	if err != nil {
-		return 0, err
-	}
-	return g.Fingerprint(), nil
-}
-
-// saveGraph writes g to the configured graph path with the same temp +
-// fsync + rename + dir-sync protocol the snapshot writer uses, so a crash
-// mid-write never costs the previous base graph.
-func (s *Server) saveGraph(g *hin.Graph) (err error) {
-	dir := filepath.Dir(s.graphPath)
-	f, err := s.fsys.CreateTemp(dir, filepath.Base(s.graphPath)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			s.fsys.Remove(tmp)
-		}
-	}()
-	if err = hin.Write(f, g); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	if err = s.fsys.Rename(tmp, s.graphPath); err != nil {
-		return err
-	}
-	return s.fsys.SyncDir(dir)
-}
+// server has shut down; a no-op when no WAL is open. Close does this too.
+func (s *Server) CloseWAL() error { return s.st.closeWAL() }
 
 type mutateRequest struct {
 	// Key is the client's idempotency key: a batch re-sent with the key of
@@ -319,11 +116,12 @@ type mutateBody struct {
 
 // handleMutate is POST /v1/admin/edges: validate, log, apply, ack — in
 // that order, so an ack always implies durability. Writers are single-file:
-// a batch arriving while another is being logged is shed with 503 +
-// Retry-After rather than queued, keeping the admin surface's backpressure
-// visible to the caller.
+// a batch arriving while another writer (or a reload) holds the admission
+// lock is shed with 503 + Retry-After rather than queued, keeping the admin
+// surface's backpressure visible to the caller. Readers of the log — a
+// follower's tail poll, a graph fetch — never hold that lock.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	if s.walPath == "" {
+	if s.st.walPath == "" {
 		writeJSON(w, http.StatusNotImplemented,
 			errorBody{Error: "mutations are disabled: no -wal-path configured", Code: "mutations_disabled"})
 		return
@@ -348,90 +146,35 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 			errorBody{Error: "mutation batch has no ops", Code: "bad_request"})
 		return
 	}
-	if !s.walMu.TryLock() {
+	if !s.st.admit.TryLock() {
 		metMutationBackpressure.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: errMutationBusy.Error(), Code: "mutation_in_flight"})
+			errorBody{Error: "server: a mutation is already in flight", Code: "mutation_in_flight"})
 		return
 	}
-	defer s.walMu.Unlock()
-	if s.wal == nil {
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: "write-ahead log is not open", Code: "wal_not_open"})
+	res, err := s.st.apply(r.Context(), wal.Batch{Key: req.Key, Ops: req.Ops}, false)
+	s.st.admit.Unlock()
+	switch {
+	case errors.Is(err, errWALNotOpen):
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), Code: "wal_not_open"})
 		return
-	}
-	if req.Key != "" {
-		if seq, dup := s.applied[req.Key]; dup {
-			metMutationDuplicates.Inc()
-			writeJSON(w, http.StatusOK, mutateBody{
-				Status: "duplicate", Seq: seq,
-				Fingerprint: fmt.Sprintf("%016x", s.current().fingerprint),
-				WALBytes:    s.wal.Size(),
-			})
-			return
-		}
-	}
-	// Validate before logging: a batch the graph rejects must leave no
-	// trace in the log, or replay would fail on it forever.
-	if _, _, err := s.current().g.Apply(req.Ops); err != nil {
+	case errors.Is(err, errWALAppend):
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Code: "wal_append_failed"})
+		return
+	case err != nil:
 		writeError(w, err)
 		return
 	}
-	seq, err := s.wal.Append(req.Key, req.Ops)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError,
-			errorBody{Error: "logging mutation batch: " + err.Error(), Code: "wal_append_failed"})
-		return
+	body := mutateBody{
+		Status: "duplicate", Seq: res.seq,
+		Fingerprint: fmt.Sprintf("%016x", res.es.fingerprint),
+		WALBytes:    res.walBytes,
 	}
-	metWALBytes.Set(float64(s.wal.Size()))
-	// Durable from here: even if this process dies mid-apply, boot replays
-	// the batch. The second Apply cannot fail where the first succeeded —
-	// same graph, same ops.
-	stats, err := s.applyLocked(r.Context(), req.Key, req.Ops, seq)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError,
-			errorBody{Error: "applying logged batch: " + err.Error(), Code: "apply_failed"})
-		return
+	if !res.duplicate {
+		metMutations.Inc()
+		metMutationOps.Add(uint64(len(req.Ops)))
+		body.Status, body.Rewarm = "applied", &res.rewarm
 	}
-	metMutations.Inc()
-	metMutationOps.Add(uint64(len(req.Ops)))
-	if s.walCompactBytes > 0 && s.wal.Size() > s.walCompactBytes {
-		if err := s.compactLocked(); err != nil {
-			// Compaction failure is not batch failure: the log still holds
-			// everything; retry at the next threshold crossing.
-			s.logf("server: wal compaction: %v", err)
-		}
-	}
-	writeJSON(w, http.StatusOK, mutateBody{
-		Status: "applied", Seq: seq,
-		Fingerprint: fmt.Sprintf("%016x", s.current().fingerprint),
-		Rewarm:      &stats,
-		WALBytes:    s.wal.Size(),
-	})
-}
-
-// saveSnapshotRetry is SaveSnapshot with bounded retries and jittered
-// exponential backoff — transient filesystem failures (the disk filling
-// briefly, a slow NFS rename) should not cost a whole snapshot interval of
-// warmth. Each retry is counted in hetesim_snapshot_save_retries_total.
-func (s *Server) saveSnapshotRetry(ctx context.Context, attempts int, backoff time.Duration, logf func(string, ...any)) error {
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			metSnapshotSaveRetries.Inc()
-			d := backoff << uint(i-1)
-			d += rand.N(d) // jitter in [d, 2d)
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(d):
-			}
-		}
-		if err = s.SaveSnapshot(); err == nil {
-			return nil
-		}
-		logf("server: snapshot save attempt %d/%d: %v", i+1, attempts, err)
-	}
-	return err
+	writeJSON(w, http.StatusOK, body)
 }

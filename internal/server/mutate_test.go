@@ -117,13 +117,13 @@ func TestMutateEndpoint(t *testing.T) {
 
 	// An invalid batch leaves no trace: 404 for the unknown edge, and the
 	// log does not grow (replay would otherwise fail on it forever).
-	sizeBefore := srv.wal.Size()
+	sizeBefore := srv.st.wal.Size()
 	resp, _ = postMutation(t, ts.URL, "bad-batch",
 		[]hin.Op{{Kind: hin.OpDeleteEdge, Relation: "writes", Src: "nobody", Dst: "p1"}})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("invalid delete = %d, want 404", resp.StatusCode)
 	}
-	if srv.wal.Size() != sizeBefore {
+	if srv.st.wal.Size() != sizeBefore {
 		t.Fatal("rejected batch was logged")
 	}
 	resp, _ = postMutation(t, ts.URL, "", nil)
@@ -301,7 +301,7 @@ func TestMutateDuplicateKeyReplay(t *testing.T) {
 	}
 
 	// Re-open the raw log and append the same key again.
-	l, _, err := wal.Open(first.fsys, walPath, base.Fingerprint())
+	l, _, err := wal.Open(first.st.fsys, walPath, base.Fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,6 +460,7 @@ func TestReloadRebindsWAL(t *testing.T) {
 	writeGraphFile(t, graphPath, base)
 
 	first := New(base, WithWALPath(walPath), WithReloadFrom(graphPath), WithLogf(t.Logf))
+	t.Cleanup(first.Close)
 	first.MarkReady()
 	if _, err := first.OpenWAL(); err != nil {
 		t.Fatal(err)
@@ -582,22 +583,23 @@ func TestCompactionRefusesReplacedBase(t *testing.T) {
 // many keyed batches a client sends.
 func TestAppliedKeyTableBounded(t *testing.T) {
 	srv := New(reloadGraph(t, 0), WithLogf(t.Logf))
-	srv.walMu.Lock()
-	defer srv.walMu.Unlock()
+	st := srv.st
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	for i := 0; i < maxAppliedKeys+100; i++ {
-		srv.rememberKeyLocked(fmt.Sprintf("key-%d", i), uint64(i)+1)
+		st.rememberKeyLocked(fmt.Sprintf("key-%d", i), uint64(i)+1)
 	}
-	if len(srv.applied) != maxAppliedKeys || len(srv.appliedOrder) != maxAppliedKeys {
+	if len(st.applied) != maxAppliedKeys || len(st.appliedOrder) != maxAppliedKeys {
 		t.Fatalf("table holds %d/%d keys, want bounded at %d",
-			len(srv.applied), len(srv.appliedOrder), maxAppliedKeys)
+			len(st.applied), len(st.appliedOrder), maxAppliedKeys)
 	}
-	if _, ok := srv.applied["key-0"]; ok {
+	if _, ok := st.applied["key-0"]; ok {
 		t.Fatal("oldest key survived eviction")
 	}
-	if seq, ok := srv.applied[fmt.Sprintf("key-%d", maxAppliedKeys+99)]; !ok || seq != maxAppliedKeys+100 {
+	if seq, ok := st.applied[fmt.Sprintf("key-%d", maxAppliedKeys+99)]; !ok || seq != maxAppliedKeys+100 {
 		t.Fatalf("newest key = %d, %v", seq, ok)
 	}
-	entries := srv.checkpointEntriesLocked()
+	entries := st.checkpointEntriesLocked()
 	if len(entries) != maxAppliedKeys {
 		t.Fatalf("checkpoint snapshot holds %d entries", len(entries))
 	}
@@ -688,7 +690,7 @@ func TestMutateDrainConflict(t *testing.T) {
 	}
 }
 
-// TestMutateBackpressure503 holds the writer lock and checks a concurrent
+// TestMutateBackpressure503 holds the writers' admission lock and checks a concurrent
 // batch is shed with 503 + Retry-After instead of queueing.
 func TestMutateBackpressure503(t *testing.T) {
 	dir := t.TempDir()
@@ -700,9 +702,9 @@ func TestMutateBackpressure503(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	srv.walMu.Lock()
+	srv.st.admit.Lock()
 	resp, _ := postMutation(t, ts.URL, "k", mutationBatches()[0])
-	srv.walMu.Unlock()
+	srv.st.admit.Unlock()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("concurrent mutation = %d, want 503", resp.StatusCode)
 	}
@@ -727,6 +729,7 @@ func TestHotReloadUnderLoadWithMutations(t *testing.T) {
 
 	srv := New(reloadGraph(t, 0), WithReloadFrom(graphPath),
 		WithWALPath(filepath.Join(dir, "edges.wal")), WithLogf(t.Logf))
+	t.Cleanup(srv.Close)
 	srv.MarkReady()
 	if _, err := srv.OpenWAL(); err != nil {
 		t.Fatal(err)

@@ -182,6 +182,7 @@ func obsHeavyServer(t *testing.T, n int, opts ...Option) (*Server, *httptest.Ser
 		}
 	}
 	srv := New(b.MustBuild(), opts...)
+	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts

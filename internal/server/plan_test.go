@@ -29,6 +29,7 @@ func planTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 	b.AddEdge("published_in", "p2", "KDD")
 	b.AddEdge("published_in", "p3", "SIGMOD")
 	srv := New(b.MustBuild(), opts...)
+	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts

@@ -36,6 +36,7 @@ func relevanceTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Serve
 		b.AddEdge("published_in", p, "ICDE")
 	}
 	srv := New(b.MustBuild(), opts...)
+	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts

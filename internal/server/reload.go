@@ -5,32 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"time"
 
-	"hetesim/internal/baseline"
-	"hetesim/internal/core"
-	"hetesim/internal/hin"
 	"hetesim/internal/obs"
 	"hetesim/internal/snapshot"
 )
 
-// Durability and reload observability: the snapshot lifecycle (loads,
-// saves, rejected files) and the hot-reload lifecycle (swaps, failures,
-// whether the current process warm-started) in the process-wide registry.
+// Hot-reload observability (swaps, failures) in the process-wide registry;
+// the snapshot lifecycle's metrics live with the store.
 var (
-	metSnapshotLoads = obs.Default().Counter("hetesim_snapshot_load_total",
-		"Snapshots loaded and admitted at boot or reload.")
-	metSnapshotSaves = obs.Default().Counter("hetesim_snapshot_save_total",
-		"Snapshots written crash-safely to disk.")
-	metSnapshotCorrupt = obs.Default().Counter("hetesim_snapshot_corrupt_total",
-		"Snapshots rejected by checksum, version, or fingerprint validation.")
 	metReloads = obs.Default().Counter("hetesim_reload_total",
 		"Successful atomic graph hot-reloads.")
 	metReloadErrors = obs.Default().Counter("hetesim_reload_errors_total",
 		"Hot-reloads that failed validation and left the old graph serving.")
-	metWarmStart = obs.Default().Gauge("hetesim_warm_start",
-		"1 when the serving engine was warm-started from a snapshot, else 0.")
 )
 
 // ReadyState is the server's readiness lifecycle, exposed at /readyz.
@@ -67,47 +54,9 @@ func (s ReadyState) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-// engineSet bundles everything derived from one graph: the graph itself,
-// its fingerprint, and every query engine over it. A request resolves the
-// current set once and uses it throughout, so an atomic swap of the set
-// pointer hot-reloads the graph while in-flight queries drain against the
-// set they started with.
-type engineSet struct {
-	g           *hin.Graph
-	fingerprint uint64
-	engine      *core.Engine // normalized HeteSim (Definition 10)
-	raw         *core.Engine // unnormalized (Definition 3), for ?raw=1
-	pcrw        *baseline.PCRW
-	pathsim     *baseline.PathSim
-}
-
-func (s *Server) newEngineSet(g *hin.Graph) *engineSet {
-	e := core.NewEngine(g, s.engineOpts...)
-	return &engineSet{
-		g:           g,
-		fingerprint: g.Fingerprint(),
-		engine:      e,
-		raw:         core.NewEngine(g, append(append([]core.Option(nil), s.engineOpts...), core.WithNormalization(false))...),
-		pcrw:        baseline.NewPCRWFromEngine(e),
-		pathsim:     baseline.NewPathSim(g),
-	}
-}
-
-// hetesim picks the engine matching a query's normalization.
-func (es *engineSet) hetesim(raw bool) *core.Engine {
-	if raw {
-		return es.raw
-	}
-	return es.engine
-}
-
 // current returns the engine set serving new requests. Handlers call it
 // once per request and thread the result, never re-resolving mid-query.
-func (s *Server) current() *engineSet { return s.cur.Load() }
-
-// Graph returns the currently served graph (primarily for tests and the
-// daemon's logging).
-func (s *Server) Graph() *hin.Graph { return s.current().g }
+func (s *Server) current() *engineSet { return s.st.cur.Load() }
 
 // State returns the server's readiness lifecycle state.
 func (s *Server) State() ReadyState { return ReadyState(s.state.Load()) }
@@ -131,109 +80,32 @@ func (s *Server) Ready() bool {
 // fingerprint, or option validation is rejected with a reason, counted in
 // hetesim_snapshot_corrupt_total, and never served (false, error).
 func (s *Server) WarmStart() (bool, error) {
-	if s.snapshotPath == "" {
-		return false, nil
-	}
-	n, err := s.warmInto(s.current())
-	if err != nil {
-		return false, err
-	}
-	if n > 0 {
-		metWarmStart.Set(1)
-	}
-	return n > 0, nil
+	n, err := s.st.loadSnapshot(s.current())
+	return n > 0, err
 }
 
-// warmInto validates the snapshot against es's graph and imports its chain
-// matrices into both engines, returning how many chains were admitted.
-func (s *Server) warmInto(es *engineSet) (int, error) {
-	snap, err := snapshot.Load(s.fsys, s.snapshotPath)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil // cold start, not a failure
-		}
-		metSnapshotCorrupt.Inc()
-		return 0, err
-	}
-	if err := snap.CheckCompat(es.fingerprint, es.engine.PruneEps()); err != nil {
-		metSnapshotCorrupt.Inc()
-		return 0, err
-	}
-	chains, err := snapshot.DecodeChains(snap)
-	if err != nil {
-		metSnapshotCorrupt.Inc()
-		return 0, err
-	}
-	n := es.engine.ImportChains(chains)
-	es.raw.ImportChains(chains)
-	// Embeddings ride along when present (format version 2+); a corrupt
-	// embedding section rejects the snapshot like a corrupt chain would,
-	// but an old snapshot without any simply warms no embeddings — they
-	// are a cache and rebuild lazily.
-	embeds, err := snapshot.DecodeEmbeddings(snap)
-	if err != nil {
-		metSnapshotCorrupt.Inc()
-		return 0, err
-	}
-	es.engine.ImportEmbeddings(embeds)
-	es.raw.ImportEmbeddings(embeds)
-	metSnapshotLoads.Inc()
-	if n > 0 {
-		s.snapSavedAt.Store(time.Now().UnixNano())
-	}
-	return n, nil
+// ImportSnapshot validates snap against the serving graph and imports its
+// chain matrices and embeddings into both engines — the receiving half of
+// snapshot shipping, used by the -warm-from boot path and by a follower
+// after a full resync. It returns how many chains were admitted; a snapshot
+// for a different graph generation or pruning configuration is rejected
+// whole.
+func (s *Server) ImportSnapshot(snap *snapshot.Snapshot) (int, error) {
+	return s.st.importSnapshot(s.current(), snap)
 }
 
-// SaveSnapshot writes the current engines' materialized chain matrices
-// crash-safely to the configured snapshot path. Concurrent calls (periodic
-// saver, shutdown, post-precompute) serialize; the previous snapshot
-// survives any failure.
-func (s *Server) SaveSnapshot() error {
-	if s.snapshotPath == "" {
-		return errors.New("server: no snapshot path configured")
-	}
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
-	es := s.current()
-	chains := es.engine.ExportChains()
-	for k, m := range es.raw.ExportChains() {
-		if _, ok := chains[k]; !ok {
-			chains[k] = m
-		}
-	}
-	snap := &snapshot.Snapshot{
-		Fingerprint: es.fingerprint,
-		PruneEps:    es.engine.PruneEps(),
-	}
-	if err := snapshot.EncodeChains(snap, chains); err != nil {
-		return err
-	}
-	embeds := es.engine.ExportEmbeddings()
-	for k, em := range es.raw.ExportEmbeddings() {
-		if _, ok := embeds[k]; !ok {
-			embeds[k] = em
-		}
-	}
-	if err := snapshot.EncodeEmbeddings(snap, embeds); err != nil {
-		return err
-	}
-	if err := snapshot.Save(s.fsys, s.snapshotPath, snap); err != nil {
-		return err
-	}
-	metSnapshotSaves.Inc()
-	s.snapSavedAt.Store(time.Now().UnixNano())
-	return nil
-}
+// SaveSnapshot writes the current engines' materialized chain matrices and
+// embeddings crash-safely to the configured snapshot path. Concurrent calls
+// (periodic saver, shutdown, post-precompute) serialize; the previous
+// snapshot survives any failure.
+func (s *Server) SaveSnapshot() error { return s.st.saveSnapshot() }
 
 // RunSnapshotSaver persists the chain cache every interval until ctx is
 // canceled, so a crash costs at most one interval of materialization work.
 // Each tick's save gets a few bounded, jitter-backed retries (counted in
 // hetesim_snapshot_save_retries_total); a tick that still fails is logged
 // and retried next tick — the previous snapshot stays intact throughout.
-func (s *Server) RunSnapshotSaver(ctx context.Context, interval time.Duration, logf func(string, ...any)) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+func (s *Server) RunSnapshotSaver(ctx context.Context, interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -244,11 +116,31 @@ func (s *Server) RunSnapshotSaver(ctx context.Context, interval time.Duration, l
 			if !s.Ready() {
 				continue
 			}
-			if err := s.saveSnapshotRetry(ctx, 3, 100*time.Millisecond, logf); err != nil {
-				logf("server: periodic snapshot save: %v", err)
+			if err := s.st.saveSnapshotRetry(ctx, 3, 100*time.Millisecond); err != nil {
+				s.st.logf("server: periodic snapshot save: %v", err)
 			}
 		}
 	}
+}
+
+// BeginDrain puts the server into shutdown drain: in-flight and new
+// queries keep being answered (the HTTP server's own Shutdown bounds
+// that), but mutations and reloads are refused with 409 from here on, so
+// no graph swap races the drain. Drain is one-way.
+func (s *Server) BeginDrain() { s.draining.Store(true) }
+
+// Draining reports whether BeginDrain was called.
+func (s *Server) Draining() bool { return s.draining.Load() }
+
+// Close ends the server's lifecycle: it begins the drain, cancels and waits
+// for every goroutine the server started (background warmup, post-reload
+// re-warm), saves a final snapshot when a snapshot path is configured, and
+// closes the write-ahead log. Call it after the HTTP listener has shut down
+// and any RunFollower / RunSnapshotSaver context has been canceled; when it
+// returns nothing the server started is running or writing. Idempotent.
+func (s *Server) Close() {
+	s.BeginDrain()
+	s.st.close()
 }
 
 // ReloadResult summarizes a successful hot-reload.
@@ -261,35 +153,41 @@ type ReloadResult struct {
 	DurationMS  float64       `json:"duration_ms"`
 }
 
-// errReloadBusy reports a reload attempted while another is in flight.
-var errReloadBusy = errors.New("server: reload already in progress")
+var (
+	// errReloadBusy reports a reload attempted while another is in flight.
+	errReloadBusy = errors.New("server: reload already in progress")
+	// errDraining marks mutations and reloads refused during shutdown drain.
+	errDraining = errors.New("server: draining, mutating requests refused")
+)
 
 // Reload atomically replaces the served graph: it re-reads the configured
 // graph file, builds and fully validates a fresh engine set off to the
 // side (including a snapshot warm start when the snapshot still matches),
-// then swaps the engine-set pointer. In-flight queries finish against the
-// set they started with; new requests see the new graph. Any failure
-// leaves the old set serving untouched.
+// then publishes it. In-flight queries finish against the set they started
+// with; new requests see the new graph. Any failure leaves the old set
+// serving untouched. The reload holds the writers' admission lock across
+// its whole read-build-publish window, so a batch acked mid-reload can
+// neither be clobbered from the serving graph nor silently undo the reload;
+// concurrent client writes are shed with 503 + Retry-After for the duration.
 func (s *Server) Reload(ctx context.Context) (*ReloadResult, error) {
-	if s.graphPath == "" {
+	if s.st.graphPath == "" {
 		return nil, errors.New("server: no reload graph source configured")
 	}
 	if s.Draining() {
 		return nil, errDraining
 	}
-	if !s.reloadMu.TryLock() {
+	if !s.st.reloading.CompareAndSwap(false, true) {
 		return nil, errReloadBusy
 	}
-	defer s.reloadMu.Unlock()
+	defer s.st.reloading.Store(false)
+	s.st.admit.Lock()
+	defer s.st.admit.Unlock()
 
-	prev := s.State()
-	if prev == StateReady {
-		s.setState(StateReloading)
-		defer func() { s.setState(StateReady) }()
+	if s.state.CompareAndSwap(int32(StateReady), int32(StateReloading)) {
+		defer s.setState(StateReady)
 	}
-
 	start := time.Now()
-	res, err := s.reloadLocked(ctx)
+	res, err := s.reload(ctx)
 	if err != nil {
 		metReloadErrors.Inc()
 		return nil, err
@@ -300,87 +198,25 @@ func (s *Server) Reload(ctx context.Context) (*ReloadResult, error) {
 	return res, nil
 }
 
-func (s *Server) reloadLocked(ctx context.Context) (*ReloadResult, error) {
-	// Mutations append to the log and swap s.cur under walMu; the reload
-	// holds the same lock across its whole read-build-swap window so a
-	// batch acked mid-reload can neither be clobbered from the serving
-	// graph nor silently undo the reload. Concurrent mutation batches are
-	// shed with 503 + Retry-After for the duration. With mutations
-	// enabled, the graph file on disk may trail the served graph by the
-	// log's batches: fold the log into a fresh base first, so the re-read
-	// below starts from the acked state instead of dropping logged
-	// mutations.
-	if s.walPath != "" {
-		s.walMu.Lock()
-		defer s.walMu.Unlock()
-		if err := s.compactLocked(); err != nil {
-			return nil, err
-		}
+func (s *Server) reload(ctx context.Context) (*ReloadResult, error) {
+	// With mutations enabled, the graph file on disk may trail the served
+	// graph by the log's batches: fold the log into a fresh base first, so
+	// the re-read below starts from the acked state instead of dropping
+	// logged mutations.
+	if err := s.st.compact(); err != nil {
+		return nil, err
 	}
-	f, err := os.Open(s.graphPath)
-	if err != nil {
-		return nil, fmt.Errorf("server: reload: %w", err)
-	}
-	g, err := hin.Read(f)
-	f.Close()
+	g, err := s.st.readGraph()
 	if err != nil {
 		return nil, fmt.Errorf("server: reload: %w", err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	next := s.newEngineSet(g)
-	warm := 0
-	if s.snapshotPath != "" {
-		// A snapshot for a different graph generation simply fails the
-		// fingerprint check: the reload proceeds cold rather than failing.
-		if n, werr := s.warmInto(next); werr == nil {
-			warm = n
-		}
+	next, warm, err := s.st.adopt(g, s.current().seq, false)
+	if err != nil {
+		return nil, fmt.Errorf("server: reload: %w", err)
 	}
-	if warm > 0 {
-		metWarmStart.Set(1)
-	} else {
-		metWarmStart.Set(0)
-	}
-
-	// Rebind the open log before serving the new generation: a reload that
-	// adopts a different graph (an operator-placed replacement) would
-	// otherwise leave the log's header naming the old base, and every
-	// batch acked afterwards would be set aside — never replayed — at the
-	// next boot. Reset rebinding fails the reload whole, leaving old
-	// graph and old log consistent; the idempotency table rides along as
-	// checkpoint records.
-	if s.wal != nil && next.fingerprint != s.wal.Fingerprint() {
-		if err := s.wal.Reset(next.fingerprint, s.checkpointEntriesLocked()); err != nil {
-			return nil, fmt.Errorf("server: rebinding wal to reloaded graph: %w", err)
-		}
-		s.walBatches = 0
-		metWALBytes.Set(float64(s.wal.Size()))
-	}
-
-	s.cur.Store(next)
-
-	// Re-materialize the boot-time paths against the new graph in the
-	// background (instant when the snapshot warmed them), then persist so
-	// the next boot warm-starts from the new generation.
-	s.specMu.Lock()
-	specs := append([]string(nil), s.precomputeSpecs...)
-	s.specMu.Unlock()
-	go func() {
-		for _, spec := range specs {
-			if err := s.precomputeOn(next, spec); err != nil {
-				s.logf("server: reload precompute %s: %v", spec, err)
-			}
-		}
-		if s.snapshotPath != "" {
-			if err := s.SaveSnapshot(); err != nil {
-				s.logf("server: post-reload snapshot save: %v", err)
-			}
-		}
-	}()
-
 	return &ReloadResult{
 		Nodes:       g.TotalNodes(),
 		Edges:       g.TotalEdges(),

@@ -71,6 +71,7 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	writeGraphFile(t, graphPath, reloadGraph(t, 0))
 
 	srv := New(reloadGraph(t, 0), WithReloadFrom(graphPath), WithLogf(t.Logf))
+	t.Cleanup(srv.Close)
 	srv.MarkReady()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -202,6 +203,7 @@ func TestReloadEndpoint(t *testing.T) {
 	writeGraphFile(t, graphPath, reloadGraph(t, 1))
 
 	srv := New(reloadGraph(t, 0), WithReloadFrom(graphPath), WithLogf(t.Logf))
+	t.Cleanup(srv.Close)
 	srv.MarkReady()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -355,6 +357,7 @@ func TestReloadWarmsFromSnapshot(t *testing.T) {
 	}
 
 	srv := New(reloadGraph(t, 0), WithReloadFrom(graphPath), WithSnapshotPath(snapPath), WithLogf(t.Logf))
+	t.Cleanup(srv.Close)
 	srv.MarkReady()
 	res, err := srv.Reload(context.Background())
 	if err != nil {
@@ -373,9 +376,9 @@ func TestReloadWarmsFromSnapshot(t *testing.T) {
 func TestReloadBusy(t *testing.T) {
 	srv := New(reloadGraph(t, 0), WithReloadFrom("/nonexistent"))
 	srv.MarkReady()
-	srv.reloadMu.Lock()
+	srv.st.reloading.Store(true)
 	_, err := srv.Reload(context.Background())
-	srv.reloadMu.Unlock()
+	srv.st.reloading.Store(false)
 	if !errors.Is(err, errReloadBusy) {
 		t.Fatalf("overlapping reload err = %v, want errReloadBusy", err)
 	}

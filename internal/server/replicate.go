@@ -50,7 +50,7 @@ var (
 
 const (
 	defaultTailBatches = 256  // batches per tail read unless ?max= says otherwise
-	maxTailBatches     = 1024 // hard cap per tail read, bounding walMu hold time
+	maxTailBatches     = 1024 // hard cap per tail read, bounding state-lock hold time
 	maxPullsPerTick    = 64   // catch-up pulls per follower tick before yielding
 	maxGraphFetchBytes = 1 << 31
 )
@@ -58,62 +58,38 @@ const (
 // handleWALTail is GET /v1/admin/wal?from=seq[&max=n]: stream the log's
 // batches from the given sequence in the CRC-framed replication format,
 // fingerprint- and head-stamped. 410 means the sequence was compacted away
-// and the follower must full-resync. The read holds the write lock —
-// bounded by max, so a poll costs a writer at most one small scan.
+// and the follower must full-resync. The read takes the store's state lock
+// but never the writers' admission lock: a poll can delay a write by one
+// small scan (bounded by max), never shed it.
 func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
-	if s.walPath == "" {
+	if s.st.walPath == "" {
 		writeJSON(w, http.StatusNotImplemented,
 			errorBody{Error: "replication is disabled: no -wal-path configured", Code: "mutations_disabled"})
 		return
 	}
-	from := uint64(1)
-	if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: "from must be a non-negative integer", Code: "bad_request"})
-			return
-		}
-		from = n
-	}
-	maxBatches := defaultTailBatches
-	if v := r.URL.Query().Get("max"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: "max must be a positive integer", Code: "bad_request"})
-			return
-		}
-		maxBatches = min(n, maxTailBatches)
-	}
-
-	s.walMu.Lock()
-	if s.wal == nil {
-		s.walMu.Unlock()
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: "write-ahead log is not open", Code: "wal_not_open"})
+	from, err := intParam(r, "from", 1, 0)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
-	batches, err := s.wal.TailSince(from, maxBatches)
-	if errors.Is(err, wal.ErrCompacted) {
-		floor := s.wal.MinRetained()
-		s.walMu.Unlock()
+	maxBatches, err := intParam(r, "max", defaultTailBatches, 1)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+
+	stream, floor, err := s.st.tail(uint64(from), min(maxBatches, maxTailBatches))
+	switch {
+	case errors.Is(err, errWALNotOpen):
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), Code: "wal_not_open"})
+		return
+	case errors.Is(err, wal.ErrCompacted):
 		metWALTailCompacted.Inc()
 		w.Header().Set("X-Hetesim-WAL-Floor", strconv.FormatUint(floor, 10))
 		writeJSON(w, http.StatusGone,
 			errorBody{Error: err.Error() + "; fetch /v1/admin/graph and re-follow", Code: "compacted"})
 		return
-	}
-	// Head and fingerprint are captured under the same lock as the batches,
-	// so the triple is consistent: applying every logged batch through head
-	// onto the log's base yields exactly the graph this fingerprint names.
-	stream := wal.Stream{
-		Fingerprint: s.current().fingerprint,
-		Head:        s.wal.LastSeq(),
-		Batches:     batches,
-	}
-	s.walMu.Unlock()
-	if err != nil {
+	case err != nil:
 		writeJSON(w, http.StatusInternalServerError,
 			errorBody{Error: "reading wal tail: " + err.Error(), Code: "wal_tail_failed"})
 		return
@@ -135,18 +111,10 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 // handleGraphFetch is GET /v1/admin/graph: the serving graph in its file
 // format, stamped with the fingerprint and WAL sequence it embodies — the
 // full-resync source for a follower that fell behind compaction or
-// diverged. The (graph, seq) pair is captured under the write lock so no
-// batch can land between the two; serialization happens outside the lock
-// against the immutable captured graph.
+// diverged. Graph and sequence are one published value, so no batch can
+// land between the two; serialization runs against the immutable graph.
 func (s *Server) handleGraphFetch(w http.ResponseWriter, r *http.Request) {
-	s.walMu.Lock()
 	es := s.current()
-	seq := s.lastWalSeq.Load()
-	if s.wal != nil {
-		seq = s.wal.LastSeq()
-	}
-	s.walMu.Unlock()
-
 	var buf bytes.Buffer
 	if err := hin.Write(&buf, es.g); err != nil {
 		writeJSON(w, http.StatusInternalServerError,
@@ -156,7 +124,7 @@ func (s *Server) handleGraphFetch(w http.ResponseWriter, r *http.Request) {
 	metGraphFetches.Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Hetesim-Fingerprint", fmt.Sprintf("%016x", es.fingerprint))
-	w.Header().Set("X-Hetesim-WAL-Seq", strconv.FormatUint(seq, 10))
+	w.Header().Set("X-Hetesim-WAL-Seq", strconv.FormatUint(es.seq, 10))
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.Write(buf.Bytes())
 }
@@ -182,12 +150,14 @@ type FollowerOptions struct {
 	// a full resync (wired to router.FetchSnapshot by the daemon). Failure
 	// is logged, not fatal — a resynced follower just starts colder.
 	FetchSnapshot func(ctx context.Context, base string) (*snapshot.Snapshot, error)
-	Logf          func(string, ...any)
+	// Logf overrides the server's logger (WithLogf) for follower messages.
+	Logf func(string, ...any)
 }
 
-// Follower-internal sentinels: both mean "incremental catch-up cannot
+// Follower-internal sentinels: all mean "incremental catch-up cannot
 // proceed; full-resync from the primary".
 var (
+	errFollowerBehind   = errors.New("server: follower is behind the primary's compaction horizon")
 	errFollowerDiverged = errors.New("server: follower diverged: fingerprint mismatch at stream head")
 	errFollowerForked   = errors.New("server: follower holds sequences past the primary's head")
 )
@@ -209,7 +179,7 @@ func (s *Server) RunFollower(ctx context.Context, o FollowerOptions) {
 		o.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
+		o.Logf = s.st.logf
 	}
 	s.followCfg.Store(true)
 	t := time.NewTicker(o.Interval)
@@ -249,34 +219,25 @@ func (s *Server) followTick(ctx context.Context, o FollowerOptions) {
 	s.actingPrimary.Store(false)
 	s.setFollowing(primary)
 
-	for i := 0; i < maxPullsPerTick; i++ {
-		if ctx.Err() != nil {
-			return
+	for i := 0; i < maxPullsPerTick && ctx.Err() == nil; i++ {
+		caughtUp := false
+		st, err := s.pullTail(ctx, o, primary)
+		if err == nil {
+			caughtUp, err = s.applyStream(ctx, st)
 		}
-		st, compacted, err := s.pullTail(ctx, o, primary)
-		if err != nil {
-			o.Logf("server: follower: pulling from %s: %v", primary, err)
-			return
-		}
-		if compacted {
-			o.Logf("server: follower: behind %s's compaction horizon, full resync", primary)
-			if err := s.resyncFromPrimary(ctx, o, primary); err != nil {
-				o.Logf("server: follower: resync from %s: %v", primary, err)
-			}
-			return
-		}
-		caughtUp, err := s.applyStream(ctx, st)
 		switch {
-		case errors.Is(err, errFollowerDiverged) || errors.Is(err, errFollowerForked):
-			s.diverged.Store(true)
-			metFollowDivergence.Inc()
+		case errors.Is(err, errFollowerBehind), errors.Is(err, errFollowerDiverged), errors.Is(err, errFollowerForked):
+			if !errors.Is(err, errFollowerBehind) {
+				s.diverged.Store(true)
+				metFollowDivergence.Inc()
+			}
 			o.Logf("server: follower: %v; full resync from %s", err, primary)
 			if rerr := s.resyncFromPrimary(ctx, o, primary); rerr != nil {
 				o.Logf("server: follower: resync from %s: %v", primary, rerr)
 			}
 			return
 		case err != nil:
-			o.Logf("server: follower: applying stream from %s: %v", primary, err)
+			o.Logf("server: follower: replicating from %s: %v", primary, err)
 			return
 		case caughtUp:
 			s.diverged.Store(false)
@@ -286,67 +247,59 @@ func (s *Server) followTick(ctx context.Context, o FollowerOptions) {
 	}
 }
 
-// resolvePrimary asks the target who the primary is. A target without the
-// endpoint (a plain replica, or an old router) is itself the primary.
-func (s *Server) resolvePrimary(ctx context.Context, o FollowerOptions) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, o.Target+"/v1/admin/primary", nil)
+// get issues one GET on the follower's client and returns the status,
+// headers and the body, read up to limit bytes.
+func (o FollowerOptions) get(ctx context.Context, url string, limit int64) (int, http.Header, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return "", err
+		return 0, nil, nil, err
 	}
 	resp, err := o.Client.Do(req)
 	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	return resp.StatusCode, resp.Header, body, err
+}
+
+// resolvePrimary asks the target who the primary is. A target without the
+// endpoint (a plain replica, or an old router) is itself the primary.
+func (s *Server) resolvePrimary(ctx context.Context, o FollowerOptions) (string, error) {
+	status, _, raw, err := o.get(ctx, o.Target+"/v1/admin/primary", 1<<16)
+	if err != nil {
 		return "", err
 	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusNotFound {
+	if status == http.StatusNotFound {
 		return o.Target, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET /v1/admin/primary: status %d", resp.StatusCode)
+	if status != http.StatusOK {
+		return "", fmt.Errorf("GET /v1/admin/primary: status %d", status)
 	}
 	var body struct {
 		Primary string `json:"primary"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body); err != nil {
+	if err := json.Unmarshal(raw, &body); err != nil {
 		return "", fmt.Errorf("decoding primary response: %w", err)
 	}
 	return body.Primary, nil
 }
 
-// pullTail fetches one bounded tail read from the primary. compacted=true
-// means 410: the follower's position predates the primary's retained floor.
-func (s *Server) pullTail(ctx context.Context, o FollowerOptions, primary string) (*wal.Stream, bool, error) {
-	from := s.lastWalSeq.Load() + 1
-	url := fmt.Sprintf("%s/v1/admin/wal?from=%d&max=%d", primary, from, o.MaxBatch)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, false, err
-	}
+// pullTail fetches one bounded tail read from the primary. 410 means the
+// follower's position predates the primary's retained floor:
+// errFollowerBehind.
+func (s *Server) pullTail(ctx context.Context, o FollowerOptions, primary string) (*wal.Stream, error) {
 	metFollowPulls.Inc()
-	resp, err := o.Client.Do(req)
-	if err != nil {
-		return nil, false, err
+	status, _, body, err := o.get(ctx, fmt.Sprintf("%s/v1/admin/wal?from=%d&max=%d", primary, s.current().seq+1, o.MaxBatch), maxGraphFetchBytes)
+	switch {
+	case err != nil:
+		return nil, err
+	case status == http.StatusGone:
+		return nil, errFollowerBehind
+	case status != http.StatusOK:
+		return nil, fmt.Errorf("GET /v1/admin/wal: status %d: %s", status, truncateBody(body))
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxGraphFetchBytes))
-	if err != nil {
-		return nil, false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusGone:
-		return nil, true, nil
-	default:
-		return nil, false, fmt.Errorf("GET /v1/admin/wal: status %d: %s", resp.StatusCode, truncateBody(body))
-	}
-	st, err := wal.DecodeStream(body)
-	if err != nil {
-		return nil, false, err
-	}
-	return st, false, nil
+	return wal.DecodeStream(body)
 }
 
 func truncateBody(b []byte) string {
@@ -357,101 +310,66 @@ func truncateBody(b []byte) string {
 	return string(bytes.TrimSpace(b))
 }
 
-// applyStream records and applies one replication pull under the write
-// lock. Batches at or below the local position are skipped (overlap is
-// harmless); a gap, a local position past the stream head, or a
-// fingerprint mismatch once caught up all abort — the first is a protocol
-// violation, the latter two are forks, and every abort path resolves by
-// full resync. Returns whether the follower is now caught up to the
-// stream's head.
+// applyStream applies one replication pull through the store, holding the
+// writers' admission lock so no reload interleaves. Batches at or below the
+// local position are skipped (overlap is harmless); a gap, a local position
+// past the stream head, or a fingerprint mismatch once caught up all abort —
+// the first is a protocol violation, the latter two are forks, and every
+// abort path resolves by full resync. Returns whether the follower is now
+// caught up to the stream's head.
 func (s *Server) applyStream(ctx context.Context, st *wal.Stream) (bool, error) {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	my := s.lastWalSeq.Load()
-	if my > st.Head {
+	s.st.admit.Lock()
+	defer s.st.admit.Unlock()
+	es := s.current()
+	if es.seq > st.Head {
 		// We hold acked-but-never-replicated history from a deposed primary
 		// incarnation (or the fleet was rebuilt under us).
-		return false, fmt.Errorf("%w: local seq %d, primary head %d", errFollowerForked, my, st.Head)
+		return false, fmt.Errorf("%w: local seq %d, primary head %d", errFollowerForked, es.seq, st.Head)
 	}
 	for _, b := range st.Batches {
-		if b.Seq <= my {
+		if b.Seq <= es.seq {
 			continue
 		}
-		if b.Seq != my+1 {
-			return false, fmt.Errorf("server: replication gap: have %d, stream jumps to %d", my, b.Seq)
+		if b.Seq != es.seq+1 {
+			return false, fmt.Errorf("server: replication gap: have %d, stream jumps to %d", es.seq, b.Seq)
 		}
-		// Log first, apply second — the same ack-implies-durable order the
-		// primary uses, so a follower crash replays exactly what it recorded.
-		if s.wal != nil {
-			if err := s.wal.AppendBatch(b); err != nil {
-				return false, fmt.Errorf("server: logging replicated batch %d: %w", b.Seq, err)
-			}
-			metWALBytes.Set(float64(s.wal.Size()))
-		}
-		if b.Key != "" {
-			if _, dup := s.applied[b.Key]; dup {
-				// Crash-window duplicate the primary also skipped at its own
-				// replay; record position, do not re-apply.
-				metMutationDuplicates.Inc()
-				s.lastWalSeq.Store(b.Seq)
-				s.walBatches++
-				my = b.Seq
-				continue
-			}
-		}
-		if _, err := s.applyLocked(ctx, b.Key, b.Ops, b.Seq); err != nil {
+		res, err := s.st.apply(ctx, b, false)
+		if err != nil {
 			return false, fmt.Errorf("server: applying replicated batch %d: %w", b.Seq, err)
 		}
-		metFollowBatches.Inc()
-		my = b.Seq
+		if !res.duplicate {
+			metFollowBatches.Inc()
+		}
+		es = res.es
 	}
-	if my < st.Head {
+	if es.seq < st.Head {
 		return false, nil
 	}
-	if s.current().fingerprint != st.Fingerprint {
+	if es.fingerprint != st.Fingerprint {
 		return false, fmt.Errorf("%w: local %016x, primary %016x at seq %d",
-			errFollowerDiverged, s.current().fingerprint, st.Fingerprint, my)
-	}
-	// Same compaction policy as the primary: fold the local log into the
-	// local base once it outgrows the threshold. Sequence numbering is
-	// monotonic across compactions, so the replication position survives.
-	if s.walCompactBytes > 0 && s.wal != nil && s.wal.Size() > s.walCompactBytes {
-		if err := s.compactLocked(); err != nil {
-			s.logf("server: follower wal compaction: %v", err)
-		}
+			errFollowerDiverged, es.fingerprint, st.Fingerprint, es.seq)
 	}
 	return true, nil
 }
 
 // resyncFromPrimary replaces the follower's graph wholesale with the
-// primary's: fetch GET /v1/admin/graph, adopt it (durable base first, then
-// log reset, then serve — the same order compaction uses, so a crash at
-// any point leaves a coherent pair), move the replication position to the
-// stamped sequence, and best-effort warm the chain cache from the
-// primary's snapshot.
+// primary's: fetch GET /v1/admin/graph, adopt it at the stamped sequence
+// (durable base first, then log rebind, then serve), and best-effort warm
+// the chain cache from the primary's snapshot.
 func (s *Server) resyncFromPrimary(ctx context.Context, o FollowerOptions, primary string) error {
 	metFollowResyncs.Inc()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, primary+"/v1/admin/graph", nil)
+	status, header, body, err := o.get(ctx, primary+"/v1/admin/graph", maxGraphFetchBytes)
 	if err != nil {
 		return err
 	}
-	resp, err := o.Client.Do(req)
-	if err != nil {
-		return err
+	if status != http.StatusOK {
+		return fmt.Errorf("GET /v1/admin/graph: status %d: %s", status, truncateBody(body))
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxGraphFetchBytes))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/admin/graph: status %d: %s", resp.StatusCode, truncateBody(body))
-	}
-	seq, err := strconv.ParseUint(resp.Header.Get("X-Hetesim-WAL-Seq"), 10, 64)
+	seq, err := strconv.ParseUint(header.Get("X-Hetesim-WAL-Seq"), 10, 64)
 	if err != nil {
 		return fmt.Errorf("parsing X-Hetesim-WAL-Seq: %w", err)
 	}
-	wantFP, err := strconv.ParseUint(resp.Header.Get("X-Hetesim-Fingerprint"), 16, 64)
+	wantFP, err := strconv.ParseUint(header.Get("X-Hetesim-Fingerprint"), 16, 64)
 	if err != nil {
 		return fmt.Errorf("parsing X-Hetesim-Fingerprint: %w", err)
 	}
@@ -464,26 +382,12 @@ func (s *Server) resyncFromPrimary(ctx context.Context, o FollowerOptions, prima
 			g.Fingerprint(), wantFP)
 	}
 
-	s.walMu.Lock()
-	next := s.newEngineSet(g)
-	if s.graphPath != "" {
-		if err := s.saveGraph(g); err != nil {
-			s.walMu.Unlock()
-			return fmt.Errorf("writing resynced base graph: %w", err)
-		}
-		s.lastSavedFP = next.fingerprint
+	s.st.admit.Lock()
+	_, _, err = s.st.adopt(g, seq, true)
+	s.st.admit.Unlock()
+	if err != nil {
+		return err
 	}
-	if s.wal != nil && next.fingerprint != s.wal.Fingerprint() {
-		if err := s.wal.Reset(next.fingerprint, s.checkpointEntriesLocked()); err != nil {
-			s.walMu.Unlock()
-			return fmt.Errorf("rebinding wal to resynced graph: %w", err)
-		}
-		s.walBatches = 0
-		metWALBytes.Set(float64(s.wal.Size()))
-	}
-	s.cur.Store(next)
-	s.lastWalSeq.Store(seq)
-	s.walMu.Unlock()
 	o.Logf("server: follower: resynced from %s at seq %d (fingerprint %016x)", primary, seq, wantFP)
 
 	if o.FetchSnapshot != nil {
@@ -529,7 +433,7 @@ func (s *Server) AcceptsWrites() bool {
 // replica runs follower mode and has not been elected primary. The
 // X-Hetesim-Primary header names the place to write, when known.
 func (s *Server) refuseNotPrimary(w http.ResponseWriter) bool {
-	if !s.followCfg.Load() || s.actingPrimary.Load() {
+	if s.AcceptsWrites() {
 		return false
 	}
 	metNotPrimary.Inc()

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,6 +30,7 @@ func newWALServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 		WithLogf(t.Logf),
 	}, opts...)
 	srv := New(reloadGraph(t, 0), all...)
+	t.Cleanup(srv.Close)
 	srv.MarkReady()
 	if _, err := srv.OpenWAL(); err != nil {
 		t.Fatal(err)
@@ -62,7 +65,7 @@ func waitConverged(t *testing.T, primary, follower *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if follower.lastWalSeq.Load() == primary.lastWalSeq.Load() &&
+		if follower.current().seq == primary.current().seq &&
 			follower.current().fingerprint == primary.current().fingerprint &&
 			!follower.Diverged() {
 			return
@@ -70,7 +73,7 @@ func waitConverged(t *testing.T, primary, follower *Server) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("follower did not converge: seq %d/%d, fingerprint %016x/%016x, diverged=%v",
-		follower.lastWalSeq.Load(), primary.lastWalSeq.Load(),
+		follower.current().seq, primary.current().seq,
 		follower.current().fingerprint, primary.current().fingerprint, follower.Diverged())
 }
 
@@ -134,7 +137,7 @@ func TestFollowerConvergence(t *testing.T) {
 	}
 
 	// Follower restart resumes from its own log, not from scratch.
-	seq := follower.lastWalSeq.Load()
+	seq := follower.current().seq
 	if seq == 0 {
 		t.Fatal("follower position is 0 after convergence")
 	}
@@ -214,12 +217,9 @@ func TestFollowerResyncAfterCompaction(t *testing.T) {
 	}
 	// Fold everything into the base: a follower at position 0 is now behind
 	// the retained floor.
-	primary.walMu.Lock()
-	if err := primary.compactLocked(); err != nil {
-		primary.walMu.Unlock()
+	if err := primary.st.compact(); err != nil {
 		t.Fatal(err)
 	}
-	primary.walMu.Unlock()
 
 	resp, err := http.Get(pts.URL + "/v1/admin/wal?from=1")
 	if err != nil {
@@ -236,12 +236,12 @@ func TestFollowerResyncAfterCompaction(t *testing.T) {
 	follower, _ := newWALServer(t)
 	startFollower(t, follower, pts.URL)
 	waitConverged(t, primary, follower)
-	if follower.lastWalSeq.Load() != 3 {
-		t.Fatalf("resynced position = %d, want 3", follower.lastWalSeq.Load())
+	if follower.current().seq != 3 {
+		t.Fatalf("resynced position = %d, want 3", follower.current().seq)
 	}
 	// The resync rebound the follower's own log to the adopted base, so new
 	// deltas replicate incrementally from here.
-	if follower.wal.Fingerprint() != primary.current().fingerprint {
+	if follower.st.wal.Fingerprint() != primary.current().fingerprint {
 		t.Fatal("follower log not rebound to the resynced base")
 	}
 	if resp, mb := postMutation(t, pts.URL, "post-resync", []hin.Op{upsert("writes", "Dana", "p1", 1)}); resp.StatusCode != http.StatusOK {
@@ -265,14 +265,16 @@ func TestFollowerDivergenceSelfHeals(t *testing.T) {
 
 	// Corrupt the follower: swap in a graph it never replicated, keeping
 	// its replication position — equal wal_seq, different fingerprint.
-	follower.walMu.Lock()
+	follower.st.admit.Lock()
 	bad, _, err := follower.current().g.Apply([]hin.Op{upsert("writes", "Tom", "p2", 9)})
 	if err != nil {
-		follower.walMu.Unlock()
+		follower.st.admit.Unlock()
 		t.Fatal(err)
 	}
-	follower.cur.Store(follower.newEngineSet(bad))
-	follower.walMu.Unlock()
+	follower.st.mu.Lock()
+	follower.st.publish(follower.st.newEngineSet(bad), follower.current().seq)
+	follower.st.mu.Unlock()
+	follower.st.admit.Unlock()
 
 	// Within a poll interval the follower must notice (the caught-up pull
 	// compares fingerprints at equal seq), report it, and self-heal.
@@ -293,5 +295,90 @@ func TestFollowerDivergenceSelfHeals(t *testing.T) {
 	getJSON(t, fts.URL+"/v1/pair?path=APC&source=Carl&target=KDD", http.StatusOK, &fp)
 	if pp.Score != fp.Score {
 		t.Fatalf("post-heal score %v != primary %v", fp.Score, pp.Score)
+	}
+}
+
+// TestFollowTailReadsNeverShedWrites is the regression test for the
+// follower-poll-sheds-a-write flake: tail reads and graph fetches hammer the
+// primary from four goroutines while 200 keyed batches are posted serially.
+// Readers take the state lock, never the writers' admission lock, so not
+// one write may answer 503 — and every tail response must still name one
+// generation: replaying its batches through head onto the base graph
+// reproduces the fingerprint it is stamped with.
+func TestFollowTailReadsNeverShedWrites(t *testing.T) {
+	_, pts := newWALServer(t)
+	var (
+		stop    atomic.Bool
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		streams []*wal.Stream
+	)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				path := "/v1/admin/wal?from=1&max=1024"
+				if (w+i)%4 == 0 {
+					path = "/v1/admin/graph"
+				}
+				resp, err := http.Get(pts.URL + path)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s = %d: %s", path, resp.StatusCode, body)
+					return
+				}
+				if path == "/v1/admin/graph" {
+					continue
+				}
+				st, err := wal.DecodeStream(body)
+				if err != nil {
+					t.Errorf("decoding tail stream: %v", err)
+					return
+				}
+				mu.Lock()
+				streams = append(streams, st)
+				mu.Unlock()
+			}
+		}(w)
+	}
+	for i := 0; i < 200; i++ {
+		ops := []hin.Op{upsert("writes", fmt.Sprintf("w%d", i%11), "p2", float64(i%5+1))}
+		if resp, mb := postMutation(t, pts.URL, fmt.Sprintf("hammer-%d", i), ops); resp.StatusCode != http.StatusOK {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("write %d under tail/graph reads = %d %+v, want 200 (reads must never shed a write)", i, resp.StatusCode, mb)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	if len(streams) == 0 {
+		t.Fatal("no tail read completed; test proves nothing")
+	}
+	fps := map[uint64]uint64{0: reloadGraph(t, 0).Fingerprint()} // head -> fingerprint, memoized
+	for _, st := range streams {
+		if uint64(len(st.Batches)) != st.Head {
+			t.Fatalf("tail from 1 holds %d batches but is stamped head %d", len(st.Batches), st.Head)
+		}
+		if _, ok := fps[st.Head]; !ok {
+			g := reloadGraph(t, 0)
+			for i, b := range st.Batches {
+				if b.Seq != uint64(i)+1 {
+					t.Fatalf("tail batch %d has seq %d", i, b.Seq)
+				}
+				g = applyAll(t, g, [][]hin.Op{b.Ops})
+			}
+			fps[st.Head] = g.Fingerprint()
+		}
+		if fps[st.Head] != st.Fingerprint {
+			t.Fatalf("tail stamped (fingerprint %016x, head %d) but its batches replay to %016x",
+				st.Fingerprint, st.Head, fps[st.Head])
+		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,7 +33,6 @@ import (
 	"hetesim/internal/rank"
 	"hetesim/internal/relevance"
 	"hetesim/internal/snapshot"
-	"hetesim/internal/wal"
 )
 
 // HTTP-layer observability, reported into the process-wide registry next
@@ -61,15 +59,17 @@ const StatusClientClosedRequest = 499
 
 // Server answers relevance queries over one graph generation at a time.
 // It is safe for concurrent use: all underlying engines are, and the
-// serving engine set sits behind an atomic pointer so an admin reload (or
-// SIGHUP) swaps the whole graph without failing a single in-flight query —
-// requests resolve the set once at entry and drain against it.
+// serving generation sits behind the store's atomic pointer so a reload,
+// mutation or replicated delta swaps graph and WAL position together
+// without failing a single in-flight query — requests resolve the set once
+// at entry and drain against it. The Server itself is the HTTP plane:
+// decode/encode, admission, and the query handlers; everything that changes
+// when the graph moves lives in the store.
 type Server struct {
-	cur     atomic.Pointer[engineSet]
+	st      *store
 	mux     *http.ServeMux
 	handler http.Handler
 
-	engineOpts   []core.Option
 	queryTimeout time.Duration // per-request deadline for /v1 queries; 0 = none
 	maxInflight  int           // concurrent /v1 queries before shedding; 0 = unlimited
 	maxBody      int64         // request body cap in bytes
@@ -90,43 +90,9 @@ type Server struct {
 	relevanceMaxPaths int                // candidate-path cap for /v1/relevance
 	pathWeights       map[string]float64 // learned ensemble weights by path spec; nil = learned mode off
 
-	snapshotPath string      // chain-cache snapshot location; "" disables
-	graphPath    string      // graph file re-read on Reload; "" disables
-	fsys         snapshot.FS // injectable for fault-injection tests
-	logf         func(string, ...any)
-
-	walPath         string // edge-delta write-ahead log; "" disables mutations
-	walCompactBytes int64  // log size that triggers compaction; 0 = never
-
-	saveMu   sync.Mutex // serializes SaveSnapshot
-	reloadMu sync.Mutex // serializes Reload
-	specMu   sync.Mutex // guards precomputeSpecs
-
-	// walMu is the single-writer lock of the mutation path: WAL append,
-	// engine-set swap, applied-key table and compaction all happen under
-	// it — and the reload's read-build-swap window, so a reload can never
-	// clobber a concurrently acked batch. Handlers use TryLock, shedding
-	// concurrent writers with 503.
-	walMu        sync.Mutex
-	wal          *wal.Log
-	applied      map[string]uint64 // idempotency key -> acked sequence number
-	appliedOrder []string          // applied keys, oldest ack first (FIFO eviction)
-	walBatches   int               // batches in the log since its base graph
-	lastSavedFP  uint64            // fingerprint of the graph compaction last wrote to graphPath
-	draining     atomic.Bool       // shutdown drain: refuse mutations and reloads
-	// precomputeSpecs are the boot-time materialization paths, kept so a
-	// hot-reload can re-warm the replacement graph.
-	precomputeSpecs []string
-
 	inflight chan struct{}
 	state    atomic.Int32 // ReadyState
-
-	// Replica-freshness signals for /readyz, read lock-free by the probe:
-	// the last acked WAL sequence (cached here so the probe never contends
-	// with walMu) and when this process last saved or imported a snapshot
-	// (unix nanos; 0 = never).
-	lastWalSeq  atomic.Uint64
-	snapSavedAt atomic.Int64
+	draining atomic.Bool  // shutdown drain: refuse mutations and reloads
 
 	// Replication (follower-mode) state, owned by RunFollower — see
 	// replicate.go. followCfg: follower mode is on; actingPrimary: the
@@ -214,7 +180,7 @@ func WithTopKErrorBudget(b float64) Option { return func(s *Server) { s.topKBudg
 // WithEngineOptions forwards options (e.g. core.WithCacheLimit) to the
 // server's HeteSim engines.
 func WithEngineOptions(opts ...core.Option) Option {
-	return func(s *Server) { s.engineOpts = append(s.engineOpts, opts...) }
+	return func(s *Server) { s.st.engineOpts = append(s.st.engineOpts, opts...) }
 }
 
 // WithSlowLog configures the slow-query log: /v1 queries slower than
@@ -228,31 +194,31 @@ func WithSlowLog(threshold time.Duration, capacity int) Option {
 // WithSnapshotPath points the server at its chain-cache snapshot: WarmStart
 // loads it at boot, SaveSnapshot/RunSnapshotSaver persist to it, and
 // reloads try to re-warm from it. Empty (the default) disables snapshots.
-func WithSnapshotPath(path string) Option { return func(s *Server) { s.snapshotPath = path } }
+func WithSnapshotPath(path string) Option { return func(s *Server) { s.st.snapshotPath = path } }
 
 // WithReloadFrom names the graph file POST /v1/admin/reload (and SIGHUP in
 // the daemon) re-reads. Empty (the default) disables hot-reload.
-func WithReloadFrom(graphPath string) Option { return func(s *Server) { s.graphPath = graphPath } }
+func WithReloadFrom(graphPath string) Option { return func(s *Server) { s.st.graphPath = graphPath } }
 
 // WithWALPath points the server at its edge-delta write-ahead log:
 // OpenWAL replays it at boot and POST /v1/admin/edges appends to it, so
 // acked mutations survive a crash. Empty (the default) disables the
 // mutation endpoint.
-func WithWALPath(path string) Option { return func(s *Server) { s.walPath = path } }
+func WithWALPath(path string) Option { return func(s *Server) { s.st.walPath = path } }
 
 // WithWALCompactBytes folds the write-ahead log into a freshly written
 // base graph file whenever the log outgrows n bytes, bounding replay time.
 // Compaction needs WithReloadFrom (the base graph location). 0 (the
 // default) never compacts on size; reloads still compact.
-func WithWALCompactBytes(n int64) Option { return func(s *Server) { s.walCompactBytes = n } }
+func WithWALCompactBytes(n int64) Option { return func(s *Server) { s.st.walCompactBytes = n } }
 
 // WithSnapshotFS substitutes the filesystem used for snapshot I/O —
 // the hook the fault-injection tests use. Defaults to the real filesystem.
-func WithSnapshotFS(fsys snapshot.FS) Option { return func(s *Server) { s.fsys = fsys } }
+func WithSnapshotFS(fsys snapshot.FS) Option { return func(s *Server) { s.st.fsys = fsys } }
 
-// WithLogf sets the server's background logger (reload re-warm, snapshot
-// saves). Defaults to log.Printf.
-func WithLogf(logf func(string, ...any)) Option { return func(s *Server) { s.logf = logf } }
+// WithLogf sets the server's one logger (background warmup, reload re-warm,
+// snapshot saves, compaction, recovered panics). Defaults to log.Printf.
+func WithLogf(logf func(string, ...any)) Option { return func(s *Server) { s.st.logf = logf } }
 
 // New creates a Server over g. The server starts in StateCold: construct,
 // then optionally WarmStart from a snapshot, then PrecomputeBackground
@@ -260,6 +226,7 @@ func WithLogf(logf func(string, ...any)) Option { return func(s *Server) { s.log
 // materialize) or MarkReady directly.
 func New(g *hin.Graph, opts ...Option) *Server {
 	s := &Server{
+		st:                &store{fsys: snapshot.OS{}, logf: log.Printf, applied: make(map[string]uint64)},
 		mux:               http.NewServeMux(),
 		maxBody:           1 << 20,
 		maxPathSteps:      128,
@@ -269,9 +236,6 @@ func New(g *hin.Graph, opts ...Option) *Server {
 		relevanceMaxPaths: 16,
 		slowThreshold:     time.Second,
 		slowCapacity:      128,
-		fsys:              snapshot.OS{},
-		logf:              log.Printf,
-		applied:           make(map[string]uint64),
 	}
 	for _, o := range opts {
 		o(s)
@@ -279,7 +243,7 @@ func New(g *hin.Graph, opts ...Option) *Server {
 	if s.slowThreshold > 0 {
 		s.slowlog = obs.NewSlowLog(s.slowThreshold, s.slowCapacity)
 	}
-	s.cur.Store(s.newEngineSet(g))
+	s.st.start(g)
 	s.setState(StateCold)
 	if s.maxInflight > 0 {
 		s.inflight = make(chan struct{}, s.maxInflight)
@@ -375,6 +339,20 @@ func wantTrace(r *http.Request) bool {
 	return err == nil && b
 }
 
+// intParam reads an optional integer query parameter: def when absent, a
+// bad-request error when it does not parse or falls below min.
+func intParam(r *http.Request, name string, def, min int) (int, error) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < min {
+		return 0, fmt.Errorf("%w: %s=%q", errBadRequest, name, v)
+	}
+	return n, nil
+}
+
 // instrument is the outermost middleware: it counts every request by
 // route and status, tracks in-flight /v1 queries, threads a per-query
 // trace through the context (when the client asked with ?trace=1, or
@@ -434,7 +412,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 				if v == http.ErrAbortHandler {
 					panic(v)
 				}
-				log.Printf("server: panic serving %s %s: %v", r.Method, r.URL.Path, v)
+				s.st.logf("server: panic serving %s %s: %v", r.Method, r.URL.Path, v)
 				writeJSON(w, http.StatusInternalServerError,
 					errorBody{Error: "internal server error", Code: "internal_panic"})
 			}
@@ -501,83 +479,40 @@ func (s *Server) applyTimeout(next http.Handler) http.Handler {
 	})
 }
 
-// precomputeOn materializes one relevance path spec in es's HeteSim
-// engine. Reload uses it to re-warm a freshly swapped-in engine set.
-func (s *Server) precomputeOn(es *engineSet, spec string) error {
-	p, err := metapath.Parse(es.g.Schema(), spec)
-	if err != nil {
-		return err
-	}
-	return es.engine.Precompute(context.Background(), p)
-}
-
-// recordSpec remembers a boot-time materialization path so hot-reloads can
-// re-warm the replacement graph with the same working set.
-func (s *Server) recordSpec(spec string) {
-	s.specMu.Lock()
-	defer s.specMu.Unlock()
-	for _, have := range s.precomputeSpecs {
-		if have == spec {
-			return
-		}
-	}
-	s.precomputeSpecs = append(s.precomputeSpecs, spec)
-}
-
 // Precompute materializes the given relevance path in the HeteSim engine,
 // so subsequent queries on it are served from cached reaching
 // distributions. The spec is remembered for hot-reload re-warming.
 func (s *Server) Precompute(spec string) error {
-	if err := s.precomputeOn(s.current(), spec); err != nil {
+	if err := precompute(s.st.ctx, s.current(), spec); err != nil {
 		return err
 	}
-	s.recordSpec(spec)
+	s.st.recordSpec(spec)
 	return nil
 }
 
 // PrecomputeBackground parses specs immediately — so a bad flag still
-// fails fast at startup — then materializes the paths in a background
-// goroutine, keeping startup off the critical path. The server reports
-// warming (/readyz answers 503) until materialization finishes, then
-// flips to ready; with no specs it flips immediately. A path that fails
-// to materialize is logged and skipped rather than blocking readiness,
-// since its queries can still be answered from cold caches. After a
-// successful warmup the chain cache is persisted to the snapshot path,
-// so the next boot warm-starts.
-func (s *Server) PrecomputeBackground(specs []string, logf func(format string, args ...any)) error {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+// fails fast at startup — then materializes the paths on a goroutine the
+// server tracks (Close stops and waits for it), keeping startup off the
+// critical path. The server reports warming (/readyz answers 503) until
+// materialization finishes, then flips to ready; with no specs it flips
+// immediately. A path that fails to materialize is logged and skipped
+// rather than blocking readiness, since its queries can still be answered
+// from cold caches. After a successful warmup the chain cache is persisted
+// to the snapshot path, so the next boot warm-starts.
+func (s *Server) PrecomputeBackground(specs []string) error {
 	es := s.current()
-	paths := make([]*metapath.Path, 0, len(specs))
 	for _, spec := range specs {
-		p, err := metapath.Parse(es.g.Schema(), spec)
-		if err != nil {
+		if _, err := metapath.Parse(es.g.Schema(), spec); err != nil {
 			return err
 		}
-		paths = append(paths, p)
-		s.recordSpec(spec)
+		s.st.recordSpec(spec)
 	}
-	if len(paths) == 0 {
+	if len(specs) == 0 {
 		s.MarkReady()
 		return nil
 	}
 	s.setState(StateWarming)
-	go func() {
-		for _, p := range paths {
-			if err := es.engine.Precompute(context.Background(), p); err != nil {
-				logf("server: precomputing %s: %v", p, err)
-				continue
-			}
-			logf("server: materialized %s", p)
-		}
-		s.MarkReady()
-		if s.snapshotPath != "" {
-			if err := s.saveSnapshotRetry(context.Background(), 3, 100*time.Millisecond, logf); err != nil {
-				logf("server: post-warmup snapshot save: %v", err)
-			}
-		}
-	}()
+	s.st.warm(es, specs, s.MarkReady)
 	return nil
 }
 
@@ -644,15 +579,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // The body also carries the serving graph's fingerprint, so an operator
 // can confirm from the probe alone which generation answered.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	st := s.State()
+	es := s.current()
 	body := map[string]any{
-		"status":      st.String(),
-		"fingerprint": fmt.Sprintf("%016x", s.current().fingerprint),
-		"wal_seq":     s.lastWalSeq.Load(),
+		"status":      s.State().String(),
+		"fingerprint": fmt.Sprintf("%016x", es.fingerprint),
+		"wal_seq":     es.seq,
 	}
 	// snapshot_age_seconds ranks replica warmth: how long ago this process
 	// last saved or imported a chain-cache snapshot. -1 = never.
-	if t := s.snapSavedAt.Load(); t > 0 {
+	if t := s.st.snapSavedAt.Load(); t > 0 {
 		body["snapshot_age_seconds"] = time.Since(time.Unix(0, t)).Seconds()
 	} else {
 		body["snapshot_age_seconds"] = -1.0
@@ -1040,13 +975,10 @@ func (s *Server) handleWhy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: missing target parameter", errBadRequest))
 		return
 	}
-	k := 10
-	if v := r.URL.Query().Get("k"); v != "" {
-		k, err = strconv.Atoi(v)
-		if err != nil || k <= 0 {
-			writeError(w, fmt.Errorf("%w: k=%q", errBadRequest, v))
-			return
-		}
+	k, err := intParam(r, "k", 10, 1)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	src, err := es.g.NodeIndex(q.path.Source(), q.source)
 	if err != nil {
@@ -1086,13 +1018,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	queries := 1
-	if v := r.URL.Query().Get("queries"); v != "" {
-		queries, err = strconv.Atoi(v)
-		if err != nil || queries < 1 {
-			writeError(w, fmt.Errorf("%w: queries=%q", errBadRequest, v))
-			return
-		}
+	queries, err := intParam(r, "queries", 1, 1)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	report, plans, err := es.engine.Explain(p, queries)
 	if err != nil {
@@ -1120,13 +1049,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	k := 10
-	if v := r.URL.Query().Get("k"); v != "" {
-		k, err = strconv.Atoi(v)
-		if err != nil || k <= 0 {
-			writeError(w, fmt.Errorf("%w: k=%q", errBadRequest, v))
-			return
-		}
+	k, err := intParam(r, "k", 10, 1)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	var scores []float64
 	var hits []hitBody
@@ -1150,7 +1076,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 				plan = planInfo(d)
 			}
 			if err == nil {
-				hits = topKHits(es.g.NodeIDs(q.path.Target()), top, k)
+				hits = topKHits(es.g, q.path.Target(), top, k)
 				ranked = true
 				if d.Approximate {
 					approximate = true
@@ -1219,20 +1145,28 @@ func (s *Server) degradedTopK(es *engineSet, r *http.Request, q query) ([]float6
 // the response contract the tail is padded with zero-score targets in
 // ascending index order — every target absent from the engine's result has
 // a score of exactly zero.
-func topKHits(ids []string, top []core.Scored, k int) []hitBody {
-	if k > len(ids) {
-		k = len(ids)
+func topKHits(g *hin.Graph, typ string, top []core.Scored, k int) []hitBody {
+	n := g.NodeCount(typ)
+	if k > n {
+		k = n
 	}
 	hits := make([]hitBody, 0, k)
 	seen := make(map[int]bool, len(top))
 	for _, t := range top {
-		hits = append(hits, hitBody{ID: ids[t.Index], Score: t.Score})
+		hits = append(hits, hitBody{ID: nodeID(g, typ, t.Index), Score: t.Score})
 		seen[t.Index] = true
 	}
-	for i := 0; len(hits) < k && i < len(ids); i++ {
+	for i := 0; len(hits) < k && i < n; i++ {
 		if !seen[i] {
-			hits = append(hits, hitBody{ID: ids[i]})
+			hits = append(hits, hitBody{ID: nodeID(g, typ, i)})
 		}
 	}
 	return hits
+}
+
+// nodeID names node i of a type without copying the type's whole id list
+// (hin.Graph.NodeIDs: 270 KB of garbage per top-k answer at paper scale).
+func nodeID(g *hin.Graph, typ string, i int) string {
+	id, _ := g.NodeID(typ, i) // in range: i indexes a score vector over g
+	return id
 }

@@ -27,6 +27,7 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 	b.AddEdge("published_in", "p2", "KDD")
 	b.AddEdge("published_in", "p3", "SIGMOD")
 	srv := New(b.MustBuild())
+	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts

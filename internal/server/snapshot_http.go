@@ -6,17 +6,16 @@ import (
 	"hash/crc32"
 	"net/http"
 	"strconv"
-	"time"
 
 	"hetesim/internal/obs"
 	"hetesim/internal/snapshot"
 )
 
 // Snapshot shipping: GET /v1/admin/snapshot streams the serving engines'
-// chain cache in the same CRC-guarded format the on-disk snapshot uses, so
-// a fresh replica can boot warm from a peer instead of rematerializing.
-// EncodeChains sorts its sections, so the same cache state always encodes
-// to the same bytes — which is what makes offset-based resumption sound: a
+// chain and embedding caches through the same encoder the on-disk snapshot
+// uses, so a fresh replica can boot warm from a peer instead of
+// rematerializing. The encoder sorts its sections, so the same cache state
+// always encodes to the same bytes — which is what makes offset-based resumption sound: a
 // client that lost the stream mid-body retries with ?offset=N and If-Match
 // carrying the ETag it saw; if the cache advanced in between, the ETag no
 // longer matches, the server answers 412, and the client restarts from 0
@@ -28,52 +27,29 @@ var (
 		"Snapshot streams resumed from a non-zero offset.")
 )
 
-// encodeSnapshot serializes the current engines' merged chain cache into
-// the snapshot wire format, returning the bytes and the owning engine
-// set's fingerprint.
-func (s *Server) encodeSnapshot() ([]byte, uint64, error) {
-	es := s.current()
-	chains := es.engine.ExportChains()
-	for k, m := range es.raw.ExportChains() {
-		if _, ok := chains[k]; !ok {
-			chains[k] = m
-		}
-	}
-	snap := &snapshot.Snapshot{
-		Fingerprint: es.fingerprint,
-		PruneEps:    es.engine.PruneEps(),
-	}
-	if err := snapshot.EncodeChains(snap, chains); err != nil {
-		return nil, 0, err
-	}
-	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, snap); err != nil {
-		return nil, 0, err
-	}
-	return buf.Bytes(), es.fingerprint, nil
-}
-
 // handleSnapshot is GET /v1/admin/snapshot: stream the chain cache,
 // resumable. ?offset=N skips the first N bytes; If-Match must then carry
 // the ETag of the stream being resumed (412 on mismatch — the cache moved
 // on and the partial download is for a snapshot that no longer exists).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	raw, fp, err := s.encodeSnapshot()
+	es := s.current()
+	var buf bytes.Buffer
+	snap, err := exportSnapshot(es)
+	if err == nil {
+		err = snapshot.Write(&buf, snap)
+	}
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError,
 			errorBody{Error: "encoding snapshot: " + err.Error(), Code: "snapshot_encode_failed"})
 		return
 	}
+	raw, fp := buf.Bytes(), es.fingerprint
 	etag := fmt.Sprintf("\"%016x-%08x\"", fp, crc32.ChecksumIEEE(raw))
 
-	offset := int64(0)
-	if v := r.URL.Query().Get("offset"); v != "" {
-		offset, err = strconv.ParseInt(v, 10, 64)
-		if err != nil || offset < 0 {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: "offset must be a non-negative integer", Code: "bad_request"})
-			return
-		}
+	offset, err := intParam(r, "offset", 0, 0)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	if offset > 0 {
 		if im := r.Header.Get("If-Match"); im != "" && im != etag {
@@ -84,7 +60,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 				errorBody{Error: "snapshot changed since the interrupted download; restart from offset 0", Code: "snapshot_changed"})
 			return
 		}
-		if offset > int64(len(raw)) {
+		if offset > len(raw) {
 			w.Header().Set("ETag", etag)
 			writeJSON(w, http.StatusRequestedRangeNotSatisfiable,
 				errorBody{Error: fmt.Sprintf("offset %d beyond snapshot size %d", offset, len(raw)), Code: "bad_offset"})
@@ -98,33 +74,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("ETag", etag)
 	w.Header().Set("X-Hetesim-Fingerprint", fmt.Sprintf("%016x", fp))
 	w.Header().Set("X-Hetesim-Snapshot-Size", strconv.Itoa(len(raw)))
-	w.Header().Set("Content-Length", strconv.FormatInt(int64(len(raw))-offset, 10))
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)-offset))
 	w.WriteHeader(http.StatusOK)
 	w.Write(raw[offset:])
-}
-
-// ImportSnapshot validates snap against the serving graph and imports its
-// chain matrices into both engines — the receiving half of snapshot
-// shipping, used by the -warm-from boot path. It returns how many chains
-// were admitted; a snapshot for a different graph generation or pruning
-// configuration is rejected whole.
-func (s *Server) ImportSnapshot(snap *snapshot.Snapshot) (int, error) {
-	es := s.current()
-	if err := snap.CheckCompat(es.fingerprint, es.engine.PruneEps()); err != nil {
-		metSnapshotCorrupt.Inc()
-		return 0, err
-	}
-	chains, err := snapshot.DecodeChains(snap)
-	if err != nil {
-		metSnapshotCorrupt.Inc()
-		return 0, err
-	}
-	n := es.engine.ImportChains(chains)
-	es.raw.ImportChains(chains)
-	metSnapshotLoads.Inc()
-	if n > 0 {
-		metWarmStart.Set(1)
-		s.snapSavedAt.Store(time.Now().UnixNano())
-	}
-	return n, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hetesim/internal/hin"
+	"hetesim/internal/snapshot"
 )
 
 func approxGraph(t *testing.T) *hin.Graph {
@@ -82,6 +83,7 @@ func TestTopKApproxForcedMatchesExact(t *testing.T) {
 
 func serveHTTP(t *testing.T, srv *Server) *httptest.Server {
 	t.Helper()
+	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts
@@ -158,6 +160,54 @@ func TestSnapshotPersistsEmbeddings(t *testing.T) {
 	for i := range got.Results {
 		if got.Results[i] != want.Results[i] {
 			t.Errorf("warm result[%d] = %+v, want %+v", i, got.Results[i], want.Results[i])
+		}
+	}
+}
+
+// TestSnapshotShipsEmbeddings: GET /v1/admin/snapshot carries the embed:
+// sections the on-disk snapshot does, so a joiner warmed over HTTP answers
+// its first forced topk-approx query without an embed_build span and with
+// hits bit-identical to the donor's.
+func TestSnapshotShipsEmbeddings(t *testing.T) {
+	const q = "/v1/topk?path=APCPA&source=Tom&k=3&plan=topk-approx&trace=1"
+	donor := New(approxGraph(t), WithLogf(t.Logf))
+	dts := serveHTTP(t, donor)
+	var want topKBody
+	getJSON(t, dts.URL+q, http.StatusOK, &want)
+	built := false
+	for _, sp := range want.Trace.Spans {
+		built = built || sp.Name == "embed_build"
+	}
+	if !built {
+		t.Fatal("donor's cold topk-approx query shows no embed_build span; the test proves nothing")
+	}
+
+	resp, err := http.Get(dts.URL + "/v1/admin/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.Read(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiner := New(approxGraph(t), WithLogf(t.Logf))
+	if n, err := joiner.ImportSnapshot(snap); err != nil || n == 0 {
+		t.Fatalf("importing shipped snapshot: n=%d err=%v", n, err)
+	}
+	var got topKBody
+	getJSON(t, serveHTTP(t, joiner).URL+q, http.StatusOK, &got)
+	for _, sp := range got.Trace.Spans {
+		if sp.Name == "embed_build" {
+			t.Fatal("joiner rebuilt the embedding: the shipped snapshot dropped its embed: sections")
+		}
+	}
+	if len(got.Results) != len(want.Results) {
+		t.Fatalf("joiner results = %+v, donor = %+v", got.Results, want.Results)
+	}
+	for i := range got.Results {
+		if got.Results[i] != want.Results[i] {
+			t.Errorf("joiner result[%d] = %+v, donor = %+v", i, got.Results[i], want.Results[i])
 		}
 	}
 }

@@ -68,12 +68,18 @@ func (OS) SyncDir(dir string) error {
 	return err
 }
 
-// Save writes the snapshot crash-safely to path via fsys: serialize into a
+// Save writes the snapshot crash-safely to path via fsys; see WriteAtomic.
+func Save(fsys FS, path string, s *Snapshot) error {
+	return WriteAtomic(fsys, path, func(w io.Writer) error { return Write(w, s) })
+}
+
+// WriteAtomic replaces the file at path crash-safely via fsys: write into a
 // temp file in the destination directory, fsync it, close, atomically
 // rename over path, and fsync the directory. A failure at any step removes
 // the temp file and leaves whatever was previously at path untouched, so a
-// crashed or failed save never costs the reader its last good snapshot.
-func Save(fsys FS, path string, s *Snapshot) (err error) {
+// crashed or failed write never costs the reader its last good file —
+// the protocol behind snapshots and the server's compacted base graph.
+func WriteAtomic(fsys FS, path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -85,7 +91,7 @@ func Save(fsys FS, path string, s *Snapshot) (err error) {
 			fsys.Remove(tmp)
 		}
 	}()
-	if err = Write(f, s); err != nil {
+	if err = write(f); err != nil {
 		f.Close()
 		return fmt.Errorf("snapshot: writing %s: %w", tmp, err)
 	}

@@ -337,27 +337,12 @@ func (l *Log) Reset(newFingerprint uint64, entries []CheckpointEntry) error {
 		buf = append(buf, frameRecord(payload)...)
 	}
 
-	dir := filepath.Dir(l.path)
-	tmp, err := l.fsys.CreateTemp(dir, filepath.Base(l.path)+".tmp-*")
+	err = snapshot.WriteAtomic(l.fsys, l.path, func(w io.Writer) error {
+		_, werr := w.Write(buf)
+		return werr
+	})
 	if err != nil {
-		return fmt.Errorf("wal: creating temp log: %w", err)
-	}
-	tmpName := tmp.Name()
-	if err := writeSync(tmp, buf); err != nil {
-		tmp.Close()
-		l.fsys.Remove(tmpName)
-		return fmt.Errorf("wal: writing temp log: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		l.fsys.Remove(tmpName)
-		return fmt.Errorf("wal: closing temp log: %w", err)
-	}
-	if err := l.fsys.Rename(tmpName, l.path); err != nil {
-		l.fsys.Remove(tmpName)
-		return fmt.Errorf("wal: renaming new log into place: %w", err)
-	}
-	if err := l.fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("wal: syncing directory: %w", err)
+		return fmt.Errorf("wal: replacing log: %w", err)
 	}
 
 	old := l.f
