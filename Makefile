@@ -1,7 +1,7 @@
 # Tier-1 flow: build + vet + tests, plus a short-mode race pass over the
 # packages with real concurrency (engine cache, HTTP server, parallel
 # SpGEMM, metrics registry).
-.PHONY: all build vet test race race-full check obs-selftest chaos properties bench-json staticcheck govulncheck loc
+.PHONY: all build vet test race race-full check obs-selftest chaos properties bench-json bench-check staticcheck govulncheck loc
 
 all: check
 
@@ -85,7 +85,15 @@ check: vet staticcheck govulncheck build test race obs-selftest chaos properties
 # query-optimizer auto-vs-forced plan comparison, the incremental
 # mutation apply-vs-rematerialize comparison, the auto-relevance
 # ensemble-vs-solo-paths comparison, and the approximate top-k
-# exact-vs-embedding comparison, with allocation stats, as JSON.
+# exact-vs-embedding comparison, with allocation stats, as JSON. Every
+# benchmark is recorded at GOMAXPROCS=1 and at the box's core count
+# ("procs" in each row), so the parallel SpGEMM path has a baseline too.
+NPROC := $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 bench-json:
-	go test -run '^$$' -bench 'BenchmarkTable|BenchmarkFig|BenchmarkSnapshot|BenchmarkBatch|BenchmarkPlan|BenchmarkIncremental|BenchmarkRelevance|BenchmarkTopK' -benchmem . | go run ./cmd/benchjson > BENCH_core.json
+	go test -run '^$$' -bench 'BenchmarkTable|BenchmarkFig|BenchmarkSnapshot|BenchmarkBatch|BenchmarkPlan|BenchmarkIncremental|BenchmarkRelevance|BenchmarkTopK' -benchmem -cpu 1,$(NPROC) . | go run ./cmd/benchjson > BENCH_core.json
 	@echo wrote BENCH_core.json
+
+# End-to-end regression gate: five runs of each bench/ workload against
+# bench/baseline.json under BENCHMARK.json's bounds (bench/README.md).
+bench-check:
+	go run ./bench -check

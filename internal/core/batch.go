@@ -548,20 +548,16 @@ func (e *Engine) buildSide(ctx context.Context, b *sideBuild, f *sideFamily, pre
 			break
 		}
 	}
-	if pm == nil {
-		// Seed with the selector matrix directly — one unit entry per
-		// requested row — so subset preparation costs O(|rows|) regardless
-		// of the node count.
-		seed := make([]sparse.Triplet, len(f.rows))
-		for r, node := range f.rows {
-			seed[r] = sparse.Triplet{Row: r, Col: node, Val: 1}
-		}
-		pm = sparse.New(len(f.rows), e.g.NodeCount(b.start), seed)
-	}
 	applied := 0
 	err := e.propagateFrom(ctx, b.c, from, func(u *sparse.Matrix, label, prefixKey string) error {
 		sp := tr.Start("chain_multiply")
-		pm = pm.MulAuto(u)
+		if pm == nil {
+			u = u.SelectRows(f.rows)
+		}
+		var err error
+		if pm, err = chainStep(ctx, pm, u); err != nil {
+			return err
+		}
 		if sp != nil {
 			spanMatrixAttrs(sp, b.c.side, label, pm).End()
 		}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"hetesim/internal/metapath"
@@ -139,5 +141,102 @@ func TestDifferentialMonteCarloPair(t *testing.T) {
 		if checked == 0 {
 			t.Fatalf("%s: no pairs with non-trivial scores found", spec)
 		}
+	}
+}
+
+// TestDifferentialTopKScanChoice pins the three-way scan choice of topKFrom:
+// on a fresh engine the first top-k scores the chain it just materialized
+// row by row and caches no transpose; the second finds that chain cached,
+// builds "T:" and scans it; the third scans the cached "T:". All three, the
+// brute-force ranking of SingleSource and the forced all-pairs plan (cold and
+// warm) must agree on ids and float bits — over even and odd paths, eps 0 and
+// eps > 0, normalized and raw engines, whole rankings and k-prefixes, with
+// tied scores among the hits.
+func TestDifferentialTopKScanChoice(t *testing.T) {
+	ctx := context.Background()
+	same := func(what string, got, want []Scored) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d hits, want %d", what, len(got), len(want))
+		}
+		for r := range got {
+			if got[r].Index != want[r].Index || math.Float64bits(got[r].Score) != math.Float64bits(want[r].Score) {
+				t.Fatalf("%s rank %d: %+v, want %+v", what, r, got[r], want[r])
+			}
+		}
+	}
+	hasT := func(e *Engine) bool {
+		for key := range e.ExportChains() {
+			if strings.HasPrefix(key, "T:") {
+				return true
+			}
+		}
+		return false
+	}
+	sawTie := false
+	for _, seed := range []int64{3, 29, 71} {
+		g := randomBibGraph(seed)
+		rng := rand.New(rand.NewSource(seed + 900))
+		for _, opts := range [][]Option{nil, {WithNormalization(false)}} {
+			for _, spec := range []string{"APA", "APT", "APVC", "APTPA", "APVCVPA", "AP"} {
+				p := metapath.MustParse(g.Schema(), spec)
+				src := rng.Intn(g.NodeCount(p.Source()))
+				all := g.NodeCount(p.Target()) + 1
+				for _, eps := range []float64{0, 1e-3, 0.2} {
+					what := func(s string) string {
+						return fmt.Sprintf("seed %d %s src %d eps %v normalized %v: %s", seed, spec, src, eps, opts == nil, s)
+					}
+					e := NewEngine(g, opts...)
+					first, err := e.TopKSearch(ctx, p, src, all, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if hasT(e) {
+						t.Fatal(what("a cold top-k cached a transposed chain"))
+					}
+					second, err := e.TopKSearch(ctx, p, src, all, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !hasT(e) {
+						t.Fatal(what("a top-k on a cached chain did not cache its transpose"))
+					}
+					third, err := e.TopKSearch(ctx, p, src, all, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same(what("transposed scan vs row scan"), second, first)
+					same(what("cached-transpose scan vs row scan"), third, first)
+					for r := 1; r < len(first); r++ {
+						sawTie = sawTie || first[r].Score == first[r-1].Score
+					}
+
+					prefix, err := NewEngine(g, opts...).TopKSearch(ctx, p, src, 3, eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same(what("row-scan k=3 prefix"), prefix, first[:min(3, len(first))])
+
+					ap := NewEngine(g, opts...)
+					for _, state := range []string{"cold", "warm"} {
+						forced, _, err := ap.TopKSearchWithPlan(ctx, p, src, all, eps, PlanOptions{Force: PlanAllPairs})
+						if err != nil {
+							t.Fatal(err)
+						}
+						same(what(state+" forced all-pairs vs row scan"), forced, first)
+					}
+					if eps == 0 {
+						scores, err := NewEngine(g, opts...).SingleSourceByIndex(ctx, p, src)
+						if err != nil {
+							t.Fatal(err)
+						}
+						same(what("rankScores(SingleSource) vs row scan"), rankScores(scores, all), first)
+					}
+				}
+			}
+		}
+	}
+	if !sawTie {
+		t.Error("no tied scores among the compared hits; the tie-break order went untested")
 	}
 }

@@ -395,47 +395,6 @@ func (e *Engine) PairsSubset(ctx context.Context, p *metapath.Path, srcs, dsts [
 	return m, err
 }
 
-// mulBlockedCtx computes a·b in row blocks sized to roughly constant work,
-// polling ctx between the per-block column multiplies so a canceled
-// clustering-scale subset product stops within one block's latency instead
-// of running the full |srcs| x |dsts| product to completion. SpGEMM rows
-// are independent, so the stacked result is bit-identical to the unblocked
-// product.
-func mulBlockedCtx(ctx context.Context, a, b *sparse.Matrix) (*sparse.Matrix, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rows := a.Rows()
-	if rows == 0 {
-		return a.MulAuto(b), nil
-	}
-	// Expected multiply-adds per row of a: its average row support times
-	// the average support of the b rows each entry scatters.
-	perRow := float64(a.NNZ()) / float64(rows) * float64(b.NNZ()) / float64(max(b.Rows(), 1))
-	const targetFlops = 4 << 20 // ~ms-scale cancellation latency per block
-	block := rows
-	if perRow > 0 {
-		block = int(targetFlops / perRow)
-	}
-	block = max(block, 16)
-	if block >= rows {
-		return a.MulAuto(b), nil
-	}
-	idx := make([]int, 0, block)
-	parts := make([]*sparse.Matrix, 0, (rows+block-1)/block)
-	for lo := 0; lo < rows; lo += block {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		idx = idx[:0]
-		for r := lo; r < min(lo+block, rows); r++ {
-			idx = append(idx, r)
-		}
-		parts = append(parts, a.SelectRows(idx).MulAuto(b))
-	}
-	return sparse.VStack(parts), nil
-}
-
 // Precompute materializes and caches both half-path reachable probability
 // matrices and their row norms, so subsequent SingleSource and Pair queries
 // on the same path are served from the cache — the offline materialization

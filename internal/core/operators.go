@@ -11,8 +11,8 @@ import (
 
 // Physical operators. Every query plan is assembled from four chain
 // propagation operators — sparse vector propagate, full matrix
-// materialization, subset-selector propagation, and the transposed
-// materialization used by top-k scans — all driven by one step walker, so
+// materialization, subset-row propagation, and the scan-side
+// materialization used by top-k — all driven by one step walker, so
 // the transition resolution, middle-relation handling, context polling and
 // per-step tracing live exactly once. The operators preserve the PR4
 // bit-identity invariant: vector, subset and full-matrix propagation all
@@ -113,6 +113,19 @@ func (e *Engine) opVectorChain(ctx context.Context, start int, c chain) (*sparse
 	return v, nil
 }
 
+// chainStep advances a matrix chain by one transition. A nil state means u is
+// the chain's first transition, which seeds the chain instead of being
+// multiplied into an identity matrix: 1·u and 0+u are exact, so the seed is
+// bit-identical to that product and costs no SpGEMM. (Subset chains restrict
+// u to their rows first, for the same reason.) Later transitions multiply,
+// polling ctx between row blocks.
+func chainStep(ctx context.Context, pm, u *sparse.Matrix) (*sparse.Matrix, error) {
+	if pm == nil {
+		return u, nil
+	}
+	return pm.MulCtx(ctx, u)
+}
+
 // opMatrixChain materializes the reachable probability matrix of a chain,
 // caching every prefix so paths sharing prefixes reuse work (the
 // concatenation speedup of Section 4.6). It is the only operator that
@@ -138,7 +151,7 @@ func (e *Engine) opMatrixChain(ctx context.Context, c chain) (*sparse.Matrix, er
 	// speedup of Section 4.6, and what makes a partially-warm chain cost
 	// only its cold suffix (the planner's chainColdFlops prices exactly
 	// this resumption).
-	pm := sparse.Identity(e.g.NodeCount(e.chainStart(c)))
+	var pm *sparse.Matrix
 	from := 0
 	if e.caching {
 		for i := len(c.steps) - 1; i >= 1; i-- {
@@ -156,7 +169,10 @@ func (e *Engine) opMatrixChain(ctx context.Context, c chain) (*sparse.Matrix, er
 	}
 	err := e.propagateFrom(ctx, c, from, func(u *sparse.Matrix, label, prefixKey string) error {
 		sp := tr.Start("chain_multiply")
-		pm = pm.MulAuto(u)
+		var err error
+		if pm, err = chainStep(ctx, pm, u); err != nil {
+			return err
+		}
 		if e.pruneEps > 0 {
 			pm = pm.Prune(e.pruneEps)
 		}
@@ -177,26 +193,25 @@ func (e *Engine) opMatrixChain(ctx context.Context, c chain) (*sparse.Matrix, er
 	return pm, nil
 }
 
-// opSubsetChain propagates the identity rows of the given node indices
-// through a chain without caching — the shared-subset operator of the batch
-// scheduler and the subset-chain plan. Row r of the result is the reaching
+// opSubsetChain propagates the rows of the given node indices through a
+// chain without caching — the shared-subset operator of the batch scheduler
+// and the subset-chain plan. Row r of the result is the reaching
 // distribution of rows[r], bit-identical to the matching row of the fully
 // materialized chain and to opVectorChain's sparse propagation. Like
 // opVectorChain (and unlike opMatrixChain) it never prunes, so subset plans
 // match the vector plan exactly even under WithPruning.
 func (e *Engine) opSubsetChain(ctx context.Context, rows []int, c chain) (*sparse.Matrix, error) {
 	tr := obs.FromContext(ctx)
-	// Seed with the selector matrix directly — one unit entry per requested
-	// row — rather than slicing a full n×n identity, so subset preparation
-	// costs O(|rows|) regardless of the node count.
-	seed := make([]sparse.Triplet, len(rows))
-	for r, node := range rows {
-		seed[r] = sparse.Triplet{Row: r, Col: node, Val: 1}
-	}
-	pm := sparse.New(len(rows), e.g.NodeCount(e.chainStart(c)), seed)
+	var pm *sparse.Matrix
 	err := e.propagate(ctx, c, func(u *sparse.Matrix, label, _ string) error {
 		sp := tr.Start("chain_multiply")
-		pm = pm.MulAuto(u)
+		if pm == nil {
+			u = u.SelectRows(rows)
+		}
+		var err error
+		if pm, err = chainStep(ctx, pm, u); err != nil {
+			return err
+		}
 		if sp != nil {
 			spanMatrixAttrs(sp, c.side, label, pm).End()
 		}
@@ -208,21 +223,33 @@ func (e *Engine) opSubsetChain(ctx context.Context, rows []int, c chain) (*spars
 	return pm, nil
 }
 
-// opTransposedChain caches the transposed chain matrix under "T:"+key,
-// giving middle-object → target access for candidate-restricted top-k
-// scans.
-func (e *Engine) opTransposedChain(ctx context.Context, c chain) (*sparse.Matrix, error) {
-	key := "T:" + e.chainCacheKey(c)
-	if m, ok := e.cacheGet(key); ok {
-		return m, nil
+// opScanChain resolves what a top-k scan reads for a right half-chain, from
+// what the chain cache holds when the query arrives (DESIGN §11):
+//
+//   - "T:"+key cached: the transposed chain alone (pm is nil).
+//   - the chain cached — it is being reused, so its transpose will be too:
+//     build it, cache it under "T:"+key, return both.
+//   - neither — this request materializes the chain and may be its only
+//     user: return pm alone; the caller scores its rows instead of paying a
+//     transpose as large as the product was.
+//
+// Besides RewarmFrom this is the only producer of "T:" entries, and a
+// non-caching engine never stores one.
+func (e *Engine) opScanChain(ctx context.Context, c chain) (pm, pmT *sparse.Matrix, err error) {
+	key := e.chainCacheKey(c)
+	tKey := "T:" + key
+	if e.caching {
+		if pmT, ok := e.cacheGet(tKey); ok {
+			return nil, pmT, nil
+		}
 	}
-	pm, err := e.opMatrixChain(ctx, c)
-	if err != nil {
-		return nil, err
+	reused := e.chainWarm(key)
+	if pm, err = e.opMatrixChain(ctx, c); err != nil || !reused {
+		return pm, nil, err
 	}
-	t := pm.Transpose()
-	e.cachePut(key, t)
-	return t, nil
+	pmT = pm.Transpose()
+	e.cachePut(tKey, pmT)
+	return pm, pmT, nil
 }
 
 // chainTransitions resolves the transition matrix of every step of a chain

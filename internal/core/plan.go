@@ -157,7 +157,7 @@ type costModel struct {
 	warmRightT  bool    // transposed right half (top-k scans) cached
 	coldLeft    float64 // remaining flops to materialize the left half
 	coldRight   float64 // remaining flops to materialize the right half
-	coldRightT  float64 // remaining flops to materialize + transpose the right half
+	coldRightT  float64 // one-time flops before a top-k can scan the right half
 }
 
 // chainColdFlops estimates the flops still needed to materialize a chain:
@@ -236,12 +236,29 @@ func (e *Engine) costModelFor(h halves) (costModel, error) {
 	cm.warmRightT = e.chainWarm("T:" + rightKey)
 	cm.coldLeft = e.chainColdFlops(h.left(), cm.left)
 	cm.coldRight = e.chainColdFlops(h.right(), cm.right)
-	if cm.warmRightT {
+	// Mirrors opScanChain: a cached transpose is free, a cached chain gets
+	// transposed once, a cold chain is materialized and scanned by rows.
+	switch {
+	case cm.warmRightT:
 		cm.coldRightT = 0
-	} else {
-		cm.coldRightT = cm.coldRight + cm.right.NNZ // materialize + transpose
+	case cm.warmRight:
+		cm.coldRightT = cm.right.NNZ
+	default:
+		cm.coldRightT = cm.coldRight
 	}
 	return cm, nil
+}
+
+// topKScanDescription names the scan opScanChain will pick for a top-k query
+// under the cost model's cache signals.
+func (cm costModel) topKScanDescription() string {
+	switch {
+	case cm.warmRightT:
+		return "a candidate scan of the cached transposed right half"
+	case cm.warmRight:
+		return "transpose the cached right half once, then a candidate scan"
+	}
+	return "materialize the right half and scan its rows (no transpose on a chain's first top-k)"
 }
 
 // planCandidates estimates every physical plan applicable to the query's
@@ -280,11 +297,11 @@ func (e *Engine) planCandidates(cm costModel, lp LogicalPlan) []PlanEstimate {
 		add(PlanAllPairs, matL+matR+q*(lrow+cm.right.NNZ), matL+matR,
 			"materialize both halves; per query, one row lookup and one SpMV")
 	case ShapeTopK:
-		scan := cm.right.NNZ // candidate-restricted scan upper bound
+		scan := cm.right.NNZ // what a row scan costs, and the candidate scan's upper bound
 		add(PlanSingleVsMatrix, matRT+q*(lpr+scan), matRT,
-			"transpose the right half; per query, one vector chain and a candidate scan")
+			"per query, one vector chain and "+cm.topKScanDescription())
 		add(PlanAllPairs, matL+matRT+q*(lrow+scan), matL+matRT,
-			"materialize the left half too; per query, one row lookup and a candidate scan")
+			"materialize the left half too; per query, one row lookup and "+cm.topKScanDescription())
 		rank := embedRankFor(lp.Opts, cm.right.Cols)
 		fetch := float64(embedOverFetch(lp.Opts) * maxInt(lp.K, 1))
 		coldEmbed := 0.0
@@ -653,7 +670,11 @@ func (e *Engine) execAllPairs(ctx context.Context, lp LogicalPlan, d PlanDecisio
 		return nil, err
 	}
 	sp := tr.Start("combine")
-	rel := pml.MulAuto(pmr.Transpose())
+	rel, err := pml.MulCtx(ctx, pmr.Transpose())
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
 	if sp != nil {
 		spanMatrixAttrs(sp, 'B', "combine", rel).End()
 	}
@@ -710,7 +731,7 @@ func (e *Engine) execSubset(ctx context.Context, lp LogicalPlan, d PlanDecision)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rel, err := mulBlockedCtx(ctx, subL, subR.Transpose())
+	rel, err := subL.MulCtx(ctx, subR.Transpose())
 	if err != nil {
 		return nil, err
 	}

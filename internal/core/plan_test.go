@@ -366,3 +366,42 @@ func TestLegacyEntryPointsDelegate(t *testing.T) {
 	}
 	_ = d
 }
+
+// The top-k cost model follows opScanChain: a cold right chain is priced at
+// its materialization alone (its first top-k scans rows, no transpose), a
+// cached chain at one transpose, a cached transpose at nothing — and the
+// plan descriptions name the scan that will run.
+func TestTopKPlanFollowsScanChoice(t *testing.T) {
+	g := randomBibGraph(53)
+	p := metapath.MustParse(g.Schema(), "APVCVPA")
+	ctx := context.Background()
+	e := NewEngine(g)
+	cm, err := e.costModelFor(splitPath(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		state       string
+		prepare     func() error
+		materialize float64
+		describes   string
+	}{
+		{"cold chain", func() error { return nil }, cm.right.Flops, "scan its rows"},
+		{"cached chain", func() error { return e.Precompute(ctx, p) }, cm.right.NNZ, "transpose the cached right half once"},
+		{"cached transpose", func() error { _, err := e.TopKSearch(ctx, p, 0, 3, 0); return err }, 0, "cached transposed right half"},
+	} {
+		if err := step.prepare(); err != nil {
+			t.Fatal(err)
+		}
+		_, d, err := e.TopKSearchWithPlan(ctx, p, 0, 3, 0, PlanOptions{Force: PlanSingleVsMatrix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Est.Materialize != step.materialize {
+			t.Errorf("%s: one-time cost %v, want %v", step.state, d.Est.Materialize, step.materialize)
+		}
+		if !strings.Contains(d.Est.Description, step.describes) {
+			t.Errorf("%s: description %q does not mention %q", step.state, d.Est.Description, step.describes)
+		}
+	}
+}

@@ -82,6 +82,7 @@ func (e *Engine) Explain(p *metapath.Path, queries int) (string, []PlanEstimate,
 		cm.left.Rows, cm.left.Cols, cm.left.NNZ, cm.left.Flops, warm(cm.warmLeft))
 	fmt.Fprintf(&b, "  right half: %d x %d, ~%.0f nnz, ~%.0f flops to materialize%s\n",
 		cm.right.Rows, cm.right.Cols, cm.right.NNZ, cm.right.Flops, warm(cm.warmRight))
+	fmt.Fprintf(&b, "  top-k scan: %s\n", cm.topKScanDescription())
 	for i, pl := range plans {
 		marker := "  "
 		if i == 0 {

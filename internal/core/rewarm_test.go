@@ -25,7 +25,7 @@ func rewarmWarm(t *testing.T, e *Engine, g *hin.Graph) {
 		}
 		// Populate a transposed entry too (what top-k scans cache).
 		h := splitPath(p)
-		if _, err := e.opTransposedChain(ctx, h.right()); err != nil {
+		if _, _, err := e.opScanChain(ctx, h.right()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,47 +29,65 @@ func (e *Engine) TopKSearch(ctx context.Context, p *metapath.Path, src, k int, e
 	return out, err
 }
 
-// topKFrom runs the candidate-restricted top-k scan from an already
-// propagated left middle distribution. Factored out of TopKSearch so the
-// batch scheduler (which serves left from a group-shared chain) runs the
-// identical pruning, accumulation and normalization code as solo queries.
+// topKFrom ranks every target against an already propagated left middle
+// distribution. Factored out of TopKSearch so the batch scheduler (which
+// serves left from a group-shared chain) runs the identical pruning,
+// accumulation and normalization code as solo queries.
+//
+// Which scan runs follows cache residency (opScanChain): a right chain this
+// request had to materialize is scored row by row against the dense left
+// vector — one pass over its entries, no transpose; a chain that was already
+// cached is scanned through its transpose, touching only the targets that
+// share middle support. Both add each target's terms in ascending middle
+// order, so they return bit-identical hits.
 func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left *sparse.Vector, k int, eps float64) ([]Scored, error) {
 	// Prune the source's middle distribution (shared with topKApprox so
 	// both plans score the identical pruned vector).
 	left = pruneLeft(left, eps)
-	pmrT, err := e.opTransposedChain(ctx, h.right())
+	pmr, pmrT, err := e.opScanChain(ctx, h.right())
 	if err != nil {
 		return nil, err
 	}
-	// Accumulate scores only over candidates that share middle support,
-	// using a dense scratch with a touched list so the cost is the size
-	// of the overlapped rows, not the target population.
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("combine")
-	nT := e.g.NodeCount(p.Target())
-	acc := make([]float64, nT)
-	seen := make([]bool, nT)
+	var acc []float64
 	var touched []int
-	left.Entries(func(m int, v float64) {
-		row := pmrT.Row(m)
-		row.Entries(func(b int, w float64) {
-			if !seen[b] {
-				seen[b] = true
+	if pmrT == nil {
+		acc = pmr.MulVec(left.Dense())
+		for b, s := range acc {
+			if s != 0 {
 				touched = append(touched, b)
 			}
-			acc[b] += v * w
+		}
+	} else {
+		// Accumulate scores only over candidates that share middle support,
+		// using a dense scratch with a touched list so the cost is the size
+		// of the overlapped rows, not the target population.
+		nT := e.g.NodeCount(p.Target())
+		acc = make([]float64, nT)
+		seen := make([]bool, nT)
+		left.Entries(func(m int, v float64) {
+			row := pmrT.Row(m)
+			row.Entries(func(b int, w float64) {
+				if !seen[b] {
+					seen[b] = true
+					touched = append(touched, b)
+				}
+				acc[b] += v * w
+			})
 		})
-	})
+	}
 	sp.End()
 	sp = tr.Start("normalize")
 	var rns []float64
 	var ln float64
 	if e.normalized {
 		ln = left.Norm()
-		pmr, err := e.opMatrixChain(ctx, h.right())
-		if err != nil {
-			sp.End()
-			return nil, err
+		if pmr == nil { // transposed scan of a cached "T:" entry: norms need the chain itself
+			if pmr, err = e.opMatrixChain(ctx, h.right()); err != nil {
+				sp.End()
+				return nil, err
+			}
 		}
 		rns = e.chainRowNorms(e.chainCacheKey(h.right()), pmr)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
+	"hetesim/internal/obs"
 )
 
 func TestTopKSearchExactMatchesSingleSource(t *testing.T) {
@@ -138,5 +139,47 @@ func TestTopKSearchOnlyReturnsPositiveOverlap(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Errorf("dangling author results = %v, want none", got)
+	}
+}
+
+// A non-caching engine must not keep what a top-k builds: not the chain, not
+// its transpose (which the transposed-chain operator used to store whatever
+// the caching option said).
+func TestTopKNonCachingEngineStoresNoChain(t *testing.T) {
+	g := randomBibGraph(23)
+	e := NewEngine(g, WithCaching(false))
+	for _, spec := range []string{"APVCVPA", "APT", "APVC"} {
+		p := metapath.MustParse(g.Schema(), spec)
+		for i := 0; i < 2; i++ {
+			if _, err := e.TopKSearch(context.Background(), p, 0, 3, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := e.CacheStats().Chain; n != 0 {
+		t.Errorf("non-caching engine holds %d chain matrices after top-k, want 0", n)
+	}
+}
+
+// Under a one-entry cache a cold top-k still multiplies its right chain
+// exactly once: one SpGEMM per transition after the first (which seeds the
+// chain). The prefix and full-chain puts evict each other, so a second lookup
+// of the chain for the norms — what topKFrom used to do — would rebuild it.
+func TestTopKCacheLimitOneMaterializesOnce(t *testing.T) {
+	g := randomBibGraph(23)
+	mulTotal := obs.Default().Counter("hetesim_sparse_mul_total", "")
+	for _, tc := range []struct {
+		spec        string
+		transitions int // right chain: steps plus the odd-path middle half-step
+	}{{"APVCVPA", 3}, {"APVC", 2}, {"APT", 1}} {
+		e := NewEngine(g, WithCacheLimit(1))
+		p := metapath.MustParse(g.Schema(), tc.spec)
+		before := mulTotal.Value()
+		if _, err := e.TopKSearch(context.Background(), p, 0, 3, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mulTotal.Value()-before, uint64(tc.transitions-1); got != want {
+			t.Errorf("%s: cold top-k ran %d SpGEMMs, want %d", tc.spec, got, want)
+		}
 	}
 }

@@ -77,32 +77,24 @@ func New(rows, cols int, entries []Triplet) *Matrix {
 }
 
 // dropZeros removes explicit zeros left behind by cancellation in duplicate
-// merging or arithmetic. It rebuilds in place and returns the receiver.
+// merging or arithmetic. It compacts in place and returns the receiver.
 func (m *Matrix) dropZeros() *Matrix {
-	hasZero := false
-	for _, v := range m.val {
-		if v == 0 {
-			hasZero = true
-			break
-		}
-	}
-	if !hasZero {
-		return m
-	}
-	newPtr := make([]int, m.rows+1)
-	var nc []int
-	var nv []float64
+	n := 0
 	for r := 0; r < m.rows; r++ {
-		newPtr[r] = len(nv)
-		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-			if m.val[k] != 0 {
-				nc = append(nc, m.colIdx[k])
-				nv = append(nv, m.val[k])
+		k := m.rowPtr[r]
+		m.rowPtr[r] = n
+		for ; k < m.rowPtr[r+1]; k++ {
+			if m.val[k] == 0 {
+				continue
 			}
+			if n != k { // nothing dropped yet: the entry is already in place
+				m.colIdx[n], m.val[n] = m.colIdx[k], m.val[k]
+			}
+			n++
 		}
 	}
-	newPtr[m.rows] = len(nv)
-	m.rowPtr, m.colIdx, m.val = newPtr, nc, nv
+	m.rowPtr[m.rows] = n
+	m.colIdx, m.val = m.colIdx[:n], m.val[:n]
 	return m
 }
 
@@ -232,46 +224,6 @@ func (m *Matrix) Transpose() *Matrix {
 		}
 	}
 	return t
-}
-
-// Mul returns the product m * b using row-wise SpGEMM with a dense
-// accumulator (Gustavson's algorithm). Panics on shape mismatch.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("sparse: Mul shape mismatch %dx%d * %dx%d",
-			m.rows, m.cols, b.rows, b.cols))
-	}
-	out := &Matrix{rows: m.rows, cols: b.cols, rowPtr: make([]int, m.rows+1)}
-	acc := make([]float64, b.cols)
-	mark := make([]int, b.cols) // mark[c] == r+1 when acc[c] is live for row r
-	cols := make([]int, 0, b.cols)
-	flops := 0
-	for r := 0; r < m.rows; r++ {
-		cols = cols[:0]
-		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-			j, av := m.colIdx[k], m.val[k]
-			flops += b.rowPtr[j+1] - b.rowPtr[j]
-			for kb := b.rowPtr[j]; kb < b.rowPtr[j+1]; kb++ {
-				c := b.colIdx[kb]
-				if mark[c] != r+1 {
-					mark[c] = r + 1
-					acc[c] = 0
-					cols = append(cols, c)
-				}
-				acc[c] += av * b.val[kb]
-			}
-		}
-		sort.Ints(cols)
-		for _, c := range cols {
-			if acc[c] != 0 {
-				out.colIdx = append(out.colIdx, c)
-				out.val = append(out.val, acc[c])
-			}
-		}
-		out.rowPtr[r+1] = len(out.val)
-	}
-	recordMul(flops, len(out.val), false)
-	return out
 }
 
 // MulVec returns m * x as a dense vector (length Rows). x must have length
@@ -581,38 +533,6 @@ func (m *Matrix) ReplaceRows(rows []int, src *Matrix) *Matrix {
 		out.rowPtr = append(out.rowPtr, len(out.val))
 	}
 	return out
-}
-
-// VStack concatenates matrices vertically, preserving values and per-row
-// entry order exactly — stacking row blocks of a product reproduces the
-// unblocked product bit for bit. All blocks must share one column count;
-// the empty stack is the 0x0 matrix.
-func VStack(blocks []*Matrix) *Matrix {
-	if len(blocks) == 0 {
-		return Zeros(0, 0)
-	}
-	cols := blocks[0].cols
-	rows, nnz := 0, 0
-	for _, b := range blocks {
-		if b.cols != cols {
-			panic(fmt.Sprintf("sparse: VStack column mismatch %d vs %d", b.cols, cols))
-		}
-		rows += b.rows
-		nnz += len(b.val)
-	}
-	m := &Matrix{rows: rows, cols: cols,
-		rowPtr: make([]int, 1, rows+1),
-		colIdx: make([]int, 0, nnz),
-		val:    make([]float64, 0, nnz)}
-	for _, b := range blocks {
-		base := len(m.val)
-		for r := 0; r < b.rows; r++ {
-			m.rowPtr = append(m.rowPtr, base+b.rowPtr[r+1])
-		}
-		m.colIdx = append(m.colIdx, b.colIdx...)
-		m.val = append(m.val, b.val...)
-	}
-	return m
 }
 
 // Dense returns the matrix as a freshly allocated dense [][]float64.

@@ -35,3 +35,9 @@ func recordMul(flops, outNNZ int, parallel bool) {
 	metLastMulFlops.Set(float64(flops))
 	metLastMulNNZ.Set(float64(outNNZ))
 }
+
+// recordVecMul accounts one finished vector-matrix product.
+func recordVecMul(flops, _ int, _ bool) {
+	metVecMulTotal.Inc()
+	metVecMulFlops.Add(uint64(flops))
+}

@@ -1,0 +1,259 @@
+package sparse
+
+import (
+	"context"
+	"fmt"
+	"math/bits"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+	"sync/atomic"
+)
+
+// SpGEMM: every matrix-matrix product runs the one row-range kernel below
+// (Gustavson's row-wise algorithm with a dense accumulator). A product is two
+// passes over the same row ranges: the symbolic pass counts each output row's
+// distinct columns, which sizes the output exactly; the numeric pass emits
+// each row straight into its slice of that output. Every output entry adds
+// its terms ascending over m's row, then ascending over b's row, whatever
+// the range layout, so all entry points return bit-identical matrices.
+// DESIGN §6 has the measurements behind the constants.
+const (
+	// parallelFlopThreshold is the multiply-add count from which MulAuto and
+	// MulCtx fan out across cores; below it the fork/join costs more.
+	parallelFlopThreshold = 1 << 15
+	// A row of n distinct columns is put in column order by sweeping the
+	// mark array when n·log2(n)·sweepFactor exceeds the matrix width (one
+	// comparison level of a sort costs about six mark reads), by sorting
+	// otherwise — and always by sorting up to sweepMinRow columns.
+	sweepFactor = 6
+	sweepMinRow = 12
+	// pollFlops is how many multiply-adds a range does between context polls.
+	pollFlops = 1 << 18
+)
+
+func swept(n, width int) bool {
+	return n > sweepMinRow && n*bits.Len(uint(n))*sweepFactor > width
+}
+
+// mulScratch is one range's dense accumulator state, recycled through
+// scratchPool. acc is all zero between rows; mark[c] == gen means column c
+// already appeared in the current row (gen only grows, so marks left by an
+// earlier product never collide); cols collects the row's distinct columns,
+// with one slot of slack for the branch-free append.
+type mulScratch struct {
+	acc  []float64
+	mark []int
+	cols []int
+	gen  int
+}
+
+var (
+	scratchPool  sync.Pool
+	scratchInUse atomic.Int64 // taken and not yet returned; tests assert 0
+)
+
+// Mul returns the product m * b, computed on the calling goroutine. Panics
+// on shape mismatch.
+func (m *Matrix) Mul(b *Matrix) *Matrix {
+	out, _ := m.mul(context.Background(), b, 1, recordMul)
+	return out
+}
+
+// MulParallel is Mul over up to workers goroutines (0 means GOMAXPROCS).
+func (m *Matrix) MulParallel(b *Matrix, workers int) *Matrix {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	out, _ := m.mul(context.Background(), b, workers, recordMul)
+	return out
+}
+
+// MulAuto is Mul, fanned out across cores when the product is large enough.
+func (m *Matrix) MulAuto(b *Matrix) *Matrix {
+	out, _ := m.mul(context.Background(), b, 0, recordMul)
+	return out
+}
+
+// MulCtx is MulAuto that polls ctx between row blocks and returns its error
+// once it is done, so a canceled request releases its cores mid-product.
+func (m *Matrix) MulCtx(ctx context.Context, b *Matrix) (*Matrix, error) {
+	return m.mul(ctx, b, 0, recordMul)
+}
+
+// product is one a * b in flight.
+type product struct {
+	ctx       context.Context
+	a, b, out *Matrix
+	fp        []int        // fp[r]: multiply-adds of rows [0, r)
+	zeros     atomic.Int64 // stored values that canceled to exactly zero
+}
+
+// mul is the SpGEMM driver. workers == 0 picks by flop count; record accounts
+// the finished product (flops are counted once per product, not per pass).
+func (m *Matrix) mul(ctx context.Context, b *Matrix, workers int, record func(flops, outNNZ int, parallel bool)) (*Matrix, error) {
+	if m.cols != b.rows {
+		panic(fmt.Sprintf("sparse: Mul shape mismatch %dx%d * %dx%d",
+			m.rows, m.cols, b.rows, b.cols))
+	}
+	p := &product{ctx: ctx, a: m, b: b, fp: make([]int, m.rows+1),
+		out: &Matrix{rows: m.rows, cols: b.cols, rowPtr: make([]int, m.rows+1)}}
+	for r := 0; r < m.rows; r++ {
+		p.fp[r+1] = p.fp[r]
+		for _, j := range m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]] {
+			p.fp[r+1] += b.rowPtr[j+1] - b.rowPtr[j]
+		}
+	}
+	flops := p.fp[m.rows]
+	if workers == 0 {
+		workers = 1
+		if flops >= parallelFlopThreshold {
+			workers = runtime.GOMAXPROCS(0)
+		}
+	}
+	// Ranges hold equal flops, not equal row counts: reachable-probability
+	// rows are as skewed as the degree distributions behind them.
+	cuts := make([]int, 1, workers+1)
+	for w := 1; w < workers; w++ {
+		if c := sort.SearchInts(p.fp, (flops*w+workers-1)/workers); c > cuts[len(cuts)-1] && c < m.rows {
+			cuts = append(cuts, c)
+		}
+	}
+	cuts = append(cuts, m.rows)
+
+	out := p.out
+	if err := p.pass(cuts, false); err != nil {
+		return nil, err
+	}
+	for r := 0; r < m.rows; r++ {
+		out.rowPtr[r+1] += out.rowPtr[r]
+	}
+	out.colIdx = make([]int, out.rowPtr[m.rows])
+	out.val = make([]float64, out.rowPtr[m.rows])
+	if err := p.pass(cuts, true); err != nil {
+		return nil, err
+	}
+	if p.zeros.Load() > 0 {
+		out.dropZeros() // exact cancellation: rare, so compacted after the fact
+	}
+	record(flops, len(out.val), len(cuts) > 2)
+	return out, nil
+}
+
+// pass runs one pass of the kernel over the ranges cuts[i]..cuts[i+1] — the
+// first on the calling goroutine, every further one on its own — and returns
+// the first error in range order once all of them have finished.
+func (p *product) pass(cuts []int, numeric bool) error {
+	if len(cuts) == 2 {
+		return p.rows(cuts[0], cuts[1], numeric)
+	}
+	errs := make([]error, len(cuts)-1)
+	var wg sync.WaitGroup
+	for i := 1; i < len(errs); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = p.rows(cuts[i], cuts[i+1], numeric)
+		}()
+	}
+	errs[0] = p.rows(cuts[0], cuts[1], numeric)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rows is the kernel over rows [lo, hi) of a * b. The symbolic pass (numeric
+// false) stores each row's distinct-column count in out.rowPtr[r+1]; the
+// numeric pass expects out.rowPtr prefix-summed and out.colIdx/out.val
+// allocated, and fills the row's slice of both in ascending column order.
+// The inner loop does not branch on whether a column is new to its row: that
+// is a coin flip on these operands, and a misprediction costs more than the
+// unconditional stores.
+func (p *product) rows(lo, hi int, numeric bool) error {
+	m, b, out, fp := p.a, p.b, p.out, p.fp
+	scratchInUse.Add(1)
+	s, ok := scratchPool.Get().(*mulScratch)
+	if !ok || len(s.mark) < b.cols {
+		s = &mulScratch{acc: make([]float64, b.cols), mark: make([]int, b.cols), cols: make([]int, b.cols+1)}
+	}
+	acc, mark, list := s.acc, s.mark[:b.cols], s.cols
+	zeros := 0
+	var err error
+	nextPoll := fp[lo] + pollFlops
+	for r := lo; r < hi; r++ {
+		if fp[r] >= nextPoll {
+			if err = p.ctx.Err(); err != nil {
+				break
+			}
+			nextPoll = fp[r] + pollFlops
+		}
+		aCols := m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]]
+		n := 0
+		if len(aCols) == 1 {
+			n = fp[r+1] - fp[r] // one row of b, scaled: no collisions
+		} else if len(aCols) > 1 {
+			s.gen++
+			gen := s.gen
+			for k, j := range aCols {
+				av := m.val[m.rowPtr[r]+k]
+				for kb := b.rowPtr[j]; kb < b.rowPtr[j+1]; kb++ {
+					c := b.colIdx[kb]
+					d := 0
+					if mark[c] != gen {
+						d = 1
+					}
+					mark[c] = gen
+					list[n] = c // overwritten by the next column unless c was new
+					n += d
+					if numeric {
+						acc[c] += av * b.val[kb]
+					}
+				}
+			}
+		}
+		if !numeric {
+			out.rowPtr[r+1] = n
+			continue
+		}
+		cols := out.colIdx[out.rowPtr[r]:out.rowPtr[r+1]]
+		vals := out.val[out.rowPtr[r]:out.rowPtr[r+1]]
+		switch {
+		case len(aCols) == 1:
+			// One term per entry, already in column order. 0 + x is x bit for
+			// bit (a -0 product is dropped either way), so this is the
+			// accumulator's result without the accumulator — all of AFA, and
+			// every N:1 relation's rows.
+			j, av := aCols[0], m.val[m.rowPtr[r]]
+			copy(cols, b.colIdx[b.rowPtr[j]:b.rowPtr[j+1]])
+			for i, bv := range b.val[b.rowPtr[j]:b.rowPtr[j+1]] {
+				acc[cols[i]] = av * bv
+			}
+		case swept(n, b.cols):
+			n = 0
+			for c, g := range mark {
+				if g == s.gen {
+					cols[n] = c
+					n++
+				}
+			}
+		default:
+			copy(cols, list)
+			slices.Sort(cols)
+		}
+		for i, c := range cols {
+			if vals[i] = acc[c]; vals[i] == 0 {
+				zeros++
+			}
+			acc[c] = 0
+		}
+	}
+	scratchPool.Put(s) // not deferred: a panic mid-row must not pool a dirty accumulator
+	scratchInUse.Add(-1)
+	p.zeros.Add(int64(zeros))
+	return err
+}

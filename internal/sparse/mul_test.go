@@ -1,0 +1,187 @@
+package sparse
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// refMul is the naive reference product with the kernel's accumulation
+// order: every output entry starts at +0 and adds its terms ascending over
+// a's row, then ascending over b's row; exact zeros are dropped.
+func refMul(a, b *Matrix) *Matrix {
+	var ts []Triplet
+	for r := 0; r < a.rows; r++ {
+		acc := make([]float64, b.cols)
+		hit := make([]bool, b.cols)
+		for k := a.rowPtr[r]; k < a.rowPtr[r+1]; k++ {
+			j, av := a.colIdx[k], a.val[k]
+			for kb := b.rowPtr[j]; kb < b.rowPtr[j+1]; kb++ {
+				hit[b.colIdx[kb]] = true
+				acc[b.colIdx[kb]] += av * b.val[kb]
+			}
+		}
+		for c, v := range acc {
+			if hit[c] && v != 0 {
+				ts = append(ts, Triplet{r, c, v})
+			}
+		}
+	}
+	return New(a.rows, b.cols, ts)
+}
+
+// smallIntMatrix draws entries from {-2,-1,1,2}, so sums cancel to exactly
+// zero often and the kernel's drop-zeros path runs on most products.
+func smallIntMatrix(rng *rand.Rand, rows, cols int, density float64) *Matrix {
+	vals := []float64{-2, -1, 1, 2}
+	var ts []Triplet
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if rng.Float64() < density {
+				ts = append(ts, Triplet{i, j, vals[rng.Intn(len(vals))]})
+			}
+		}
+	}
+	return New(rows, cols, ts)
+}
+
+// TestMulDifferential holds every entry point to the reference, bit for bit:
+// shapes with empty rows and columns, output rows on both sides of the sweep
+// crossover (swept reports which), single-entry rows of a,
+// exact cancellation, 1 to 8 workers, and more workers than rows (ranges of
+// one row).
+func TestMulDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	shapes := []struct{ ar, ac, bc int }{
+		{1, 1, 1}, {2, 9, 3}, {5, 40, 7}, {40, 30, 64}, {30, 60, 300}, {64, 8, 1000},
+	}
+	draws := []func(*rand.Rand, int, int, float64) *Matrix{randomMatrix, smallIntMatrix}
+	sawSweep, sawSort, sawZero := false, false, false
+	for _, sh := range shapes {
+		for _, density := range []float64{0.02, 0.15, 0.6} {
+			for _, draw := range draws {
+				a, b := draw(rng, sh.ar, sh.ac, density), draw(rng, sh.ac, sh.bc, density)
+				want := refMul(a, b)
+				for r := 0; r < want.rows; r++ {
+					n := want.RowNNZ(r)
+					sawSweep = sawSweep || swept(n, want.cols)
+					sawSort = sawSort || (n > 1 && !swept(n, want.cols))
+				}
+				got := a.Mul(b)
+				if !got.Equal(want) {
+					t.Fatalf("Mul(%dx%d * %dx%d, density %g) != reference", sh.ar, sh.ac, sh.ac, sh.bc, density)
+				}
+				for _, v := range got.val {
+					if v == 0 {
+						t.Fatal("Mul stored an explicit zero")
+					}
+				}
+				sawZero = sawZero || got.NNZ() < structuralNNZ(a, b)
+				for workers := 1; workers <= 8; workers++ {
+					if !a.MulParallel(b, workers).Equal(want) {
+						t.Fatalf("MulParallel(%dx%d * %dx%d, density %g, workers %d) != reference",
+							sh.ar, sh.ac, sh.ac, sh.bc, density, workers)
+					}
+				}
+				if !a.MulAuto(b).Equal(want) {
+					t.Fatal("MulAuto != reference")
+				}
+				if c, err := a.MulCtx(context.Background(), b); err != nil || !c.Equal(want) {
+					t.Fatalf("MulCtx != reference (err %v)", err)
+				}
+			}
+		}
+	}
+	if !sawSweep || !sawSort || !sawZero {
+		t.Errorf("cases missed a kernel path: sweep %v, sort %v, exact cancellation %v", sawSweep, sawSort, sawZero)
+	}
+}
+
+// structuralNNZ counts the distinct (row, column) pairs a*b touches, zero or
+// not.
+func structuralNNZ(a, b *Matrix) int {
+	n := 0
+	for r := 0; r < a.rows; r++ {
+		hit := map[int]bool{}
+		for _, j := range a.colIdx[a.rowPtr[r]:a.rowPtr[r+1]] {
+			for _, c := range b.colIdx[b.rowPtr[j]:b.rowPtr[j+1]] {
+				hit[c] = true
+			}
+		}
+		n += len(hit)
+	}
+	return n
+}
+
+// pollCtx reports canceled from its n-th Err call on.
+type pollCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMulCtxCanceledMidProduct cancels a product between row blocks, serial
+// and parallel: the error comes back, every scratch is back in the pool (and
+// clean — the next product is exact), and no kernel goroutine is left.
+func TestMulCtxCanceledMidProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := randomMatrix(rng, 300, 300, 0.5)
+	b := randomMatrix(rng, 300, 300, 0.5)
+	want := a.Mul(b)
+	if flops := 300 * 150 * 150; flops < 8*pollFlops {
+		t.Fatalf("product of ~%d flops is too small to be polled mid-way (pollFlops %d)", flops, pollFlops)
+	}
+	for _, workers := range []int{1, 4} {
+		ctx := &pollCtx{Context: context.Background()}
+		ctx.left.Store(3)
+		out, err := a.mul(ctx, b, workers, recordMul)
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Fatalf("workers %d: canceled product returned (%v, %v)", workers, out, err)
+		}
+		if n := scratchInUse.Load(); n != 0 {
+			t.Errorf("workers %d: %d scratch not returned to the pool", workers, n)
+		}
+		if !a.MulParallel(b, workers).Equal(want) {
+			t.Errorf("workers %d: product after a canceled one diverged (dirty scratch?)", workers)
+		}
+	}
+	var stacks string
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		stacks = string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "sparse.(*product)") {
+			return
+		}
+	}
+	t.Errorf("kernel goroutines outlived their product:\n%s", stacks)
+}
+
+// TestMulSteadyStateAllocs pins the kernel's allocation count: the flop
+// prefix, the range cuts, the product state, and the output's header and
+// three slices — nothing per row, nothing that grows. The minimum over
+// several trials is the steady state: a GC cycle (or the race detector,
+// which makes sync.Pool drop a quarter of its Puts) empties the pool now
+// and then, and that trial pays for a fresh scratch.
+func TestMulSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	a := randomMatrix(rng, 200, 150, 0.1)
+	b := randomMatrix(rng, 150, 180, 0.1)
+	least := testing.AllocsPerRun(1, func() { a.Mul(b) })
+	for i := 0; i < 20; i++ {
+		least = min(least, testing.AllocsPerRun(1, func() { a.Mul(b) }))
+	}
+	if least > 7 {
+		t.Errorf("Mul allocates %v times per steady-state product, want <= 7", least)
+	}
+}

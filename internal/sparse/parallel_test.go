@@ -65,9 +65,9 @@ func TestMulAutoMatchesMul(t *testing.T) {
 	if !small.MulAuto(small).Equal(small.Mul(small)) {
 		t.Error("MulAuto small != Mul")
 	}
-	// Dense enough that the flop estimate crosses parallelFlopThreshold
-	// (n³d² multiply-adds ≫ 2²¹ at both sizes); short mode keeps the
-	// -race pass in `make check` quick.
+	// Dense enough that the flop count crosses parallelFlopThreshold by
+	// orders of magnitude (n³d² multiply-adds at both sizes); short mode
+	// keeps the -race pass in `make check` quick.
 	n := 1300
 	if testing.Short() {
 		n = 400

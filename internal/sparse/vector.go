@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -185,44 +186,16 @@ func (v *Vector) Add(w *Vector) *Vector {
 }
 
 // MulMat returns v' * m as a new sparse vector of length m.Cols. This
-// propagates a distribution over source objects one step along a relation.
+// propagates a distribution over source objects one step along a relation —
+// a one-row SpGEMM, so it runs the one kernel (mul.go) and adds each entry's
+// terms in the order a materialized chain's row would.
 func (v *Vector) MulMat(m *Matrix) *Vector {
 	if v.n != m.rows {
 		panic("sparse: MulMat length mismatch")
 	}
-	acc := make(map[int]float64, len(v.idx)*2)
-	flops := 0
-	for k, r := range v.idx {
-		xv := v.val[k]
-		flops += m.rowPtr[r+1] - m.rowPtr[r]
-		for p := m.rowPtr[r]; p < m.rowPtr[r+1]; p++ {
-			acc[m.colIdx[p]] += xv * m.val[p]
-		}
-	}
-	metVecMulTotal.Inc()
-	metVecMulFlops.Add(uint64(flops))
-	out := &Vector{n: m.cols, idx: make([]int, 0, len(acc)), val: make([]float64, 0, len(acc))}
-	for i := range acc {
-		out.idx = append(out.idx, i)
-	}
-	sort.Ints(out.idx)
-	for _, i := range out.idx {
-		out.val = append(out.val, acc[i])
-	}
-	return out.compactZeros()
-}
-
-func (v *Vector) compactZeros() *Vector {
-	var di []int
-	var dv []float64
-	for k, x := range v.val {
-		if x != 0 {
-			di = append(di, v.idx[k])
-			dv = append(dv, x)
-		}
-	}
-	v.idx, v.val = di, dv
-	return v
+	row := &Matrix{rows: 1, cols: v.n, rowPtr: []int{0, len(v.idx)}, colIdx: v.idx, val: v.val}
+	out, _ := row.mul(context.Background(), m, 1, recordVecMul)
+	return &Vector{n: m.cols, idx: out.colIdx, val: out.val}
 }
 
 // Cosine returns the cosine similarity of v and w, or 0 when either vector
