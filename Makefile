@@ -84,13 +84,14 @@ check: vet staticcheck govulncheck build test race obs-selftest chaos properties
 # batch scheduler's sequential-vs-batched amortization run, the
 # query-optimizer auto-vs-forced plan comparison, the incremental
 # mutation apply-vs-rematerialize comparison, the auto-relevance
-# ensemble-vs-solo-paths comparison, and the approximate top-k
-# exact-vs-embedding comparison, with allocation stats, as JSON. Every
+# ensemble-vs-solo-paths comparison, the approximate top-k
+# exact-vs-embedding comparison, and the warm exact top-k scan
+# (BenchmarkAblationTopKSearch), with allocation stats, as JSON. Every
 # benchmark is recorded at GOMAXPROCS=1 and at the box's core count
 # ("procs" in each row), so the parallel SpGEMM path has a baseline too.
 NPROC := $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 bench-json:
-	go test -run '^$$' -bench 'BenchmarkTable|BenchmarkFig|BenchmarkSnapshot|BenchmarkBatch|BenchmarkPlan|BenchmarkIncremental|BenchmarkRelevance|BenchmarkTopK' -benchmem -cpu 1,$(NPROC) . | go run ./cmd/benchjson > BENCH_core.json
+	go test -run '^$$' -bench 'BenchmarkTable|BenchmarkFig|BenchmarkSnapshot|BenchmarkBatch|BenchmarkPlan|BenchmarkIncremental|BenchmarkRelevance|BenchmarkTopK|BenchmarkAblationTopKSearch' -benchmem -cpu 1,$(NPROC) . | go run ./cmd/benchjson > BENCH_core.json
 	@echo wrote BENCH_core.json
 
 # End-to-end regression gate: five runs of each bench/ workload against

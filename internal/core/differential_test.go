@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
 )
 
@@ -239,4 +242,147 @@ func TestDifferentialTopKScanChoice(t *testing.T) {
 	if !sawTie {
 		t.Error("no tied scores among the compared hits; the tie-break order went untested")
 	}
+}
+
+// TestDifferentialTopKPooledScanConcurrent runs the warm transposed scan —
+// whose accumulator, marks and candidate list are pooled kernel scratch,
+// nothing cleared between queries — from 8 goroutines on one engine, over
+// paths whose target types differ in size (so a scratch taken from the pool
+// is wider than, narrower than or exactly what the query needs), and holds
+// every answer to the serial one: ids and float bits.
+func TestDifferentialTopKPooledScanConcurrent(t *testing.T) {
+	ctx := context.Background()
+	g := randomBibGraph(83)
+	for _, opts := range [][]Option{nil, {WithNormalization(false)}} {
+		e := NewEngine(g, opts...)
+		type query struct {
+			p      *metapath.Path
+			src, k int
+		}
+		var queries []query
+		var want [][]Scored
+		widths := map[int]bool{}
+		for _, spec := range []string{"APA", "APT", "APVC", "APTPA", "APVCVPA", "CVPA", "APVP", "APV"} {
+			p := metapath.MustParse(g.Schema(), spec)
+			widths[g.NodeCount(p.Target())] = true
+			for src := 0; src < g.NodeCount(p.Source()); src++ {
+				for _, k := range []int{1, 3, g.NodeCount(p.Target()) + 1} {
+					var serial []Scored
+					for pass := 0; pass < 3; pass++ { // row scan, transpose built, transpose cached
+						got, err := e.TopKSearch(ctx, p, src, k, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if pass > 0 && !sameHits(got, serial) {
+							t.Fatalf("%s src %d k %d pass %d: %v, first pass %v", spec, src, k, pass, got, serial)
+						}
+						serial = got
+					}
+					queries = append(queries, query{p, src, k})
+					want = append(want, serial)
+				}
+			}
+		}
+		if len(widths) < 3 {
+			t.Fatalf("only %d distinct target counts; the scratch would never be regrown", len(widths))
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for round := 0; round < 3; round++ {
+					for _, i := range rng.Perm(len(queries)) {
+						q := queries[i]
+						got, err := e.TopKSearch(ctx, q.p, q.src, q.k, 0)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if !sameHits(got, want[i]) {
+							t.Errorf("worker %d: %s src %d k %d = %v, serial %v", w, q.p, q.src, q.k, got, want[i])
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+}
+
+func sameHits(a, b []Scored) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Index != b[i].Index || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
+}
+
+// ringGraph is n authors and n papers, author i writing papers i and i+1:
+// every author has two co-authors whatever n is, so the work of an APA top-k
+// is constant and anything that grows with n is the scan's bookkeeping.
+func ringGraph(n int) *hin.Graph {
+	s := hin.NewSchema()
+	s.MustAddType("author", 'A')
+	s.MustAddType("paper", 'P')
+	s.MustAddRelation("writes", "author", "paper")
+	b := hin.NewBuilder(s)
+	for i := 0; i < n; i++ {
+		b.AddEdge("writes", "a"+itoa(i), "p"+itoa(i))
+		b.AddEdge("writes", "a"+itoa(i), "p"+itoa((i+1)%n))
+	}
+	return b.MustBuild()
+}
+
+// TestDifferentialTopKWarmAllocsIndependentOfTargets pins what a warm top-k
+// allocates: a small constant number of small objects, the same for 500
+// targets and for 50 000 — no dense accumulator, mark array or row copy of
+// the target population's size (the parent allocated ~28 bytes a target).
+func TestDifferentialTopKWarmAllocsIndependentOfTargets(t *testing.T) {
+	ctx := context.Background()
+	measure := func(n int) (allocs float64, bytes uint64, hits []Scored) {
+		g := ringGraph(n)
+		e := NewEngine(g)
+		p := metapath.MustParse(g.Schema(), "APA")
+		search := func() {
+			var err error
+			if hits, err = e.TopKSearch(ctx, p, n/2, 10, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ { // materialize, transpose, then warm
+			search()
+		}
+		// The minimum over trials is the steady state: a GC cycle empties the
+		// scratch pool now and then, and the race detector makes sync.Pool
+		// drop a quarter of its Puts.
+		allocs, bytes = math.Inf(1), math.MaxUint64
+		for trial := 0; trial < 30; trial++ {
+			allocs = min(allocs, testing.AllocsPerRun(1, search))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			search()
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return allocs, bytes, hits
+	}
+	smallAllocs, smallBytes, smallHits := measure(500)
+	bigAllocs, bigBytes, bigHits := measure(50000)
+	if len(smallHits) != 3 || len(bigHits) != 3 || smallHits[0].Index != 250 || bigHits[0].Index != 25000 {
+		t.Fatalf("ring APA top-k: %v and %v, want self plus two co-authors", smallHits, bigHits)
+	}
+	if bigAllocs != smallAllocs || bigAllocs > 64 {
+		t.Errorf("warm top-k allocs/op: %v at 500 targets, %v at 50000; want equal and small", smallAllocs, bigAllocs)
+	}
+	if bigBytes > smallBytes+1024 || bigBytes > 8*1024 {
+		t.Errorf("warm top-k bytes/op: %d at 500 targets, %d at 50000; want equal and small", smallBytes, bigBytes)
+	}
+	t.Logf("warm top-k: %v allocs, %d B/op at 500 targets; %v allocs, %d B/op at 50000", smallAllocs, smallBytes, bigAllocs, bigBytes)
 }

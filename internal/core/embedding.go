@@ -10,6 +10,7 @@ import (
 
 	"hetesim/internal/embed"
 	"hetesim/internal/obs"
+	"hetesim/internal/rank"
 	"hetesim/internal/sparse"
 )
 
@@ -257,8 +258,7 @@ func (e *Engine) topKApprox(ctx context.Context, lp LogicalPlan) ([]Scored, erro
 	if err != nil {
 		return nil, err
 	}
-	rank := embedRankFor(lp.Opts, pmr.Cols())
-	em, err := e.opEmbedding(ctx, h, rank)
+	em, err := e.opEmbedding(ctx, h, embedRankFor(lp.Opts, pmr.Cols()))
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +280,7 @@ func (e *Engine) topKApprox(ctx context.Context, lp LogicalPlan) ([]Scored, erro
 	}
 
 	sp = obs.FromContext(ctx).Start("rerank")
-	out := make([]Scored, 0, len(cands))
+	sel := rank.NewSelector(lp.K)
 	for _, b := range cands {
 		s := left.Dot(pmr.Row(b))
 		if e.normalized {
@@ -290,14 +290,11 @@ func (e *Engine) topKApprox(ctx context.Context, lp LogicalPlan) ([]Scored, erro
 			s /= ln * rns[b]
 		}
 		if s != 0 {
-			out = append(out, Scored{Index: b, Score: s})
+			sel.Push(b, s)
 		}
 	}
-	sortScoredDesc(out)
+	out := sel.Ranked()
 	sp.End()
-	if lp.K < len(out) {
-		out = out[:lp.K]
-	}
 	return out, nil
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"hetesim/internal/metapath"
 	"hetesim/internal/obs"
+	"hetesim/internal/rank"
 	"hetesim/internal/sparse"
 )
 
@@ -632,24 +633,15 @@ func (e *Engine) execTopK(ctx context.Context, lp LogicalPlan, d PlanDecision) (
 }
 
 // rankScores ranks a dense score vector exactly the way topKFrom ranks:
-// descending by score, ties by ascending index, zeros dropped.
+// zeros dropped, the rest through the one selector.
 func rankScores(scores []float64, k int) []Scored {
-	out := make([]Scored, 0, k)
+	sel := rank.NewSelector(k)
 	for i, s := range scores {
 		if s != 0 {
-			out = append(out, Scored{Index: i, Score: s})
+			sel.Push(i, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Index < out[j].Index
-	})
-	if k > len(out) {
-		k = len(out)
-	}
-	return out[:k]
+	return sel.Ranked()
 }
 
 func (e *Engine) execAllPairs(ctx context.Context, lp LogicalPlan, d PlanDecision) (*sparse.Matrix, error) {

@@ -2,18 +2,17 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"hetesim/internal/metapath"
 	"hetesim/internal/obs"
+	"hetesim/internal/rank"
 	"hetesim/internal/sparse"
 )
 
-// Scored is one target of a top-k search.
-type Scored struct {
-	Index int
-	Score float64
-}
+// Scored is one target of a top-k search. Every top-k plan — exact scan,
+// topk-approx re-rank, Monte Carlo, solo or batch — ranks through the one
+// selector of package rank: descending by score, ties by ascending index.
+type Scored = rank.Scored
 
 // TopKSearch returns the k most related targets of one source along a path,
 // descending by score (ties by ascending index). It implements the search
@@ -38,8 +37,10 @@ func (e *Engine) TopKSearch(ctx context.Context, p *metapath.Path, src, k int, e
 // request had to materialize is scored row by row against the dense left
 // vector — one pass over its entries, no transpose; a chain that was already
 // cached is scanned through its transpose, touching only the targets that
-// share middle support. Both add each target's terms in ascending middle
-// order, so they return bit-identical hits.
+// share middle support (sparse.MulMatEach: pooled accumulator, nothing of the
+// target population's size allocated or cleared). Both add each target's
+// terms in ascending middle order and offer every non-zero score to the one
+// selector, so they return bit-identical hits.
 func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left *sparse.Vector, k int, eps float64) ([]Scored, error) {
 	// Prune the source's middle distribution (shared with topKApprox so
 	// both plans score the identical pruned vector).
@@ -49,36 +50,7 @@ func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left 
 		return nil, err
 	}
 	tr := obs.FromContext(ctx)
-	sp := tr.Start("combine")
-	var acc []float64
-	var touched []int
-	if pmrT == nil {
-		acc = pmr.MulVec(left.Dense())
-		for b, s := range acc {
-			if s != 0 {
-				touched = append(touched, b)
-			}
-		}
-	} else {
-		// Accumulate scores only over candidates that share middle support,
-		// using a dense scratch with a touched list so the cost is the size
-		// of the overlapped rows, not the target population.
-		nT := e.g.NodeCount(p.Target())
-		acc = make([]float64, nT)
-		seen := make([]bool, nT)
-		left.Entries(func(m int, v float64) {
-			row := pmrT.Row(m)
-			row.Entries(func(b int, w float64) {
-				if !seen[b] {
-					seen[b] = true
-					touched = append(touched, b)
-				}
-				acc[b] += v * w
-			})
-		})
-	}
-	sp.End()
-	sp = tr.Start("normalize")
+	sp := tr.Start("normalize")
 	var rns []float64
 	var ln float64
 	if e.normalized {
@@ -91,36 +63,32 @@ func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left 
 		}
 		rns = e.chainRowNorms(e.chainCacheKey(h.right()), pmr)
 	}
-	out := make([]Scored, 0, len(touched))
-	for _, b := range touched {
-		s := acc[b]
+	sp.End()
+	sp = tr.Start("combine")
+	sel := rank.NewSelector(k)
+	offer := func(b int, s float64) {
 		if e.normalized {
 			if ln == 0 || rns[b] == 0 {
-				continue
+				return
 			}
 			s /= ln * rns[b]
 		}
 		if s != 0 {
-			out = append(out, Scored{Index: b, Score: s})
+			sel.Push(b, s)
 		}
+	}
+	if pmrT == nil {
+		for b, s := range pmr.MulVec(left.Dense()) {
+			if s != 0 { // most targets share no middle support with the source
+				offer(b, s)
+			}
+		}
+	} else {
+		left.MulMatEach(pmrT, offer)
 	}
 	sp.End()
 	sp = tr.Start("rank")
-	sortScoredDesc(out)
+	out := sel.Ranked()
 	sp.End()
-	if k > len(out) {
-		k = len(out)
-	}
-	return out[:k], nil
-}
-
-// sortScoredDesc orders scored targets descending by score, ties broken by
-// ascending index — the canonical result order shared by every top-k plan.
-func sortScoredDesc(out []Scored) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Index < out[j].Index
-	})
+	return out, nil
 }

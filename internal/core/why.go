@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"hetesim/internal/metapath"
+	"hetesim/internal/rank"
 )
 
 // Contribution is one meeting object's share of a pair's HeteSim score.
@@ -57,7 +57,7 @@ func (e *Engine) PairContributions(ctx context.Context, p *metapath.Path, src, d
 		}
 		scale = 1 / (ln * rn)
 	}
-	var out []Contribution
+	sel := rank.NewSelector(k)
 	var total float64
 	left.Entries(func(m int, lv float64) {
 		rv := right.At(m)
@@ -66,25 +66,18 @@ func (e *Engine) PairContributions(ctx context.Context, p *metapath.Path, src, d
 		}
 		v := lv * rv * scale
 		total += v
-		out = append(out, Contribution{MiddleIndex: m, Value: v})
+		sel.Push(m, v)
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Value != out[j].Value {
-			return out[i].Value > out[j].Value
-		}
-		return out[i].MiddleIndex < out[j].MiddleIndex
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	for i := range out {
-		out[i].Label, err = e.middleLabel(p, h, out[i].MiddleIndex)
-		if err != nil {
+	var out []Contribution
+	for _, t := range sel.Ranked() {
+		c := Contribution{MiddleIndex: t.Index, Value: t.Score}
+		if c.Label, err = e.middleLabel(p, h, c.MiddleIndex); err != nil {
 			return 0, nil, err
 		}
 		if total > 0 {
-			out[i].Fraction = out[i].Value / total
+			c.Fraction = c.Value / total
 		}
+		out = append(out, c)
 	}
 	return total, out, nil
 }

@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"hetesim/internal/linalg"
+	"hetesim/internal/rank"
 	"hetesim/internal/sparse"
 )
 
@@ -134,50 +135,7 @@ func (e *Embedding) Project(left *sparse.Vector) ([]float64, error) {
 // visits rows in deterministic order. c is clamped to the number of
 // eligible targets.
 func (e *Embedding) Candidates(q []float64, c int, norms []float64) []int {
-	if c <= 0 {
-		return nil
-	}
-	type cand struct {
-		score float64
-		idx   int
-	}
-	// Bounded selection: keep the best c in a slice-backed min-heap.
-	heap := make([]cand, 0, c)
-	less := func(a, b cand) bool {
-		// Min-heap by score; on equal score the LARGER index is the
-		// weaker element so that ties evict larger indices first.
-		if a.score != b.score {
-			return a.score < b.score
-		}
-		return a.idx > b.idx
-	}
-	siftUp := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(heap[i], heap[p]) {
-				break
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
-		}
-	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(heap) && less(heap[l], heap[m]) {
-				m = l
-			}
-			if r < len(heap) && less(heap[r], heap[m]) {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-	}
+	sel := rank.NewSelector(c)
 	r := e.Rank
 	for b := 0; b < e.Rows; b++ {
 		if norms != nil && norms[b] == 0 {
@@ -191,18 +149,9 @@ func (e *Embedding) Candidates(q []float64, c int, norms []float64) []int {
 		if norms != nil {
 			s /= norms[b]
 		}
-		if len(heap) < c {
-			heap = append(heap, cand{s, b})
-			siftUp(len(heap) - 1)
-		} else if less(heap[0], cand{s, b}) {
-			heap[0] = cand{s, b}
-			siftDown(0)
-		}
+		sel.Push(b, s)
 	}
-	out := make([]int, len(heap))
-	for i, h := range heap {
-		out[i] = h.idx
-	}
+	out := sel.Indices()
 	sort.Ints(out)
 	return out
 }

@@ -10,9 +10,11 @@
 package metapath
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"hetesim/internal/hin"
 )
@@ -56,6 +58,9 @@ func (s Step) Reversed() Step { return Step{Relation: s.Relation, Inverse: !s.In
 type Path struct {
 	schema *hin.Schema
 	steps  []Step
+
+	render sync.Once // String's result: a path never changes, so it is rendered once
+	str    string
 }
 
 // New builds a path from explicit steps, validating chaining. At least one
@@ -274,28 +279,13 @@ func (p *Path) Decompose() Decomposition {
 // unambiguous; otherwise it falls back to verbose notation with relation
 // qualifiers on every step.
 func (p *Path) String() string {
-	types := p.Types()
-	compact := make([]byte, 0, len(types))
-	ok := true
-	for _, t := range types {
-		ab := byte(0)
-		for _, nt := range p.schema.Types() {
-			if nt.Name == t {
-				ab = nt.Abbrev
-				break
-			}
-		}
-		if ab == 0 {
-			ok = false
-			break
-		}
-		compact = append(compact, ab)
-	}
-	if ok {
-		// Verify compact notation round-trips to this exact path.
-		if q, err := Parse(p.schema, string(compact)); err == nil && q.Equal(p) {
-			return string(compact)
-		}
+	p.render.Do(func() { p.str = p.format() })
+	return p.str
+}
+
+func (p *Path) format() string {
+	if c, ok := p.compact(); ok {
+		return c
 	}
 	var b strings.Builder
 	for i, s := range p.steps {
@@ -305,4 +295,33 @@ func (p *Path) String() string {
 		fmt.Fprintf(&b, "[%s]>%s", s.Relation.Name, s.To())
 	}
 	return b.String()
+}
+
+// compact renders the path as type abbreviations and reports whether Parse
+// would read that string back as this exact path: every visited type has an
+// abbreviation and every step is the one relation connecting its two types,
+// in the direction Parse resolves — checked step by step, not by re-parsing.
+func (p *Path) compact() (string, bool) {
+	types := p.schema.Types()
+	abbrev := func(name string) byte {
+		for _, nt := range types {
+			if nt.Name == name {
+				return nt.Abbrev
+			}
+		}
+		return 0
+	}
+	c := make([]byte, 0, len(p.steps)+1)
+	c = append(c, abbrev(p.Source()))
+	for _, st := range p.steps {
+		rel, inv, err := p.schema.RelationBetween(st.From(), st.To())
+		if err != nil || rel.Name != st.Relation.Name || inv != st.Inverse {
+			return "", false
+		}
+		c = append(c, abbrev(st.To()))
+	}
+	if bytes.IndexByte(c, 0) >= 0 || bytes.IndexByte(c, '>') >= 0 || len(bytes.TrimSpace(c)) != len(c) {
+		return "", false // Parse would not read this as compact notation
+	}
+	return string(c), true
 }

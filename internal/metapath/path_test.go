@@ -265,3 +265,67 @@ func TestStepAccessors(t *testing.T) {
 		t.Errorf("reversed step = %+v", rev)
 	}
 }
+
+// TestStringRendersOnce pins String as a stored value: the router's routing
+// key and every batch slot call it per request, so after the first call it
+// must neither re-parse the path nor allocate.
+func TestStringRendersOnce(t *testing.T) {
+	s := acmSchema(t)
+	for _, spec := range []string{"APVCVPA", "author[writes]>paper"} {
+		p := MustParse(s, spec)
+		first := p.String()
+		if allocs := testing.AllocsPerRun(100, func() {
+			if p.String() != first {
+				t.Fatalf("String changed between calls on %q", spec)
+			}
+		}); allocs != 0 {
+			t.Errorf("String on %q: %v allocs per call after the first, want 0", spec, allocs)
+		}
+		if r := p.Reverse(); r.Reverse().String() != first {
+			t.Errorf("reverse of reverse renders %q, want %q", r.Reverse(), first)
+		}
+	}
+}
+
+// TestCompactAgreesWithReparse holds the step-by-step round-trip check of
+// compact() to its definition — "Parse reads the abbreviations back as this
+// exact path" — over every enumerated path of a schema with an ambiguous
+// type pair (two relations author↔paper), a self-relation and a type
+// without an abbreviation.
+func TestCompactAgreesWithReparse(t *testing.T) {
+	s := acmSchema(t)
+	s.MustAddRelation("reviews", "author", "paper")
+	s.MustAddRelation("cites", "paper", "paper")
+	s.MustAddType("grant", 0)
+	s.MustAddRelation("funds", "grant", "paper")
+	checked, compacted := 0, 0
+	for _, from := range []string{"author", "paper", "grant", "conference"} {
+		for _, to := range []string{"author", "paper", "grant", "venue"} {
+			paths, err := Enumerate(s, from, to, 4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range paths {
+				got, ok := p.compact()
+				q, err := Parse(s, got)
+				if want := got != "" && err == nil && q.Equal(p); ok != want {
+					t.Fatalf("compact() of %v = %q, %v; re-parse says %v (%v)", p.steps, got, ok, want, err)
+				}
+				selfLoop := false // verbose notation cannot say "cites, backwards"; not String's doing
+				for _, st := range p.steps {
+					selfLoop = selfLoop || st.From() == st.To()
+				}
+				if r, err := Parse(s, p.String()); !selfLoop && (err != nil || !r.Equal(p)) {
+					t.Fatalf("String %q does not re-parse to its path: %v", p, err)
+				}
+				checked++
+				if ok {
+					compacted++
+				}
+			}
+		}
+	}
+	if checked < 100 || compacted == 0 || compacted == checked {
+		t.Fatalf("checked %d paths, %d compact: the fixture does not exercise both renderings", checked, compacted)
+	}
+}

@@ -1,13 +1,11 @@
 // Package rank provides top-k selection and ranked-list utilities used by
 // the query experiments (object profiling, expert finding, relevance
-// search): heap-based top-k over dense score vectors and labeled ranked
-// lists for display.
+// search): the one bounded k-selector every top-k in the repo ranks through,
+// top-k over dense score vectors, and labeled ranked lists for display.
 package rank
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -18,60 +16,107 @@ type Item struct {
 	Score float64
 }
 
+// Scored is one selected object: its index in whatever the caller ranks and
+// its score.
+type Scored struct {
+	Index int
+	Score float64
+}
+
+// before is the one result order of the repo: score descending, ties broken
+// by ascending index. Indices are unique, so the order is total — the k best
+// of a set and their order do not depend on how they are selected, which is
+// why a bounded selection returns exactly what a full sort's first k would.
+func before(a, b Scored) bool {
+	return a.Score > b.Score || (a.Score == b.Score && a.Index < b.Index)
+}
+
+// Selector keeps the k best (by before) of the candidates pushed into it, in
+// a slice-backed binary heap with the worst of them on top: a candidate that
+// does not make the cut costs one comparison, one that does costs O(log k).
+// It filters nothing — callers drop the scores they do not rank.
+type Selector struct {
+	k int
+	h []Scored
+}
+
+// NewSelector returns a selector of the k best; k <= 0 selects nothing.
+func NewSelector(k int) *Selector {
+	return &Selector{k: k, h: make([]Scored, 0, max(0, min(k, 256)))}
+}
+
+// Push offers one candidate.
+func (s *Selector) Push(index int, score float64) {
+	c := Scored{index, score}
+	if len(s.h) < s.k {
+		s.h = append(s.h, c)
+		for i := len(s.h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !before(s.h[p], s.h[i]) {
+				break
+			}
+			s.h[p], s.h[i] = s.h[i], s.h[p]
+			i = p
+		}
+	} else if s.k > 0 && before(c, s.h[0]) {
+		s.h[0] = c
+		siftDown(s.h, 0)
+	}
+}
+
+// Ranked returns the selected candidates best first. It orders the heap in
+// place (a heap sort: the worst goes last, repeatedly) and hands out its
+// storage, so the selector is spent afterwards.
+func (s *Selector) Ranked() []Scored {
+	for n := len(s.h) - 1; n > 0; n-- {
+		s.h[0], s.h[n] = s.h[n], s.h[0]
+		siftDown(s.h[:n], 0)
+	}
+	return s.h
+}
+
+// Indices is Ranked reduced to the candidates' indices; nil when nothing was
+// selected.
+func (s *Selector) Indices() []int {
+	if len(s.h) == 0 {
+		return nil
+	}
+	out := make([]int, len(s.h))
+	for p, t := range s.Ranked() {
+		out[p] = t.Index
+	}
+	return out
+}
+
+// siftDown restores the worst-on-top heap order below position i.
+func siftDown(h []Scored, i int) {
+	for {
+		w := i // the worst of i and its children
+		if l := 2*i + 1; l < len(h) && before(h[w], h[l]) {
+			w = l
+		}
+		if r := 2*i + 2; r < len(h) && before(h[w], h[r]) {
+			w = r
+		}
+		if w == i {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
+}
+
 // TopK returns the indices of the k largest scores in descending score
 // order, ties broken by ascending index. k larger than len(scores) returns
 // all indices ranked. Zero scores are kept — callers who want only
 // positively related objects should filter.
 func TopK(scores []float64, k int) []int {
-	if k > len(scores) {
-		k = len(scores)
-	}
-	if k <= 0 {
-		return nil
-	}
-	h := &minHeap{}
-	heap.Init(h)
+	k = max(0, min(k, len(scores)))
+	sel := &Selector{k: k, h: make([]Scored, 0, k)} // sized exactly: every slot will be filled
 	for i, s := range scores {
-		if h.Len() < k {
-			heap.Push(h, entry{i, s})
-			continue
-		}
-		if top := (*h)[0]; s > top.score || (s == top.score && i < top.idx) {
-			(*h)[0] = entry{i, s}
-			heap.Fix(h, 0)
-		}
+		sel.Push(i, s)
 	}
-	out := make([]int, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(entry).idx
-	}
-	return out
-}
-
-type entry struct {
-	idx   int
-	score float64
-}
-
-// minHeap keeps the current k best with the worst on top; the tie order
-// (higher index = worse) matches TopK's ascending-index tie-break.
-type minHeap []entry
-
-func (h minHeap) Len() int { return len(h) }
-func (h minHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score < h[j].score
-	}
-	return h[i].idx > h[j].idx
-}
-func (h minHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x any)   { *h = append(*h, x.(entry)) }
-func (h *minHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return sel.Indices()
 }
 
 // List builds a ranked Item list from scores and parallel IDs, keeping the
@@ -91,13 +136,8 @@ func List(scores []float64, ids []string, k int) ([]Item, error) {
 // Positions returns a map from index to 1-based rank over all scores
 // (descending, ties by ascending index).
 func Positions(scores []float64) map[int]int {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	pos := make(map[int]int, len(idx))
-	for p, i := range idx {
+	pos := make(map[int]int, len(scores))
+	for p, i := range TopK(scores, len(scores)) {
 		pos[i] = p + 1
 	}
 	return pos

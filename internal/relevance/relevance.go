@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"time"
 
@@ -24,6 +23,7 @@ import (
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
 	"hetesim/internal/obs"
+	"hetesim/internal/rank"
 )
 
 // Sentinel errors; callers map these to input-validation failures.
@@ -403,25 +403,19 @@ func pathFanout(g *hin.Graph, p *metapath.Path) float64 {
 	return fan
 }
 
+// rankTopK ranks the positive combined scores through the one selector
+// (score descending, ties by ascending index).
 func rankTopK(scores []float64, k int) []Ranked {
-	idx := make([]int, 0, len(scores))
+	sel := rank.NewSelector(k)
 	for i, v := range scores {
 		if v > 0 {
-			idx = append(idx, i)
+			sel.Push(i, v)
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if len(idx) > k {
-		idx = idx[:k]
-	}
-	out := make([]Ranked, len(idx))
-	for i, j := range idx {
-		out[i] = Ranked{Index: j, Score: scores[j]}
+	top := sel.Ranked()
+	out := make([]Ranked, len(top))
+	for i, t := range top {
+		out[i] = Ranked{Index: t.Index, Score: t.Score}
 	}
 	return out
 }

@@ -1107,16 +1107,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	if !ranked {
 		sp = tr.Start("rank")
-		items, rerr := rank.List(scores, es.g.NodeIDs(q.path.Target()), k)
+		hits = denseHits(es.g, q.path.Target(), scores, k)
 		sp.End()
-		if rerr != nil {
-			writeError(w, rerr)
-			return
-		}
-		hits = hits[:0]
-		for _, it := range items {
-			hits = append(hits, hitBody{ID: it.ID, Score: it.Score})
-		}
 	}
 	body := topKBody{Path: q.path.String(), Source: q.source, Measure: q.measure, Approximate: approximate, Plan: plan}
 	body.Results = append(body.Results, hits...)
@@ -1140,8 +1132,19 @@ func (s *Server) degradedTopK(es *engineSet, r *http.Request, q query) ([]float6
 	return es.hetesim(q.raw).SingleSourceMonteCarlo(ctx, q.path, src, s.degradeWalks, 0)
 }
 
+// denseHits ranks a dense score vector over a type (pcrw, pathsim, the Monte
+// Carlo fallback) into response hits, zeros kept, naming only the k winners.
+func denseHits(g *hin.Graph, typ string, scores []float64, k int) []hitBody {
+	top := rank.TopK(scores, k)
+	hits := make([]hitBody, len(top))
+	for p, i := range top {
+		hits[p] = hitBody{ID: nodeID(g, typ, i), Score: scores[i]}
+	}
+	return hits
+}
+
 // topKHits maps engine top-k results onto response hits. The engine drops
-// zero scores while the dense ranker (rank.List) keeps them, so to preserve
+// zero scores while the dense ranker (rank.TopK) keeps them, so to preserve
 // the response contract the tail is padded with zero-score targets in
 // ascending index order — every target absent from the engine's result has
 // a score of exactly zero.
@@ -1151,9 +1154,14 @@ func topKHits(g *hin.Graph, typ string, top []core.Scored, k int) []hitBody {
 		k = n
 	}
 	hits := make([]hitBody, 0, k)
-	seen := make(map[int]bool, len(top))
 	for _, t := range top {
 		hits = append(hits, hitBody{ID: nodeID(g, typ, t.Index), Score: t.Score})
+	}
+	if len(hits) >= k {
+		return hits // nothing to pad
+	}
+	seen := make(map[int]bool, len(top))
+	for _, t := range top {
 		seen[t.Index] = true
 	}
 	for i := 0; len(hits) < k && i < n; i++ {

@@ -5,8 +5,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"testing"
 
+	"hetesim/internal/core"
 	"hetesim/internal/hin"
 )
 
@@ -231,6 +234,56 @@ func TestConcurrentRequests(t *testing.T) {
 	for w := 0; w < 16; w++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestDenseTopKNamesOnlyWinners pins the allocations of the ranking branch
+// that pcrw, pathsim and the Monte Carlo fallback answer top-k through: it
+// must resolve the k winners by index, not copy the target type's whole id
+// table (16 bytes a node) to name them — and topKHits must not build its
+// padding set when there is nothing to pad.
+func TestDenseTopKNamesOnlyWinners(t *testing.T) {
+	const n, k = 20000, 10
+	s := hin.NewSchema()
+	s.MustAddType("author", 'A')
+	s.MustAddType("paper", 'P')
+	s.MustAddRelation("writes", "author", "paper")
+	b := hin.NewBuilder(s)
+	for i := 0; i < n; i++ {
+		b.AddEdge("writes", "a", "p"+strconv.Itoa(i))
+	}
+	g := b.MustBuild()
+	scores := make([]float64, n)
+	top := make([]core.Scored, k)
+	for i := range scores {
+		scores[i] = float64(i % 97)
+	}
+	for i := range top {
+		top[i] = core.Scored{Index: 96 + 97*i, Score: 96}
+	}
+	bytesPerRun := func(f func()) uint64 {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	var dense, padded []hitBody
+	idTable := uint64(n * 16)
+	if got := bytesPerRun(func() { dense = denseHits(g, "paper", scores, k) }); got > idTable/16 {
+		t.Errorf("denseHits allocates %d B/op; the id table it must not copy is %d B", got, idTable)
+	}
+	if got := bytesPerRun(func() { padded = topKHits(g, "paper", top, k) }); got > idTable/16 {
+		t.Errorf("topKHits allocates %d B/op with nothing to pad", got)
+	}
+	for i := range top {
+		want := hitBody{ID: "p" + strconv.Itoa(96+97*i), Score: 96}
+		if dense[i] != want || padded[i] != want {
+			t.Errorf("hit %d: dense %+v, engine %+v, want %+v", i, dense[i], padded[i], want)
 		}
 	}
 }

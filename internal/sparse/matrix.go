@@ -163,18 +163,18 @@ func (m *Matrix) At(i, j int) float64 {
 	return 0
 }
 
-// Row returns row i as a sparse Vector sharing no storage with m.
+// Row returns row i as a sparse Vector: a view over m's storage, not a copy.
+// That is safe because both types are immutable — no Vector method writes its
+// receiver or an argument (Scale, Add and MulMat return new vectors), and no
+// Matrix method writes a matrix once its constructor has returned it. Code
+// added to this package must keep that contract; TestRowViewIsNeverWritten
+// holds every exported Vector method to it.
 func (m *Matrix) Row(i int) *Vector {
 	if i < 0 || i >= m.rows {
 		panic(fmt.Sprintf("sparse: Row(%d) out of range for %d rows", i, m.rows))
 	}
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	v := &Vector{n: m.cols,
-		idx: make([]int, hi-lo),
-		val: make([]float64, hi-lo)}
-	copy(v.idx, m.colIdx[lo:hi])
-	copy(v.val, m.val[lo:hi])
-	return v
+	return &Vector{n: m.cols, idx: m.colIdx[lo:hi:hi], val: m.val[lo:hi:hi]}
 }
 
 // RowNNZ returns the number of stored entries in row i.

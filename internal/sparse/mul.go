@@ -3,6 +3,7 @@ package sparse
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -40,8 +41,9 @@ func swept(n, width int) bool {
 // mulScratch is one range's dense accumulator state, recycled through
 // scratchPool. acc is all zero between rows; mark[c] == gen means column c
 // already appeared in the current row (gen only grows, so marks left by an
-// earlier product never collide); cols collects the row's distinct columns,
-// with one slot of slack for the branch-free append.
+// earlier product never collide, and nothing is cleared between uses); cols
+// collects the row's distinct columns, with one slot of slack for the
+// branch-free append.
 type mulScratch struct {
 	acc  []float64
 	mark []int
@@ -53,6 +55,58 @@ var (
 	scratchPool  sync.Pool
 	scratchInUse atomic.Int64 // taken and not yet returned; tests assert 0
 )
+
+// getScratch takes a scratch at least width columns wide from the pool. One
+// that is too narrow is dropped for a new one, so the pool converges on the
+// widest operand in use. putScratch is never deferred: a panic mid-row must
+// not pool a dirty accumulator.
+func getScratch(width int) *mulScratch {
+	scratchInUse.Add(1)
+	s, ok := scratchPool.Get().(*mulScratch)
+	if !ok || len(s.mark) < width {
+		s = &mulScratch{acc: make([]float64, width), mark: make([]int, width), cols: make([]int, width+1)}
+	}
+	return s
+}
+
+func putScratch(s *mulScratch) {
+	scratchPool.Put(s)
+	scratchInUse.Add(-1)
+}
+
+// scatter is the inner loop of every product in this package: it adds
+// x' * b for one sparse row x = (idx, val) into the accumulator (numeric) or
+// only marks the columns it reaches (symbolic), and returns their number;
+// the columns are s.cols[:n] in first-touch order. Each column's terms are
+// added in ascending order of idx. The loop does not branch on whether a
+// column is new to the row: that is a coin flip on these operands, and a
+// misprediction costs more than the unconditional stores.
+func (s *mulScratch) scatter(idx []int, val []float64, b *Matrix, numeric bool) int {
+	if s.gen == math.MaxInt { // wrapped: every stale mark would collide from here on
+		clear(s.mark)
+		s.gen = 0
+	}
+	s.gen++
+	gen, acc, mark, list := s.gen, s.acc, s.mark[:b.cols], s.cols
+	n := 0
+	for k, j := range idx {
+		av := val[k]
+		for kb := b.rowPtr[j]; kb < b.rowPtr[j+1]; kb++ {
+			c := b.colIdx[kb]
+			d := 0
+			if mark[c] != gen {
+				d = 1
+			}
+			mark[c] = gen
+			list[n] = c // overwritten by the next column unless c was new
+			n += d
+			if numeric {
+				acc[c] += av * b.val[kb]
+			}
+		}
+	}
+	return n
+}
 
 // Mul returns the product m * b, computed on the calling goroutine. Panics
 // on shape mismatch.
@@ -171,16 +225,9 @@ func (p *product) pass(cuts []int, numeric bool) error {
 // false) stores each row's distinct-column count in out.rowPtr[r+1]; the
 // numeric pass expects out.rowPtr prefix-summed and out.colIdx/out.val
 // allocated, and fills the row's slice of both in ascending column order.
-// The inner loop does not branch on whether a column is new to its row: that
-// is a coin flip on these operands, and a misprediction costs more than the
-// unconditional stores.
 func (p *product) rows(lo, hi int, numeric bool) error {
 	m, b, out, fp := p.a, p.b, p.out, p.fp
-	scratchInUse.Add(1)
-	s, ok := scratchPool.Get().(*mulScratch)
-	if !ok || len(s.mark) < b.cols {
-		s = &mulScratch{acc: make([]float64, b.cols), mark: make([]int, b.cols), cols: make([]int, b.cols+1)}
-	}
+	s := getScratch(b.cols)
 	acc, mark, list := s.acc, s.mark[:b.cols], s.cols
 	zeros := 0
 	var err error
@@ -197,24 +244,7 @@ func (p *product) rows(lo, hi int, numeric bool) error {
 		if len(aCols) == 1 {
 			n = fp[r+1] - fp[r] // one row of b, scaled: no collisions
 		} else if len(aCols) > 1 {
-			s.gen++
-			gen := s.gen
-			for k, j := range aCols {
-				av := m.val[m.rowPtr[r]+k]
-				for kb := b.rowPtr[j]; kb < b.rowPtr[j+1]; kb++ {
-					c := b.colIdx[kb]
-					d := 0
-					if mark[c] != gen {
-						d = 1
-					}
-					mark[c] = gen
-					list[n] = c // overwritten by the next column unless c was new
-					n += d
-					if numeric {
-						acc[c] += av * b.val[kb]
-					}
-				}
-			}
+			n = s.scatter(aCols, m.val[m.rowPtr[r]:m.rowPtr[r+1]], b, numeric)
 		}
 		if !numeric {
 			out.rowPtr[r+1] = n
@@ -252,8 +282,29 @@ func (p *product) rows(lo, hi int, numeric bool) error {
 			acc[c] = 0
 		}
 	}
-	scratchPool.Put(s) // not deferred: a panic mid-row must not pool a dirty accumulator
-	scratchInUse.Add(-1)
+	putScratch(s)
 	p.zeros.Add(int64(zeros))
 	return err
+}
+
+// MulMatEach calls visit(c, x) for every column c that a stored entry of v
+// reaches in m, with x = (v' * m)[c] — each x bit for bit the entry MulMat
+// computes (terms added in ascending order of v's indices), but nothing is
+// built, put in column order or zero-filtered: columns arrive in first-touch
+// order, once each, and an x that canceled to zero is still visited. The
+// accumulator is pooled kernel scratch, so a call allocates nothing. This is
+// the transposed top-k scan: v a source's middle distribution, m the
+// transposed right chain, the visit one candidate target.
+func (v *Vector) MulMatEach(m *Matrix, visit func(c int, x float64)) {
+	if v.n != m.rows {
+		panic("sparse: MulMatEach length mismatch")
+	}
+	s := getScratch(m.cols)
+	n := s.scatter(v.idx, v.val, m, true)
+	for _, c := range s.cols[:n] {
+		x := s.acc[c]
+		s.acc[c] = 0
+		visit(c, x)
+	}
+	putScratch(s)
 }

@@ -3,8 +3,10 @@ package sparse
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -183,5 +185,90 @@ func TestMulSteadyStateAllocs(t *testing.T) {
 	}
 	if least > 7 {
 		t.Errorf("Mul allocates %v times per steady-state product, want <= 7", least)
+	}
+}
+
+// eachDense collects a MulMatEach scan into a dense vector, checking that no
+// column is visited twice.
+func eachDense(t *testing.T, v *Vector, m *Matrix) []float64 {
+	t.Helper()
+	got := make([]float64, m.cols)
+	seen := make([]bool, m.cols)
+	v.MulMatEach(m, func(c int, x float64) {
+		if seen[c] {
+			t.Fatalf("column %d visited twice", c)
+		}
+		seen[c], got[c] = true, x
+	})
+	return got
+}
+
+// TestMulMatEachDifferential holds the pooled scan to MulMat bit for bit, on
+// operands whose widths grow and shrink from one call to the next (so a
+// pooled scratch is wider than, narrower than and equal to what a call needs)
+// and whose sums cancel exactly (the scan visits those, MulMat drops them).
+func TestMulMatEachDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+rng.Intn(40), 1+rng.Intn(400)
+		m := smallIntMatrix(rng, rows, cols, 0.05+0.4*rng.Float64())
+		v := smallIntMatrix(rng, 1, rows, 0.5).Row(0)
+		if got, want := eachDense(t, v, m), v.MulMat(m).Dense(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%dx%d): scan %v, MulMat %v", trial, rows, cols, got, want)
+		}
+	}
+	if n := scratchInUse.Load(); n != 0 {
+		t.Errorf("%d scratches still out after the scans", n)
+	}
+}
+
+// TestScratchGenerationWrap drives a scratch's generation counter over its
+// maximum with stale marks in place: marks left by the generations before
+// the wrap (1, 2, …) must not pass for marks of the generations after it.
+func TestScratchGenerationWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	m := smallIntMatrix(rng, 30, 50, 0.3)
+	s := getScratch(m.cols)
+	for c := range s.mark {
+		s.mark[c] = 1 + c%3 // what early generations of a long-lived scratch leave behind
+	}
+	s.gen = math.MaxInt - 2
+	for step := 0; step < 6; step++ {
+		v := smallIntMatrix(rng, 1, m.rows, 0.4).Row(0)
+		n := s.scatter(v.idx, v.val, m, true)
+		got := make([]float64, m.cols)
+		for _, c := range s.cols[:n] {
+			got[c], s.acc[c] = s.acc[c], 0
+		}
+		want := make([]float64, m.cols)
+		for k, j := range v.idx {
+			for kb := m.rowPtr[j]; kb < m.rowPtr[j+1]; kb++ {
+				want[m.colIdx[kb]] += v.val[k] * m.val[kb]
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d (gen %d): scatter %v, want %v", step, s.gen, got, want)
+		}
+	}
+	if s.gen != 4 {
+		t.Errorf("generation %d after six rows from MaxInt-2, want 4 (wrapped to 1 on the third)", s.gen)
+	}
+	putScratch(s)
+}
+
+// TestMulMatEachSteadyStateAllocs: the scan allocates nothing once the pool
+// holds a scratch (minimum over trials, as for TestMulSteadyStateAllocs).
+func TestMulMatEachSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	m := randomMatrix(rng, 150, 5000, 0.02)
+	v := randomMatrix(rng, 1, 150, 0.3).Row(0)
+	var sum float64
+	visit := func(_ int, x float64) { sum += x }
+	least := testing.AllocsPerRun(1, func() { v.MulMatEach(m, visit) })
+	for i := 0; i < 20; i++ {
+		least = min(least, testing.AllocsPerRun(1, func() { v.MulMatEach(m, visit) }))
+	}
+	if least != 0 {
+		t.Errorf("MulMatEach allocates %v times per steady-state scan, want 0", least)
 	}
 }

@@ -125,3 +125,61 @@ func TestVectorOutOfRangePanics(t *testing.T) {
 	}()
 	NewVector(3, []int{3}, []float64{1})
 }
+
+// TestRowViewIsNeverWritten is the safety net under Matrix.Row returning a
+// view: every exported Vector method is called on a row view — as receiver
+// and, where it takes one, as argument — and the matrix must still equal a
+// deep copy taken beforehand. The reflection check makes a method added
+// later fail here until it is listed, so the contract cannot erode silently.
+func TestRowViewIsNeverWritten(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	m := smallIntMatrix(rng, 12, 12, 0.5)
+	sq := smallIntMatrix(rng, 12, 12, 0.5)
+	before := m.Clone()
+	calls := map[string]func(v, w *Vector){
+		"Len":         func(v, _ *Vector) { v.Len() },
+		"NNZ":         func(v, _ *Vector) { v.NNZ() },
+		"At":          func(v, _ *Vector) { v.At(3) },
+		"Dense":       func(v, _ *Vector) { v.Dense()[0] = 99 },
+		"Dot":         func(v, w *Vector) { v.Dot(w) },
+		"Norm":        func(v, _ *Vector) { v.Norm() },
+		"Sum":         func(v, _ *Vector) { v.Sum() },
+		"Scale":       func(v, _ *Vector) { scribble(v.Scale(3)); scribble(v.Scale(0)) },
+		"Add":         func(v, w *Vector) { scribble(v.Add(w)); scribble(v.Add(v.Scale(-1))) },
+		"MulMat":      func(v, _ *Vector) { scribble(v.MulMat(sq)); scribble(v.MulMat(Identity(12))) },
+		"MulMatEach":  func(v, _ *Vector) { v.MulMatEach(sq, func(int, float64) {}) },
+		"Cosine":      func(v, w *Vector) { v.Cosine(w) },
+		"Entries":     func(v, _ *Vector) { v.Entries(func(int, float64) {}) },
+		"ApproxEqual": func(v, w *Vector) { v.ApproxEqual(w, 0) },
+	}
+	typ := reflect.TypeOf(&Vector{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; calls[name] == nil {
+			t.Errorf("Vector.%s is not covered: add it to this test and keep it from writing its receiver or arguments", name)
+		}
+	}
+	for name, call := range calls {
+		for r := 0; r < m.Rows(); r++ {
+			call(m.Row(r), m.Row((r+1)%m.Rows()))
+			call(m.Row(r), m.Row(r)) // aliased receiver and argument
+		}
+		if !m.Equal(before) || !reflect.DeepEqual(m.rowPtr, before.rowPtr) {
+			t.Fatalf("Vector.%s wrote through a row view", name)
+		}
+	}
+	// An append to a view's slices must not reach the next row either.
+	v := m.Row(0)
+	_ = append(v.idx, 7)
+	_ = append(v.val, 7)
+	if !m.Equal(before) {
+		t.Error("append to a row view's slices wrote into the next row")
+	}
+}
+
+// scribble overwrites a result vector in place: a result that shared storage
+// with the row view it came from would carry the damage into the matrix.
+func scribble(v *Vector) {
+	for k := range v.val {
+		v.idx[k], v.val[k] = 0, -77
+	}
+}
