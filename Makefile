@@ -1,7 +1,7 @@
 # Tier-1 flow: build + vet + tests, plus a short-mode race pass over the
 # packages with real concurrency (engine cache, HTTP server, parallel
 # SpGEMM, metrics registry).
-.PHONY: all build vet test race race-full check obs-selftest chaos properties bench-json bench-check staticcheck govulncheck loc
+.PHONY: all build vet test race race-full check obs-selftest chaos properties bench-json bench-check staticcheck govulncheck loc contract
 
 all: check
 
@@ -70,14 +70,36 @@ chaos:
 properties:
 	go test -race -count=2 -run 'TestPropertyRandom|TestDifferential' ./internal/core
 
-# Non-blank, non-test Go lines per internal package, so "this PR made the
-# package smaller" is checkable in review.
+# Non-blank, non-test Go lines per internal package and per command, with a
+# total, so "this PR made the package smaller" is checkable in review.
 loc:
-	@for d in internal/*/; do \
-		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -c .)" "$$d"; \
-	done
+	@total=0; for d in internal/*/ cmd/*/; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -c .); \
+		total=$$((total + n)); \
+		printf '%6d %s\n' "$$n" "$$d"; \
+	done; printf '%6d total\n' "$$total"
 
-check: vet staticcheck govulncheck build test race obs-selftest chaos properties
+# The wire contract is declared once (internal/api). Fails when a JSON tag
+# that must be unique is declared in more than one non-test file outside
+# bench/ (which keeps private decoders on purpose: it is the outside
+# observer), or when a helper the one-pipeline refactor deleted comes back
+# by name; part of `make check`.
+contract:
+	@fail=0; \
+	for tag in shared_queries naive_row_steps source_type replication_lag_seconds; do \
+		files=$$(grep -rlE "json:\"$$tag[\",]" --include='*.go' . | grep -v '_test\.go$$' | grep -v '^\./bench/'); \
+		if [ "$$(printf '%s\n' "$$files" | grep -c .)" -ne 1 ]; then \
+			echo "contract: json tag \"$$tag\" must be declared in exactly one file, found in: $$(echo $$files)"; fail=1; \
+		fi; \
+	done; \
+	for name in degradedPair degradedTopK strconvUint io2; do \
+		if grep -rnwE "$$name" --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./bench/'; then \
+			echo "contract: deleted helper $$name is back"; fail=1; \
+		fi; \
+	done; \
+	[ $$fail -eq 0 ] && echo "contract: ok"
+
+check: vet staticcheck govulncheck contract build test race obs-selftest chaos properties
 
 # Regenerate the committed benchmark baseline: every paper-table and
 # figure benchmark, the snapshot warm-vs-cold boot comparison, the

@@ -5,188 +5,34 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
-	"hetesim/internal/core"
-	"hetesim/internal/hin"
-	"hetesim/internal/metapath"
+	"hetesim/internal/api"
+	"hetesim/internal/server"
 )
 
-// The -batch file format mirrors the POST /v1/batch request and response
-// bodies, so a workload file works against the CLI and the daemon alike.
-
-type batchFileRequest struct {
-	Queries []batchFileQuery `json:"queries"`
-}
-
-type batchFileQuery struct {
-	Kind   string  `json:"kind"`
-	Path   string  `json:"path"`
-	Source string  `json:"source"`
-	Target string  `json:"target,omitempty"`
-	K      int     `json:"k,omitempty"`
-	Eps    float64 `json:"eps,omitempty"`
-	Raw    bool    `json:"raw,omitempty"`
-}
-
-type batchFileResult struct {
-	Kind    string     `json:"kind,omitempty"`
-	Path    string     `json:"path,omitempty"`
-	Source  string     `json:"source,omitempty"`
-	Target  string     `json:"target,omitempty"`
-	Score   *float64   `json:"score,omitempty"`
-	Scores  []float64  `json:"scores,omitempty"`
-	Results []batchHit `json:"results,omitempty"`
-	Shared  bool       `json:"shared,omitempty"`
-	Error   string     `json:"error,omitempty"`
-}
-
-type batchHit struct {
-	ID    string  `json:"id"`
-	Score float64 `json:"score"`
-}
-
-type batchFileStats struct {
-	Queries       int     `json:"queries"`
-	Groups        int     `json:"groups"`
-	SharedQueries int     `json:"shared_queries"`
-	ChainBuilds   int     `json:"chain_builds"`
-	Amortization  float64 `json:"amortization"`
-}
-
-func runBatch(graphPath, file string) error {
+// runBatch answers a -batch file through the daemon's own POST /v1/batch
+// body (server.Server.Batch), so the file format, the per-slot validation
+// and codes, and the rendered results are the daemon's by construction. A
+// local file is the operator's own: the daemon's request-size caps are off.
+func runBatch(graphPath, file string, out io.Writer) error {
 	g, err := loadGraph(graphPath)
 	if err != nil {
 		return err
 	}
-	var in io.Reader = os.Stdin
-	if file != "-" {
-		f, err := os.Open(file)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
+	raw, err := readFileOrStdin(file)
+	if err != nil {
+		return err
 	}
-	var req batchFileRequest
-	if err := json.NewDecoder(in).Decode(&req); err != nil {
+	var req api.BatchRequest[api.BatchQuery]
+	if err := json.Unmarshal(raw, &req); err != nil {
 		return fmt.Errorf("batch file: %w", err)
 	}
 	if len(req.Queries) == 0 {
 		return fmt.Errorf("batch file: no queries")
 	}
-
-	out := make([]batchFileResult, len(req.Queries))
-	paths := make([]*metapath.Path, len(req.Queries))
-	var normQ, rawQ []core.BatchQuery
-	var normPos, rawPos []int
-	for i, qb := range req.Queries {
-		out[i] = batchFileResult{Kind: qb.Kind, Path: qb.Path, Source: qb.Source, Target: qb.Target}
-		cq, err := decodeFileQuery(g, qb)
-		if err != nil {
-			out[i].Error = err.Error()
-			continue
-		}
-		paths[i] = cq.Path
-		out[i].Path = cq.Path.String()
-		if qb.Raw {
-			rawQ, rawPos = append(rawQ, cq), append(rawPos, i)
-		} else {
-			normQ, normPos = append(normQ, cq), append(normPos, i)
-		}
-	}
-
-	var total batchFileStats
-	total.Queries = len(req.Queries)
-	run := func(e *core.Engine, qs []core.BatchQuery, pos []int) error {
-		if len(qs) == 0 {
-			return nil
-		}
-		results, stats, err := e.ExecuteBatch(context.Background(), qs, core.BatchOptions{})
-		if err != nil {
-			return err
-		}
-		for k, res := range results {
-			fillFileResult(g, &out[pos[k]], paths[pos[k]], res)
-		}
-		total.Groups += stats.Groups
-		total.SharedQueries += stats.SharedQueries
-		total.ChainBuilds += stats.ChainBuilds
-		return nil
-	}
-	if err := run(core.NewEngine(g), normQ, normPos); err != nil {
-		return err
-	}
-	if err := run(core.NewEngine(g, core.WithNormalization(false)), rawQ, rawPos); err != nil {
-		return err
-	}
-	if total.Groups > 0 {
-		total.Amortization = float64(len(normQ)+len(rawQ)) / float64(total.Groups)
-	}
-
-	enc := json.NewEncoder(os.Stdout)
+	srv := server.New(g, server.WithBatchLimits(0, 0), server.WithLogf(func(string, ...any) {}))
+	defer srv.Close()
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	return enc.Encode(map[string]any{"results": out, "stats": total})
-}
-
-func decodeFileQuery(g *hin.Graph, qb batchFileQuery) (core.BatchQuery, error) {
-	var cq core.BatchQuery
-	if qb.Path == "" {
-		return cq, fmt.Errorf("missing path")
-	}
-	p, err := metapath.Parse(g.Schema(), qb.Path)
-	if err != nil {
-		return cq, err
-	}
-	if qb.Source == "" {
-		return cq, fmt.Errorf("missing source")
-	}
-	src, err := g.NodeIndex(p.Source(), qb.Source)
-	if err != nil {
-		return cq, err
-	}
-	cq.Path, cq.Src = p, src
-	switch qb.Kind {
-	case "pair":
-		cq.Kind = core.BatchPair
-		if qb.Target == "" {
-			return cq, fmt.Errorf("missing target")
-		}
-		cq.Dst, err = g.NodeIndex(p.Target(), qb.Target)
-		if err != nil {
-			return cq, err
-		}
-	case "single_source":
-		cq.Kind = core.BatchSingleSource
-	case "topk":
-		cq.Kind = core.BatchTopK
-		cq.K, cq.Eps = qb.K, qb.Eps
-		if cq.K == 0 {
-			cq.K = 10
-		}
-	default:
-		return cq, fmt.Errorf("unknown kind %q (want pair, single_source, or topk)", qb.Kind)
-	}
-	return cq, nil
-}
-
-func fillFileResult(g *hin.Graph, slot *batchFileResult, p *metapath.Path, res core.BatchResult) {
-	slot.Shared = res.Shared
-	if res.Err != nil {
-		slot.Error = res.Err.Error()
-		return
-	}
-	switch slot.Kind {
-	case "pair":
-		score := res.Score
-		slot.Score = &score
-	case "single_source":
-		slot.Scores = res.Scores
-	case "topk":
-		ids := g.NodeIDs(p.Target())
-		slot.Results = make([]batchHit, 0, len(res.TopK))
-		for _, hit := range res.TopK {
-			slot.Results = append(slot.Results, batchHit{ID: ids[hit.Index], Score: hit.Score})
-		}
-	}
+	return enc.Encode(srv.Batch(context.Background(), req.Queries))
 }

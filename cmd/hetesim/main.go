@@ -127,7 +127,7 @@ func main() {
 	case *applyFile != "":
 		err = runApply(*graphPath, *applyFile, *outFile)
 	case *batchFile != "":
-		err = runBatch(*graphPath, *batchFile)
+		err = runBatch(*graphPath, *batchFile, os.Stdout)
 	case *relevanceQ:
 		err = runRelevance(*graphPath, *source, *sourceType, *target, *targetType,
 			*weighting, *weightsF, *k, *maxLen, *maxPaths, *raw)
@@ -187,11 +187,7 @@ func runRelevance(graphPath, source, sourceType, target, targetType, weighting, 
 	if err != nil {
 		return err
 	}
-	opts := []core.Option{}
-	if raw {
-		opts = append(opts, core.WithNormalization(false))
-	}
-	e := core.NewEngine(g, opts...)
+	e := core.NewEngine(g, core.WithNormalization(!raw))
 	src, err := g.NodeIndex(sourceType, source)
 	if err != nil {
 		return err
@@ -204,8 +200,8 @@ func runRelevance(graphPath, source, sourceType, target, targetType, weighting, 
 	}
 	report := func(res *relevance.Result, pair bool) {
 		for _, ps := range res.Paths {
-			if ps.Err != "" {
-				fmt.Fprintf(os.Stderr, "  %-12s w=%.4f FAILED: %s\n", ps.Path, ps.Weight, ps.Err)
+			if ps.Error != "" {
+				fmt.Fprintf(os.Stderr, "  %-12s w=%.4f FAILED: %s\n", ps.Path, ps.Weight, ps.Error)
 				continue
 			}
 			approx := ""
@@ -247,17 +243,14 @@ func runRelevance(graphPath, source, sourceType, target, targetType, weighting, 
 	report(res, false)
 	fmt.Printf("top %d %s objects related to %s (auto relevance):\n", len(ranked), targetType, source)
 	for i, hit := range ranked {
-		fmt.Printf("  %2d. %-24s %.6f\n", i+1, hit.ID, hit.Score)
+		id, _ := g.NodeID(targetType, hit.Index) // in range: ranked indexes targetType
+		fmt.Printf("  %2d. %-24s %.6f\n", i+1, id, hit.Score)
 	}
 	return nil
 }
 
 func runExplain(graphPath, pathSpec string, queries int) error {
-	g, err := loadGraph(graphPath)
-	if err != nil {
-		return err
-	}
-	p, err := metapath.Parse(g.Schema(), pathSpec)
+	g, p, err := loadGraphAndPath(graphPath, pathSpec)
 	if err != nil {
 		return err
 	}
@@ -270,19 +263,11 @@ func runExplain(graphPath, pathSpec string, queries int) error {
 }
 
 func runWhy(graphPath, pathSpec, source, target string, k int, raw bool) error {
-	g, err := loadGraph(graphPath)
+	g, p, err := loadGraphAndPath(graphPath, pathSpec)
 	if err != nil {
 		return err
 	}
-	p, err := metapath.Parse(g.Schema(), pathSpec)
-	if err != nil {
-		return err
-	}
-	opts := []core.Option{}
-	if raw {
-		opts = append(opts, core.WithNormalization(false))
-	}
-	e := core.NewEngine(g, opts...)
+	e := core.NewEngine(g, core.WithNormalization(!raw))
 	src, err := g.NodeIndex(p.Source(), source)
 	if err != nil {
 		return err
@@ -366,12 +351,18 @@ func loadGraph(graphPath string) (*hin.Graph, error) {
 	return hin.Read(f)
 }
 
-func run(graphPath, pathSpec, source, target, measure, planName string, k int, raw bool, montecarlo int) error {
+// loadGraphAndPath loads the graph and parses a -path spec against it.
+func loadGraphAndPath(graphPath, pathSpec string) (*hin.Graph, *metapath.Path, error) {
 	g, err := loadGraph(graphPath)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	p, err := metapath.Parse(g.Schema(), pathSpec)
+	return g, p, err
+}
+
+func run(graphPath, pathSpec, source, target, measure, planName string, k int, raw bool, montecarlo int) error {
+	g, p, err := loadGraphAndPath(graphPath, pathSpec)
 	if err != nil {
 		return err
 	}
@@ -386,11 +377,7 @@ func run(graphPath, pathSpec, source, target, measure, planName string, k int, r
 		if target == "" || measure != "hetesim" {
 			return fmt.Errorf("-montecarlo needs -target and the hetesim measure")
 		}
-		opts := []core.Option{}
-		if raw {
-			opts = append(opts, core.WithNormalization(false))
-		}
-		e := core.NewEngine(g, opts...)
+		e := core.NewEngine(g, core.WithNormalization(!raw))
 		src, err := g.NodeIndex(p.Source(), source)
 		if err != nil {
 			return err
@@ -412,11 +399,7 @@ func run(graphPath, pathSpec, source, target, measure, planName string, k int, r
 	var pair func(string, string) (float64, error)
 	switch measure {
 	case "hetesim":
-		opts := []core.Option{}
-		if raw {
-			opts = append(opts, core.WithNormalization(false))
-		}
-		e := core.NewEngine(g, opts...)
+		e := core.NewEngine(g, core.WithNormalization(!raw))
 		po := core.PlanOptions{Force: force, Walks: montecarlo}
 		single = func(s string) ([]float64, error) {
 			src, err := g.NodeIndex(p.Source(), s)

@@ -22,7 +22,7 @@ import (
 	"strings"
 	"time"
 
-	"hetesim/internal/hin"
+	"hetesim/internal/api"
 	"hetesim/internal/router"
 )
 
@@ -71,9 +71,7 @@ func (rc *remoteClient) call(method, path string, query url.Values, body []byte)
 		return nil, fmt.Errorf("%s %s: reading response: %w", method, u, err)
 	}
 	if resp.StatusCode/100 != 2 {
-		var eb struct {
-			Error string `json:"error"`
-		}
+		var eb api.Error
 		msg := strings.TrimSpace(string(raw))
 		if json.Unmarshal(raw, &eb) == nil && eb.Error != "" {
 			msg = eb.Error
@@ -104,82 +102,64 @@ func printJSON(raw json.RawMessage) error {
 // elected primary and replicates from there).
 func runRemote(rc *remoteClient, pathSpec, source, target, measure string, k int, raw bool,
 	batchFile, applyFile string, relevanceQ bool, sourceType, targetType, weighting string, maxLen, maxPaths int, why int) error {
+	// Each mode is one request: a GET with parameters or a POST with a body.
+	method, endpoint := http.MethodPost, ""
+	var q url.Values
+	var body []byte
 	switch {
 	case applyFile != "":
 		return runRemoteApply(rc, applyFile)
 
 	case batchFile != "":
-		body, err := readFileOrStdin(batchFile)
-		if err != nil {
+		var err error
+		if body, err = readFileOrStdin(batchFile); err != nil {
 			return err
 		}
-		out, err := rc.call(http.MethodPost, "/v1/batch", nil, body)
-		if err != nil {
-			return err
-		}
-		return printJSON(out)
+		endpoint = "/v1/batch"
 
 	case relevanceQ:
 		if source == "" || sourceType == "" || targetType == "" {
 			return fmt.Errorf("-relevance needs -source, -source-type and -target-type")
 		}
-		req := map[string]any{
-			"source": source, "source_type": sourceType,
-			"target_type": targetType, "weighting": weighting, "raw": raw,
+		req := api.RelevanceRequest{
+			Source: source, SourceType: sourceType, Target: target, TargetType: targetType,
+			Weighting: weighting, Raw: raw, MaxLen: max(maxLen, 0), MaxPaths: max(maxPaths, 0),
 		}
-		if target != "" {
-			req["target"] = target
-		} else {
-			req["k"] = k
+		if target == "" {
+			req.K = k
 		}
-		if maxLen > 0 {
-			req["max_len"] = maxLen
-		}
-		if maxPaths > 0 {
-			req["max_paths"] = maxPaths
-		}
-		body, _ := json.Marshal(req)
-		out, err := rc.call(http.MethodPost, "/v1/relevance", nil, body)
-		if err != nil {
-			return err
-		}
-		return printJSON(out)
-
-	case pathSpec != "" && source != "" && target != "" && why > 0:
-		q := url.Values{"path": {pathSpec}, "source": {source}, "target": {target}, "k": {strconv.Itoa(why)}}
-		if raw {
-			q.Set("raw", "true")
-		}
-		out, err := rc.call(http.MethodGet, "/v1/why", q, nil)
-		if err != nil {
-			return err
-		}
-		return printJSON(out)
+		body, _ = json.Marshal(req)
+		endpoint = "/v1/relevance"
 
 	case pathSpec != "" && source != "":
-		q := url.Values{"path": {pathSpec}, "source": {source}}
-		if measure != "" && measure != "hetesim" {
-			q.Set("measure", measure)
-		}
+		method, endpoint = http.MethodGet, "/v1/topk"
+		q = url.Values{"path": {pathSpec}, "source": {source}}
 		if raw {
 			q.Set("raw", "true")
 		}
-		endpoint := "/v1/topk"
-		if target != "" {
+		switch {
+		case target != "" && why > 0:
+			endpoint = "/v1/why"
+			q.Set("target", target)
+			q.Set("k", strconv.Itoa(why))
+		case target != "":
 			endpoint = "/v1/pair"
 			q.Set("target", target)
-		} else {
+		default:
 			q.Set("k", strconv.Itoa(k))
 		}
-		out, err := rc.call(http.MethodGet, endpoint, q, nil)
-		if err != nil {
-			return err
+		if measure != "" && measure != "hetesim" && endpoint != "/v1/why" {
+			q.Set("measure", measure)
 		}
-		return printJSON(out)
 
 	default:
 		return fmt.Errorf("-server supports -path queries, -batch, -relevance, and -apply (local-only modes: -enumerate, -explain)")
 	}
+	out, err := rc.call(method, endpoint, q, body)
+	if err != nil {
+		return err
+	}
+	return printJSON(out)
 }
 
 // runRemoteApply posts a mutation batch file to POST /v1/admin/edges. The
@@ -193,10 +173,7 @@ func runRemoteApply(rc *remoteClient, applyFile string) error {
 	if err != nil {
 		return err
 	}
-	var batch struct {
-		Key string   `json:"key,omitempty"`
-		Ops []hin.Op `json:"ops"`
-	}
+	var batch api.EdgesRequest
 	dec := json.NewDecoder(strings.NewReader(string(raw)))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&batch); err != nil {

@@ -742,6 +742,95 @@ func (e *Engine) execSubset(ctx context.Context, lp LogicalPlan, d PlanDecision)
 }
 
 // ---------------------------------------------------------------------------
+// The one deadline-degrade rule. A pair, single-source or top-k query with a
+// walk budget (PlanOptions.Walks) that cannot meet its deadline is answered,
+// once, by the Monte Carlo plan under a fresh degradeGrace budget detached
+// from the caller's spent context. The miss is either predicted — pickPlan
+// saw that the remaining time cannot fit the exact plan and chose Monte
+// Carlo up front (the decision keeps its estimate and reason) — or observed:
+// the deadline was already spent when planning ran, or the plan that did run
+// (exact, topk-approx, or a forced Monte Carlo) returned DeadlineExceeded
+// (the decision becomes missedDecision). A canceled context never degrades:
+// there is no one left to answer. Nobody else re-runs a timed-out query.
+
+// degradeGrace is the budget of a deadline-driven Monte Carlo answer.
+const degradeGrace = 2 * time.Second
+
+// missedDecision notes an observed miss in the trace and returns the
+// decision that reports it: no estimate, nothing was priced for it.
+func missedDecision(ctx context.Context) PlanDecision {
+	obs.FromContext(ctx).Event("degrade", map[string]string{"reason": "deadline_exceeded"})
+	return PlanDecision{Kind: PlanMonteCarlo, Approximate: true, Reason: "degraded after exact plan exceeded deadline"}
+}
+
+// planResult carries whichever result form the query's shape produces.
+type planResult struct {
+	score  float64   // ShapePair
+	scores []float64 // ShapeSingleSource
+	top    []Scored  // ShapeTopK
+}
+
+// exec dispatches a decided pair, single-source or top-k plan to its
+// executor and records the query metric under the kind that actually ran.
+func (e *Engine) exec(ctx context.Context, lp LogicalPlan, d PlanDecision) (r planResult, err error) {
+	kind := string(lp.Shape)
+	switch {
+	case d.Kind == PlanMonteCarlo:
+		kind = "mc_" + kind
+	case d.Kind == PlanTopKApprox:
+		kind = "topk_approx"
+	}
+	start := time.Now()
+	defer func() { observeQuery(kind, time.Since(start).Seconds()) }()
+	switch lp.Shape {
+	case ShapePair:
+		r.score, err = e.execPair(ctx, lp, d)
+	case ShapeSingleSource:
+		r.scores, err = e.execSingleSource(ctx, lp, d)
+	case ShapeTopK:
+		r.top, err = e.execTopK(ctx, lp, d)
+	}
+	return r, err
+}
+
+// run executes a decided plan under the deadline-degrade rule and returns
+// the decision that actually produced the answer.
+func (e *Engine) run(ctx context.Context, lp LogicalPlan, d PlanDecision) (planResult, PlanDecision, error) {
+	if d.Kind != PlanMonteCarlo || d.Forced {
+		r, err := e.exec(ctx, lp, d)
+		if lp.Opts.Walks <= 0 || !mcShape(lp.Shape) || !errors.Is(err, context.DeadlineExceeded) {
+			return r, d, err
+		}
+		d = missedDecision(ctx)
+	} else if err := ctx.Err(); errors.Is(err, context.Canceled) {
+		return planResult{}, d, err // predicted, but the client is gone
+	} else if deadline, _ := ctx.Deadline(); !time.Now().Before(deadline) {
+		d = missedDecision(ctx) // predicted, and not merely tight: spent
+	}
+	r, err := e.degraded(ctx, lp, d)
+	return r, d, err
+}
+
+// degraded runs the Monte Carlo plan of lp under the grace budget, keeping
+// ctx's values (the trace) but neither its deadline nor its cancellation.
+func (e *Engine) degraded(ctx context.Context, lp LogicalPlan, d PlanDecision) (planResult, error) {
+	gctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), degradeGrace)
+	defer cancel()
+	return e.exec(gctx, lp, d)
+}
+
+// Degrade re-answers one batch query whose exact plan missed its per-query
+// deadline (BatchOptions.PerQueryTimeout): the observed arm of the rule, for
+// callers that schedule through ExecuteBatch — the relevance ensemble. The
+// result's Plan is "monte_carlo". (Batch kinds are the shapes by name.)
+func (e *Engine) Degrade(ctx context.Context, q BatchQuery, walks int) BatchResult {
+	lp := LogicalPlan{Path: q.Path, Shape: ResultShape(q.Kind), Src: q.Src, Dst: q.Dst, K: q.K,
+		Opts: PlanOptions{Walks: walks}, h: splitPath(q.Path)}
+	r, err := e.degraded(ctx, lp, missedDecision(ctx))
+	return BatchResult{Score: r.score, Scores: r.scores, TopK: r.top, Plan: "monte_carlo", Err: err}
+}
+
+// ---------------------------------------------------------------------------
 // Plan-aware public entry points. The legacy methods (PairByIndex,
 // SingleSourceByIndex, TopKSearch, AllPairs, PairsSubset) are thin wrappers
 // over these with zero PlanOptions.
@@ -760,14 +849,8 @@ func (e *Engine) PairWithPlan(ctx context.Context, p *metapath.Path, src, dst in
 	if err != nil {
 		return 0, d, err
 	}
-	kind := "pair"
-	if d.Kind == PlanMonteCarlo {
-		kind = "mc_pair"
-	}
-	start := time.Now()
-	defer func() { observeQuery(kind, time.Since(start).Seconds()) }()
-	score, err := e.execPair(ctx, lp, d)
-	return score, d, err
+	r, d, err := e.run(ctx, lp, d)
+	return r.score, d, err
 }
 
 // SingleSourceWithPlan computes the scores of one source against every
@@ -781,14 +864,8 @@ func (e *Engine) SingleSourceWithPlan(ctx context.Context, p *metapath.Path, src
 	if err != nil {
 		return nil, d, err
 	}
-	kind := "single_source"
-	if d.Kind == PlanMonteCarlo {
-		kind = "mc_single_source"
-	}
-	start := time.Now()
-	defer func() { observeQuery(kind, time.Since(start).Seconds()) }()
-	scores, err := e.execSingleSource(ctx, lp, d)
-	return scores, d, err
+	r, d, err := e.run(ctx, lp, d)
+	return r.scores, d, err
 }
 
 // TopKSearchWithPlan runs a top-k search through the optimizer. The Monte
@@ -811,17 +888,8 @@ func (e *Engine) TopKSearchWithPlan(ctx context.Context, p *metapath.Path, src, 
 	if err != nil {
 		return nil, d, err
 	}
-	kind := "topk"
-	switch d.Kind {
-	case PlanMonteCarlo:
-		kind = "mc_topk"
-	case PlanTopKApprox:
-		kind = "topk_approx"
-	}
-	start := time.Now()
-	defer func() { observeQuery(kind, time.Since(start).Seconds()) }()
-	out, err := e.execTopK(ctx, lp, d)
-	return out, d, err
+	r, d, err := e.run(ctx, lp, d)
+	return r.top, d, err
 }
 
 // AllPairsWithPlan computes the full relevance matrix through the

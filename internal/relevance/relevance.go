@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"time"
 
+	"hetesim/internal/api"
 	"hetesim/internal/core"
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
@@ -63,10 +64,9 @@ type Options struct {
 	PerPathTimeout time.Duration
 
 	// DegradeWalks > 0 turns a per-path deadline miss into a Monte Carlo
-	// estimate with that many walks, run under DegradeGrace (default 50ms)
-	// on a context detached from the caller's expiring one.
+	// estimate with that many walks (core.Engine.Degrade: the plan layer's
+	// one deadline-degrade rule, under its one grace budget).
 	DegradeWalks int
-	DegradeGrace time.Duration
 }
 
 func (o *Options) defaults() {
@@ -79,36 +79,104 @@ func (o *Options) defaults() {
 	if o.Weighting == "" {
 		o.Weighting = WeightUniform
 	}
-	if o.DegradeGrace <= 0 {
-		o.DegradeGrace = 50 * time.Millisecond
-	}
 }
 
-// PathScore is one ensemble member's contribution.
-type PathScore struct {
-	Path        string  // canonical spec, e.g. "APVPA"
-	Weight      float64 // ensemble weight, as combined (not renormalized on failure)
-	Score       float64 // HeteSim along this path (or its MC estimate)
-	Plan        string  // batch plan: "warm", "full", "subset", "solo"; "monte_carlo" when degraded
-	Approximate bool    // score is a Monte Carlo estimate
-	Err         string  // non-empty when this path failed and was excluded
+// Limits is a deployment's cap on ensemble size. A replica and the router
+// that scatters ensembles for it admit requests through the same check.
+type Limits struct {
+	MaxLen   int // longest enumerated path a request may ask for
+	MaxPaths int // most candidate (or explicit) paths a request may ask for
+}
+
+// With returns l with each positive argument replacing its limit (the
+// WithRelevanceLimits option of both the replica and the router).
+func (l Limits) With(maxLen, maxPaths int) Limits {
+	if maxLen > 0 {
+		l.MaxLen = maxLen
+	}
+	if maxPaths > 0 {
+		l.MaxPaths = maxPaths
+	}
+	return l
+}
+
+// Admit checks a request's max_len, max_paths and explicit path list
+// against the limits and returns the enumeration options it is entitled to:
+// the limits themselves unless the request asks for less. The refusals are
+// client errors (HTTP 400).
+func (l Limits) Admit(req *api.RelevanceRequest) (Options, error) {
+	if req.MaxLen > l.MaxLen {
+		return Options{}, fmt.Errorf("max_len %d exceeds limit %d", req.MaxLen, l.MaxLen)
+	}
+	if req.MaxPaths > l.MaxPaths {
+		return Options{}, fmt.Errorf("max_paths %d exceeds limit %d", req.MaxPaths, l.MaxPaths)
+	}
+	o := Options{MaxLen: l.MaxLen, MaxPaths: l.MaxPaths, Paths: req.Paths, Weighting: req.Weighting}
+	if req.MaxLen > 0 {
+		o.MaxLen = req.MaxLen
+	}
+	if req.MaxPaths > 0 {
+		o.MaxPaths = req.MaxPaths
+	}
+	if len(req.Paths) > o.MaxPaths {
+		return Options{}, fmt.Errorf("%d explicit paths exceed limit %d", len(req.Paths), o.MaxPaths)
+	}
+	o.defaults()
+	return o, nil
 }
 
 // Result is an auto-relevance answer: the ensemble score and how each path
-// contributed to it.
+// contributed to it. Paths are in wire form (api.RelevancePath): the HTTP
+// surfaces relay them as they are.
 type Result struct {
 	Score       float64
-	Paths       []PathScore
+	Paths       []api.RelevancePath
+	Scored      int  // member paths that contributed to Score
 	Partial     bool // at least one path failed and was excluded from the sum
 	Approximate bool // at least one contributing score is an MC estimate
 	Stats       core.BatchStats
+
+	combined []float64 // top-k mode: Σ wᵢ·scoresᵢ over the target type
 }
 
-// Ranked is one entry of a top-k ensemble ranking.
-type Ranked struct {
-	Index int
-	ID    string
-	Score float64
+// Outcome is one member path's raw result before weighting: a batch result
+// on a replica, or the routed pair slot the router decoded for the path.
+type Outcome struct {
+	Score       float64   // pair mode
+	Scores      []float64 // top-k mode: dense over the target type
+	Plan        string    // batch plan: "warm", "full", "subset", "solo"; "monte_carlo" when degraded
+	Shared      bool      // routed: the replica answered from shared chain state
+	Approximate bool      // the score is a Monte Carlo estimate
+	Err, Code   string    // Err non-empty: the path failed and is excluded
+}
+
+// Assemble is the ensemble combine, written once for the direct and the
+// routed surface: per-path bookkeeping, Σ wᵢ·sᵢ over the paths that scored,
+// and the partial / approximate flags. Weights are used as enumerated and
+// never renormalized on failure — a partial answer is a lower bound, not a
+// silently re-weighted ensemble.
+func Assemble(paths []*metapath.Path, weights []float64, outs []Outcome) *Result {
+	res := &Result{Paths: make([]api.RelevancePath, len(outs))}
+	for i, o := range outs {
+		ps := api.RelevancePath{Path: paths[i].String(), Weight: weights[i], Plan: o.Plan}
+		if o.Err != "" {
+			ps.Error, ps.Code = o.Err, o.Code
+			res.Partial = true
+		} else {
+			ps.Score, ps.Shared, ps.Approximate = o.Score, o.Shared, o.Approximate
+			res.Score += weights[i] * o.Score
+			res.Scored++
+			res.Approximate = res.Approximate || o.Approximate
+			if res.combined == nil && o.Scores != nil {
+				res.combined = make([]float64, len(o.Scores))
+			}
+			for j, v := range o.Scores {
+				res.combined[j] += weights[i] * v
+			}
+		}
+		res.Paths[i] = ps
+	}
+	return res
 }
 
 var (
@@ -135,12 +203,32 @@ func observeOutcome(mode string, res *Result, err error) {
 // Pair scores the relevance of two nodes with no path given: enumerate,
 // score each candidate, combine. Both node indices are within their types.
 func Pair(ctx context.Context, e *core.Engine, srcType string, src int, dstType string, dst int, o Options) (*Result, error) {
-	res, err := pair(ctx, e, srcType, src, dstType, dst, o)
+	res, _, err := ensemble(ctx, e, srcType, src, dstType, dst, 0, o)
 	observeOutcome("pair", res, err)
 	return res, err
 }
 
-func pair(ctx context.Context, e *core.Engine, srcType string, src int, dstType string, dst int, o Options) (*Result, error) {
+// TopK ranks the k most relevant nodes of targetType against src, scoring
+// every candidate path single-source and combining the score vectors with
+// the ensemble weights before ranking (positive scores only, through the
+// one selector: score descending, ties by ascending index).
+func TopK(ctx context.Context, e *core.Engine, srcType string, src int, targetType string, k int, o Options) (*Result, []rank.Scored, error) {
+	if k <= 0 {
+		err := fmt.Errorf("%w: k=%d must be positive", ErrBadOptions, k)
+		observeOutcome("topk", nil, err)
+		return nil, nil, err
+	}
+	res, ranked, err := ensemble(ctx, e, srcType, src, targetType, 0, k, o)
+	observeOutcome("topk", res, err)
+	return res, ranked, err
+}
+
+// ensemble is the one assembly line behind Pair (k == 0) and TopK (k > 0):
+// enumerate the member paths, score them as one batch so paths with common
+// prefixes share half-chain propagation — pair queries against dst, or
+// single-source vectors to rank — degrade each path that missed its
+// deadline, assemble.
+func ensemble(ctx context.Context, e *core.Engine, srcType string, src int, dstType string, dst, k int, o Options) (*Result, []rank.Scored, error) {
 	o.defaults()
 	tr := obs.FromContext(ctx)
 	esp := tr.Start("enumerate")
@@ -149,87 +237,17 @@ func pair(ctx context.Context, e *core.Engine, srcType string, src int, dstType 
 		esp.SetAttr("candidates", strconv.Itoa(len(paths))).End()
 	}
 	if err != nil {
-		return nil, err
-	}
-
-	sp := tr.Start("score_paths")
-	qs := make([]core.BatchQuery, len(paths))
-	for i, p := range paths {
-		qs[i] = core.BatchQuery{Kind: core.BatchPair, Path: p, Src: src, Dst: dst}
-	}
-	brs, stats, err := e.ExecuteBatch(ctx, qs, core.BatchOptions{
-		Workers: o.Workers, PerQueryTimeout: o.PerPathTimeout,
-	})
-	if sp != nil {
-		sp.SetAttr("paths", strconv.Itoa(len(paths))).
-			SetAttr("shared", strconv.Itoa(stats.SharedQueries)).End()
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{Paths: make([]PathScore, len(paths)), Stats: stats}
-	csp := tr.Start("combine")
-	for i, br := range brs {
-		ps := PathScore{Path: paths[i].String(), Weight: weights[i], Plan: br.Plan}
-		score, ok := br.Score, br.Err == nil
-		if !ok && o.DegradeWalks > 0 && errors.Is(br.Err, context.DeadlineExceeded) {
-			// The exact score blew its deadline share: estimate it instead,
-			// detached from the expiring per-path context.
-			mcCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), o.DegradeGrace)
-			mc, mcErr := e.PairMonteCarlo(mcCtx, paths[i], src, dst, o.DegradeWalks, 0)
-			cancel()
-			if mcErr == nil {
-				score, ok = mc.Score, true
-				ps.Approximate = true
-				ps.Plan = "monte_carlo"
-				res.Approximate = true
-			}
-		}
-		if !ok {
-			ps.Err = br.Err.Error()
-			res.Partial = true
-		} else {
-			ps.Score = score
-			res.Score += weights[i] * score
-		}
-		res.Paths[i] = ps
-	}
-	if csp != nil {
-		csp.SetAttr("score", strconv.FormatFloat(res.Score, 'g', -1, 64)).End()
-	}
-	metPaths.Observe(float64(len(paths)))
-	return res, nil
-}
-
-// TopK ranks the k most relevant nodes of targetType against src, scoring
-// every candidate path single-source and combining the score vectors with
-// the ensemble weights before ranking.
-func TopK(ctx context.Context, e *core.Engine, srcType string, src int, targetType string, k int, o Options) (*Result, []Ranked, error) {
-	res, ranked, err := topK(ctx, e, srcType, src, targetType, k, o)
-	observeOutcome("topk", res, err)
-	return res, ranked, err
-}
-
-func topK(ctx context.Context, e *core.Engine, srcType string, src int, targetType string, k int, o Options) (*Result, []Ranked, error) {
-	o.defaults()
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("%w: k=%d must be positive", ErrBadOptions, k)
-	}
-	tr := obs.FromContext(ctx)
-	esp := tr.Start("enumerate")
-	paths, weights, err := Candidates(e.Graph().Schema(), e.Graph(), srcType, targetType, o)
-	if esp != nil {
-		esp.SetAttr("candidates", strconv.Itoa(len(paths))).End()
-	}
-	if err != nil {
 		return nil, nil, err
 	}
 
 	sp := tr.Start("score_paths")
+	kind := core.BatchPair
+	if k > 0 {
+		kind = core.BatchSingleSource
+	}
 	qs := make([]core.BatchQuery, len(paths))
 	for i, p := range paths {
-		qs[i] = core.BatchQuery{Kind: core.BatchSingleSource, Path: p, Src: src}
+		qs[i] = core.BatchQuery{Kind: kind, Path: p, Src: src, Dst: dst}
 	}
 	brs, stats, err := e.ExecuteBatch(ctx, qs, core.BatchOptions{
 		Workers: o.Workers, PerQueryTimeout: o.PerPathTimeout,
@@ -242,42 +260,34 @@ func topK(ctx context.Context, e *core.Engine, srcType string, src int, targetTy
 		return nil, nil, err
 	}
 
-	res := &Result{Paths: make([]PathScore, len(paths)), Stats: stats}
 	csp := tr.Start("combine")
-	combined := make([]float64, e.Graph().NodeCount(targetType))
+	outs := make([]Outcome, len(brs))
 	for i, br := range brs {
-		ps := PathScore{Path: paths[i].String(), Weight: weights[i], Plan: br.Plan}
-		scores, ok := br.Scores, br.Err == nil
-		if !ok && o.DegradeWalks > 0 && errors.Is(br.Err, context.DeadlineExceeded) {
-			mcCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), o.DegradeGrace)
-			mcScores, mcErr := e.SingleSourceMonteCarlo(mcCtx, paths[i], src, o.DegradeWalks, 0)
-			cancel()
-			if mcErr == nil {
-				scores, ok = mcScores, true
-				ps.Approximate = true
-				ps.Plan = "monte_carlo"
-				res.Approximate = true
+		approx := false
+		if o.DegradeWalks > 0 && errors.Is(br.Err, context.DeadlineExceeded) {
+			// The exact score blew its deadline share: estimate it instead.
+			if mc := e.Degrade(ctx, qs[i], o.DegradeWalks); mc.Err == nil {
+				br, approx = mc, true
 			}
 		}
-		if !ok {
-			ps.Err = br.Err.Error()
-			res.Partial = true
-		} else {
-			for j, v := range scores {
-				combined[j] += weights[i] * v
-			}
+		outs[i] = Outcome{Score: br.Score, Scores: br.Scores, Plan: br.Plan, Approximate: approx}
+		if br.Err != nil {
+			outs[i].Err, outs[i].Code = br.Err.Error(), "path_failed"
 		}
-		res.Paths[i] = ps
 	}
-	ranked := rankTopK(combined, k)
-	for i := range ranked {
-		id, err := e.Graph().NodeID(targetType, ranked[i].Index)
-		if err == nil {
-			ranked[i].ID = id
-		}
+	res := Assemble(paths, weights, outs)
+	res.Stats = stats
+	var ranked []rank.Scored
+	if k > 0 {
+		ranked = rankTopK(res.combined, k)
 	}
 	if csp != nil {
-		csp.SetAttr("k", strconv.Itoa(len(ranked))).End()
+		if k > 0 {
+			csp.SetAttr("k", strconv.Itoa(len(ranked)))
+		} else {
+			csp.SetAttr("score", strconv.FormatFloat(res.Score, 'g', -1, 64))
+		}
+		csp.End()
 	}
 	metPaths.Observe(float64(len(paths)))
 	return res, ranked, nil
@@ -405,19 +415,14 @@ func pathFanout(g *hin.Graph, p *metapath.Path) float64 {
 
 // rankTopK ranks the positive combined scores through the one selector
 // (score descending, ties by ascending index).
-func rankTopK(scores []float64, k int) []Ranked {
+func rankTopK(scores []float64, k int) []rank.Scored {
 	sel := rank.NewSelector(k)
 	for i, v := range scores {
 		if v > 0 {
 			sel.Push(i, v)
 		}
 	}
-	top := sel.Ranked()
-	out := make([]Ranked, len(top))
-	for i, t := range top {
-		out[i] = Ranked{Index: t.Index, Score: t.Score}
-	}
-	return out
+	return sel.Ranked()
 }
 
 // weightsFile is the on-disk learned-weights format:

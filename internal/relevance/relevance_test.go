@@ -189,7 +189,6 @@ func TestPairDegradeMonteCarlo(t *testing.T) {
 	res, err := Pair(context.Background(), e, "author", 1, "author", 2, Options{
 		PerPathTimeout: time.Nanosecond,
 		DegradeWalks:   64,
-		DegradeGrace:   2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +197,8 @@ func TestPairDegradeMonteCarlo(t *testing.T) {
 		t.Fatal("expected approximate result under 1ns per-path deadline")
 	}
 	for _, ps := range res.Paths {
-		if ps.Err != "" {
-			t.Errorf("path %s failed (%s) instead of degrading", ps.Path, ps.Err)
+		if ps.Error != "" {
+			t.Errorf("path %s failed (%s) instead of degrading", ps.Path, ps.Error)
 		}
 		if !ps.Approximate || ps.Plan != "monte_carlo" {
 			t.Errorf("path %s = %+v, want monte_carlo degradation", ps.Path, ps)
@@ -221,7 +220,7 @@ func TestPairPartialFailure(t *testing.T) {
 		t.Fatal("expected partial result")
 	}
 	for _, ps := range res.Paths {
-		if ps.Err == "" {
+		if ps.Error == "" {
 			t.Errorf("path %s should have failed under 1ns deadline", ps.Path)
 		}
 	}
@@ -267,13 +266,6 @@ func TestTopKMatchesHandCombination(t *testing.T) {
 	for i := range want {
 		if ranked[i].Index != want[i].Index || ranked[i].Score != want[i].Score {
 			t.Errorf("rank %d = %+v, want %+v", i, ranked[i], want[i])
-		}
-		id, err := fresh.Graph().NodeID("conference", want[i].Index)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ranked[i].ID != id {
-			t.Errorf("rank %d id = %q, want %q", i, ranked[i].ID, id)
 		}
 	}
 }
@@ -332,7 +324,7 @@ func TestPairBadIndex(t *testing.T) {
 		t.Error("out-of-range source should fail every path")
 	}
 	for _, ps := range res.Paths {
-		if ps.Err == "" {
+		if ps.Error == "" {
 			t.Errorf("path %s accepted index 9999", ps.Path)
 		}
 	}

@@ -1,14 +1,14 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
+
+	"hetesim/internal/api"
 )
 
 // POST /v1/batch at the router: the batch is split into per-path groups
@@ -17,58 +17,14 @@ import (
 // the replies are re-assembled slot-for-slot in the original order. A
 // group whose replica fleet is entirely unavailable fails per-slot with
 // code "replica_unavailable"; the batch as a whole always answers 200 once
-// it decodes.
-
-// routingFields is the subset of a batch query the router must read to
-// place it; everything else passes through opaquely.
-type routingFields struct {
-	Kind   string `json:"kind"`
-	Path   string `json:"path"`
-	Source string `json:"source"`
-	Target string `json:"target,omitempty"`
-}
-
-// slotError is the router-synthesized result slot for a query it could not
-// get answered.
-type slotError struct {
-	Kind   string `json:"kind,omitempty"`
-	Path   string `json:"path,omitempty"`
-	Source string `json:"source,omitempty"`
-	Target string `json:"target,omitempty"`
-	Error  string `json:"error"`
-	Code   string `json:"code"`
-}
-
-// batchStats mirrors the replica's batch stats block; the router sums the
-// additive fields across sub-batches and recomputes the ratios.
-type batchStats struct {
-	Queries       int     `json:"queries"`
-	Groups        int     `json:"groups"`
-	SharedQueries int     `json:"shared_queries"`
-	ChainBuilds   int     `json:"chain_builds"`
-	RowSteps      int     `json:"row_steps"`
-	NaiveRowSteps int     `json:"naive_row_steps"`
-	PrefixResumes int     `json:"prefix_resumes"`
-	Amortization  float64 `json:"amortization"`
-	DurationMS    float64 `json:"duration_ms"`
-}
-
-func (a *batchStats) add(b batchStats) {
-	a.Queries += b.Queries
-	a.Groups += b.Groups
-	a.SharedQueries += b.SharedQueries
-	a.ChainBuilds += b.ChainBuilds
-	a.RowSteps += b.RowSteps
-	a.NaiveRowSteps += b.NaiveRowSteps
-	a.PrefixResumes += b.PrefixResumes
-}
+// it decodes. Slots travel as raw JSON both ways: the router reads only
+// the fields it places by, and relays a replica's rendered slot verbatim.
 
 // subResult is one slot's outcome after fan-out: the replica's rendered
 // result verbatim, or a router-synthesized error.
 type subResult struct {
-	raw     json.RawMessage // nil when the group's routing failed
-	errMsg  string
-	errCode string
+	raw json.RawMessage // nil when the group's routing failed
+	err api.Error
 }
 
 // fanout routes queries[i] under keys[i]: slots sharing a key travel in
@@ -77,7 +33,7 @@ type subResult struct {
 // slot comes back filled — with the replica's result or with a routing
 // error. Returns the slots, the summed replica stats, and the fan-out
 // width.
-func (r *Router) fanout(ctx context.Context, queries []json.RawMessage, keys []string, minSeq uint64) ([]subResult, batchStats, int) {
+func (r *Router) fanout(ctx context.Context, queries []json.RawMessage, keys []string, minSeq uint64) ([]subResult, api.BatchStats, int) {
 	groups := make(map[string][]int)
 	for i, k := range keys {
 		groups[k] = append(groups[k], i)
@@ -85,7 +41,7 @@ func (r *Router) fanout(ctx context.Context, queries []json.RawMessage, keys []s
 	out := make([]subResult, len(queries))
 	var (
 		mu    sync.Mutex
-		stats batchStats
+		stats api.BatchStats
 		wg    sync.WaitGroup
 	)
 	for key, slots := range groups {
@@ -93,56 +49,49 @@ func (r *Router) fanout(ctx context.Context, queries []json.RawMessage, keys []s
 		go func(key string, slots []int) {
 			defer wg.Done()
 			metFanout.Inc()
-			sub := make([]json.RawMessage, len(slots))
-			for i, s := range slots {
-				sub[i] = queries[s]
+			fail := func(e api.Error) {
+				for _, s := range slots {
+					out[s] = subResult{err: e}
+				}
 			}
-			body, err := json.Marshal(map[string]any{"queries": sub})
+			sub := api.BatchRequest[json.RawMessage]{Queries: make([]json.RawMessage, len(slots))}
+			for i, s := range slots {
+				sub.Queries[i] = queries[s]
+			}
+			body, err := json.Marshal(sub)
 			if err != nil {
-				fillGroupError(out, slots, "encoding sub-batch: "+err.Error(), "internal")
+				fail(api.Error{Error: "encoding sub-batch: " + err.Error(), Code: "internal"})
 				return
 			}
-			res, err := r.forward(ctx, key, minSeq, func(base string) (*http.Request, error) {
-				req, err := http.NewRequest(http.MethodPost, base+"/v1/batch", bytes.NewReader(body))
-				if err != nil {
-					return nil, err
-				}
-				req.Header.Set("Content-Type", "application/json")
-				return req, nil
-			})
+			res, err := r.forward(ctx, key, minSeq, jsonPost("/v1/batch", body))
 			if err != nil {
-				code := "replica_unavailable"
-				if errors.Is(err, errStaleFleet) {
-					code = "stale_replicas"
-				}
-				fillGroupError(out, slots, "no replica could serve the path group: "+err.Error(), code)
+				e, _ := unrouted(err, true)
+				fail(e)
 				return
 			}
 			if res.status != http.StatusOK {
-				var eb errorBody
-				msg := fmt.Sprintf("replica %s answered %d", res.replica, res.status)
-				code := "replica_error"
+				e := api.Error{Error: fmt.Sprintf("replica %s answered %d", res.rep.base, res.status), Code: "replica_error"}
+				var eb api.Error
 				if json.Unmarshal(res.body, &eb) == nil && eb.Error != "" {
-					msg, code = eb.Error, eb.Code
+					e = eb
 				}
-				fillGroupError(out, slots, msg, code)
+				fail(e)
 				return
 			}
-			var sr struct {
-				Results []json.RawMessage `json:"results"`
-				Stats   batchStats        `json:"stats"`
-			}
+			var sr api.BatchResponse[json.RawMessage]
 			if err := json.Unmarshal(res.body, &sr); err != nil || len(sr.Results) != len(slots) {
-				fillGroupError(out, slots,
-					fmt.Sprintf("malformed sub-batch reply from %s (%d results for %d queries)", res.replica, len(sr.Results), len(slots)),
-					"replica_error")
+				fail(api.Error{
+					Error: fmt.Sprintf("malformed sub-batch reply from %s (%d results for %d queries)", res.rep.base, len(sr.Results), len(slots)),
+					Code:  "replica_error"})
 				return
 			}
 			for i, s := range slots {
 				out[s] = subResult{raw: sr.Results[i]}
 			}
 			mu.Lock()
-			stats.add(sr.Stats)
+			stats.Queries += sr.Stats.Queries
+			stats.Groups += sr.Stats.Groups
+			stats.Sharing.Add(sr.Stats.Sharing)
 			mu.Unlock()
 		}(key, slots)
 	}
@@ -150,33 +99,30 @@ func (r *Router) fanout(ctx context.Context, queries []json.RawMessage, keys []s
 	return out, stats, len(groups)
 }
 
-func fillGroupError(out []subResult, slots []int, msg, code string) {
-	for _, s := range slots {
-		out[s] = subResult{errMsg: msg, errCode: code}
-	}
-}
-
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
-	var breq struct {
-		Queries []json.RawMessage `json:"queries"`
-	}
+	var breq api.BatchRequest[json.RawMessage]
 	if err := json.NewDecoder(req.Body).Decode(&breq); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorBody{Error: "decoding batch: " + err.Error(), Code: "bad_request"})
+		badRequest(w, "decoding batch: "+err.Error())
 		return
 	}
 	if len(breq.Queries) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty batch", Code: "bad_request"})
+		badRequest(w, "empty batch")
 		return
 	}
-	metas := make([]routingFields, len(breq.Queries))
+	floor, ok := minWALSeq(w, req)
+	if !ok {
+		return
+	}
+	// The router reads a slot only to place it (and to echo its identity if
+	// it cannot be served); undecodable slots fail replica-side, in place.
+	metas := make([]api.BatchQuery, len(breq.Queries))
 	keys := make([]string, len(breq.Queries))
 	for i, q := range breq.Queries {
-		json.Unmarshal(q, &metas[i]) // undecodable slots fail replica-side, in place
+		json.Unmarshal(q, &metas[i])
 		keys[i] = r.canonicalKey(metas[i].Path)
 	}
-	slots, stats, groups := r.fanout(req.Context(), breq.Queries, keys, minWALSeq(req))
+	slots, stats, groups := r.fanout(req.Context(), breq.Queries, keys, floor)
 
 	results := make([]json.RawMessage, len(slots))
 	for i, s := range slots {
@@ -184,10 +130,10 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			results[i] = s.raw
 			continue
 		}
-		results[i], _ = json.Marshal(slotError{
+		results[i], _ = json.Marshal(api.BatchResult{
 			Kind: metas[i].Kind, Path: metas[i].Path,
 			Source: metas[i].Source, Target: metas[i].Target,
-			Error: s.errMsg, Code: s.errCode,
+			Error: s.err.Error, Code: s.err.Code,
 		})
 	}
 	stats.Queries = len(slots)
@@ -198,5 +144,5 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		stats.Amortization = float64(stats.Queries) / float64(stats.Groups)
 	}
 	stats.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, map[string]any{"results": results, "stats": stats})
+	writeJSON(w, http.StatusOK, api.BatchResponse[json.RawMessage]{Results: results, Stats: stats})
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -337,6 +338,89 @@ func TestFollowReadYourWrites(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("stale_replicas refusal has no Retry-After")
+	}
+
+	// The same refusal on every other read the router serves. A top-k
+	// /v1/relevance is proxied whole (it once answered 503 no_replicas with
+	// no Retry-After: the floor was lost on that branch); a /v1/batch
+	// answers 200 and refuses per slot.
+	stale := func(path string, body any) *http.Response {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, _ := http.NewRequest(http.MethodPost, front.URL+path, bytes.NewReader(raw))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Min-WAL-Seq", fmt.Sprint(seq+100000))
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp = stale("/v1/relevance", map[string]any{"source": "Ryw", "source_type": "author", "target_type": "author", "k": 3})
+	eb = errorBody{}
+	if err := decodeBody(resp, &eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || eb.Code != "stale_replicas" || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("top-k relevance under an unreachable floor answered %d code %q Retry-After %q, want 503 stale_replicas with Retry-After",
+			resp.StatusCode, eb.Code, resp.Header.Get("Retry-After"))
+	}
+	resp = stale("/v1/batch", map[string]any{"queries": []map[string]any{
+		{"kind": "pair", "path": "APA", "source": "Ryw", "target": "Tom"},
+		{"kind": "topk", "path": "APC", "source": "Ryw", "k": 2},
+	}})
+	var br struct {
+		Results []errorBody `json:"results"`
+	}
+	if err := decodeBody(resp, &br); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(br.Results) != 2 {
+		t.Fatalf("batch under an unreachable floor answered %d with %d slots, want 200 with 2", resp.StatusCode, len(br.Results))
+	}
+	for i, slot := range br.Results {
+		if slot.Code != "stale_replicas" {
+			t.Errorf("batch slot %d under an unreachable floor: code %q (%s), want stale_replicas", i, slot.Code, slot.Error)
+		}
+	}
+}
+
+// TestMinWALSeqHeader: the read-your-writes floor is parsed as an unsigned
+// 64-bit integer or refused — an unparseable or overflowing header is 400,
+// never silently "no floor" (a stale read served 200) or a wrapped, lower
+// floor.
+func TestMinWALSeqHeader(t *testing.T) {
+	rt, _ := newCluster(t, 2) // plain replicas: wal_seq 0 fleet-wide
+	for _, tc := range []struct {
+		header string
+		status int
+		code   string
+	}{
+		{"", http.StatusOK, ""},
+		{"0", http.StatusOK, ""},
+		{"42", http.StatusServiceUnavailable, "stale_replicas"},
+		{"abc", http.StatusBadRequest, "bad_request"},
+		{"-1", http.StatusBadRequest, "bad_request"},
+		{"18446744073709551615", http.StatusServiceUnavailable, "stale_replicas"}, // 2^64-1: the largest floor
+		{"18446744073709551616", http.StatusBadRequest, "bad_request"},            // 2^64: once wrapped to 0
+		{"18446744073709651616", http.StatusBadRequest, "bad_request"},            // 2^64+100000: once wrapped to 100000
+	} {
+		for _, target := range []string{"/v1/pair?path=APA&source=Tom&target=Mary", "/v1/schema"} {
+			req := httptest.NewRequest(http.MethodGet, target, nil)
+			req.Header["X-Min-Wal-Seq"] = []string{tc.header} // set even when empty
+			rec := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(rec, req)
+			var eb errorBody
+			json.Unmarshal(rec.Body.Bytes(), &eb)
+			if rec.Code != tc.status || eb.Code != tc.code {
+				t.Errorf("X-Min-WAL-Seq %q on %s: %d code %q, want %d %q", tc.header, target, rec.Code, eb.Code, tc.status, tc.code)
+			}
+			if wantRA := tc.code == "stale_replicas"; (rec.Header().Get("Retry-After") != "") != wantRA {
+				t.Errorf("X-Min-WAL-Seq %q on %s: Retry-After %q", tc.header, target, rec.Header().Get("Retry-After"))
+			}
+		}
 	}
 }
 

@@ -1,14 +1,15 @@
 package router
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
+	"hetesim/internal/api"
 	"hetesim/internal/obs"
 )
 
@@ -160,106 +161,60 @@ func (r *Router) detectDivergence() {
 // router-assigned mode: the elected primary's URL, or "" during a
 // failover window (followers hold position and keep serving reads).
 func (r *Router) handlePrimary(w http.ResponseWriter, _ *http.Request) {
-	p := ""
+	var body api.Primary
 	if rep := r.primary.Load(); rep != nil {
-		p = rep.base
+		body.Primary = rep.base
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"primary": p})
+	writeJSON(w, http.StatusOK, body)
 }
 
 // handleWrite relays POST /v1/admin/edges to the primary — and only the
-// primary.
+// primary — through the same one-attempt primitive reads use (tryOnce:
+// breaker accounting, buffered body), exactly once.
 func (r *Router) handleWrite(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			errorBody{Error: "reading write body: " + err.Error(), Code: "bad_request"})
+		badRequest(w, "reading write body: "+err.Error())
 		return
+	}
+	noPrimary := func(outcome, msg string) {
+		metWrites.With(outcome).Inc()
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusServiceUnavailable, api.Error{Error: msg, Code: "no_primary"})
 	}
 	rep := r.primary.Load()
 	if rep == nil {
-		metWrites.With("no_primary").Inc()
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: "no primary elected; retry after failover", Code: "no_primary"})
+		noPrimary("no_primary", "no primary elected; retry after failover")
 		return
 	}
-	up, err := http.NewRequestWithContext(req.Context(), http.MethodPost, rep.base+"/v1/admin/edges", bytes.NewReader(body))
+	res, err := r.tryOnce(req.Context(), rep, jsonPost("/v1/admin/edges", body), false)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Code: "internal"})
+		// The primary did not answer (or its answer was torn): the write's
+		// durability is unknown, so do NOT replay it anywhere else. tryOnce
+		// counted the failure toward the breaker/health picture; make the
+		// client retry through the next election.
+		noPrimary("upstream_error", "primary unreachable: "+err.Error())
 		return
 	}
-	if ct := req.Header.Get("Content-Type"); ct != "" {
-		up.Header.Set("Content-Type", ct)
-	}
-	resp, err := r.client.Do(up)
-	if err != nil {
-		// The primary did not answer: the write's durability is unknown, so
-		// do NOT replay it anywhere else. Count the failure toward the
-		// breaker/health picture and make the client retry through the next
-		// election.
-		rep.onFailure(time.Now(), r.transitionFn(rep))
-		metWrites.With("upstream_error").Inc()
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: "primary unreachable: " + err.Error(), Code: "no_primary"})
-		return
-	}
-	upBody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		rep.onFailure(time.Now(), r.transitionFn(rep))
-		metWrites.With("upstream_error").Inc()
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: "primary answer torn: " + err.Error(), Code: "no_primary"})
-		return
-	}
-	if resp.StatusCode == http.StatusOK {
-		rep.onSuccess(r.transitionFn(rep))
-		var ack struct {
-			Seq uint64 `json:"seq"`
-		}
-		if json.Unmarshal(upBody, &ack) == nil && ack.Seq > 0 {
+	switch res.status {
+	case http.StatusOK:
+		var ack api.EdgesAck
+		if json.Unmarshal(res.body, &ack) == nil && ack.Seq > 0 {
 			storeMax(&r.maxAckedSeq, ack.Seq)
 			// The primary serves this sequence right now; don't make
 			// read-your-writes wait for the next probe to learn that.
 			storeMax(&rep.walSeq, ack.Seq)
-			w.Header().Set("X-Hetesim-WAL-Seq", strconvUint(ack.Seq))
+			w.Header().Set("X-Hetesim-WAL-Seq", strconv.FormatUint(ack.Seq, 10))
 		}
 		metWrites.With("relayed").Inc()
-	} else if resp.StatusCode == http.StatusServiceUnavailable {
+	case http.StatusServiceUnavailable:
 		// Election race: the replica we relayed to no longer considers
 		// itself primary (or is draining). Surface it as a failover window.
 		metWrites.With("no_primary").Inc()
-	} else {
+	default:
 		metWrites.With("upstream_error").Inc()
 	}
-	for _, h := range []string{"Content-Type", "Retry-After", "X-Hetesim-Primary"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.Header().Set("X-Hetesim-Replica", rep.base)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(upBody)
-}
-
-// minWALSeq parses the client's read-your-writes floor. 0 = no floor.
-func minWALSeq(req *http.Request) uint64 {
-	h := req.Header.Get("X-Min-WAL-Seq")
-	if h == "" {
-		return 0
-	}
-	var v uint64
-	for i := 0; i < len(h); i++ {
-		c := h[i]
-		if c < '0' || c > '9' {
-			return 0
-		}
-		v = v*10 + uint64(c-'0')
-	}
-	return v
+	writeResult(w, res)
 }
 
 // storeMax raises a to v unless a concurrent writer got there first.
@@ -270,20 +225,6 @@ func storeMax(a *atomic.Uint64, v uint64) {
 			return
 		}
 	}
-}
-
-func strconvUint(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }
 
 // sortByFreshness stable-sorts a rendezvous order by staleness class —

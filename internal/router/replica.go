@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hetesim/internal/api"
 )
 
 // breaker states. A replica's breaker opens after a run of consecutive
@@ -206,20 +208,6 @@ func (r *replica) onFailure(now time.Time, transitioned func(to string)) {
 	}
 }
 
-// readyBody is the subset of the backend's /readyz JSON the router uses.
-// The replication fields only appear on follower-configured replicas;
-// their absence means "not a follower" (ReplicationLag nil, not zero).
-type readyBody struct {
-	Status         string   `json:"status"`
-	Fingerprint    string   `json:"fingerprint"`
-	WALSeq         uint64   `json:"wal_seq"`
-	SnapshotAge    float64  `json:"snapshot_age_seconds"`
-	Role           string   `json:"role"`
-	Follows        string   `json:"follows"`
-	ReplicationLag *float64 `json:"replication_lag_seconds"`
-	Diverged       bool     `json:"diverged"`
-}
-
 // probe refreshes the replica's health from GET /readyz: 200 marks it
 // healthy and records the freshness signals; anything else (including
 // transport failure) marks it unhealthy. Returns the new health.
@@ -235,7 +223,9 @@ func (r *replica) probe(ctx context.Context, client *http.Client) bool {
 		return false
 	}
 	defer resp.Body.Close()
-	var body readyBody
+	// The replication fields only appear on follower-configured replicas;
+	// their absence means "not a follower" (nil, not zero).
+	var body api.Ready
 	if json.NewDecoder(resp.Body).Decode(&body) == nil {
 		r.walSeq.Store(body.WALSeq)
 		r.fingerprint.Store(body.Fingerprint)
@@ -244,13 +234,17 @@ func (r *replica) probe(ctx context.Context, client *http.Client) bool {
 		} else {
 			r.snapAgeMS.Store(-1)
 		}
-		r.follows.Store(body.Follows)
+		follows := ""
+		if body.Follows != nil {
+			follows = *body.Follows
+		}
+		r.follows.Store(follows)
 		if body.ReplicationLag != nil && *body.ReplicationLag >= 0 {
 			r.lagMS.Store(int64(*body.ReplicationLag * 1000))
 		} else {
 			r.lagMS.Store(-1)
 		}
-		r.divergedSelf.Store(body.Diverged)
+		r.divergedSelf.Store(body.Diverged != nil && *body.Diverged)
 	}
 	ok := resp.StatusCode == http.StatusOK
 	r.healthy.Store(ok)

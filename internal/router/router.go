@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,9 +15,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hetesim/internal/api"
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
 	"hetesim/internal/obs"
+	"hetesim/internal/relevance"
 )
 
 // Router observability: every counter the acceptance story needs — retries,
@@ -59,9 +62,8 @@ type Router struct {
 	healthEvery      time.Duration
 	maxBody          int64
 
-	relevanceMaxLen   int
-	relevanceMaxPaths int
-	pathWeights       map[string]float64
+	relevanceLimits relevance.Limits
+	pathWeights     map[string]float64
 
 	// Write routing (see primary.go).
 	pinnedPrimary string
@@ -109,14 +111,7 @@ func WithSchema(s *hin.Schema) Option { return func(r *Router) { r.schema.Store(
 // WithRelevanceLimits bounds the router-side path enumeration of scattered
 // /v1/relevance queries (defaults 4 and 16, mirroring the server).
 func WithRelevanceLimits(maxLen, maxPaths int) Option {
-	return func(r *Router) {
-		if maxLen > 0 {
-			r.relevanceMaxLen = maxLen
-		}
-		if maxPaths > 0 {
-			r.relevanceMaxPaths = maxPaths
-		}
-	}
+	return func(r *Router) { r.relevanceLimits = r.relevanceLimits.With(maxLen, maxPaths) }
 }
 
 // WithPathWeights supplies learned ensemble weights for scattered
@@ -132,17 +127,16 @@ func New(replicaURLs []string, opts ...Option) (*Router, error) {
 		return nil, errors.New("router: need at least one replica URL")
 	}
 	r := &Router{
-		client:            &http.Client{Timeout: 30 * time.Second},
-		policy:            RetryPolicy{Retries: 3, Base: 50 * time.Millisecond, MaxWait: 2 * time.Second},
-		breakerThreshold:  5,
-		breakerCooldown:   2 * time.Second,
-		healthEvery:       2 * time.Second,
-		maxBody:           1 << 20,
-		maxReadLag:        30 * time.Second,
-		relevanceMaxLen:   4,
-		relevanceMaxPaths: 16,
-		logf:              func(string, ...any) {},
-		mux:               http.NewServeMux(),
+		client:           &http.Client{Timeout: 30 * time.Second},
+		policy:           RetryPolicy{Retries: 3, Base: 50 * time.Millisecond, MaxWait: 2 * time.Second},
+		breakerThreshold: 5,
+		breakerCooldown:  2 * time.Second,
+		healthEvery:      2 * time.Second,
+		maxBody:          1 << 20,
+		maxReadLag:       30 * time.Second,
+		relevanceLimits:  relevance.Limits{MaxLen: 4, MaxPaths: 16},
+		logf:             func(string, ...any) {},
+		mux:              http.NewServeMux(),
 	}
 	for _, o := range opts {
 		o(r)
@@ -183,15 +177,11 @@ func New(replicaURLs []string, opts ...Option) (*Router, error) {
 // Start probes every replica once, fetches the schema from the fleet when
 // none was pinned, and launches the periodic health checker (stopped by
 // ctx). It succeeds even with the whole fleet down — replicas join as
-// their probes start passing.
+// their probes start passing, and the schema fetch is retried every round
+// until one answers.
 func (r *Router) Start(ctx context.Context) {
-	r.probeAll(ctx)
-	if r.schema.Load() == nil {
-		if s, err := r.fetchSchema(ctx); err == nil {
-			r.schema.Store(s)
-		} else {
-			r.logf("router: schema fetch failed (path keys stay raw): %v", err)
-		}
+	if err := r.refresh(ctx); err != nil {
+		r.logf("router: schema fetch failed (path keys stay raw): %v", err)
 	}
 	go func() {
 		t := time.NewTicker(r.healthEvery)
@@ -201,15 +191,24 @@ func (r *Router) Start(ctx context.Context) {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				r.probeAll(ctx)
-				if r.schema.Load() == nil {
-					if s, err := r.fetchSchema(ctx); err == nil {
-						r.schema.Store(s)
-					}
-				}
+				r.refresh(ctx)
 			}
 		}
 	}()
+}
+
+// refresh is one health round: probe the fleet, then fetch the schema if
+// the router still has none.
+func (r *Router) refresh(ctx context.Context) error {
+	r.probeAll(ctx)
+	if r.schema.Load() != nil {
+		return nil
+	}
+	s, err := r.fetchSchema(ctx)
+	if err == nil {
+		r.schema.Store(s)
+	}
+	return err
 }
 
 func (r *Router) probeAll(ctx context.Context) {
@@ -321,13 +320,13 @@ func (r *Router) rank(key string) []*replica {
 
 // result is a fully buffered upstream response.
 type result struct {
-	status      int
-	header      http.Header
-	body        []byte
-	replica     string
-	final       bool // non-retryable: this is the answer
-	hedged      bool // answered by the hedge, not the primary
-	transportMS float64
+	status int
+	header http.Header
+	body   []byte
+	rep    *replica
+	final  bool          // non-retryable: this is the answer
+	hedged bool          // answered by the hedge, not the primary
+	took   time.Duration // request sent → body read
 }
 
 var (
@@ -387,6 +386,7 @@ func (r *Router) forward(ctx context.Context, key string, minSeq uint64, build f
 			if res.hedged {
 				metHedgeWins.Inc()
 			}
+			res.rep.lat.observe(res.took) // reads only: the window sizes the hedge delay
 			return res, nil
 		}
 		last = res
@@ -506,10 +506,12 @@ func (r *Router) hedgeTarget(order []*replica, primary *replica, minSeq uint64) 
 }
 
 // tryOnce performs exactly one upstream request against rep and buffers
-// the response. Transport errors and torn bodies count against the
-// breaker; any complete HTTP response counts as replica success (a 400 is
-// the client's problem, not the replica's), but retryable statuses leave
-// the result non-final so the caller moves on.
+// the response — the one place the router's request path touches the
+// network, for routed reads and for the never-retried relay of a write
+// alike. Transport errors and torn bodies count against the breaker; any
+// complete HTTP response counts as replica success (a 400 is the client's
+// problem, not the replica's), but retryable statuses count as failures
+// and leave the result non-final so a reading caller moves on.
 func (r *Router) tryOnce(ctx context.Context, rep *replica, build func(string) (*http.Request, error), hedged bool) (*result, error) {
 	req, err := build(rep.base)
 	if err != nil {
@@ -523,45 +525,38 @@ func (r *Router) tryOnce(ctx context.Context, rep *replica, build func(string) (
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	d := time.Since(start)
 	if err != nil {
 		rep.onFailure(time.Now(), r.transitionFn(rep))
 		return nil, fmt.Errorf("router: reading %s response: %w", rep.base, err)
 	}
 	res := &result{
-		status:      resp.StatusCode,
-		header:      resp.Header,
-		body:        body,
-		replica:     rep.base,
-		final:       !RetryableStatus(resp.StatusCode),
-		hedged:      hedged,
-		transportMS: float64(d) / float64(time.Millisecond),
+		status: resp.StatusCode,
+		header: resp.Header,
+		body:   body,
+		rep:    rep,
+		final:  !RetryableStatus(resp.StatusCode),
+		hedged: hedged,
+		took:   time.Since(start),
 	}
-	if RetryableStatus(resp.StatusCode) {
-		rep.onFailure(time.Now(), r.transitionFn(rep))
-	} else {
+	if res.final {
 		rep.onSuccess(r.transitionFn(rep))
-		rep.lat.observe(d)
+	} else {
+		rep.onFailure(time.Now(), r.transitionFn(rep))
 	}
 	return res, nil
 }
 
-// writeResult relays a buffered upstream response to the client.
+// writeResult relays a buffered upstream response to the client, with the
+// headers that mean something across the hop.
 func writeResult(w http.ResponseWriter, res *result) {
-	if ct := res.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	for _, h := range []string{"Content-Type", "Retry-After", "X-Hetesim-Primary"} {
+		if v := res.header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
 	}
-	if ra := res.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.Header().Set("X-Hetesim-Replica", res.replica)
+	w.Header().Set("X-Hetesim-Replica", res.rep.base)
 	w.WriteHeader(res.status)
 	w.Write(res.body)
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -570,39 +565,101 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// badRequest answers a request the router itself could not read.
+func badRequest(w http.ResponseWriter, msg string) {
+	writeJSON(w, http.StatusBadRequest, api.Error{Error: msg, Code: "bad_request"})
+}
+
+// unrouted describes a request forward could not place — the one function
+// that turns errStaleFleet (or an exhausted fleet) into what the client is
+// told. Whole requests answer it as a 503, with Retry-After exactly when
+// retrying can help: a floor no replica has reached yet will be reached. A
+// batch slot or scattered ensemble member (slot = true) carries the same
+// distinction as its own error and code inside a 200.
+func unrouted(err error, slot bool) (e api.Error, retryAfter string) {
+	e = api.Error{Error: "no replica could answer: ", Code: "no_replicas"}
+	if slot {
+		e = api.Error{Error: "no replica could serve the path group: ", Code: "replica_unavailable"}
+	}
+	if errors.Is(err, errStaleFleet) {
+		e.Code, retryAfter = "stale_replicas", "1"
+		if !slot {
+			e.Error = "read-your-writes floor not yet replicated: "
+		}
+	}
+	e.Error += err.Error()
+	return e, retryAfter
+}
+
+// relay forwards one read — placed by key, under the client's
+// read-your-writes floor — and answers with the replica's response or the
+// refusal: what every whole-request proxy does.
+func (r *Router) relay(w http.ResponseWriter, req *http.Request, key string, build func(base string) (*http.Request, error)) {
+	floor, ok := minWALSeq(w, req)
+	if !ok {
+		return
+	}
+	res, err := r.forward(req.Context(), key, floor, build)
+	if err != nil {
+		e, retryAfter := unrouted(err, false)
+		if retryAfter != "" {
+			w.Header().Set("Retry-After", retryAfter)
+		}
+		writeJSON(w, http.StatusServiceUnavailable, e)
+		return
+	}
+	writeResult(w, res)
+}
+
+// minWALSeq parses the client's read-your-writes floor, X-Min-WAL-Seq: 0
+// (or no header) is no floor; a value that is not an unsigned 64-bit
+// integer is refused with 400 — never read as "no floor" or wrapped into a
+// lower one, either of which would serve the stale read the header exists
+// to prevent.
+func minWALSeq(w http.ResponseWriter, req *http.Request) (uint64, bool) {
+	h := req.Header.Get("X-Min-WAL-Seq")
+	if h == "" {
+		return 0, true
+	}
+	v, err := strconv.ParseUint(h, 10, 64)
+	if err != nil {
+		badRequest(w, fmt.Sprintf("X-Min-WAL-Seq %q is not an unsigned 64-bit WAL sequence", h))
+	}
+	return v, err == nil
+}
+
+// jsonPost builds the upstream POST of a JSON body to path.
+func jsonPost(path string, body []byte) func(base string) (*http.Request, error) {
+	return func(base string) (*http.Request, error) {
+		req, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		return req, nil
+	}
+}
+
 // proxyQuery forwards a GET query (pair/topk/explain/why) to the replica
 // owning its path key, retried and hedged.
 func (r *Router) proxyQuery(w http.ResponseWriter, req *http.Request) {
-	key := r.canonicalKey(req.URL.Query().Get("path"))
-	r.proxyWithKey(w, req, key)
+	r.proxyGet(w, req, r.canonicalKey(req.URL.Query().Get("path")))
 }
 
 // proxyAny forwards a GET to any available replica (schema, stats — every
 // replica serves the same graph).
 func (r *Router) proxyAny(w http.ResponseWriter, req *http.Request) {
-	r.proxyWithKey(w, req, req.URL.Path)
+	r.proxyGet(w, req, req.URL.Path)
 }
 
-func (r *Router) proxyWithKey(w http.ResponseWriter, req *http.Request, key string) {
+func (r *Router) proxyGet(w http.ResponseWriter, req *http.Request, key string) {
 	target := req.URL.Path
 	if req.URL.RawQuery != "" {
 		target += "?" + req.URL.RawQuery
 	}
-	res, err := r.forward(req.Context(), key, minWALSeq(req), func(base string) (*http.Request, error) {
+	r.relay(w, req, key, func(base string) (*http.Request, error) {
 		return http.NewRequest(http.MethodGet, base+target, nil)
 	})
-	if err != nil {
-		if errors.Is(err, errStaleFleet) {
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable,
-				errorBody{Error: "read-your-writes floor not yet replicated: " + err.Error(), Code: "stale_replicas"})
-			return
-		}
-		writeJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: "no replica could answer: " + err.Error(), Code: "no_replicas"})
-		return
-	}
-	writeResult(w, res)
 }
 
 func (r *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -630,43 +687,25 @@ func (r *Router) handleReady(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// replicaBody is one row of GET /v1/admin/replicas.
-type replicaBody struct {
-	URL         string  `json:"url"`
-	Healthy     bool    `json:"healthy"`
-	Primary     bool    `json:"primary"`
-	Diverged    bool    `json:"diverged"`
-	Breaker     string  `json:"breaker"`
-	WALSeq      uint64  `json:"wal_seq"`
-	SnapshotAge float64 `json:"snapshot_age_seconds"`    // -1: never
-	Lag         float64 `json:"replication_lag_seconds"` // -1: not a follower / unknown
-	Follows     string  `json:"follows,omitempty"`
-	Fingerprint string  `json:"fingerprint,omitempty"`
-	P50MS       float64 `json:"p50_ms"`
-	P99MS       float64 `json:"p99_ms"`
-}
-
 func (r *Router) handleReplicas(w http.ResponseWriter, _ *http.Request) {
 	primary := r.primary.Load()
-	out := make([]replicaBody, len(r.replicas))
+	out := make([]api.Replica, len(r.replicas))
+	secs := func(ms int64) float64 { // the probes' millisecond gauges; -1 = unknown
+		if ms < 0 {
+			return -1
+		}
+		return float64(ms) / 1000
+	}
 	for i, rep := range r.replicas {
-		age := -1.0
-		if ms := rep.snapAgeMS.Load(); ms >= 0 {
-			age = float64(ms) / 1000
-		}
-		lag := -1.0
-		if ms := rep.lagMS.Load(); ms >= 0 {
-			lag = float64(ms) / 1000
-		}
-		out[i] = replicaBody{
+		out[i] = api.Replica{
 			URL:         rep.base,
 			Healthy:     rep.healthy.Load(),
 			Primary:     rep == primary,
 			Diverged:    rep.isDiverged(),
 			Breaker:     breakerStateName(rep.state.Load()),
 			WALSeq:      rep.walSeq.Load(),
-			SnapshotAge: age,
-			Lag:         lag,
+			SnapshotAge: secs(rep.snapAgeMS.Load()),
+			Lag:         secs(rep.lagMS.Load()),
 			Follows:     rep.follows.Load().(string),
 			Fingerprint: rep.fingerprint.Load().(string),
 			P50MS:       float64(rep.lat.quantile(0.50)) / float64(time.Millisecond),

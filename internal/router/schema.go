@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"hetesim/internal/api"
 	"hetesim/internal/hin"
 )
 
@@ -14,18 +15,6 @@ import (
 // path and its reverse must land on the same replica). It rebuilds one
 // from any replica's GET /v1/schema — the schema is a property of the
 // graph, identical across the fleet.
-
-type schemaJSON struct {
-	Types []struct {
-		Name   string `json:"name"`
-		Abbrev string `json:"abbrev"`
-	} `json:"types"`
-	Relations []struct {
-		Name   string `json:"name"`
-		Source string `json:"source"`
-		Target string `json:"target"`
-	} `json:"relations"`
-}
 
 // fetchSchema fetches and rebuilds the schema from the first replica that
 // answers.
@@ -54,7 +43,7 @@ func fetchSchemaFrom(ctx context.Context, client *http.Client, base string) (*hi
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s/v1/schema: status %d", base, resp.StatusCode)
 	}
-	var body schemaJSON
+	var body api.Schema
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		return nil, err
 	}

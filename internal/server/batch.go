@@ -1,11 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
 
+	"hetesim/internal/api"
 	"hetesim/internal/core"
 	"hetesim/internal/metapath"
 	"hetesim/internal/obs"
@@ -19,215 +21,114 @@ import (
 // per-request query deadline is applied to each query individually by the
 // scheduler rather than to the batch as a whole.
 
-type batchRequest struct {
-	Queries []batchQueryBody `json:"queries"`
-}
-
-type batchQueryBody struct {
-	Kind    string  `json:"kind"`
-	Path    string  `json:"path"`
-	Source  string  `json:"source"`
-	Target  string  `json:"target,omitempty"`
-	K       int     `json:"k,omitempty"`
-	Eps     float64 `json:"eps,omitempty"`
-	Measure string  `json:"measure,omitempty"`
-	Raw     bool    `json:"raw,omitempty"`
-}
-
-type batchResultBody struct {
-	Kind    string    `json:"kind,omitempty"`
-	Path    string    `json:"path,omitempty"`
-	Source  string    `json:"source,omitempty"`
-	Target  string    `json:"target,omitempty"`
-	Score   *float64  `json:"score,omitempty"`
-	Scores  []float64 `json:"scores,omitempty"`
-	Results []hitBody `json:"results,omitempty"`
-	Shared  bool      `json:"shared,omitempty"`
-	Error   string    `json:"error,omitempty"`
-	Code    string    `json:"code,omitempty"`
-}
-
-type batchStatsBody struct {
-	Queries       int     `json:"queries"`
-	Groups        int     `json:"groups"`
-	SharedQueries int     `json:"shared_queries"`
-	ChainBuilds   int     `json:"chain_builds"`
-	RowSteps      int     `json:"row_steps"`
-	NaiveRowSteps int     `json:"naive_row_steps"`
-	PrefixResumes int     `json:"prefix_resumes"`
-	Amortization  float64 `json:"amortization"`
-	DurationMS    float64 `json:"duration_ms"`
-}
-
-type batchResponse struct {
-	Results []batchResultBody `json:"results"`
-	Stats   batchStatsBody    `json:"stats"`
-	Trace   *obs.Report       `json:"trace,omitempty"`
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx := r.Context()
-	es := s.current()
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("decode")
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		sp.End()
-		writeError(w, fmt.Errorf("%w: %v", errBadRequest, err))
-		return
-	}
-	if len(req.Queries) == 0 {
-		sp.End()
-		writeError(w, fmt.Errorf("%w: empty batch", errBadRequest))
-		return
-	}
-	if s.maxBatchQueries > 0 && len(req.Queries) > s.maxBatchQueries {
-		sp.End()
-		writeError(w, fmt.Errorf("%w: batch has %d queries, limit is %d",
-			errBadRequest, len(req.Queries), s.maxBatchQueries))
-		return
-	}
-
-	// Decode every slot; a bad query fails in place, never the batch. Valid
-	// queries split by engine: raw (Definition 3) and normalized (Definition
-	// 10) scores come from distinct engines with distinct caches.
-	out := make([]batchResultBody, len(req.Queries))
-	paths := make([]*metapath.Path, len(req.Queries))
-	var normQ, rawQ []core.BatchQuery
-	var normPos, rawPos []int
-	for i, qb := range req.Queries {
-		out[i].Kind, out[i].Path, out[i].Source, out[i].Target = qb.Kind, qb.Path, qb.Source, qb.Target
-		cq, err := s.decodeBatchQuery(es, qb)
-		if err != nil {
-			_, code := errorStatusCode(err)
-			out[i].Error, out[i].Code = err.Error(), code
-			continue
-		}
-		paths[i] = cq.Path
-		out[i].Path = cq.Path.String()
-		if qb.Raw {
-			rawQ, rawPos = append(rawQ, cq), append(rawPos, i)
-		} else {
-			normQ, normPos = append(normQ, cq), append(normPos, i)
-		}
+	var req api.BatchRequest[api.BatchQuery]
+	err := json.NewDecoder(r.Body).Decode(&req)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("%w: %v", errBadRequest, err)
+	case len(req.Queries) == 0:
+		err = fmt.Errorf("%w: empty batch", errBadRequest)
+	case s.maxBatchQueries > 0 && len(req.Queries) > s.maxBatchQueries:
+		err = fmt.Errorf("%w: batch has %d queries, limit is %d", errBadRequest, len(req.Queries), s.maxBatchQueries)
 	}
 	sp.End()
-
-	opts := core.BatchOptions{Workers: s.batchWorkers, PerQueryTimeout: s.queryTimeout}
-	run := func(eng *core.Engine, qs []core.BatchQuery, pos []int) core.BatchStats {
-		if len(qs) == 0 {
-			return core.BatchStats{}
-		}
-		results, stats, err := eng.ExecuteBatch(ctx, qs, opts)
-		if err != nil {
-			_, code := errorStatusCode(err)
-			for _, i := range pos {
-				out[i].Error, out[i].Code = err.Error(), code
-			}
-			return stats
-		}
-		for k, res := range results {
-			s.fillBatchResult(es, &out[pos[k]], paths[pos[k]], res)
-		}
-		return stats
+	if err != nil {
+		writeError(w, err)
+		return
 	}
-	st := run(es.engine, normQ, normPos)
-	rawSt := run(es.raw, rawQ, rawPos)
-
-	stats := batchStatsBody{
-		Queries:       len(req.Queries),
-		Groups:        st.Groups + rawSt.Groups,
-		SharedQueries: st.SharedQueries + rawSt.SharedQueries,
-		ChainBuilds:   st.ChainBuilds + rawSt.ChainBuilds,
-		RowSteps:      st.RowSteps + rawSt.RowSteps,
-		NaiveRowSteps: st.NaiveRowSteps + rawSt.NaiveRowSteps,
-		PrefixResumes: st.PrefixResumes + rawSt.PrefixResumes,
-		DurationMS:    float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if stats.Groups > 0 {
-		stats.Amortization = float64(len(normQ)+len(rawQ)) / float64(stats.Groups)
-	}
-	body := batchResponse{Results: out, Stats: stats}
-	if wantTrace(r) {
-		body.Trace = tr.Report(tr.Elapsed())
-	}
+	body := s.Batch(ctx, req.Queries)
+	body.Stats.DurationMS = float64(time.Since(start)) / float64(time.Millisecond) // the request's, body decode included
+	body.Trace = inlineTrace(ctx, r.URL.Query())
 	writeJSON(w, http.StatusOK, body)
 }
 
-// decodeBatchQuery turns one request slot into a core batch query. Batch
-// supports the hetesim measure only; raw selects the unnormalized engine.
-func (s *Server) decodeBatchQuery(es *engineSet, qb batchQueryBody) (core.BatchQuery, error) {
-	var cq core.BatchQuery
-	if qb.Measure != "" && qb.Measure != "hetesim" {
-		return cq, fmt.Errorf("%w: batch supports measure hetesim only (got %q)", errBadRequest, qb.Measure)
-	}
-	if qb.Path == "" {
-		return cq, fmt.Errorf("%w: missing path", errBadRequest)
-	}
-	p, err := metapath.Parse(es.g.Schema(), qb.Path)
-	if err != nil {
-		return cq, err
-	}
-	if s.maxPathSteps > 0 && p.Len() > s.maxPathSteps {
-		return cq, fmt.Errorf("%w: path has %d steps, limit is %d", errBadRequest, p.Len(), s.maxPathSteps)
-	}
-	if qb.Source == "" {
-		return cq, fmt.Errorf("%w: missing source", errBadRequest)
-	}
-	src, err := es.g.NodeIndex(p.Source(), qb.Source)
-	if err != nil {
-		return cq, err
-	}
-	cq.Path, cq.Src = p, src
-	switch qb.Kind {
-	case "pair":
-		cq.Kind = core.BatchPair
-		if qb.Target == "" {
-			return cq, fmt.Errorf("%w: missing target", errBadRequest)
-		}
-		cq.Dst, err = es.g.NodeIndex(p.Target(), qb.Target)
+// Batch answers a batch's slots in order — the transport-free body of
+// POST /v1/batch, which cmd/hetesim -batch calls directly so the CLI and
+// the daemon cannot drift. Every slot goes through the solo endpoints'
+// decode; a bad one fails in place, never the batch. Batch supports the
+// hetesim measure only; valid slots split by engine, because raw
+// (Definition 3) and normalized (Definition 10) scores come from distinct
+// engines with distinct caches.
+func (s *Server) Batch(ctx context.Context, slots []api.BatchQuery) api.BatchResponse[api.BatchResult] {
+	start := time.Now()
+	es := s.current()
+	out := make([]api.BatchResult, len(slots))
+	paths := make([]*metapath.Path, len(slots))
+	engines := [2]*core.Engine{es.engine, es.raw}
+	var cqs [2][]core.BatchQuery // by engine: 0 normalized, 1 raw
+	var pos [2][]int             // cqs[e][k] answers slot pos[e][k]
+	for i, slot := range slots {
+		out[i] = api.BatchResult{Kind: slot.Kind, Path: slot.Path, Source: slot.Source, Target: slot.Target}
+		q, err := s.decode(es, wireQuery{BatchQuery: slot})
 		if err != nil {
-			return cq, err
+			failSlot(&out[i], err)
+			continue
 		}
-	case "single_source":
-		cq.Kind = core.BatchSingleSource
-	case "topk":
-		cq.Kind = core.BatchTopK
-		cq.K, cq.Eps = qb.K, qb.Eps
-		if cq.K == 0 {
-			cq.K = 10
+		paths[i] = q.path
+		out[i].Path = q.path.String()
+		e := 0
+		if q.Raw {
+			e = 1
 		}
-		if cq.K < 0 {
-			return cq, fmt.Errorf("%w: k=%d", errBadRequest, cq.K)
-		}
-		if cq.Eps < 0 || cq.Eps >= 1 {
-			return cq, fmt.Errorf("%w: eps=%v outside [0,1)", errBadRequest, cq.Eps)
-		}
-	default:
-		return cq, fmt.Errorf("%w: unknown kind %q (want pair, single_source, or topk)", errBadRequest, qb.Kind)
+		cqs[e] = append(cqs[e], core.BatchQuery{Kind: core.BatchKind(q.Kind), Path: q.path, Src: q.src, Dst: q.dst, K: q.K, Eps: q.Eps})
+		pos[e] = append(pos[e], i)
 	}
-	return cq, nil
+
+	stats := api.BatchStats{Queries: len(slots)}
+	opts := core.BatchOptions{Workers: s.batchWorkers, PerQueryTimeout: s.queryTimeout}
+	for e, eng := range engines {
+		if len(cqs[e]) == 0 {
+			continue
+		}
+		results, st, err := eng.ExecuteBatch(ctx, cqs[e], opts)
+		for k, i := range pos[e] {
+			if err != nil {
+				failSlot(&out[i], err)
+			} else {
+				fillSlot(es, &out[i], paths[i], results[k])
+			}
+		}
+		stats.Groups += st.Groups
+		stats.Sharing.Add(sharing(st))
+	}
+	if stats.Groups > 0 {
+		stats.Amortization = float64(len(cqs[0])+len(cqs[1])) / float64(stats.Groups)
+	}
+	stats.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
+	return api.BatchResponse[api.BatchResult]{Results: out, Stats: stats}
 }
 
-// fillBatchResult renders one core batch result into its response slot.
-func (s *Server) fillBatchResult(es *engineSet, slot *batchResultBody, p *metapath.Path, res core.BatchResult) {
-	slot.Shared = res.Shared
-	if res.Err != nil {
-		_, code := errorStatusCode(res.Err)
-		slot.Error, slot.Code = res.Err.Error(), code
-		return
+// sharing renders the scheduler's amortization account in wire form.
+func sharing(st core.BatchStats) api.Sharing {
+	return api.Sharing{
+		SharedQueries: st.SharedQueries, ChainBuilds: st.ChainBuilds,
+		RowSteps: st.RowSteps, NaiveRowSteps: st.NaiveRowSteps, PrefixResumes: st.PrefixResumes,
 	}
-	switch slot.Kind {
-	case "pair":
+}
+
+// failSlot records a slot's own failure: message and stable code.
+func failSlot(slot *api.BatchResult, err error) {
+	_, slot.Code = errorStatusCode(err)
+	slot.Error = err.Error()
+}
+
+// fillSlot renders one core batch result into its response slot.
+func fillSlot(es *engineSet, slot *api.BatchResult, p *metapath.Path, res core.BatchResult) {
+	slot.Shared = res.Shared
+	switch {
+	case res.Err != nil:
+		failSlot(slot, res.Err)
+	case slot.Kind == "pair":
 		score := res.Score
 		slot.Score = &score
-	case "single_source":
+	case slot.Kind == "single_source":
 		slot.Scores = res.Scores
-	case "topk":
-		slot.Results = make([]hitBody, 0, len(res.TopK))
-		for _, hit := range res.TopK {
-			slot.Results = append(slot.Results, hitBody{ID: nodeID(es.g, p.Target(), hit.Index), Score: hit.Score})
-		}
+	default:
+		slot.Results = namedHits(es.g, p.Target(), res.TopK, 0)
 	}
 }

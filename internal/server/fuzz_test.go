@@ -1,69 +1,101 @@
 package server
 
 import (
-	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
+	"hetesim/internal/api"
 	"hetesim/internal/hin"
 )
 
 // FuzzDecodeQuery checks the query decoder never panics on arbitrary
-// request parameters and that anything it accepts is internally
-// consistent: a parsed path within the step cap, a non-empty source, and
-// a known measure.
+// request parameters, that anything it accepts is internally consistent —
+// a parsed path within the step cap, a non-empty source, a known measure,
+// resolved nodes — and that the same query driven through the URL adapter
+// and through the batch-slot adapter is accepted or rejected alike, with
+// the same error code: there is one decode, the adapters only read.
 func FuzzDecodeQuery(f *testing.F) {
 	s := New(fuzzGraph(f))
 
 	// Seed with a valid query and near-valid variants.
-	f.Add("APC", "Tom", "hetesim", "")
-	f.Add("APCPA", "Mary", "pcrw", "false")
-	f.Add("APA", "Tom", "", "true")
-	f.Add("", "Tom", "hetesim", "")
-	f.Add("APC", "", "hetesim", "")
-	f.Add("ZZZ", "Tom", "hetesim", "")
-	f.Add("APC", "Tom", "bogus", "")
-	f.Add("APC", "Tom", "pathsim", "maybe")
-	f.Add("A-writes>P", "Tom", "hetesim", "")
-	f.Add(strings.Repeat("AP", 300)+"A", "Tom", "hetesim", "")
-	f.Add("APC\x00", "a\nb", "hetesim", "1")
+	f.Add("APC", "Tom", "KDD", "hetesim", "", 3)
+	f.Add("APCPA", "Mary", "Tom", "pcrw", "false", 0)
+	f.Add("APA", "Tom", "", "", "true", 10)
+	f.Add("", "Tom", "KDD", "hetesim", "", 1)
+	f.Add("APC", "", "KDD", "hetesim", "", 1)
+	f.Add("ZZZ", "Tom", "KDD", "hetesim", "", 1)
+	f.Add("APC", "Tom", "KDD", "bogus", "", 1)
+	f.Add("APC", "Tom", "KDD", "pathsim", "maybe", 1)
+	f.Add("A-writes>P", "Tom", "p1", "hetesim", "", 1)
+	f.Add("APC", "Nobody", "KDD", "hetesim", "", 1)
+	f.Add("APC", "Tom", "Nowhere", "", "1", -4)
+	f.Add(strings.Repeat("AP", 300)+"A", "Tom", "Tom", "hetesim", "", 1)
+	f.Add("APC\x00", "a\nb", "", "hetesim", "1", 2)
 
-	f.Fuzz(func(t *testing.T, path, source, measure, raw string) {
+	f.Fuzz(func(t *testing.T, path, source, target, measure, raw string, k int) {
+		kind := "topk"
+		if target != "" {
+			kind = "pair"
+		}
 		v := url.Values{}
-		if path != "" {
-			v.Set("path", path)
+		for name, val := range map[string]string{"path": path, "source": source, "target": target, "measure": measure, "raw": raw} {
+			if val != "" {
+				v.Set(name, val)
+			}
 		}
-		if source != "" {
-			v.Set("source", source)
+		if k != 0 {
+			v.Set("k", strconv.Itoa(k))
 		}
-		if measure != "" {
-			v.Set("measure", measure)
+		es := s.current()
+		q, err := s.soloQuery(es, v, kind)
+		if err == nil {
+			if q.path == nil {
+				t.Fatal("accepted query has nil path")
+			}
+			if s.maxPathSteps > 0 && q.path.Len() > s.maxPathSteps {
+				t.Fatalf("accepted path of %d steps past the %d cap", q.path.Len(), s.maxPathSteps)
+			}
+			if q.Source == "" {
+				t.Fatal("accepted query has empty source")
+			}
+			switch q.Measure {
+			case "hetesim", "pcrw", "pathsim":
+			default:
+				t.Fatalf("accepted unknown measure %q", q.Measure)
+			}
+			if q.Raw && q.Measure != "hetesim" {
+				t.Fatalf("accepted raw flag on measure %q", q.Measure)
+			}
+			if q.src < 0 || (kind == "pair") != (q.dst >= 0) {
+				t.Fatalf("accepted %s query resolved to src %d dst %d", kind, q.src, q.dst)
+			}
 		}
+
+		// The slot adapter sees the same query in typed fields. What only one
+		// wire form can say is left out of the comparison: a raw value that
+		// is not a bool, and a baseline measure (batches are hetesim-only).
+		// k = 0 is "omitted" on both (JSON cannot say anything else).
+		slot := api.BatchQuery{Kind: kind, Path: path, Source: source, Target: target, Measure: measure, K: k}
 		if raw != "" {
-			v.Set("raw", raw)
+			b, perr := strconv.ParseBool(raw)
+			if perr != nil {
+				return
+			}
+			slot.Raw = b
 		}
-		r := httptest.NewRequest("GET", "/v1/topk?"+v.Encode(), nil)
-		q, err := s.decodeQuery(s.current(), r)
-		if err != nil {
+		if measure == "pcrw" || measure == "pathsim" {
 			return
 		}
-		if q.path == nil {
-			t.Fatal("accepted query has nil path")
+		sq, serr := s.decode(es, wireQuery{BatchQuery: slot})
+		_, urlCode := errorStatusCode(err)
+		_, slotCode := errorStatusCode(serr)
+		if (err == nil) != (serr == nil) || (err != nil && urlCode != slotCode) {
+			t.Fatalf("adapters disagree on %+v: URL %v, slot %v", slot, err, serr)
 		}
-		if s.maxPathSteps > 0 && q.path.Len() > s.maxPathSteps {
-			t.Fatalf("accepted path of %d steps past the %d cap", q.path.Len(), s.maxPathSteps)
-		}
-		if q.source == "" {
-			t.Fatal("accepted query has empty source")
-		}
-		switch q.measure {
-		case "hetesim", "pcrw", "pathsim":
-		default:
-			t.Fatalf("accepted unknown measure %q", q.measure)
-		}
-		if q.raw && q.measure != "hetesim" {
-			t.Fatalf("accepted raw flag on measure %q", q.measure)
+		if err == nil && (sq.src != q.src || sq.dst != q.dst || sq.path.String() != q.path.String() || sq.K != q.K && kind == "topk") {
+			t.Fatalf("adapters decoded %+v differently: URL %+v, slot %+v", slot, q, sq)
 		}
 	})
 }

@@ -340,16 +340,33 @@ func TestReadiness(t *testing.T) {
 func TestPathLengthCap(t *testing.T) {
 	_, ts := lifecycleServer(t)
 	spec := strings.Repeat("AP", 200) + "A"
-	resp, err := http.Get(ts.URL + "/v1/topk?path=" + spec + "&source=Tom")
-	if err != nil {
-		t.Fatal(err)
+	// Every endpoint that takes a path goes through the one decode, so the
+	// cap holds on all of them — /v1/explain (which once parsed its path in
+	// a private copy without it) and batch slots included.
+	for _, target := range []string{
+		"/v1/topk?path=" + spec + "&source=Tom",
+		"/v1/pair?path=" + spec + "&source=Tom&target=Tom",
+		"/v1/why?path=" + spec + "&source=Tom&target=Tom",
+		"/v1/explain?path=" + spec,
+	} {
+		resp, err := http.Get(ts.URL + target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", target[:12], resp.StatusCode)
+		}
+		if e := decodeError(t, resp.Body); e.Code != "bad_request" || !strings.Contains(e.Error, "limit is 128") {
+			t.Errorf("%s: %+v, want bad_request naming the limit", target[:12], e)
+		}
+		resp.Body.Close()
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
-	}
-	if e := decodeError(t, resp.Body); e.Code != "bad_request" {
-		t.Errorf("code = %q, want bad_request", e.Code)
+	var batch batchResponse
+	postJSON(t, ts.URL+"/v1/batch", batchRequest{Queries: []batchQueryBody{
+		{Kind: "topk", Path: spec, Source: "Tom"},
+	}}, http.StatusOK, &batch)
+	if got := batch.Results[0]; got.Code != "bad_request" || !strings.Contains(got.Error, "limit is 128") {
+		t.Errorf("batch slot: %+v, want bad_request naming the limit", got)
 	}
 }
 

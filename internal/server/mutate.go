@@ -6,8 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"hetesim/internal/core"
-	"hetesim/internal/hin"
+	"hetesim/internal/api"
 	"hetesim/internal/obs"
 	"hetesim/internal/wal"
 )
@@ -98,22 +97,6 @@ func (s *Server) OpenWAL() (*WALStatus, error) {
 // server has shut down; a no-op when no WAL is open. Close does this too.
 func (s *Server) CloseWAL() error { return s.st.closeWAL() }
 
-type mutateRequest struct {
-	// Key is the client's idempotency key: a batch re-sent with the key of
-	// an already-acked batch is acknowledged again without re-applying.
-	// Empty disables deduplication for the batch.
-	Key string   `json:"key,omitempty"`
-	Ops []hin.Op `json:"ops"`
-}
-
-type mutateBody struct {
-	Status      string            `json:"status"` // "applied" or "duplicate"
-	Seq         uint64            `json:"seq"`
-	Fingerprint string            `json:"fingerprint"`
-	Rewarm      *core.RewarmStats `json:"rewarm,omitempty"`
-	WALBytes    int64             `json:"wal_bytes"`
-}
-
 // handleMutate is POST /v1/admin/edges: validate, log, apply, ack — in
 // that order, so an ack always implies durability. Writers are single-file:
 // a batch arriving while another writer (or a reload) holds the admission
@@ -123,50 +106,50 @@ type mutateBody struct {
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.st.walPath == "" {
 		writeJSON(w, http.StatusNotImplemented,
-			errorBody{Error: "mutations are disabled: no -wal-path configured", Code: "mutations_disabled"})
+			api.Error{Error: "mutations are disabled: no -wal-path configured", Code: "mutations_disabled"})
 		return
 	}
 	if s.Draining() {
-		writeJSON(w, http.StatusConflict, errorBody{Error: errDraining.Error(), Code: "draining"})
+		writeJSON(w, http.StatusConflict, api.Error{Error: errDraining.Error(), Code: "draining"})
 		return
 	}
 	if s.refuseNotPrimary(w) {
 		return
 	}
-	var req mutateRequest
+	var req api.EdgesRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest,
-			errorBody{Error: "decoding mutation batch: " + err.Error(), Code: "bad_request"})
+			api.Error{Error: "decoding mutation batch: " + err.Error(), Code: "bad_request"})
 		return
 	}
 	if len(req.Ops) == 0 {
 		writeJSON(w, http.StatusBadRequest,
-			errorBody{Error: "mutation batch has no ops", Code: "bad_request"})
+			api.Error{Error: "mutation batch has no ops", Code: "bad_request"})
 		return
 	}
 	if !s.st.admit.TryLock() {
 		metMutationBackpressure.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: "server: a mutation is already in flight", Code: "mutation_in_flight"})
+			api.Error{Error: "server: a mutation is already in flight", Code: "mutation_in_flight"})
 		return
 	}
 	res, err := s.st.apply(r.Context(), wal.Batch{Key: req.Key, Ops: req.Ops}, false)
 	s.st.admit.Unlock()
 	switch {
 	case errors.Is(err, errWALNotOpen):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), Code: "wal_not_open"})
+		writeJSON(w, http.StatusServiceUnavailable, api.Error{Error: err.Error(), Code: "wal_not_open"})
 		return
 	case errors.Is(err, errWALAppend):
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Code: "wal_append_failed"})
+		writeJSON(w, http.StatusInternalServerError, api.Error{Error: err.Error(), Code: "wal_append_failed"})
 		return
 	case err != nil:
 		writeError(w, err)
 		return
 	}
-	body := mutateBody{
+	body := api.EdgesAck{
 		Status: "duplicate", Seq: res.seq,
 		Fingerprint: fmt.Sprintf("%016x", res.es.fingerprint),
 		WALBytes:    res.walBytes,

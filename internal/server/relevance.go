@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"time"
 
+	"hetesim/internal/api"
 	"hetesim/internal/obs"
+	"hetesim/internal/rank"
 	"hetesim/internal/relevance"
 )
 
@@ -20,195 +22,87 @@ import (
 // blows its deadline degrades to Monte Carlo (when enabled) or is excluded
 // and flagged, never failing the whole answer.
 
-type relevanceRequest struct {
-	Source     string   `json:"source"`
-	SourceType string   `json:"source_type"`
-	Target     string   `json:"target,omitempty"`
-	TargetType string   `json:"target_type,omitempty"`
-	K          int      `json:"k,omitempty"`
-	MaxLen     int      `json:"max_len,omitempty"`
-	MaxPaths   int      `json:"max_paths,omitempty"`
-	Weighting  string   `json:"weighting,omitempty"`
-	Paths      []string `json:"paths,omitempty"`
-	Raw        bool     `json:"raw,omitempty"`
-}
-
-type relevancePathBody struct {
-	Path        string  `json:"path"`
-	Weight      float64 `json:"weight"`
-	Score       float64 `json:"score"`
-	Plan        string  `json:"plan,omitempty"`
-	Approximate bool    `json:"approximate,omitempty"`
-	Error       string  `json:"error,omitempty"`
-	Code        string  `json:"code,omitempty"`
-}
-
-type relevanceStatsBody struct {
-	Paths         int     `json:"paths"`
-	SharedQueries int     `json:"shared_queries"`
-	ChainBuilds   int     `json:"chain_builds"`
-	RowSteps      int     `json:"row_steps"`
-	NaiveRowSteps int     `json:"naive_row_steps"`
-	PrefixResumes int     `json:"prefix_resumes"`
-	DurationMS    float64 `json:"duration_ms"`
-}
-
-type relevanceResponse struct {
-	Mode        string              `json:"mode"` // "pair" or "topk"
-	Source      string              `json:"source"`
-	Target      string              `json:"target,omitempty"`
-	Score       *float64            `json:"score,omitempty"` // pair mode
-	Results     []hitBody           `json:"results,omitempty"`
-	Paths       []relevancePathBody `json:"paths"`
-	Weighting   string              `json:"weighting"`
-	Partial     bool                `json:"partial,omitempty"`
-	Approximate bool                `json:"approximate,omitempty"`
-	Stats       relevanceStatsBody  `json:"stats"`
-	Trace       *obs.Report         `json:"trace,omitempty"`
-}
-
 func (s *Server) handleRelevance(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx := r.Context()
 	es := s.current()
-	tr := obs.FromContext(ctx)
 
-	sp := tr.Start("decode")
-	var req relevanceRequest
+	sp := obs.FromContext(ctx).Start("decode")
+	var req api.RelevanceRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		sp.End()
 		writeError(w, fmt.Errorf("%w: %v", errBadRequest, err))
 		return
 	}
-	opts, src, mode, err := s.decodeRelevance(es, &req)
+	opts, src, dst, err := s.decodeRelevance(es, &req)
 	sp.End()
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 
-	eng := es.engine
-	if req.Raw {
-		eng = es.raw
-	}
 	var (
 		res    *relevance.Result
-		ranked []relevance.Ranked
+		ranked []rank.Scored
 	)
-	if mode == "pair" {
-		dst, derr := es.g.NodeIndex(req.TargetType, req.Target)
-		if derr != nil {
-			writeError(w, derr)
-			return
-		}
-		res, err = relevance.Pair(ctx, eng, req.SourceType, src, req.TargetType, dst, opts)
+	body := api.RelevanceResponse{Mode: "topk", Source: req.Source, Target: req.Target, Weighting: opts.Weighting}
+	if dst >= 0 {
+		body.Mode = "pair"
+		res, err = relevance.Pair(ctx, es.hetesim(req.Raw), req.SourceType, src, req.TargetType, dst, opts)
 	} else {
-		res, ranked, err = relevance.TopK(ctx, eng, req.SourceType, src, req.TargetType, req.K, opts)
+		res, ranked, err = relevance.TopK(ctx, es.hetesim(req.Raw), req.SourceType, src, req.TargetType, req.K, opts)
 	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-
-	body := relevanceResponse{
-		Mode:        mode,
-		Source:      req.Source,
-		Target:      req.Target,
-		Weighting:   opts.Weighting,
-		Partial:     res.Partial,
-		Approximate: res.Approximate,
-		Paths:       make([]relevancePathBody, len(res.Paths)),
-		Stats: relevanceStatsBody{
-			Paths:         len(res.Paths),
-			SharedQueries: res.Stats.SharedQueries,
-			ChainBuilds:   res.Stats.ChainBuilds,
-			RowSteps:      res.Stats.RowSteps,
-			NaiveRowSteps: res.Stats.NaiveRowSteps,
-			PrefixResumes: res.Stats.PrefixResumes,
-			DurationMS:    float64(time.Since(start)) / float64(time.Millisecond),
-		},
-	}
-	for i, ps := range res.Paths {
-		body.Paths[i] = relevancePathBody{
-			Path: ps.Path, Weight: ps.Weight, Score: ps.Score,
-			Plan: ps.Plan, Approximate: ps.Approximate, Error: ps.Err,
-		}
-		if ps.Err != "" {
-			body.Paths[i].Code = "path_failed"
-		}
-	}
-	if mode == "pair" {
-		score := res.Score
-		body.Score = &score
+	if dst >= 0 {
+		body.Score = &res.Score
 	} else {
-		body.Results = make([]hitBody, 0, len(ranked))
-		for _, hit := range ranked {
-			body.Results = append(body.Results, hitBody{ID: hit.ID, Score: hit.Score})
-		}
+		body.Results = namedHits(es.g, req.TargetType, ranked, 0)
 	}
-	if wantTrace(r) {
-		body.Trace = tr.Report(tr.Elapsed())
+	body.Paths, body.Partial, body.Approximate = res.Paths, res.Partial, res.Approximate
+	body.Stats = api.RelevanceStats{
+		Paths:      len(res.Paths),
+		Sharing:    sharing(res.Stats),
+		DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
+	body.Trace = inlineTrace(ctx, r.URL.Query())
 	writeJSON(w, http.StatusOK, body)
 }
 
 // decodeRelevance validates the request against the server's relevance
-// limits and resolves the source node and query mode.
-func (s *Server) decodeRelevance(es *engineSet, req *relevanceRequest) (relevance.Options, int, string, error) {
+// limits and resolves its endpoints; a target index of -1 is top-k mode.
+func (s *Server) decodeRelevance(es *engineSet, req *api.RelevanceRequest) (relevance.Options, int, int, error) {
 	var o relevance.Options
 	if req.Source == "" || req.SourceType == "" {
-		return o, 0, "", fmt.Errorf("%w: source and source_type are required", errBadRequest)
+		return o, 0, 0, fmt.Errorf("%w: source and source_type are required", errBadRequest)
 	}
 	if req.TargetType == "" {
-		return o, 0, "", fmt.Errorf("%w: target_type is required (with target for a pair query, alone for top-k)", errBadRequest)
+		return o, 0, 0, fmt.Errorf("%w: target_type is required (with target for a pair query, alone for top-k)", errBadRequest)
 	}
 	if !es.g.Schema().HasType(req.SourceType) || !es.g.Schema().HasType(req.TargetType) {
-		return o, 0, "", fmt.Errorf("%w: unknown node type", errBadRequest)
+		return o, 0, 0, fmt.Errorf("%w: unknown node type", errBadRequest)
 	}
-	maxLen, maxPaths := s.relevanceMaxLen, s.relevanceMaxPaths
-	if req.MaxLen > maxLen {
-		return o, 0, "", fmt.Errorf("%w: max_len %d exceeds limit %d", errBadRequest, req.MaxLen, maxLen)
-	}
-	if req.MaxPaths > maxPaths {
-		return o, 0, "", fmt.Errorf("%w: max_paths %d exceeds limit %d", errBadRequest, req.MaxPaths, maxPaths)
-	}
-	if req.MaxLen > 0 {
-		maxLen = req.MaxLen
-	}
-	if req.MaxPaths > 0 {
-		maxPaths = req.MaxPaths
-	}
-	if len(req.Paths) > maxPaths {
-		return o, 0, "", fmt.Errorf("%w: %d explicit paths exceed limit %d", errBadRequest, len(req.Paths), maxPaths)
-	}
-	o = relevance.Options{
-		MaxLen:         maxLen,
-		MaxPaths:       maxPaths,
-		Paths:          req.Paths,
-		Weighting:      req.Weighting,
-		Learned:        s.pathWeights,
-		Workers:        s.batchWorkers,
-		PerPathTimeout: s.queryTimeout,
-		DegradeWalks:   s.degradeWalks,
-		DegradeGrace:   s.degradeGrace,
-	}
-	if o.Weighting == "" {
-		o.Weighting = relevance.WeightUniform
-	}
-	src, err := es.g.NodeIndex(req.SourceType, req.Source)
+	o, err := s.relevanceLimits.Admit(req)
 	if err != nil {
-		return o, 0, "", err
+		return o, 0, 0, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-	mode := "topk"
-	if req.Target != "" {
-		mode = "pair"
-	} else {
+	o.Learned = s.pathWeights
+	o.Workers = s.batchWorkers
+	o.PerPathTimeout = s.queryTimeout
+	o.DegradeWalks = s.degradeWalks
+	src, dst, err := endpoints(es.g, req.SourceType, req.Source, req.TargetType, req.Target)
+	if err != nil {
+		return o, 0, 0, err
+	}
+	if dst < 0 {
 		if req.K == 0 {
 			req.K = 10
 		}
 		if req.K < 0 {
-			return o, 0, "", fmt.Errorf("%w: k=%d", errBadRequest, req.K)
+			return o, 0, 0, fmt.Errorf("%w: k=%d", errBadRequest, req.K)
 		}
 	}
-	return o, src, mode, nil
+	return o, src, dst, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"hetesim/internal/api"
 	"hetesim/internal/obs"
 	"hetesim/internal/snapshot"
 )
@@ -232,14 +233,14 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	res, err := s.Reload(r.Context())
 	if err != nil {
 		if errors.Is(err, errReloadBusy) {
-			writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Code: "reload_in_progress"})
+			writeJSON(w, http.StatusConflict, api.Error{Error: err.Error(), Code: "reload_in_progress"})
 			return
 		}
 		if errors.Is(err, errDraining) {
-			writeJSON(w, http.StatusConflict, errorBody{Error: err.Error(), Code: "draining"})
+			writeJSON(w, http.StatusConflict, api.Error{Error: err.Error(), Code: "draining"})
 			return
 		}
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Code: "reload_failed"})
+		writeJSON(w, http.StatusInternalServerError, api.Error{Error: err.Error(), Code: "reload_failed"})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "reload": res})

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"hetesim/internal/api"
 	"hetesim/internal/hin"
 	"hetesim/internal/obs"
 	"hetesim/internal/snapshot"
@@ -64,15 +65,16 @@ const (
 func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 	if s.st.walPath == "" {
 		writeJSON(w, http.StatusNotImplemented,
-			errorBody{Error: "replication is disabled: no -wal-path configured", Code: "mutations_disabled"})
+			api.Error{Error: "replication is disabled: no -wal-path configured", Code: "mutations_disabled"})
 		return
 	}
-	from, err := intParam(r, "from", 1, 0)
+	v := r.URL.Query()
+	from, err := intParam(v, "from", 1, 0)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	maxBatches, err := intParam(r, "max", defaultTailBatches, 1)
+	maxBatches, err := intParam(v, "max", defaultTailBatches, 1)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -81,23 +83,23 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 	stream, floor, err := s.st.tail(uint64(from), min(maxBatches, maxTailBatches))
 	switch {
 	case errors.Is(err, errWALNotOpen):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), Code: "wal_not_open"})
+		writeJSON(w, http.StatusServiceUnavailable, api.Error{Error: err.Error(), Code: "wal_not_open"})
 		return
 	case errors.Is(err, wal.ErrCompacted):
 		metWALTailCompacted.Inc()
 		w.Header().Set("X-Hetesim-WAL-Floor", strconv.FormatUint(floor, 10))
 		writeJSON(w, http.StatusGone,
-			errorBody{Error: err.Error() + "; fetch /v1/admin/graph and re-follow", Code: "compacted"})
+			api.Error{Error: err.Error() + "; fetch /v1/admin/graph and re-follow", Code: "compacted"})
 		return
 	case err != nil:
 		writeJSON(w, http.StatusInternalServerError,
-			errorBody{Error: "reading wal tail: " + err.Error(), Code: "wal_tail_failed"})
+			api.Error{Error: "reading wal tail: " + err.Error(), Code: "wal_tail_failed"})
 		return
 	}
 	raw, err := wal.EncodeStream(stream)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError,
-			errorBody{Error: "encoding wal stream: " + err.Error(), Code: "wal_tail_failed"})
+			api.Error{Error: "encoding wal stream: " + err.Error(), Code: "wal_tail_failed"})
 		return
 	}
 	metWALTailStreams.Inc()
@@ -118,7 +120,7 @@ func (s *Server) handleGraphFetch(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	if err := hin.Write(&buf, es.g); err != nil {
 		writeJSON(w, http.StatusInternalServerError,
-			errorBody{Error: "encoding graph: " + err.Error(), Code: "graph_encode_failed"})
+			api.Error{Error: "encoding graph: " + err.Error(), Code: "graph_encode_failed"})
 		return
 	}
 	metGraphFetches.Inc()
@@ -181,7 +183,7 @@ func (s *Server) RunFollower(ctx context.Context, o FollowerOptions) {
 	if o.Logf == nil {
 		o.Logf = s.st.logf
 	}
-	s.followCfg.Store(true)
+	s.publish(followState{})
 	t := time.NewTicker(o.Interval)
 	defer t.Stop()
 	for {
@@ -194,6 +196,21 @@ func (s *Server) RunFollower(ctx context.Context, o FollowerOptions) {
 	}
 }
 
+// followState is the replica's replication role as the follower loop last
+// resolved it. It is immutable and published whole behind Server.follow —
+// once when a tick has resolved who the primary is, once more when a pull
+// changes the catch-up outcome — so /readyz and the write gate can never
+// observe parts of two different roles.
+type followState struct {
+	acting   bool      // the router elected this very replica: it accepts writes
+	primary  string    // base URL being followed; "" = none elected, or acting
+	caughtUp time.Time // last confirmed fingerprint-matching catch-up; zero = never
+	diverged bool      // the last stream-head comparison failed
+}
+
+// publish makes st — a copy, immutable from here on — the replica's role.
+func (s *Server) publish(st followState) { s.follow.Store(&st) }
+
 // followTick is one resolve-pull-apply cycle.
 func (s *Server) followTick(ctx context.Context, o FollowerOptions) {
 	primary, err := s.resolvePrimary(ctx, o)
@@ -201,34 +218,33 @@ func (s *Server) followTick(ctx context.Context, o FollowerOptions) {
 		o.Logf("server: follower: resolving primary via %s: %v", o.Target, err)
 		return
 	}
-	if primary == "" {
-		// Failover window: no primary elected. Hold position; keep serving
-		// reads at the current sequence.
-		s.setFollowing("")
-		s.actingPrimary.Store(false)
-		return
-	}
+	st := *s.follow.Load()
 	if o.Self != "" && primary == o.Self {
 		// The router elected us: stand down as follower, accept writes.
-		s.setFollowing("")
-		s.actingPrimary.Store(true)
-		s.diverged.Store(false)
-		s.lastCaughtUpAt.Store(time.Now().UnixNano())
+		s.publish(followState{acting: true, caughtUp: time.Now()})
 		return
 	}
-	s.actingPrimary.Store(false)
-	s.setFollowing(primary)
+	// Following primary — or, in a failover window (primary == ""), nobody:
+	// hold position and keep serving reads at the current sequence. The
+	// role goes out before the first pull, so a deposed primary refuses
+	// writes from here on.
+	st.acting, st.primary = false, primary
+	s.publish(st)
+	if primary == "" {
+		return
+	}
 
 	for i := 0; i < maxPullsPerTick && ctx.Err() == nil; i++ {
 		caughtUp := false
-		st, err := s.pullTail(ctx, o, primary)
+		stream, err := s.pullTail(ctx, o, primary)
 		if err == nil {
-			caughtUp, err = s.applyStream(ctx, st)
+			caughtUp, err = s.applyStream(ctx, stream)
 		}
 		switch {
 		case errors.Is(err, errFollowerBehind), errors.Is(err, errFollowerDiverged), errors.Is(err, errFollowerForked):
 			if !errors.Is(err, errFollowerBehind) {
-				s.diverged.Store(true)
+				st.diverged = true
+				s.publish(st)
 				metFollowDivergence.Inc()
 			}
 			o.Logf("server: follower: %v; full resync from %s", err, primary)
@@ -240,8 +256,8 @@ func (s *Server) followTick(ctx context.Context, o FollowerOptions) {
 			o.Logf("server: follower: replicating from %s: %v", primary, err)
 			return
 		case caughtUp:
-			s.diverged.Store(false)
-			s.lastCaughtUpAt.Store(time.Now().UnixNano())
+			st.diverged, st.caughtUp = false, time.Now()
+			s.publish(st)
 			return
 		}
 	}
@@ -276,9 +292,7 @@ func (s *Server) resolvePrimary(ctx context.Context, o FollowerOptions) (string,
 	if status != http.StatusOK {
 		return "", fmt.Errorf("GET /v1/admin/primary: status %d", status)
 	}
-	var body struct {
-		Primary string `json:"primary"`
-	}
+	var body api.Primary
 	if err := json.Unmarshal(raw, &body); err != nil {
 		return "", fmt.Errorf("decoding primary response: %w", err)
 	}
@@ -405,67 +419,65 @@ func (s *Server) resyncFromPrimary(ctx context.Context, o FollowerOptions, prima
 	return nil
 }
 
-// setFollowing records the primary currently being followed ("" = none).
-func (s *Server) setFollowing(p string) { s.followingPrimary.Store(&p) }
-
 // FollowingPrimary reports the primary this replica currently follows, ""
 // when none is elected, this replica is itself primary, or follower mode
 // is off.
 func (s *Server) FollowingPrimary() string {
-	if p := s.followingPrimary.Load(); p != nil {
-		return *p
+	if st := s.follow.Load(); st != nil {
+		return st.primary
 	}
 	return ""
 }
 
 // Diverged reports whether the last stream-head fingerprint comparison
 // failed and the follower has not yet converged again.
-func (s *Server) Diverged() bool { return s.diverged.Load() }
+func (s *Server) Diverged() bool {
+	st := s.follow.Load()
+	return st != nil && st.diverged
+}
 
 // AcceptsWrites reports whether a mutation posted directly to this
 // replica would be admitted: always for a standalone daemon, and for a
 // follower-configured one only while it holds the primary election.
 func (s *Server) AcceptsWrites() bool {
-	return !s.followCfg.Load() || s.actingPrimary.Load()
+	st := s.follow.Load()
+	return st == nil || st.acting
 }
 
 // refuseNotPrimary answers a mutation with 503/not_primary when this
 // replica runs follower mode and has not been elected primary. The
 // X-Hetesim-Primary header names the place to write, when known.
 func (s *Server) refuseNotPrimary(w http.ResponseWriter) bool {
-	if s.AcceptsWrites() {
+	st := s.follow.Load()
+	if st == nil || st.acting {
 		return false
 	}
 	metNotPrimary.Inc()
-	if p := s.FollowingPrimary(); p != "" {
-		w.Header().Set("X-Hetesim-Primary", p)
+	if st.primary != "" {
+		w.Header().Set("X-Hetesim-Primary", st.primary)
 	}
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusServiceUnavailable,
-		errorBody{Error: "this replica is a follower; send writes to the primary (or through the router)", Code: "not_primary"})
+		api.Error{Error: "this replica is a follower; send writes to the primary (or through the router)", Code: "not_primary"})
 	return true
 }
 
-// replicationReadyFields adds the follower's replication view to the
-// /readyz body: the primary it follows, how stale it may be (seconds since
-// it last confirmed catch-up; -1 = never yet), and whether it detected
-// divergence. Emitted only in follower mode, and suppressed while acting
-// as the elected primary — absence of the fields is what tells the router
-// "not a follower, rank by other signals".
-func (s *Server) replicationReadyFields(body map[string]any) {
-	if !s.followCfg.Load() {
-		return
+// describe adds the replication view to a /readyz body: nothing in
+// standalone mode (st == nil), the role alone while acting as the elected
+// primary, and as a follower the primary it follows, how stale it may be
+// (seconds since it last confirmed catch-up; -1 = never yet) and whether it
+// detected divergence. Absence of the fields is what tells the router "not
+// a follower, rank by other signals".
+func (st *followState) describe(body *api.Ready) {
+	switch {
+	case st == nil:
+	case st.acting:
+		body.Role = "primary"
+	default:
+		lag := -1.0
+		if !st.caughtUp.IsZero() {
+			lag = time.Since(st.caughtUp).Seconds()
+		}
+		body.Role, body.Follows, body.ReplicationLag, body.Diverged = "follower", &st.primary, &lag, &st.diverged
 	}
-	if s.actingPrimary.Load() {
-		body["role"] = "primary"
-		return
-	}
-	body["role"] = "follower"
-	body["follows"] = s.FollowingPrimary()
-	lag := -1.0
-	if t := s.lastCaughtUpAt.Load(); t > 0 {
-		lag = time.Since(time.Unix(0, t)).Seconds()
-	}
-	body["replication_lag_seconds"] = lag
-	body["diverged"] = s.diverged.Load()
 }

@@ -2,11 +2,13 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -380,5 +382,144 @@ func TestFollowTailReadsNeverShedWrites(t *testing.T) {
 			t.Fatalf("tail stamped (fingerprint %016x, head %d) but its batches replay to %016x",
 				st.Fingerprint, st.Head, fps[st.Head])
 		}
+	}
+}
+
+// TestFollowRoleNeverTorn hammers /readyz and POST /v1/admin/edges on a
+// follower-configured replica while a fake router flips the election among
+// "you", "the other replica" and "nobody" every few milliseconds. Every
+// /readyz body must be exactly one of the legal role shapes — standalone
+// keys only, primary (role), or follower (role, follows,
+// replication_lag_seconds, diverged) — with values that belong together,
+// and every refused write must name a primary this replica could actually
+// have been following. Run under -race (make chaos) it also proves the
+// role is published and read without a data race.
+func TestFollowRoleNeverTorn(t *testing.T) {
+	_, pts := newWALServer(t)
+	replica, rts := newWALServer(t)
+
+	var elected atomic.Pointer[string]
+	none := ""
+	elected.Store(&none)
+	fakeRouter := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/admin/primary" {
+			http.NotFound(w, r)
+			return
+		}
+		fmt.Fprintf(w, `{"primary":%q}`, *elected.Load())
+	}))
+	t.Cleanup(fakeRouter.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	followerDone := make(chan struct{})
+	go func() {
+		defer close(followerDone)
+		replica.RunFollower(ctx, FollowerOptions{
+			Target: fakeRouter.URL, Self: rts.URL, Interval: time.Millisecond, Logf: t.Logf,
+		})
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-followerDone
+	})
+
+	base := []string{"fingerprint", "snapshot_age_seconds", "status", "wal_seq"}
+	shapes := map[string][]string{
+		"":         base,
+		"primary":  append([]string{"role"}, base...),
+		"follower": append([]string{"diverged", "follows", "replication_lag_seconds", "role"}, base...),
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var probes, refused, acked atomic.Int64
+	wg.Add(3)
+	go func() { // the election flips under everyone's feet
+		defer wg.Done()
+		choices := []string{rts.URL, pts.URL, ""}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+				elected.Store(&choices[i%len(choices)])
+			}
+		}
+	}()
+	go func() { // readiness prober
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(rts.URL + "/readyz")
+			if err != nil {
+				t.Errorf("GET /readyz: %v", err)
+				return
+			}
+			var body map[string]any
+			err = json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("decoding /readyz: %v", err)
+				return
+			}
+			probes.Add(1)
+			role, _ := body["role"].(string)
+			want, ok := shapes[role]
+			if !ok {
+				t.Errorf("/readyz role %q: %v", role, body)
+				continue
+			}
+			if len(body) != len(want) {
+				t.Errorf("/readyz shape for role %q has keys %v, want exactly %v", role, body, want)
+			}
+			for _, k := range want {
+				if _, ok := body[k]; !ok {
+					t.Errorf("/readyz role %q is missing %q: %v", role, k, body)
+				}
+			}
+			if role == "follower" {
+				if f, _ := body["follows"].(string); f != "" && f != pts.URL {
+					t.Errorf("follower follows %q; the only other replica is %q", f, pts.URL)
+				}
+			}
+		}
+	}()
+	go func() { // writer: acked while elected, refused with a pointer otherwise
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Post(rts.URL+"/v1/admin/edges", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"ops":[{"op":"upsert_edge","relation":"writes","source":"torn%d","target":"p1","weight":1}]}`, i)))
+			if err != nil {
+				t.Errorf("POST /v1/admin/edges: %v", err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			switch resp.StatusCode {
+			case http.StatusOK:
+				acked.Add(1)
+			case http.StatusServiceUnavailable:
+				refused.Add(1)
+				if p := resp.Header.Get("X-Hetesim-Primary"); p != "" && p != pts.URL {
+					t.Errorf("refused write points at %q; the only other replica is %q", p, pts.URL)
+				}
+			default:
+				t.Errorf("write answered %d", resp.StatusCode)
+			}
+		}
+	}()
+	time.Sleep(300 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	if probes.Load() == 0 || refused.Load() == 0 || acked.Load() == 0 {
+		t.Fatalf("hammer too weak: %d probes, %d refused writes, %d acked writes", probes.Load(), refused.Load(), acked.Load())
 	}
 }

@@ -20,17 +20,18 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"hetesim/internal/api"
 	"hetesim/internal/baseline"
 	"hetesim/internal/core"
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
 	"hetesim/internal/obs"
-	"hetesim/internal/rank"
 	"hetesim/internal/relevance"
 	"hetesim/internal/snapshot"
 )
@@ -75,7 +76,6 @@ type Server struct {
 	maxBody      int64         // request body cap in bytes
 	maxPathSteps int           // longest accepted relevance path
 	degradeWalks int           // Monte Carlo walks for degraded answers; 0 = disabled
-	degradeGrace time.Duration // extra budget granted to the degraded plan
 	defaultPlan  core.PlanKind // forced physical plan when a request has no ?plan=; "" = auto
 	topKBudget   float64       // default topk-approx error budget; 0 = engine default
 
@@ -86,25 +86,16 @@ type Server struct {
 	maxBatchQueries int // queries accepted per /v1/batch request; 0 = unlimited
 	batchWorkers    int // batch scheduler worker bound; 0 = runtime default
 
-	relevanceMaxLen   int                // longest enumerated path for /v1/relevance
-	relevanceMaxPaths int                // candidate-path cap for /v1/relevance
-	pathWeights       map[string]float64 // learned ensemble weights by path spec; nil = learned mode off
+	relevanceLimits relevance.Limits   // enumeration bounds of /v1/relevance
+	pathWeights     map[string]float64 // learned ensemble weights by path spec; nil = learned mode off
 
 	inflight chan struct{}
 	state    atomic.Int32 // ReadyState
 	draining atomic.Bool  // shutdown drain: refuse mutations and reloads
 
-	// Replication (follower-mode) state, owned by RunFollower — see
-	// replicate.go. followCfg: follower mode is on; actingPrimary: the
-	// router elected this very replica, so it accepts writes again;
-	// followingPrimary: base URL currently being followed; lastCaughtUpAt:
-	// unix nanos of the last confirmed fingerprint-matching catch-up;
-	// diverged: the last stream-head comparison failed.
-	followCfg        atomic.Bool
-	actingPrimary    atomic.Bool
-	followingPrimary atomic.Pointer[string]
-	lastCaughtUpAt   atomic.Int64
-	diverged         atomic.Bool
+	// follow is the replica's replication role as RunFollower last resolved
+	// it, published whole (replicate.go); nil = follower mode off.
+	follow atomic.Pointer[followState]
 }
 
 // Option configures a Server.
@@ -148,14 +139,7 @@ func WithDegradedTopK(walks int) Option { return func(s *Server) { s.degradeWalk
 // candidates per query (0 keeps the default of 16). Requests asking beyond
 // either limit are rejected with 400.
 func WithRelevanceLimits(maxLen, maxPaths int) Option {
-	return func(s *Server) {
-		if maxLen > 0 {
-			s.relevanceMaxLen = maxLen
-		}
-		if maxPaths > 0 {
-			s.relevanceMaxPaths = maxPaths
-		}
-	}
+	return func(s *Server) { s.relevanceLimits = s.relevanceLimits.With(maxLen, maxPaths) }
 }
 
 // WithPathWeights supplies learned ensemble weights (path spec → weight,
@@ -226,16 +210,14 @@ func WithLogf(logf func(string, ...any)) Option { return func(s *Server) { s.st.
 // materialize) or MarkReady directly.
 func New(g *hin.Graph, opts ...Option) *Server {
 	s := &Server{
-		st:                &store{fsys: snapshot.OS{}, logf: log.Printf, applied: make(map[string]uint64)},
-		mux:               http.NewServeMux(),
-		maxBody:           1 << 20,
-		maxPathSteps:      128,
-		maxBatchQueries:   1024,
-		degradeGrace:      2 * time.Second,
-		relevanceMaxLen:   4,
-		relevanceMaxPaths: 16,
-		slowThreshold:     time.Second,
-		slowCapacity:      128,
+		st:              &store{fsys: snapshot.OS{}, logf: log.Printf, applied: make(map[string]uint64)},
+		mux:             http.NewServeMux(),
+		maxBody:         1 << 20,
+		maxPathSteps:    128,
+		maxBatchQueries: 1024,
+		relevanceLimits: relevance.Limits{MaxLen: 4, MaxPaths: 16},
+		slowThreshold:   time.Second,
+		slowCapacity:    128,
 	}
 	for _, o := range opts {
 		o(s)
@@ -254,8 +236,8 @@ func New(g *hin.Graph, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /v1/schema", s.handleSchema)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/slowlog", s.handleSlowLog)
-	s.mux.HandleFunc("GET /v1/pair", s.handlePair)
-	s.mux.HandleFunc("GET /v1/topk", s.handleTopK)
+	s.mux.HandleFunc("GET /v1/pair", s.handleSolo("pair"))
+	s.mux.HandleFunc("GET /v1/topk", s.handleSolo("topk"))
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/relevance", s.handleRelevance)
 	s.mux.HandleFunc("GET /v1/explain", s.handleExplain)
@@ -330,19 +312,15 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 
 // wantTrace reports whether the client asked for the trace inline
 // (?trace=1 on a /v1 query).
-func wantTrace(r *http.Request) bool {
-	v := r.URL.Query().Get("trace")
-	if v == "" {
-		return false
-	}
-	b, err := strconv.ParseBool(v)
+func wantTrace(q url.Values) bool {
+	b, err := strconv.ParseBool(q.Get("trace"))
 	return err == nil && b
 }
 
 // intParam reads an optional integer query parameter: def when absent, a
 // bad-request error when it does not parse or falls below min.
-func intParam(r *http.Request, name string, def, min int) (int, error) {
-	v := r.URL.Query().Get(name)
+func intParam(q url.Values, name string, def, min int) (int, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}
@@ -370,7 +348,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		metInflight.Add(1)
 		defer metInflight.Add(-1)
 		var tr *obs.Trace
-		if s.slowlog != nil || wantTrace(r) {
+		if s.slowlog != nil || wantTrace(r.URL.Query()) {
 			var ctx context.Context
 			ctx, tr = obs.NewTrace(r.Context())
 			r = r.WithContext(ctx)
@@ -414,7 +392,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 				}
 				s.st.logf("server: panic serving %s %s: %v", r.Method, r.URL.Path, v)
 				writeJSON(w, http.StatusInternalServerError,
-					errorBody{Error: "internal server error", Code: "internal_panic"})
+					api.Error{Error: "internal server error", Code: "internal_panic"})
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -455,7 +433,7 @@ func (s *Server) limitInflight(next http.Handler) http.Handler {
 			metShed.Inc()
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusTooManyRequests,
-				errorBody{Error: "server is at its in-flight query limit", Code: "overloaded"})
+				api.Error{Error: "server is at its in-flight query limit", Code: "overloaded"})
 		}
 	})
 }
@@ -516,11 +494,6 @@ func (s *Server) PrecomputeBackground(specs []string) error {
 	return nil
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -536,7 +509,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // a client that went away 499/canceled, everything else 500/internal.
 func writeError(w http.ResponseWriter, err error) {
 	status, code := errorStatusCode(err)
-	writeJSON(w, status, errorBody{Error: err.Error(), Code: code})
+	writeJSON(w, status, api.Error{Error: err.Error(), Code: code})
 }
 
 // errorStatusCode maps a domain error to its HTTP status and stable code —
@@ -580,53 +553,34 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // can confirm from the probe alone which generation answered.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	es := s.current()
-	body := map[string]any{
-		"status":      s.State().String(),
-		"fingerprint": fmt.Sprintf("%016x", es.fingerprint),
-		"wal_seq":     es.seq,
+	body := api.Ready{
+		Status:      s.State().String(),
+		Fingerprint: fmt.Sprintf("%016x", es.fingerprint),
+		WALSeq:      es.seq,
+		// Ranks replica warmth: how long ago this process last saved or
+		// imported a chain-cache snapshot.
+		SnapshotAge: -1,
 	}
-	// snapshot_age_seconds ranks replica warmth: how long ago this process
-	// last saved or imported a chain-cache snapshot. -1 = never.
 	if t := s.st.snapSavedAt.Load(); t > 0 {
-		body["snapshot_age_seconds"] = time.Since(time.Unix(0, t)).Seconds()
-	} else {
-		body["snapshot_age_seconds"] = -1.0
+		body.SnapshotAge = time.Since(time.Unix(0, t)).Seconds()
 	}
-	s.replicationReadyFields(body)
+	s.follow.Load().describe(&body)
+	status := http.StatusOK
 	if !s.Ready() {
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
+		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-type schemaBody struct {
-	Types     []typeBody     `json:"types"`
-	Relations []relationBody `json:"relations"`
-}
-
-type typeBody struct {
-	Name   string `json:"name"`
-	Abbrev string `json:"abbrev,omitempty"`
-	Count  int    `json:"count"`
-}
-
-type relationBody struct {
-	Name   string `json:"name"`
-	Source string `json:"source"`
-	Target string `json:"target"`
-	Edges  int    `json:"edges"`
+	writeJSON(w, status, body)
 }
 
 func (s *Server) handleSchema(w http.ResponseWriter, _ *http.Request) {
 	g := s.current().g
-	var body schemaBody
+	var body api.Schema
 	for _, t := range g.Schema().Types() {
 		ab := ""
 		if t.Abbrev != 0 {
 			ab = string(t.Abbrev)
 		}
-		body.Types = append(body.Types, typeBody{Name: t.Name, Abbrev: ab, Count: g.NodeCount(t.Name)})
+		body.Types = append(body.Types, api.SchemaType{Name: t.Name, Abbrev: ab, Count: g.NodeCount(t.Name)})
 	}
 	for _, r := range g.Schema().Relations() {
 		adj, err := g.Adjacency(r.Name)
@@ -634,7 +588,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, _ *http.Request) {
 			writeError(w, err)
 			return
 		}
-		body.Relations = append(body.Relations, relationBody{
+		body.Relations = append(body.Relations, api.SchemaRelation{
 			Name: r.Name, Source: r.Source, Target: r.Target, Edges: adj.NNZ(),
 		})
 	}
@@ -679,8 +633,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"max_path_steps":       s.maxPathSteps,
 			"batch_max_queries":    s.maxBatchQueries,
 			"batch_workers":        s.batchWorkers,
-			"relevance_max_len":    s.relevanceMaxLen,
-			"relevance_max_paths":  s.relevanceMaxPaths,
+			"relevance_max_len":    s.relevanceLimits.MaxLen,
+			"relevance_max_paths":  s.relevanceLimits.MaxPaths,
 			"path_weights":         len(s.pathWeights),
 			"slowlog_threshold_ms": float64(s.slowThreshold) / float64(time.Millisecond),
 			"topk_error_budget":    s.topKBudget,
@@ -706,475 +660,4 @@ func (s *Server) handleSlowLog(w http.ResponseWriter, _ *http.Request) {
 		"total":        s.slowlog.Total(),
 		"entries":      entries,
 	})
-}
-
-// query holds the decoded common parameters of pair/topk requests.
-type query struct {
-	path      *metapath.Path
-	source    string
-	measure   string
-	raw       bool
-	plan      core.PlanKind // forced physical plan; PlanAuto lets the optimizer choose
-	errBudget float64       // topk-approx error budget; 0 = server/engine default
-}
-
-func (s *Server) decodeQuery(es *engineSet, r *http.Request) (query, error) {
-	q := r.URL.Query()
-	spec := q.Get("path")
-	if spec == "" {
-		return query{}, fmt.Errorf("%w: missing path parameter", errBadRequest)
-	}
-	p, err := metapath.Parse(es.g.Schema(), spec)
-	if err != nil {
-		return query{}, err
-	}
-	if s.maxPathSteps > 0 && p.Len() > s.maxPathSteps {
-		return query{}, fmt.Errorf("%w: path has %d steps, limit is %d", errBadRequest, p.Len(), s.maxPathSteps)
-	}
-	source := q.Get("source")
-	if source == "" {
-		return query{}, fmt.Errorf("%w: missing source parameter", errBadRequest)
-	}
-	measure := q.Get("measure")
-	if measure == "" {
-		measure = "hetesim"
-	}
-	switch measure {
-	case "hetesim", "pcrw", "pathsim":
-	default:
-		return query{}, fmt.Errorf("%w: unknown measure %q", errBadRequest, measure)
-	}
-	raw := false
-	if v := q.Get("raw"); v != "" {
-		raw, err = strconv.ParseBool(v)
-		if err != nil {
-			return query{}, fmt.Errorf("%w: raw=%q", errBadRequest, v)
-		}
-		if measure != "hetesim" {
-			return query{}, fmt.Errorf("%w: raw applies only to hetesim", errBadRequest)
-		}
-	}
-	plan := core.PlanAuto
-	if v := q.Get("plan"); v != "" {
-		plan, err = core.ParsePlanKind(v)
-		if err != nil {
-			return query{}, err
-		}
-		if measure != "hetesim" && plan != core.PlanAuto {
-			return query{}, fmt.Errorf("%w: plan applies only to hetesim", errBadRequest)
-		}
-	} else if s.defaultPlan != "" {
-		plan = s.defaultPlan
-	}
-	budget := s.topKBudget
-	if v := q.Get("error_budget"); v != "" {
-		budget, err = strconv.ParseFloat(v, 64)
-		if err != nil || budget <= 0 || budget >= 1 {
-			return query{}, fmt.Errorf("%w: error_budget=%q outside (0,1)", errBadRequest, v)
-		}
-		if measure != "hetesim" {
-			return query{}, fmt.Errorf("%w: error_budget applies only to hetesim", errBadRequest)
-		}
-	}
-	return query{path: p, source: source, measure: measure, raw: raw, plan: plan, errBudget: budget}, nil
-}
-
-// degradeCtx returns a fresh context for the degraded plan of a request
-// whose deadline already expired: it inherits the request's values but
-// not its (spent) deadline, bounded by the degradation grace budget.
-func (s *Server) degradeCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.WithoutCancel(r.Context()), s.degradeGrace)
-}
-
-// shouldDegrade reports whether a failed exact query is eligible for the
-// Monte Carlo fallback: degradation is enabled, the measure is hetesim,
-// and the failure was the deadline — not a client disconnect, where there
-// is no one left to answer.
-func (s *Server) shouldDegrade(q query, err error) bool {
-	return s.degradeWalks > 0 && q.measure == "hetesim" && errors.Is(err, context.DeadlineExceeded)
-}
-
-type pairBody struct {
-	Path        string        `json:"path"`
-	Source      string        `json:"source"`
-	Target      string        `json:"target"`
-	Measure     string        `json:"measure"`
-	Score       float64       `json:"score"`
-	Approximate bool          `json:"approximate,omitempty"`
-	Plan        *planInfoBody `json:"plan,omitempty"`
-	Trace       *obs.Report   `json:"trace,omitempty"`
-}
-
-// planInfoBody reports which physical plan answered a hetesim query and
-// what the optimizer estimated it would cost.
-type planInfoBody struct {
-	Kind     string  `json:"kind"`
-	EstFlops float64 `json:"est_flops"`
-	Forced   bool    `json:"forced,omitempty"`
-	Reason   string  `json:"reason,omitempty"`
-}
-
-func planInfo(d core.PlanDecision) *planInfoBody {
-	return &planInfoBody{Kind: string(d.Kind), EstFlops: d.Est.Flops, Forced: d.Forced, Reason: d.Reason}
-}
-
-// reactivePlanInfo describes the Monte Carlo fallback taken after an exact
-// plan already blew its deadline mid-execution.
-func reactivePlanInfo() *planInfoBody {
-	return &planInfoBody{Kind: string(core.PlanMonteCarlo), Reason: "degraded after exact plan exceeded deadline"}
-}
-
-func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	es := s.current()
-	tr := obs.FromContext(ctx)
-	sp := tr.Start("decode")
-	q, err := s.decodeQuery(es, r)
-	if err != nil {
-		sp.End()
-		writeError(w, err)
-		return
-	}
-	target := r.URL.Query().Get("target")
-	sp.End()
-	if target == "" {
-		writeError(w, fmt.Errorf("%w: missing target parameter", errBadRequest))
-		return
-	}
-	var score float64
-	var plan *planInfoBody
-	approximate := false
-	switch q.measure {
-	case "hetesim":
-		var src, dst int
-		src, err = es.g.NodeIndex(q.path.Source(), q.source)
-		if err == nil {
-			dst, err = es.g.NodeIndex(q.path.Target(), target)
-		}
-		if err == nil {
-			var d core.PlanDecision
-			score, d, err = es.hetesim(q.raw).PairWithPlan(ctx, q.path, src, dst,
-				core.PlanOptions{Force: q.plan, Walks: s.degradeWalks})
-			if d.Kind != "" {
-				plan = planInfo(d)
-			}
-			if err == nil && d.Approximate {
-				approximate = true
-				if !d.Forced {
-					metDegraded.Inc() // proactive deadline-driven degrade
-				}
-			}
-		}
-	case "pcrw":
-		score, err = es.pcrw.Pair(ctx, q.path, q.source, target)
-	case "pathsim":
-		score, err = es.pathsim.Pair(ctx, q.path, q.source, target)
-	}
-	if err != nil && s.shouldDegrade(q, err) {
-		tr.Event("degrade", map[string]string{"reason": "deadline_exceeded"})
-		score, err = s.degradedPair(es, r, q, target)
-		approximate = err == nil
-		if approximate {
-			metDegraded.Inc()
-			plan = reactivePlanInfo()
-		}
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	body := pairBody{
-		Path: q.path.String(), Source: q.source, Target: target,
-		Measure: q.measure, Score: score, Approximate: approximate, Plan: plan,
-	}
-	if wantTrace(r) {
-		body.Trace = tr.Report(tr.Elapsed())
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// degradedPair estimates a pair score from Monte Carlo walks after the
-// exact plan blew its deadline.
-func (s *Server) degradedPair(es *engineSet, r *http.Request, q query, target string) (float64, error) {
-	src, err := es.g.NodeIndex(q.path.Source(), q.source)
-	if err != nil {
-		return 0, err
-	}
-	dst, err := es.g.NodeIndex(q.path.Target(), target)
-	if err != nil {
-		return 0, err
-	}
-	ctx, cancel := s.degradeCtx(r)
-	defer cancel()
-	res, err := es.hetesim(q.raw).PairMonteCarlo(ctx, q.path, src, dst, s.degradeWalks, 0)
-	if err != nil {
-		return 0, err
-	}
-	return res.Score, nil
-}
-
-type topKBody struct {
-	Path        string        `json:"path"`
-	Source      string        `json:"source"`
-	Measure     string        `json:"measure"`
-	Approximate bool          `json:"approximate,omitempty"`
-	Plan        *planInfoBody `json:"plan,omitempty"`
-	Results     []hitBody     `json:"results"`
-	Trace       *obs.Report   `json:"trace,omitempty"`
-}
-
-type hitBody struct {
-	ID    string  `json:"id"`
-	Score float64 `json:"score"`
-}
-
-type explainBody struct {
-	Path    string     `json:"path"`
-	Queries int        `json:"queries"`
-	Report  string     `json:"report"`
-	Plans   []planBody `json:"plans"`
-}
-
-type planBody struct {
-	Kind        string  `json:"kind"`
-	Flops       float64 `json:"flops"`
-	Materialize float64 `json:"materialize"`
-	Description string  `json:"description"`
-}
-
-type whyBody struct {
-	Path          string             `json:"path"`
-	Source        string             `json:"source"`
-	Target        string             `json:"target"`
-	Score         float64            `json:"score"`
-	Contributions []contributionBody `json:"contributions"`
-}
-
-type contributionBody struct {
-	Label    string  `json:"label"`
-	Value    float64 `json:"value"`
-	Fraction float64 `json:"fraction"`
-}
-
-// handleWhy explains a pair's HeteSim score by its top meeting-object
-// contributions.
-func (s *Server) handleWhy(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	es := s.current()
-	q, err := s.decodeQuery(es, r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if q.measure != "hetesim" {
-		writeError(w, fmt.Errorf("%w: why applies only to hetesim", errBadRequest))
-		return
-	}
-	target := r.URL.Query().Get("target")
-	if target == "" {
-		writeError(w, fmt.Errorf("%w: missing target parameter", errBadRequest))
-		return
-	}
-	k, err := intParam(r, "k", 10, 1)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	src, err := es.g.NodeIndex(q.path.Source(), q.source)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	dst, err := es.g.NodeIndex(q.path.Target(), target)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	score, contribs, err := es.hetesim(q.raw).PairContributions(ctx, q.path, src, dst, k)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	body := whyBody{Path: q.path.String(), Source: q.source, Target: target, Score: score}
-	for _, c := range contribs {
-		body.Contributions = append(body.Contributions, contributionBody{
-			Label: c.Label, Value: c.Value, Fraction: c.Fraction,
-		})
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// handleExplain exposes the HeteSim query planner: the estimated cost of
-// every physical plan for a path, amortized over an expected query count.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	es := s.current()
-	spec := r.URL.Query().Get("path")
-	if spec == "" {
-		writeError(w, fmt.Errorf("%w: missing path parameter", errBadRequest))
-		return
-	}
-	p, err := metapath.Parse(es.g.Schema(), spec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	queries, err := intParam(r, "queries", 1, 1)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	report, plans, err := es.engine.Explain(p, queries)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	body := explainBody{Path: p.String(), Queries: queries, Report: report}
-	for _, pl := range plans {
-		body.Plans = append(body.Plans, planBody{
-			Kind: string(pl.Kind), Flops: pl.Flops,
-			Materialize: pl.Materialize, Description: pl.Description,
-		})
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	ctx := r.Context()
-	es := s.current()
-	tr := obs.FromContext(ctx)
-	sp := tr.Start("decode")
-	q, err := s.decodeQuery(es, r)
-	sp.End()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	k, err := intParam(r, "k", 10, 1)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var scores []float64
-	var hits []hitBody
-	var plan *planInfoBody
-	approximate := false
-	ranked := false
-	switch q.measure {
-	case "hetesim":
-		// Top-k hetesim goes through the top-k planner, which can choose
-		// the heap-pruned exact scan or — under a deadline or a forced
-		// ?plan=topk-approx — the low-rank embedding candidate generator
-		// with exact re-ranking.
-		var src int
-		src, err = es.g.NodeIndex(q.path.Source(), q.source)
-		if err == nil {
-			var d core.PlanDecision
-			var top []core.Scored
-			top, d, err = es.hetesim(q.raw).TopKSearchWithPlan(ctx, q.path, src, k, 0,
-				core.PlanOptions{Force: q.plan, Walks: s.degradeWalks, ErrorBudget: q.errBudget})
-			if d.Kind != "" {
-				plan = planInfo(d)
-			}
-			if err == nil {
-				hits = topKHits(es.g, q.path.Target(), top, k)
-				ranked = true
-				if d.Approximate {
-					approximate = true
-					if !d.Forced {
-						metDegraded.Inc() // proactive deadline-driven degrade
-					}
-				}
-			}
-		}
-	case "pcrw":
-		scores, err = es.pcrw.SingleSource(ctx, q.path, q.source)
-	case "pathsim":
-		scores, err = es.pathsim.SingleSource(ctx, q.path, q.source)
-	}
-	if err != nil && s.shouldDegrade(q, err) {
-		tr.Event("degrade", map[string]string{"reason": "deadline_exceeded"})
-		scores, err = s.degradedTopK(es, r, q)
-		approximate = err == nil
-		ranked = false
-		if approximate {
-			metDegraded.Inc()
-			plan = reactivePlanInfo()
-		}
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !ranked {
-		sp = tr.Start("rank")
-		hits = denseHits(es.g, q.path.Target(), scores, k)
-		sp.End()
-	}
-	body := topKBody{Path: q.path.String(), Source: q.source, Measure: q.measure, Approximate: approximate, Plan: plan}
-	body.Results = append(body.Results, hits...)
-	if wantTrace(r) {
-		body.Trace = tr.Report(tr.Elapsed())
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// degradedTopK estimates single-source scores from Monte Carlo walks
-// after the exact plan blew its deadline. The walk-frequency ranking
-// approximates the reaching-distribution ordering, so the response is
-// marked approximate.
-func (s *Server) degradedTopK(es *engineSet, r *http.Request, q query) ([]float64, error) {
-	src, err := es.g.NodeIndex(q.path.Source(), q.source)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := s.degradeCtx(r)
-	defer cancel()
-	return es.hetesim(q.raw).SingleSourceMonteCarlo(ctx, q.path, src, s.degradeWalks, 0)
-}
-
-// denseHits ranks a dense score vector over a type (pcrw, pathsim, the Monte
-// Carlo fallback) into response hits, zeros kept, naming only the k winners.
-func denseHits(g *hin.Graph, typ string, scores []float64, k int) []hitBody {
-	top := rank.TopK(scores, k)
-	hits := make([]hitBody, len(top))
-	for p, i := range top {
-		hits[p] = hitBody{ID: nodeID(g, typ, i), Score: scores[i]}
-	}
-	return hits
-}
-
-// topKHits maps engine top-k results onto response hits. The engine drops
-// zero scores while the dense ranker (rank.TopK) keeps them, so to preserve
-// the response contract the tail is padded with zero-score targets in
-// ascending index order — every target absent from the engine's result has
-// a score of exactly zero.
-func topKHits(g *hin.Graph, typ string, top []core.Scored, k int) []hitBody {
-	n := g.NodeCount(typ)
-	if k > n {
-		k = n
-	}
-	hits := make([]hitBody, 0, k)
-	for _, t := range top {
-		hits = append(hits, hitBody{ID: nodeID(g, typ, t.Index), Score: t.Score})
-	}
-	if len(hits) >= k {
-		return hits // nothing to pad
-	}
-	seen := make(map[int]bool, len(top))
-	for _, t := range top {
-		seen[t.Index] = true
-	}
-	for i := 0; len(hits) < k && i < n; i++ {
-		if !seen[i] {
-			hits = append(hits, hitBody{ID: nodeID(g, typ, i)})
-		}
-	}
-	return hits
-}
-
-// nodeID names node i of a type without copying the type's whole id list
-// (hin.Graph.NodeIDs: 270 KB of garbage per top-k answer at paper scale).
-func nodeID(g *hin.Graph, typ string, i int) string {
-	id, _ := g.NodeID(typ, i) // in range: i indexes a score vector over g
-	return id
 }

@@ -11,6 +11,7 @@ import (
 
 	"hetesim/internal/core"
 	"hetesim/internal/hin"
+	"hetesim/internal/rank"
 )
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
@@ -238,11 +239,10 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestDenseTopKNamesOnlyWinners pins the allocations of the ranking branch
-// that pcrw, pathsim and the Monte Carlo fallback answer top-k through: it
-// must resolve the k winners by index, not copy the target type's whole id
-// table (16 bytes a node) to name them — and topKHits must not build its
-// padding set when there is nothing to pad.
+// TestDenseTopKNamesOnlyWinners pins the allocations of the one hit namer
+// every top-k answer goes through: it must resolve the k winners by index,
+// not copy the target type's whole id table (16 bytes a node) to name them
+// — and must not build its padding set when there is nothing to pad.
 func TestDenseTopKNamesOnlyWinners(t *testing.T) {
 	const n, k = 20000, 10
 	s := hin.NewSchema()
@@ -274,11 +274,18 @@ func TestDenseTopKNamesOnlyWinners(t *testing.T) {
 	}
 	var dense, padded []hitBody
 	idTable := uint64(n * 16)
-	if got := bytesPerRun(func() { dense = denseHits(g, "paper", scores, k) }); got > idTable/16 {
-		t.Errorf("denseHits allocates %d B/op; the id table it must not copy is %d B", got, idTable)
+	rankDense := func() []core.Scored { // what execute does for pcrw / pathsim
+		sel := rank.NewSelector(k)
+		for i, v := range scores {
+			sel.Push(i, v)
+		}
+		return sel.Ranked()
 	}
-	if got := bytesPerRun(func() { padded = topKHits(g, "paper", top, k) }); got > idTable/16 {
-		t.Errorf("topKHits allocates %d B/op with nothing to pad", got)
+	if got := bytesPerRun(func() { dense = namedHits(g, "paper", rankDense(), 0) }); got > idTable/16 {
+		t.Errorf("namedHits allocates %d B/op; the id table it must not copy is %d B", got, idTable)
+	}
+	if got := bytesPerRun(func() { padded = namedHits(g, "paper", top, k) }); got > idTable/16 {
+		t.Errorf("namedHits allocates %d B/op with nothing to pad", got)
 	}
 	for i := range top {
 		want := hitBody{ID: "p" + strconv.Itoa(96+97*i), Score: 96}

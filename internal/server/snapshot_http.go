@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"hetesim/internal/api"
 	"hetesim/internal/obs"
 	"hetesim/internal/snapshot"
 )
@@ -40,13 +41,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError,
-			errorBody{Error: "encoding snapshot: " + err.Error(), Code: "snapshot_encode_failed"})
+			api.Error{Error: "encoding snapshot: " + err.Error(), Code: "snapshot_encode_failed"})
 		return
 	}
 	raw, fp := buf.Bytes(), es.fingerprint
 	etag := fmt.Sprintf("\"%016x-%08x\"", fp, crc32.ChecksumIEEE(raw))
 
-	offset, err := intParam(r, "offset", 0, 0)
+	offset, err := intParam(r.URL.Query(), "offset", 0, 0)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -57,13 +58,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			// client started downloading; splicing would corrupt it.
 			w.Header().Set("ETag", etag)
 			writeJSON(w, http.StatusPreconditionFailed,
-				errorBody{Error: "snapshot changed since the interrupted download; restart from offset 0", Code: "snapshot_changed"})
+				api.Error{Error: "snapshot changed since the interrupted download; restart from offset 0", Code: "snapshot_changed"})
 			return
 		}
 		if offset > len(raw) {
 			w.Header().Set("ETag", etag)
 			writeJSON(w, http.StatusRequestedRangeNotSatisfiable,
-				errorBody{Error: fmt.Sprintf("offset %d beyond snapshot size %d", offset, len(raw)), Code: "bad_offset"})
+				api.Error{Error: fmt.Sprintf("offset %d beyond snapshot size %d", offset, len(raw)), Code: "bad_offset"})
 			return
 		}
 		metSnapshotResumes.Inc()

@@ -312,36 +312,6 @@ func (m *Matrix) Add(b *Matrix) *Matrix {
 	return out
 }
 
-// Hadamard returns the element-wise product of m and b.
-func (m *Matrix) Hadamard(b *Matrix) *Matrix {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic("sparse: Hadamard shape mismatch")
-	}
-	out := &Matrix{rows: m.rows, cols: m.cols, rowPtr: make([]int, m.rows+1)}
-	for r := 0; r < m.rows; r++ {
-		ka, ea := m.rowPtr[r], m.rowPtr[r+1]
-		kb, eb := b.rowPtr[r], b.rowPtr[r+1]
-		for ka < ea && kb < eb {
-			switch {
-			case m.colIdx[ka] < b.colIdx[kb]:
-				ka++
-			case b.colIdx[kb] < m.colIdx[ka]:
-				kb++
-			default:
-				p := m.val[ka] * b.val[kb]
-				if p != 0 {
-					out.colIdx = append(out.colIdx, m.colIdx[ka])
-					out.val = append(out.val, p)
-				}
-				ka++
-				kb++
-			}
-		}
-		out.rowPtr[r+1] = len(out.val)
-	}
-	return out
-}
-
 // RowSums returns the vector of per-row sums.
 func (m *Matrix) RowSums() []float64 {
 	s := make([]float64, m.rows)
@@ -581,17 +551,6 @@ func (m *Matrix) ApproxEqual(b *Matrix, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// MaxAbs returns the largest absolute entry value, or 0 for an empty matrix.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.val {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // Sum returns the sum of all entries.

@@ -263,16 +263,6 @@ func TestAddAndScale(t *testing.T) {
 	}
 }
 
-func TestHadamard(t *testing.T) {
-	a := mat(t, [][]float64{{1, 2, 0}, {0, 3, 4}})
-	b := mat(t, [][]float64{{5, 0, 7}, {0, 2, 2}})
-	got := a.Hadamard(b)
-	want := [][]float64{{5, 0, 0}, {0, 6, 8}}
-	if !got.ApproxEqual(FromDense(want), 0) {
-		t.Errorf("Hadamard = %v, want %v", got.Dense(), want)
-	}
-}
-
 func TestRowColSumsAndNorms(t *testing.T) {
 	m := mat(t, [][]float64{{3, 4}, {0, 0}, {1, 1}})
 	if got := m.RowSums(); !reflect.DeepEqual(got, []float64{7, 0, 2}) {
@@ -355,16 +345,10 @@ func TestTriplets(t *testing.T) {
 	}
 }
 
-func TestMaxAbsAndSum(t *testing.T) {
+func TestSum(t *testing.T) {
 	m := mat(t, [][]float64{{-3, 1}, {2, 0}})
-	if got := m.MaxAbs(); got != 3 {
-		t.Errorf("MaxAbs = %v, want 3", got)
-	}
 	if got := m.Sum(); got != 0 {
 		t.Errorf("Sum = %v, want 0", got)
-	}
-	if got := Zeros(2, 2).MaxAbs(); got != 0 {
-		t.Errorf("empty MaxAbs = %v, want 0", got)
 	}
 }
 
