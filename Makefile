@@ -82,8 +82,10 @@ loc:
 # The wire contract is declared once (internal/api). Fails when a JSON tag
 # that must be unique is declared in more than one non-test file outside
 # bench/ (which keeps private decoders on purpose: it is the outside
-# observer), or when a helper the one-pipeline refactor deleted comes back
-# by name; part of `make check`.
+# observer), when a helper the one-pipeline refactor deleted comes back by
+# name, or when the deleted approximate top-k plane does (its plan name, its
+# knobs, an import of internal/embed — which bench/probes.go alone keeps
+# alive until a [benchmark] PR deletes both); part of `make check`.
 contract:
 	@fail=0; \
 	for tag in shared_queries naive_row_steps source_type replication_lag_seconds; do \
@@ -97,6 +99,11 @@ contract:
 			echo "contract: deleted helper $$name is back"; fail=1; \
 		fi; \
 	done; \
+	for name in topk-approx error_budget ErrorBudget EmbedRank '"hetesim/internal/embed"'; do \
+		if grep -rnF --include='*.go' -- "$$name" . | grep -v '_test\.go:' | grep -vE '^\./(bench|internal/embed)/'; then \
+			echo "contract: deleted approximate top-k plane is back ($$name)"; fail=1; \
+		fi; \
+	done; \
 	[ $$fail -eq 0 ] && echo "contract: ok"
 
 check: vet staticcheck govulncheck contract build test race obs-selftest chaos properties
@@ -106,9 +113,9 @@ check: vet staticcheck govulncheck contract build test race obs-selftest chaos p
 # batch scheduler's sequential-vs-batched amortization run, the
 # query-optimizer auto-vs-forced plan comparison, the incremental
 # mutation apply-vs-rematerialize comparison, the auto-relevance
-# ensemble-vs-solo-paths comparison, the approximate top-k
-# exact-vs-embedding comparison, and the warm exact top-k scan
-# (BenchmarkAblationTopKSearch), with allocation stats, as JSON. Every
+# ensemble-vs-solo-paths comparison, and the warm exact top-k scan at its
+# sparse best case (BenchmarkAblationTopKSearch) and dense worst case
+# (BenchmarkTopKDenseScan), with allocation stats, as JSON. Every
 # benchmark is recorded at GOMAXPROCS=1 and at the box's core count
 # ("procs" in each row), so the parallel SpGEMM path has a baseline too.
 NPROC := $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)

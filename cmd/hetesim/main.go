@@ -101,7 +101,7 @@ func main() {
 		weightsF   = flag.String("weights", "", "learned path-weights JSON file for -relevance ({\"weights\": {\"APA\": 0.6, ...}})")
 		maxPaths   = flag.Int("maxpaths", 16, "candidate-path cap for -relevance")
 		explain    = flag.Int("explain", 0, "print the query plans for -path amortized over this many queries")
-		planName   = flag.String("plan", "", "force a hetesim physical plan: auto | pair-vectors | single-vs-matrix | all-pairs | monte-carlo (walks from -montecarlo)")
+		planName   = flag.String("plan", "", "force a hetesim physical plan: "+core.PlanKindNames+" (monte-carlo takes its walks from -montecarlo)")
 		why        = flag.Int("why", 0, "with -target: show this many top meeting-object contributions")
 		verbose    = flag.Bool("v", false, "dump process metrics to stderr after the query")
 		serverURL  = flag.String("server", "", "query a running hetesimd/hetesim-router at this base URL instead of loading -graph")

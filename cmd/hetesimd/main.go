@@ -107,8 +107,7 @@ func main() {
 		shutdownGrace = flag.Duration("shutdown-grace", 15*time.Second, "how long to drain in-flight requests on SIGINT/SIGTERM")
 		maxBodyBytes  = flag.Int64("max-body-bytes", 1<<20, "request body size cap in bytes (0 disables)")
 		degradeWalks  = flag.Int("degrade-walks", 20000, "Monte Carlo walks answering a timed-out exact query (0 disables)")
-		forcePlan     = flag.String("force-plan", "", "default physical plan for hetesim queries without an explicit ?plan= (auto | pair-vectors | single-vs-matrix | all-pairs | monte-carlo | topk-approx)")
-		topKBudget    = flag.Float64("topk-error-budget", 0, "default error budget in (0,1) for the topk-approx plan when a /v1/topk request has no ?error_budget= (0 = engine default)")
+		forcePlan     = flag.String("force-plan", "", "default physical plan for hetesim queries without an explicit ?plan= ("+core.PlanKindNames+")")
 		cacheLimit    = flag.Int("cache-limit", 0, "max materialized chain matrices kept per engine (0 = unbounded)")
 		batchMax      = flag.Int("batch-max-queries", 1024, "max queries accepted per POST /v1/batch request (0 = unlimited)")
 		batchWorkers  = flag.Int("batch-workers", 0, "concurrent batch-scheduler workers (0 = runtime default)")
@@ -147,9 +146,6 @@ func main() {
 	if err != nil {
 		log.Fatal("hetesimd: -force-plan: ", err)
 	}
-	if b := *topKBudget; b < 0 || b >= 1 {
-		log.Fatalf("hetesimd: -topk-error-budget %v outside [0,1)", b)
-	}
 
 	// Learned ensemble weights are a boot-time artifact (typically written
 	// from a learn.PathWeights fit): a malformed file is a deployment bug,
@@ -165,7 +161,6 @@ func main() {
 
 	srv := server.New(g,
 		server.WithDefaultPlan(defaultPlan),
-		server.WithTopKErrorBudget(*topKBudget),
 		server.WithQueryTimeout(*queryTimeout),
 		server.WithMaxInflight(*maxInflight),
 		server.WithMaxBodyBytes(*maxBodyBytes),

@@ -28,7 +28,6 @@ import (
 	"strings"
 	"sync"
 
-	"hetesim/internal/embed"
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
 	"hetesim/internal/sparse"
@@ -57,9 +56,6 @@ type Engine struct {
 	norms     map[string][]float64      // row L2 norms per chain key
 	reachAge  []string                  // insertion order of reach keys, oldest first
 	evictions int                       // chain matrices dropped by the cache limit
-
-	embedMu sync.Mutex
-	embeds  map[string]*embed.Embedding // low-rank embeddings per (rank, chain) key
 
 	estMu    sync.Mutex
 	estCache map[string]ChainEstimate // memoized cost estimates per chain key
@@ -109,7 +105,6 @@ func NewEngine(g *hin.Graph, opts ...Option) *Engine {
 		edgeU:      make(map[string]*sparse.Matrix),
 		reach:      make(map[string]*sparse.Matrix),
 		norms:      make(map[string][]float64),
-		embeds:     make(map[string]*embed.Embedding),
 		estCache:   make(map[string]ChainEstimate),
 		planCounts: make(map[PlanKind]uint64),
 	}
@@ -516,9 +511,6 @@ func (e *Engine) ClearCache() {
 	e.norms = make(map[string][]float64)
 	e.reachAge = nil
 	e.mu.Unlock()
-	e.embedMu.Lock()
-	e.embeds = make(map[string]*embed.Embedding)
-	e.embedMu.Unlock()
 	e.estMu.Lock()
 	e.estCache = make(map[string]ChainEstimate)
 	e.estMu.Unlock()

@@ -23,8 +23,6 @@ var (
 		"Monte Carlo walks sampled across all degraded and explicit MC queries.")
 	metPlanSelected = obs.Default().CounterVec("hetesim_engine_plan_selected_total",
 		"Physical query plans chosen by the cost-based optimizer, by plan kind.", "kind")
-	metEmbedBuilds = obs.Default().Counter("hetesim_engine_embed_builds_total",
-		"Low-rank chain embeddings factorized for the topk-approx plan.")
 
 	// Batch scheduler: how many batches arrive, how big they are, how well
 	// path grouping amortizes chain propagation across their queries.

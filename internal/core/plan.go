@@ -44,13 +44,6 @@ const (
 	// distributions; approximate, chosen only when forced or when the
 	// remaining deadline cannot fit the cheapest exact plan.
 	PlanMonteCarlo PlanKind = "monte-carlo"
-	// PlanTopKApprox answers top-k queries from low-rank chain embeddings:
-	// over-fetch candidates by embedding inner product, re-rank them
-	// through the exact operators (internal/embed). Approximate in recall
-	// only — returned scores are bit-identical to the exact plan's — and
-	// chosen only when forced or when the remaining deadline cannot fit
-	// the exact plan but can fit this one.
-	PlanTopKApprox PlanKind = "topk-approx"
 )
 
 // ErrPlanNotApplicable marks a forced plan that cannot execute the query's
@@ -58,13 +51,16 @@ const (
 // walk budget).
 var ErrPlanNotApplicable = errors.New("core: plan not applicable")
 
+// PlanKindNames lists, for flag help, exactly the names ParsePlanKind accepts.
+const PlanKindNames = "auto | pair-vectors | single-vs-matrix | all-pairs | subset-chain | monte-carlo"
+
 // ParsePlanKind validates a user-supplied plan name. The empty string means
 // auto.
 func ParsePlanKind(s string) (PlanKind, error) {
 	switch k := PlanKind(s); k {
 	case "", PlanAuto:
 		return PlanAuto, nil
-	case PlanPairVectors, PlanSingleVsMatrix, PlanAllPairs, PlanSubsetChain, PlanMonteCarlo, PlanTopKApprox:
+	case PlanPairVectors, PlanSingleVsMatrix, PlanAllPairs, PlanSubsetChain, PlanMonteCarlo:
 		return k, nil
 	}
 	return "", fmt.Errorf("%w: unknown plan %q", ErrPlanNotApplicable, s)
@@ -96,15 +92,6 @@ type PlanOptions struct {
 	Walks int
 	// Seed seeds the Monte Carlo plan (0 draws a per-query engine seed).
 	Seed int64
-	// ErrorBudget tunes the topk-approx plan: a tighter (smaller) budget
-	// buys a higher embedding rank and a deeper candidate over-fetch.
-	// 0 means the default budget (0.05 → rank 20, over-fetch 4·k); must
-	// otherwise lie in (0, 1).
-	ErrorBudget float64
-	// EmbedRank pins the topk-approx factorization rank directly,
-	// overriding the budget-derived rank (clamped to the middle-type
-	// dimension). 0 derives the rank from ErrorBudget.
-	EmbedRank int
 }
 
 // LogicalPlan is the compiled form of one query: what to compute,
@@ -126,18 +113,19 @@ type LogicalPlan struct {
 // PlanDecision records what the optimizer chose and why — returned to
 // callers so the server can surface it in responses, stats, and traces.
 type PlanDecision struct {
-	Kind   PlanKind
-	Est    PlanEstimate
-	Forced bool
-	// Approximate is true for the Monte Carlo and topk-approx plans
-	// (forced or deadline-driven).
-	Approximate bool
-	WarmLeft    bool // left half-chain was already materialized
-	WarmRight   bool // right half-chain was already materialized
-	Reason      string
+	Kind      PlanKind
+	Est       PlanEstimate
+	Forced    bool
+	WarmLeft  bool // left half-chain was already materialized
+	WarmRight bool // right half-chain was already materialized
+	Reason    string
 	// Candidates is every applicable plan, cheapest first.
 	Candidates []PlanEstimate
 }
+
+// Approximate reports whether the answer is an estimate: Monte Carlo, forced
+// or deadline-driven, is the one approximate plan.
+func (d PlanDecision) Approximate() bool { return d.Kind == PlanMonteCarlo }
 
 // planFlopsPerSecond converts a plan's flops estimate into wall time for
 // the deadline check. Deliberately conservative (sparse kernels sustain far
@@ -266,7 +254,7 @@ func (cm costModel) topKScanDescription() string {
 // shape, cheapest first (stable for ties, so the legacy default plan wins a
 // tie). Materialization costs are zeroed for warm chains — the live signal
 // that makes matrix plans near-free once the cache holds their inputs.
-func (e *Engine) planCandidates(cm costModel, lp LogicalPlan) []PlanEstimate {
+func planCandidates(cm costModel, lp LogicalPlan) []PlanEstimate {
 	q := float64(lp.Opts.Queries)
 	if q < 1 {
 		q = 1
@@ -303,14 +291,6 @@ func (e *Engine) planCandidates(cm costModel, lp LogicalPlan) []PlanEstimate {
 			"per query, one vector chain and "+cm.topKScanDescription())
 		add(PlanAllPairs, matL+matRT+q*(lrow+scan), matL+matRT,
 			"materialize the left half too; per query, one row lookup and "+cm.topKScanDescription())
-		rank := embedRankFor(lp.Opts, cm.right.Cols)
-		fetch := float64(embedOverFetch(lp.Opts) * maxInt(lp.K, 1))
-		coldEmbed := 0.0
-		if !e.embedWarm(embedCacheKey(rank, e.chainCacheKey(lp.h.right()))) {
-			coldEmbed = matR + embedBuildFlops(cm.right, rank)
-		}
-		add(PlanTopKApprox, coldEmbed+q*(lpr+rRows*float64(rank)+fetch*rrow), coldEmbed,
-			"score rank-r embeddings, exact-re-rank an over-fetched candidate set; approximate recall, exact scores")
 	case ShapeAllPairs:
 		product := cm.left.NNZ * cm.right.NNZ / float64(maxInt(cm.left.Cols, 1))
 		add(PlanAllPairs, matL+matR+product, matL+matR+product,
@@ -393,7 +373,6 @@ func (e *Engine) pickPlan(ctx context.Context, lp LogicalPlan, cm costModel, can
 			return d, fmt.Errorf("%w: %s cannot answer a %s query", ErrPlanNotApplicable, f, lp.Shape)
 		}
 		d.Kind, d.Est, d.Forced, d.Reason = f, est, true, "forced"
-		d.Approximate = f == PlanMonteCarlo || f == PlanTopKApprox
 		return d, nil
 	}
 	if len(cands) == 0 {
@@ -413,7 +392,7 @@ func (e *Engine) pickPlan(ctx context.Context, lp LogicalPlan, cm costModel, can
 		d.Reason = "caching disabled"
 	default:
 		for _, c := range cands {
-			if c.Kind != PlanMonteCarlo && c.Kind != PlanTopKApprox { // never approximate on cost alone
+			if c.Kind != PlanMonteCarlo { // never approximate on cost alone
 				chosen = c
 				break
 			}
@@ -442,22 +421,13 @@ func (e *Engine) pickPlan(ctx context.Context, lp LogicalPlan, cm costModel, can
 
 	// Deadline rule: an exact plan whose estimated work cannot fit the
 	// remaining deadline is downgraded up front, instead of burning the
-	// whole budget to fail. Top-k queries prefer the low-rank embedding
-	// plan when its own estimate (including a cold factorization, if any)
-	// fits the remaining budget — it re-ranks with exact scores, so it
-	// degrades recall only. Monte Carlo is the fallback when a walk
-	// budget is available (its candidate exists only then).
+	// whole budget to fail. Monte Carlo is the one fallback, available when
+	// there is a walk budget (its candidate exists only then).
 	if deadline, has := ctx.Deadline(); has {
 		remaining := time.Until(deadline).Seconds()
 		if remaining <= 0 || chosen.Flops > remaining*planFlopsPerSecond {
-			if ta, ok := findCandidate(cands, PlanTopKApprox); ok &&
-				remaining > 0 && ta.Flops <= remaining*planFlopsPerSecond {
-				chosen = ta
-				d.Approximate = true
-				d.Reason = "deadline downgrade: embedding top-k fits the remaining budget"
-			} else if mc, ok := findCandidate(cands, PlanMonteCarlo); ok {
+			if mc, ok := findCandidate(cands, PlanMonteCarlo); ok {
 				chosen = mc
-				d.Approximate = true
 				d.Reason = "remaining deadline cannot fit the exact plan"
 			}
 		}
@@ -474,7 +444,7 @@ func (e *Engine) optimize(ctx context.Context, lp LogicalPlan) (PlanDecision, er
 	if err != nil {
 		return PlanDecision{}, err
 	}
-	d, err := e.pickPlan(ctx, lp, cm, e.planCandidates(cm, lp))
+	d, err := e.pickPlan(ctx, lp, cm, planCandidates(cm, lp))
 	if err != nil {
 		return d, err
 	}
@@ -622,9 +592,6 @@ func (e *Engine) execTopK(ctx context.Context, lp LogicalPlan, d PlanDecision) (
 		}
 		return rankScores(scores, lp.K), nil
 	}
-	if d.Kind == PlanTopKApprox {
-		return e.topKApprox(ctx, lp)
-	}
 	left, err := e.leftVector(ctx, lp, d.Kind)
 	if err != nil {
 		return nil, err
@@ -749,7 +716,7 @@ func (e *Engine) execSubset(ctx context.Context, lp LogicalPlan, d PlanDecision)
 // saw that the remaining time cannot fit the exact plan and chose Monte
 // Carlo up front (the decision keeps its estimate and reason) — or observed:
 // the deadline was already spent when planning ran, or the plan that did run
-// (exact, topk-approx, or a forced Monte Carlo) returned DeadlineExceeded
+// (exact, or a forced Monte Carlo) returned DeadlineExceeded
 // (the decision becomes missedDecision). A canceled context never degrades:
 // there is no one left to answer. Nobody else re-runs a timed-out query.
 
@@ -760,7 +727,7 @@ const degradeGrace = 2 * time.Second
 // decision that reports it: no estimate, nothing was priced for it.
 func missedDecision(ctx context.Context) PlanDecision {
 	obs.FromContext(ctx).Event("degrade", map[string]string{"reason": "deadline_exceeded"})
-	return PlanDecision{Kind: PlanMonteCarlo, Approximate: true, Reason: "degraded after exact plan exceeded deadline"}
+	return PlanDecision{Kind: PlanMonteCarlo, Reason: "degraded after exact plan exceeded deadline"}
 }
 
 // planResult carries whichever result form the query's shape produces.
@@ -774,11 +741,8 @@ type planResult struct {
 // executor and records the query metric under the kind that actually ran.
 func (e *Engine) exec(ctx context.Context, lp LogicalPlan, d PlanDecision) (r planResult, err error) {
 	kind := string(lp.Shape)
-	switch {
-	case d.Kind == PlanMonteCarlo:
+	if d.Kind == PlanMonteCarlo {
 		kind = "mc_" + kind
-	case d.Kind == PlanTopKApprox:
-		kind = "topk_approx"
 	}
 	start := time.Now()
 	defer func() { observeQuery(kind, time.Since(start).Seconds()) }()
@@ -876,9 +840,6 @@ func (e *Engine) TopKSearchWithPlan(ctx context.Context, p *metapath.Path, src, 
 	}
 	if eps < 0 || eps >= 1 {
 		return nil, PlanDecision{}, fmt.Errorf("core: TopKSearch eps=%v outside [0,1)", eps)
-	}
-	if b := o.ErrorBudget; b < 0 || b >= 1 {
-		return nil, PlanDecision{}, fmt.Errorf("core: TopKSearch error budget %v outside [0,1)", b)
 	}
 	if err := e.checkIndex(p.Source(), src); err != nil {
 		return nil, PlanDecision{}, err

@@ -133,7 +133,7 @@ func TestForcedMonteCarloWithinTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Kind != PlanMonteCarlo || !d.Approximate || !d.Forced {
+	if d.Kind != PlanMonteCarlo || !d.Approximate() || !d.Forced {
 		t.Fatalf("decision = %+v", d)
 	}
 	if math.Abs(score-exact) > 0.08 {
@@ -255,7 +255,7 @@ func TestDeadlineForcesMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Kind != PlanMonteCarlo || !d.Approximate {
+	if d.Kind != PlanMonteCarlo || !d.Approximate() {
 		t.Fatalf("decision = %+v, want deadline-driven monte-carlo", d)
 	}
 	if d.Forced {
@@ -312,13 +312,15 @@ func TestForcedPlanNotApplicable(t *testing.T) {
 }
 
 func TestParsePlanKind(t *testing.T) {
-	for _, s := range []string{"", "auto", "pair-vectors", "single-vs-matrix", "all-pairs", "subset-chain", "monte-carlo", "topk-approx"} {
+	for _, s := range append([]string{""}, strings.Split(PlanKindNames, " | ")...) {
 		if _, err := ParsePlanKind(s); err != nil {
 			t.Errorf("ParsePlanKind(%q) = %v", s, err)
 		}
 	}
-	if _, err := ParsePlanKind("bogus"); !errors.Is(err, ErrPlanNotApplicable) {
-		t.Errorf("bogus plan err = %v", err)
+	for _, s := range []string{"bogus", "topk-approx"} {
+		if _, err := ParsePlanKind(s); !errors.Is(err, ErrPlanNotApplicable) {
+			t.Errorf("ParsePlanKind(%q) err = %v, want ErrPlanNotApplicable", s, err)
+		}
 	}
 }
 

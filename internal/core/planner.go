@@ -68,7 +68,7 @@ func (e *Engine) Explain(p *metapath.Path, queries int) (string, []PlanEstimate,
 		return "", nil, err
 	}
 	lp := LogicalPlan{Path: p, Shape: ShapePair, Opts: PlanOptions{Queries: queries}, h: h}
-	plans := e.planCandidates(cm, lp)
+	plans := planCandidates(cm, lp)
 
 	warm := func(w bool) string {
 		if w {

@@ -31,12 +31,6 @@ type RewarmStats struct {
 	Rebuilt    int `json:"rebuilt"`     // chains fully rematerialized
 	Dropped    int `json:"dropped"`     // chains abandoned (cold recompute on next use)
 	Rows       int `json:"rows"`        // rows recomputed across all row-patched chains
-
-	// Embedding maintenance: low-rank embeddings ride on their base chain,
-	// so they are carried only when that chain was carried with unchanged
-	// dimensions; anything else drops and rebuilds lazily on next use.
-	EmbedsCarried int `json:"embeds_carried"`
-	EmbedsDropped int `json:"embeds_dropped"`
 }
 
 func (s RewarmStats) String() string {
@@ -78,7 +72,6 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 	// that could rebuild through them; "T:" keys sort after their base via
 	// the second pass below.
 	sort.Slice(keys, func(i, j int) bool { return len(keys[i]) < len(keys[j]) })
-	carriedChains := make(map[string]bool)
 
 	for _, key := range keys {
 		if strings.HasPrefix(key, "T:") {
@@ -117,7 +110,6 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 			e.cachePut(key, nm)
 			e.carryNorms(src, key, nRows, nil, nil)
 			st.Carried++
-			carriedChains[key] = true
 			continue
 		}
 		sub, err := e.opSubsetChain(ctx, rows, c)
@@ -147,7 +139,6 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 			st.Dropped++
 		}
 	}
-	st.EmbedsCarried, st.EmbedsDropped = e.rewarmEmbeddings(src, carriedChains)
 	return st, nil
 }
 

@@ -9,9 +9,9 @@ import (
 	"hetesim/internal/sparse"
 )
 
-// Scored is one target of a top-k search. Every top-k plan — exact scan,
-// topk-approx re-rank, Monte Carlo, solo or batch — ranks through the one
-// selector of package rank: descending by score, ties by ascending index.
+// Scored is one target of a top-k search. Every top-k plan — exact scan or
+// Monte Carlo, solo or batch — ranks through the one selector of package
+// rank: descending by score, ties by ascending index.
 type Scored = rank.Scored
 
 // TopKSearch returns the k most related targets of one source along a path,
@@ -42,8 +42,6 @@ func (e *Engine) TopKSearch(ctx context.Context, p *metapath.Path, src, k int, e
 // terms in ascending middle order and offer every non-zero score to the one
 // selector, so they return bit-identical hits.
 func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left *sparse.Vector, k int, eps float64) ([]Scored, error) {
-	// Prune the source's middle distribution (shared with topKApprox so
-	// both plans score the identical pruned vector).
 	left = pruneLeft(left, eps)
 	pmr, pmrT, err := e.opScanChain(ctx, h.right())
 	if err != nil {
@@ -91,4 +89,28 @@ func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left 
 	out := sel.Ranked()
 	sp.End()
 	return out, nil
+}
+
+// pruneLeft applies the Section 4.6 search pruning to a left middle
+// distribution: entries below eps times the largest entry are dropped.
+func pruneLeft(left *sparse.Vector, eps float64) *sparse.Vector {
+	if eps <= 0 {
+		return left
+	}
+	var max float64
+	left.Entries(func(_ int, v float64) {
+		if v > max {
+			max = v
+		}
+	})
+	threshold := eps * max
+	var idx []int
+	var val []float64
+	left.Entries(func(i int, v float64) {
+		if v >= threshold {
+			idx = append(idx, i)
+			val = append(val, v)
+		}
+	})
+	return sparse.NewVector(left.Len(), idx, val)
 }

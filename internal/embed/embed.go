@@ -20,6 +20,7 @@
 // is exact. Candidates over-fetched by approximate score are re-ranked by
 // the caller through the exact pair-vectors operators, so returned scores
 // are always bit-identical to the exact ones; only recall can degrade.
+// Its only importer is bench/probes.go, and it goes with that probe (DESIGN §15).
 package embed
 
 import (

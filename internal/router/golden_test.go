@@ -254,8 +254,6 @@ func goldenCases() []goldenCase {
 		get("explain path too long", "main", "/v1/explain?path="+longPath),
 		get("topk k zero", "main", "/v1/topk?path=APC&source=Tom&k=0"),
 		get("topk k text", "main", "/v1/topk?path=APC&source=Tom&k=ten"),
-		get("topk bad budget", "main", "/v1/topk?path=APC&source=Tom&error_budget=2"),
-		get("topk budget pcrw", "main", "/v1/topk?path=APC&source=Tom&error_budget=0.1&measure=pcrw"),
 		get("topk plan pair-vectors", "main", "/v1/topk?path=APC&source=Tom&plan=pair-vectors"),
 		get("topk unknown source", "main", "/v1/topk?path=APC&source=Nobody"),
 		get("why pcrw", "main", "/v1/why?path=APC&source=Tom&target=KDD&measure=pcrw"),
@@ -361,6 +359,7 @@ var goldenFixes = func() map[string]goldenFix {
 		drained = "bugfix found by this recording: the router drained the /v1/relevance body while decoding it, so every whole-request proxy (top-k mode, degree weighting) reached the replica empty and answered 400 EOF"
 		typed   = "wording only: encoding/json names the Go type it decodes into, and the body types moved to internal/api"
 		limits  = "wording only: the max_len / max_paths check is written once (relevance.Limits.Admit), so the router words the refusal like a replica"
+		removed = "removed plan: topk-approx lost to the exact scan in every measured cell (EXPERIMENTS.md) and was deleted, so its name is an unknown plan"
 	)
 	notSeq := `X-Min-WAL-Seq`
 	return map[string]goldenFix{
@@ -383,6 +382,8 @@ var goldenFixes = func() map[string]goldenFix {
 		"batch slot not an object [routed]": {200, "", "", `cannot unmarshal string`, typed},
 		"relevance max_len over [routed]":   {400, "", "bad_request", "max_len 9 exceeds limit 4", limits},
 		"relevance max_paths over [routed]": {400, "", "bad_request", "max_paths 99 exceeds limit 16", limits},
+		"topk plan topk-approx [direct]":    {400, "", "bad_request", `unknown plan \"topk-approx\"`, removed},
+		"topk plan topk-approx [routed]":    {400, "", "bad_request", `unknown plan \"topk-approx\"`, removed},
 	}
 }()
 
@@ -454,7 +455,7 @@ func TestGoldenCorpus(t *testing.T) {
 			WithPathWeights(goldenWeights)),
 		"limits": newGoldenFleet(t, 2, false,
 			[]server.Option{server.WithBatchLimits(4, 1), server.WithRelevanceLimits(4, 2), server.WithMaxPathSteps(3),
-				server.WithDefaultPlan("all-pairs"), server.WithTopKErrorBudget(0.1)},
+				server.WithDefaultPlan("all-pairs")},
 			WithRelevanceLimits(4, 2)),
 		"degraded": newGoldenFleet(t, 1, false,
 			[]server.Option{walks, server.WithQueryTimeout(time.Nanosecond)}),

@@ -35,10 +35,9 @@ import (
 // batch slot, plus what only a solo URL can carry.
 type wireQuery struct {
 	api.BatchQuery
-	plan   string  // ?plan=; "" = the server default
-	budget float64 // ?error_budget=, already range-checked; 0 = the server default
-	rawSet bool    // ?raw= was given, whatever its value
-	solo   bool    // read off a URL: all measures allowed, fields are "parameters"
+	plan   string // ?plan=; "" = the server default
+	rawSet bool   // ?raw= was given, whatever its value
+	solo   bool   // read off a URL: all measures allowed, fields are "parameters"
 }
 
 // query is one decoded query: the request's own fields with defaults
@@ -49,14 +48,12 @@ type query struct {
 	path     *metapath.Path
 	src, dst int           // dst is -1 when the query names no target
 	plan     core.PlanKind // forced physical plan; PlanAuto lets the optimizer choose
-	budget   float64       // topk-approx error budget; 0 = engine default
 }
 
 // soloQuery is the URL adapter: it reads a solo endpoint's parameters into
-// the fields of a batch slot of the given kind — parsing the three that
-// arrive as text (k, raw, error_budget) — and decodes the result. Each
-// endpoint reads the parameters it always has: /v1/pair no k, /v1/explain
-// only the path.
+// the fields of a batch slot of the given kind — parsing the two that
+// arrive as text (k, raw) — and decodes the result. Each endpoint reads the
+// parameters it always has: /v1/pair no k, /v1/explain only the path.
 func (s *Server) soloQuery(es *engineSet, v url.Values, kind string) (query, error) {
 	in := wireQuery{solo: true, plan: v.Get("plan"), BatchQuery: api.BatchQuery{
 		Kind: kind, Path: v.Get("path"), Source: v.Get("source"), Target: v.Get("target"), Measure: v.Get("measure"),
@@ -76,12 +73,6 @@ func (s *Server) soloQuery(es *engineSet, v url.Values, kind string) (query, err
 			return query{}, fmt.Errorf("%w: raw=%q", errBadRequest, raw)
 		}
 	}
-	if b := v.Get("error_budget"); b != "" {
-		in.budget, err = strconv.ParseFloat(b, 64)
-		if err != nil || in.budget <= 0 || in.budget >= 1 {
-			return query{}, fmt.Errorf("%w: error_budget=%q outside (0,1)", errBadRequest, b)
-		}
-	}
 	return s.decode(es, in)
 }
 
@@ -91,7 +82,7 @@ func (s *Server) soloQuery(es *engineSet, v url.Values, kind string) (query, err
 // (target, k, eps), and last the nodes, so an unknown node is reported only
 // for an otherwise well-formed query.
 func (s *Server) decode(es *engineSet, in wireQuery) (query, error) {
-	q := query{BatchQuery: in.BatchQuery, dst: -1, plan: core.PlanAuto, budget: s.topKBudget}
+	q := query{BatchQuery: in.BatchQuery, dst: -1, plan: core.PlanAuto}
 	noun := ""
 	if in.solo {
 		noun = " parameter"
@@ -134,12 +125,6 @@ func (s *Server) decode(es *engineSet, in wireQuery) (query, error) {
 		}
 	} else if in.solo && s.defaultPlan != "" {
 		q.plan = s.defaultPlan
-	}
-	if in.budget != 0 {
-		if q.Measure != "hetesim" {
-			return q, fmt.Errorf("%w: error_budget applies only to hetesim", errBadRequest)
-		}
-		q.budget = in.budget
 	}
 
 	target := ""
@@ -233,7 +218,7 @@ func (s *Server) execute(ctx context.Context, es *engineSet, q query) (answer, e
 		return a, nil
 	}
 
-	opts := core.PlanOptions{Force: q.plan, Walks: s.degradeWalks, ErrorBudget: q.budget}
+	opts := core.PlanOptions{Force: q.plan, Walks: s.degradeWalks}
 	var d core.PlanDecision
 	var err error
 	if topk {
@@ -248,7 +233,7 @@ func (s *Server) execute(ctx context.Context, es *engineSet, q query) (answer, e
 	if d.Kind != "" {
 		a.plan = planInfo(d)
 	}
-	if err == nil && d.Approximate {
+	if err == nil && d.Approximate() {
 		a.approximate = true
 		if !d.Forced {
 			metDegraded.Inc() // deadline-driven, not asked for

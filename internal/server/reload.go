@@ -86,19 +86,18 @@ func (s *Server) WarmStart() (bool, error) {
 }
 
 // ImportSnapshot validates snap against the serving graph and imports its
-// chain matrices and embeddings into both engines — the receiving half of
-// snapshot shipping, used by the -warm-from boot path and by a follower
-// after a full resync. It returns how many chains were admitted; a snapshot
-// for a different graph generation or pruning configuration is rejected
-// whole.
+// chain matrices into both engines — the receiving half of snapshot
+// shipping, used by the -warm-from boot path and by a follower after a full
+// resync. It returns how many chains were admitted; a snapshot for a
+// different graph generation or pruning configuration is rejected whole.
 func (s *Server) ImportSnapshot(snap *snapshot.Snapshot) (int, error) {
 	return s.st.importSnapshot(s.current(), snap)
 }
 
-// SaveSnapshot writes the current engines' materialized chain matrices and
-// embeddings crash-safely to the configured snapshot path. Concurrent calls
-// (periodic saver, shutdown, post-precompute) serialize; the previous
-// snapshot survives any failure.
+// SaveSnapshot writes the current engines' materialized chain matrices
+// crash-safely to the configured snapshot path. Concurrent calls (periodic
+// saver, shutdown, post-precompute) serialize; the previous snapshot
+// survives any failure.
 func (s *Server) SaveSnapshot() error { return s.st.saveSnapshot() }
 
 // RunSnapshotSaver persists the chain cache every interval until ctx is

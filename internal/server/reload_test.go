@@ -339,6 +339,75 @@ func TestWarmStartFromSnapshot(t *testing.T) {
 	}
 }
 
+// TestWarmStartSkipsEmbedSections boots from a snapshot written by the last
+// build that had the topk-approx plan — its exportSnapshot, after a forced
+// topk-approx query over reloadGraph(t, 0) — so the file carries an "embed:"
+// section this build has no decoder for. The chains are admitted, the first
+// top-k is answered from them without materializing anything, and the file
+// is not counted as corrupt.
+func TestWarmStartSkipsEmbedSections(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "v2_with_embeds.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte("embed:E:")) {
+		t.Fatal("fixture carries no embed: section; the test proves nothing")
+	}
+	snapPath := filepath.Join(t.TempDir(), "chains.snap") // a copy: Close saves over it
+	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corruptBefore := metSnapshotCorrupt.Value()
+
+	srv := New(reloadGraph(t, 0), WithSnapshotPath(snapPath), WithLogf(t.Logf))
+	t.Cleanup(srv.Close)
+	warm, err := srv.WarmStart()
+	if err != nil || !warm {
+		t.Fatalf("warm start from a snapshot with embed: sections: warm=%v err=%v", warm, err)
+	}
+	if n := srv.current().engine.CacheStats().Chain; n != 3 {
+		t.Fatalf("admitted %d chains, want the fixture's 3", n)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	var body topKBody
+	getJSON(t, ts.URL+"/v1/topk?path=APCPA&source=Tom&k=3&trace=1", http.StatusOK, &body)
+	want := []hitBody{{ID: "Tom", Score: 1}, {ID: "Mary", Score: 0.7071067811865475}}
+	if len(body.Results) != len(want) || body.Results[0] != want[0] || body.Results[1] != want[1] {
+		t.Errorf("results = %+v, want %+v (what the writing build answered)", body.Results, want)
+	}
+	hits := 0
+	for _, sp := range body.Trace.Spans {
+		if sp.Name == "cache_miss" || sp.Name == "chain_multiply" {
+			t.Errorf("first top-k after the warm start shows a %s span: not answered warm", sp.Name)
+		}
+		if sp.Name == "cache_hit" {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Error("first top-k after the warm start read no cached chain")
+	}
+	if got := metSnapshotCorrupt.Value(); got != corruptBefore {
+		t.Errorf("hetesim_snapshot_corrupt_total moved %d -> %d", corruptBefore, got)
+	}
+
+	// What this build saves has no embed: section and is still version 2.
+	if err := srv.SaveSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(saved, []byte("embed:")) {
+		t.Error("saved snapshot still carries an embed: section")
+	}
+	if saved[4] != 2 {
+		t.Errorf("saved snapshot has version byte %d, want 2 (a bump would make a mixed fleet refuse it)", saved[4])
+	}
+}
+
 // TestReloadWarmsFromSnapshot checks a hot-reload re-warms the incoming
 // engine set from the snapshot when the snapshot matches the new graph.
 func TestReloadWarmsFromSnapshot(t *testing.T) {

@@ -77,7 +77,6 @@ type Server struct {
 	maxPathSteps int           // longest accepted relevance path
 	degradeWalks int           // Monte Carlo walks for degraded answers; 0 = disabled
 	defaultPlan  core.PlanKind // forced physical plan when a request has no ?plan=; "" = auto
-	topKBudget   float64       // default topk-approx error budget; 0 = engine default
 
 	slowThreshold time.Duration // slow-query log admission bar; 0 = disabled
 	slowCapacity  int           // slow-query log ring size
@@ -153,13 +152,6 @@ func WithPathWeights(weights map[string]float64) Option {
 // explicit ?plan= override (the -force-plan daemon flag). Empty or
 // core.PlanAuto (the default) lets the cost-based optimizer choose.
 func WithDefaultPlan(kind core.PlanKind) Option { return func(s *Server) { s.defaultPlan = kind } }
-
-// WithTopKErrorBudget sets the default error budget of the topk-approx
-// plan for /v1/topk requests that carry no ?error_budget= override (the
-// -topk-error-budget daemon flag). Must lie in (0, 1); a tighter (smaller)
-// budget buys a higher embedding rank and a deeper exact re-rank. 0 (the
-// default) keeps the engine's built-in budget.
-func WithTopKErrorBudget(b float64) Option { return func(s *Server) { s.topKBudget = b } }
 
 // WithEngineOptions forwards options (e.g. core.WithCacheLimit) to the
 // server's HeteSim engines.
@@ -637,7 +629,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"relevance_max_paths":  s.relevanceLimits.MaxPaths,
 			"path_weights":         len(s.pathWeights),
 			"slowlog_threshold_ms": float64(s.slowThreshold) / float64(time.Millisecond),
-			"topk_error_budget":    s.topKBudget,
 		},
 	})
 }

@@ -13,9 +13,8 @@ import (
 )
 
 // Snapshot shipping: GET /v1/admin/snapshot streams the serving engines'
-// chain and embedding caches through the same encoder the on-disk snapshot
-// uses, so a fresh replica can boot warm from a peer instead of
-// rematerializing. The encoder sorts its sections, so the same cache state
+// chain cache through the same encoder the on-disk snapshot uses, so a
+// fresh replica can boot warm from a peer instead of rematerializing. The encoder sorts its sections, so the same cache state
 // always encodes to the same bytes — which is what makes offset-based resumption sound: a
 // client that lost the stream mid-body retries with ?offset=N and If-Match
 // carrying the ETag it saw; if the cache advanced in between, the ETag no

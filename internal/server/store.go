@@ -506,10 +506,10 @@ func (st *store) saveGraph(g *hin.Graph) error {
 	return snapshot.WriteAtomic(st.fsys, st.graphPath, func(w io.Writer) error { return hin.Write(w, g) })
 }
 
-// exportSnapshot captures es's materialized chain matrices and embeddings,
-// merged over both engines, in the snapshot format — the one encoder behind
-// the on-disk snapshot and GET /v1/admin/snapshot. Both codecs sort their
-// sections, so the same cache state always encodes to the same bytes.
+// exportSnapshot captures es's materialized chain matrices, merged over both
+// engines, in the snapshot format — the one encoder behind the on-disk
+// snapshot and GET /v1/admin/snapshot. The codec sorts its sections, so the
+// same cache state always encodes to the same bytes.
 func exportSnapshot(es *engineSet) (*snapshot.Snapshot, error) {
 	chains := es.engine.ExportChains()
 	for k, m := range es.raw.ExportChains() {
@@ -517,29 +517,19 @@ func exportSnapshot(es *engineSet) (*snapshot.Snapshot, error) {
 			chains[k] = m
 		}
 	}
-	embeds := es.engine.ExportEmbeddings()
-	for k, em := range es.raw.ExportEmbeddings() {
-		if _, ok := embeds[k]; !ok {
-			embeds[k] = em
-		}
-	}
 	snap := &snapshot.Snapshot{Fingerprint: es.fingerprint, PruneEps: es.engine.PruneEps()}
 	if err := snapshot.EncodeChains(snap, chains); err != nil {
-		return nil, err
-	}
-	if err := snapshot.EncodeEmbeddings(snap, embeds); err != nil {
 		return nil, err
 	}
 	return snap, nil
 }
 
 // importSnapshot validates snap against es's graph and pruning
-// configuration and admits its chains and embeddings into both engines,
-// returning how many chains were admitted — the one decoder behind warm
-// starts from disk and snapshots shipped by a peer. A snapshot that fails
-// any check is rejected whole and counted in hetesim_snapshot_corrupt_total.
-// A snapshot without embedding sections (format version 1) warms none —
-// they are a cache and rebuild lazily.
+// configuration and admits its chains into both engines, returning how many
+// were admitted — the one decoder behind warm starts from disk and snapshots
+// shipped by a peer. A snapshot that fails any check is rejected whole and
+// counted in hetesim_snapshot_corrupt_total; sections other than chains (the
+// "embed:" sections older builds wrote) are skipped.
 func (st *store) importSnapshot(es *engineSet, snap *snapshot.Snapshot) (int, error) {
 	err := snap.CheckCompat(es.fingerprint, es.engine.PruneEps())
 	if err != nil {
@@ -551,15 +541,8 @@ func (st *store) importSnapshot(es *engineSet, snap *snapshot.Snapshot) (int, er
 		metSnapshotCorrupt.Inc()
 		return 0, err
 	}
-	embeds, err := snapshot.DecodeEmbeddings(snap)
-	if err != nil {
-		metSnapshotCorrupt.Inc()
-		return 0, err
-	}
 	n := es.engine.ImportChains(chains)
 	es.raw.ImportChains(chains)
-	es.engine.ImportEmbeddings(embeds)
-	es.raw.ImportEmbeddings(embeds)
 	metSnapshotLoads.Inc()
 	if n > 0 {
 		metWarmStart.Set(1)

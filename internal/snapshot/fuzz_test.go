@@ -2,10 +2,10 @@ package snapshot
 
 import (
 	"bytes"
-	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"hetesim/internal/embed"
 	"hetesim/internal/sparse"
 )
 
@@ -51,40 +51,24 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 	}
 	f.Add(lenBomb)
-	// Version-2 seeds: a snapshot carrying an embedding section alongside
-	// a chain, the same bytes with the header downgraded to version 1 (CRC
-	// breaks, must be rejected), and an embedding shape bomb.
-	withEmbed := &Snapshot{Fingerprint: 42, PruneEps: 1e-4}
-	if err := EncodeChains(withEmbed, map[string]*sparse.Matrix{
-		"C:w": sparse.New(2, 3, []sparse.Triplet{{Row: 0, Col: 2, Val: 0.5}}),
-	}); err != nil {
-		f.Fatal(err)
-	}
-	em, err := embed.Build(context.Background(),
-		sparse.New(3, 2, []sparse.Triplet{{Row: 0, Col: 0, Val: 1}, {Row: 2, Col: 1, Val: 0.25}}), 2, 7, 10)
+	// Seeds carrying an "embed:" section beside the chains, as opaque bytes:
+	// a file written by a build that had the topk-approx plan, its first
+	// half, the same bytes with the header downgraded to version 1 (CRC
+	// breaks, must be rejected), and a flip inside the skipped payload.
+	evalid, err := os.ReadFile(filepath.Join("testdata", "v2_with_embeds.snap"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := EncodeEmbeddings(withEmbed, map[string]*embed.Embedding{"E:2:C:w": em}); err != nil {
-		f.Fatal(err)
-	}
-	var ebuf bytes.Buffer
-	if err := Write(&ebuf, withEmbed); err != nil {
-		f.Fatal(err)
-	}
-	evalid := ebuf.Bytes()
 	f.Add(evalid)
 	f.Add(evalid[:len(evalid)/2])
 	downgrade := append([]byte(nil), evalid...)
 	downgrade[4] = 1
 	f.Add(downgrade)
-	shapeBomb := append([]byte(nil), evalid...)
-	if off := bytes.Index(shapeBomb, embedMagic[:]); off >= 0 {
-		for i := off + 8; i < off+24 && i < len(shapeBomb); i++ {
-			shapeBomb[i] = 0xff
-		}
+	flipped := append([]byte(nil), evalid...)
+	if off := bytes.Index(flipped, []byte("HEMB")); off >= 0 {
+		flipped[off+8] ^= 0xff
 	}
-	f.Add(shapeBomb)
+	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Read(bytes.NewReader(data))
@@ -98,13 +82,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if !bytes.Equal(out.Bytes(), data) {
 			t.Fatalf("accepted snapshot is not canonical: %d bytes in, %d out", len(data), out.Len())
 		}
-		// Chain and embedding decoding must be total: reject or return,
-		// never panic.
-		if _, err := DecodeChains(s); err != nil {
-			return
-		}
-		if _, err := DecodeEmbeddings(s); err != nil {
-			return
-		}
+		// Chain decoding must be total: reject or return, never panic.
+		_, _ = DecodeChains(s)
 	})
 }

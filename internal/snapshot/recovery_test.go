@@ -25,8 +25,9 @@ func matrixSnapshot(tag byte) *snapshot.Snapshot {
 		Sections: []snapshot.Section{
 			{Name: "meta", Data: bytes.Repeat([]byte{tag}, 64)},
 			{Name: "chain:C:k", Data: bytes.Repeat([]byte{tag, ^tag}, 200)},
-			// A version-2 embedding section, so every kill/corruption
-			// sweep below also walks offsets inside the new section kind.
+			// A section this build skips on load (older builds wrote
+			// embed: sections), so every kill/corruption sweep below also
+			// walks offsets inside a payload no decoder looks at.
 			{Name: "embed:E:4:C:k", Data: bytes.Repeat([]byte{tag, ^tag, 0x3f}, 120)},
 		},
 	}

@@ -51,10 +51,11 @@ var (
 	footerMagic = [4]byte{'P', 'N', 'S', 'H'}
 )
 
-// Version is the current snapshot format version. Version 2 added
-// embedding sections ("embed:<key>") for the topk-approx plan; version-1
-// files remain readable (they simply carry no embeddings, which rebuild
-// lazily).
+// Version is the current snapshot format version. Version 2 once meant "may
+// carry embed:<key> sections" (a deleted approximate top-k plan's); this build
+// writes none and skips them on load, like any section name it does not know,
+// after Read has verified their CRC. It stays 2 because a version-2 reader
+// reads everything this build writes; version-1 files remain readable.
 const Version = 2
 
 // minVersion is the oldest format version Read still accepts.

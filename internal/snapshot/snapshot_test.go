@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"hetesim/internal/sparse"
@@ -188,5 +189,127 @@ func TestChainPayloadSizeGuard(t *testing.T) {
 	s := &Snapshot{Sections: []Section{{Name: "chain:x", Data: raw}}}
 	if _, err := DecodeChains(s); err == nil {
 		t.Fatal("oversized nnz declaration was accepted")
+	}
+}
+
+// A version-1 snapshot must still load under the version-2 reader and
+// re-serialize at its own version.
+func TestOldVersionSnapshotStillLoads(t *testing.T) {
+	s := &Snapshot{Fingerprint: 11, PruneEps: 0, version: 1}
+	if err := EncodeChains(s, map[string]*sparse.Matrix{
+		"C:w": sparse.New(2, 2, []sparse.Triplet{{Row: 1, Col: 0, Val: 0.5}}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes()[4]; got != 1 {
+		t.Fatalf("written version byte = %d, want 1", got)
+	}
+	got, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("version-1 snapshot rejected: %v", err)
+	}
+	chains, err := DecodeChains(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chains) != 1 {
+		t.Fatalf("chains = %d, want 1", len(chains))
+	}
+	// Round trip stays canonical at the original version.
+	var again bytes.Buffer
+	if err := Write(&again, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Fatal("version-1 snapshot did not round-trip byte-identically")
+	}
+}
+
+func TestFutureVersionRejected(t *testing.T) {
+	s := &Snapshot{version: Version + 1}
+	var buf bytes.Buffer
+	if err := Write(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("future version accepted")
+	}
+}
+
+// TestEmbedSectionsSkippedButChecksummed is the compatibility contract with
+// snapshots written by builds that had the topk-approx plan: an "embed:"
+// section is carried through Read/Write as opaque bytes, DecodeChains returns
+// exactly the chains, and the CRCs keep covering what is skipped — a flipped
+// byte inside the embed payload fails the whole file. The second row is a
+// file such a build wrote (its exportSnapshot, after a forced topk-approx
+// query on the server tests' reloadGraph).
+func TestEmbedSectionsSkippedButChecksummed(t *testing.T) {
+	synthetic := &Snapshot{Fingerprint: 42}
+	if err := EncodeChains(synthetic, map[string]*sparse.Matrix{
+		"C:w": sparse.New(2, 3, []sparse.Triplet{{Row: 0, Col: 2, Val: 0.5}}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	synthetic.Sections = append(synthetic.Sections,
+		Section{Name: "embed:E:2:C:w", Data: []byte("HEMB opaque to this build")})
+	var buf bytes.Buffer
+	if err := Write(&buf, synthetic); err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "v2_with_embeds.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		raw    []byte
+		chains []string
+	}{
+		{"synthetic", buf.Bytes(), []string{"C:w"}},
+		{"written by the parent build", fixture,
+			[]string{"C:writes", "C:writes|published_in", "T:C:writes|published_in"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Read(bytes.NewReader(tc.raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.version != Version {
+				t.Errorf("version = %d, want %d", s.version, Version)
+			}
+			var again bytes.Buffer
+			if err := Write(&again, s); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), tc.raw) {
+				t.Error("snapshot with an embed: section did not round-trip byte-identically")
+			}
+			chains, err := DecodeChains(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for k := range chains {
+				got = append(got, k)
+			}
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, tc.chains) {
+				t.Errorf("chains = %q, want exactly %q", got, tc.chains)
+			}
+
+			off := bytes.Index(tc.raw, []byte("HEMB"))
+			if off < 0 {
+				t.Fatal("no embed payload in the file; the test proves nothing")
+			}
+			flipped := append([]byte(nil), tc.raw...)
+			flipped[off+5] ^= 0x01
+			if _, err := Read(bytes.NewReader(flipped)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("byte flip inside the embed: payload: err = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
