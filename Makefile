@@ -66,7 +66,9 @@ chaos:
 # self-maximum / semi-metric / indiscernibles checks (Properties 3-5)
 # plus the differential top-k and Monte Carlo cross-checks, run twice so
 # per-run seeding shenanigans can't hide order dependence; part of
-# `make check`.
+# `make check`. The pattern picks up every TestDifferential* as it is
+# added — the reachable-rows scan's (TestDifferentialTopKReachableRows,
+# TestDifferentialTopKRentOrBuy) needed no change here.
 properties:
 	go test -race -count=2 -run 'TestPropertyRandom|TestDifferential' ./internal/core
 
@@ -115,7 +117,9 @@ check: vet staticcheck govulncheck contract build test race obs-selftest chaos p
 # mutation apply-vs-rematerialize comparison, the auto-relevance
 # ensemble-vs-solo-paths comparison, and the warm exact top-k scan at its
 # sparse best case (BenchmarkAblationTopKSearch) and dense worst case
-# (BenchmarkTopKDenseScan), with allocation stats, as JSON. Every
+# (BenchmarkTopKDenseScan) and the cold top-k on both sides of the
+# rent-or-buy rule (BenchmarkTopKColdReachable, matched by the
+# BenchmarkTopK pattern), with allocation stats, as JSON. Every
 # benchmark is recorded at GOMAXPROCS=1 and at the box's core count
 # ("procs" in each row), so the parallel SpGEMM path has a baseline too.
 NPROC := $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)

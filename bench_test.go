@@ -322,6 +322,60 @@ func BenchmarkTopKDenseScan(b *testing.B) {
 	}
 }
 
+// BenchmarkTopKColdReachable times a top-k on a path nothing has asked for
+// yet, on both sides of the rent-or-buy rule: every query gets a fresh engine
+// whose transition matrices are built before the clock starts (a serving
+// engine builds them once per graph generation, not per query), so the chain
+// cache is cold and nothing else is. The ACM AFAFA meets few targets (a
+// source's co-affiliated authors), so the caching engine propagates only
+// their rows; on the complexity graph's APCPA a source meets two authors in
+// five through 20 conferences — just under the rule's one-in-two, where
+// renting and buying cost about the same. Each runs against the non-caching
+// engine, which always materializes the right half-chain and scans its rows:
+// the first must win, the second must not lose.
+func BenchmarkTopKColdReachable(b *testing.B) {
+	acm, err := benchCtx().ACM()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		g    *hin.Graph
+		spec string
+		warm []string // walked once per engine: every transition matrix spec needs, both directions
+	}{
+		{"acm-AFAFA", acm.Graph, "AFAFA", []string{"AFA"}},
+		{"complexity-APCPA", complexityGraph(2000).Graph, "APCPA", []string{"APC", "CPA"}},
+	} {
+		p := metapath.MustParse(tc.g.Schema(), tc.spec)
+		n := tc.g.NodeCount(p.Source())
+		for _, arm := range []struct {
+			name string
+			opts []core.Option
+		}{
+			{"reachable-rows", nil},
+			{"materialize", []core.Option{core.WithCaching(false)}},
+		} {
+			b.Run(tc.name+"/"+arm.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					e := core.NewEngine(tc.g, arm.opts...)
+					for _, w := range tc.warm {
+						if _, err := e.ReachableFrom(ctx, metapath.MustParse(tc.g.Schema(), w), 0); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+					if _, err := e.TopKSearch(ctx, p, i%n, 10, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // batchBenchQueries builds the 64 same-path pair queries of the batch
 // amortization benchmark: a 16-source × 4-target block of the relevance
 // matrix, the shape a recommendation or profile page issues per render.

@@ -147,10 +147,33 @@ func TestDifferentialMonteCarloPair(t *testing.T) {
 	}
 }
 
-// TestDifferentialTopKScanChoice pins the three-way scan choice of topKFrom:
-// on a fresh engine the first top-k scores the chain it just materialized
-// row by row and caches no transpose; the second finds that chain cached,
-// builds "T:" and scans it; the third scans the cached "T:". All three, the
+// rentUntilBought repeats search on e until the right half-chain of p is
+// cached — the buy of the rent-or-buy rule, which an odd path, a path most of
+// whose targets are reachable and an exhausted rent all reach — and returns
+// how many searches rented first. A search that buys scores the rows of the
+// chain it materialized; none of them may leave a "T:" entry.
+func rentUntilBought(t *testing.T, e *Engine, p *metapath.Path, search func()) (rents int) {
+	t.Helper()
+	right := splitPath(p).right()
+	for limit := e.g.NodeCount(p.Target()) + 1; !e.chainWarm(e.chainCacheKey(right)); rents++ {
+		if rents > limit {
+			t.Fatalf("%s: %d top-k searches and the right half-chain is still rented", p, rents)
+		}
+		search()
+		for key := range e.ExportChains() {
+			if strings.HasPrefix(key, "T:") {
+				t.Fatalf("%s: a top-k on a cold chain cached a transposed chain", p)
+			}
+		}
+	}
+	return rents - 1
+}
+
+// TestDifferentialTopKScanChoice pins the four-way scan choice of topKFrom:
+// on a fresh engine the first top-ks rent the reachable targets' rows and
+// cache nothing, until one buys — scores the chain it just materialized row
+// by row and caches no transpose; the next finds that chain cached, builds
+// "T:" and scans it; the one after scans the cached "T:". All of them, the
 // brute-force ranking of SingleSource and the forced all-pairs plan (cold and
 // warm) must agree on ids and float bits — over even and odd paths, eps 0 and
 // eps > 0, normalized and raw engines, whole rankings and k-prefixes, with
@@ -168,15 +191,7 @@ func TestDifferentialTopKScanChoice(t *testing.T) {
 			}
 		}
 	}
-	hasT := func(e *Engine) bool {
-		for key := range e.ExportChains() {
-			if strings.HasPrefix(key, "T:") {
-				return true
-			}
-		}
-		return false
-	}
-	sawTie := false
+	sawTie, rented := false, 0
 	for _, seed := range []int64{3, 29, 71} {
 		g := randomBibGraph(seed)
 		rng := rand.New(rand.NewSource(seed + 900))
@@ -190,18 +205,22 @@ func TestDifferentialTopKScanChoice(t *testing.T) {
 						return fmt.Sprintf("seed %d %s src %d eps %v normalized %v: %s", seed, spec, src, eps, opts == nil, s)
 					}
 					e := NewEngine(g, opts...)
-					first, err := e.TopKSearch(ctx, p, src, all, eps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if hasT(e) {
-						t.Fatal(what("a cold top-k cached a transposed chain"))
-					}
+					var first []Scored
+					rented += rentUntilBought(t, e, p, func() {
+						got, err := e.TopKSearch(ctx, p, src, all, eps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if first == nil {
+							first = got
+						}
+						same(what("a later rented or bought scan vs the first"), got, first)
+					})
 					second, err := e.TopKSearch(ctx, p, src, all, eps)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !hasT(e) {
+					if !e.chainWarm("T:" + e.chainCacheKey(splitPath(p).right())) {
 						t.Fatal(what("a top-k on a cached chain did not cache its transpose"))
 					}
 					third, err := e.TopKSearch(ctx, p, src, all, eps)
@@ -242,6 +261,9 @@ func TestDifferentialTopKScanChoice(t *testing.T) {
 	if !sawTie {
 		t.Error("no tied scores among the compared hits; the tie-break order went untested")
 	}
+	if rented == 0 {
+		t.Error("no top-k rented before it bought; the reachable-rows scan went untested")
+	}
 }
 
 // TestDifferentialTopKPooledScanConcurrent runs the warm transposed scan —
@@ -268,7 +290,7 @@ func TestDifferentialTopKPooledScanConcurrent(t *testing.T) {
 			for src := 0; src < g.NodeCount(p.Source()); src++ {
 				for _, k := range []int{1, 3, g.NodeCount(p.Target()) + 1} {
 					var serial []Scored
-					for pass := 0; pass < 3; pass++ { // row scan, transpose built, transpose cached
+					for pass := 0; pass < 3; pass++ { // rented or row scan, then (once bought) transpose built, transpose cached
 						got, err := e.TopKSearch(ctx, p, src, k, 0)
 						if err != nil {
 							t.Fatal(err)
@@ -356,7 +378,11 @@ func TestDifferentialTopKWarmAllocsIndependentOfTargets(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 3; i++ { // materialize, transpose, then warm
+		rents := rentUntilBought(t, e, p, search) // three candidates of n: a long lease
+		if rents < n/4 {
+			t.Fatalf("ring of %d: bought after %d rented scans, want a rent near n/3", n, rents)
+		}
+		for i := 0; i < 2; i++ { // transpose, then warm
 			search()
 		}
 		// The minimum over trials is the steady state: a GC cycle empties the

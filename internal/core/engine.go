@@ -59,6 +59,7 @@ type Engine struct {
 
 	estMu    sync.Mutex
 	estCache map[string]ChainEstimate // memoized cost estimates per chain key
+	rented   map[string]float64       // estimated flops of reachable-rows scans per cold chain key (rentRows)
 
 	planMu     sync.Mutex
 	planCounts map[PlanKind]uint64 // optimizer selections per physical plan
@@ -106,6 +107,7 @@ func NewEngine(g *hin.Graph, opts ...Option) *Engine {
 		reach:      make(map[string]*sparse.Matrix),
 		norms:      make(map[string][]float64),
 		estCache:   make(map[string]ChainEstimate),
+		rented:     make(map[string]float64),
 		planCounts: make(map[PlanKind]uint64),
 	}
 	for _, o := range opts {
@@ -513,6 +515,7 @@ func (e *Engine) ClearCache() {
 	e.mu.Unlock()
 	e.estMu.Lock()
 	e.estCache = make(map[string]ChainEstimate)
+	e.rented = make(map[string]float64)
 	e.estMu.Unlock()
 }
 

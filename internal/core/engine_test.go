@@ -296,9 +296,9 @@ func TestEdgeObjectWeightedEquivalence(t *testing.T) {
 	}
 }
 
-// randomBibGraph generates a random ACM-style graph for property tests.
-func randomBibGraph(seed int64) *hin.Graph {
-	rng := rand.New(rand.NewSource(seed))
+// bibSchema is the author–paper–venue–conference–term schema of the random
+// test graphs.
+func bibSchema() *hin.Schema {
 	s := hin.NewSchema()
 	s.MustAddType("author", 'A')
 	s.MustAddType("paper", 'P')
@@ -309,7 +309,13 @@ func randomBibGraph(seed int64) *hin.Graph {
 	s.MustAddRelation("published_in", "paper", "venue")
 	s.MustAddRelation("part_of", "venue", "conference")
 	s.MustAddRelation("mentions", "paper", "term")
-	b := hin.NewBuilder(s)
+	return s
+}
+
+// randomBibGraph generates a random ACM-style graph for property tests.
+func randomBibGraph(seed int64) *hin.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := hin.NewBuilder(bibSchema())
 	nA, nP, nV, nC, nT := 4+rng.Intn(6), 8+rng.Intn(10), 3+rng.Intn(4), 2+rng.Intn(3), 3+rng.Intn(5)
 	id := func(prefix byte, i int) string { return string(prefix) + itoa(i) }
 	for i := 0; i < nP; i++ {

@@ -23,6 +23,8 @@ var (
 		"Monte Carlo walks sampled across all degraded and explicit MC queries.")
 	metPlanSelected = obs.Default().CounterVec("hetesim_engine_plan_selected_total",
 		"Physical query plans chosen by the cost-based optimizer, by plan kind.", "kind")
+	metTopKScan = obs.Default().CounterVec("hetesim_engine_topk_scan_total",
+		"Top-k scans of the right half-chain by what they read: its cached transpose, a transpose built once, its materialized rows, or the rows of the reachable targets only.", "scan")
 
 	// Batch scheduler: how many batches arrive, how big they are, how well
 	// path grouping amortizes chain propagation across their queries.
@@ -46,6 +48,20 @@ var (
 		"Row-propagation units independent per-group preparation would have performed.")
 	metBatchPrefixResumes = obs.Default().Counter("hetesim_engine_batch_prefix_resumes_total",
 		"Half-chain builds resumed from a sibling build's shared prefix within a batch.")
+)
+
+// scanKind names one of the four top-k scans opScanChain chooses between and
+// holds its pre-resolved counter, so counting a scan is one atomic bump.
+type scanKind struct {
+	name  string
+	count *obs.Counter
+}
+
+var (
+	scanTransposed    = &scanKind{"transposed", metTopKScan.With("transposed")}
+	scanTransposeOnce = &scanKind{"transpose-once", metTopKScan.With("transpose-once")}
+	scanRows          = &scanKind{"rows", metTopKScan.With("rows")}
+	scanReachable     = &scanKind{"reachable-rows", metTopKScan.With("reachable-rows")}
 )
 
 // queryInstr pairs the pre-resolved per-kind counter and histogram, so

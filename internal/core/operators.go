@@ -223,33 +223,111 @@ func (e *Engine) opSubsetChain(ctx context.Context, rows []int, c chain) (*spars
 	return pm, nil
 }
 
+// chainScan is what opScanChain resolved for one top-k: which of the four
+// scans runs (DESIGN §11) and what it reads.
+type chainScan struct {
+	kind   *scanKind
+	pm     *sparse.Matrix // the chain — or, with rows set, only those rows of it
+	pmT    *sparse.Matrix // the transposed chain
+	rows   []int          // reachable-rows scan: pm's row r is target rows[r]
+	rented float64        // reachable-rows scan: the chain's rent so far
+}
+
 // opScanChain resolves what a top-k scan reads for a right half-chain, from
 // what the chain cache holds when the query arrives (DESIGN §11):
 //
 //   - "T:"+key cached: the transposed chain alone (pm is nil).
 //   - the chain cached — it is being reused, so its transpose will be too:
 //     build it, cache it under "T:"+key, return both.
+//   - neither, and few targets can meet left (rentRows): their rows alone,
+//     propagated and cached nowhere.
 //   - neither — this request materializes the chain and may be its only
 //     user: return pm alone; the caller scores its rows instead of paying a
 //     transpose as large as the product was.
 //
 // Besides RewarmFrom this is the only producer of "T:" entries, and a
 // non-caching engine never stores one.
-func (e *Engine) opScanChain(ctx context.Context, c chain) (pm, pmT *sparse.Matrix, err error) {
+func (e *Engine) opScanChain(ctx context.Context, c chain, left *sparse.Vector) (chainScan, error) {
 	key := e.chainCacheKey(c)
 	tKey := "T:" + key
 	if e.caching {
 		if pmT, ok := e.cacheGet(tKey); ok {
-			return nil, pmT, nil
+			return chainScan{kind: scanTransposed, pmT: pmT}, nil
 		}
 	}
 	reused := e.chainWarm(key)
-	if pm, err = e.opMatrixChain(ctx, c); err != nil || !reused {
-		return pm, nil, err
+	if !reused && e.rentable(c) {
+		if sc, err := e.rentRows(ctx, c, key, left); err != nil || sc.rows != nil {
+			return sc, err
+		}
 	}
-	pmT = pm.Transpose()
+	pm, err := e.opMatrixChain(ctx, c)
+	if err != nil || !reused {
+		return chainScan{kind: scanRows, pm: pm}, err
+	}
+	pmT := pm.Transpose()
 	e.cachePut(tKey, pmT)
-	return pm, pmT, nil
+	return chainScan{kind: scanTransposeOnce, pm: pm, pmT: pmT}, nil
+}
+
+// rentable reports whether a top-k on a cold chain may rent rows instead of
+// materializing: subset rows equal materialized rows only unpruned, a
+// non-caching engine has nothing to buy, and an odd path's chains end in the
+// edge-object space that reachableRows does not walk.
+func (e *Engine) rentable(c chain) bool {
+	return e.caching && e.pruneEps == 0 && c.middle == nil
+}
+
+// rentRows is the rent-or-buy rule of a cold chain's top-k. Renting
+// propagates only the rows of the targets that can meet left, at the
+// estimated cost of that fraction of the chain; it is chosen while one scan
+// costs under half of what materializing still would (pickPlan's cache-value
+// rule) and the chain's rent so far, this scan included, stays within that
+// cold cost. Otherwise rows stays nil, the rent restarts at zero and the
+// caller buys — so a hot chain ends up cached after at most twice the work
+// of materializing at once, and a one-off path never pays for every target.
+func (e *Engine) rentRows(ctx context.Context, c chain, key string, left *sparse.Vector) (chainScan, error) {
+	est, err := e.estimateChainCached(c)
+	if err != nil {
+		return chainScan{}, err
+	}
+	rows, err := e.reachableRows(ctx, c, left)
+	if err != nil {
+		return chainScan{}, err
+	}
+	cost, cold := rowFraction(len(rows), est.Rows)*est.Flops, e.chainColdFlops(c, est)
+	e.estMu.Lock()
+	rented := e.rented[key] + cost
+	if 2*cost >= cold || rented > cold {
+		delete(e.rented, key)
+		e.estMu.Unlock()
+		return chainScan{}, nil
+	}
+	e.rented[key] = rented
+	e.estMu.Unlock()
+	pm, err := e.opSubsetChain(ctx, rows, c)
+	return chainScan{kind: scanReachable, pm: pm, rows: rows, rented: rented}, err
+}
+
+// reachableRows walks a distribution over the chain's end type back through
+// the reversed steps and returns, ascending, the start nodes whose chain row
+// overlaps its support — the only targets a top-k can score above zero.
+// Only supports matter: transition(s.Reversed()) has the sparsity of
+// transition(s) transposed, and positive weights never cancel.
+func (e *Engine) reachableRows(ctx context.Context, c chain, v *sparse.Vector) ([]int, error) {
+	for i := len(c.steps) - 1; i >= 0; i-- {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		u, err := e.transition(c.steps[i].Reversed())
+		if err != nil {
+			return nil, err
+		}
+		v = v.MulMat(u)
+	}
+	rows := make([]int, 0, v.NNZ())
+	v.Entries(func(i int, _ float64) { rows = append(rows, i) })
+	return rows, nil
 }
 
 // chainTransitions resolves the transition matrix of every step of a chain

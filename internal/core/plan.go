@@ -144,6 +144,7 @@ type costModel struct {
 	warmLeft    bool
 	warmRight   bool
 	warmRightT  bool    // transposed right half (top-k scans) cached
+	rentRight   bool    // while the right half is cold, a top-k may propagate reachable rows only
 	coldLeft    float64 // remaining flops to materialize the left half
 	coldRight   float64 // remaining flops to materialize the right half
 	coldRightT  float64 // one-time flops before a top-k can scan the right half
@@ -223,10 +224,12 @@ func (e *Engine) costModelFor(h halves) (costModel, error) {
 	cm.warmLeft = e.chainWarm(e.chainCacheKey(h.left()))
 	cm.warmRight = e.chainWarm(rightKey)
 	cm.warmRightT = e.chainWarm("T:" + rightKey)
+	cm.rentRight = e.rentable(h.right())
 	cm.coldLeft = e.chainColdFlops(h.left(), cm.left)
 	cm.coldRight = e.chainColdFlops(h.right(), cm.right)
 	// Mirrors opScanChain: a cached transpose is free, a cached chain gets
-	// transposed once, a cold chain is materialized and scanned by rows.
+	// transposed once, a cold chain is materialized and scanned by rows — the
+	// price of a rentable chain too: a rented scan costs under half of it.
 	switch {
 	case cm.warmRightT:
 		cm.coldRightT = 0
@@ -246,6 +249,8 @@ func (cm costModel) topKScanDescription() string {
 		return "a candidate scan of the cached transposed right half"
 	case cm.warmRight:
 		return "transpose the cached right half once, then a candidate scan"
+	case cm.rentRight:
+		return "few reachable targets: propagate their rows only, nothing cached; materializes once rent reaches the chain's cold flops"
 	}
 	return "materialize the right half and scan its rows (no transpose on a chain's first top-k)"
 }

@@ -370,9 +370,10 @@ func TestLegacyEntryPointsDelegate(t *testing.T) {
 }
 
 // The top-k cost model follows opScanChain: a cold right chain is priced at
-// its materialization alone (its first top-k scans rows, no transpose), a
-// cached chain at one transpose, a cached transpose at nothing — and the
-// plan descriptions name the scan that will run.
+// its materialization alone (rented scans cost less, and the top-k that buys
+// it scans rows, no transpose), a cached chain at one transpose, a cached
+// transpose at nothing — and the plan descriptions name the scan that will
+// run.
 func TestTopKPlanFollowsScanChoice(t *testing.T) {
 	g := randomBibGraph(53)
 	p := metapath.MustParse(g.Schema(), "APVCVPA")
@@ -388,7 +389,7 @@ func TestTopKPlanFollowsScanChoice(t *testing.T) {
 		materialize float64
 		describes   string
 	}{
-		{"cold chain", func() error { return nil }, cm.right.Flops, "scan its rows"},
+		{"cold chain", func() error { return nil }, cm.right.Flops, "few reachable targets: propagate their rows only"},
 		{"cached chain", func() error { return e.Precompute(ctx, p) }, cm.right.NNZ, "transpose the cached right half once"},
 		{"cached transpose", func() error { _, err := e.TopKSearch(ctx, p, 0, 3, 0); return err }, 0, "cached transposed right half"},
 	} {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strconv"
 
 	"hetesim/internal/metapath"
 	"hetesim/internal/obs"
@@ -35,54 +36,75 @@ func (e *Engine) TopKSearch(ctx context.Context, p *metapath.Path, src, k int, e
 //
 // Which scan runs follows cache residency (opScanChain): a right chain this
 // request had to materialize is scored row by row against the dense left
-// vector — one pass over its entries, no transpose; a chain that was already
-// cached is scanned through its transpose, touching only the targets that
-// share middle support (sparse.MulMatEach: pooled accumulator, nothing of the
-// target population's size allocated or cleared). Both add each target's
-// terms in ascending middle order and offer every non-zero score to the one
+// vector — one pass over its entries, no transpose; a cold chain few of whose
+// targets can meet left has only those targets' rows propagated and scored,
+// each by a sparse dot; a chain that was already cached is scanned through
+// its transpose, touching only the targets that share middle support
+// (sparse.MulMatEach: pooled accumulator, nothing of the target population's
+// size allocated or cleared). All add each target's terms in ascending middle
+// order (skipped terms are +0) and offer every non-zero score to the one
 // selector, so they return bit-identical hits.
 func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left *sparse.Vector, k int, eps float64) ([]Scored, error) {
 	left = pruneLeft(left, eps)
-	pmr, pmrT, err := e.opScanChain(ctx, h.right())
+	sc, err := e.opScanChain(ctx, h.right(), left)
 	if err != nil {
 		return nil, err
 	}
+	sc.kind.count.Inc()
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("normalize")
-	var rns []float64
+	var rns []float64 // indexed like sc.pm's rows
 	var ln float64
 	if e.normalized {
 		ln = left.Norm()
-		if pmr == nil { // transposed scan of a cached "T:" entry: norms need the chain itself
-			if pmr, err = e.opMatrixChain(ctx, h.right()); err != nil {
+		switch {
+		case sc.rows != nil: // bit for bit the chain's norms of these rows; not cached
+			rns = sc.pm.RowNorms()
+		case sc.pm == nil: // transposed scan of a cached "T:" entry: norms need the chain itself
+			if sc.pm, err = e.opMatrixChain(ctx, h.right()); err != nil {
 				sp.End()
 				return nil, err
 			}
+			fallthrough
+		default:
+			rns = e.chainRowNorms(e.chainCacheKey(h.right()), sc.pm)
 		}
-		rns = e.chainRowNorms(e.chainCacheKey(h.right()), pmr)
 	}
 	sp.End()
 	sp = tr.Start("combine")
 	sel := rank.NewSelector(k)
-	offer := func(b int, s float64) {
+	offer := func(b, r int, s float64) { // target b is row r of sc.pm
 		if e.normalized {
-			if ln == 0 || rns[b] == 0 {
+			if ln == 0 || rns[r] == 0 {
 				return
 			}
-			s /= ln * rns[b]
+			s /= ln * rns[r]
 		}
 		if s != 0 {
 			sel.Push(b, s)
 		}
 	}
-	if pmrT == nil {
-		for b, s := range pmr.MulVec(left.Dense()) {
+	switch {
+	case sc.rows != nil:
+		for r, b := range sc.rows {
+			offer(b, r, sc.pm.Row(r).Dot(left))
+		}
+	case sc.pmT == nil:
+		for b, s := range sc.pm.MulVec(left.Dense()) {
 			if s != 0 { // most targets share no middle support with the source
-				offer(b, s)
+				offer(b, b, s)
 			}
 		}
-	} else {
-		left.MulMatEach(pmrT, offer)
+	default:
+		left.MulMatEach(sc.pmT, func(b int, s float64) { offer(b, b, s) })
+	}
+	if sp != nil && sc.kind != scanTransposed { // the steady state stays unannotated: no attribute map per warm query
+		sp.SetAttr("scan", sc.kind.name)
+		if sc.rows != nil {
+			sp.SetAttr("candidates", strconv.Itoa(len(sc.rows))).
+				SetAttr("rows_nnz", strconv.Itoa(sc.pm.NNZ())).
+				SetAttr("rented_flops", strconv.FormatFloat(sc.rented, 'f', 0, 64))
+		}
 	}
 	sp.End()
 	sp = tr.Start("rank")

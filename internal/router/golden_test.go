@@ -20,11 +20,10 @@ import (
 
 // The golden corpus: every query endpoint, direct (a replica's own handler)
 // and routed (through the router's), answered for a fixed request list over
-// a fixed graph and compared byte for byte with testdata/golden.json. The
-// file was recorded with -update on the commit BEFORE the query plane was
-// collapsed into one pipeline, so a green run is the proof that the wire
-// surface did not move; the only responses allowed to differ from the
-// recording are the bug fixes listed in goldenFixes.
+// a fixed graph and compared byte for byte with testdata/golden.json, so a
+// green run is the proof that the wire surface did not move; the only
+// responses allowed to differ from the recording are those listed in
+// goldenFixes.
 var update = flag.Bool("update", false, "re-record testdata/golden.json from the current build")
 
 // inproc is an http.RoundTripper serving a fleet from in-process handlers
@@ -345,47 +344,12 @@ type goldenFix struct {
 	why        string
 }
 
-// goldenFixes lists every response allowed to differ from the pre-refactor
-// recording: the three bugs the issue named, a fourth the recording itself
-// exposed, and three messages whose wording (never status or code) follows
-// from declaring a type or a check once. After a deliberate -update the
-// recording already holds these answers and the table must be emptied (the
-// test says so).
-var goldenFixes = func() map[string]goldenFix {
-	const (
-		floor   = "bugfix: proxied /v1/relevance lost the read-your-writes refusal (503 no_replicas, no Retry-After)"
-		parse   = "bugfix: X-Min-WAL-Seq went through a hand-rolled digit loop: junk meant no floor, overflow wrapped to a lower one"
-		explain = "bugfix: /v1/explain parsed its path in a private copy that forgot the length cap"
-		drained = "bugfix found by this recording: the router drained the /v1/relevance body while decoding it, so every whole-request proxy (top-k mode, degree weighting) reached the replica empty and answered 400 EOF"
-		typed   = "wording only: encoding/json names the Go type it decodes into, and the body types moved to internal/api"
-		limits  = "wording only: the max_len / max_paths check is written once (relevance.Limits.Admit), so the router words the refusal like a replica"
-		removed = "removed plan: topk-approx lost to the exact scan in every measured cell (EXPERIMENTS.md) and was deleted, so its name is an unknown plan"
-	)
-	notSeq := `X-Min-WAL-Seq`
-	return map[string]goldenFix{
-		"floor stale relevance topk [routed]": {503, "1", "stale_replicas", "not yet replicated", floor},
-		"floor text [routed]":                 {400, "", "bad_request", notSeq, parse},
-		"floor negative [routed]":             {400, "", "bad_request", notSeq, parse},
-		"floor 2^64 [routed]":                 {400, "", "bad_request", notSeq, parse},
-		"floor 2^64+100000 [routed]":          {400, "", "bad_request", notSeq, parse},
-		"explain path too long [direct]":      {400, "", "bad_request", "path has 400 steps, limit is 128", explain},
-		"explain path too long [routed]":      {400, "", "bad_request", "path has 400 steps, limit is 128", explain},
-
-		"relevance pair degree [routed]":    {200, "", "", `"mode":"pair"`, drained},
-		"relevance topk [routed]":           {200, "", "", `"results":[{"id":"KDD","score":1}`, drained},
-		"relevance topk default k [routed]": {200, "", "", `"results":[{"id":"Sue","score":1}]`, drained},
-		"degraded relevance topk [routed]":  {200, "", "", `"plan":"monte_carlo","approximate":true`, drained},
-		"timeout relevance topk [routed]":   {200, "", "", `"code":"path_failed"`, drained},
-		"relevance bad weighting [routed]":  {400, "", "bad_request", "unknown weighting", drained},
-		"relevance negative k [routed]":     {400, "", "bad_request", "k=-1", drained},
-		"batch slot not an object [direct]": {400, "", "bad_request", "cannot unmarshal string", typed},
-		"batch slot not an object [routed]": {200, "", "", `cannot unmarshal string`, typed},
-		"relevance max_len over [routed]":   {400, "", "bad_request", "max_len 9 exceeds limit 4", limits},
-		"relevance max_paths over [routed]": {400, "", "bad_request", "max_paths 99 exceeds limit 16", limits},
-		"topk plan topk-approx [direct]":    {400, "", "bad_request", `unknown plan \"topk-approx\"`, removed},
-		"topk plan topk-approx [routed]":    {400, "", "bad_request", `unknown plan \"topk-approx\"`, removed},
-	}
-}()
+// goldenFixes lists every response allowed to differ from the recording,
+// each with the answer it must give instead and why — how a bug fix or a
+// removal lands without re-recording the other ~230 responses. A deliberate
+// -update records the current answers, after which the table must be empty
+// (the test says so); CHANGES.md lists what each re-recording changed.
+var goldenFixes = map[string]goldenFix{}
 
 type goldenRecord struct {
 	Name       string          `json:"name"`

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hetesim/internal/hin"
+	"hetesim/internal/obs"
 )
 
 // randomBiblioGraph is a seeded random author-paper-conference network,
@@ -52,7 +53,8 @@ type wireSlot struct {
 // solo GET endpoint, and every slot must carry the solo answer — the same
 // score bits, the same ranked hits, or the same error code. The one
 // documented difference: /v1/topk pads its answer to k with zero-score
-// targets, a batch slot lists the related targets only.
+// targets, a batch slot lists the related targets only. The solo side is
+// asked warm and cold, so every top-k scan of DESIGN §11 is held to the slot.
 func TestBatchEqualsSoloHTTP(t *testing.T) {
 	g := randomBiblioGraph(7)
 	srv := New(g)
@@ -107,60 +109,73 @@ func TestBatchEqualsSoloHTTP(t *testing.T) {
 		t.Fatalf("batch answered %d slots for %d queries", len(batch.Results), len(slots))
 	}
 
+	// Solo answers come twice: from the server that answered the batch, its
+	// chains materialized by the shared groups (transposed scans), and from a
+	// fresh one, where a top-k finds its right half-chain cold and rents the
+	// reachable targets' rows or buys the chain.
+	cold := New(g)
+	t.Cleanup(cold.Close)
+	rentedScans := obs.Default().CounterVec("hetesim_engine_topk_scan_total", "", "scan").With("reachable-rows")
+	rentedBefore := rentedScans.Value()
 	answered, failed, padded := 0, 0, 0
-	for i, q := range slots {
-		v := url.Values{"path": {q.Path}, "source": {q.Source}}
-		endpoint := "/v1/pair"
-		if q.Kind == "topk" {
-			endpoint = "/v1/topk"
-			v.Set("k", fmt.Sprint(q.K))
-		} else {
-			v.Set("target", q.Target)
-		}
-		if q.Raw {
-			v.Set("raw", "true")
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, endpoint+"?"+v.Encode(), nil))
-		var solo wireSlot
-		if err := json.Unmarshal(rec.Body.Bytes(), &solo); err != nil {
-			t.Fatalf("slot %d %+v: solo answer: %v", i, q, err)
-		}
-		got := batch.Results[i]
-		if got.Code != solo.Code {
-			t.Errorf("slot %d %+v: batch code %q, solo code %q (status %d)", i, q, got.Code, solo.Code, rec.Code)
-			continue
-		}
-		if solo.Code != "" {
-			failed++
-			continue
-		}
-		answered++
-		if q.Kind == "pair" {
-			if got.Score == nil || solo.Score == nil || *got.Score != *solo.Score {
-				t.Errorf("slot %d %+v: batch score %v, solo score %v", i, q, got.Score, solo.Score)
+	for _, soloH := range []http.Handler{h, cold.Handler()} {
+		for i, q := range slots {
+			v := url.Values{"path": {q.Path}, "source": {q.Source}}
+			endpoint := "/v1/pair"
+			if q.Kind == "topk" {
+				endpoint = "/v1/topk"
+				v.Set("k", fmt.Sprint(q.K))
+			} else {
+				v.Set("target", q.Target)
 			}
-			continue
-		}
-		if len(got.Results) > len(solo.Results) {
-			t.Errorf("slot %d %+v: batch lists %d hits, solo %d", i, q, len(got.Results), len(solo.Results))
-			continue
-		}
-		for r, hit := range solo.Results {
-			switch {
-			case r < len(got.Results):
-				if got.Results[r] != hit {
-					t.Errorf("slot %d %+v rank %d: batch %+v, solo %+v", i, q, r, got.Results[r], hit)
+			if q.Raw {
+				v.Set("raw", "true")
+			}
+			rec := httptest.NewRecorder()
+			soloH.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, endpoint+"?"+v.Encode(), nil))
+			var solo wireSlot
+			if err := json.Unmarshal(rec.Body.Bytes(), &solo); err != nil {
+				t.Fatalf("slot %d %+v: solo answer: %v", i, q, err)
+			}
+			got := batch.Results[i]
+			if got.Code != solo.Code {
+				t.Errorf("slot %d %+v: batch code %q, solo code %q (status %d)", i, q, got.Code, solo.Code, rec.Code)
+				continue
+			}
+			if solo.Code != "" {
+				failed++
+				continue
+			}
+			answered++
+			if q.Kind == "pair" {
+				if got.Score == nil || solo.Score == nil || *got.Score != *solo.Score {
+					t.Errorf("slot %d %+v: batch score %v, solo score %v", i, q, got.Score, solo.Score)
 				}
-			case hit.Score != 0:
-				t.Errorf("slot %d %+v rank %d: solo hit %+v missing from the batch slot", i, q, r, hit)
-			default:
-				padded++
+				continue
+			}
+			if len(got.Results) > len(solo.Results) {
+				t.Errorf("slot %d %+v: batch lists %d hits, solo %d", i, q, len(got.Results), len(solo.Results))
+				continue
+			}
+			for r, hit := range solo.Results {
+				switch {
+				case r < len(got.Results):
+					if got.Results[r] != hit {
+						t.Errorf("slot %d %+v rank %d: batch %+v, solo %+v", i, q, r, got.Results[r], hit)
+					}
+				case hit.Score != 0:
+					t.Errorf("slot %d %+v rank %d: solo hit %+v missing from the batch slot", i, q, r, hit)
+				default:
+					padded++
+				}
 			}
 		}
 	}
+	if rentedScans.Value() == rentedBefore {
+		t.Error("no solo top-k ran the reachable-rows scan")
+	}
 	// The comparison is only worth its name if all three branches ran.
-	if answered < 60 || failed < 5 || padded == 0 {
+	if answered < 120 || failed < 10 || padded == 0 {
 		t.Fatalf("fixture too thin: %d answered, %d failed, %d zero-padded hits", answered, failed, padded)
 	}
 }

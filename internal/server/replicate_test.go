@@ -252,6 +252,72 @@ func TestFollowerResyncAfterCompaction(t *testing.T) {
 	waitConverged(t, primary, follower)
 }
 
+// TestFollowerPromotedAfterResyncKeepsSeqMonotone is the regression test for the
+// regressing ack: a follower whose own log is at position 0 resyncs from a
+// primary that compacted at seq 3 — adopting the graph at 3 without logging a
+// batch — and is then elected primary. Its first write must ack above the
+// adopted position (the log used to continue from its own stale one and ack
+// wal_seq 1). That the position also survives a reopen of the log is
+// wal.TestResetContinuesAboveAdoptedSeq's.
+func TestFollowerPromotedAfterResyncKeepsSeqMonotone(t *testing.T) {
+	primary, pts := newWALServer(t)
+	for i, ops := range mutationBatches() {
+		if resp, _ := postMutation(t, pts.URL, fmt.Sprintf("p-%d", i), ops); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d status %d", i, resp.StatusCode)
+		}
+	}
+	if err := primary.st.compact(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The router of this fleet: names the primary, then elects the follower.
+	var elected atomic.Value
+	elected.Store(pts.URL)
+	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/admin/primary" {
+			http.NotFound(w, r)
+			return
+		}
+		json.NewEncoder(w).Encode(map[string]string{"primary": elected.Load().(string)})
+	}))
+	t.Cleanup(router.Close)
+
+	follower, fts := newWALServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		follower.RunFollower(ctx, FollowerOptions{Target: router.URL, Self: fts.URL, Interval: 5 * time.Millisecond, Logf: t.Logf})
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	waitConverged(t, primary, follower)
+	adopted := follower.current().seq
+	if adopted != 3 {
+		t.Fatalf("resynced follower serves seq %d, want 3", adopted)
+	}
+
+	elected.Store(fts.URL)
+	for deadline := time.Now().Add(10 * time.Second); !follower.AcceptsWrites(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never took the election")
+		}
+	}
+	last := adopted
+	for i := 0; i < 2; i++ {
+		resp, mb := postMutation(t, fts.URL, fmt.Sprintf("promoted-%d", i), []hin.Op{upsert("writes", "Dana", fmt.Sprintf("p%d", i+1), 1)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("write %d to the promoted follower = %d", i, resp.StatusCode)
+		}
+		if mb.Seq != last+1 || follower.current().seq != mb.Seq {
+			t.Fatalf("write %d acked seq %d (serving wal_seq %d) after %d: not strictly monotone", i, mb.Seq, follower.current().seq, last)
+		}
+		last = mb.Seq
+	}
+}
+
 // TestFollowerDivergenceSelfHeals deliberately corrupts a follower's
 // serving graph; the next caught-up poll's fingerprint comparison detects
 // the fork, flags it, and a full resync converges it back.

@@ -351,7 +351,9 @@ func (st *store) apply(ctx context.Context, b wal.Batch, durable bool) (applyRes
 // adopt is the one way a whole graph becomes the next generation — a
 // reload's re-read base file, or the primary's graph fetched by a resyncing
 // follower (persist: write it as the local base first). Order: durable base,
-// then log rebind when the fingerprint changed, then serve — the order
+// then log rebind when the fingerprint changed or seq is ahead of the log (a
+// follower adopting the primary's graph: its next ack must continue above
+// seq, not above its own stale position), then serve — the order
 // compaction uses, so a crash at any point leaves a coherent (base, log)
 // pair, and any failure leaves the old generation serving. The rebind
 // matters: a log still naming the old base would be set aside — its acked
@@ -372,8 +374,8 @@ func (st *store) adopt(g *hin.Graph, seq uint64, persist bool) (*engineSet, int,
 		}
 		st.lastSavedFP = next.fingerprint
 	}
-	if st.wal != nil && next.fingerprint != st.wal.Fingerprint() {
-		if err := st.wal.Reset(next.fingerprint, st.checkpointEntriesLocked()); err != nil {
+	if st.wal != nil && (next.fingerprint != st.wal.Fingerprint() || seq > st.wal.LastSeq()) {
+		if err := st.wal.Reset(next.fingerprint, st.checkpointEntriesLocked(), seq); err != nil {
 			st.mu.Unlock()
 			return nil, 0, fmt.Errorf("rebinding wal to adopted graph: %w", err)
 		}
@@ -480,7 +482,7 @@ func (st *store) compactLocked() error {
 		return fmt.Errorf("server: writing compacted base graph: %w", err)
 	}
 	st.lastSavedFP = es.fingerprint
-	if err := st.wal.Reset(es.fingerprint, st.checkpointEntriesLocked()); err != nil {
+	if err := st.wal.Reset(es.fingerprint, st.checkpointEntriesLocked(), es.seq); err != nil {
 		return fmt.Errorf("server: resetting wal: %w", err)
 	}
 	st.walBatches = 0

@@ -62,7 +62,7 @@ func TestTailSinceCompacted(t *testing.T) {
 		}
 	}
 	// Compaction folds seqs 1..3 into the base; the floor moves to 4.
-	if err := l.Reset(testFP+1, []CheckpointEntry{{Key: "k", Seq: 3}}); err != nil {
+	if err := l.Reset(testFP+1, []CheckpointEntry{{Key: "k", Seq: 3}}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if l.MinRetained() != 4 {
@@ -92,7 +92,7 @@ func TestTailSinceSurvivesReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Reset(testFP, []CheckpointEntry{{Key: "k", Seq: 2}}); err != nil {
+	if err := l.Reset(testFP, []CheckpointEntry{{Key: "k", Seq: 2}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Append("k3", testOps(1)); err != nil {

@@ -189,12 +189,15 @@ func Open(fsys snapshot.FS, path string, baseFingerprint uint64) (*Log, *Replay,
 				l.nextSeq = batch.Seq + 1
 			}
 		} else {
-			rep.Checkpoint = append(rep.Checkpoint, entries...)
 			// Sequences are monotonic across compactions; a checkpointed
-			// ack must never be reissued to a new batch.
+			// ack must never be reissued to a new batch. An entry without a
+			// key is Reset's position marker, not an ack.
 			for _, e := range entries {
 				if e.Seq >= l.nextSeq {
 					l.nextSeq = e.Seq + 1
+				}
+				if e.Key != "" {
+					rep.Checkpoint = append(rep.Checkpoint, e)
 				}
 			}
 		}
@@ -317,18 +320,22 @@ func (l *Log) appendRecord(payload []byte, commit func()) error {
 }
 
 // Reset atomically replaces the log with a fresh one bound to
-// newFingerprint, carrying entries as checkpoint records (split across
-// several when oversized) — the log half of compaction, called after the
-// mutated graph has durably become the new base. The swap is temp + fsync
-// + rename + dir sync, so a crash leaves either the old log (stale
-// fingerprint, set aside at next boot after the base already absorbed it)
-// or the new one. Sequence numbering continues: an ack sequence issued
-// before the reset is never reused after it.
-func (l *Log) Reset(newFingerprint uint64, entries []CheckpointEntry) error {
+// newFingerprint — the graph at sequence seq — carrying entries as checkpoint
+// records (split across several when oversized): the log half of compaction
+// and of adopting a whole graph, called after that graph has durably become
+// the new base. The swap is temp + fsync + rename + dir sync, so a crash
+// leaves either the old log (stale fingerprint, set aside at next boot after
+// the base already absorbed it) or the new one. Sequence numbering continues
+// above both seq and everything this log assigned — an ack sequence issued
+// before the reset, here or by the primary whose graph was adopted, is never
+// reused after it — and a key-less checkpoint entry records that position, so
+// it also survives a reopen before the next batch.
+func (l *Log) Reset(newFingerprint uint64, entries []CheckpointEntry, seq uint64) error {
 	if l.f == nil {
 		return ErrClosed
 	}
-	payloads, err := encodeCheckpoints(entries)
+	next := max(l.nextSeq, seq+1)
+	payloads, err := encodeCheckpoints(append(entries[:len(entries):len(entries)], CheckpointEntry{Seq: next - 1}))
 	if err != nil {
 		return err
 	}
@@ -355,7 +362,8 @@ func (l *Log) Reset(newFingerprint uint64, entries []CheckpointEntry) error {
 	l.f = f
 	l.size = int64(len(buf))
 	l.fingerprint = newFingerprint
-	l.minRetained = l.nextSeq // every batch below nextSeq is now folded into the base
+	l.nextSeq = next
+	l.minRetained = next // every batch below next is now folded into the base
 	return nil
 }
 

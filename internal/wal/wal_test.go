@@ -312,7 +312,7 @@ func TestResetCompaction(t *testing.T) {
 
 	// Torn rename during compaction: the old log must survive untouched.
 	fsys.FailRename(nil)
-	if err := l.Reset(0x1111, []CheckpointEntry{{Key: "k", Seq: 3}}); err == nil {
+	if err := l.Reset(0x1111, []CheckpointEntry{{Key: "k", Seq: 3}}, 3); err == nil {
 		t.Fatal("reset with torn rename succeeded")
 	}
 	fsys.DisarmAll()
@@ -325,7 +325,7 @@ func TestResetCompaction(t *testing.T) {
 
 	newFP := uint64(0x2222)
 	want := []CheckpointEntry{{Key: "k", Seq: 3}, {Key: "k2", Seq: 4}}
-	if err := l.Reset(newFP, want); err != nil {
+	if err := l.Reset(newFP, want, 4); err != nil {
 		t.Fatal(err)
 	}
 	if l.Size() >= big || l.Fingerprint() != newFP {
@@ -351,6 +351,43 @@ func TestResetCompaction(t *testing.T) {
 	// The reopened log continues past both batch and checkpoint seqs.
 	if seq, err := l2.Append("k4", testOps(1)); err != nil || seq != 6 {
 		t.Fatalf("post-reopen append seq=%d err=%v", seq, err)
+	}
+}
+
+// A reset onto a graph adopted at a sequence ahead of this log — a follower
+// taking the primary's graph whole — continues numbering above that sequence,
+// at once and after a reopen with no batch logged in between, and the marker
+// that carries the position is not replayed as an idempotency key.
+func TestResetContinuesAboveAdoptedSeq(t *testing.T) {
+	l, path := openFresh(t, snapshot.OS{})
+	if _, err := l.Append("k", testOps(1)); err != nil {
+		t.Fatal(err)
+	}
+	keys := []CheckpointEntry{{Key: "k", Seq: 1}}
+	if err := l.Reset(0x4444, keys, 7); err != nil {
+		t.Fatal(err)
+	}
+	if l.LastSeq() != 7 || l.MinRetained() != 8 {
+		t.Fatalf("post-reset LastSeq=%d MinRetained=%d, want 7 and 8", l.LastSeq(), l.MinRetained())
+	}
+	l.Close()
+	l2, rep, err := Open(snapshot.OS{}, path, 0x4444)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if !reflect.DeepEqual(rep.Checkpoint, keys) {
+		t.Fatalf("checkpoint = %v, want %v", rep.Checkpoint, keys)
+	}
+	if seq, err := l2.Append("k2", testOps(1)); err != nil || seq != 8 {
+		t.Fatalf("append after adopting seq 7 and reopening: seq=%d err=%v, want 8", seq, err)
+	}
+	// A reset never moves numbering back: seq below the log's own position.
+	if err := l2.Reset(0x5555, keys, 2); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := l2.Append("k3", testOps(1)); err != nil || seq != 9 {
+		t.Fatalf("append after a reset at a lower seq: seq=%d err=%v, want 9", seq, err)
 	}
 }
 
@@ -390,7 +427,7 @@ func TestCheckpointChunking(t *testing.T) {
 	}
 
 	l, path := openFresh(t, snapshot.OS{})
-	if err := l.Reset(0x3333, entries); err != nil {
+	if err := l.Reset(0x3333, entries, 0); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
