@@ -68,7 +68,8 @@ chaos:
 # per-run seeding shenanigans can't hide order dependence; part of
 # `make check`. The pattern picks up every TestDifferential* as it is
 # added — the reachable-rows scan's (TestDifferentialTopKReachableRows,
-# TestDifferentialTopKRentOrBuy) needed no change here.
+# TestDifferentialTopKRentOrBuy) and the odd-path suite's
+# (TestDifferentialOddPaths*) needed no change here.
 properties:
 	go test -race -count=2 -run 'TestPropertyRandom|TestDifferential' ./internal/core
 
@@ -84,10 +85,12 @@ loc:
 # The wire contract is declared once (internal/api). Fails when a JSON tag
 # that must be unique is declared in more than one non-test file outside
 # bench/ (which keeps private decoders on purpose: it is the outside
-# observer), when a helper the one-pipeline refactor deleted comes back by
-# name, or when the deleted approximate top-k plane does (its plan name, its
-# knobs, an import of internal/embed — which bench/probes.go alone keeps
-# alive until a [benchmark] PR deletes both); part of `make check`.
+# observer), when a helper the one-pipeline refactor or the odd-path collapse
+# (middleEdgeTransitions, edgeU: odd paths meet on the middle relation, not
+# on an edge-object type) deleted comes back by name, or when the deleted
+# approximate top-k plane does (its plan name, its knobs, an import of
+# internal/embed — which bench/probes.go alone keeps alive until a
+# [benchmark] PR deletes both); part of `make check`.
 contract:
 	@fail=0; \
 	for tag in shared_queries naive_row_steps source_type replication_lag_seconds; do \
@@ -96,7 +99,7 @@ contract:
 			echo "contract: json tag \"$$tag\" must be declared in exactly one file, found in: $$(echo $$files)"; fail=1; \
 		fi; \
 	done; \
-	for name in degradedPair degradedTopK strconvUint io2; do \
+	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU; do \
 		if grep -rnwE "$$name" --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./bench/'; then \
 			echo "contract: deleted helper $$name is back"; fail=1; \
 		fi; \
@@ -117,11 +120,12 @@ check: vet staticcheck govulncheck contract build test race obs-selftest chaos p
 # mutation apply-vs-rematerialize comparison, the auto-relevance
 # ensemble-vs-solo-paths comparison, and the warm exact top-k scan at its
 # sparse best case (BenchmarkAblationTopKSearch) and dense worst case
-# (BenchmarkTopKDenseScan) and the cold top-k on both sides of the
-# rent-or-buy rule (BenchmarkTopKColdReachable, matched by the
-# BenchmarkTopK pattern), with allocation stats, as JSON. Every
-# benchmark is recorded at GOMAXPROCS=1 and at the box's core count
-# ("procs" in each row), so the parallel SpGEMM path has a baseline too.
+# (BenchmarkTopKDenseScan), the cold top-k on both sides of the
+# rent-or-buy rule (BenchmarkTopKColdReachable) and on odd paths
+# (BenchmarkTopKColdOdd; both matched by the BenchmarkTopK pattern), with
+# allocation stats, as JSON. Every benchmark is recorded at GOMAXPROCS=1
+# and at the box's core count ("procs" in each row), so the parallel SpGEMM
+# path has a baseline too.
 NPROC := $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 bench-json:
 	go test -run '^$$' -bench 'BenchmarkTable|BenchmarkFig|BenchmarkSnapshot|BenchmarkBatch|BenchmarkPlan|BenchmarkIncremental|BenchmarkRelevance|BenchmarkTopK|BenchmarkAblationTopKSearch' -benchmem -cpu 1,$(NPROC) . | go run ./cmd/benchjson > BENCH_core.json

@@ -67,6 +67,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -335,7 +336,12 @@ func runApply(graphPath, applyFile, outFile string) error {
 	}
 	fmt.Fprintf(os.Stderr, "applied %d ops: %s -> %s (fingerprint %016x)\n",
 		len(batch.Ops), g.Stats(), ng.Stats(), ng.Fingerprint())
-	for rel := range dirty.EdgesChanged {
+	rels := make([]string, 0, len(dirty.Rows))
+	for rel := range dirty.Rows {
+		rels = append(rels, rel)
+	}
+	sort.Strings(rels)
+	for _, rel := range rels {
 		fmt.Fprintf(os.Stderr, "  %s: %d source rows, %d target rows perturbed\n",
 			rel, len(dirty.Rows[rel]), len(dirty.Cols[rel]))
 	}

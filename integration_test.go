@@ -66,7 +66,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	e3 := core.NewEngine(g2)
-	if n := e3.ImportChains(e1.ExportChains()); n == 0 {
+	if n, _ := e3.ImportChains(e1.ExportChains()); n == 0 {
 		t.Fatal("no materialized chains crossed the export/import boundary")
 	}
 	got3, err := e3.SingleSourceByIndex(context.Background(), p2, 0)

@@ -120,8 +120,8 @@ func (s *batchSide) row(i int) *sparse.Vector {
 // cache keys on both halves) and the shared state prepared for them.
 type batchGroup struct {
 	path    *metapath.Path
-	h       halves
-	queries []int // indices into the batch
+	h       halves // with its middle relation resolved
+	queries []int  // indices into the batch
 
 	plan       string // "solo", "warm", "full", "subset" (left-side plan)
 	left       *batchSide
@@ -151,7 +151,7 @@ func (g *batchGroup) needsRightMatrix(qs []BatchQuery) bool {
 type sideBuild struct {
 	c        chain
 	key      string   // chain cache key — the merge key
-	seq      []string // step keys, plus the middle half-step marker when present
+	seq      []string // step keys
 	start    string   // start node type
 	needFull bool     // some group needs the full matrix (single-source/top-k)
 	rowSet   map[int]struct{}
@@ -161,10 +161,9 @@ type sideBuild struct {
 	family *sideFamily
 
 	// Results, written by the family builder.
-	side  *batchSide
-	norms []float64 // row norms when needFull && normalized
-	plan  string    // "warm", "full", "subset"
-	err   error
+	side *batchSide
+	plan string // "warm", "full", "subset"
+	err  error
 }
 
 // sideFamily groups the side builds whose step sequences start identically
@@ -199,20 +198,11 @@ func (bp *batchPrep) addSteps(actual, naive, resumes int) {
 
 func seqJoin(seq []string) string { return strings.Join(seq, "\x00") }
 
-// sideSeq is a chain's step-key sequence with the middle half-step appended
-// as a final pseudo-step, so prefix comparisons never equate a completed
-// odd-path half (middle applied) with a pure step prefix.
+// sideSeq is a chain's step-key sequence.
 func sideSeq(c chain) []string {
-	seq := make([]string, 0, len(c.steps)+1)
-	for _, s := range c.steps {
-		seq = append(seq, stepKey(s))
-	}
-	if c.middle != nil {
-		mk := "SE(" + stepKey(*c.middle) + ")"
-		if c.side != 'L' {
-			mk = "TE(" + stepKey(*c.middle) + ")"
-		}
-		seq = append(seq, mk)
+	seq := make([]string, len(c.steps))
+	for i, s := range c.steps {
+		seq[i] = stepKey(s)
 	}
 	return seq
 }
@@ -247,6 +237,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, queries []BatchQuery, opts Ba
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("batch_plan")
 	groups := make(map[string]*batchGroup)
+	groupOf := make([]*batchGroup, len(queries))
 	var order []string // deterministic group ordering for stats and traces
 	for i, q := range queries {
 		if err := e.validateBatchQuery(q); err != nil {
@@ -254,7 +245,15 @@ func (e *Engine) ExecuteBatch(ctx context.Context, queries []BatchQuery, opts Ba
 			continue
 		}
 		h := splitPath(q.Path)
+		var err error
+		if h.mo, err = e.middleOf(h.middle); err != nil {
+			results[i].Err = err
+			continue
+		}
 		key := e.chainCacheKey(h.left()) + "\x00" + e.chainCacheKey(h.right())
+		if h.middle != nil { // odd paths over different middle relations
+			key += "\x00" + stepKey(*h.middle)
+		}
 		g, ok := groups[key]
 		if !ok {
 			g = &batchGroup{path: q.Path, h: h}
@@ -262,6 +261,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, queries []BatchQuery, opts Ba
 			order = append(order, key)
 		}
 		g.queries = append(g.queries, i)
+		groupOf[i] = g
 	}
 	stats.Groups = len(groups)
 	if stats.Groups > 0 {
@@ -324,7 +324,9 @@ func (e *Engine) ExecuteBatch(ctx context.Context, queries []BatchQuery, opts Ba
 			g.right = g.rightB.side
 			if g.needsRightMatrix(queries) {
 				g.rightFull = g.rightB.side.m
-				g.rightNorms = g.rightB.norms
+				if e.normalized {
+					g.rightNorms = e.chainRowNorms(g.rightB.key, g.rightFull, g.h.mo.weights('R'))
+				}
 			}
 		}
 	}
@@ -341,12 +343,9 @@ func (e *Engine) ExecuteBatch(ctx context.Context, queries []BatchQuery, opts Ba
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			h := splitPath(queries[i].Path)
-			key := e.chainCacheKey(h.left()) + "\x00" + e.chainCacheKey(h.right())
-			g := groups[key]
 			qctx, cancel := batchQueryContext(ctx, opts.PerQueryTimeout)
 			defer cancel()
-			results[i] = e.executeBatchQuery(qctx, g, queries[i])
+			results[i] = e.executeBatchQuery(qctx, groupOf[i], queries[i])
 			if results[i].Shared {
 				shared.Add(1)
 			}
@@ -384,7 +383,7 @@ func (e *Engine) planBatchSides(queries []BatchQuery, groups map[string]*batchGr
 			if !ok {
 				b = &sideBuild{
 					c: c, key: key, seq: sideSeq(c),
-					start:  e.chainStart(c),
+					start:  c.start,
 					rowSet: make(map[int]struct{}),
 				}
 				bp.builds[key] = b
@@ -431,7 +430,10 @@ func (e *Engine) planBatchSides(queries []BatchQuery, groups map[string]*batchGr
 		fams := make(map[string]*sideFamily)
 		for _, key := range bp.order {
 			b := bp.builds[key]
-			fk := b.start + "\x00" + b.seq[0]
+			fk := b.start
+			if len(b.seq) > 0 {
+				fk += "\x00" + b.seq[0]
+			}
 			f, ok := fams[fk]
 			if !ok {
 				f = &sideFamily{}
@@ -510,12 +512,13 @@ func (e *Engine) buildFamily(ctx context.Context, f *sideFamily, builds *atomic.
 }
 
 func (e *Engine) buildSide(ctx context.Context, b *sideBuild, f *sideFamily, prefix map[string]*sparse.Matrix, builds *atomic.Int64, bp *batchPrep) {
+	if len(b.c.steps) == 0 { // an empty half: the identity is always at hand
+		b.side, b.plan = &batchSide{m: e.identity(b.start)}, "warm"
+		return
+	}
 	if m, ok := e.cacheGet(b.key); ok {
 		metCacheHits.Inc()
 		b.side, b.plan = &batchSide{m: m}, "warm"
-		if b.needFull && e.normalized {
-			b.norms = e.chainRowNorms(b.key, m)
-		}
 		return
 	}
 	if b.needFull || (e.caching && len(f.rows)*2 >= e.g.NodeCount(b.start)) {
@@ -529,9 +532,6 @@ func (e *Engine) buildSide(ctx context.Context, b *sideBuild, f *sideFamily, pre
 			return
 		}
 		b.side, b.plan = &batchSide{m: m}, "full"
-		if b.needFull && e.normalized {
-			b.norms = e.chainRowNorms(b.key, m)
-		}
 		bp.addSteps(e.g.NodeCount(b.start)*len(b.seq), b.naive, 0)
 		return
 	}
@@ -616,20 +616,13 @@ func (e *Engine) executeBatchQuery(ctx context.Context, g *batchGroup, q BatchQu
 	var res BatchResult
 	res.Shared = true
 	res.Plan = g.plan
+	left := leftHalf{l: g.left.row(q.Src)}
 	switch q.Kind {
 	case BatchPair:
-		l := g.left.row(q.Src)
-		r := g.right.row(q.Dst)
-		if e.normalized {
-			res.Score = l.Cosine(r)
-		} else {
-			res.Score = l.Dot(r)
-		}
+		res.Score = e.pairScore(g.h.mo, left, g.right.row(q.Dst))
 	case BatchSingleSource:
-		left := g.left.row(q.Src)
-		res.Scores = e.combineSingleSource(left, g.rightFull, g.rightNorms)
+		res.Scores = e.combineSingleSource(g.h.mo, left, g.rightFull, g.rightNorms)
 	case BatchTopK:
-		left := g.left.row(q.Src)
 		topk, err := e.topKFrom(ctx, q.Path, g.h, left, q.K, q.Eps)
 		if err != nil {
 			res.Err = err
@@ -661,10 +654,11 @@ func (e *Engine) executeSoloQuery(ctx context.Context, q BatchQuery) BatchResult
 // right-half matrix — the shared combine/normalize of SingleSourceByIndex,
 // factored so batch and solo run the same code and produce bit-identical
 // scores. rightNorms may be nil on an unnormalized engine.
-func (e *Engine) combineSingleSource(left *sparse.Vector, pmr *sparse.Matrix, rightNorms []float64) []float64 {
-	scores := pmr.MulVec(left.Dense())
+func (e *Engine) combineSingleSource(mo *middle, left leftHalf, pmr *sparse.Matrix, rightNorms []float64) []float64 {
+	met, ln := mo.meetLeft(left, 0)
+	scores := pmr.MulVec(met.Dense())
 	if e.normalized {
-		normalizeSingleSource(scores, left.Norm(), rightNorms)
+		normalizeSingleSource(scores, ln, rightNorms)
 	}
 	return scores
 }

@@ -147,15 +147,16 @@ func TestDifferentialMonteCarloPair(t *testing.T) {
 	}
 }
 
-// rentUntilBought repeats search on e until the right half-chain of p is
-// cached — the buy of the rent-or-buy rule, which an odd path, a path most of
-// whose targets are reachable and an exhausted rent all reach — and returns
-// how many searches rented first. A search that buys scores the rows of the
-// chain it materialized; none of them may leave a "T:" entry.
+// rentUntilBought runs search on e, and repeats it until the right half-chain
+// of p is cached — the buy of the rent-or-buy rule, which a path most of
+// whose targets are reachable and an exhausted rent both reach; an empty
+// half (a length-1 path) is always at hand — and returns how many searches
+// rented first. A search that buys scores the rows of the chain it
+// materialized; none of them may leave a "T:" entry.
 func rentUntilBought(t *testing.T, e *Engine, p *metapath.Path, search func()) (rents int) {
 	t.Helper()
 	right := splitPath(p).right()
-	for limit := e.g.NodeCount(p.Target()) + 1; !e.chainWarm(e.chainCacheKey(right)); rents++ {
+	for limit := e.g.NodeCount(p.Target()) + 1; rents == 0 || !e.chainWarm(e.chainCacheKey(right)); rents++ {
 		if rents > limit {
 			t.Fatalf("%s: %d top-k searches and the right half-chain is still rented", p, rents)
 		}

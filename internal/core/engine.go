@@ -11,9 +11,9 @@
 //
 // where the path is decomposed into equal halves P = PL · PR (Definition 5,
 // inserting an edge-object type into the middle atomic relation when the
-// length is odd, Definition 6), PM is the reachable probability matrix of
-// Definition 9, and the normalized form (Definition 10) is the cosine of the
-// two reaching distributions.
+// length is odd, Definition 6 — eliminated algebraically here, see middle),
+// PM is the reachable probability matrix of Definition 9, and the normalized
+// form (Definition 10) is the cosine of the two reaching distributions.
 //
 // The Engine caches transition matrices and materialized reachable
 // probability matrices per path prefix, implementing the offline
@@ -50,12 +50,12 @@ type Engine struct {
 	cacheLimit int
 
 	mu        sync.Mutex
-	trans     map[string]*sparse.Matrix // U per step key
-	edgeU     map[string]*sparse.Matrix // U_SE / U_TE per middle-step key
-	reach     map[string]*sparse.Matrix // PM per chain key (every prefix cached)
-	norms     map[string][]float64      // row L2 norms per chain key
-	reachAge  []string                  // insertion order of reach keys, oldest first
-	evictions int                       // chain matrices dropped by the cache limit
+	trans     map[string]*sparse.Matrix       // U per step key
+	middles   map[string]*middle              // collapsed odd-path middle relation per step key
+	reach     map[string]*sparse.Matrix       // PM per chain key (every prefix cached)
+	norms     map[string]map[string][]float64 // row norms per chain key, then per weights key
+	reachAge  []string                        // insertion order of reach keys, oldest first
+	evictions int                             // chain matrices dropped by the cache limit
 
 	estMu    sync.Mutex
 	estCache map[string]ChainEstimate // memoized cost estimates per chain key
@@ -103,9 +103,9 @@ func NewEngine(g *hin.Graph, opts ...Option) *Engine {
 		normalized: true,
 		caching:    true,
 		trans:      make(map[string]*sparse.Matrix),
-		edgeU:      make(map[string]*sparse.Matrix),
+		middles:    make(map[string]*middle),
 		reach:      make(map[string]*sparse.Matrix),
-		norms:      make(map[string][]float64),
+		norms:      make(map[string]map[string][]float64),
 		estCache:   make(map[string]ChainEstimate),
 		rented:     make(map[string]float64),
 		planCounts: make(map[PlanKind]uint64),
@@ -130,19 +130,15 @@ func stepKey(s metapath.Step) string {
 	return s.Relation.Name
 }
 
-func chainKey(steps []metapath.Step, suffix string) string {
+// stepsKey identifies the materialized matrix of a non-empty step chain.
+// Every plan, half and path shares it, so a path's left half, a PCRW matrix
+// and a longer path's prefix all reuse one cache entry.
+func stepsKey(steps []metapath.Step) string {
 	parts := make([]string, len(steps))
 	for i, s := range steps {
 		parts[i] = stepKey(s)
 	}
-	k := strings.Join(parts, "|")
-	if suffix != "" {
-		if k != "" {
-			k += "|"
-		}
-		k += suffix
-	}
-	return k
+	return "C:" + strings.Join(parts, "|")
 }
 
 // transition returns the row-stochastic transition matrix U for one step
@@ -171,44 +167,90 @@ func (e *Engine) transition(s metapath.Step) (*sparse.Matrix, error) {
 	return u, nil
 }
 
-// middleEdgeTransitions returns (U_SE, U_TE) for the middle atomic relation
-// of an odd-length path: the transition matrices from the relation's source
-// side and target side into the inserted edge-object type E (Definition 6).
-// Column k of either matrix corresponds to the k-th relation instance in
-// row-major order of the step's effective adjacency. Per the Property 1
-// proof, instance weights w split as sqrt(w) on both half-edges.
-func (e *Engine) middleEdgeTransitions(s metapath.Step) (use, ute *sparse.Matrix, err error) {
-	key := stepKey(s)
+// middle is the middle relation R (S → T) of an odd-length path with the
+// edge-object type E of Definition 6 eliminated (DESIGN §6). With A =
+// rownorm(√W) and B = rownorm(√Wᵀ), U_SE·U_TEᵀ = M = A ⊙ Bᵀ, an S × T matrix
+// laid out like W (entry k is instance k): the halves meet at T after one
+// SpMV, l·M, and the cosine norms become norms of the un-extended halves
+// weighted by dS[x] = Σ_y A[x,y]² and dT[y] = Σ_x B[y,x]². Rows of A and B
+// are the rows of U_SE and U_TE, which the Monte Carlo walkers sample.
+type middle struct {
+	a, b, m *sparse.Matrix
+	l, r    weights // dS, at the left half's end type; dT, at the right's
+}
+
+// weights is how one half's cosine norms are taken: plainly (the zero value,
+// d nil) at an even path's meeting type, weighted by dS or dT at an odd one's.
+type weights struct {
+	key string // the norm cache key: "" plain, else side and middle step key
+	d   []float64
+}
+
+// weights returns the norm weighting of one half ('L' or 'R'); plain for an
+// even path (mo nil).
+func (mo *middle) weights(side byte) weights {
+	switch {
+	case mo == nil:
+		return weights{}
+	case side == 'L':
+		return mo.l
+	}
+	return mo.r
+}
+
+// leftHalf is a left reaching distribution l and, if cached (metKey), l·M.
+type leftHalf struct{ l, met *sparse.Vector }
+
+// metKey names PM_L·M, an odd path's left half carried across its middle
+// relation, which Precompute caches ("" for an even path).
+func (e *Engine) metKey(h halves) string {
+	if h.middle == nil {
+		return ""
+	}
+	return "X:" + stepKey(*h.middle) + ">" + e.chainCacheKey(h.left())
+}
+
+// middleOf returns the collapsed form of an odd path's middle step s, built
+// once per step key; nil for an even path (s nil). Like transitions, these
+// are bounded by the schema and never evicted.
+func (e *Engine) middleOf(s *metapath.Step) (*middle, error) {
+	if s == nil {
+		return nil, nil
+	}
+	key := stepKey(*s)
 	e.mu.Lock()
-	u1, ok1 := e.edgeU["SE|"+key]
-	u2, ok2 := e.edgeU["TE|"+key]
+	mo, ok := e.middles[key]
 	e.mu.Unlock()
-	if ok1 && ok2 {
-		return u1, u2, nil
+	if ok {
+		return mo, nil
 	}
 	w, err := e.g.Adjacency(s.Relation.Name)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if s.Inverse {
 		w = w.Transpose()
 	}
 	rows, cols := w.Dims()
 	ts := w.Triplets()
-	seTrip := make([]sparse.Triplet, len(ts))
-	teTrip := make([]sparse.Triplet, len(ts))
-	for k, t := range ts {
-		sq := sqrtWeight(t.Val)
-		seTrip[k] = sparse.Triplet{Row: t.Row, Col: k, Val: sq}
-		teTrip[k] = sparse.Triplet{Row: t.Col, Col: k, Val: sq}
+	for k := range ts {
+		ts[k].Val = sqrtWeight(ts[k].Val)
 	}
-	use = sparse.New(rows, len(ts), seTrip).RowNormalize()
-	ute = sparse.New(cols, len(ts), teTrip).RowNormalize()
+	sq := sparse.New(rows, cols, ts)
+	mo = &middle{a: sq.RowNormalize(), b: sq.Transpose().RowNormalize()}
+	ts = mo.a.Triplets()
+	for k, t := range mo.b.Transpose().Triplets() { // Bᵀ is laid out like W
+		ts[k].Val *= t.Val
+	}
+	if mo.m = sparse.New(rows, cols, ts); mo.m.NNZ() != w.NNZ() {
+		return nil, fmt.Errorf("core: middle relation %s: instance weights underflow", key)
+	}
+	mo.l = weights{key: "L" + key, d: mo.a.RowSquares()}
+	mo.r = weights{key: "R" + key, d: mo.b.RowSquares()}
 	e.mu.Lock()
-	e.edgeU["SE|"+key] = use
-	e.edgeU["TE|"+key] = ute
+	e.middles[key] = mo
 	e.mu.Unlock()
-	return use, ute, nil
+	return mo, nil
 }
 
 func sqrtWeight(w float64) float64 {
@@ -223,13 +265,14 @@ func sqrtWeight(w float64) float64 {
 
 // halves describes the two reachable-probability chains of a decomposed
 // path: leftSteps propagate the source forward to the meeting type,
-// rightSteps propagate the target backward to it. When the original path
-// has odd length, both chains end with an extra half-step into the
-// edge-object type of the middle relation.
+// rightSteps propagate the target backward to it. When the original path has
+// odd length, middle is the relation between where the two chains end.
 type halves struct {
 	leftSteps  []metapath.Step
 	rightSteps []metapath.Step // already reversed: target → meeting type
 	middle     *metapath.Step
+	mo         *middle // middle's collapsed form, resolved by the optimizer
+	src, dst   string  // the path's end types, where the two chains start
 }
 
 func splitPath(p *metapath.Path) halves {
@@ -238,7 +281,7 @@ func splitPath(p *metapath.Path) halves {
 	for i, s := range d.Right {
 		right[len(d.Right)-1-i] = s.Reversed()
 	}
-	return halves{leftSteps: d.Left, rightSteps: right, middle: d.Middle}
+	return halves{leftSteps: d.Left, rightSteps: right, middle: d.Middle, src: p.Source(), dst: p.Target()}
 }
 
 // cacheGet returns a cached chain matrix.
@@ -277,47 +320,22 @@ func (e *Engine) cachePut(key string, m *sparse.Matrix) {
 	}
 }
 
-// chainFullKey identifies a chain's materialized matrix. Pure step chains
-// share one key regardless of which query plan built them, so a path's left
-// half, a PCRW reachable matrix, and a longer path's prefix all reuse the
-// same cache entry; only the edge half-step suffix distinguishes sides.
-func (e *Engine) chainFullKey(steps []metapath.Step, middle *metapath.Step, side byte) string {
-	if middle == nil {
-		return "C:" + chainKey(steps, "")
-	}
-	mk := stepKey(*middle)
-	if side == 'L' {
-		return "C:" + chainKey(steps, "SE("+mk+")")
-	}
-	return "C:" + chainKey(steps, "TE("+mk+")")
-}
-
-// chainStartType returns the node type a chain starts from. An empty chain
-// with a middle step starts at the middle relation's near side.
-func (e *Engine) chainStartType(steps []metapath.Step, middle *metapath.Step, side byte) string {
-	if len(steps) > 0 {
-		return steps[0].From()
-	}
-	if middle == nil {
-		panic("core: empty chain with no middle step")
-	}
-	if side == 'L' {
-		return middle.From()
-	}
-	return middle.To()
-}
-
-// chainRowNorms returns cached per-row L2 norms of a chain matrix.
-func (e *Engine) chainRowNorms(key string, pm *sparse.Matrix) []float64 {
+// chainRowNorms returns the cached cosine norms of a chain's rows under w,
+// kept per chain and weights key: one chain can be the half of paths over
+// different middle relations (AFAP, APAP) or none (APA).
+func (e *Engine) chainRowNorms(key string, pm *sparse.Matrix, w weights) []float64 {
 	e.mu.Lock()
-	if n, ok := e.norms[key]; ok {
+	if n, ok := e.norms[key][w.key]; ok {
 		e.mu.Unlock()
 		return n
 	}
 	e.mu.Unlock()
-	n := pm.RowNorms()
+	n := pm.WeightedRowNorms(w.d)
 	e.mu.Lock()
-	e.norms[key] = n
+	if e.norms[key] == nil {
+		e.norms[key] = make(map[string][]float64)
+	}
+	e.norms[key][w.key] = n
 	e.mu.Unlock()
 	return n
 }
@@ -395,19 +413,30 @@ func (e *Engine) PairsSubset(ctx context.Context, p *metapath.Path, srcs, dsts [
 // Precompute materializes and caches both half-path reachable probability
 // matrices and their row norms, so subsequent SingleSource and Pair queries
 // on the same path are served from the cache — the offline materialization
-// speedup of Section 4.6.
+// speedup of Section 4.6; for an odd path, PM_L·M too (metKey).
 func (e *Engine) Precompute(ctx context.Context, p *metapath.Path) error {
 	h := splitPath(p)
+	mo, err := e.middleOf(h.middle)
+	if err != nil {
+		return err
+	}
 	pml, err := e.opMatrixChain(ctx, h.left())
 	if err != nil {
 		return err
+	}
+	if len(h.leftSteps) > 0 && h.middle != nil && e.caching {
+		x, err := pml.MulCtx(ctx, mo.m)
+		if err != nil {
+			return err
+		}
+		e.cachePut(e.metKey(h), x)
 	}
 	pmr, err := e.opMatrixChain(ctx, h.right())
 	if err != nil {
 		return err
 	}
-	e.chainRowNorms(e.chainCacheKey(h.left()), pml)
-	e.chainRowNorms(e.chainCacheKey(h.right()), pmr)
+	e.chainRowNorms(e.chainCacheKey(h.left()), pml, mo.weights('L'))
+	e.chainRowNorms(e.chainCacheKey(h.right()), pmr, mo.weights('R'))
 	return nil
 }
 
@@ -432,19 +461,19 @@ func (e *Engine) ReachableFrom(ctx context.Context, p *metapath.Path, src int) (
 func (e *Engine) CacheSize() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.trans) + len(e.edgeU) + len(e.reach)
+	return len(e.trans) + len(e.middles) + len(e.reach)
 }
 
 // CacheInfo is a point-in-time snapshot of the engine's matrix caches.
 type CacheInfo struct {
 	Transition int `json:"transition"` // per-relation transition matrices
-	Edge       int `json:"edge"`       // middle edge-transition matrices
+	Edge       int `json:"edge"`       // collapsed odd-path middle relations
 	Chain      int `json:"chain"`      // materialized chain (reachable) matrices
 	Evictions  int `json:"evictions"`  // chain matrices dropped by WithCacheLimit
 }
 
-// CacheStats breaks CacheSize down by kind: transition matrices, middle
-// edge-transition matrices, and materialized chain matrices, plus the
+// CacheStats breaks CacheSize down by kind: transition matrices, collapsed
+// middle relations, and materialized chain matrices, plus the
 // count of chain matrices the cache limit has evicted so far. Only chain
 // matrices are subject to WithCacheLimit eviction.
 func (e *Engine) CacheStats() CacheInfo {
@@ -452,7 +481,7 @@ func (e *Engine) CacheStats() CacheInfo {
 	defer e.mu.Unlock()
 	return CacheInfo{
 		Transition: len(e.trans),
-		Edge:       len(e.edgeU),
+		Edge:       len(e.middles),
 		Chain:      len(e.reach),
 		Evictions:  e.evictions,
 	}
@@ -484,33 +513,32 @@ func (e *Engine) ExportChains() map[string]*sparse.Matrix {
 }
 
 // ImportChains installs previously exported chain matrices in the cache,
-// returning how many were admitted. Keys and matrices must come from an
-// engine over the same graph with the same pruning epsilon — the snapshot
-// layer enforces this with the graph fingerprint before calling. Row norms
-// are recomputed lazily on first use. A non-caching engine ignores the
-// import entirely.
-func (e *Engine) ImportChains(chains map[string]*sparse.Matrix) int {
-	if !e.caching {
-		return 0
-	}
-	n := 0
+// returning how many were admitted and how many were stale: odd-path halves
+// older builds keyed "…|SE(step)" / "…|TE(step)", in the edge-object space no
+// code builds any more. Keys and matrices must come from an engine over the
+// same graph and pruning epsilon (the snapshot layer checks the fingerprint).
+// Row norms are recomputed lazily. A non-caching engine admits nothing.
+func (e *Engine) ImportChains(chains map[string]*sparse.Matrix) (admitted, stale int) {
 	for k, m := range chains {
-		if m == nil {
-			continue
+		last := k[strings.LastIndexAny(k, ":|")+1:]
+		switch {
+		case strings.HasPrefix(last, "SE(") || strings.HasPrefix(last, "TE("):
+			stale++
+		case m != nil && e.caching:
+			e.cachePut(k, m)
+			admitted++
 		}
-		e.cachePut(k, m)
-		n++
 	}
-	return n
+	return admitted, stale
 }
 
 // ClearCache drops all cached matrices, norms, and cost estimates.
 func (e *Engine) ClearCache() {
 	e.mu.Lock()
 	e.trans = make(map[string]*sparse.Matrix)
-	e.edgeU = make(map[string]*sparse.Matrix)
+	e.middles = make(map[string]*middle)
 	e.reach = make(map[string]*sparse.Matrix)
-	e.norms = make(map[string][]float64)
+	e.norms = make(map[string]map[string][]float64)
 	e.reachAge = nil
 	e.mu.Unlock()
 	e.estMu.Lock()

@@ -136,7 +136,7 @@ func TestFig5Decomposition(t *testing.T) {
 func TestEdgeObjectLiteralEquivalence(t *testing.T) {
 	// Definition 6 inserts an edge-object type E literally. Build the
 	// augmented graph by hand and verify the engine's algebraic shortcut
-	// (U_SE / U_TE factor matrices) gives identical scores on A[r]B as
+	// (the collapsed middle relation M) gives identical scores on A[r]B as
 	// the literal even path A-E-B on the augmented graph.
 	g := fig5Graph(t)
 	s2 := hin.NewSchema()
@@ -692,8 +692,10 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 func TestOddPathLeftRightDimensionsAgree(t *testing.T) {
-	// For odd paths both walkers land in the edge-object space E whose
-	// dimension is the middle relation's instance count.
+	// For odd paths the left half ends at the middle relation's source type
+	// and the right half at its target type; the collapsed middle M joins
+	// them with one entry per relation instance, so left·M and the right
+	// half agree in width.
 	g := randomBibGraph(5)
 	e := NewEngine(g)
 	p := metapath.MustParse(g.Schema(), "APVC") // middle step = published_in
@@ -709,8 +711,17 @@ func TestOddPathLeftRightDimensionsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mo, err := e.middleOf(h.middle)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, _ := g.Adjacency("published_in")
-	if pml.Cols() != w.NNZ() || pmr.Cols() != w.NNZ() {
-		t.Errorf("edge-space dims: left %d, right %d, want %d", pml.Cols(), pmr.Cols(), w.NNZ())
+	if pml.Cols() != g.NodeCount("paper") || pmr.Cols() != g.NodeCount("venue") {
+		t.Errorf("half widths: left %d, right %d, want papers %d and venues %d",
+			pml.Cols(), pmr.Cols(), g.NodeCount("paper"), g.NodeCount("venue"))
+	}
+	if r, c := mo.m.Dims(); r != pml.Cols() || c != pmr.Cols() || mo.m.NNZ() != w.NNZ() {
+		t.Errorf("M is %dx%d with %d entries, want %dx%d with the relation's %d instances",
+			r, c, mo.m.NNZ(), pml.Cols(), pmr.Cols(), w.NNZ())
 	}
 }

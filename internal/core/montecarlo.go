@@ -76,12 +76,16 @@ func (e *Engine) pairMC(ctx context.Context, p *metapath.Path, src, dst, walks i
 		return MonteCarloResult{}, fmt.Errorf("core: PairMonteCarlo needs at least 2 walks, got %d", walks)
 	}
 	h := splitPath(p)
-	rng := rand.New(rand.NewSource(e.querySeed(seed)))
-	srcCounts, err := e.sampleWalks(ctx, src, h.left(), walks, rng)
+	mo, err := e.middleOf(h.middle)
 	if err != nil {
 		return MonteCarloResult{}, err
 	}
-	dstCounts, err := e.sampleWalks(ctx, dst, h.right(), walks, rng)
+	rng := rand.New(rand.NewSource(e.querySeed(seed)))
+	srcCounts, err := e.sampleWalks(ctx, src, h.left(), mo, walks, rng)
+	if err != nil {
+		return MonteCarloResult{}, err
+	}
+	dstCounts, err := e.sampleWalks(ctx, dst, h.right(), mo, walks, rng)
 	if err != nil {
 		return MonteCarloResult{}, err
 	}
@@ -120,11 +124,12 @@ func (e *Engine) pairMC(ctx context.Context, p *metapath.Path, src, dst, walks i
 }
 
 // sampleWalks runs `walks` independent random walks from start through the
-// chain (with the odd-path edge half-step handled by sampling a relation
-// instance) and returns meeting-object visit counts. Walks that dead-end
-// are dropped, matching the measure's convention that missing neighbors
-// contribute zero relatedness.
-func (e *Engine) sampleWalks(ctx context.Context, start int, c chain, walks int, rng *rand.Rand) (map[int]int, error) {
+// chain and returns meeting-object visit counts. On an odd path (mo non-nil)
+// each walk ends with a half-step into the middle relation, sampling a row of
+// A or B (of U_SE or U_TE), and meets the other side on the instance crossed.
+// Walks that dead-end are dropped, matching the measure's convention that
+// missing neighbors contribute zero relatedness.
+func (e *Engine) sampleWalks(ctx context.Context, start int, c chain, mo *middle, walks int, rng *rand.Rand) (map[int]int, error) {
 	sp := obs.FromContext(ctx).Start("mc_sample")
 	if sp != nil {
 		sp.SetAttr("side", string(c.side)).
@@ -133,7 +138,7 @@ func (e *Engine) sampleWalks(ctx context.Context, start int, c chain, walks int,
 	}
 	defer sp.End()
 	metWalks.Add(uint64(walks))
-	// Pre-resolve the transition matrices once (middle half-step last).
+	// Pre-resolve the transition matrices once.
 	us, err := e.chainTransitions(ctx, c)
 	if err != nil {
 		return nil, err
@@ -152,6 +157,15 @@ func (e *Engine) sampleWalks(ctx context.Context, start int, c chain, walks int,
 			if !ok {
 				break
 			}
+		}
+		if ok && mo != nil { // meet on instance (x, y), numbered x·|T| + y
+			x, y := at, at
+			if c.side == 'L' {
+				y, ok = stepSample(mo.a, x, rng)
+			} else {
+				x, ok = stepSample(mo.b, y, rng)
+			}
+			at = x*mo.m.Cols() + y
 		}
 		if ok {
 			counts[at]++
@@ -213,7 +227,7 @@ func (e *Engine) singleSourceMC(ctx context.Context, p *metapath.Path, src, walk
 		return nil, fmt.Errorf("core: SingleSourceMonteCarlo needs at least 1 walk, got %d", walks)
 	}
 	rng := rand.New(rand.NewSource(e.querySeed(seed)))
-	counts, err := e.sampleWalks(ctx, src, pathChain(p), walks, rng)
+	counts, err := e.sampleWalks(ctx, src, pathChain(p), nil, walks, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -13,44 +13,54 @@ import (
 // propagation operators — sparse vector propagate, full matrix
 // materialization, subset-row propagation, and the scan-side
 // materialization used by top-k — all driven by one step walker, so
-// the transition resolution, middle-relation handling, context polling and
-// per-step tracing live exactly once. The operators preserve the PR4
-// bit-identity invariant: vector, subset and full-matrix propagation all
+// the transition resolution, context polling and per-step tracing live
+// exactly once. The operators preserve the bit-identity invariant: vector, subset and full-matrix propagation all
 // accumulate each output entry's contributions in the same ascending-index
 // order, so at pruning epsilon 0 every exact plan produces bit-identical
 // scores.
 
 // chain identifies one reachable-probability chain: the steps to walk, the
-// optional odd-path middle half-step, and which side of the decomposition
-// it is ('L', 'R', or 'P' for a full path).
+// type they start from (all an empty half of a length-1 path has), and which
+// side of the decomposition it is ('L', 'R', or 'P' for a full path).
 type chain struct {
-	steps  []metapath.Step
-	middle *metapath.Step
-	side   byte
+	steps []metapath.Step
+	start string
+	side  byte
 }
 
-func (h halves) left() chain  { return chain{steps: h.leftSteps, middle: h.middle, side: 'L'} }
-func (h halves) right() chain { return chain{steps: h.rightSteps, middle: h.middle, side: 'R'} }
+func (h halves) left() chain  { return chain{steps: h.leftSteps, start: h.src, side: 'L'} }
+func (h halves) right() chain { return chain{steps: h.rightSteps, start: h.dst, side: 'R'} }
 
 // pathChain is the undecomposed full-path chain (the PCRW matrix of
 // Definition 9).
-func pathChain(p *metapath.Path) chain { return chain{steps: p.Steps(), side: 'P'} }
+func pathChain(p *metapath.Path) chain { return chain{steps: p.Steps(), start: p.Source(), side: 'P'} }
 
-// chainCacheKey identifies a chain's materialized matrix in the cache.
+// chainCacheKey identifies a chain's materialized matrix in the cache. An
+// empty chain is the identity over its start type; it is never cached, and
+// its key names only its estimate and its norms.
 func (e *Engine) chainCacheKey(c chain) string {
-	return e.chainFullKey(c.steps, c.middle, c.side)
+	if len(c.steps) == 0 {
+		return "C:@" + c.start
+	}
+	return stepsKey(c.steps)
 }
 
-// chainStart returns the node type a chain starts from.
-func (e *Engine) chainStart(c chain) string {
-	return e.chainStartType(c.steps, c.middle, c.side)
+// identity is the matrix of an empty chain, kept beside the transitions.
+func (e *Engine) identity(typ string) *sparse.Matrix {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	id, ok := e.trans["="+typ]
+	if !ok {
+		id = sparse.Identity(e.g.NodeCount(typ))
+		e.trans["="+typ] = id
+	}
+	return id
 }
 
-// propagate drives one chain walk: for every step — and the odd-path middle
-// half-step — it polls ctx, resolves the transition matrix, and hands it to
-// apply together with a step label (for tracing) and the cache key of the
-// chain prefix completed by that step ("" for the middle half-step, which
-// is never cached on its own). All four operators share this walker.
+// propagate drives one chain walk: for every step it polls ctx, resolves the
+// transition matrix, and hands it to apply together with a step label (for
+// tracing) and the cache key of the chain prefix completed by that step. All
+// four operators share this walker.
 func (e *Engine) propagate(ctx context.Context, c chain, apply func(u *sparse.Matrix, label, prefixKey string) error) error {
 	return e.propagateFrom(ctx, c, 0, apply)
 }
@@ -70,23 +80,7 @@ func (e *Engine) propagateFrom(ctx context.Context, c chain, from int, apply fun
 		if err != nil {
 			return err
 		}
-		if err := apply(u, stepKey(s), e.chainFullKey(c.steps[:i+1], nil, c.side)); err != nil {
-			return err
-		}
-	}
-	if c.middle != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		use, ute, err := e.middleEdgeTransitions(*c.middle)
-		if err != nil {
-			return err
-		}
-		u := use
-		if c.side != 'L' {
-			u = ute
-		}
-		if err := apply(u, "edge("+stepKey(*c.middle)+")", ""); err != nil {
+		if err := apply(u, stepKey(s), stepsKey(c.steps[:i+1])); err != nil {
 			return err
 		}
 	}
@@ -98,7 +92,7 @@ func (e *Engine) propagateFrom(ctx context.Context, c chain, from int, apply fun
 // queries and the left side of single-vs-matrix plans.
 func (e *Engine) opVectorChain(ctx context.Context, start int, c chain) (*sparse.Vector, error) {
 	tr := obs.FromContext(ctx)
-	v := sparse.Unit(e.g.NodeCount(e.chainStart(c)), start)
+	v := sparse.Unit(e.g.NodeCount(c.start), start)
 	err := e.propagate(ctx, c, func(u *sparse.Matrix, label, _ string) error {
 		sp := tr.Start("chain_multiply")
 		v = v.MulMat(u)
@@ -132,6 +126,9 @@ func chainStep(ctx context.Context, pm, u *sparse.Matrix) (*sparse.Matrix, error
 // applies WithPruning per step and the only one that reads or writes the
 // chain cache.
 func (e *Engine) opMatrixChain(ctx context.Context, c chain) (*sparse.Matrix, error) {
+	if len(c.steps) == 0 {
+		return e.identity(c.start), nil
+	}
 	tr := obs.FromContext(ctx)
 	fullKey := e.chainCacheKey(c)
 	if e.caching {
@@ -155,11 +152,11 @@ func (e *Engine) opMatrixChain(ctx context.Context, c chain) (*sparse.Matrix, er
 	from := 0
 	if e.caching {
 		for i := len(c.steps) - 1; i >= 1; i-- {
-			if m, ok := e.cacheGet(e.chainFullKey(c.steps[:i], nil, c.side)); ok {
+			if m, ok := e.cacheGet(stepsKey(c.steps[:i])); ok {
 				pm, from = m, i
 				if tr != nil {
 					tr.Event("prefix_hit", map[string]string{
-						"key":   e.chainFullKey(c.steps[:i], nil, c.side),
+						"key":   stepsKey(c.steps[:i]),
 						"steps": strconv.Itoa(i),
 					})
 				}
@@ -179,7 +176,7 @@ func (e *Engine) opMatrixChain(ctx context.Context, c chain) (*sparse.Matrix, er
 		if sp != nil {
 			spanMatrixAttrs(sp, c.side, label, pm).End()
 		}
-		if e.caching && prefixKey != "" {
+		if e.caching {
 			e.cachePut(prefixKey, pm)
 		}
 		return nil
@@ -201,6 +198,9 @@ func (e *Engine) opMatrixChain(ctx context.Context, c chain) (*sparse.Matrix, er
 // opVectorChain (and unlike opMatrixChain) it never prunes, so subset plans
 // match the vector plan exactly even under WithPruning.
 func (e *Engine) opSubsetChain(ctx context.Context, rows []int, c chain) (*sparse.Matrix, error) {
+	if len(c.steps) == 0 {
+		return e.identity(c.start).SelectRows(rows), nil
+	}
 	tr := obs.FromContext(ctx)
 	var pm *sparse.Matrix
 	err := e.propagate(ctx, c, func(u *sparse.Matrix, label, _ string) error {
@@ -245,9 +245,14 @@ type chainScan struct {
 //     user: return pm alone; the caller scores its rows instead of paying a
 //     transpose as large as the product was.
 //
-// Besides RewarmFrom this is the only producer of "T:" entries, and a
-// non-caching engine never stores one.
+// An empty chain's identity is its own transpose and always at hand. Besides
+// RewarmFrom this is the only producer of "T:" entries, and a non-caching
+// engine never stores one.
 func (e *Engine) opScanChain(ctx context.Context, c chain, left *sparse.Vector) (chainScan, error) {
+	if len(c.steps) == 0 {
+		id := e.identity(c.start)
+		return chainScan{kind: scanTransposed, pm: id, pmT: id}, nil
+	}
 	key := e.chainCacheKey(c)
 	tKey := "T:" + key
 	if e.caching {
@@ -256,7 +261,7 @@ func (e *Engine) opScanChain(ctx context.Context, c chain, left *sparse.Vector) 
 		}
 	}
 	reused := e.chainWarm(key)
-	if !reused && e.rentable(c) {
+	if !reused && e.rentable() {
 		if sc, err := e.rentRows(ctx, c, key, left); err != nil || sc.rows != nil {
 			return sc, err
 		}
@@ -271,11 +276,10 @@ func (e *Engine) opScanChain(ctx context.Context, c chain, left *sparse.Vector) 
 }
 
 // rentable reports whether a top-k on a cold chain may rent rows instead of
-// materializing: subset rows equal materialized rows only unpruned, a
-// non-caching engine has nothing to buy, and an odd path's chains end in the
-// edge-object space that reachableRows does not walk.
-func (e *Engine) rentable(c chain) bool {
-	return e.caching && e.pruneEps == 0 && c.middle == nil
+// materializing: subset rows equal materialized rows only unpruned, and a
+// non-caching engine has nothing to buy.
+func (e *Engine) rentable() bool {
+	return e.caching && e.pruneEps == 0
 }
 
 // rentRows is the rent-or-buy rule of a cold chain's top-k. Renting
@@ -287,7 +291,7 @@ func (e *Engine) rentable(c chain) bool {
 // caller buys — so a hot chain ends up cached after at most twice the work
 // of materializing at once, and a one-off path never pays for every target.
 func (e *Engine) rentRows(ctx context.Context, c chain, key string, left *sparse.Vector) (chainScan, error) {
-	est, err := e.estimateChainCached(c)
+	est, err := e.estimateChainCached(c, nil)
 	if err != nil {
 		return chainScan{}, err
 	}
@@ -331,10 +335,10 @@ func (e *Engine) reachableRows(ctx context.Context, c chain, v *sparse.Vector) (
 }
 
 // chainTransitions resolves the transition matrix of every step of a chain
-// in order (middle half-step last) — the Monte Carlo sampler walks rows of
-// these instead of multiplying them.
+// in order — the Monte Carlo sampler walks rows of these instead of
+// multiplying them.
 func (e *Engine) chainTransitions(ctx context.Context, c chain) ([]*sparse.Matrix, error) {
-	us := make([]*sparse.Matrix, 0, len(c.steps)+1)
+	us := make([]*sparse.Matrix, 0, len(c.steps))
 	err := e.propagate(ctx, c, func(u *sparse.Matrix, _, _ string) error {
 		us = append(us, u)
 		return nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"hetesim/internal/metapath"
@@ -148,6 +149,7 @@ type costModel struct {
 	coldLeft    float64 // remaining flops to materialize the left half
 	coldRight   float64 // remaining flops to materialize the right half
 	coldRightT  float64 // one-time flops before a top-k can scan the right half
+	mo          *middle // an odd path's middle relation, handed to the executors
 }
 
 // chainColdFlops estimates the flops still needed to materialize a chain:
@@ -163,10 +165,10 @@ func (e *Engine) chainColdFlops(c chain, est ChainEstimate) float64 {
 		return 0
 	}
 	for i := len(c.steps) - 1; i >= 1; i-- {
-		if !e.chainWarm(e.chainFullKey(c.steps[:i], nil, c.side)) {
+		if !e.chainWarm(stepsKey(c.steps[:i])) {
 			continue
 		}
-		pEst, err := e.estimateChainCached(chain{steps: c.steps[:i], side: c.side})
+		pEst, err := e.estimateChainCached(chain{steps: c.steps[:i], start: c.start, side: c.side}, nil)
 		if err != nil {
 			break
 		}
@@ -178,10 +180,14 @@ func (e *Engine) chainColdFlops(c chain, est ChainEstimate) float64 {
 	return est.Flops
 }
 
-// chainWarm reports whether a chain key is already materialized. A
+// chainWarm reports whether a chain key is already materialized — always for
+// an empty chain, whose identity (and its transpose) is at hand. A
 // non-caching engine never reads the cache during execution, so it reports
-// cold regardless of imports.
+// other chains cold regardless of imports.
 func (e *Engine) chainWarm(key string) bool {
+	if strings.HasPrefix(strings.TrimPrefix(key, "T:"), "C:@") {
+		return true
+	}
 	if !e.caching {
 		return false
 	}
@@ -189,19 +195,22 @@ func (e *Engine) chainWarm(key string) bool {
 	return ok
 }
 
-// estimateChainCached memoizes estimateChain per chain key: estimates
-// depend only on the transition matrices (static per graph and pruning
-// epsilon), so the optimizer's per-query overhead is two map lookups, not a
-// re-walk of the path.
-func (e *Engine) estimateChainCached(c chain) (ChainEstimate, error) {
+// estimateChainCached memoizes estimateChain per chain key (and middle
+// relation crossed): estimates depend only on the transition matrices
+// (static per graph and pruning epsilon), so the optimizer's per-query
+// overhead is two map lookups, not a re-walk of the path.
+func (e *Engine) estimateChainCached(c chain, mo *middle) (ChainEstimate, error) {
 	key := e.chainCacheKey(c)
+	if mo != nil {
+		key += "|" + mo.l.key
+	}
 	e.estMu.Lock()
 	if est, ok := e.estCache[key]; ok {
 		e.estMu.Unlock()
 		return est, nil
 	}
 	e.estMu.Unlock()
-	est, err := e.estimateChain(c.steps, c.middle, c.side)
+	est, err := e.estimateChain(c, mo)
 	if err != nil {
 		return ChainEstimate{}, err
 	}
@@ -211,20 +220,25 @@ func (e *Engine) estimateChainCached(c chain) (ChainEstimate, error) {
 	return est, nil
 }
 
+// costModelFor prices an odd path as the even path one step shorter plus one
+// SpMV: its left half is estimated with M as a last step.
 func (e *Engine) costModelFor(h halves) (costModel, error) {
 	var cm costModel
 	var err error
-	if cm.left, err = e.estimateChainCached(h.left()); err != nil {
+	if cm.mo, err = e.middleOf(h.middle); err != nil {
 		return cm, err
 	}
-	if cm.right, err = e.estimateChainCached(h.right()); err != nil {
+	if cm.left, err = e.estimateChainCached(h.left(), cm.mo); err != nil {
+		return cm, err
+	}
+	if cm.right, err = e.estimateChainCached(h.right(), nil); err != nil {
 		return cm, err
 	}
 	rightKey := e.chainCacheKey(h.right())
 	cm.warmLeft = e.chainWarm(e.chainCacheKey(h.left()))
 	cm.warmRight = e.chainWarm(rightKey)
 	cm.warmRightT = e.chainWarm("T:" + rightKey)
-	cm.rentRight = e.rentable(h.right())
+	cm.rentRight = e.rentable()
 	cm.coldLeft = e.chainColdFlops(h.left(), cm.left)
 	cm.coldRight = e.chainColdFlops(h.right(), cm.right)
 	// Mirrors opScanChain: a cached transpose is free, a cached chain gets
@@ -444,12 +458,13 @@ func (e *Engine) pickPlan(ctx context.Context, lp LogicalPlan, cm costModel, can
 // optimize runs the cost model over a compiled query, records the selection
 // in the plan counters, and emits the plan_select trace span carrying the
 // chosen kind and its estimated flops.
-func (e *Engine) optimize(ctx context.Context, lp LogicalPlan) (PlanDecision, error) {
+func (e *Engine) optimize(ctx context.Context, lp *LogicalPlan) (PlanDecision, error) {
 	cm, err := e.costModelFor(lp.h)
 	if err != nil {
 		return PlanDecision{}, err
 	}
-	d, err := e.pickPlan(ctx, lp, cm, planCandidates(cm, lp))
+	lp.h.mo = cm.mo
+	d, err := e.pickPlan(ctx, *lp, cm, planCandidates(cm, *lp))
 	if err != nil {
 		return d, err
 	}
@@ -494,72 +509,68 @@ func (e *Engine) PlanSelections() map[string]uint64 {
 // come from (propagated vector, materialized row, or subset row), so they
 // share the combine/normalize tails and stay bit-identical.
 
-// pairVectors resolves the two reaching distributions of a pair query under
-// the chosen plan.
-func (e *Engine) pairVectors(ctx context.Context, lp LogicalPlan, kind PlanKind) (left, right *sparse.Vector, err error) {
-	h := lp.h
-	switch kind {
-	case PlanPairVectors:
-		if left, err = e.opVectorChain(ctx, lp.Src, h.left()); err != nil {
-			return nil, nil, err
-		}
-		right, err = e.opVectorChain(ctx, lp.Dst, h.right())
-	case PlanSingleVsMatrix:
-		if left, err = e.opVectorChain(ctx, lp.Src, h.left()); err != nil {
-			return nil, nil, err
-		}
-		var pmr *sparse.Matrix
-		if pmr, err = e.opMatrixChain(ctx, h.right()); err == nil {
-			right = pmr.Row(lp.Dst)
-		}
-	case PlanAllPairs:
-		var pml, pmr *sparse.Matrix
-		if pml, err = e.opMatrixChain(ctx, h.left()); err != nil {
-			return nil, nil, err
-		}
-		if pmr, err = e.opMatrixChain(ctx, h.right()); err == nil {
-			left, right = pml.Row(lp.Src), pmr.Row(lp.Dst)
-		}
-	default:
-		err = fmt.Errorf("%w: %s cannot answer a pair query", ErrPlanNotApplicable, kind)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return left, right, nil
-}
-
 func (e *Engine) execPair(ctx context.Context, lp LogicalPlan, d PlanDecision) (float64, error) {
 	if d.Kind == PlanMonteCarlo {
 		res, err := e.pairMC(ctx, lp.Path, lp.Src, lp.Dst, lp.Opts.Walks, lp.Opts.Seed)
 		return res.Score, err
 	}
-	left, right, err := e.pairVectors(ctx, lp, d.Kind)
+	left, err := e.leftVector(ctx, lp, d.Kind)
+	if err != nil {
+		return 0, err
+	}
+	var right *sparse.Vector // propagated for pair-vectors, else a materialized row
+	if d.Kind == PlanPairVectors {
+		right, err = e.opVectorChain(ctx, lp.Dst, lp.h.right())
+	} else {
+		var pmr *sparse.Matrix
+		if pmr, err = e.opMatrixChain(ctx, lp.h.right()); err == nil {
+			right = pmr.Row(lp.Dst)
+		}
+	}
 	if err != nil {
 		return 0, err
 	}
 	sp := obs.FromContext(ctx).Start("normalize")
 	defer sp.End()
-	if e.normalized {
-		return left.Cosine(right), nil
-	}
-	return left.Dot(right), nil
+	return e.pairScore(lp.h.mo, left, right), nil
 }
 
-// leftVector resolves a single-source query's left reaching distribution:
-// propagated for single-vs-matrix, a materialized row for all-pairs.
-func (e *Engine) leftVector(ctx context.Context, lp LogicalPlan, kind PlanKind) (*sparse.Vector, error) {
+// pairScore combines a pair's two half distributions: their dot product at
+// the meeting type (Definition 3) or its cosine (Definition 10). Shared by
+// the solo plans and the batch scheduler so both produce bit-identical
+// scores.
+func (e *Engine) pairScore(mo *middle, left leftHalf, right *sparse.Vector) float64 {
+	met, ln := mo.meetLeft(left, 0)
+	dot := met.Dot(right)
+	if !e.normalized {
+		return dot
+	}
+	rn := right.WeightedNorm(mo.weights('R').d)
+	if ln == 0 || rn == 0 {
+		return 0
+	}
+	return dot / (ln * rn)
+}
+
+// leftVector resolves a query's left reaching distribution: propagated for
+// pair-vectors and single-vs-matrix, a materialized row for all-pairs.
+func (e *Engine) leftVector(ctx context.Context, lp LogicalPlan, kind PlanKind) (leftHalf, error) {
 	switch kind {
-	case PlanSingleVsMatrix:
-		return e.opVectorChain(ctx, lp.Src, lp.h.left())
+	case PlanPairVectors, PlanSingleVsMatrix:
+		l, err := e.opVectorChain(ctx, lp.Src, lp.h.left())
+		return leftHalf{l: l}, err
 	case PlanAllPairs:
 		pml, err := e.opMatrixChain(ctx, lp.h.left())
 		if err != nil {
-			return nil, err
+			return leftHalf{}, err
 		}
-		return pml.Row(lp.Src), nil
+		l := leftHalf{l: pml.Row(lp.Src)}
+		if x, ok := e.cacheGet(e.metKey(lp.h)); ok {
+			l.met = x.Row(lp.Src)
+		}
+		return l, nil
 	}
-	return nil, fmt.Errorf("%w: %s cannot answer a %s query", ErrPlanNotApplicable, kind, lp.Shape)
+	return leftHalf{}, fmt.Errorf("%w: %s cannot answer a %s query", ErrPlanNotApplicable, kind, lp.Shape)
 }
 
 func (e *Engine) execSingleSource(ctx context.Context, lp LogicalPlan, d PlanDecision) ([]float64, error) {
@@ -567,6 +578,7 @@ func (e *Engine) execSingleSource(ctx context.Context, lp LogicalPlan, d PlanDec
 		return e.singleSourceMC(ctx, lp.Path, lp.Src, lp.Opts.Walks, lp.Opts.Seed)
 	}
 	tr := obs.FromContext(ctx)
+	mo := lp.h.mo
 	left, err := e.leftVector(ctx, lp, d.Kind)
 	if err != nil {
 		return nil, err
@@ -575,17 +587,17 @@ func (e *Engine) execSingleSource(ctx context.Context, lp LogicalPlan, d PlanDec
 	if err != nil {
 		return nil, err
 	}
-	sp := tr.Start("combine")
-	scores := pmr.MulVec(left.Dense())
+	sp := tr.Start("normalize")
+	var rns []float64
+	if e.normalized {
+		rns = e.chainRowNorms(e.chainCacheKey(lp.h.right()), pmr, mo.weights('R'))
+	}
+	sp.End()
+	sp = tr.Start("combine")
+	scores := e.combineSingleSource(mo, left, pmr, rns)
 	if sp != nil {
 		sp.SetAttr("targets", strconv.Itoa(len(scores))).End()
 	}
-	sp = tr.Start("normalize")
-	if e.normalized {
-		rns := e.chainRowNorms(e.chainCacheKey(lp.h.right()), pmr)
-		normalizeSingleSource(scores, left.Norm(), rns)
-	}
-	sp.End()
 	return scores, nil
 }
 
@@ -621,7 +633,7 @@ func (e *Engine) execAllPairs(ctx context.Context, lp LogicalPlan, d PlanDecisio
 		return nil, fmt.Errorf("%w: %s cannot answer an all-pairs query", ErrPlanNotApplicable, d.Kind)
 	}
 	tr := obs.FromContext(ctx)
-	h := lp.h
+	h, mo := lp.h, lp.h.mo
 	pml, err := e.opMatrixChain(ctx, h.left())
 	if err != nil {
 		return nil, err
@@ -630,11 +642,8 @@ func (e *Engine) execAllPairs(ctx context.Context, lp LogicalPlan, d PlanDecisio
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	sp := tr.Start("combine")
-	rel, err := pml.MulCtx(ctx, pmr.Transpose())
+	rel, err := mo.combine(ctx, pml, pmr)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -647,8 +656,29 @@ func (e *Engine) execAllPairs(ctx context.Context, lp LogicalPlan, d PlanDecisio
 	}
 	sp = tr.Start("normalize")
 	defer sp.End()
-	ln := e.chainRowNorms(e.chainCacheKey(h.left()), pml)
-	rn := e.chainRowNorms(e.chainCacheKey(h.right()), pmr)
+	ln := e.chainRowNorms(e.chainCacheKey(h.left()), pml, mo.weights('L'))
+	rn := e.chainRowNorms(e.chainCacheKey(h.right()), pmr, mo.weights('R'))
+	return scaleByInvNorms(rel, ln, rn), nil
+}
+
+// combine is the relevance matrix of two half-chain matrices (or row subsets):
+// PM_L·PM_Rᵀ, or (PM_L·M)·PM_Rᵀ on an odd path, row for row meetLeft's SpMV.
+func (mo *middle) combine(ctx context.Context, pml, pmr *sparse.Matrix) (*sparse.Matrix, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if mo != nil {
+		var err error
+		if pml, err = pml.MulCtx(ctx, mo.m); err != nil {
+			return nil, err
+		}
+	}
+	return pml.MulCtx(ctx, pmr.Transpose())
+}
+
+// scaleByInvNorms applies Definition 10 to a relevance matrix: row i over
+// ln[i], column j over rn[j], zero-norm rows and columns scored 0.
+func scaleByInvNorms(rel *sparse.Matrix, ln, rn []float64) *sparse.Matrix {
 	li := make([]float64, len(ln))
 	for i, x := range ln {
 		li[i] = invNorm(x)
@@ -657,7 +687,7 @@ func (e *Engine) execAllPairs(ctx context.Context, lp LogicalPlan, d PlanDecisio
 	for i, x := range rn {
 		ri[i] = invNorm(x)
 	}
-	return rel.ScaleRows(li).ScaleCols(ri), nil
+	return rel.ScaleRows(li).ScaleCols(ri)
 }
 
 func invNorm(x float64) float64 {
@@ -668,8 +698,9 @@ func invNorm(x float64) float64 {
 }
 
 func (e *Engine) execSubset(ctx context.Context, lp LogicalPlan, d PlanDecision) (*sparse.Matrix, error) {
-	h := lp.h
+	h, mo := lp.h, lp.h.mo
 	var subL, subR *sparse.Matrix
+	var err error
 	switch d.Kind {
 	case PlanAllPairs:
 		pml, err := e.opMatrixChain(ctx, h.left())
@@ -682,7 +713,6 @@ func (e *Engine) execSubset(ctx context.Context, lp LogicalPlan, d PlanDecision)
 		}
 		subL, subR = pml.SelectRows(lp.Srcs), pmr.SelectRows(lp.Dsts)
 	case PlanSubsetChain:
-		var err error
 		if subL, err = e.opSubsetChain(ctx, lp.Srcs, h.left()); err != nil {
 			return nil, err
 		}
@@ -692,25 +722,11 @@ func (e *Engine) execSubset(ctx context.Context, lp LogicalPlan, d PlanDecision)
 	default:
 		return nil, fmt.Errorf("%w: %s cannot answer a subset query", ErrPlanNotApplicable, d.Kind)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	rel, err := mo.combine(ctx, subL, subR)
+	if err != nil || !e.normalized {
+		return rel, err
 	}
-	rel, err := subL.MulCtx(ctx, subR.Transpose())
-	if err != nil {
-		return nil, err
-	}
-	if !e.normalized {
-		return rel, nil
-	}
-	ln := subL.RowNorms()
-	rn := subR.RowNorms()
-	for i := range ln {
-		ln[i] = invNorm(ln[i])
-	}
-	for i := range rn {
-		rn[i] = invNorm(rn[i])
-	}
-	return rel.ScaleRows(ln).ScaleCols(rn), nil
+	return scaleByInvNorms(rel, subL.WeightedRowNorms(mo.weights('L').d), subR.WeightedRowNorms(mo.weights('R').d)), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -814,7 +830,7 @@ func (e *Engine) PairWithPlan(ctx context.Context, p *metapath.Path, src, dst in
 		return 0, PlanDecision{}, err
 	}
 	lp := LogicalPlan{Path: p, Shape: ShapePair, Src: src, Dst: dst, Opts: o, h: splitPath(p)}
-	d, err := e.optimize(ctx, lp)
+	d, err := e.optimize(ctx, &lp)
 	if err != nil {
 		return 0, d, err
 	}
@@ -829,7 +845,7 @@ func (e *Engine) SingleSourceWithPlan(ctx context.Context, p *metapath.Path, src
 		return nil, PlanDecision{}, err
 	}
 	lp := LogicalPlan{Path: p, Shape: ShapeSingleSource, Src: src, Opts: o, h: splitPath(p)}
-	d, err := e.optimize(ctx, lp)
+	d, err := e.optimize(ctx, &lp)
 	if err != nil {
 		return nil, d, err
 	}
@@ -850,7 +866,7 @@ func (e *Engine) TopKSearchWithPlan(ctx context.Context, p *metapath.Path, src, 
 		return nil, PlanDecision{}, err
 	}
 	lp := LogicalPlan{Path: p, Shape: ShapeTopK, Src: src, K: k, Eps: eps, Opts: o, h: splitPath(p)}
-	d, err := e.optimize(ctx, lp)
+	d, err := e.optimize(ctx, &lp)
 	if err != nil {
 		return nil, d, err
 	}
@@ -863,7 +879,7 @@ func (e *Engine) TopKSearchWithPlan(ctx context.Context, p *metapath.Path, src, 
 // other fails with ErrPlanNotApplicable).
 func (e *Engine) AllPairsWithPlan(ctx context.Context, p *metapath.Path, o PlanOptions) (*sparse.Matrix, PlanDecision, error) {
 	lp := LogicalPlan{Path: p, Shape: ShapeAllPairs, Opts: o, h: splitPath(p)}
-	d, err := e.optimize(ctx, lp)
+	d, err := e.optimize(ctx, &lp)
 	if err != nil {
 		return nil, d, err
 	}
@@ -888,7 +904,7 @@ func (e *Engine) PairsSubsetWithPlan(ctx context.Context, p *metapath.Path, srcs
 		}
 	}
 	lp := LogicalPlan{Path: p, Shape: ShapeSubset, Srcs: srcs, Dsts: dsts, Opts: o, h: splitPath(p)}
-	d, err := e.optimize(ctx, lp)
+	d, err := e.optimize(ctx, &lp)
 	if err != nil {
 		return nil, d, err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"hetesim/internal/metapath"
+	"hetesim/internal/sparse"
 )
 
 // Query planning for relevance paths. A HeteSim query has several physical
@@ -97,10 +98,11 @@ func (e *Engine) Explain(p *metapath.Path, queries int) (string, []PlanEstimate,
 // supports through each step: if the current matrix has expected row
 // support s and the next transition has average row support d over n
 // columns, the product's expected row support is min(n, s·d) under
-// independence, and its flops are rows·s·d.
-func (e *Engine) estimateChain(steps []metapath.Step, middle *metapath.Step, side byte) (ChainEstimate, error) {
-	startType := e.chainStartType(steps, middle, side)
-	rows := e.g.NodeCount(startType)
+// independence, and its flops are rows·s·d. A non-nil mo appends an odd
+// path's middle relation M as one more step — the SpMV (SpGEMM for matrix
+// plans) that carries the left half to the meeting type.
+func (e *Engine) estimateChain(c chain, mo *middle) (ChainEstimate, error) {
+	rows := e.g.NodeCount(c.start)
 	est := ChainEstimate{Rows: rows, Cols: rows, NNZ: float64(rows)} // identity
 	support := 1.0                                                   // expected nnz per row
 	// Per-step pruning drops entries below eps; a sub-stochastic row keeps
@@ -109,14 +111,15 @@ func (e *Engine) estimateChain(steps []metapath.Step, middle *metapath.Step, sid
 	if e.pruneEps > 0 {
 		pruneCap = 1 / e.pruneEps
 	}
-	advance := func(stepRows, stepCols int, stepNNZ float64) {
+	advance := func(u *sparse.Matrix) {
+		stepRows, stepCols := u.Dims()
 		if stepRows == 0 {
 			support = 0
 			est.Cols = stepCols
 			est.NNZ = 0
 			return
 		}
-		avg := stepNNZ / float64(stepRows)
+		avg := float64(u.NNZ()) / float64(stepRows)
 		est.Flops += float64(rows) * support * avg
 		support *= avg
 		if support > float64(stepCols) {
@@ -131,25 +134,15 @@ func (e *Engine) estimateChain(steps []metapath.Step, middle *metapath.Step, sid
 			est.NNZ = dense
 		}
 	}
-	for _, s := range steps {
+	for _, s := range c.steps {
 		u, err := e.transition(s)
 		if err != nil {
 			return ChainEstimate{}, err
 		}
-		r, c := u.Dims()
-		advance(r, c, float64(u.NNZ()))
+		advance(u)
 	}
-	if middle != nil {
-		use, ute, err := e.middleEdgeTransitions(*middle)
-		if err != nil {
-			return ChainEstimate{}, err
-		}
-		u := use
-		if side != 'L' {
-			u = ute
-		}
-		r, c := u.Dims()
-		advance(r, c, float64(u.NNZ()))
+	if mo != nil {
+		advance(mo.m)
 	}
 	return est, nil
 }
@@ -166,11 +159,11 @@ func maxInt(a, b int) int {
 // for validating the cost model.
 func (e *Engine) ChainStats(ctx context.Context, p *metapath.Path, materialize bool) (estL, estR ChainEstimate, actL, actR ChainEstimate, err error) {
 	h := splitPath(p)
-	estL, err = e.estimateChain(h.leftSteps, h.middle, 'L')
+	estL, err = e.estimateChain(h.left(), nil)
 	if err != nil {
 		return
 	}
-	estR, err = e.estimateChain(h.rightSteps, h.middle, 'R')
+	estR, err = e.estimateChain(h.right(), nil)
 	if err != nil {
 		return
 	}

@@ -16,8 +16,9 @@ import (
 // guarantees the engine actually provides: symmetry is *bit-exact* for
 // even-length paths (every plan accumulates contributions in the same
 // ascending-index order, and multiplication commutes bitwise), and only
-// odd paths — whose reversed middle edge-objects are enumerated in a
-// different column order — need a floating-point tolerance.
+// odd paths — whose reverse carries the other half across the middle
+// relation, so the numerator sums in a different order — need a
+// floating-point tolerance.
 
 // Even-length relevance paths decompose into two pure half-chains.
 var evenSpecs = []string{"APA", "APT", "APTPA", "APVCV", "APVCVPA", "TPA"}
@@ -86,9 +87,9 @@ func TestPropertyRandomSymmetry(t *testing.T) {
 			check(norm, spec, 1e-14, 0, "norm")
 		}
 		for _, spec := range oddSpecs {
-			// Odd paths: the reversed middle relation enumerates its edge
-			// instances in transposed triplet order, permuting the literal
-			// edge-object columns, so sums associate differently.
+			// Odd paths: the reverse path carries the other half across
+			// the middle relation (l·M·r against r·Mᵀ·l), so sums
+			// associate differently.
 			check(raw, spec, 1e-12, 1e-12, "raw")
 			check(norm, spec, 1e-12, 1e-12, "norm")
 		}

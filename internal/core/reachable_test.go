@@ -146,7 +146,7 @@ func TestDifferentialTopKRentOrBuy(t *testing.T) {
 	right := splitPath(p).right()
 	e := NewEngine(g)
 	key := e.chainCacheKey(right)
-	est, err := e.estimateChainCached(right)
+	est, err := e.estimateChainCached(right, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
+	"hetesim/internal/sparse"
 )
 
 // Incremental chain-matrix maintenance. When a batch of edge/node deltas
@@ -43,14 +44,12 @@ func (s RewarmStats) String() string {
 // engine's graph. Both engines must share options; the receiver is assumed
 // unpublished (not yet serving), src may be serving concurrently.
 //
-// Per cached chain: if a relation whose edges changed appears as the chain's
-// middle half-step, the chain is rebuilt (middle edge-transition columns are
-// indexed by relation instance, so any instance change shifts them
-// globally); if the engine prunes, row-masking is unsound (materialized
-// chains prune per step, subset recompute does not) and touched chains are
-// rebuilt; otherwise only the dirty rows are recomputed and spliced in. Row
-// norms are patched the same way. Failure modes degrade to dropping a chain
-// — always safe, the next query rebuilds it cold.
+// Per cached chain: if the engine prunes, row-masking is unsound
+// (materialized chains prune per step, subset recompute does not) and
+// touched chains are rebuilt; otherwise only the dirty rows are recomputed
+// and spliced in. An odd path's halves are ordinary step chains, and their
+// norms come along (carryNorms). Failure modes degrade to dropping a chain —
+// always safe, the next query rebuilds it cold.
 func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (RewarmStats, error) {
 	var st RewarmStats
 	if src == nil || d == nil {
@@ -69,12 +68,12 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 		keys = append(keys, k)
 	}
 	// Shortest chains first so prefixes are warm before the longer chains
-	// that could rebuild through them; "T:" keys sort after their base via
-	// the second pass below.
+	// that could rebuild through them; entries derived from a chain ("T:",
+	// "X:") follow their base via the second pass below.
 	sort.Slice(keys, func(i, j int) bool { return len(keys[i]) < len(keys[j]) })
 
 	for _, key := range keys {
-		if strings.HasPrefix(key, "T:") {
+		if !strings.HasPrefix(key, "C:") {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -85,13 +84,6 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 			st.Dropped++
 			continue
 		}
-		if c.middle != nil && d.Touches(c.middle.Relation.Name) {
-			if _, err := e.opMatrixChain(ctx, c); err != nil {
-				return st, err
-			}
-			st.Rebuilt++
-			continue
-		}
 		rows, full := e.chainDirtyRows(src, c, d)
 		if full || (e.pruneEps > 0 && len(rows) > 0) {
 			if _, err := e.opMatrixChain(ctx, c); err != nil {
@@ -100,15 +92,11 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 			st.Rebuilt++
 			continue
 		}
-		nRows, nCols, err := e.chainDims(c)
-		if err != nil {
-			st.Dropped++
-			continue
-		}
+		nRows, nCols := e.chainDims(c)
 		nm := chains[key].Resize(nRows, nCols)
 		if len(rows) == 0 {
 			e.cachePut(key, nm)
-			e.carryNorms(src, key, nRows, nil, nil)
+			e.carryNorms(src, key, nm, nil, nil)
 			st.Carried++
 			continue
 		}
@@ -118,22 +106,20 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 		}
 		nm = nm.ReplaceRows(rows, sub)
 		e.cachePut(key, nm)
-		e.carryNorms(src, key, nRows, rows, sub.RowNorms())
+		e.carryNorms(src, key, nm, rows, sub.RowNorms())
 		st.RowPatched++
 		st.Rows += len(rows)
 	}
 
-	// Transposed chains ("T:"+key): the cold path caches the transpose of
-	// the materialized base chain, so transposing the rewarmed base is
-	// bit-identical. A base that went missing (evicted upstream, dropped
-	// here) drops the transpose too.
+	// Entries derived from a chain ("T:" transposes, "X:" metKey products) are
+	// derived again from the rewarmed chain, bit-identical to the cold path's.
+	// A chain that went missing (evicted upstream, dropped here) drops them.
 	for _, key := range keys {
-		base, ok := strings.CutPrefix(key, "T:")
-		if !ok {
+		if strings.HasPrefix(key, "C:") {
 			continue
 		}
-		if nm, ok := e.cacheGet(base); ok {
-			e.cachePut(key, nm.Transpose())
+		if nm, err := e.derive(ctx, key); err == nil {
+			e.cachePut(key, nm)
 			st.Carried++
 		} else {
 			st.Dropped++
@@ -142,22 +128,35 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 	return st, nil
 }
 
-// chainDims returns the shape of a chain's materialized matrix on the
-// engine's graph: start-type count × end-type count, or × relation-instance
-// count for a middle half-chain.
-func (e *Engine) chainDims(c chain) (int, int, error) {
-	rows := e.g.NodeCount(e.chainStart(c))
-	if c.middle != nil {
-		w, err := e.g.Adjacency(c.middle.Relation.Name)
-		if err != nil {
-			return 0, 0, err
-		}
-		return rows, w.NNZ(), nil
+// derive builds a "T:" or "X:" entry from its chain, cached on e.
+func (e *Engine) derive(ctx context.Context, key string) (*sparse.Matrix, error) {
+	kind, rest, _ := strings.Cut(key, ":")
+	mk, base, _ := strings.Cut(rest, ">")
+	if kind == "T" {
+		base = rest
 	}
-	if len(c.steps) == 0 {
-		return 0, 0, fmt.Errorf("core: chain with no steps and no middle")
+	pm, ok := e.cacheGet(base)
+	if !ok {
+		return nil, fmt.Errorf("core: chain %q of %q is gone", base, key)
 	}
-	return rows, e.g.NodeCount(c.steps[len(c.steps)-1].To()), nil
+	if kind == "T" {
+		return pm.Transpose(), nil
+	}
+	step, err := parseStepKey(e.g.Schema(), mk)
+	if err != nil {
+		return nil, err
+	}
+	mo, err := e.middleOf(&step)
+	if err != nil {
+		return nil, err
+	}
+	return pm.MulCtx(ctx, mo.m)
+}
+
+// chainDims returns the shape of a (non-empty) chain's materialized matrix
+// on the engine's graph: start-type count × end-type count.
+func (e *Engine) chainDims(c chain) (int, int) {
+	return e.g.NodeCount(c.start), e.g.NodeCount(c.steps[len(c.steps)-1].To())
 }
 
 // chainDirtyRows computes which rows of a chain's matrix the delta
@@ -185,7 +184,7 @@ func (e *Engine) chainDirtyRows(src *Engine, c chain, d *hin.Dirty) ([]int, bool
 			}
 			continue
 		}
-		prefix, ok := src.cacheGet(e.chainFullKey(c.steps[:i], nil, c.side))
+		prefix, ok := src.cacheGet(stepsKey(c.steps[:i]))
 		if !ok {
 			return nil, true
 		}
@@ -207,34 +206,49 @@ func (e *Engine) chainDirtyRows(src *Engine, c chain, d *hin.Dirty) ([]int, bool
 	return out, false
 }
 
-// carryNorms patches the cached row norms of a carried or row-patched
-// chain: untouched rows keep their old (bit-identical) norms, appended rows
-// are zero, and recomputed rows take the norms of their recomputed values.
-// Absent source norms stay absent — they rebuild lazily on first use.
-func (e *Engine) carryNorms(src *Engine, key string, nRows int, rows []int, rowNorms []float64) {
+// carryNorms carries the cached row norms of a carried or row-patched chain
+// nm. Plain norms are patched: untouched rows keep their old (bit-identical)
+// norms, appended rows are zero, and recomputed rows take the norms of their
+// recomputed values. Norms weighted by a middle relation are recomputed whole
+// under that relation rebuilt from the new graph — a write to it moves them
+// wherever a row reaches it — so the first odd-path read of the new
+// generation finds them as warm as src left them. Absent source norms stay
+// absent and rebuild lazily on first use.
+func (e *Engine) carryNorms(src *Engine, key string, nm *sparse.Matrix, rows []int, rowNorms []float64) {
 	src.mu.Lock()
-	old, ok := src.norms[key]
+	old, plain := src.norms[key][""]
+	var weighted []string
+	for wk := range src.norms[key] {
+		if wk != "" {
+			weighted = append(weighted, wk)
+		}
+	}
 	src.mu.Unlock()
-	if !ok {
-		return
-	}
-	n := make([]float64, nRows)
-	copy(n, old)
-	for i, r := range rows {
-		n[r] = rowNorms[i]
-	}
 	e.mu.Lock()
-	if _, cached := e.reach[key]; cached {
-		e.norms[key] = n
+	_, cached := e.reach[key]
+	if cached && plain {
+		n := make([]float64, nm.Rows())
+		copy(n, old)
+		for i, r := range rows {
+			n[r] = rowNorms[i]
+		}
+		e.norms[key] = map[string][]float64{"": n}
 	}
 	e.mu.Unlock()
+	for _, wk := range weighted {
+		if step, err := parseStepKey(e.g.Schema(), wk[1:]); err == nil && cached {
+			if mo, err := e.middleOf(&step); err == nil {
+				e.chainRowNorms(key, nm, mo.weights(wk[0]))
+			}
+		}
+	}
 }
 
 // parseChainKey reconstructs a chain from its cache key — "C:" plus
-// "|"-joined step keys (relation name, "~" marks inverse traversal) with an
-// optional "SE(step)"/"TE(step)" middle suffix, optionally wrapped in "T:"
-// for transposed entries. Keys are self-describing against the schema, so
-// chains imported from a snapshot rewarm exactly like locally built ones.
+// "|"-joined step keys (relation name, "~" marks inverse traversal),
+// optionally wrapped in "T:" for transposed entries. Keys are
+// self-describing against the schema, so chains imported from a snapshot
+// rewarm exactly like locally built ones.
 func parseChainKey(s *hin.Schema, key string) (chain, bool, error) {
 	rest, transposed := strings.CutPrefix(key, "T:")
 	body, ok := strings.CutPrefix(rest, "C:")
@@ -243,44 +257,16 @@ func parseChainKey(s *hin.Schema, key string) (chain, bool, error) {
 	}
 	c := chain{side: 'P'}
 	for _, part := range strings.Split(body, "|") {
-		var mk string
-		switch {
-		case strings.HasPrefix(part, "SE(") && strings.HasSuffix(part, ")"):
-			mk, c.side = part[3:len(part)-1], 'L'
-		case strings.HasPrefix(part, "TE(") && strings.HasSuffix(part, ")"):
-			mk, c.side = part[3:len(part)-1], 'R'
-		default:
-			if c.middle != nil {
-				return chain{}, false, fmt.Errorf("core: chain key %q has steps after the middle suffix", key)
-			}
-			step, err := parseStepKey(s, part)
-			if err != nil {
-				return chain{}, false, err
-			}
-			if n := len(c.steps); n > 0 && c.steps[n-1].To() != step.From() {
-				return chain{}, false, fmt.Errorf("core: chain key %q does not chain at %q", key, part)
-			}
-			c.steps = append(c.steps, step)
-			continue
-		}
-		step, err := parseStepKey(s, mk)
+		step, err := parseStepKey(s, part)
 		if err != nil {
 			return chain{}, false, err
 		}
-		c.middle = &step
-	}
-	if len(c.steps) == 0 && c.middle == nil {
-		return chain{}, false, fmt.Errorf("core: empty chain key %q", key)
-	}
-	if c.middle != nil && len(c.steps) > 0 {
-		last := c.steps[len(c.steps)-1].To()
-		if c.side == 'L' && c.middle.From() != last {
-			return chain{}, false, fmt.Errorf("core: chain key %q middle does not join its left steps", key)
+		if n := len(c.steps); n > 0 && c.steps[n-1].To() != step.From() {
+			return chain{}, false, fmt.Errorf("core: chain key %q does not chain at %q", key, part)
 		}
-		if c.side == 'R' && c.middle.To() != last {
-			return chain{}, false, fmt.Errorf("core: chain key %q middle does not join its right steps", key)
-		}
+		c.steps = append(c.steps, step)
 	}
+	c.start = c.steps[0].From()
 	return c, transposed, nil
 }
 

@@ -231,7 +231,7 @@ func TestParseChainKeyRoundTrip(t *testing.T) {
 		p := metapath.MustParse(g.Schema(), spec)
 		h := splitPath(p)
 		for _, c := range []chain{h.left(), h.right(), pathChain(p)} {
-			if len(c.steps) == 0 && c.middle == nil {
+			if len(c.steps) == 0 {
 				continue
 			}
 			key := e.chainCacheKey(c)
@@ -269,7 +269,7 @@ func TestMatrixChainResumesFromPrefix(t *testing.T) {
 	p := metapath.MustParse(g.Schema(), "APC")
 	c := pathChain(p)
 	poison := sparse.Zeros(g.NodeCount("author"), g.NodeCount("paper"))
-	e.cachePut(e.chainFullKey(c.steps[:1], nil, c.side), poison)
+	e.cachePut(stepsKey(c.steps[:1]), poison)
 	pm, err := e.opMatrixChain(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"strconv"
 
 	"hetesim/internal/metapath"
@@ -29,10 +30,11 @@ func (e *Engine) TopKSearch(ctx context.Context, p *metapath.Path, src, k int, e
 	return out, err
 }
 
-// topKFrom ranks every target against an already propagated left middle
+// topKFrom ranks every target against an already propagated left half
 // distribution. Factored out of TopKSearch so the batch scheduler (which
 // serves left from a group-shared chain) runs the identical pruning,
-// accumulation and normalization code as solo queries.
+// accumulation and normalization code as solo queries. An odd path's left
+// half crosses the middle relation first (meetLeft); the scans are even-shaped.
 //
 // Which scan runs follows cache residency (opScanChain): a right chain this
 // request had to materialize is scored row by row against the dense left
@@ -44,8 +46,9 @@ func (e *Engine) TopKSearch(ctx context.Context, p *metapath.Path, src, k int, e
 // size allocated or cleared). All add each target's terms in ascending middle
 // order (skipped terms are +0) and offer every non-zero score to the one
 // selector, so they return bit-identical hits.
-func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left *sparse.Vector, k int, eps float64) ([]Scored, error) {
-	left = pruneLeft(left, eps)
+func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, lh leftHalf, k int, eps float64) ([]Scored, error) {
+	mo := h.mo
+	left, ln := mo.meetLeft(lh, eps)
 	sc, err := e.opScanChain(ctx, h.right(), left)
 	if err != nil {
 		return nil, err
@@ -54,12 +57,11 @@ func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left 
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("normalize")
 	var rns []float64 // indexed like sc.pm's rows
-	var ln float64
 	if e.normalized {
-		ln = left.Norm()
+		w := mo.weights('R')
 		switch {
 		case sc.rows != nil: // bit for bit the chain's norms of these rows; not cached
-			rns = sc.pm.RowNorms()
+			rns = sc.pm.WeightedRowNorms(w.d)
 		case sc.pm == nil: // transposed scan of a cached "T:" entry: norms need the chain itself
 			if sc.pm, err = e.opMatrixChain(ctx, h.right()); err != nil {
 				sp.End()
@@ -67,7 +69,7 @@ func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left 
 			}
 			fallthrough
 		default:
-			rns = e.chainRowNorms(e.chainCacheKey(h.right()), sc.pm)
+			rns = e.chainRowNorms(e.chainCacheKey(h.right()), sc.pm, w)
 		}
 	}
 	sp.End()
@@ -87,7 +89,7 @@ func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left 
 	switch {
 	case sc.rows != nil:
 		for r, b := range sc.rows {
-			offer(b, r, sc.pm.Row(r).Dot(left))
+			offer(b, r, left.DotEntries(sc.pm.RowEntries(r)))
 		}
 	case sc.pmT == nil:
 		for b, s := range sc.pm.MulVec(left.Dense()) {
@@ -113,26 +115,49 @@ func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, left 
 	return out, nil
 }
 
-// pruneLeft applies the Section 4.6 search pruning to a left middle
-// distribution: entries below eps times the largest entry are dropped.
-func pruneLeft(left *sparse.Vector, eps float64) *sparse.Vector {
-	if eps <= 0 {
-		return left
+// meetLeft prunes a left half distribution (Section 4.6) and carries it to the
+// meeting type (unpruned, a cached crossing h.met is taken as is), returning
+// it with its cosine norm. Pruning drops the entries
+// below eps times the largest: of l itself on an even path; on an odd path,
+// of the edge-object distribution of Definition 6, l[x]·A[x,y] on instance
+// (x, y), whose kept entries cross M unpruned as l[x]·M[x,y]. The norm is that
+// of the kept entries; with eps = 0 it is l's (dS-weighted on an odd path).
+func (mo *middle) meetLeft(h leftHalf, eps float64) (*sparse.Vector, float64) {
+	l := h.l
+	switch {
+	case eps > 0: // pruned below
+	case h.met != nil:
+		return h.met, l.WeightedNorm(mo.l.d)
+	case mo != nil:
+		return l.MulMat(mo.m), l.WeightedNorm(mo.l.d)
+	default:
+		return l, l.Norm()
 	}
-	var max float64
-	left.Entries(func(_ int, v float64) {
-		if v > max {
-			max = v
+	n := l.Len()
+	instances := func(f func(y int, lv, a, m float64)) {
+		l.Entries(func(x int, lv float64) {
+			if mo == nil {
+				f(x, lv, 1, 1)
+				return
+			}
+			ys, av := mo.a.RowEntries(x)
+			_, mv := mo.m.RowEntries(x)
+			for j, y := range ys {
+				f(y, lv, av[j], mv[j])
+			}
+		})
+	}
+	if mo != nil {
+		n = mo.m.Cols()
+	}
+	var max, sq float64
+	instances(func(_ int, lv, a, _ float64) { max = math.Max(max, lv*a) })
+	acc := make([]float64, n)
+	instances(func(y int, lv, a, m float64) {
+		if v := lv * a; v >= eps*max {
+			sq += v * v
+			acc[y] += lv * m
 		}
 	})
-	threshold := eps * max
-	var idx []int
-	var val []float64
-	left.Entries(func(i int, v float64) {
-		if v >= threshold {
-			idx = append(idx, i)
-			val = append(val, v)
-		}
-	})
-	return sparse.NewVector(left.Len(), idx, val)
+	return sparse.FromDenseVector(acc), math.Sqrt(sq)
 }

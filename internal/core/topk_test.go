@@ -170,8 +170,8 @@ func TestTopKCacheLimitOneMaterializesOnce(t *testing.T) {
 	mulTotal := obs.Default().Counter("hetesim_sparse_mul_total", "")
 	for _, tc := range []struct {
 		spec        string
-		transitions int // right chain: steps plus the odd-path middle half-step
-	}{{"APVCVPA", 3}, {"APVC", 2}, {"APT", 1}} {
+		transitions int // right chain steps
+	}{{"APVCVPA", 3}, {"APVC", 1}, {"APT", 1}} {
 		e := NewEngine(g, WithCacheLimit(1))
 		p := metapath.MustParse(g.Schema(), tc.spec)
 		before := mulTotal.Value()

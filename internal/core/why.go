@@ -41,6 +41,10 @@ func (e *Engine) PairContributions(ctx context.Context, p *metapath.Path, src, d
 		return 0, nil, err
 	}
 	h := splitPath(p)
+	mo, err := e.middleOf(h.middle)
+	if err != nil {
+		return 0, nil, err
+	}
 	left, err := e.opVectorChain(ctx, src, h.left())
 	if err != nil {
 		return 0, nil, err
@@ -51,7 +55,7 @@ func (e *Engine) PairContributions(ctx context.Context, p *metapath.Path, src, d
 	}
 	scale := 1.0
 	if e.normalized {
-		ln, rn := left.Norm(), right.Norm()
+		ln, rn := left.WeightedNorm(mo.weights('L').d), right.WeightedNorm(mo.weights('R').d)
 		if ln == 0 || rn == 0 {
 			return 0, nil, nil
 		}
@@ -59,19 +63,27 @@ func (e *Engine) PairContributions(ctx context.Context, p *metapath.Path, src, d
 	}
 	sel := rank.NewSelector(k)
 	var total float64
-	left.Entries(func(m int, lv float64) {
-		rv := right.At(m)
-		if rv == 0 {
-			return
-		}
-		v := lv * rv * scale
+	push := func(m int, v float64) {
 		total += v
 		sel.Push(m, v)
-	})
+	}
+	if mo == nil {
+		left.Entries(func(m int, lv float64) {
+			if rv := right.At(m); rv != 0 {
+				push(m, lv*rv*scale)
+			}
+		})
+	} else { // odd: walkers meet on instance k = (x, y), entry k of M, weighing l[x]·M[x,y]·r[y]
+		for k, t := range mo.m.Triplets() {
+			if lv, rv := left.At(t.Row), right.At(t.Col); lv != 0 && rv != 0 {
+				push(k, lv*t.Val*rv*scale)
+			}
+		}
+	}
 	var out []Contribution
 	for _, t := range sel.Ranked() {
 		c := Contribution{MiddleIndex: t.Index, Value: t.Score}
-		if c.Label, err = e.middleLabel(p, h, c.MiddleIndex); err != nil {
+		if c.Label, err = e.middleLabel(p, h, mo, c.MiddleIndex); err != nil {
 			return 0, nil, err
 		}
 		if total > 0 {
@@ -83,23 +95,16 @@ func (e *Engine) PairContributions(ctx context.Context, p *metapath.Path, src, d
 }
 
 // middleLabel renders a human-readable name for a meeting object.
-func (e *Engine) middleLabel(p *metapath.Path, h halves, m int) (string, error) {
-	if h.middle == nil {
+func (e *Engine) middleLabel(p *metapath.Path, h halves, mo *middle, m int) (string, error) {
+	if mo == nil {
 		// Even path: the meeting type is the left half's arrival type.
 		types := p.Types()
 		midType := types[len(types)/2]
 		return e.g.NodeID(midType, m)
 	}
 	// Odd path: the meeting object is the m-th instance of the middle
-	// relation (row-major over its effective adjacency).
-	w, err := e.g.Adjacency(h.middle.Relation.Name)
-	if err != nil {
-		return "", err
-	}
-	if h.middle.Inverse {
-		w = w.Transpose()
-	}
-	ts := w.Triplets()
+	// relation, entry m of M (row-major over its effective adjacency).
+	ts := mo.m.Triplets()
 	if m < 0 || m >= len(ts) {
 		return "", fmt.Errorf("core: middle instance %d out of range (%d instances)", m, len(ts))
 	}

@@ -98,29 +98,19 @@ type Op struct {
 // edge set changed (the rows of the inverse transition matrix). Grown names
 // the node types that gained nodes — existing transition rows are
 // untouched by growth, but matrices over a grown type need padding.
-// EdgesChanged marks relations whose instance set changed at all: the
-// middle-relation decomposition of odd paths (Definition 6) indexes columns
-// by relation instance, so any instance change invalidates those chains
-// wholesale.
 type Dirty struct {
-	Rows         map[string][]int
-	Cols         map[string][]int
-	Grown        map[string]bool
-	EdgesChanged map[string]bool
+	Rows  map[string][]int
+	Cols  map[string][]int
+	Grown map[string]bool
 }
 
 func newDirty() *Dirty {
 	return &Dirty{
-		Rows:         make(map[string][]int),
-		Cols:         make(map[string][]int),
-		Grown:        make(map[string]bool),
-		EdgesChanged: make(map[string]bool),
+		Rows:  make(map[string][]int),
+		Cols:  make(map[string][]int),
+		Grown: make(map[string]bool),
 	}
 }
-
-// Touches reports whether the relation's transition rows changed in either
-// direction.
-func (d *Dirty) Touches(rel string) bool { return d.EdgesChanged[rel] }
 
 // edgeKey addresses one cell of a relation's adjacency.
 type edgeKey struct{ src, dst int }
@@ -242,7 +232,6 @@ func (g *Graph) Apply(ops []Op) (*Graph, *Dirty, error) {
 			}
 			dirtyRows[op.Relation][s] = true
 			dirtyCols[op.Relation][t] = true
-			d.EdgesChanged[op.Relation] = true
 		default:
 			return nil, nil, fmt.Errorf("op %d: %w: kind %d", i, ErrBadOp, op.Kind)
 		}

@@ -80,7 +80,7 @@ func TestApplyMatchesColdRebuild(t *testing.T) {
 	if !reflect.DeepEqual(d.Grown, wantGrown) {
 		t.Errorf("Grown = %v, want %v", d.Grown, wantGrown)
 	}
-	if d.Touches("part_of") {
+	if len(d.Rows["part_of"]) != 0 || len(d.Cols["part_of"]) != 0 {
 		t.Error("part_of reported touched")
 	}
 }
@@ -129,8 +129,8 @@ func TestApplyNodeGrowthPadsRelations(t *testing.T) {
 			t.Errorf("%s dims = %dx%d, want %dx%d", rel, r, c, wr, wc)
 		}
 	}
-	if len(d.Rows) != 0 || len(d.EdgesChanged) != 0 {
-		t.Errorf("node-only growth reported edge dirt: %v %v", d.Rows, d.EdgesChanged)
+	if len(d.Rows) != 0 || len(d.Cols) != 0 {
+		t.Errorf("node-only growth reported edge dirt: %v %v", d.Rows, d.Cols)
 	}
 	if !d.Grown["paper"] {
 		t.Error("paper not reported grown")

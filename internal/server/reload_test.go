@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -405,6 +406,80 @@ func TestWarmStartSkipsEmbedSections(t *testing.T) {
 	}
 	if saved[4] != 2 {
 		t.Errorf("saved snapshot has version byte %d, want 2 (a bump would make a mixed fleet refuse it)", saved[4])
+	}
+}
+
+// TestWarmStartSkipsOddChains boots from a snapshot written by the last build
+// that met odd paths on the edge-object type — its exportSnapshot after APCPA
+// and APCP queries over reloadGraph(t, 0) — so three of its seven chains are
+// APCP's "SE(…)"/"TE(…)" half-chains no code builds any more. They are skipped
+// and logged, the four step chains are admitted, APCPA is answered warm with
+// the writing build's bits, and APCP is answered from step chains alone.
+func TestWarmStartSkipsOddChains(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "v2_with_odd_chains.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapPath := filepath.Join(t.TempDir(), "chains.snap") // a copy: Close saves over it
+	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corruptBefore := metSnapshotCorrupt.Value()
+	var mu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+
+	srv := New(reloadGraph(t, 0), WithSnapshotPath(snapPath), WithLogf(logf))
+	t.Cleanup(srv.Close)
+	warm, err := srv.WarmStart()
+	if err != nil || !warm {
+		t.Fatalf("warm start from a snapshot with odd-path chains: warm=%v err=%v", warm, err)
+	}
+	if n := srv.current().engine.CacheStats().Chain; n != 4 {
+		t.Fatalf("admitted %d chains, want the fixture's 4 step chains", n)
+	}
+	mu.Lock()
+	logged := strings.Contains(strings.Join(logs, "\n"), "skipped 3 odd-path chains")
+	mu.Unlock()
+	if !logged {
+		t.Errorf("load log does not count the 3 skipped chains: %q", logs)
+	}
+	if got := metSnapshotCorrupt.Value(); got != corruptBefore {
+		t.Errorf("hetesim_snapshot_corrupt_total moved %d -> %d", corruptBefore, got)
+	}
+	for key := range srv.current().engine.ExportChains() {
+		if strings.Contains(key, "SE(") || strings.Contains(key, "TE(") {
+			t.Errorf("edge-object chain %q admitted", key)
+		}
+	}
+
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	var even topKBody
+	getJSON(t, ts.URL+"/v1/topk?path=APCPA&source=Tom&k=3&trace=1", http.StatusOK, &even)
+	want := []hitBody{{ID: "Tom", Score: 1}, {ID: "Mary", Score: 0.7071067811865475}}
+	if len(even.Results) != len(want) || even.Results[0] != want[0] || even.Results[1] != want[1] {
+		t.Errorf("APCPA results = %+v, want %+v (what the writing build answered)", even.Results, want)
+	}
+	for _, sp := range even.Trace.Spans {
+		if sp.Name == "cache_miss" || sp.Name == "chain_multiply" {
+			t.Errorf("first APCPA top-k after the warm start shows a %s span: not answered warm", sp.Name)
+		}
+	}
+	// The writing build's APCP answers, bit for bit.
+	var odd topKBody
+	getJSON(t, ts.URL+"/v1/topk?path=APCP&source=Tom&k=1", http.StatusOK, &odd)
+	if len(odd.Results) != 1 || odd.Results[0] != (hitBody{ID: "p1", Score: 1}) {
+		t.Errorf("APCP results = %+v, want p1 at 1", odd.Results)
+	}
+	var pair pairBody
+	getJSON(t, ts.URL+"/v1/pair?path=APCP&source=Mary&target=p1", http.StatusOK, &pair)
+	if pair.Score != 0.7071067811865475 {
+		t.Errorf("APCP pair (Mary, p1) = %v, want 0.7071067811865475", pair.Score)
 	}
 }
 

@@ -531,7 +531,8 @@ func exportSnapshot(es *engineSet) (*snapshot.Snapshot, error) {
 // were admitted — the one decoder behind warm starts from disk and snapshots
 // shipped by a peer. A snapshot that fails any check is rejected whole and
 // counted in hetesim_snapshot_corrupt_total; sections other than chains (the
-// "embed:" sections older builds wrote) are skipped.
+// "embed:" sections older builds wrote) are skipped, and so are the odd-path
+// "SE(…)"/"TE(…)" chains they wrote, with a log line.
 func (st *store) importSnapshot(es *engineSet, snap *snapshot.Snapshot) (int, error) {
 	err := snap.CheckCompat(es.fingerprint, es.engine.PruneEps())
 	if err != nil {
@@ -543,8 +544,11 @@ func (st *store) importSnapshot(es *engineSet, snap *snapshot.Snapshot) (int, er
 		metSnapshotCorrupt.Inc()
 		return 0, err
 	}
-	n := es.engine.ImportChains(chains)
+	n, stale := es.engine.ImportChains(chains)
 	es.raw.ImportChains(chains)
+	if stale > 0 {
+		st.logf("server: snapshot: skipped %d odd-path chains over the edge-object type older builds wrote", stale)
+	}
 	metSnapshotLoads.Inc()
 	if n > 0 {
 		metWarmStart.Set(1)

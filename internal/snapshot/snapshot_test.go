@@ -313,3 +313,45 @@ func TestEmbedSectionsSkippedButChecksummed(t *testing.T) {
 		})
 	}
 }
+
+// TestOddChainFixtureDecodes pins the codec side of the odd-path chains older
+// builds wrote: v2_with_odd_chains.snap (the server tests' reloadGraph after
+// APCPA and APCP queries, written by a build that met odd paths on the
+// edge-object type) reads, round-trips byte-identically and decodes to all
+// seven chains, "SE(…)"/"TE(…)" keys included — skipping them is the engine's
+// call, and the format version stays 2.
+func TestOddChainFixtureDecodes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "v2_with_odd_chains.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.version != Version || Version != 2 {
+		t.Errorf("version = %d (build %d), want 2", s.version, Version)
+	}
+	var again bytes.Buffer
+	if err := Write(&again, s); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), raw) {
+		t.Error("fixture did not round-trip byte-identically")
+	}
+	chains, err := DecodeChains(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range chains {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{"C:published_in", "C:published_in|TE(published_in)", "C:writes",
+		"C:writes|SE(published_in)", "C:writes|published_in",
+		"T:C:published_in|TE(published_in)", "T:C:writes|published_in"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("chains = %q, want %q", got, want)
+	}
+}

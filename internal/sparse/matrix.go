@@ -177,6 +177,14 @@ func (m *Matrix) Row(i int) *Vector {
 	return &Vector{n: m.cols, idx: m.colIdx[lo:hi:hi], val: m.val[lo:hi:hi]}
 }
 
+// RowEntries returns row i's column indices and values, ascending by column:
+// views over m's storage, capacity-capped like Row's, without the Vector
+// header Row allocates. Callers must not write them.
+func (m *Matrix) RowEntries(i int) ([]int, []float64) {
+	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+	return m.colIdx[lo:hi:hi], m.val[lo:hi:hi]
+}
+
 // RowNNZ returns the number of stored entries in row i.
 func (m *Matrix) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
 
@@ -375,13 +383,33 @@ func (m *Matrix) ColNormalize() *Matrix {
 // RowNorms returns the per-row Euclidean (L2) norms, used to normalize
 // HeteSim into its cosine form (Definition 10).
 func (m *Matrix) RowNorms() []float64 {
-	s := make([]float64, m.rows)
-	for r := 0; r < m.rows; r++ {
-		var q float64
-		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
-			q += m.val[k] * m.val[k]
-		}
+	s := m.RowSquares()
+	for r, q := range s {
 		s[r] = math.Sqrt(q)
+	}
+	return s
+}
+
+// RowSquares returns every row's sum of squared entries, added in ascending
+// column order: the squares of RowNorms before the square root.
+func (m *Matrix) RowSquares() []float64 {
+	s := make([]float64, m.rows)
+	for r := range s {
+		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
+			s[r] += m.val[k] * m.val[k]
+		}
+	}
+	return s
+}
+
+// WeightedRowNorms returns every row's WeightedNorm by d (one weight per
+// column), bit for bit what Row(i).WeightedNorm(d) returns; with d nil, bit
+// for bit RowNorms().
+func (m *Matrix) WeightedRowNorms(d []float64) []float64 {
+	s := make([]float64, m.rows)
+	for r := range s {
+		idx, val := m.RowEntries(r)
+		s[r] = weightedNorm(idx, val, d)
 	}
 	return s
 }

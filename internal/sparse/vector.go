@@ -108,16 +108,23 @@ func (v *Vector) Dot(w *Vector) float64 {
 	if v.n != w.n {
 		panic("sparse: Dot length mismatch")
 	}
+	return v.DotEntries(w.idx, w.val)
+}
+
+// DotEntries returns the inner product of v and the sparse vector stored as
+// idx (ascending) and val — a row from Matrix.RowEntries, dotted without a
+// Vector header. Terms are added in ascending index order, as Dot adds them.
+func (v *Vector) DotEntries(idx []int, val []float64) float64 {
 	var s float64
 	a, b := 0, 0
-	for a < len(v.idx) && b < len(w.idx) {
+	for a < len(v.idx) && b < len(idx) {
 		switch {
-		case v.idx[a] < w.idx[b]:
+		case v.idx[a] < idx[b]:
 			a++
-		case w.idx[b] < v.idx[a]:
+		case idx[b] < v.idx[a]:
 			b++
 		default:
-			s += v.val[a] * w.val[b]
+			s += v.val[a] * val[b]
 			a++
 			b++
 		}
@@ -130,6 +137,23 @@ func (v *Vector) Norm() float64 {
 	var s float64
 	for _, x := range v.val {
 		s += x * x
+	}
+	return math.Sqrt(s)
+}
+
+// WeightedNorm returns √(Σ_i d[i]·v_i²): the Euclidean norm of v scaled
+// entrywise by √d, with d indexed like v. A nil d weighs every entry 1, and
+// WeightedNorm(nil) is bit for bit Norm().
+func (v *Vector) WeightedNorm(d []float64) float64 { return weightedNorm(v.idx, v.val, d) }
+
+func weightedNorm(idx []int, val []float64, d []float64) float64 {
+	var s float64
+	for k, i := range idx {
+		w := 1.0
+		if d != nil {
+			w = d[i]
+		}
+		s += val[k] * val[k] * w
 	}
 	return math.Sqrt(s)
 }

@@ -137,20 +137,22 @@ func TestRowViewIsNeverWritten(t *testing.T) {
 	sq := smallIntMatrix(rng, 12, 12, 0.5)
 	before := m.Clone()
 	calls := map[string]func(v, w *Vector){
-		"Len":         func(v, _ *Vector) { v.Len() },
-		"NNZ":         func(v, _ *Vector) { v.NNZ() },
-		"At":          func(v, _ *Vector) { v.At(3) },
-		"Dense":       func(v, _ *Vector) { v.Dense()[0] = 99 },
-		"Dot":         func(v, w *Vector) { v.Dot(w) },
-		"Norm":        func(v, _ *Vector) { v.Norm() },
-		"Sum":         func(v, _ *Vector) { v.Sum() },
-		"Scale":       func(v, _ *Vector) { scribble(v.Scale(3)); scribble(v.Scale(0)) },
-		"Add":         func(v, w *Vector) { scribble(v.Add(w)); scribble(v.Add(v.Scale(-1))) },
-		"MulMat":      func(v, _ *Vector) { scribble(v.MulMat(sq)); scribble(v.MulMat(Identity(12))) },
-		"MulMatEach":  func(v, _ *Vector) { v.MulMatEach(sq, func(int, float64) {}) },
-		"Cosine":      func(v, w *Vector) { v.Cosine(w) },
-		"Entries":     func(v, _ *Vector) { v.Entries(func(int, float64) {}) },
-		"ApproxEqual": func(v, w *Vector) { v.ApproxEqual(w, 0) },
+		"Len":          func(v, _ *Vector) { v.Len() },
+		"NNZ":          func(v, _ *Vector) { v.NNZ() },
+		"At":           func(v, _ *Vector) { v.At(3) },
+		"Dense":        func(v, _ *Vector) { v.Dense()[0] = 99 },
+		"Dot":          func(v, w *Vector) { v.Dot(w) },
+		"DotEntries":   func(v, w *Vector) { v.DotEntries(w.idx, w.val) },
+		"WeightedNorm": func(v, _ *Vector) { v.WeightedNorm(make([]float64, v.Len())) },
+		"Norm":         func(v, _ *Vector) { v.Norm() },
+		"Sum":          func(v, _ *Vector) { v.Sum() },
+		"Scale":        func(v, _ *Vector) { scribble(v.Scale(3)); scribble(v.Scale(0)) },
+		"Add":          func(v, w *Vector) { scribble(v.Add(w)); scribble(v.Add(v.Scale(-1))) },
+		"MulMat":       func(v, _ *Vector) { scribble(v.MulMat(sq)); scribble(v.MulMat(Identity(12))) },
+		"MulMatEach":   func(v, _ *Vector) { v.MulMatEach(sq, func(int, float64) {}) },
+		"Cosine":       func(v, w *Vector) { v.Cosine(w) },
+		"Entries":      func(v, _ *Vector) { v.Entries(func(int, float64) {}) },
+		"ApproxEqual":  func(v, w *Vector) { v.ApproxEqual(w, 0) },
 	}
 	typ := reflect.TypeOf(&Vector{})
 	for i := 0; i < typ.NumMethod(); i++ {
