@@ -68,8 +68,10 @@ chaos:
 # per-run seeding shenanigans can't hide order dependence; part of
 # `make check`. The pattern picks up every TestDifferential* as it is
 # added — the reachable-rows scan's (TestDifferentialTopKReachableRows,
-# TestDifferentialTopKRentOrBuy) and the odd-path suite's
-# (TestDifferentialOddPaths*) needed no change here.
+# TestDifferentialTopKRentOrBuy), the odd-path suite's
+# (TestDifferentialOddPaths*) and the per-query normalization flag's
+# (TestDifferentialRawPerQuery) needed no change here, nor in `make race`,
+# whose package list already covers core and server.
 properties:
 	go test -race -count=2 -run 'TestPropertyRandom|TestDifferential' ./internal/core
 
@@ -85,9 +87,11 @@ loc:
 # The wire contract is declared once (internal/api). Fails when a JSON tag
 # that must be unique is declared in more than one non-test file outside
 # bench/ (which keeps private decoders on purpose: it is the outside
-# observer), when a helper the one-pipeline refactor or the odd-path collapse
+# observer), when a helper the one-pipeline refactor, the odd-path collapse
 # (middleEdgeTransitions, edgeU: odd paths meet on the middle relation, not
-# on an edge-object type) deleted comes back by name, or when the deleted
+# on an edge-object type) or the one-engine generation (WithPruning,
+# pruneEps: engines build exact chains only; addCacheInfo: no second engine
+# to sum) deleted comes back by name, or when the deleted
 # approximate top-k plane does (its plan name, its knobs, an import of
 # internal/embed — which bench/probes.go alone keeps alive until a
 # [benchmark] PR deletes both); part of `make check`.
@@ -99,7 +103,7 @@ contract:
 			echo "contract: json tag \"$$tag\" must be declared in exactly one file, found in: $$(echo $$files)"; fail=1; \
 		fi; \
 	done; \
-	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU; do \
+	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo; do \
 		if grep -rnwE "$$name" --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./bench/'; then \
 			echo "contract: deleted helper $$name is back"; fail=1; \
 		fi; \

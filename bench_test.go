@@ -178,7 +178,8 @@ func BenchmarkAblationQueryPlans(b *testing.B) {
 }
 
 // BenchmarkAblationPruning measures the Section 4.6 truncation speedup:
-// exact versus pruned reachable probability chains.
+// exact versus pruned reachable probability chains, built per query the way
+// the abl-pruning study builds them (exp.PrunedSingleSource).
 func BenchmarkAblationPruning(b *testing.B) {
 	ds := complexityGraph(2000)
 	g := ds.Graph
@@ -186,8 +187,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 	for _, eps := range []float64{0, 1e-4} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e := core.NewEngine(g, core.WithPruning(eps))
-				if _, err := e.SingleSourceByIndex(context.Background(), p, i%g.NodeCount("author")); err != nil {
+				if _, err := exp.PrunedSingleSource(g, p, i%g.NodeCount("author"), eps); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -621,7 +621,7 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 	fingerprint := g.Fingerprint()
 	donor := core.NewEngine(g)
 	precompute(donor)
-	snap := &snapshot.Snapshot{Fingerprint: fingerprint, PruneEps: donor.PruneEps()}
+	snap := &snapshot.Snapshot{Fingerprint: fingerprint}
 	if err := snapshot.EncodeChains(snap, donor.ExportChains()); err != nil {
 		b.Fatal(err)
 	}
@@ -643,7 +643,7 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := s.CheckCompat(fingerprint, e.PruneEps()); err != nil {
+			if err := s.CheckCompat(fingerprint); err != nil {
 				b.Fatal(err)
 			}
 			chains, err := snapshot.DecodeChains(s)

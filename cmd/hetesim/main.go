@@ -277,7 +277,7 @@ func runWhy(graphPath, pathSpec, source, target string, k int, raw bool) error {
 	if err != nil {
 		return err
 	}
-	score, contribs, err := e.PairContributions(context.Background(), p, src, dst, k)
+	score, contribs, err := e.PairContributions(context.Background(), p, src, dst, k, false) // raw is the engine default
 	if err != nil {
 		return err
 	}

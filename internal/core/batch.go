@@ -45,7 +45,9 @@ const (
 )
 
 // BatchQuery is one query inside a batch. Src, Dst are node indices within
-// the path's source and target types. K and Eps apply to BatchTopK only.
+// the path's source and target types. K and Eps apply to BatchTopK only. Raw
+// is PlanOptions.Raw: it changes the last step only, so raw and normalized
+// queries on one path share a group.
 type BatchQuery struct {
 	Kind BatchKind
 	Path *metapath.Path
@@ -53,6 +55,7 @@ type BatchQuery struct {
 	Dst  int
 	K    int
 	Eps  float64
+	Raw  bool
 }
 
 // BatchResult is the outcome of one BatchQuery, in the batch's order. Err is
@@ -127,7 +130,7 @@ type batchGroup struct {
 	left       *batchSide
 	right      *batchSide
 	rightFull  *sparse.Matrix // full right chain when the group has matrix kinds
-	rightNorms []float64
+	rightNorms []float64      // its row norms when some query is normalized
 	prepErr    error
 
 	leftB  *sideBuild // planned side builds; nil for solo groups
@@ -214,15 +217,11 @@ func sideSeq(c chain) []string {
 // batch-level error is returned only when ctx is already done before any
 // work starts.
 //
-// Scores are bit-identical to the same queries issued alone on an exact
-// engine (the default): every plan — solo vector propagation, full chain
-// materialization, and the subset propagation (with or without a prefix
-// resume, whose row-sequential multiplies are the same computation) —
-// accumulates per-entry contributions in the same ascending-index order.
-// With WithPruning > 0 the solo vector plan is unpruned while materialized
-// chains prune per step, so batch and solo scores may then differ within the
-// pruning bound (the same caveat that already applies across PairByIndex and
-// AllPairs).
+// Scores are bit-identical to the same queries issued alone: every plan —
+// solo vector propagation, full chain materialization, and the subset
+// propagation (with or without a prefix resume, whose row-sequential
+// multiplies are the same computation) — accumulates per-entry contributions
+// in the same ascending-index order.
 func (e *Engine) ExecuteBatch(ctx context.Context, queries []BatchQuery, opts BatchOptions) ([]BatchResult, BatchStats, error) {
 	start := time.Now()
 	defer func() { observeQuery("batch", time.Since(start).Seconds()) }()
@@ -324,8 +323,11 @@ func (e *Engine) ExecuteBatch(ctx context.Context, queries []BatchQuery, opts Ba
 			g.right = g.rightB.side
 			if g.needsRightMatrix(queries) {
 				g.rightFull = g.rightB.side.m
-				if e.normalized {
-					g.rightNorms = e.chainRowNorms(g.rightB.key, g.rightFull, g.h.mo.weights('R'))
+				for _, qi := range g.queries {
+					if !e.raw(queries[qi].Raw) { // norms only for a normalized query
+						g.rightNorms = e.chainRowNorms(g.rightB.key, g.rightFull, g.h.mo.weights('R'))
+						break
+					}
 				}
 			}
 		}
@@ -617,13 +619,14 @@ func (e *Engine) executeBatchQuery(ctx context.Context, g *batchGroup, q BatchQu
 	res.Shared = true
 	res.Plan = g.plan
 	left := leftHalf{l: g.left.row(q.Src)}
+	raw := e.raw(q.Raw)
 	switch q.Kind {
 	case BatchPair:
-		res.Score = e.pairScore(g.h.mo, left, g.right.row(q.Dst))
+		res.Score = pairScore(g.h.mo, left, g.right.row(q.Dst), raw)
 	case BatchSingleSource:
-		res.Scores = e.combineSingleSource(g.h.mo, left, g.rightFull, g.rightNorms)
+		res.Scores = combineSingleSource(g.h.mo, left, g.rightFull, g.rightNorms, raw)
 	case BatchTopK:
-		topk, err := e.topKFrom(ctx, q.Path, g.h, left, q.K, q.Eps)
+		topk, err := e.topKFrom(ctx, g.h, left, q.K, q.Eps, raw)
 		if err != nil {
 			res.Err = err
 			res.Shared = false
@@ -637,13 +640,14 @@ func (e *Engine) executeBatchQuery(ctx context.Context, g *batchGroup, q BatchQu
 // executeSoloQuery answers one query through the ordinary solo entry points.
 func (e *Engine) executeSoloQuery(ctx context.Context, q BatchQuery) BatchResult {
 	var res BatchResult
+	o := PlanOptions{Raw: q.Raw}
 	switch q.Kind {
 	case BatchPair:
-		res.Score, res.Err = e.PairByIndex(ctx, q.Path, q.Src, q.Dst)
+		res.Score, _, res.Err = e.PairWithPlan(ctx, q.Path, q.Src, q.Dst, o)
 	case BatchSingleSource:
-		res.Scores, res.Err = e.SingleSourceByIndex(ctx, q.Path, q.Src)
+		res.Scores, _, res.Err = e.SingleSourceWithPlan(ctx, q.Path, q.Src, o)
 	case BatchTopK:
-		res.TopK, res.Err = e.TopKSearch(ctx, q.Path, q.Src, q.K, q.Eps)
+		res.TopK, _, res.Err = e.TopKSearchWithPlan(ctx, q.Path, q.Src, q.K, q.Eps, o)
 	default:
 		res.Err = fmt.Errorf("core: unknown batch query kind %q", q.Kind)
 	}
@@ -653,11 +657,11 @@ func (e *Engine) executeSoloQuery(ctx context.Context, q BatchQuery) BatchResult
 // combineSingleSource combines a propagated left distribution with the full
 // right-half matrix — the shared combine/normalize of SingleSourceByIndex,
 // factored so batch and solo run the same code and produce bit-identical
-// scores. rightNorms may be nil on an unnormalized engine.
-func (e *Engine) combineSingleSource(mo *middle, left leftHalf, pmr *sparse.Matrix, rightNorms []float64) []float64 {
+// scores. rightNorms may be nil for a raw query.
+func combineSingleSource(mo *middle, left leftHalf, pmr *sparse.Matrix, rightNorms []float64, raw bool) []float64 {
 	met, ln := mo.meetLeft(left, 0)
 	scores := pmr.MulVec(met.Dense())
-	if e.normalized {
+	if !raw {
 		normalizeSingleSource(scores, ln, rightNorms)
 	}
 	return scores

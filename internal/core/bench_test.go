@@ -58,7 +58,7 @@ func BenchmarkPairContributions(b *testing.B) {
 	n := e.Graph().NodeCount("author")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.PairContributions(context.Background(), p, i%n, (i*7)%n, 10); err != nil {
+		if _, _, err := e.PairContributions(context.Background(), p, i%n, (i*7)%n, 10, false); err != nil {
 			b.Fatal(err)
 		}
 	}

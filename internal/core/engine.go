@@ -46,7 +46,6 @@ type Engine struct {
 
 	normalized bool
 	caching    bool
-	pruneEps   float64
 	cacheLimit int
 
 	mu        sync.Mutex
@@ -71,21 +70,22 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithNormalization controls whether scores use the cosine-normalized form
-// of Definition 10 (the default, true) or the raw meeting probability of
-// Definition 3 (false). The unnormalized form is primarily useful for
-// studying Property 5 (the SimRank connection) and the Fig. 5(c) example.
+// WithNormalization sets the engine's default score: the cosine-normalized
+// form of Definition 10 (the default, true) or the raw meeting probability of
+// Definition 3 (false). A query asks for the raw form on either engine with
+// PlanOptions.Raw or BatchQuery.Raw: both forms are read off the same two
+// reaching distributions at the last step, so they share every cached chain.
+// The unnormalized form is primarily useful for studying Property 5 (the
+// SimRank connection) and the Fig. 5(c) example.
 func WithNormalization(on bool) Option { return func(e *Engine) { e.normalized = on } }
+
+// raw reports whether a query scores by Definition 3: it asked to, or the
+// engine's default is unnormalized.
+func (e *Engine) raw(asked bool) bool { return asked || !e.normalized }
 
 // WithCaching controls materialization of reachable probability matrices
 // (default true). Disable to measure cold-query cost or bound memory.
 func WithCaching(on bool) Option { return func(e *Engine) { e.caching = on } }
-
-// WithPruning drops reachable probabilities below eps after every
-// propagation step — the truncation speedup sketched in Section 4.6, trading
-// a small, bounded score error for sparser intermediates. eps = 0 (default)
-// disables pruning.
-func WithPruning(eps float64) Option { return func(e *Engine) { e.pruneEps = eps } }
 
 // WithCacheLimit bounds the number of materialized chain matrices the
 // engine retains. When the limit is exceeded the oldest entries (and their
@@ -118,9 +118,6 @@ func NewEngine(g *hin.Graph, opts ...Option) *Engine {
 
 // Graph returns the engine's underlying graph.
 func (e *Engine) Graph() *hin.Graph { return e.g }
-
-// Normalized reports whether the engine returns cosine-normalized scores.
-func (e *Engine) Normalized() bool { return e.normalized }
 
 // stepKey identifies the transition matrix of one path step.
 func stepKey(s metapath.Step) string {
@@ -492,12 +489,6 @@ func (e *Engine) CacheStats() CacheInfo {
 // that produced them.
 func (e *Engine) CacheLimit() int { return e.cacheLimit }
 
-// PruneEps returns the WithPruning epsilon the engine's matrices are built
-// with. Snapshot validation records it because pruned and exact chains are
-// different matrices: a snapshot is only loadable into an engine with the
-// same epsilon.
-func (e *Engine) PruneEps() float64 { return e.pruneEps }
-
 // ExportChains returns the engine's materialized chain matrices keyed by
 // chain cache key — the state worth persisting across restarts (Section
 // 4.6's offline materialization). Matrices are immutable and shared, so the
@@ -516,7 +507,7 @@ func (e *Engine) ExportChains() map[string]*sparse.Matrix {
 // returning how many were admitted and how many were stale: odd-path halves
 // older builds keyed "…|SE(step)" / "…|TE(step)", in the edge-object space no
 // code builds any more. Keys and matrices must come from an engine over the
-// same graph and pruning epsilon (the snapshot layer checks the fingerprint).
+// same graph (the snapshot layer checks the fingerprint).
 // Row norms are recomputed lazily. A non-caching engine admits nothing.
 func (e *Engine) ImportChains(chains map[string]*sparse.Matrix) (admitted, stale int) {
 	for k, m := range chains {

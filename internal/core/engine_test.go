@@ -561,24 +561,6 @@ func TestPrefixCacheSharedAcrossPaths(t *testing.T) {
 	}
 }
 
-func TestPruningApproximation(t *testing.T) {
-	g := randomBibGraph(11)
-	exact := NewEngine(g)
-	approx := NewEngine(g, WithPruning(1e-4))
-	p := metapath.MustParse(g.Schema(), "APVCVPA")
-	a, err := exact.AllPairs(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := approx.AllPairs(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.ApproxEqual(b, 1e-2) {
-		t.Error("pruned scores deviate more than expected")
-	}
-}
-
 func TestPairsSubsetMatchesAllPairs(t *testing.T) {
 	g := randomBibGraph(13)
 	p := metapath.MustParse(g.Schema(), "APVCVPA")

@@ -65,13 +65,13 @@ func (e *Engine) PairMonteCarlo(ctx context.Context, p *metapath.Path, src, dst,
 	if err := e.checkIndex(p.Target(), dst); err != nil {
 		return MonteCarloResult{}, err
 	}
-	return e.pairMC(ctx, p, src, dst, walks, seed)
+	return e.pairMC(ctx, p, src, dst, walks, seed, e.raw(false))
 }
 
 // pairMC is the estimator body shared by PairMonteCarlo and the optimizer's
 // monte-carlo plan (which records its own query metrics and has already
-// validated the node indices).
-func (e *Engine) pairMC(ctx context.Context, p *metapath.Path, src, dst, walks int, seed int64) (MonteCarloResult, error) {
+// validated the node indices); raw estimates Definition 3's score.
+func (e *Engine) pairMC(ctx context.Context, p *metapath.Path, src, dst, walks int, seed int64, raw bool) (MonteCarloResult, error) {
 	if walks < 2 {
 		return MonteCarloResult{}, fmt.Errorf("core: PairMonteCarlo needs at least 2 walks, got %d", walks)
 	}
@@ -98,7 +98,7 @@ func (e *Engine) pairMC(ctx context.Context, p *metapath.Path, src, dst, walks i
 		}
 	}
 	dot /= w * w
-	if !e.normalized {
+	if raw {
 		return MonteCarloResult{Score: dot, Walks: walks}, nil
 	}
 	// Unbiased within-sample estimates of Σ p(m)² and Σ q(m)² from

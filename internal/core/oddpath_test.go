@@ -266,11 +266,11 @@ func checkWhy(t *testing.T, e, lit *Engine, p, p2 *metapath.Path, s, nT int, wha
 	t.Helper()
 	ctx := context.Background()
 	for d := 0; d < nT; d++ {
-		total, cs, err := e.PairContributions(ctx, p, s, d, 1000)
+		total, cs, err := e.PairContributions(ctx, p, s, d, 1000, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		totalLit, csLit, err := lit.PairContributions(ctx, p2, s, d, 1000)
+		totalLit, csLit, err := lit.PairContributions(ctx, p2, s, d, 1000, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,10 +14,10 @@ import (
 // materialization, subset-row propagation, and the scan-side
 // materialization used by top-k — all driven by one step walker, so
 // the transition resolution, context polling and per-step tracing live
-// exactly once. The operators preserve the bit-identity invariant: vector, subset and full-matrix propagation all
-// accumulate each output entry's contributions in the same ascending-index
-// order, so at pruning epsilon 0 every exact plan produces bit-identical
-// scores.
+// exactly once. The operators preserve the bit-identity invariant: vector,
+// subset and full-matrix propagation all accumulate each output entry's
+// contributions in the same ascending-index order, so every exact plan
+// produces bit-identical scores.
 
 // chain identifies one reachable-probability chain: the steps to walk, the
 // type they start from (all an empty half of a length-1 path has), and which
@@ -122,9 +122,8 @@ func chainStep(ctx context.Context, pm, u *sparse.Matrix) (*sparse.Matrix, error
 
 // opMatrixChain materializes the reachable probability matrix of a chain,
 // caching every prefix so paths sharing prefixes reuse work (the
-// concatenation speedup of Section 4.6). It is the only operator that
-// applies WithPruning per step and the only one that reads or writes the
-// chain cache.
+// concatenation speedup of Section 4.6). It is the only operator that reads
+// or writes the chain cache.
 func (e *Engine) opMatrixChain(ctx context.Context, c chain) (*sparse.Matrix, error) {
 	if len(c.steps) == 0 {
 		return e.identity(c.start), nil
@@ -170,9 +169,6 @@ func (e *Engine) opMatrixChain(ctx context.Context, c chain) (*sparse.Matrix, er
 		if pm, err = chainStep(ctx, pm, u); err != nil {
 			return err
 		}
-		if e.pruneEps > 0 {
-			pm = pm.Prune(e.pruneEps)
-		}
 		if sp != nil {
 			spanMatrixAttrs(sp, c.side, label, pm).End()
 		}
@@ -194,9 +190,7 @@ func (e *Engine) opMatrixChain(ctx context.Context, c chain) (*sparse.Matrix, er
 // chain without caching — the shared-subset operator of the batch scheduler
 // and the subset-chain plan. Row r of the result is the reaching
 // distribution of rows[r], bit-identical to the matching row of the fully
-// materialized chain and to opVectorChain's sparse propagation. Like
-// opVectorChain (and unlike opMatrixChain) it never prunes, so subset plans
-// match the vector plan exactly even under WithPruning.
+// materialized chain and to opVectorChain's sparse propagation.
 func (e *Engine) opSubsetChain(ctx context.Context, rows []int, c chain) (*sparse.Matrix, error) {
 	if len(c.steps) == 0 {
 		return e.identity(c.start).SelectRows(rows), nil
@@ -261,7 +255,7 @@ func (e *Engine) opScanChain(ctx context.Context, c chain, left *sparse.Vector) 
 		}
 	}
 	reused := e.chainWarm(key)
-	if !reused && e.rentable() {
+	if !reused && e.caching { // a non-caching engine has nothing to buy
 		if sc, err := e.rentRows(ctx, c, key, left); err != nil || sc.rows != nil {
 			return sc, err
 		}
@@ -273,13 +267,6 @@ func (e *Engine) opScanChain(ctx context.Context, c chain, left *sparse.Vector) 
 	pmT := pm.Transpose()
 	e.cachePut(tKey, pmT)
 	return chainScan{kind: scanTransposeOnce, pm: pm, pmT: pmT}, nil
-}
-
-// rentable reports whether a top-k on a cold chain may rent rows instead of
-// materializing: subset rows equal materialized rows only unpruned, and a
-// non-caching engine has nothing to buy.
-func (e *Engine) rentable() bool {
-	return e.caching && e.pruneEps == 0
 }
 
 // rentRows is the rent-or-buy rule of a cold chain's top-k. Renting

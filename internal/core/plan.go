@@ -17,9 +17,9 @@ import (
 
 // The compile → optimize → execute pipeline. Every public entry point
 // lowers its request into one LogicalPlan (compile), the cost model picks a
-// physical PlanKind from live signals — chain-cache warmth, the pruning
-// epsilon, the amortization hint, the remaining deadline (optimize) — and a
-// small set of shared physical operators runs it (execute). Section 4.6 of
+// physical PlanKind from live signals — chain-cache warmth, the amortization
+// hint, the remaining deadline (optimize) — and a small set of shared
+// physical operators runs it (execute). Section 4.6 of
 // the paper frames HeteSim computation as a trade-off between online vector
 // propagation and offline materialization of the reachable-probability
 // chains of Definition 9; this pipeline makes that trade-off a per-query
@@ -29,8 +29,10 @@ import (
 // Auto-selected exact plans are bit-identical: vector, subset, and
 // materialized-row propagation accumulate each entry's contributions in the
 // same ascending-index order (see operators.go), so switching plans never
-// changes a score at pruning epsilon 0. Only the explicitly approximate
-// Monte Carlo plan trades accuracy for latency.
+// changes a score. Only the explicitly approximate Monte Carlo plan trades
+// accuracy for latency. Normalization is not a plan property: every plan
+// reads the same two reaching distributions and PlanOptions.Raw picks, at
+// the last step, Definition 3's dot or Definition 10's cosine.
 
 // The plan kinds beyond the three exact plans of planner.go.
 const (
@@ -93,6 +95,9 @@ type PlanOptions struct {
 	Walks int
 	// Seed seeds the Monte Carlo plan (0 draws a per-query engine seed).
 	Seed int64
+	// Raw scores by Definition 3 (the meeting probability) even on an engine
+	// whose default is Definition 10's cosine.
+	Raw bool
 }
 
 // LogicalPlan is the compiled form of one query: what to compute,
@@ -197,8 +202,8 @@ func (e *Engine) chainWarm(key string) bool {
 
 // estimateChainCached memoizes estimateChain per chain key (and middle
 // relation crossed): estimates depend only on the transition matrices
-// (static per graph and pruning epsilon), so the optimizer's per-query
-// overhead is two map lookups, not a re-walk of the path.
+// (static per graph), so the optimizer's per-query overhead is two map
+// lookups, not a re-walk of the path.
 func (e *Engine) estimateChainCached(c chain, mo *middle) (ChainEstimate, error) {
 	key := e.chainCacheKey(c)
 	if mo != nil {
@@ -238,7 +243,7 @@ func (e *Engine) costModelFor(h halves) (costModel, error) {
 	cm.warmLeft = e.chainWarm(e.chainCacheKey(h.left()))
 	cm.warmRight = e.chainWarm(rightKey)
 	cm.warmRightT = e.chainWarm("T:" + rightKey)
-	cm.rentRight = e.rentable()
+	cm.rentRight = e.caching // a non-caching engine has nothing to buy
 	cm.coldLeft = e.chainColdFlops(h.left(), cm.left)
 	cm.coldRight = e.chainColdFlops(h.right(), cm.right)
 	// Mirrors opScanChain: a cached transpose is free, a cached chain gets
@@ -355,10 +360,9 @@ func rowFraction(n, rows int) float64 {
 }
 
 // legacyKind is the physical plan each shape's entry point hardcoded before
-// the optimizer existed. Auto selection pins it whenever plan switching
-// could change scores (pruning makes matrix and vector plans diverge) or
-// the amortization assumption fails (caching disabled: materialized chains
-// are thrown away, so matrix plans never pay off across queries).
+// the optimizer existed. Auto selection pins it when the amortization
+// assumption fails (caching disabled: materialized chains are thrown away,
+// so matrix plans never pay off across queries).
 func legacyKind(s ResultShape) PlanKind {
 	switch s {
 	case ShapePair:
@@ -381,9 +385,9 @@ func findCandidate(cands []PlanEstimate, k PlanKind) (PlanEstimate, bool) {
 
 // pickPlan turns the candidate list into a decision: forced plans are
 // validated against the shape, auto selection takes the cheapest exact
-// candidate (subject to the pruning/caching pinning rules), and a walk
-// budget plus a hopeless remaining deadline downgrade the choice to the
-// approximate Monte Carlo plan.
+// candidate (subject to the caching pinning rule), and a walk budget plus a
+// hopeless remaining deadline downgrade the choice to the approximate Monte
+// Carlo plan.
 func (e *Engine) pickPlan(ctx context.Context, lp LogicalPlan, cm costModel, cands []PlanEstimate) (PlanDecision, error) {
 	d := PlanDecision{WarmLeft: cm.warmLeft, WarmRight: cm.warmRight, Candidates: cands}
 	if f := lp.Opts.Force; f != "" && f != PlanAuto {
@@ -399,17 +403,10 @@ func (e *Engine) pickPlan(ctx context.Context, lp LogicalPlan, cm costModel, can
 	}
 
 	var chosen PlanEstimate
-	switch {
-	case e.pruneEps > 0:
-		// Materialized chains prune per step, vector and subset chains do
-		// not; switching plans would change scores within the pruning
-		// bound, so a pruned engine keeps each entry point's legacy plan.
-		chosen, _ = findCandidate(cands, legacyKind(lp.Shape))
-		d.Reason = "pruning pins the legacy plan"
-	case !e.caching:
+	if !e.caching {
 		chosen, _ = findCandidate(cands, legacyKind(lp.Shape))
 		d.Reason = "caching disabled"
-	default:
+	} else {
 		for _, c := range cands {
 			if c.Kind != PlanMonteCarlo { // never approximate on cost alone
 				chosen = c
@@ -510,8 +507,9 @@ func (e *Engine) PlanSelections() map[string]uint64 {
 // share the combine/normalize tails and stay bit-identical.
 
 func (e *Engine) execPair(ctx context.Context, lp LogicalPlan, d PlanDecision) (float64, error) {
+	raw := e.raw(lp.Opts.Raw)
 	if d.Kind == PlanMonteCarlo {
-		res, err := e.pairMC(ctx, lp.Path, lp.Src, lp.Dst, lp.Opts.Walks, lp.Opts.Seed)
+		res, err := e.pairMC(ctx, lp.Path, lp.Src, lp.Dst, lp.Opts.Walks, lp.Opts.Seed, raw)
 		return res.Score, err
 	}
 	left, err := e.leftVector(ctx, lp, d.Kind)
@@ -532,17 +530,17 @@ func (e *Engine) execPair(ctx context.Context, lp LogicalPlan, d PlanDecision) (
 	}
 	sp := obs.FromContext(ctx).Start("normalize")
 	defer sp.End()
-	return e.pairScore(lp.h.mo, left, right), nil
+	return pairScore(lp.h.mo, left, right, raw), nil
 }
 
 // pairScore combines a pair's two half distributions: their dot product at
-// the meeting type (Definition 3) or its cosine (Definition 10). Shared by
-// the solo plans and the batch scheduler so both produce bit-identical
+// the meeting type (Definition 3, raw) or its cosine (Definition 10). Shared
+// by the solo plans and the batch scheduler so both produce bit-identical
 // scores.
-func (e *Engine) pairScore(mo *middle, left leftHalf, right *sparse.Vector) float64 {
+func pairScore(mo *middle, left leftHalf, right *sparse.Vector, raw bool) float64 {
 	met, ln := mo.meetLeft(left, 0)
 	dot := met.Dot(right)
-	if !e.normalized {
+	if raw {
 		return dot
 	}
 	rn := right.WeightedNorm(mo.weights('R').d)
@@ -587,14 +585,15 @@ func (e *Engine) execSingleSource(ctx context.Context, lp LogicalPlan, d PlanDec
 	if err != nil {
 		return nil, err
 	}
+	raw := e.raw(lp.Opts.Raw)
 	sp := tr.Start("normalize")
 	var rns []float64
-	if e.normalized {
+	if !raw {
 		rns = e.chainRowNorms(e.chainCacheKey(lp.h.right()), pmr, mo.weights('R'))
 	}
 	sp.End()
 	sp = tr.Start("combine")
-	scores := e.combineSingleSource(mo, left, pmr, rns)
+	scores := combineSingleSource(mo, left, pmr, rns, raw)
 	if sp != nil {
 		sp.SetAttr("targets", strconv.Itoa(len(scores))).End()
 	}
@@ -613,7 +612,7 @@ func (e *Engine) execTopK(ctx context.Context, lp LogicalPlan, d PlanDecision) (
 	if err != nil {
 		return nil, err
 	}
-	return e.topKFrom(ctx, lp.Path, lp.h, left, lp.K, lp.Eps)
+	return e.topKFrom(ctx, lp.h, left, lp.K, lp.Eps, e.raw(lp.Opts.Raw))
 }
 
 // rankScores ranks a dense score vector exactly the way topKFrom ranks:
@@ -651,7 +650,7 @@ func (e *Engine) execAllPairs(ctx context.Context, lp LogicalPlan, d PlanDecisio
 	if sp != nil {
 		spanMatrixAttrs(sp, 'B', "combine", rel).End()
 	}
-	if !e.normalized {
+	if e.raw(lp.Opts.Raw) {
 		return rel, nil
 	}
 	sp = tr.Start("normalize")
@@ -723,7 +722,7 @@ func (e *Engine) execSubset(ctx context.Context, lp LogicalPlan, d PlanDecision)
 		return nil, fmt.Errorf("%w: %s cannot answer a subset query", ErrPlanNotApplicable, d.Kind)
 	}
 	rel, err := mo.combine(ctx, subL, subR)
-	if err != nil || !e.normalized {
+	if err != nil || e.raw(lp.Opts.Raw) {
 		return rel, err
 	}
 	return scaleByInvNorms(rel, subL.WeightedRowNorms(mo.weights('L').d), subR.WeightedRowNorms(mo.weights('R').d)), nil
@@ -810,7 +809,7 @@ func (e *Engine) degraded(ctx context.Context, lp LogicalPlan, d PlanDecision) (
 // result's Plan is "monte_carlo". (Batch kinds are the shapes by name.)
 func (e *Engine) Degrade(ctx context.Context, q BatchQuery, walks int) BatchResult {
 	lp := LogicalPlan{Path: q.Path, Shape: ResultShape(q.Kind), Src: q.Src, Dst: q.Dst, K: q.K,
-		Opts: PlanOptions{Walks: walks}, h: splitPath(q.Path)}
+		Opts: PlanOptions{Walks: walks, Raw: q.Raw}, h: splitPath(q.Path)}
 	r, err := e.degraded(ctx, lp, missedDecision(ctx))
 	return BatchResult{Score: r.score, Scores: r.scores, TopK: r.top, Plan: "monte_carlo", Err: err}
 }

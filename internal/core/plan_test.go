@@ -190,20 +190,6 @@ func TestPlanChoiceFlips(t *testing.T) {
 	if d.Kind == PlanPairVectors {
 		t.Errorf("10^9-query hint still chose %s", d.Kind)
 	}
-
-	// Pruning pins the legacy plan regardless of warmth: matrix chains
-	// prune per step, vector chains do not, so switching would move scores.
-	ep := NewEngine(g, WithPruning(0.01))
-	if err := ep.Precompute(ctx, p); err != nil {
-		t.Fatal(err)
-	}
-	_, d, err = ep.PairWithPlan(ctx, p, 0, 1, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Kind != PlanPairVectors {
-		t.Errorf("pruned engine chose %s, want pinned %s", d.Kind, PlanPairVectors)
-	}
 }
 
 // Explain shares the optimizer's cost model, so a precomputed path reports

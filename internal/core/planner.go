@@ -105,12 +105,6 @@ func (e *Engine) estimateChain(c chain, mo *middle) (ChainEstimate, error) {
 	rows := e.g.NodeCount(c.start)
 	est := ChainEstimate{Rows: rows, Cols: rows, NNZ: float64(rows)} // identity
 	support := 1.0                                                   // expected nnz per row
-	// Per-step pruning drops entries below eps; a sub-stochastic row keeps
-	// at most 1/eps of them, capping the support growth of pruned chains.
-	pruneCap := 0.0
-	if e.pruneEps > 0 {
-		pruneCap = 1 / e.pruneEps
-	}
 	advance := func(u *sparse.Matrix) {
 		stepRows, stepCols := u.Dims()
 		if stepRows == 0 {
@@ -124,9 +118,6 @@ func (e *Engine) estimateChain(c chain, mo *middle) (ChainEstimate, error) {
 		support *= avg
 		if support > float64(stepCols) {
 			support = float64(stepCols)
-		}
-		if pruneCap > 0 && support > pruneCap {
-			support = pruneCap
 		}
 		est.Cols = stepCols
 		est.NNZ = float64(rows) * support

@@ -41,15 +41,15 @@ func (s RewarmStats) String() string {
 
 // RewarmFrom fills this engine's chain cache from src — an engine over the
 // pre-delta graph — given the dirty summary of the delta that produced this
-// engine's graph. Both engines must share options; the receiver is assumed
-// unpublished (not yet serving), src may be serving concurrently.
+// engine's graph. The receiver is assumed unpublished (not yet serving), src
+// may be serving concurrently. A chain depends on the graph alone, so the two
+// engines' other options never make their chains differ.
 //
-// Per cached chain: if the engine prunes, row-masking is unsound
-// (materialized chains prune per step, subset recompute does not) and
-// touched chains are rebuilt; otherwise only the dirty rows are recomputed
-// and spliced in. An odd path's halves are ordinary step chains, and their
-// norms come along (carryNorms). Failure modes degrade to dropping a chain —
-// always safe, the next query rebuilds it cold.
+// Per cached chain, only the dirty rows are recomputed and spliced in; a
+// chain whose dirty rows cannot be told (a prefix is missing) is rebuilt. An
+// odd path's halves are ordinary step chains, and their norms come along
+// (carryNorms). Failure modes degrade to dropping a chain — always safe, the
+// next query rebuilds it cold.
 func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (RewarmStats, error) {
 	var st RewarmStats
 	if src == nil || d == nil {
@@ -57,9 +57,6 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 	}
 	if !e.caching {
 		return st, nil
-	}
-	if e.pruneEps != src.pruneEps {
-		return st, fmt.Errorf("core: RewarmFrom across pruning eps %g -> %g", src.pruneEps, e.pruneEps)
 	}
 
 	chains := src.ExportChains()
@@ -85,7 +82,7 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 			continue
 		}
 		rows, full := e.chainDirtyRows(src, c, d)
-		if full || (e.pruneEps > 0 && len(rows) > 0) {
+		if full {
 			if _, err := e.opMatrixChain(ctx, c); err != nil {
 				return st, err
 			}

@@ -187,43 +187,6 @@ func TestRewarmNodeGrowthOnly(t *testing.T) {
 	compareCaches(t, cold, warm)
 }
 
-// Pruning makes row-masked recompute unsound (materialized chains prune per
-// step, subset recompute does not), so touched chains are rebuilt instead —
-// and still match the cold pruned engine exactly.
-func TestRewarmWithPruningRebuilds(t *testing.T) {
-	g := fig4Graph(t)
-	old := NewEngine(g, WithPruning(0.05))
-	ctx := context.Background()
-	p := metapath.MustParse(g.Schema(), "APC")
-	if err := old.Precompute(ctx, p); err != nil {
-		t.Fatal(err)
-	}
-	ng, d := applyOps(t, g, []hin.Op{
-		{Kind: hin.OpUpsertEdge, Relation: "writes", Src: "Tom", Dst: "p3", Weight: 1},
-	})
-	warm := NewEngine(ng, WithPruning(0.05))
-	stats, err := warm.RewarmFrom(ctx, old, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.RowPatched != 0 {
-		t.Fatalf("stats = %s: pruned engine must not row-patch", stats)
-	}
-	if stats.Rebuilt == 0 {
-		t.Fatalf("stats = %s: touched chain not rebuilt", stats)
-	}
-	cold := NewEngine(ng, WithPruning(0.05))
-	if err := cold.Precompute(ctx, p); err != nil {
-		t.Fatal(err)
-	}
-	compareCaches(t, cold, warm)
-
-	// Mismatched pruning eps across engines is refused outright.
-	if _, err := NewEngine(ng).RewarmFrom(ctx, old, d); err == nil {
-		t.Error("RewarmFrom across pruning eps succeeded")
-	}
-}
-
 func TestParseChainKeyRoundTrip(t *testing.T) {
 	g := fig4Graph(t)
 	e := NewEngine(g)

@@ -45,8 +45,9 @@ func (e *Engine) TopKSearch(ctx context.Context, p *metapath.Path, src, k int, e
 // (sparse.MulMatEach: pooled accumulator, nothing of the target population's
 // size allocated or cleared). All add each target's terms in ascending middle
 // order (skipped terms are +0) and offer every non-zero score to the one
-// selector, so they return bit-identical hits.
-func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, lh leftHalf, k int, eps float64) ([]Scored, error) {
+// selector, so they return bit-identical hits. A raw query ranks the dots
+// themselves and never reads a row norm.
+func (e *Engine) topKFrom(ctx context.Context, h halves, lh leftHalf, k int, eps float64, raw bool) ([]Scored, error) {
 	mo := h.mo
 	left, ln := mo.meetLeft(lh, eps)
 	sc, err := e.opScanChain(ctx, h.right(), left)
@@ -57,7 +58,7 @@ func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, lh le
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("normalize")
 	var rns []float64 // indexed like sc.pm's rows
-	if e.normalized {
+	if !raw {
 		w := mo.weights('R')
 		switch {
 		case sc.rows != nil: // bit for bit the chain's norms of these rows; not cached
@@ -76,7 +77,7 @@ func (e *Engine) topKFrom(ctx context.Context, p *metapath.Path, h halves, lh le
 	sp = tr.Start("combine")
 	sel := rank.NewSelector(k)
 	offer := func(b, r int, s float64) { // target b is row r of sc.pm
-		if e.normalized {
+		if !raw {
 			if ln == 0 || rns[r] == 0 {
 				return
 			}

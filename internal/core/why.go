@@ -29,8 +29,9 @@ type Contribution struct {
 
 // PairContributions returns the pair's HeteSim score and its top-k meeting
 // object contributions, largest first. The contributions sum (over all
-// meeting objects, not just the returned k) to the score exactly.
-func (e *Engine) PairContributions(ctx context.Context, p *metapath.Path, src, dst, k int) (float64, []Contribution, error) {
+// meeting objects, not just the returned k) to the score exactly. raw
+// decomposes Definition 3's score, as PlanOptions.Raw does.
+func (e *Engine) PairContributions(ctx context.Context, p *metapath.Path, src, dst, k int, raw bool) (float64, []Contribution, error) {
 	if k <= 0 {
 		return 0, nil, fmt.Errorf("core: PairContributions k=%d must be positive", k)
 	}
@@ -54,7 +55,7 @@ func (e *Engine) PairContributions(ctx context.Context, p *metapath.Path, src, d
 		return 0, nil, err
 	}
 	scale := 1.0
-	if e.normalized {
+	if !e.raw(raw) {
 		ln, rn := left.WeightedNorm(mo.weights('L').d), right.WeightedNorm(mo.weights('R').d)
 		if ln == 0 || rn == 0 {
 			return 0, nil, nil

@@ -24,7 +24,7 @@ func TestPairContributionsSumToScore(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		total, contribs, err := e.PairContributions(context.Background(), p, src, dst, 1<<30)
+		total, contribs, err := e.PairContributions(context.Background(), p, src, dst, 1<<30, false)
 		if err != nil {
 			return false
 		}
@@ -59,7 +59,7 @@ func TestPairContributionsLabels(t *testing.T) {
 	p := metapath.MustParse(g.Schema(), "APC")
 	tom, _ := g.NodeIndex("author", "Tom")
 	kdd, _ := g.NodeIndex("conference", "KDD")
-	score, contribs, err := e.PairContributions(context.Background(), p, tom, kdd, 5)
+	score, contribs, err := e.PairContributions(context.Background(), p, tom, kdd, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPairContributionsLabels(t *testing.T) {
 	// Odd path AP: walkers meet inside the writes relation instances.
 	ap := metapath.MustParse(g.Schema(), "AP")
 	p2i, _ := g.NodeIndex("paper", "p2")
-	_, contribs, err = e.PairContributions(context.Background(), ap, tom, p2i, 3)
+	_, contribs, err = e.PairContributions(context.Background(), ap, tom, p2i, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPairContributionsTopKTruncation(t *testing.T) {
 	p := metapath.MustParse(g.Schema(), "APC")
 	tom, _ := g.NodeIndex("author", "Tom")
 	kdd, _ := g.NodeIndex("conference", "KDD")
-	score, contribs, err := e.PairContributions(context.Background(), p, tom, kdd, 1)
+	score, contribs, err := e.PairContributions(context.Background(), p, tom, kdd, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,13 @@ func TestPairContributionsValidation(t *testing.T) {
 	g := fig4Graph(t)
 	e := NewEngine(g)
 	p := metapath.MustParse(g.Schema(), "APC")
-	if _, _, err := e.PairContributions(context.Background(), p, 0, 0, 0); err == nil {
+	if _, _, err := e.PairContributions(context.Background(), p, 0, 0, 0, false); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := e.PairContributions(context.Background(), p, 99, 0, 1); !errors.Is(err, hin.ErrUnknownNode) {
+	if _, _, err := e.PairContributions(context.Background(), p, 99, 0, 1, false); !errors.Is(err, hin.ErrUnknownNode) {
 		t.Errorf("bad src err = %v", err)
 	}
-	if _, _, err := e.PairContributions(context.Background(), p, 0, 99, 1); !errors.Is(err, hin.ErrUnknownNode) {
+	if _, _, err := e.PairContributions(context.Background(), p, 0, 99, 1, false); !errors.Is(err, hin.ErrUnknownNode) {
 		t.Errorf("bad dst err = %v", err)
 	}
 }
@@ -126,7 +126,7 @@ func TestPairContributionsDisjointSupports(t *testing.T) {
 	p := metapath.MustParse(g.Schema(), "APC")
 	tom, _ := g.NodeIndex("author", "Tom")
 	sigmod, _ := g.NodeIndex("conference", "SIGMOD")
-	score, contribs, err := e.PairContributions(context.Background(), p, tom, sigmod, 5)
+	score, contribs, err := e.PairContributions(context.Background(), p, tom, sigmod, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}

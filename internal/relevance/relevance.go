@@ -35,6 +35,9 @@ var (
 	// ErrBadOptions marks invalid options (unknown weighting mode, learned
 	// mode without weights, malformed explicit path).
 	ErrBadOptions = errors.New("relevance: bad options")
+	// ErrRefused marks a request Limits.Admit turns away; its message is the
+	// whole refusal a replica and a router answer alike.
+	ErrRefused = errors.New("bad request")
 )
 
 // Weighting modes.
@@ -67,6 +70,9 @@ type Options struct {
 	// estimate with that many walks (core.Engine.Degrade: the plan layer's
 	// one deadline-degrade rule, under its one grace budget).
 	DegradeWalks int
+
+	// Raw scores every member path by Definition 3 (core.BatchQuery.Raw).
+	Raw bool
 }
 
 func (o *Options) defaults() {
@@ -100,18 +106,22 @@ func (l Limits) With(maxLen, maxPaths int) Limits {
 	return l
 }
 
-// Admit checks a request's max_len, max_paths and explicit path list
-// against the limits and returns the enumeration options it is entitled to:
-// the limits themselves unless the request asks for less. The refusals are
+// Admit checks that a request names its source, source type and target
+// type, checks its max_len, max_paths and explicit path list against the
+// limits, and returns the options it is entitled to: the limits themselves
+// unless the request asks for less. The refusals wrap ErrRefused and are
 // client errors (HTTP 400).
 func (l Limits) Admit(req *api.RelevanceRequest) (Options, error) {
+	if req.Source == "" || req.SourceType == "" || req.TargetType == "" {
+		return Options{}, fmt.Errorf("%w: source, source_type, and target_type are required", ErrRefused)
+	}
 	if req.MaxLen > l.MaxLen {
-		return Options{}, fmt.Errorf("max_len %d exceeds limit %d", req.MaxLen, l.MaxLen)
+		return Options{}, fmt.Errorf("%w: max_len %d exceeds limit %d", ErrRefused, req.MaxLen, l.MaxLen)
 	}
 	if req.MaxPaths > l.MaxPaths {
-		return Options{}, fmt.Errorf("max_paths %d exceeds limit %d", req.MaxPaths, l.MaxPaths)
+		return Options{}, fmt.Errorf("%w: max_paths %d exceeds limit %d", ErrRefused, req.MaxPaths, l.MaxPaths)
 	}
-	o := Options{MaxLen: l.MaxLen, MaxPaths: l.MaxPaths, Paths: req.Paths, Weighting: req.Weighting}
+	o := Options{MaxLen: l.MaxLen, MaxPaths: l.MaxPaths, Paths: req.Paths, Weighting: req.Weighting, Raw: req.Raw}
 	if req.MaxLen > 0 {
 		o.MaxLen = req.MaxLen
 	}
@@ -119,7 +129,7 @@ func (l Limits) Admit(req *api.RelevanceRequest) (Options, error) {
 		o.MaxPaths = req.MaxPaths
 	}
 	if len(req.Paths) > o.MaxPaths {
-		return Options{}, fmt.Errorf("%d explicit paths exceed limit %d", len(req.Paths), o.MaxPaths)
+		return Options{}, fmt.Errorf("%w: %d explicit paths exceed limit %d", ErrRefused, len(req.Paths), o.MaxPaths)
 	}
 	o.defaults()
 	return o, nil
@@ -247,7 +257,7 @@ func ensemble(ctx context.Context, e *core.Engine, srcType string, src int, dstT
 	}
 	qs := make([]core.BatchQuery, len(paths))
 	for i, p := range paths {
-		qs[i] = core.BatchQuery{Kind: kind, Path: p, Src: src, Dst: dst}
+		qs[i] = core.BatchQuery{Kind: kind, Path: p, Src: src, Dst: dst, Raw: o.Raw}
 	}
 	brs, stats, err := e.ExecuteBatch(ctx, qs, core.BatchOptions{
 		Workers: o.Workers, PerQueryTimeout: o.PerPathTimeout,

@@ -51,14 +51,10 @@ func (r *Router) handleRelevance(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) scatterRelevance(w http.ResponseWriter, req *http.Request, rreq *api.RelevanceRequest, schema *hin.Schema) {
 	start := time.Now()
-	if rreq.Source == "" || rreq.SourceType == "" || rreq.TargetType == "" {
-		badRequest(w, "source, source_type, and target_type are required")
-		return
-	}
-	// The ensemble's limits, paths and weights come from the same code a
-	// replica runs, so a routed request is validated and weighted exactly
-	// like a direct one. The replicas return RAW per-path scores (weights
-	// are a combine-time concern); the router owns the combine.
+	// The ensemble's required fields, limits, paths and weights come from the
+	// same code a replica runs, so a routed request is refused, validated and
+	// weighted exactly like a direct one. The replicas return RAW per-path
+	// scores (weights are a combine-time concern); the router owns the combine.
 	opts, err := r.relevanceLimits.Admit(rreq)
 	if err != nil {
 		badRequest(w, err.Error())

@@ -51,17 +51,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // POST /v1/batch, which cmd/hetesim -batch calls directly so the CLI and
 // the daemon cannot drift. Every slot goes through the solo endpoints'
 // decode; a bad one fails in place, never the batch. Batch supports the
-// hetesim measure only; valid slots split by engine, because raw
-// (Definition 3) and normalized (Definition 10) scores come from distinct
-// engines with distinct caches.
+// hetesim measure only; raw (Definition 3) and normalized (Definition 10)
+// slots on one path share its group, since they differ at the last step only.
 func (s *Server) Batch(ctx context.Context, slots []api.BatchQuery) api.BatchResponse[api.BatchResult] {
 	start := time.Now()
 	es := s.current()
 	out := make([]api.BatchResult, len(slots))
 	paths := make([]*metapath.Path, len(slots))
-	engines := [2]*core.Engine{es.engine, es.raw}
-	var cqs [2][]core.BatchQuery // by engine: 0 normalized, 1 raw
-	var pos [2][]int             // cqs[e][k] answers slot pos[e][k]
+	var cqs []core.BatchQuery
+	var pos []int // cqs[k] answers slot pos[k]
 	for i, slot := range slots {
 		out[i] = api.BatchResult{Kind: slot.Kind, Path: slot.Path, Source: slot.Source, Target: slot.Target}
 		q, err := s.decode(es, wireQuery{BatchQuery: slot})
@@ -71,33 +69,22 @@ func (s *Server) Batch(ctx context.Context, slots []api.BatchQuery) api.BatchRes
 		}
 		paths[i] = q.path
 		out[i].Path = q.path.String()
-		e := 0
-		if q.Raw {
-			e = 1
-		}
-		cqs[e] = append(cqs[e], core.BatchQuery{Kind: core.BatchKind(q.Kind), Path: q.path, Src: q.src, Dst: q.dst, K: q.K, Eps: q.Eps})
-		pos[e] = append(pos[e], i)
+		cqs = append(cqs, core.BatchQuery{Kind: core.BatchKind(q.Kind), Path: q.path, Src: q.src, Dst: q.dst, K: q.K, Eps: q.Eps, Raw: q.Raw})
+		pos = append(pos, i)
 	}
 
 	stats := api.BatchStats{Queries: len(slots)}
-	opts := core.BatchOptions{Workers: s.batchWorkers, PerQueryTimeout: s.queryTimeout}
-	for e, eng := range engines {
-		if len(cqs[e]) == 0 {
-			continue
-		}
-		results, st, err := eng.ExecuteBatch(ctx, cqs[e], opts)
-		for k, i := range pos[e] {
+	if len(cqs) > 0 {
+		opts := core.BatchOptions{Workers: s.batchWorkers, PerQueryTimeout: s.queryTimeout}
+		results, st, err := es.engine.ExecuteBatch(ctx, cqs, opts)
+		for k, i := range pos {
 			if err != nil {
 				failSlot(&out[i], err)
 			} else {
 				fillSlot(es, &out[i], paths[i], results[k])
 			}
 		}
-		stats.Groups += st.Groups
-		stats.Sharing.Add(sharing(st))
-	}
-	if stats.Groups > 0 {
-		stats.Amortization = float64(len(cqs[0])+len(cqs[1])) / float64(stats.Groups)
+		stats.Groups, stats.Amortization, stats.Sharing = st.Groups, st.Amortization, sharing(st)
 	}
 	stats.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return api.BatchResponse[api.BatchResult]{Results: out, Stats: stats}

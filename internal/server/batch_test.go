@@ -110,17 +110,18 @@ func TestBatchEndpoint(t *testing.T) {
 		}
 	}
 
-	// The three normalized APC queries share one group; the raw query is
-	// a singleton on its own engine.
-	if body.Stats.Queries != 4 || body.Stats.Groups != 2 {
-		t.Errorf("stats = %+v, want 4 queries in 2 groups", body.Stats)
+	// Raw and normalized differ at the last step only: all four APC queries,
+	// the raw one included, share one group.
+	if body.Stats.Queries != 4 || body.Stats.Groups != 1 {
+		t.Errorf("stats = %+v, want 4 queries in 1 group", body.Stats)
 	}
-	if body.Stats.SharedQueries != 3 {
-		t.Errorf("SharedQueries = %d, want 3", body.Stats.SharedQueries)
+	if body.Stats.SharedQueries != 4 {
+		t.Errorf("SharedQueries = %d, want 4", body.Stats.SharedQueries)
 	}
-	if !body.Results[0].Shared || body.Results[1].Shared {
-		t.Errorf("shared flags: norm pair %v (want true), raw singleton %v (want false)",
-			body.Results[0].Shared, body.Results[1].Shared)
+	for i, res := range body.Results {
+		if !res.Shared {
+			t.Errorf("slot %d (raw %v) not shared", i, req.Queries[i].Raw)
+		}
 	}
 	if body.Stats.DurationMS <= 0 {
 		t.Errorf("DurationMS = %v", body.Stats.DurationMS)

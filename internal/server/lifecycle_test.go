@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -388,8 +389,8 @@ func TestStatsCachedMatrices(t *testing.T) {
 		t.Errorf("cached_matrices did not grow after precompute: %v -> %v",
 			before, after["cached_matrices"])
 	}
-	// The extended stats carry the merged cache snapshot and the engine
-	// option settings that produced it.
+	// The extended stats carry the engine's cache snapshot and the option
+	// settings that produced it.
 	cache, ok := after["cache"].(map[string]any)
 	if !ok {
 		t.Fatalf("stats missing cache object: %v", after)
@@ -409,5 +410,54 @@ func TestStatsCachedMatrices(t *testing.T) {
 		if _, ok := options[key]; !ok {
 			t.Errorf("options missing %q: %v", key, options)
 		}
+	}
+}
+
+// TestRawQueryReusesWarmChains: raw (Definition 3) and normalized
+// (Definition 10) scores are read off the same chains of one engine, so a
+// ?raw=1 top-k after a normalized warm-up of its path builds no chain and
+// misses no cache, and the mixed probe holds no more matrices than its
+// normalized half did alone.
+func TestRawQueryReusesWarmChains(t *testing.T) {
+	srv, ts := testServer(t)
+	const topk = "/v1/topk?path=APCPA&source=Tom&k=3"
+	cachedMatrices := func() float64 {
+		var stats map[string]any
+		getJSON(t, ts.URL+"/v1/stats", http.StatusOK, &stats)
+		return stats["cached_matrices"].(float64)
+	}
+	transposed := func() bool {
+		for key := range srv.current().engine.ExportChains() {
+			if strings.HasPrefix(key, "T:") {
+				return true
+			}
+		}
+		return false
+	}
+	var norm topKBody
+	for i := 0; !transposed(); i++ { // rent or buy, then transpose once
+		if i == 20 {
+			t.Fatal("20 normalized top-ks and the right half-chain was never transposed")
+		}
+		getJSON(t, ts.URL+topk, http.StatusOK, &norm)
+	}
+	getJSON(t, ts.URL+topk, http.StatusOK, &norm) // the steady state: the cached transpose
+	normalized := cachedMatrices()
+	chains := srv.current().engine.CacheStats().Chain
+	misses := scrapeMetrics(t, ts.URL)["hetesim_engine_cache_misses_total"]
+
+	var raw topKBody
+	getJSON(t, ts.URL+topk+"&raw=1", http.StatusOK, &raw)
+	if got := srv.current().engine.CacheStats().Chain; got != chains {
+		t.Errorf("raw top-k on a warm path: %d chains cached, %d before", got, chains)
+	}
+	if got := scrapeMetrics(t, ts.URL)["hetesim_engine_cache_misses_total"]; got != misses {
+		t.Errorf("raw top-k on a warm path: %v cache misses, %v before", got, misses)
+	}
+	if got := cachedMatrices(); got > normalized {
+		t.Errorf("cached_matrices after the mixed probe = %v, after its normalized half %v", got, normalized)
+	}
+	if len(raw.Results) == 0 || slices.Equal(raw.Results, norm.Results) {
+		t.Errorf("raw hits %v, normalized %v: want the raw meeting probabilities", raw.Results, norm.Results)
 	}
 }

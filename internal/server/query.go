@@ -218,17 +218,17 @@ func (s *Server) execute(ctx context.Context, es *engineSet, q query) (answer, e
 		return a, nil
 	}
 
-	opts := core.PlanOptions{Force: q.plan, Walks: s.degradeWalks}
+	opts := core.PlanOptions{Force: q.plan, Walks: s.degradeWalks, Raw: q.Raw}
 	var d core.PlanDecision
 	var err error
 	if topk {
 		var top []core.Scored
-		top, d, err = es.hetesim(q.Raw).TopKSearchWithPlan(ctx, q.path, q.src, q.K, q.Eps, opts)
+		top, d, err = es.engine.TopKSearchWithPlan(ctx, q.path, q.src, q.K, q.Eps, opts)
 		if err == nil {
 			a.hits = namedHits(es.g, q.path.Target(), top, q.K)
 		}
 	} else {
-		a.score, d, err = es.hetesim(q.Raw).PairWithPlan(ctx, q.path, q.src, q.dst, opts)
+		a.score, d, err = es.engine.PairWithPlan(ctx, q.path, q.src, q.dst, opts)
 	}
 	if d.Kind != "" {
 		a.plan = planInfo(d)
@@ -326,7 +326,7 @@ func (s *Server) handleWhy(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	score, contribs, err := es.hetesim(q.Raw).PairContributions(r.Context(), q.path, q.src, q.dst, q.K)
+	score, contribs, err := es.engine.PairContributions(r.Context(), q.path, q.src, q.dst, q.K, q.Raw)
 	if err != nil {
 		writeError(w, err)
 		return

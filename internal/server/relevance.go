@@ -48,9 +48,9 @@ func (s *Server) handleRelevance(w http.ResponseWriter, r *http.Request) {
 	body := api.RelevanceResponse{Mode: "topk", Source: req.Source, Target: req.Target, Weighting: opts.Weighting}
 	if dst >= 0 {
 		body.Mode = "pair"
-		res, err = relevance.Pair(ctx, es.hetesim(req.Raw), req.SourceType, src, req.TargetType, dst, opts)
+		res, err = relevance.Pair(ctx, es.engine, req.SourceType, src, req.TargetType, dst, opts)
 	} else {
-		res, ranked, err = relevance.TopK(ctx, es.hetesim(req.Raw), req.SourceType, src, req.TargetType, req.K, opts)
+		res, ranked, err = relevance.TopK(ctx, es.engine, req.SourceType, src, req.TargetType, req.K, opts)
 	}
 	if err != nil {
 		writeError(w, err)
@@ -74,19 +74,12 @@ func (s *Server) handleRelevance(w http.ResponseWriter, r *http.Request) {
 // decodeRelevance validates the request against the server's relevance
 // limits and resolves its endpoints; a target index of -1 is top-k mode.
 func (s *Server) decodeRelevance(es *engineSet, req *api.RelevanceRequest) (relevance.Options, int, int, error) {
-	var o relevance.Options
-	if req.Source == "" || req.SourceType == "" {
-		return o, 0, 0, fmt.Errorf("%w: source and source_type are required", errBadRequest)
-	}
-	if req.TargetType == "" {
-		return o, 0, 0, fmt.Errorf("%w: target_type is required (with target for a pair query, alone for top-k)", errBadRequest)
+	o, err := s.relevanceLimits.Admit(req) // the router's check too: one wording per refusal
+	if err != nil {
+		return o, 0, 0, err
 	}
 	if !es.g.Schema().HasType(req.SourceType) || !es.g.Schema().HasType(req.TargetType) {
 		return o, 0, 0, fmt.Errorf("%w: unknown node type", errBadRequest)
-	}
-	o, err := s.relevanceLimits.Admit(req)
-	if err != nil {
-		return o, 0, 0, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	o.Learned = s.pathWeights
 	o.Workers = s.batchWorkers

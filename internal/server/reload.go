@@ -86,10 +86,10 @@ func (s *Server) WarmStart() (bool, error) {
 }
 
 // ImportSnapshot validates snap against the serving graph and imports its
-// chain matrices into both engines — the receiving half of snapshot
+// chain matrices into the engine — the receiving half of snapshot
 // shipping, used by the -warm-from boot path and by a follower after a full
 // resync. It returns how many chains were admitted; a snapshot for a
-// different graph generation or pruning configuration is rejected whole.
+// different graph generation, or of pruned chains, is rejected whole.
 func (s *Server) ImportSnapshot(snap *snapshot.Snapshot) (int, error) {
 	return s.st.importSnapshot(s.current(), snap)
 }

@@ -526,6 +526,7 @@ func errorStatusCode(err error) (int, string) {
 		errors.Is(err, hin.ErrBadOp),
 		errors.Is(err, relevance.ErrBadOptions),
 		errors.Is(err, relevance.ErrNoPaths),
+		errors.Is(err, relevance.ErrRefused),
 		errors.Is(err, errBadRequest):
 		return http.StatusBadRequest, "bad_request"
 	}
@@ -587,34 +588,15 @@ func (s *Server) handleSchema(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// statsCache merges the normalized and raw engines' cache snapshots, so
-// operators see total cache pressure regardless of which engine served a
-// query.
-func addCacheInfo(a, b core.CacheInfo) core.CacheInfo {
-	return core.CacheInfo{
-		Transition: a.Transition + b.Transition,
-		Edge:       a.Edge + b.Edge,
-		Chain:      a.Chain + b.Chain,
-		Evictions:  a.Evictions + b.Evictions,
-	}
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	es := s.current()
-	cache := addCacheInfo(es.engine.CacheStats(), es.raw.CacheStats())
-	// Optimizer selections per plan kind, merged over the normalized and
-	// raw engines (both serve hetesim queries).
-	plans := es.engine.PlanSelections()
-	for k, v := range es.raw.PlanSelections() {
-		plans[k] += v
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"nodes":           es.g.TotalNodes(),
 		"edges":           es.g.TotalEdges(),
 		"fingerprint":     fmt.Sprintf("%016x", es.fingerprint),
-		"cached_matrices": es.engine.CacheSize() + es.raw.CacheSize(),
-		"cache":           cache,
-		"plans":           plans,
+		"cached_matrices": es.engine.CacheSize(),
+		"cache":           es.engine.CacheStats(),
+		"plans":           es.engine.PlanSelections(), // optimizer selections per plan kind
 		// The configuration that produced the numbers above, so a stats
 		// snapshot is interpretable on its own.
 		"options": map[string]any{

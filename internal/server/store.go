@@ -50,18 +50,9 @@ type engineSet struct {
 	g           *hin.Graph
 	fingerprint uint64
 	seq         uint64       // last WAL sequence folded into g
-	engine      *core.Engine // normalized HeteSim (Definition 10)
-	raw         *core.Engine // unnormalized (Definition 3), for ?raw=1
+	engine      *core.Engine // HeteSim: Definition 10, or Definition 3 for a ?raw=1 query
 	pcrw        *baseline.PCRW
 	pathsim     *baseline.PathSim
-}
-
-// hetesim picks the engine matching a query's normalization.
-func (es *engineSet) hetesim(raw bool) *core.Engine {
-	if raw {
-		return es.raw
-	}
-	return es.engine
 }
 
 // maxAppliedKeys bounds the idempotency table: beyond it the oldest acked
@@ -132,7 +123,6 @@ func (st *store) newEngineSet(g *hin.Graph) *engineSet {
 		g:           g,
 		fingerprint: g.Fingerprint(),
 		engine:      e,
-		raw:         core.NewEngine(g, append(append([]core.Option(nil), st.engineOpts...), core.WithNormalization(false))...),
 		pcrw:        baseline.NewPCRWFromEngine(e),
 		pathsim:     baseline.NewPathSim(g),
 	}
@@ -275,8 +265,8 @@ type applyResult struct {
 // write (b.Seq == 0: the log assigns the sequence), a follower's replicated
 // batch (sequenced by the primary, logged verbatim) or a boot replay
 // (durable: already in the log). Order: dedupe by key, validate by computing
-// the copy-on-write graph once, make the batch durable, rewarm both engines
-// from the serving set (Property 2 locality), publish, compact on size. A
+// the copy-on-write graph once, make the batch durable, rewarm the engine
+// from the serving set's (Property 2 locality), publish, compact on size. A
 // batch the graph rejects leaves no trace in the log, or replay would fail
 // on it forever; a duplicate client retry leaves none either, while a
 // sequenced duplicate (a retry that raced a crash reached the log twice)
@@ -327,9 +317,6 @@ func (st *store) apply(ctx context.Context, b wal.Batch, durable bool) (applyRes
 		var err error
 		if res.rewarm, err = next.engine.RewarmFrom(ctx, cur.engine, dirty); err != nil {
 			st.logf("server: incremental rewarm: %v", err)
-		}
-		if _, err := next.raw.RewarmFrom(ctx, cur.raw, dirty); err != nil {
-			st.logf("server: incremental rewarm (raw): %v", err)
 		}
 		st.rememberKeyLocked(b.Key, b.Seq)
 	}
@@ -508,33 +495,27 @@ func (st *store) saveGraph(g *hin.Graph) error {
 	return snapshot.WriteAtomic(st.fsys, st.graphPath, func(w io.Writer) error { return hin.Write(w, g) })
 }
 
-// exportSnapshot captures es's materialized chain matrices, merged over both
-// engines, in the snapshot format — the one encoder behind the on-disk
-// snapshot and GET /v1/admin/snapshot. The codec sorts its sections, so the
-// same cache state always encodes to the same bytes.
+// exportSnapshot captures es's materialized chain matrices in the snapshot
+// format — the one encoder behind the on-disk snapshot and GET
+// /v1/admin/snapshot. The codec sorts its sections, so the same cache state
+// always encodes to the same bytes.
 func exportSnapshot(es *engineSet) (*snapshot.Snapshot, error) {
-	chains := es.engine.ExportChains()
-	for k, m := range es.raw.ExportChains() {
-		if _, ok := chains[k]; !ok {
-			chains[k] = m
-		}
-	}
-	snap := &snapshot.Snapshot{Fingerprint: es.fingerprint, PruneEps: es.engine.PruneEps()}
-	if err := snapshot.EncodeChains(snap, chains); err != nil {
+	snap := &snapshot.Snapshot{Fingerprint: es.fingerprint}
+	if err := snapshot.EncodeChains(snap, es.engine.ExportChains()); err != nil {
 		return nil, err
 	}
 	return snap, nil
 }
 
-// importSnapshot validates snap against es's graph and pruning
-// configuration and admits its chains into both engines, returning how many
-// were admitted — the one decoder behind warm starts from disk and snapshots
+// importSnapshot validates snap against es's graph and admits its chains
+// into the engine, returning how many were admitted — the one decoder
+// behind warm starts from disk and snapshots
 // shipped by a peer. A snapshot that fails any check is rejected whole and
 // counted in hetesim_snapshot_corrupt_total; sections other than chains (the
 // "embed:" sections older builds wrote) are skipped, and so are the odd-path
 // "SE(…)"/"TE(…)" chains they wrote, with a log line.
 func (st *store) importSnapshot(es *engineSet, snap *snapshot.Snapshot) (int, error) {
-	err := snap.CheckCompat(es.fingerprint, es.engine.PruneEps())
+	err := snap.CheckCompat(es.fingerprint)
 	if err != nil {
 		metSnapshotCorrupt.Inc()
 		return 0, err
@@ -545,7 +526,6 @@ func (st *store) importSnapshot(es *engineSet, snap *snapshot.Snapshot) (int, er
 		return 0, err
 	}
 	n, stale := es.engine.ImportChains(chains)
-	es.raw.ImportChains(chains)
 	if stale > 0 {
 		st.logf("server: snapshot: skipped %d odd-path chains over the edge-object type older builds wrote", stale)
 	}

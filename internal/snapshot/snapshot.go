@@ -14,7 +14,7 @@
 //
 // Layout (little-endian):
 //
-//	header   magic "HSNP" | version u32 | fingerprint u64 | pruneEps f64 |
+//	header   magic "HSNP" | version u32 | fingerprint u64 | prune eps f64 |
 //	         sectionCount u32 | headerCRC u32 (CRC-32/IEEE of the 28 bytes above)
 //	section  nameLen u16 | name | dataLen u64 | data |
 //	         sectionCRC u32 (CRC-32/IEEE of name and data bytes)
@@ -42,8 +42,8 @@ import (
 var ErrCorrupt = errors.New("snapshot: corrupt")
 
 // ErrMismatch marks a structurally valid snapshot that belongs to different
-// state: wrong format version, wrong graph fingerprint, or engine options
-// that change matrix contents (pruning epsilon).
+// state: wrong format version, wrong graph fingerprint, or chains pruned by
+// an engine option older builds had (a non-zero prune eps).
 var ErrMismatch = errors.New("snapshot: mismatch")
 
 var (
@@ -79,7 +79,7 @@ type Section struct {
 // state it belongs to, plus its sections.
 type Snapshot struct {
 	Fingerprint uint64  // hin.Graph.Fingerprint of the producing graph
-	PruneEps    float64 // core.WithPruning epsilon the matrices were built with
+	PruneEps    float64 // per-step chain truncation of older builds: written 0, refused unless 0
 	Sections    []Section
 
 	// version is the format version the snapshot was read with; Write
@@ -89,17 +89,19 @@ type Snapshot struct {
 	version uint32
 }
 
-// CheckCompat reports whether the snapshot belongs to the given graph
-// fingerprint and pruning epsilon, with a reason when it does not. Version
-// compatibility is already enforced by Read.
-func (s *Snapshot) CheckCompat(fingerprint uint64, pruneEps float64) error {
+// CheckCompat reports whether the snapshot holds exact chains of the graph
+// with the given fingerprint, with a reason when it does not. Engines build
+// exact chains only, so a non-zero PruneEps (truncated chains) is refused;
+// keeping the header field costs no format version. Version compatibility
+// is already enforced by Read.
+func (s *Snapshot) CheckCompat(fingerprint uint64) error {
 	if s.Fingerprint != fingerprint {
 		return fmt.Errorf("%w: snapshot is for graph fingerprint %016x, not %016x",
 			ErrMismatch, s.Fingerprint, fingerprint)
 	}
-	if s.PruneEps != pruneEps {
-		return fmt.Errorf("%w: snapshot was built with pruning eps %g, engine uses %g",
-			ErrMismatch, s.PruneEps, pruneEps)
+	if s.PruneEps != 0 {
+		return fmt.Errorf("%w: snapshot chains were pruned with eps %g, engines build exact chains",
+			ErrMismatch, s.PruneEps)
 	}
 	return nil
 }

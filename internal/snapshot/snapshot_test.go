@@ -96,16 +96,32 @@ func TestVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckCompat: a header's pruneEps field is read as before, and only a
+// zero value — exact chains, what every writer stores — loads.
 func TestCheckCompat(t *testing.T) {
-	s := testSnapshot()
-	if err := s.CheckCompat(s.Fingerprint, s.PruneEps); err != nil {
-		t.Fatalf("matching compat check failed: %v", err)
+	reread := func(eps float64) *Snapshot {
+		s := testSnapshot()
+		s.PruneEps = eps
+		var buf bytes.Buffer
+		if err := Write(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	if err := s.CheckCompat(s.Fingerprint+1, s.PruneEps); !errors.Is(err, ErrMismatch) {
+	s := reread(0)
+	if err := s.CheckCompat(s.Fingerprint); err != nil {
+		t.Fatalf("exact chains of the same graph: %v", err)
+	}
+	if err := s.CheckCompat(s.Fingerprint + 1); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("wrong fingerprint: err = %v, want ErrMismatch", err)
 	}
-	if err := s.CheckCompat(s.Fingerprint, 0); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("wrong prune eps: err = %v, want ErrMismatch", err)
+	pruned := reread(1e-6)
+	if err := pruned.CheckCompat(pruned.Fingerprint); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("non-zero prune eps: err = %v, want ErrMismatch", err)
 	}
 }
 
