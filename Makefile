@@ -91,7 +91,9 @@ loc:
 # (middleEdgeTransitions, edgeU: odd paths meet on the middle relation, not
 # on an edge-object type) or the one-engine generation (WithPruning,
 # pruneEps: engines build exact chains only; addCacheInfo: no second engine
-# to sum) deleted comes back by name, or when the deleted
+# to sum) or the batch scheduler's cross-group side planner (planBatchSides,
+# buildFamily, sideFamily: a group builds its halves with the solo operators)
+# deleted comes back by name, or when the deleted
 # approximate top-k plane does (its plan name, its knobs, an import of
 # internal/embed — which bench/probes.go alone keeps alive until a
 # [benchmark] PR deletes both); part of `make check`.
@@ -103,7 +105,7 @@ contract:
 			echo "contract: json tag \"$$tag\" must be declared in exactly one file, found in: $$(echo $$files)"; fail=1; \
 		fi; \
 	done; \
-	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo; do \
+	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo planBatchSides buildFamily sideFamily; do \
 		if grep -rnwE "$$name" --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./bench/'; then \
 			echo "contract: deleted helper $$name is back"; fail=1; \
 		fi; \

@@ -537,13 +537,11 @@ func BenchmarkBatchPairAmortization(b *testing.B) {
 // BenchmarkRelevanceAuto is the auto-relevance subsystem's acceptance
 // benchmark: one conference pair scored over an ensemble of three meta
 // paths that share the published_in⁻¹ prefix (CPC, CPAPC, CPTPC),
-// answered naively (each path is a solo Pair query paying its own
-// half-chain propagations — including the dense conference→papers fanout
-// three times) versus through relevance.Pair (the batch side planner
-// materializes the shared two-row prefix once and resumes the longer
-// chains from it). Engines are cold per iteration so the ratio isolates
-// cross-path amortization; the warm variant shows the steady-state
-// ensemble cost once chains are cached.
+// answered naively (each path is a solo Pair query) versus through
+// relevance.Pair (one batch whose one-query groups take the same solo
+// plans, plus enumeration and combine). Engines are cold per iteration so
+// the ratio is the ensemble's overhead over its paths; the warm variant
+// shows the steady-state ensemble cost once chains are cached.
 func BenchmarkRelevanceAuto(b *testing.B) {
 	ds := complexityGraph(20000)
 	g := ds.Graph

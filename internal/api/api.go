@@ -135,7 +135,6 @@ type Sharing struct {
 	ChainBuilds   int `json:"chain_builds"`
 	RowSteps      int `json:"row_steps"`
 	NaiveRowSteps int `json:"naive_row_steps"`
-	PrefixResumes int `json:"prefix_resumes"`
 }
 
 func (s *Sharing) Add(o Sharing) {
@@ -143,7 +142,6 @@ func (s *Sharing) Add(o Sharing) {
 	s.ChainBuilds += o.ChainBuilds
 	s.RowSteps += o.RowSteps
 	s.NaiveRowSteps += o.NaiveRowSteps
-	s.PrefixResumes += o.PrefixResumes
 }
 
 // BatchStats is the stats block of a batch answer.

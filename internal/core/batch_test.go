@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
 )
 
@@ -139,31 +138,37 @@ func TestBatchMatchesSoloBitIdentical(t *testing.T) {
 
 // TestBatchSingletonGroupsUseSoloPlan: a batch of one query per path takes
 // the solo plan (no shared state, nothing to amortize) and still answers
-// identically.
+// identically — also when the paths share a half-chain prefix (APA, APVPA and
+// APTPA all start with "writes"), the multi-path relevance ensemble's shape.
 func TestBatchSingletonGroupsUseSoloPlan(t *testing.T) {
 	g := randomBibGraph(73)
 	e := NewEngine(g)
-	p := metapath.MustParse(g.Schema(), "APA")
-	qs := []BatchQuery{{Kind: BatchPair, Path: p, Src: 0, Dst: 1}}
+	var qs []BatchQuery
+	for _, spec := range []string{"APA", "APVPA", "APTPA", "VCV"} {
+		qs = append(qs, BatchQuery{Kind: BatchPair, Path: metapath.MustParse(g.Schema(), spec), Src: 0, Dst: 1})
+	}
 	results, stats, err := e.ExecuteBatch(context.Background(), qs, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err != nil {
-		t.Fatal(results[0].Err)
+	fresh := NewEngine(g)
+	for i, q := range qs {
+		if results[i].Err != nil {
+			t.Fatal(results[i].Err)
+		}
+		if results[i].Shared || results[i].Plan != "solo" {
+			t.Errorf("%s: singleton group reported shared=%v plan=%q", q.Path, results[i].Shared, results[i].Plan)
+		}
+		want, err := fresh.PairByIndex(context.Background(), q.Path, q.Src, q.Dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i].Score != want {
+			t.Errorf("%s: singleton batch score %v, solo %v", q.Path, results[i].Score, want)
+		}
 	}
-	if results[0].Shared {
-		t.Error("singleton group reported Shared = true")
-	}
-	want, err := NewEngine(g).PairByIndex(context.Background(), p, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Score != want {
-		t.Errorf("singleton batch score %v, solo %v", results[0].Score, want)
-	}
-	if stats.Groups != 1 || stats.SharedQueries != 0 || stats.ChainBuilds != 0 {
-		t.Errorf("stats = %+v, want 1 group, 0 shared, 0 builds", stats)
+	if stats.Groups != len(qs) || stats.SharedQueries != 0 || stats.ChainBuilds != 0 || stats.RowSteps != 0 {
+		t.Errorf("stats = %+v, want %d groups, 0 shared, 0 builds, 0 row steps", stats, len(qs))
 	}
 }
 
@@ -328,128 +333,5 @@ func TestBatchEquivalentPathSpellingsShareAGroup(t *testing.T) {
 	}
 	if stats.SharedQueries != 2 {
 		t.Errorf("SharedQueries = %d, want 2", stats.SharedQueries)
-	}
-}
-
-// crossPathGraph builds a bibliographic graph with enough authors that the
-// side planner prefers subset propagation over full materialization for a
-// two-row family.
-func crossPathGraph(tb testing.TB, seed int64) *Engine {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	s := hin.NewSchema()
-	s.MustAddType("author", 'A')
-	s.MustAddType("paper", 'P')
-	s.MustAddType("venue", 'V')
-	s.MustAddType("conference", 'C')
-	s.MustAddType("term", 'T')
-	s.MustAddRelation("writes", "author", "paper")
-	s.MustAddRelation("published_in", "paper", "venue")
-	s.MustAddRelation("part_of", "venue", "conference")
-	s.MustAddRelation("mentions", "paper", "term")
-	b := hin.NewBuilder(s)
-	nA, nP, nV, nT := 20, 40, 6, 8
-	for i := 0; i < nP; i++ {
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			b.AddEdge("writes", "a"+itoa(rng.Intn(nA)), "p"+itoa(i))
-		}
-		b.AddEdge("published_in", "p"+itoa(i), "v"+itoa(rng.Intn(nV)))
-		b.AddEdge("mentions", "p"+itoa(i), "t"+itoa(rng.Intn(nT)))
-	}
-	for i := 0; i < nV; i++ {
-		b.AddEdge("part_of", "v"+itoa(i), "c"+itoa(rng.Intn(2)))
-	}
-	return NewEngine(b.MustBuild(), WithNormalization(true))
-}
-
-// TestBatchCrossGroupSharing: one query per path — every group a singleton —
-// on paths sharing a common prefix still shares work: the side planner merges
-// the half-chain requests into one prefix family, propagates the unioned rows
-// through the shared first step once, and resumes the longer chains from that
-// state. This is the multi-path relevance ensemble shape: nothing shares a
-// path, everything shares a prefix.
-func TestBatchCrossGroupSharing(t *testing.T) {
-	e := crossPathGraph(t, 41)
-	g := e.Graph()
-	paths := []*metapath.Path{
-		metapath.MustParse(g.Schema(), "APA"),
-		metapath.MustParse(g.Schema(), "APVPA"),
-		metapath.MustParse(g.Schema(), "APTPA"),
-	}
-	src, dst := 1, 3
-	qs := make([]BatchQuery, len(paths))
-	for i, p := range paths {
-		qs[i] = BatchQuery{Kind: BatchPair, Path: p, Src: src, Dst: dst}
-	}
-	results, stats, err := e.ExecuteBatch(context.Background(), qs, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Groups != len(paths) {
-		t.Fatalf("groups = %d, want %d singleton groups", stats.Groups, len(paths))
-	}
-	if stats.SharedQueries != len(paths) {
-		t.Errorf("shared queries = %d, want all %d (prefix family spans the groups)",
-			stats.SharedQueries, len(paths))
-	}
-	if stats.ChainBuilds != 3 {
-		t.Errorf("chain builds = %d, want 3 (symmetric paths: one build per path)", stats.ChainBuilds)
-	}
-	// The family propagates rows {src, dst} once through the shared "writes"
-	// step and resumes both longer chains from it: 2 rows × 1 step per build,
-	// 6 row-steps total, against 10 for independent per-group preparation
-	// (APA: 2×1, APVPA and APTPA: 2 requests × 1 row × 2 steps each).
-	if stats.RowSteps != 6 || stats.NaiveRowSteps != 10 {
-		t.Errorf("row steps = %d/%d naive, want 6/10", stats.RowSteps, stats.NaiveRowSteps)
-	}
-	if stats.PrefixResumes != 2 {
-		t.Errorf("prefix resumes = %d, want 2 (APVPA and APTPA resume from APA's half-chain)",
-			stats.PrefixResumes)
-	}
-	// Bit-identical to solo queries on a fresh engine: even-length paths, so
-	// batch subset rows and solo vector propagation are the same multiplies
-	// in the same order.
-	fresh := crossPathGraph(t, 41)
-	for i, p := range paths {
-		if results[i].Err != nil {
-			t.Fatalf("query %d (%s): %v", i, p, results[i].Err)
-		}
-		if !results[i].Shared {
-			t.Errorf("query %d (%s) not shared", i, p)
-		}
-		want, err := fresh.PairByIndex(context.Background(), p, src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if results[i].Score != want {
-			t.Errorf("query %d (%s): batch %v != solo %v", i, p, results[i].Score, want)
-		}
-	}
-}
-
-// TestBatchCrossGroupSharingDisjointPrefixes: singleton groups on paths with
-// nothing in common stay solo — merging is never worse than independent
-// preparation.
-func TestBatchCrossGroupSharingDisjointPrefixes(t *testing.T) {
-	e := crossPathGraph(t, 42)
-	g := e.Graph()
-	qs := []BatchQuery{
-		{Kind: BatchPair, Path: metapath.MustParse(g.Schema(), "APA"), Src: 0, Dst: 1},
-		{Kind: BatchPair, Path: metapath.MustParse(g.Schema(), "VCV"), Src: 0, Dst: 1},
-	}
-	results, stats, err := e.ExecuteBatch(context.Background(), qs, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SharedQueries != 0 || stats.ChainBuilds != 0 || stats.RowSteps != 0 {
-		t.Errorf("stats = %+v, want no sharing across disjoint prefixes", stats)
-	}
-	for i := range results {
-		if results[i].Err != nil {
-			t.Fatal(results[i].Err)
-		}
-		if results[i].Shared {
-			t.Errorf("query %d marked shared", i)
-		}
 	}
 }

@@ -43,11 +43,9 @@ var (
 	metBatchAmortization = obs.Default().Histogram("hetesim_engine_batch_amortization_ratio",
 		"Queries per path group in a batch: N queries sharing one chain materialization.", obs.DefCountBuckets())
 	metBatchRowSteps = obs.Default().Counter("hetesim_engine_batch_row_steps_total",
-		"Row-propagation units performed by cross-group half-chain preparation.")
+		"Row-propagation units performed by batch group preparation.")
 	metBatchNaiveRowSteps = obs.Default().Counter("hetesim_engine_batch_naive_row_steps_total",
-		"Row-propagation units independent per-group preparation would have performed.")
-	metBatchPrefixResumes = obs.Default().Counter("hetesim_engine_batch_prefix_resumes_total",
-		"Half-chain builds resumed from a sibling build's shared prefix within a batch.")
+		"Row-propagation units of the rows batch groups asked for.")
 )
 
 // scanKind names one of the four top-k scans opScanChain chooses between and

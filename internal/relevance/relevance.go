@@ -5,8 +5,8 @@
 // and this package operationalizes the latter two as a first-class query:
 // it enumerates every schema-valid meta path between the endpoint types (up
 // to a length cap), scores the query along each path through the batch
-// scheduler so paths with common prefixes share half-chain propagation, and
-// combines the per-path scores with a weighted ensemble.
+// scheduler (one worker pool, per-path deadlines and failures), and combines
+// the per-path scores with a weighted ensemble.
 package relevance
 
 import (
@@ -234,9 +234,8 @@ func TopK(ctx context.Context, e *core.Engine, srcType string, src int, targetTy
 }
 
 // ensemble is the one assembly line behind Pair (k == 0) and TopK (k > 0):
-// enumerate the member paths, score them as one batch so paths with common
-// prefixes share half-chain propagation — pair queries against dst, or
-// single-source vectors to rank — degrade each path that missed its
+// enumerate the member paths, score them as one batch — pair queries against
+// dst, or single-source vectors to rank — degrade each path that missed its
 // deadline, assemble.
 func ensemble(ctx context.Context, e *core.Engine, srcType string, src int, dstType string, dst, k int, o Options) (*Result, []rank.Scored, error) {
 	o.defaults()

@@ -94,7 +94,7 @@ func (s *Server) Batch(ctx context.Context, slots []api.BatchQuery) api.BatchRes
 func sharing(st core.BatchStats) api.Sharing {
 	return api.Sharing{
 		SharedQueries: st.SharedQueries, ChainBuilds: st.ChainBuilds,
-		RowSteps: st.RowSteps, NaiveRowSteps: st.NaiveRowSteps, PrefixResumes: st.PrefixResumes,
+		RowSteps: st.RowSteps, NaiveRowSteps: st.NaiveRowSteps,
 	}
 }
 
