@@ -50,17 +50,19 @@ obs-selftest:
 # Fault-injection recovery matrix under the race detector: kill-mid-write
 # at every byte offset, ENOSPC, torn renames, failed fsyncs, at-rest
 # corruption sweeps, WAL torn-tail / duplicate-replay / crash-window
-# recovery, hot-reload with concurrent queries and mutations, and the
-# replication suite (follower convergence/resync, primary kill mid-write
-# -stream, divergence detection). The reload and follower tests run three
-# times: they were the flaky ones (a goroutine outliving its server, a tail
-# read shedding a write), so they gate on repetition. Short mode keeps the
-# corruption sweeps seeded-sample-sized; part of `make check`.
+# recovery, hot-reload with concurrent queries and mutations, the state
+# transfer (torn and moved /v1/admin/state streams, warm joins), and the
+# replication suite (follower convergence/resync, the seeded follower
+# schedules, primary kill mid-write-stream, divergence detection). The reload
+# and follower tests run three times: they were the flaky ones (a goroutine
+# outliving its server, a tail read shedding a write), so they gate on
+# repetition. Short mode keeps the corruption sweeps seeded-sample-sized and
+# the follower schedules at 32 seeds; part of `make check`.
 chaos:
 	go test -race -short ./internal/snapshot ./internal/chaos ./internal/wal
-	go test -race -short -run 'TestHotReload|TestWarmStart|TestMutate|TestCompaction|TestAppliedKey' ./internal/server
+	go test -race -short -run 'TestHotReload|TestWarmStart|TestWarmFromState|TestFetchStateTornStream|TestStateResume|TestMutate|TestCompaction|TestAppliedKey' ./internal/server
 	go test -race -short -count=3 -run 'TestReload|TestFollow' ./internal/server
-	go test -race -short -run 'TestClusterKillMidBatch|TestWarmFromSnapshot|TestFetchSnapshotTornStream|TestRelevancePartialFailure|TestFailover|TestFollow|TestDivergence' ./internal/router
+	go test -race -short -run 'TestClusterKillMidBatch|TestRelevancePartialFailure|TestFailover|TestFollow|TestDivergence' ./internal/router
 
 # Paper-property suite under the race detector: randomized symmetry /
 # self-maximum / semi-metric / indiscernibles checks (Properties 3-5)
@@ -93,6 +95,9 @@ loc:
 # pruneEps: engines build exact chains only; addCacheInfo: no second engine
 # to sum) or the batch scheduler's cross-group side planner (planBatchSides,
 # buildFamily, sideFamily: a group builds its halves with the solo operators)
+# or the one state transfer (FetchSnapshot, handleGraphFetch, handleSnapshot,
+# ImportSnapshot: a replica fetches graph, wal_seq and chains from one
+# GET /v1/admin/state, and the router does not import internal/snapshot)
 # deleted comes back by name, or when the deleted
 # approximate top-k plane does (its plan name, its knobs, an import of
 # internal/embed — which bench/probes.go alone keeps alive until a
@@ -105,11 +110,14 @@ contract:
 			echo "contract: json tag \"$$tag\" must be declared in exactly one file, found in: $$(echo $$files)"; fail=1; \
 		fi; \
 	done; \
-	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo planBatchSides buildFamily sideFamily; do \
+	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo planBatchSides buildFamily sideFamily FetchSnapshot handleGraphFetch handleSnapshot ImportSnapshot; do \
 		if grep -rnwE "$$name" --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./bench/'; then \
 			echo "contract: deleted helper $$name is back"; fail=1; \
 		fi; \
 	done; \
+	if go list -deps ./internal/router | grep -qx 'hetesim/internal/snapshot'; then \
+		echo "contract: internal/router imports internal/snapshot again"; fail=1; \
+	fi; \
 	for name in topk-approx error_budget ErrorBudget EmbedRank '"hetesim/internal/embed"'; do \
 		if grep -rnF --include='*.go' -- "$$name" . | grep -v '_test\.go:' | grep -vE '^\./(bench|internal/embed)/'; then \
 			echo "contract: deleted approximate top-k plane is back ($$name)"; fail=1; \

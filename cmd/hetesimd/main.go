@@ -63,10 +63,14 @@
 // position, lag, and the primary it follows in /readyz; direct mutations
 // answer 503 with the primary's address. When the primary's compaction
 // outruns the follower — or the follower's fingerprint diverges from the
-// primary's at the same sequence — it resyncs from the primary's full
-// graph (GET /v1/admin/graph) and re-follows. With -follow pointed at a
-// router, -advertise identifies this daemon in the router's election:
-// when elected it stands down as follower and accepts writes.
+// primary's at the same sequence — it resyncs: one resumable GET
+// /v1/admin/state carries the primary's graph, the wal_seq it embodies and
+// its materialized chains, adopted as one generation, and it re-follows.
+// With -follow pointed at a router, -advertise identifies this daemon in the
+// router's election: when elected it stands down as follower and accepts
+// writes. -warm-from fetches the same state from a peer once at boot but
+// imports only its chains, and only when the peer serves this very graph —
+// the join path of a fleet without write-ahead logs to follow.
 //
 // Observability: Prometheus metrics are served at GET /metrics on the
 // main listener, queries slower than -slowlog-threshold are retained
@@ -92,9 +96,7 @@ import (
 	"hetesim/internal/core"
 	"hetesim/internal/hin"
 	"hetesim/internal/relevance"
-	"hetesim/internal/router"
 	"hetesim/internal/server"
-	"hetesim/internal/snapshot"
 )
 
 func main() {
@@ -115,7 +117,7 @@ func main() {
 		slowSize      = flag.Int("slowlog-size", 128, "slow-query log ring capacity")
 		debugAddr     = flag.String("debug-addr", "", "listen address for net/http/pprof (empty disables; do not expose publicly)")
 		snapshotPath  = flag.String("snapshot-path", "", "chain-cache snapshot file for warm starts (empty disables)")
-		warmFrom      = flag.String("warm-from", "", "base URL of a peer hetesimd to fetch a chain-cache snapshot from at boot (empty disables)")
+		warmFrom      = flag.String("warm-from", "", "base URL of a peer hetesimd serving the same graph to fetch its chains from at boot (empty disables)")
 		snapshotEvery = flag.Duration("snapshot-save-interval", 5*time.Minute, "how often to persist the chain cache (0 disables the periodic save)")
 		walPath       = flag.String("wal-path", "", "edge-delta write-ahead log enabling POST /v1/admin/edges (empty disables mutations)")
 		walCompact    = flag.Int64("wal-compact-bytes", 16<<20, "fold the WAL into a rewritten -graph file when it outgrows this many bytes (0 never compacts on size)")
@@ -188,18 +190,17 @@ func main() {
 		}
 	}
 
-	// Snapshot shipping: a fresh replica joins warm by pulling a peer's
-	// chain cache over HTTP (resumable, CRC-validated end to end) instead of
-	// rematerializing. Any failure here is tolerated — the local snapshot
-	// (if any) already warmed what it could, and cold is always correct.
+	// A fresh replica joins warm by pulling a peer's chains over its state
+	// endpoint (resumable, CRC-validated end to end) instead of
+	// rematerializing; they are admitted only when the peer serves this very
+	// graph. Any failure here is tolerated — the local snapshot (if any)
+	// already warmed what it could, and cold is always correct.
 	if *warmFrom != "" {
 		fctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		snap, err := router.FetchSnapshot(fctx, nil, *warmFrom, 5)
+		n, err := srv.WarmFrom(fctx, *warmFrom)
 		cancel()
 		if err != nil {
 			log.Printf("hetesimd: -warm-from %s failed, continuing cold: %v", *warmFrom, err)
-		} else if n, err := srv.ImportSnapshot(snap); err != nil {
-			log.Printf("hetesimd: -warm-from snapshot rejected: %v", err)
 		} else {
 			log.Printf("hetesimd: warmed %d chains from %s", n, *warmFrom)
 		}
@@ -297,9 +298,8 @@ func main() {
 
 	// Follower mode: replicate the primary's WAL tail into this process,
 	// applying each batch through the same incremental maintenance path as
-	// a local write. After a full resync (compaction outran us, or we
-	// diverged) the chain cache re-warms from the primary's snapshot
-	// endpoint instead of recomputing.
+	// a local write. A full resync (compaction outran us, or we diverged)
+	// adopts the primary's graph, wal_seq and chains from one state fetch.
 	if *follow != "" {
 		if *walPath == "" {
 			log.Fatal("hetesimd: -follow requires -wal-path (replicated deltas must be durable before they are acked upstream)")
@@ -309,9 +309,6 @@ func main() {
 				Target:   strings.TrimRight(*follow, "/"),
 				Self:     strings.TrimRight(*advertise, "/"),
 				Interval: *followEvery,
-				FetchSnapshot: func(fctx context.Context, base string) (*snapshot.Snapshot, error) {
-					return router.FetchSnapshot(fctx, nil, base, 3)
-				},
 			})
 		})
 		log.Printf("hetesimd: following %s (interval %s)", *follow, *followEvery)

@@ -7,11 +7,14 @@ package chaos
 // dials, added latency, response bodies that reset mid-stream). Both are
 // toggled at runtime so a test can kill a replica mid-request and revive
 // it later, and both are deterministic: faults fire on explicit counters,
-// never on randomness.
+// never on randomness. Inproc takes the socket out altogether, so a fleet
+// under test runs step by step in one goroutine.
 
 import (
+	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,3 +212,22 @@ type resetBody struct {
 
 func (b *resetBody) Read(p []byte) (int, error) { return b.r.Read(p) }
 func (b *resetBody) Close() error               { return b.c.Close() }
+
+// Inproc is an http.RoundTripper serving a fleet from in-process handlers
+// keyed by URL host: replica base URLs are fixed names, so rendezvous order
+// — and with it which replica's cache a request warms — is the same on
+// every run, and no socket is involved. A round trip runs the handler to
+// completion on the caller's goroutine. A host with no handler refuses the
+// connection. Wrap it in a Transport (as Base) to tear its bodies.
+type Inproc map[string]http.Handler
+
+// RoundTrip implements http.RoundTripper.
+func (p Inproc) RoundTrip(req *http.Request) (*http.Response, error) {
+	h := p[req.URL.Host]
+	if h == nil {
+		return nil, fmt.Errorf("chaos: inproc connection to %s refused", req.URL.Host)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}

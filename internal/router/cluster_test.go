@@ -303,129 +303,6 @@ func getJSON(t *testing.T, client *http.Client, url string, into any) {
 	}
 }
 
-// TestWarmFromSnapshot: a replica that imports a warm peer's snapshot
-// serves its first query from the shipped chain cache — zero chain builds
-// — while the donor needed real builds for the same query.
-func TestWarmFromSnapshot(t *testing.T) {
-	donor := newTestReplica(t)
-	client := &http.Client{Timeout: 5 * time.Second}
-
-	// Two queries sharing the APCPA group: a solo slot would be answered by
-	// row propagation without materializing chains, and an empty chain cache
-	// would make the snapshot (and this test) vacuous.
-	batch := map[string]any{"queries": []map[string]any{
-		{"kind": "pair", "path": "APCPA", "source": "Tom", "target": "Mary"},
-		{"kind": "pair", "path": "APCPA", "source": "Mary", "target": "Bob"},
-	}}
-	var br struct {
-		Results []struct {
-			Score *float64 `json:"score"`
-			Error string   `json:"error"`
-		} `json:"results"`
-		Stats struct {
-			ChainBuilds int `json:"chain_builds"`
-		} `json:"stats"`
-	}
-	resp, body := postJSON(t, client, donor.ts.URL+"/v1/batch", batch)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("donor batch: %d %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if br.Results[0].Error != "" || br.Results[0].Score == nil {
-		t.Fatalf("donor result: %+v", br.Results[0])
-	}
-	if br.Stats.ChainBuilds == 0 {
-		t.Fatal("cold donor reported zero chain builds; the warmth assertion below would be vacuous")
-	}
-	donorScore := *br.Results[0].Score
-
-	// Ship the snapshot to a fresh replica — the -warm-from boot path.
-	snap, err := FetchSnapshot(context.Background(), client, donor.ts.URL, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joiner := newTestReplica(t)
-	n, err := joiner.srv.ImportSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("snapshot import admitted zero chains")
-	}
-
-	resp, body = postJSON(t, client, joiner.ts.URL+"/v1/batch", batch)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("joiner batch: %d %s", resp.StatusCode, body)
-	}
-	br.Stats.ChainBuilds = -1
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if br.Results[0].Error != "" || br.Results[0].Score == nil {
-		t.Fatalf("joiner result: %+v", br.Results[0])
-	}
-	if *br.Results[0].Score != donorScore {
-		t.Fatalf("joiner score %v != donor score %v", *br.Results[0].Score, donorScore)
-	}
-	if br.Stats.ChainBuilds != 0 {
-		t.Fatalf("joiner's first query built %d chains; a warm joiner must build none", br.Stats.ChainBuilds)
-	}
-
-	// The joiner's /readyz now advertises its warmth.
-	var ready struct {
-		SnapshotAge float64 `json:"snapshot_age_seconds"`
-	}
-	getJSON(t, client, joiner.ts.URL+"/readyz", &ready)
-	if ready.SnapshotAge < 0 {
-		t.Fatalf("snapshot_age_seconds = %v after import, want >= 0", ready.SnapshotAge)
-	}
-}
-
-// TestFetchSnapshotTornStream: a mid-body connection reset during the
-// snapshot download resumes from the reached offset and still yields a
-// checksum-valid snapshot.
-func TestFetchSnapshotTornStream(t *testing.T) {
-	donor := newTestReplica(t)
-	client := &http.Client{Timeout: 5 * time.Second}
-
-	// Materialize enough chains that the snapshot has a body worth tearing:
-	// paired queries per path so each group shares and actually builds.
-	for _, p := range []string{"APCPA", "APA"} {
-		resp, body := postJSON(t, client, donor.ts.URL+"/v1/batch", map[string]any{
-			"queries": []map[string]any{
-				{"kind": "pair", "path": p, "source": "Tom", "target": "Mary"},
-				{"kind": "pair", "path": p, "source": "Mary", "target": "Bob"},
-			},
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("warming donor on %s: %d %s", p, resp.StatusCode, body)
-		}
-	}
-	whole, err := FetchSnapshot(context.Background(), client, donor.ts.URL, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tr := &chaos.Transport{}
-	torn := &http.Client{Transport: tr, Timeout: 5 * time.Second}
-	tr.ResetBodyAfter(64, 1) // first stream dies after 64 bytes
-	snap, err := FetchSnapshot(context.Background(), torn, donor.ts.URL, 5)
-	if err != nil {
-		t.Fatalf("resumable fetch failed after torn stream: %v", err)
-	}
-	if snap.Fingerprint != whole.Fingerprint || len(snap.Sections) != len(whole.Sections) {
-		t.Fatalf("resumed snapshot differs: %d sections fp %016x, want %d sections fp %016x",
-			len(snap.Sections), snap.Fingerprint, len(whole.Sections), whole.Fingerprint)
-	}
-
-	joiner := newTestReplica(t)
-	if n, err := joiner.srv.ImportSnapshot(snap); err != nil || n == 0 {
-		t.Fatalf("importing resumed snapshot: n=%d err=%v", n, err)
-	}
-}
-
 // TestRelevancePartialFailure (satellite): a scattered /v1/relevance whose
 // scored path's replica is down answers partial=true with the surviving
 // contributions unrenormalized — the failed path's weight is not

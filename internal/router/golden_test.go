@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hetesim/internal/chaos"
 	"hetesim/internal/hin"
 	"hetesim/internal/server"
 )
@@ -25,23 +26,6 @@ import (
 // responses allowed to differ from the recording are those listed in
 // goldenFixes.
 var update = flag.Bool("update", false, "re-record testdata/golden.json from the current build")
-
-// inproc is an http.RoundTripper serving a fleet from in-process handlers
-// keyed by URL host: replica base URLs are fixed names, so rendezvous order
-// — and with it which replica's cache a request warms — is the same on
-// every run, and no socket is involved. A host with no handler refuses the
-// connection.
-type inproc map[string]http.Handler
-
-func (p inproc) RoundTrip(req *http.Request) (*http.Response, error) {
-	h := p[req.URL.Host]
-	if h == nil {
-		return nil, fmt.Errorf("inproc: connection to %s refused", req.URL.Host)
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	return rec.Result(), nil
-}
 
 // goldenGraph is a small bibliographic network with enough structure for
 // every endpoint: a third type beyond the paper's A-P-C running example so
@@ -98,7 +82,7 @@ func newGoldenFleet(t *testing.T, replicas int, down bool, sopts []server.Option
 		srv.MarkReady()
 		return srv.Handler()
 	}
-	fleet := inproc{}
+	fleet := chaos.Inproc{}
 	var urls []string
 	for i := 0; i < replicas; i++ {
 		host := fmt.Sprintf("replica%d", i)

@@ -102,7 +102,7 @@ func (s *Server) CloseWAL() error { return s.st.closeWAL() }
 // a batch arriving while another writer (or a reload) holds the admission
 // lock is shed with 503 + Retry-After rather than queued, keeping the admin
 // surface's backpressure visible to the caller. Readers of the log — a
-// follower's tail poll, a graph fetch — never hold that lock.
+// follower's tail poll, a state fetch — never hold that lock.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.st.walPath == "" {
 		writeJSON(w, http.StatusNotImplemented,

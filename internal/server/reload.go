@@ -9,7 +9,6 @@ import (
 
 	"hetesim/internal/api"
 	"hetesim/internal/obs"
-	"hetesim/internal/snapshot"
 )
 
 // Hot-reload observability (swaps, failures) in the process-wide registry;
@@ -85,13 +84,17 @@ func (s *Server) WarmStart() (bool, error) {
 	return n > 0, err
 }
 
-// ImportSnapshot validates snap against the serving graph and imports its
-// chain matrices into the engine — the receiving half of snapshot
-// shipping, used by the -warm-from boot path and by a follower after a full
-// resync. It returns how many chains were admitted; a snapshot for a
-// different graph generation, or of pruned chains, is rejected whole.
-func (s *Server) ImportSnapshot(snap *snapshot.Snapshot) (int, error) {
-	return s.st.importSnapshot(s.current(), snap)
+// WarmFrom fetches a peer's state from base+/v1/admin/state and imports its
+// chains when the state's fingerprint is the serving graph's — the
+// -warm-from boot path, for a replica without a log to follow. The peer's
+// graph and wal_seq are never adopted. It returns how many chains were
+// admitted; the state of a different graph is rejected whole.
+func (s *Server) WarmFrom(ctx context.Context, base string) (int, error) {
+	state, err := fetchState(ctx, http.DefaultClient, base)
+	if err != nil {
+		return 0, err
+	}
+	return s.st.importSnapshot(s.current(), state)
 }
 
 // SaveSnapshot writes the current engines' materialized chain matrices
@@ -213,7 +216,7 @@ func (s *Server) reload(ctx context.Context) (*ReloadResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	next, warm, err := s.st.adopt(g, s.current().seq, false)
+	next, warm, err := s.st.adopt(g, s.current().seq, nil)
 	if err != nil {
 		return nil, fmt.Errorf("server: reload: %w", err)
 	}

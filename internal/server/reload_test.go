@@ -340,72 +340,121 @@ func TestWarmStartFromSnapshot(t *testing.T) {
 	}
 }
 
-// TestWarmStartSkipsEmbedSections boots from a snapshot written by the last
-// build that had the topk-approx plan — its exportSnapshot, after a forced
-// topk-approx query over reloadGraph(t, 0) — so the file carries an "embed:"
-// section this build has no decoder for. The chains are admitted, the first
-// top-k is answered from them without materializing anything, and the file
-// is not counted as corrupt.
+// TestWarmStartSkipsEmbedSections boots through WithSnapshotPath from files
+// carrying sections this build's chain reader has no decoder for:
+//
+//   - the snapshot written by the last build that had the topk-approx plan —
+//     its exportSnapshot, after a forced topk-approx query over
+//     reloadGraph(t, 0) — with an "embed:" section;
+//   - a body saved from GET /v1/admin/state after an APCPA precompute over
+//     the same graph, with "graph" and "seq" sections (what the README tells
+//     operators to do with one).
+//
+// The chains are admitted, the first top-k is answered from them without
+// materializing anything, and the file is not counted as corrupt. The
+// skipped sections' CRCs are still verified: a bit flipped in a state's
+// graph section fails the load. What this build saves carries none of them.
 func TestWarmStartSkipsEmbedSections(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "v2_with_embeds.snap"))
+	fixture, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "v2_with_embeds.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(raw, []byte("embed:E:")) {
-		t.Fatal("fixture carries no embed: section; the test proves nothing")
-	}
-	snapPath := filepath.Join(t.TempDir(), "chains.snap") // a copy: Close saves over it
-	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
+	donor := New(reloadGraph(t, 0), WithLogf(t.Logf))
+	t.Cleanup(donor.Close)
+	if err := donor.Precompute("APCPA"); err != nil {
 		t.Fatal(err)
 	}
-	corruptBefore := metSnapshotCorrupt.Value()
+	rec := httptest.NewRecorder()
+	donor.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/admin/state", nil))
+	state := rec.Body.Bytes()
 
+	for _, in := range []struct {
+		name     string
+		raw      []byte
+		skipped  []string // section names the chain reader skips
+		chains   int
+		saveSkip []string // section names the saved snapshot must not carry
+	}{
+		{"embed-fixture", fixture, []string{"embed:E:"}, 3, []string{"embed:"}},
+		{"state-body", state, []string{"\x05\x00graph", "\x03\x00seq"}, donor.current().engine.CacheStats().Chain, []string{"graph", "seq"}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			for _, name := range in.skipped {
+				if !bytes.Contains(in.raw, []byte(name)) {
+					t.Fatalf("input carries no %q section; the test proves nothing", name)
+				}
+			}
+			snapPath := filepath.Join(t.TempDir(), "chains.snap") // a copy: Close saves over it
+			if err := os.WriteFile(snapPath, in.raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			corruptBefore := metSnapshotCorrupt.Value()
+
+			srv := New(reloadGraph(t, 0), WithSnapshotPath(snapPath), WithLogf(t.Logf))
+			t.Cleanup(srv.Close)
+			warm, err := srv.WarmStart()
+			if err != nil || !warm {
+				t.Fatalf("warm start from a snapshot with unknown sections: warm=%v err=%v", warm, err)
+			}
+			if n := srv.current().engine.CacheStats().Chain; n != in.chains || n == 0 {
+				t.Fatalf("admitted %d chains, want the input's %d", n, in.chains)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			var body topKBody
+			getJSON(t, ts.URL+"/v1/topk?path=APCPA&source=Tom&k=3&trace=1", http.StatusOK, &body)
+			want := []hitBody{{ID: "Tom", Score: 1}, {ID: "Mary", Score: 0.7071067811865475}}
+			if len(body.Results) != len(want) || body.Results[0] != want[0] || body.Results[1] != want[1] {
+				t.Errorf("results = %+v, want %+v (what the writing build answered)", body.Results, want)
+			}
+			hits := 0
+			for _, sp := range body.Trace.Spans {
+				if sp.Name == "cache_miss" || sp.Name == "chain_multiply" {
+					t.Errorf("first top-k after the warm start shows a %s span: not answered warm", sp.Name)
+				}
+				if sp.Name == "cache_hit" {
+					hits++
+				}
+			}
+			if hits == 0 {
+				t.Error("first top-k after the warm start read no cached chain")
+			}
+			if got := metSnapshotCorrupt.Value(); got != corruptBefore {
+				t.Errorf("hetesim_snapshot_corrupt_total moved %d -> %d", corruptBefore, got)
+			}
+
+			// What this build saves carries no skipped section and is still
+			// version 2.
+			if err := srv.SaveSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+			saved, err := os.ReadFile(snapPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range in.saveSkip {
+				if bytes.Contains(saved, []byte(name)) {
+					t.Errorf("saved snapshot still carries a %q section", name)
+				}
+			}
+			if saved[4] != 2 {
+				t.Errorf("saved snapshot has version byte %d, want 2 (a bump would make a mixed fleet refuse it)", saved[4])
+			}
+		})
+	}
+
+	// The graph section is skipped, not unchecked.
+	at := bytes.Index(state, []byte("\x05\x00graph")) + 2 + len("graph") + 8 // first byte of its data
+	flipped := bytes.Clone(state)
+	flipped[at+16] ^= 1
+	snapPath := filepath.Join(t.TempDir(), "flipped.snap")
+	if err := os.WriteFile(snapPath, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	srv := New(reloadGraph(t, 0), WithSnapshotPath(snapPath), WithLogf(t.Logf))
 	t.Cleanup(srv.Close)
-	warm, err := srv.WarmStart()
-	if err != nil || !warm {
-		t.Fatalf("warm start from a snapshot with embed: sections: warm=%v err=%v", warm, err)
-	}
-	if n := srv.current().engine.CacheStats().Chain; n != 3 {
-		t.Fatalf("admitted %d chains, want the fixture's 3", n)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	var body topKBody
-	getJSON(t, ts.URL+"/v1/topk?path=APCPA&source=Tom&k=3&trace=1", http.StatusOK, &body)
-	want := []hitBody{{ID: "Tom", Score: 1}, {ID: "Mary", Score: 0.7071067811865475}}
-	if len(body.Results) != len(want) || body.Results[0] != want[0] || body.Results[1] != want[1] {
-		t.Errorf("results = %+v, want %+v (what the writing build answered)", body.Results, want)
-	}
-	hits := 0
-	for _, sp := range body.Trace.Spans {
-		if sp.Name == "cache_miss" || sp.Name == "chain_multiply" {
-			t.Errorf("first top-k after the warm start shows a %s span: not answered warm", sp.Name)
-		}
-		if sp.Name == "cache_hit" {
-			hits++
-		}
-	}
-	if hits == 0 {
-		t.Error("first top-k after the warm start read no cached chain")
-	}
-	if got := metSnapshotCorrupt.Value(); got != corruptBefore {
-		t.Errorf("hetesim_snapshot_corrupt_total moved %d -> %d", corruptBefore, got)
-	}
-
-	// What this build saves has no embed: section and is still version 2.
-	if err := srv.SaveSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	saved, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(saved, []byte("embed:")) {
-		t.Error("saved snapshot still carries an embed: section")
-	}
-	if saved[4] != 2 {
-		t.Errorf("saved snapshot has version byte %d, want 2 (a bump would make a mixed fleet refuse it)", saved[4])
+	if warm, err := srv.WarmStart(); warm || err == nil || !strings.Contains(err.Error(), `section "graph" CRC mismatch`) {
+		t.Fatalf("a state with a flipped graph byte: warm=%v err=%v, want the graph section's CRC mismatch", warm, err)
 	}
 }
 

@@ -12,18 +12,16 @@ import (
 	"time"
 
 	"hetesim/internal/api"
-	"hetesim/internal/hin"
 	"hetesim/internal/obs"
-	"hetesim/internal/snapshot"
 	"hetesim/internal/wal"
 )
 
 // Primary/follower replication. The primary is the one replica that accepts
 // POST /v1/admin/edges; it exposes its write-ahead log as a tail-read
-// stream (GET /v1/admin/wal?from=seq) and its serving graph as a full
-// resync source (GET /v1/admin/graph). A follower polls the tail, records
-// each batch in its own log at the primary-assigned sequence, and applies
-// it through the same incremental path a direct mutation takes — so
+// stream (GET /v1/admin/wal?from=seq) and its serving generation as a full
+// resync source (GET /v1/admin/state, state.go). A follower polls the tail,
+// records each batch in its own log at the primary-assigned sequence, and
+// applies it through the same incremental path a direct mutation takes — so
 // /readyz's wal_seq means the same thing fleet-wide and scores converge
 // bit-identically (HeteSim is deterministic over a given graph). When the
 // follower's sequence reaches the stream head, fingerprints must match;
@@ -35,16 +33,14 @@ var (
 		"Replication tail reads served over GET /v1/admin/wal.")
 	metWALTailCompacted = obs.Default().Counter("hetesim_wal_tail_compacted_total",
 		"Tail reads refused with 410 because the requested sequence was compacted away.")
-	metGraphFetches = obs.Default().Counter("hetesim_graph_fetch_total",
-		"Full-graph resync downloads served over GET /v1/admin/graph.")
 	metFollowPulls = obs.Default().Counter("hetesim_follower_pulls_total",
 		"Replication pulls issued by follower mode.")
 	metFollowBatches = obs.Default().Counter("hetesim_follower_batches_total",
 		"Mutation batches applied from a replication stream.")
 	metFollowResyncs = obs.Default().Counter("hetesim_follower_resyncs_total",
-		"Full graph resyncs performed by follower mode (compaction overrun or divergence).")
+		"Full state resyncs performed by follower mode (compaction overrun or divergence).")
 	metFollowDivergence = obs.Default().Counter("hetesim_follower_divergence_total",
-		"Fingerprint mismatches detected at stream head by follower mode.")
+		"Divergence detected by follower mode: a fingerprint mismatch at stream head, or a replicated batch the local graph refuses.")
 	metNotPrimary = obs.Default().Counter("hetesim_mutation_not_primary_total",
 		"Mutation batches refused because this replica is a follower.")
 )
@@ -53,7 +49,7 @@ const (
 	defaultTailBatches = 256  // batches per tail read unless ?max= says otherwise
 	maxTailBatches     = 1024 // hard cap per tail read, bounding state-lock hold time
 	maxPullsPerTick    = 64   // catch-up pulls per follower tick before yielding
-	maxGraphFetchBytes = 1 << 31
+	maxTailBytes       = 1 << 31
 )
 
 // handleWALTail is GET /v1/admin/wal?from=seq[&max=n]: stream the log's
@@ -89,7 +85,7 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 		metWALTailCompacted.Inc()
 		w.Header().Set("X-Hetesim-WAL-Floor", strconv.FormatUint(floor, 10))
 		writeJSON(w, http.StatusGone,
-			api.Error{Error: err.Error() + "; fetch /v1/admin/graph and re-follow", Code: "compacted"})
+			api.Error{Error: err.Error() + "; fetch /v1/admin/state and re-follow", Code: "compacted"})
 		return
 	case err != nil:
 		writeJSON(w, http.StatusInternalServerError,
@@ -110,27 +106,6 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 	w.Write(raw)
 }
 
-// handleGraphFetch is GET /v1/admin/graph: the serving graph in its file
-// format, stamped with the fingerprint and WAL sequence it embodies — the
-// full-resync source for a follower that fell behind compaction or
-// diverged. Graph and sequence are one published value, so no batch can
-// land between the two; serialization runs against the immutable graph.
-func (s *Server) handleGraphFetch(w http.ResponseWriter, r *http.Request) {
-	es := s.current()
-	var buf bytes.Buffer
-	if err := hin.Write(&buf, es.g); err != nil {
-		writeJSON(w, http.StatusInternalServerError,
-			api.Error{Error: "encoding graph: " + err.Error(), Code: "graph_encode_failed"})
-		return
-	}
-	metGraphFetches.Inc()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Hetesim-Fingerprint", fmt.Sprintf("%016x", es.fingerprint))
-	w.Header().Set("X-Hetesim-WAL-Seq", strconv.FormatUint(es.seq, 10))
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Write(buf.Bytes())
-}
-
 // FollowerOptions configures RunFollower.
 type FollowerOptions struct {
 	// Target is what the follower polls: the primary's base URL directly,
@@ -148,10 +123,6 @@ type FollowerOptions struct {
 	MaxBatch int
 	// Client issues the HTTP requests (default: 30s-timeout client).
 	Client *http.Client
-	// FetchSnapshot, when set, warms the chain cache from the primary after
-	// a full resync (wired to router.FetchSnapshot by the daemon). Failure
-	// is logged, not fatal — a resynced follower just starts colder.
-	FetchSnapshot func(ctx context.Context, base string) (*snapshot.Snapshot, error)
 	// Logf overrides the server's logger (WithLogf) for follower messages.
 	Logf func(string, ...any)
 }
@@ -263,26 +234,26 @@ func (s *Server) followTick(ctx context.Context, o FollowerOptions) {
 	}
 }
 
-// get issues one GET on the follower's client and returns the status,
-// headers and the body, read up to limit bytes.
-func (o FollowerOptions) get(ctx context.Context, url string, limit int64) (int, http.Header, []byte, error) {
+// get issues one GET on the follower's client and returns the status and
+// the body, read up to limit bytes.
+func (o FollowerOptions) get(ctx context.Context, url string, limit int64) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	resp, err := o.Client.Do(req)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
-	return resp.StatusCode, resp.Header, body, err
+	return resp.StatusCode, body, err
 }
 
 // resolvePrimary asks the target who the primary is. A target without the
 // endpoint (a plain replica, or an old router) is itself the primary.
 func (s *Server) resolvePrimary(ctx context.Context, o FollowerOptions) (string, error) {
-	status, _, raw, err := o.get(ctx, o.Target+"/v1/admin/primary", 1<<16)
+	status, raw, err := o.get(ctx, o.Target+"/v1/admin/primary", 1<<16)
 	if err != nil {
 		return "", err
 	}
@@ -304,7 +275,7 @@ func (s *Server) resolvePrimary(ctx context.Context, o FollowerOptions) (string,
 // errFollowerBehind.
 func (s *Server) pullTail(ctx context.Context, o FollowerOptions, primary string) (*wal.Stream, error) {
 	metFollowPulls.Inc()
-	status, _, body, err := o.get(ctx, fmt.Sprintf("%s/v1/admin/wal?from=%d&max=%d", primary, s.current().seq+1, o.MaxBatch), maxGraphFetchBytes)
+	status, body, err := o.get(ctx, fmt.Sprintf("%s/v1/admin/wal?from=%d&max=%d", primary, s.current().seq+1, o.MaxBatch), maxTailBytes)
 	switch {
 	case err != nil:
 		return nil, err
@@ -327,10 +298,10 @@ func truncateBody(b []byte) string {
 // applyStream applies one replication pull through the store, holding the
 // writers' admission lock so no reload interleaves. Batches at or below the
 // local position are skipped (overlap is harmless); a gap, a local position
-// past the stream head, or a fingerprint mismatch once caught up all abort —
-// the first is a protocol violation, the latter two are forks, and every
-// abort path resolves by full resync. Returns whether the follower is now
-// caught up to the stream's head.
+// past the stream head, a batch the local graph rejects, or a fingerprint
+// mismatch once caught up all abort — the first is a protocol violation, the
+// rest are forks, and every fork resolves by full resync. Returns whether
+// the follower is now caught up to the stream's head.
 func (s *Server) applyStream(ctx context.Context, st *wal.Stream) (bool, error) {
 	s.st.admit.Lock()
 	defer s.st.admit.Unlock()
@@ -348,8 +319,12 @@ func (s *Server) applyStream(ctx context.Context, st *wal.Stream) (bool, error) 
 			return false, fmt.Errorf("server: replication gap: have %d, stream jumps to %d", es.seq, b.Seq)
 		}
 		res, err := s.st.apply(ctx, b, false)
-		if err != nil {
+		switch {
+		case errors.Is(err, errWALAppend), errors.Is(err, errWALNotOpen):
 			return false, fmt.Errorf("server: applying replicated batch %d: %w", b.Seq, err)
+		case err != nil:
+			// The primary's graph took the batch and ours refuses it.
+			return false, fmt.Errorf("%w: replicated batch %d does not apply: %v", errFollowerDiverged, b.Seq, err)
 		}
 		if !res.duplicate {
 			metFollowBatches.Inc()
@@ -366,56 +341,27 @@ func (s *Server) applyStream(ctx context.Context, st *wal.Stream) (bool, error) 
 	return true, nil
 }
 
-// resyncFromPrimary replaces the follower's graph wholesale with the
-// primary's: fetch GET /v1/admin/graph, adopt it at the stamped sequence
-// (durable base first, then log rebind, then serve), and best-effort warm
-// the chain cache from the primary's snapshot.
+// resyncFromPrimary replaces the follower's generation wholesale with the
+// primary's: one GET /v1/admin/state, whose graph, sequence and chains adopt
+// publishes as one generation (durable base first, then log rebind, then
+// chains imported, then serve).
 func (s *Server) resyncFromPrimary(ctx context.Context, o FollowerOptions, primary string) error {
 	metFollowResyncs.Inc()
-	status, header, body, err := o.get(ctx, primary+"/v1/admin/graph", maxGraphFetchBytes)
+	state, err := fetchState(ctx, o.Client, primary)
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("GET /v1/admin/graph: status %d: %s", status, truncateBody(body))
-	}
-	seq, err := strconv.ParseUint(header.Get("X-Hetesim-WAL-Seq"), 10, 64)
+	g, seq, err := decodeState(state)
 	if err != nil {
-		return fmt.Errorf("parsing X-Hetesim-WAL-Seq: %w", err)
+		return err
 	}
-	wantFP, err := strconv.ParseUint(header.Get("X-Hetesim-Fingerprint"), 16, 64)
-	if err != nil {
-		return fmt.Errorf("parsing X-Hetesim-Fingerprint: %w", err)
-	}
-	g, err := hin.Read(bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("decoding fetched graph: %w", err)
-	}
-	if g.Fingerprint() != wantFP {
-		return fmt.Errorf("fetched graph fingerprint %016x does not match advertised %016x",
-			g.Fingerprint(), wantFP)
-	}
-
 	s.st.admit.Lock()
-	_, _, err = s.st.adopt(g, seq, true)
+	_, warm, err := s.st.adopt(g, seq, state)
 	s.st.admit.Unlock()
 	if err != nil {
 		return err
 	}
-	o.Logf("server: follower: resynced from %s at seq %d (fingerprint %016x)", primary, seq, wantFP)
-
-	if o.FetchSnapshot != nil {
-		snap, err := o.FetchSnapshot(ctx, primary)
-		if err != nil {
-			o.Logf("server: follower: warming from %s after resync: %v", primary, err)
-			return nil
-		}
-		if n, err := s.ImportSnapshot(snap); err != nil {
-			o.Logf("server: follower: importing %s's snapshot after resync: %v", primary, err)
-		} else {
-			o.Logf("server: follower: warmed %d chains from %s after resync", n, primary)
-		}
-	}
+	o.Logf("server: follower: resynced from %s at seq %d (fingerprint %016x, %d warm chains)", primary, seq, state.Fingerprint, warm)
 	return nil
 }
 

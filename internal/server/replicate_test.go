@@ -14,14 +14,23 @@ import (
 	"testing"
 	"time"
 
+	"hetesim/internal/chaos"
 	"hetesim/internal/hin"
 	"hetesim/internal/wal"
 )
 
-// newWALServer builds a ready server over the generation-0 reload graph
-// with an open WAL (and optionally a base graph file for compaction),
-// served over httptest.
+// newWALServer is newWALReplica served over httptest.
 func newWALServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := newWALReplica(t, opts...)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
+// newWALReplica builds a ready server over the generation-0 reload graph
+// with an open WAL and a base graph file for compaction.
+func newWALReplica(t *testing.T, opts ...Option) *Server {
 	t.Helper()
 	dir := t.TempDir()
 	graphPath := filepath.Join(dir, "graph.bin")
@@ -37,9 +46,7 @@ func newWALServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 	if _, err := srv.OpenWAL(); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts
+	return srv
 }
 
 // startFollower runs srv's follower loop against target until test end.
@@ -207,7 +214,7 @@ func TestFollowTailEndpoint(t *testing.T) {
 
 // TestFollowerResyncAfterCompaction covers compaction-while-following: the
 // primary compacts its log past a stale follower's position, the tail read
-// answers 410, and the follower falls back to a full graph fetch — ending
+// answers 410, and the follower falls back to a full state fetch — ending
 // bit-identical, with its own base graph and log rebound to the new
 // generation.
 func TestFollowerResyncAfterCompaction(t *testing.T) {
@@ -318,6 +325,86 @@ func TestFollowerPromotedAfterResyncKeepsSeqMonotone(t *testing.T) {
 	}
 }
 
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestFollowResyncIsOneGeneration is the regression test for the
+// two-generation resync: one keyed write lands on the primary right after
+// the follower's first resync response. The follower must still publish one
+// generation — graph, wal_seq and chains from that one response — so the
+// primary's materialized path answers warm on it, and the transfer is one
+// state request, with no other admin fetch.
+func TestFollowResyncIsOneGeneration(t *testing.T) {
+	primary, follower := newWALReplica(t), newWALReplica(t)
+	fleet := chaos.Inproc{"primary": primary.Handler(), "follower": follower.Handler()}
+	direct := &http.Client{Transport: fleet}
+	write := func(key string, ops []hin.Op) {
+		var ack mutateBody
+		if status := callJSON(t, direct, http.MethodPost, schedulePrimary+"/v1/admin/edges", mutateRequest{Key: key, Ops: ops}, &ack); status != http.StatusOK {
+			t.Fatalf("write %s = %d", key, status)
+		}
+	}
+	for i, ops := range mutationBatches() {
+		write(fmt.Sprintf("b-%d", i), ops)
+	}
+	// Behind the compaction horizon, the empty-log follower must resync.
+	if err := primary.st.compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Precompute("APCPA"); err != nil {
+		t.Fatal(err)
+	}
+	resynced := primary.current()
+
+	var paths []string
+	raced := false
+	client := &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		resp, err := fleet.RoundTrip(req)
+		paths = append(paths, req.URL.Path)
+		if req.URL.Path == "/v1/admin/state" && !raced {
+			raced = true
+			write("race", []hin.Op{upsert("writes", "Dana", "p1", 1)})
+		}
+		return resp, err
+	})}
+	corrupt := metSnapshotCorrupt.Value()
+	follower.publish(followState{})
+	o := FollowerOptions{Target: schedulePrimary, MaxBatch: defaultTailBatches, Client: client, Logf: t.Logf}
+	follower.followTick(context.Background(), o)
+
+	if !raced {
+		t.Fatalf("the follower never resynced: requests %v", paths)
+	}
+	if got := follower.current(); got.seq != resynced.seq || got.fingerprint != resynced.fingerprint {
+		t.Fatalf("resynced follower serves seq %d fingerprint %016x, want the transferred %d %016x",
+			got.seq, got.fingerprint, resynced.seq, resynced.fingerprint)
+	}
+	if got := metSnapshotCorrupt.Value(); got != corrupt {
+		t.Errorf("hetesim_snapshot_corrupt_total moved %d -> %d: the resync's chains were rejected", corrupt, got)
+	}
+	if want := []string{"/v1/admin/primary", "/v1/admin/wal", "/v1/admin/state"}; fmt.Sprint(paths) != fmt.Sprint(want) {
+		t.Errorf("resync requests %v, want %v: one state transfer, no other fetch", paths, want)
+	}
+
+	// The first query on the primary's materialized path builds nothing.
+	var br batchResponse
+	if status := callJSON(t, direct, http.MethodPost, "http://follower/v1/batch", groupBatch("APCPA"), &br); status != http.StatusOK {
+		t.Fatalf("follower batch = %d", status)
+	}
+	if br.Stats.ChainBuilds != 0 {
+		t.Errorf("the resynced follower's first APCPA batch built %d chains, want 0", br.Stats.ChainBuilds)
+	}
+
+	// The raced write replicates on the next tick.
+	follower.followTick(context.Background(), o)
+	if got, want := follower.current(), primary.current(); got.seq != want.seq || got.fingerprint != want.fingerprint {
+		t.Fatalf("follower at seq %d fingerprint %016x after the next tick, primary at %d %016x",
+			got.seq, got.fingerprint, want.seq, want.fingerprint)
+	}
+}
+
 // TestFollowerDivergenceSelfHeals deliberately corrupts a follower's
 // serving graph; the next caught-up poll's fingerprint comparison detects
 // the fork, flags it, and a full resync converges it back.
@@ -367,7 +454,7 @@ func TestFollowerDivergenceSelfHeals(t *testing.T) {
 }
 
 // TestFollowTailReadsNeverShedWrites is the regression test for the
-// follower-poll-sheds-a-write flake: tail reads and graph fetches hammer the
+// follower-poll-sheds-a-write flake: tail reads and state fetches hammer the
 // primary from four goroutines while 200 keyed batches are posted serially.
 // Readers take the state lock, never the writers' admission lock, so not
 // one write may answer 503 — and every tail response must still name one
@@ -388,7 +475,7 @@ func TestFollowTailReadsNeverShedWrites(t *testing.T) {
 			for i := 0; !stop.Load(); i++ {
 				path := "/v1/admin/wal?from=1&max=1024"
 				if (w+i)%4 == 0 {
-					path = "/v1/admin/graph"
+					path = "/v1/admin/state"
 				}
 				resp, err := http.Get(pts.URL + path)
 				if err != nil {
@@ -401,7 +488,7 @@ func TestFollowTailReadsNeverShedWrites(t *testing.T) {
 					t.Errorf("GET %s = %d: %s", path, resp.StatusCode, body)
 					return
 				}
-				if path == "/v1/admin/graph" {
+				if path == "/v1/admin/state" {
 					continue
 				}
 				st, err := wal.DecodeStream(body)

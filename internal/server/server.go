@@ -236,9 +236,8 @@ func New(g *hin.Graph, opts ...Option) *Server {
 	s.mux.HandleFunc("GET /v1/why", s.handleWhy)
 	s.mux.HandleFunc("POST /v1/admin/reload", s.handleReload)
 	s.mux.HandleFunc("POST /v1/admin/edges", s.handleMutate)
-	s.mux.HandleFunc("GET /v1/admin/snapshot", s.handleSnapshot)
+	s.mux.HandleFunc("GET /v1/admin/state", s.handleState)
 	s.mux.HandleFunc("GET /v1/admin/wal", s.handleWALTail)
-	s.mux.HandleFunc("GET /v1/admin/graph", s.handleGraphFetch)
 	s.handler = s.buildHandler()
 	return s
 }
@@ -277,8 +276,7 @@ func routeLabel(path string) string {
 	case "/healthz", "/readyz", "/metrics",
 		"/v1/schema", "/v1/stats", "/v1/slowlog",
 		"/v1/pair", "/v1/topk", "/v1/batch", "/v1/relevance", "/v1/explain", "/v1/why",
-		"/v1/admin/reload", "/v1/admin/edges", "/v1/admin/snapshot",
-		"/v1/admin/wal", "/v1/admin/graph":
+		"/v1/admin/reload", "/v1/admin/edges", "/v1/admin/state", "/v1/admin/wal":
 		return path
 	}
 	return "other"

@@ -88,7 +88,7 @@ type store struct {
 	// a generation holds it for its whole read-build-publish window, so a
 	// reload can never clobber a concurrently acked batch. Client writes
 	// TryLock and shed with 503; reloads, boot replay and the follower wait.
-	// Readers (tail reads, graph fetches, snapshot saves) never touch it.
+	// Readers (tail reads, state fetches, snapshot saves) never touch it.
 	// Lock order: admit before mu.
 	admit     sync.Mutex
 	reloading atomic.Bool // a Reload is in flight; the loser answers 409
@@ -336,25 +336,27 @@ func (st *store) apply(ctx context.Context, b wal.Batch, durable bool) (applyRes
 }
 
 // adopt is the one way a whole graph becomes the next generation — a
-// reload's re-read base file, or the primary's graph fetched by a resyncing
-// follower (persist: write it as the local base first). Order: durable base,
-// then log rebind when the fingerprint changed or seq is ahead of the log (a
-// follower adopting the primary's graph: its next ack must continue above
-// seq, not above its own stale position), then serve — the order
-// compaction uses, so a crash at any point leaves a coherent (base, log)
-// pair, and any failure leaves the old generation serving. The rebind
-// matters: a log still naming the old base would be set aside — its acked
-// batches never replayed — at the next boot. The idempotency table rides
-// along as checkpoint records. The new set warms from the on-disk snapshot
-// when that matches (a snapshot of another generation just fails the
-// fingerprint check: cold, not an error); afterwards the boot-time paths
-// re-materialize and the snapshot is saved in the background. Returns
-// the published set and how many chains the snapshot warmed. Callers hold
-// admit.
-func (st *store) adopt(g *hin.Graph, seq uint64, persist bool) (*engineSet, int, error) {
+// reload's re-read base file (state == nil), or a resyncing follower's
+// transfer of the primary's generation (the state container g and seq were
+// decoded from). Order: a transferred graph is written as the durable base
+// first, then the log is rebound when the fingerprint changed or seq is
+// ahead of the log (a follower adopting the primary's graph: its next ack
+// must continue above seq, not above its own stale position), then the
+// chains are imported, then the set serves — the order compaction uses, so
+// a crash at any point leaves a coherent (base, log) pair, and any failure
+// leaves the old generation serving. The rebind matters: a log still naming
+// the old base would be set aside — its acked batches never replayed — at
+// the next boot. The idempotency table rides along as checkpoint records.
+// A reload warms from the on-disk snapshot when that matches (a snapshot of
+// another generation just fails the fingerprint check: cold, not an error);
+// a transfer warms from its own chain sections, which belong to g by
+// construction. Afterwards the boot-time paths re-materialize and the
+// snapshot is saved in the background. Returns the published set and how
+// many chains warmed it. Callers hold admit.
+func (st *store) adopt(g *hin.Graph, seq uint64, state *snapshot.Snapshot) (*engineSet, int, error) {
 	next := st.newEngineSet(g)
 	st.mu.Lock()
-	if persist && st.graphPath != "" {
+	if state != nil && st.graphPath != "" {
 		if err := st.saveGraph(g); err != nil {
 			st.mu.Unlock()
 			return nil, 0, fmt.Errorf("writing adopted base graph: %w", err)
@@ -369,7 +371,15 @@ func (st *store) adopt(g *hin.Graph, seq uint64, persist bool) (*engineSet, int,
 		st.walBatches = 0
 		metWALBytes.Set(float64(st.wal.Size()))
 	}
-	warm, _ := st.loadSnapshot(next)
+	var warm int
+	if state != nil {
+		var err error
+		if warm, err = st.importSnapshot(next, state); err != nil {
+			st.logf("server: transferred chains rejected, adopting cold: %v", err)
+		}
+	} else {
+		warm, _ = st.loadSnapshot(next) // another generation's snapshot fails the fingerprint check: cold
+	}
 	if warm == 0 {
 		metWarmStart.Set(0)
 	}
@@ -496,9 +506,9 @@ func (st *store) saveGraph(g *hin.Graph) error {
 }
 
 // exportSnapshot captures es's materialized chain matrices in the snapshot
-// format — the one encoder behind the on-disk snapshot and GET
-// /v1/admin/snapshot. The codec sorts its sections, so the same cache state
-// always encodes to the same bytes.
+// format — the one encoder behind the on-disk snapshot and the chain
+// sections of GET /v1/admin/state. The codec sorts its sections, so the same
+// cache state always encodes to the same bytes.
 func exportSnapshot(es *engineSet) (*snapshot.Snapshot, error) {
 	snap := &snapshot.Snapshot{Fingerprint: es.fingerprint}
 	if err := snapshot.EncodeChains(snap, es.engine.ExportChains()); err != nil {
@@ -509,11 +519,12 @@ func exportSnapshot(es *engineSet) (*snapshot.Snapshot, error) {
 
 // importSnapshot validates snap against es's graph and admits its chains
 // into the engine, returning how many were admitted — the one decoder
-// behind warm starts from disk and snapshots
-// shipped by a peer. A snapshot that fails any check is rejected whole and
-// counted in hetesim_snapshot_corrupt_total; sections other than chains (the
-// "embed:" sections older builds wrote) are skipped, and so are the odd-path
-// "SE(…)"/"TE(…)" chains they wrote, with a log line.
+// behind warm starts from disk and states transferred from a peer. A
+// snapshot that fails any check is rejected whole and counted in
+// hetesim_snapshot_corrupt_total; sections other than chains (a state's
+// "graph" and "seq", the "embed:" sections older builds wrote) are skipped,
+// and so are the odd-path "SE(…)"/"TE(…)" chains older builds wrote, with a
+// log line.
 func (st *store) importSnapshot(es *engineSet, snap *snapshot.Snapshot) (int, error) {
 	err := snap.CheckCompat(es.fingerprint)
 	if err != nil {
