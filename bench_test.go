@@ -12,7 +12,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -462,6 +465,132 @@ func BenchmarkTopKColdOdd(b *testing.B) {
 			}
 		})
 	}
+}
+
+// coldCycleOp is one query of BenchmarkTopKColdCycle's replayed cycle.
+type coldCycleOp struct {
+	p        *metapath.Path
+	topk     bool
+	src, dst int
+	replica  int
+}
+
+// coldCycle rebuilds bench/'s cold-adhoc cycle in process: every author path
+// of length 2..4 but APTP and APSP, in the benchmark's fixed shuffle, each
+// asked as two top-k 10 (half a cycle apart) and one pair, over Zipf(1)
+// endpoints drawn from seed 1. Each op carries the replica the router places
+// its path on: rendezvous hashing of the path's canonical key (the smaller of
+// it and its reverse) over the benchmark fleet's two replica URLs.
+func coldCycle(g *hin.Graph) ([]coldCycleOp, error) {
+	s := g.Schema()
+	var specs []string
+	for _, t := range s.Types() {
+		paths, err := metapath.Enumerate(s, "author", t.Name, 4, 0)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range paths {
+			if spec := p.String(); p.Len() >= 2 && spec != "APTP" && spec != "APSP" {
+				specs = append(specs, spec)
+			}
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
+
+	rng := rand.New(rand.NewSource(1))
+	cdfs := map[string][]float64{}
+	node := func(typ string) int {
+		cdf, ok := cdfs[typ]
+		if !ok {
+			cdf = make([]float64, g.NodeCount(typ))
+			sum := 0.0
+			for i := range cdf {
+				sum += 1 / float64(i+1)
+				cdf[i] = sum
+			}
+			for i := range cdf {
+				cdf[i] /= sum
+			}
+			cdfs[typ] = cdf
+		}
+		return min(sort.SearchFloat64s(cdf, rng.Float64()), len(cdf)-1)
+	}
+	replicas := []string{"http://127.0.0.1:18601", "http://127.0.0.1:18602"}
+	place := func(p *metapath.Path) int {
+		key := min(p.String(), p.Reverse().String())
+		best, bestScore := 0, uint64(0)
+		for i, base := range replicas {
+			h := fnv.New64a()
+			h.Write([]byte(key + "\x00" + base))
+			if sc := h.Sum64(); i == 0 || sc > bestScore {
+				best, bestScore = i, sc
+			}
+		}
+		return best
+	}
+	var ops []coldCycleOp
+	for half := 0; half < 2; half++ {
+		for i, spec := range specs {
+			p := metapath.MustParse(s, spec)
+			ops = append(ops, coldCycleOp{p: p, topk: true, src: node(p.Source()), replica: place(p)})
+			if i%2 == half {
+				src := node(p.Source())
+				ops = append(ops, coldCycleOp{p: p, src: src, dst: node(p.Target()), replica: place(p)})
+			}
+		}
+	}
+	return ops, nil
+}
+
+// paperACM is the paper-scale ACM network bench/ serves.
+var paperACM = sync.OnceValues(func() (*datagen.Dataset, error) {
+	return datagen.ACM(datagen.DefaultACMConfig())
+})
+
+// BenchmarkTopKColdCycle replays the cold-adhoc cycle in process over two
+// engines with an 8-entry chain cache, split as the router splits it, on the
+// paper-scale ACM network: what the chain cache's eviction policy decides on
+// that workload, without the wire. One op is one whole cycle, after a
+// warm-up cycle that builds the transitions and brings the caches to their
+// steady churn; it reports ms/cycle and the evictions per cycle.
+func BenchmarkTopKColdCycle(b *testing.B) {
+	ds, err := paperACM()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ops, err := coldCycle(ds.Graph)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engines := []*core.Engine{
+		core.NewEngine(ds.Graph, core.WithCacheLimit(8)),
+		core.NewEngine(ds.Graph, core.WithCacheLimit(8)),
+	}
+	ctx := context.Background()
+	cycle := func() {
+		for _, op := range ops {
+			e := engines[op.replica]
+			var err error
+			if op.topk {
+				_, _, err = e.TopKSearchWithPlan(ctx, op.p, op.src, 10, 0, core.PlanOptions{})
+			} else {
+				_, _, err = e.PairWithPlan(ctx, op.p, op.src, op.dst, core.PlanOptions{})
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	evictions := func() int { return engines[0].CacheStats().Evictions + engines[1].CacheStats().Evictions }
+	cycle()
+	before := evictions()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/cycle")
+	b.ReportMetric(float64(evictions()-before)/float64(b.N), "evictions/cycle")
 }
 
 // batchBenchQueries builds the 64 same-path pair queries of the batch

@@ -7,7 +7,8 @@
 //	go test -run '^$' -bench 'Table|Fig' -benchmem . | benchjson > BENCH_core.json
 //
 // Each benchmark line becomes an object with ns/op, and when -benchmem was
-// on, B/op and allocs/op. Lines that are not benchmark results (the goos/
+// on, B/op and allocs/op; units a benchmark reports with b.ReportMetric
+// (e.g. ms/cycle) go into its "metrics" map. Lines that are not benchmark results (the goos/
 // goarch preamble, PASS, ok) pass through to stderr so the terminal still
 // shows the run's outcome.
 package main
@@ -29,6 +30,8 @@ type result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+
+	Metrics map[string]float64 `json:"metrics,omitempty"` // b.ReportMetric units
 }
 
 func main() {
@@ -89,6 +92,11 @@ func parseLine(line string) (result, bool) {
 			r.BytesPerOp = int64(v)
 		case "allocs/op":
 			r.AllocsPerOp = int64(v)
+		default:
+			if r.Metrics == nil {
+				r.Metrics = map[string]float64{}
+			}
+			r.Metrics[fields[i+1]] = v
 		}
 	}
 	return r, seen

@@ -21,10 +21,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 
@@ -48,13 +50,14 @@ type Engine struct {
 	caching    bool
 	cacheLimit int
 
-	mu        sync.Mutex
-	trans     map[string]*sparse.Matrix       // U per step key
-	middles   map[string]*middle              // collapsed odd-path middle relation per step key
-	reach     map[string]*sparse.Matrix       // PM per chain key (every prefix cached)
-	norms     map[string]map[string][]float64 // row norms per chain key, then per weights key
-	reachAge  []string                        // insertion order of reach keys, oldest first
-	evictions int                             // chain matrices dropped by the cache limit
+	mu         sync.Mutex
+	trans      map[string]*sparse.Matrix       // U per step key
+	middles    map[string]*middle              // collapsed odd-path middle relation per step key
+	reach      map[string]*cacheEntry          // PM per chain key (every prefix cached)
+	norms      map[string]map[string][]float64 // row norms per chain key, then per weights key
+	inflation  float64                         // GreedyDual-Size L: the credit of the last victim
+	chainBytes int64                           // resident bytes of every reach entry
+	evictions  int                             // chain matrices dropped by the cache limit
 
 	estMu    sync.Mutex
 	estCache map[string]ChainEstimate // memoized cost estimates per chain key
@@ -88,10 +91,11 @@ func (e *Engine) raw(asked bool) bool { return asked || !e.normalized }
 func WithCaching(on bool) Option { return func(e *Engine) { e.caching = on } }
 
 // WithCacheLimit bounds the number of materialized chain matrices the
-// engine retains. When the limit is exceeded the oldest entries (and their
-// row norms) are evicted, so ad-hoc query traffic over many distinct paths
-// cannot grow the cache without bound. n <= 0 (the default) keeps the cache
-// unbounded — the right behavior for the CLI and the experiments, which
+// engine retains. When the limit is exceeded the entries cheapest to rebuild
+// per byte they hold, and idle longest, are evicted with their row norms
+// (GreedyDual-Size, see cachePut), so ad-hoc query traffic over many
+// distinct paths cannot grow the cache without bound. n <= 0 (the default)
+// keeps the cache unbounded — the right behavior for the CLI and the experiments, which
 // query a fixed path set. Transition matrices (one per schema relation and
 // direction) are never evicted; they are small and bounded by the schema.
 func WithCacheLimit(n int) Option { return func(e *Engine) { e.cacheLimit = n } }
@@ -104,7 +108,7 @@ func NewEngine(g *hin.Graph, opts ...Option) *Engine {
 		caching:    true,
 		trans:      make(map[string]*sparse.Matrix),
 		middles:    make(map[string]*middle),
-		reach:      make(map[string]*sparse.Matrix),
+		reach:      make(map[string]*cacheEntry),
 		norms:      make(map[string]map[string][]float64),
 		estCache:   make(map[string]ChainEstimate),
 		rented:     make(map[string]float64),
@@ -281,45 +285,124 @@ func splitPath(p *metapath.Path) halves {
 	return halves{leftSteps: d.Left, rightSteps: right, middle: d.Middle, src: p.Source(), dst: p.Target()}
 }
 
-// cacheGet returns a cached chain matrix.
+// cacheEntry is one resident chain-cache matrix and its GreedyDual-Size
+// credit. Entries are held by pointer so a hit refreshes the credit in place.
+type cacheEntry struct {
+	m      *sparse.Matrix
+	bytes  int64
+	value  float64 // rebuild cost per resident byte (bounded caches only)
+	credit float64 // H = L + value, set on install and on every hit
+}
+
+// matrixBytes is the resident size of a CSR matrix: a column index and a
+// value per non-zero, and the row offsets.
+func matrixBytes(m *sparse.Matrix) int64 {
+	return 16*int64(m.NNZ()) + 8*int64(m.Rows()+1)
+}
+
+// cacheGet returns a cached chain matrix. Under a cache limit a hit refreshes
+// the entry's credit, so a chain in use outlives the ones nobody asks for.
 func (e *Engine) cacheGet(key string) (*sparse.Matrix, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	m, ok := e.reach[key]
-	return m, ok
+	ent, ok := e.reach[key]
+	if !ok {
+		return nil, false
+	}
+	if e.cacheLimit > 0 {
+		ent.credit = e.inflation + ent.value
+	}
+	return ent.m, true
 }
 
-// cachePut installs a chain matrix, then evicts the oldest entries (and
-// their row norms) while the cache exceeds the configured limit. The entry
-// just installed is never the eviction victim, so a freshly materialized
-// matrix always survives long enough to serve its own query.
+// rebuildCost is what evicting a cache entry costs: for a chain, the
+// estimated flops to rebuild it from the transitions — its first step is a
+// free seed (chainStep), so a one-step chain, an alias of a transition that
+// is never evicted, costs nothing; for a "T:" transpose or an "X:" product,
+// its nnz. It reads transitions under e.mu, so callers run it unlocked.
+func (e *Engine) rebuildCost(key string, m *sparse.Matrix) float64 {
+	if c, transposed, err := parseChainKey(e.g.Schema(), key); err == nil && !transposed { // "X:" keys do not parse
+		full, err1 := e.estimateChainCached(c, nil)
+		seed, err2 := e.estimateChainCached(chain{steps: c.steps[:1], start: c.start}, nil)
+		if err1 == nil && err2 == nil {
+			return full.Flops - seed.Flops
+		}
+	}
+	return float64(m.NNZ())
+}
+
+// cachePut installs a chain matrix, then, while the cache exceeds its limit,
+// evicts by GreedyDual-Size (Cao & Irani, 1997): every entry holds a credit
+// H = L + cost/bytes, refreshed on a hit; the victim is the entry with the
+// least H (ties to the smaller key, so eviction is deterministic), and L
+// rises to it. An entry cheap to rebuild per byte goes first, an idle one
+// loses its lead as L catches up with it. The entry just installed is never
+// the victim, so a freshly materialized matrix always survives long enough
+// to serve its own query. Row norms leave with their entry, and a chain's
+// "T:" transpose with its chain: a transpose is only ever resident beside
+// its chain, so installing one never evicts the chain, and one is not
+// installed once its chain is gone (or, under a one-entry limit, at all).
 func (e *Engine) cachePut(key string, m *sparse.Matrix) {
+	size := matrixBytes(m)
+	var value float64
+	if e.cacheLimit > 0 {
+		value = e.rebuildCost(key, m) / float64(size)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.reach[key]; !ok {
-		e.reachAge = append(e.reachAge, key)
+	base, transposed := strings.CutPrefix(key, "T:")
+	if transposed {
+		if _, ok := e.reach[base]; !ok || e.cacheLimit == 1 {
+			return
+		}
 	}
-	e.reach[key] = m
+	if old, ok := e.reach[key]; ok {
+		e.chainBytes -= old.bytes
+	}
+	ent := &cacheEntry{m: m, bytes: size, value: value, credit: e.inflation + value}
+	e.reach[key] = ent
+	e.chainBytes += ent.bytes
 	if e.cacheLimit <= 0 {
 		return
 	}
-	for len(e.reach) > e.cacheLimit && len(e.reachAge) > 0 {
-		old := e.reachAge[0]
-		e.reachAge = e.reachAge[1:]
-		if old == key {
-			e.reachAge = append(e.reachAge, old)
-			continue
+	for len(e.reach) > e.cacheLimit {
+		victim, vh := "", math.Inf(1)
+		for k, ent := range e.reach {
+			if k == key || (transposed && k == base) {
+				continue
+			}
+			if ent.credit < vh || (ent.credit == vh && k < victim) {
+				victim, vh = k, ent.credit
+			}
 		}
-		delete(e.reach, old)
-		delete(e.norms, old)
-		e.evictions++
-		metCacheEvictions.Inc()
+		if victim == "" {
+			return
+		}
+		e.inflation = vh
+		e.evict(victim)
+		e.evict("T:" + victim)
 	}
+}
+
+// evict drops one resident entry and its row norms, if it is resident.
+// Callers hold e.mu.
+func (e *Engine) evict(key string) {
+	ent, ok := e.reach[key]
+	if !ok {
+		return
+	}
+	delete(e.reach, key)
+	delete(e.norms, key)
+	e.chainBytes -= ent.bytes
+	e.evictions++
+	metCacheEvictions.Inc()
 }
 
 // chainRowNorms returns the cached cosine norms of a chain's rows under w,
 // kept per chain and weights key: one chain can be the half of paths over
-// different middle relations (AFAP, APAP) or none (APA).
+// different middle relations (AFAP, APAP) or none (APA). Under a cache limit
+// they are kept only beside a resident chain (or an empty chain's identity),
+// so norms of a chain evicted mid-query do not outlive it.
 func (e *Engine) chainRowNorms(key string, pm *sparse.Matrix, w weights) []float64 {
 	e.mu.Lock()
 	if n, ok := e.norms[key][w.key]; ok {
@@ -329,6 +412,10 @@ func (e *Engine) chainRowNorms(key string, pm *sparse.Matrix, w weights) []float
 	e.mu.Unlock()
 	n := pm.WeightedRowNorms(w.d)
 	e.mu.Lock()
+	if _, ok := e.reach[key]; e.cacheLimit > 0 && !ok && !strings.HasPrefix(key, "C:@") {
+		e.mu.Unlock()
+		return n
+	}
 	if e.norms[key] == nil {
 		e.norms[key] = make(map[string][]float64)
 	}
@@ -463,16 +550,17 @@ func (e *Engine) CacheSize() int {
 
 // CacheInfo is a point-in-time snapshot of the engine's matrix caches.
 type CacheInfo struct {
-	Transition int `json:"transition"` // per-relation transition matrices
-	Edge       int `json:"edge"`       // collapsed odd-path middle relations
-	Chain      int `json:"chain"`      // materialized chain (reachable) matrices
-	Evictions  int `json:"evictions"`  // chain matrices dropped by WithCacheLimit
+	Transition int   `json:"transition"`  // per-relation transition matrices
+	Edge       int   `json:"edge"`        // collapsed odd-path middle relations
+	Chain      int   `json:"chain"`       // materialized chain (reachable) matrices
+	ChainBytes int64 `json:"chain_bytes"` // resident CSR bytes of the chain matrices
+	Evictions  int   `json:"evictions"`   // chain matrices dropped by WithCacheLimit
 }
 
 // CacheStats breaks CacheSize down by kind: transition matrices, collapsed
-// middle relations, and materialized chain matrices, plus the
-// count of chain matrices the cache limit has evicted so far. Only chain
-// matrices are subject to WithCacheLimit eviction.
+// middle relations, and materialized chain matrices with the bytes they
+// hold, plus the count of chain matrices the cache limit has evicted so far.
+// Only chain matrices are subject to WithCacheLimit eviction.
 func (e *Engine) CacheStats() CacheInfo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -480,6 +568,7 @@ func (e *Engine) CacheStats() CacheInfo {
 		Transition: len(e.trans),
 		Edge:       len(e.middles),
 		Chain:      len(e.reach),
+		ChainBytes: e.chainBytes,
 		Evictions:  e.evictions,
 	}
 }
@@ -497,26 +586,42 @@ func (e *Engine) ExportChains() map[string]*sparse.Matrix {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make(map[string]*sparse.Matrix, len(e.reach))
-	for k, m := range e.reach {
-		out[k] = m
+	for k, ent := range e.reach {
+		out[k] = ent.m
 	}
 	return out
 }
 
 // ImportChains installs previously exported chain matrices in the cache,
-// returning how many were admitted and how many were stale: odd-path halves
-// older builds keyed "…|SE(step)" / "…|TE(step)", in the edge-object space no
-// code builds any more. Keys and matrices must come from an engine over the
-// same graph (the snapshot layer checks the fingerprint).
-// Row norms are recomputed lazily. A non-caching engine admits nothing.
+// returning how many of them are resident afterwards and how many were stale:
+// odd-path halves older builds keyed "…|SE(step)" / "…|TE(step)", in the
+// edge-object space no code builds any more. Keys and matrices must come from
+// an engine over the same graph (the snapshot layer checks the fingerprint).
+// Keys go in shortest first (ties in key order), as RewarmFrom's do, so a
+// "T:" follows its chain and a cache limit keeps the same chains on every
+// import. Row norms are recomputed lazily. A non-caching engine admits nothing.
 func (e *Engine) ImportChains(chains map[string]*sparse.Matrix) (admitted, stale int) {
-	for k, m := range chains {
+	keys := make([]string, 0, len(chains))
+	for k := range chains {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b string) int { return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b)) })
+	var put []string
+	for _, k := range keys {
+		m := chains[k]
 		last := k[strings.LastIndexAny(k, ":|")+1:]
 		switch {
 		case strings.HasPrefix(last, "SE(") || strings.HasPrefix(last, "TE("):
 			stale++
 		case m != nil && e.caching:
 			e.cachePut(k, m)
+			put = append(put, k)
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, k := range put {
+		if _, ok := e.reach[k]; ok {
 			admitted++
 		}
 	}
@@ -528,9 +633,9 @@ func (e *Engine) ClearCache() {
 	e.mu.Lock()
 	e.trans = make(map[string]*sparse.Matrix)
 	e.middles = make(map[string]*middle)
-	e.reach = make(map[string]*sparse.Matrix)
+	e.reach = make(map[string]*cacheEntry)
 	e.norms = make(map[string]map[string][]float64)
-	e.reachAge = nil
+	e.inflation, e.chainBytes = 0, 0
 	e.mu.Unlock()
 	e.estMu.Lock()
 	e.estCache = make(map[string]ChainEstimate)

@@ -239,7 +239,9 @@ func firstNode(tb testing.TB, g *hin.Graph, typeName string) string {
 
 // TestConcurrentQueriesWithEviction hammers one cache-limited engine from
 // many goroutines over distinct paths, so queries race against evictions.
-// Run under -race this is the cache-consistency stress test.
+// Top-k queries reuse chains and cache their transposes, so "T:" puts race
+// against the evictions of their chains. Run under -race this is the
+// cache-consistency stress test.
 func TestConcurrentQueriesWithEviction(t *testing.T) {
 	g := fig4Graph(t)
 	e := NewEngine(g, WithCacheLimit(2))
@@ -255,7 +257,13 @@ func TestConcurrentQueriesWithEviction(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				spec := specs[(w+i)%len(specs)]
 				p := metapath.MustParse(g.Schema(), spec)
-				if _, err := e.SingleSource(ctx, p, firstNode(t, g, p.Source())); err != nil {
+				var err error
+				if (w+i)%3 == 0 {
+					_, err = e.TopKSearch(ctx, p, i%g.NodeCount(p.Source()), 2, 0)
+				} else {
+					_, err = e.SingleSource(ctx, p, firstNode(t, g, p.Source()))
+				}
+				if err != nil {
 					select {
 					case errs <- fmt.Errorf("%s: %w", spec, err):
 					default:
