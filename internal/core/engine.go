@@ -94,10 +94,11 @@ func WithCaching(on bool) Option { return func(e *Engine) { e.caching = on } }
 // engine retains. When the limit is exceeded the entries cheapest to rebuild
 // per byte they hold, and idle longest, are evicted with their row norms
 // (GreedyDual-Size, see cachePut), so ad-hoc query traffic over many
-// distinct paths cannot grow the cache without bound. n <= 0 (the default)
-// keeps the cache unbounded — the right behavior for the CLI and the experiments, which
-// query a fixed path set. Transition matrices (one per schema relation and
-// direction) are never evicted; they are small and bounded by the schema.
+// distinct paths cannot grow the cache without bound (nor evict for a "T:"
+// transpose: transposeFits). n <= 0 (the default) keeps the cache unbounded —
+// the right behavior for the CLI and the experiments, which query a fixed path
+// set. Transition matrices (one per schema relation and direction) are never
+// evicted; they are small and bounded by the schema.
 func WithCacheLimit(n int) Option { return func(e *Engine) { e.cacheLimit = n } }
 
 // NewEngine creates a HeteSim engine over g.
@@ -337,12 +338,11 @@ func (e *Engine) rebuildCost(key string, m *sparse.Matrix) float64 {
 // least H (ties to the smaller key, so eviction is deterministic), and L
 // rises to it. An entry cheap to rebuild per byte goes first, an idle one
 // loses its lead as L catches up with it. The entry just installed is never
-// the victim, so a freshly materialized matrix always survives long enough
-// to serve its own query. Row norms leave with their entry, and a chain's
-// "T:" transpose with its chain: a transpose is only ever resident beside
-// its chain, so installing one never evicts the chain, and one is not
-// installed once its chain is gone (or, under a one-entry limit, at all).
-func (e *Engine) cachePut(key string, m *sparse.Matrix) {
+// the victim, so it serves its own query; row norms leave with their entry,
+// and a chain's "T:" transpose with its chain. A transpose is installed only
+// where transposeFits, so installing one never evicts. cachePut reports
+// whether it installed key.
+func (e *Engine) cachePut(key string, m *sparse.Matrix) bool {
 	size := matrixBytes(m)
 	var value float64
 	if e.cacheLimit > 0 {
@@ -350,11 +350,8 @@ func (e *Engine) cachePut(key string, m *sparse.Matrix) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	base, transposed := strings.CutPrefix(key, "T:")
-	if transposed {
-		if _, ok := e.reach[base]; !ok || e.cacheLimit == 1 {
-			return
-		}
+	if base, ok := strings.CutPrefix(key, "T:"); ok && !e.transposeFits(base) {
+		return false
 	}
 	if old, ok := e.reach[key]; ok {
 		e.chainBytes -= old.bytes
@@ -363,25 +360,29 @@ func (e *Engine) cachePut(key string, m *sparse.Matrix) {
 	e.reach[key] = ent
 	e.chainBytes += ent.bytes
 	if e.cacheLimit <= 0 {
-		return
+		return true
 	}
 	for len(e.reach) > e.cacheLimit {
-		victim, vh := "", math.Inf(1)
+		victim, vh := "", 0.0
 		for k, ent := range e.reach {
-			if k == key || (transposed && k == base) {
-				continue
-			}
-			if ent.credit < vh || (ent.credit == vh && k < victim) {
+			if k != key && (victim == "" || ent.credit < vh || (ent.credit == vh && k < victim)) {
 				victim, vh = k, ent.credit
 			}
-		}
-		if victim == "" {
-			return
 		}
 		e.inflation = vh
 		e.evict(victim)
 		e.evict("T:" + victim)
 	}
+	return true
+}
+
+// transposeFits reports whether the cache may install "T:"+key: beside its
+// resident chain, and under a limit only while that evicts nothing — the
+// cheapest entry to rebuild per byte, a transpose that forced an eviction
+// would be the next victim, never read. Callers hold e.mu.
+func (e *Engine) transposeFits(key string) bool {
+	_, ok := e.reach[key]
+	return ok && (e.cacheLimit <= 0 || len(e.reach) < e.cacheLimit)
 }
 
 // evict drops one resident entry and its row norms, if it is resident.

@@ -62,11 +62,13 @@ func checkCacheInvariants(t *testing.T, e *Engine, where string) {
 	}
 }
 
-// evictionOp is one query of a seeded stream.
+// evictionOp is one query of a seeded stream. A top-k asks for k hits (4 when
+// k is 0) pruned below eps; a raw query scores by Definition 3.
 type evictionOp struct {
-	spec       string
-	topk, prec bool
-	src, dst   int
+	spec            string
+	topk, prec, raw bool
+	src, dst, k     int
+	eps             float64
 }
 
 // evictionStream draws n pair, top-k and precompute queries over even and
@@ -99,14 +101,19 @@ func runEvictionOp(t *testing.T, e *Engine, op evictionOp) string {
 			t.Fatal(err)
 		}
 	}
+	opts := PlanOptions{Raw: op.raw}
 	if !op.topk {
-		s, err := e.PairByIndex(ctx, p, op.src, op.dst)
+		s, _, err := e.PairWithPlan(ctx, p, op.src, op.dst, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprintf("%x", math.Float64bits(s))
 	}
-	top, err := e.TopKSearch(ctx, p, op.src, 4, 0)
+	k := op.k
+	if k == 0 {
+		k = 4
+	}
+	top, _, err := e.TopKSearchWithPlan(ctx, p, op.src, k, op.eps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +151,69 @@ func TestEvictionStreamBitIdentical(t *testing.T) {
 	}
 }
 
-// cachePut never evicts the entry it installs, and every put leaves the cache
-// within its invariants: a transpose only beside its chain, norms only for
-// resident chains.
+// A seeded stream of repeated top-k and pair queries over even and odd paths,
+// normalized and raw, pruned and not, returns the unbounded engine's ids and
+// score bits under every cache limit. A top-k that finds its right
+// half-chain resident scans it through a transpose only while the cache has
+// room for one: never under a one-entry limit, where it scans the chain's
+// rows, and, under a limit the stream's working set fits in, as the
+// unbounded engine does.
+func TestDifferentialTopKBoundedCache(t *testing.T) {
+	specs := []string{"APA", "APVPA", "APTPA", "APVC", "CVPA", "APT", "APAP", "VPAPV"}
+	transposeScans := func() uint64 { return scanTransposeOnce.count.Value() + scanTransposed.count.Value() }
+	for _, seed := range []int64{4, 5, 6} {
+		g := oddGraph(seed)
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]evictionOp, 400)
+		for i := range ops {
+			p := metapath.MustParse(g.Schema(), specs[rng.Intn(len(specs))])
+			ops[i] = evictionOp{
+				spec: p.String(), topk: rng.Intn(3) > 0, raw: rng.Intn(4) == 0,
+				src: rng.Intn(g.NodeCount(p.Source())), dst: rng.Intn(g.NodeCount(p.Target())),
+				k: 1 + rng.Intn(g.NodeCount(p.Target())+1), eps: []float64{0, 0, 1e-3}[rng.Intn(3)],
+			}
+		}
+		before := transposeScans()
+		unbounded := NewEngine(g)
+		want := make([]string, len(ops))
+		for i, op := range ops {
+			want[i] = runEvictionOp(t, unbounded, op)
+		}
+		unboundedScans := transposeScans() - before
+		if unboundedScans == 0 {
+			t.Fatalf("seed %d: the unbounded engine never transposed a reused chain", seed)
+		}
+		for _, limit := range []int{1, 2, 8, 64} {
+			e := NewEngine(g, WithCacheLimit(limit))
+			before, scans := transposeScans(), map[*scanKind]int{}
+			for i, op := range ops {
+				right := e.chainCacheKey(splitPath(metapath.MustParse(g.Schema(), op.spec)).right())
+				if op.topk {
+					scans[e.warmScan(right)]++
+				}
+				if got := runEvictionOp(t, e, op); got != want[i] {
+					t.Fatalf("seed %d limit %d op %d %+v: got %s, unbounded %s", seed, limit, i, op, got, want[i])
+				}
+				checkCacheInvariants(t, e, fmt.Sprintf("seed %d limit %d op %d", seed, limit, i))
+			}
+			moved := transposeScans() - before
+			switch {
+			case limit == 1 && moved != 0:
+				t.Errorf("seed %d limit 1: %d transpose scans beside a chain that fills the cache", seed, moved)
+			case limit < 64 && scans[scanRows] == 0:
+				t.Errorf("seed %d limit %d: no top-k scanned the rows of a resident chain", seed, limit)
+			case limit == 64 && (moved != unboundedScans || scans[scanRows] != 0):
+				t.Errorf("seed %d limit 64: %d transpose scans, %d row scans of resident chains; the unbounded engine ran %d and none",
+					seed, moved, scans[scanRows], unboundedScans)
+			}
+		}
+	}
+}
+
+// cachePut never evicts the entry it installs, installs a transpose only
+// beside its chain and while that evicts nothing, and every put leaves the
+// cache within its invariants: a transpose only beside its chain, norms only
+// for resident chains.
 func TestCachePutKeepsInstalledEntry(t *testing.T) {
 	g := randomBibGraph(5)
 	ctx := context.Background()
@@ -174,10 +241,14 @@ func TestCachePutKeepsInstalledEntry(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			key := keys[rng.Intn(len(keys))]
 			base, transposed := strings.CutPrefix(key, "T:")
-			kept := !transposed || (resident(e, base) && limit > 1)
+			kept := !transposed || resident(e, key) || (resident(e, base) && len(residentKeys(e)) < limit)
+			evictions := e.CacheStats().Evictions
 			e.cachePut(key, chains[key])
 			if got := resident(e, key); got != kept {
 				t.Fatalf("limit %d put %d: %s resident = %v, want %v", limit, i, key, got, kept)
+			}
+			if transposed && e.CacheStats().Evictions != evictions {
+				t.Fatalf("limit %d put %d: installing %s evicted", limit, i, key)
 			}
 			if strings.HasPrefix(key, "C:") {
 				e.chainRowNorms(key, chains[key], weights{})

@@ -239,9 +239,9 @@ func firstNode(tb testing.TB, g *hin.Graph, typeName string) string {
 
 // TestConcurrentQueriesWithEviction hammers one cache-limited engine from
 // many goroutines over distinct paths, so queries race against evictions.
-// Top-k queries reuse chains and cache their transposes, so "T:" puts race
-// against the evictions of their chains. Run under -race this is the
-// cache-consistency stress test.
+// Top-k queries reuse chains and cache their transposes while there is room,
+// so "T:" puts race against the evictions of their chains. Run under -race
+// this is the cache-consistency stress test.
 func TestConcurrentQueriesWithEviction(t *testing.T) {
 	g := fig4Graph(t)
 	e := NewEngine(g, WithCacheLimit(2))

@@ -228,16 +228,16 @@ type chainScan struct {
 }
 
 // opScanChain resolves what a top-k scan reads for a right half-chain, from
-// what the chain cache holds when the query arrives (DESIGN §11):
+// what the chain cache holds when the query arrives (warmScan, DESIGN §11):
 //
 //   - "T:"+key cached: the transposed chain alone (pm is nil).
-//   - the chain cached — it is being reused, so its transpose will be too:
-//     build it, cache it under "T:"+key, return both.
+//   - the chain cached, with room for its transpose — it is being reused, so
+//     its transpose will be too: build it, cache it under "T:"+key, return both.
 //   - neither, and few targets can meet left (rentRows): their rows alone,
 //     propagated and cached nowhere.
-//   - neither — this request materializes the chain and may be its only
-//     user: return pm alone; the caller scores its rows instead of paying a
-//     transpose as large as the product was.
+//   - otherwise pm alone, scored row by row: a chain this request builds may
+//     have no other user, and a transpose a full bounded cache would evict
+//     next is not worth building.
 //
 // An empty chain's identity is its own transpose and always at hand. Besides
 // RewarmFrom this is the only producer of "T:" entries, and a non-caching
@@ -254,14 +254,14 @@ func (e *Engine) opScanChain(ctx context.Context, c chain, left *sparse.Vector) 
 			return chainScan{kind: scanTransposed, pmT: pmT}, nil
 		}
 	}
-	reused := e.chainWarm(key)
-	if !reused && e.caching { // a non-caching engine has nothing to buy
+	kind := e.warmScan(key)
+	if kind == nil && e.caching { // a non-caching engine has nothing to buy
 		if sc, err := e.rentRows(ctx, c, key, left); err != nil || sc.rows != nil {
 			return sc, err
 		}
 	}
 	pm, err := e.opMatrixChain(ctx, c)
-	if err != nil || !reused {
+	if err != nil || kind != scanTransposeOnce {
 		return chainScan{kind: scanRows, pm: pm}, err
 	}
 	pmT := pm.Transpose()

@@ -149,12 +149,12 @@ type costModel struct {
 	left, right ChainEstimate
 	warmLeft    bool
 	warmRight   bool
-	warmRightT  bool    // transposed right half (top-k scans) cached
-	rentRight   bool    // while the right half is cold, a top-k may propagate reachable rows only
-	coldLeft    float64 // remaining flops to materialize the left half
-	coldRight   float64 // remaining flops to materialize the right half
-	coldRightT  float64 // one-time flops before a top-k can scan the right half
-	mo          *middle // an odd path's middle relation, handed to the executors
+	rightScan   *scanKind // the top-k scan of a warm right half (warmScan); nil while cold
+	rentRight   bool      // while the right half is cold, a top-k may propagate reachable rows only
+	coldLeft    float64   // remaining flops to materialize the left half
+	coldRight   float64   // remaining flops to materialize the right half
+	coldRightT  float64   // one-time flops before a top-k can scan the right half
+	mo          *middle   // an odd path's middle relation, handed to the executors
 }
 
 // chainColdFlops estimates the flops still needed to materialize a chain:
@@ -200,6 +200,24 @@ func (e *Engine) chainWarm(key string) bool {
 	return ok
 }
 
+// warmScan names the top-k scan of a right half-chain the cache holds
+// (opScanChain): its cached transpose's; transpose-once while the transpose
+// fits (transposeFits); else its rows. It is nil while neither is resident.
+// The cost model reads it too, so Explain prices the scan that runs.
+func (e *Engine) warmScan(key string) *scanKind {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case strings.HasPrefix(key, "C:@") || e.reach["T:"+key] != nil:
+		return scanTransposed
+	case e.reach[key] == nil:
+		return nil
+	case e.transposeFits(key):
+		return scanTransposeOnce
+	}
+	return scanRows
+}
+
 // estimateChainCached memoizes estimateChain per chain key (and middle
 // relation crossed): estimates depend only on the transition matrices
 // (static per graph), so the optimizer's per-query overhead is two map
@@ -242,17 +260,17 @@ func (e *Engine) costModelFor(h halves) (costModel, error) {
 	rightKey := e.chainCacheKey(h.right())
 	cm.warmLeft = e.chainWarm(e.chainCacheKey(h.left()))
 	cm.warmRight = e.chainWarm(rightKey)
-	cm.warmRightT = e.chainWarm("T:" + rightKey)
+	cm.rightScan = e.warmScan(rightKey)
 	cm.rentRight = e.caching // a non-caching engine has nothing to buy
 	cm.coldLeft = e.chainColdFlops(h.left(), cm.left)
 	cm.coldRight = e.chainColdFlops(h.right(), cm.right)
-	// Mirrors opScanChain: a cached transpose is free, a cached chain gets
-	// transposed once, a cold chain is materialized and scanned by rows — the
-	// price of a rentable chain too: a rented scan costs under half of it.
-	switch {
-	case cm.warmRightT:
+	// Mirrors opScanChain: a cached transpose or row scan is free, a transpose
+	// built once costs its nnz, a cold chain is materialized and scanned by
+	// rows — the price of a rentable chain too: a rented scan costs under half.
+	switch cm.rightScan {
+	case scanTransposed, scanRows:
 		cm.coldRightT = 0
-	case cm.warmRight:
+	case scanTransposeOnce:
 		cm.coldRightT = cm.right.NNZ
 	default:
 		cm.coldRightT = cm.coldRight
@@ -264,10 +282,12 @@ func (e *Engine) costModelFor(h halves) (costModel, error) {
 // under the cost model's cache signals.
 func (cm costModel) topKScanDescription() string {
 	switch {
-	case cm.warmRightT:
+	case cm.rightScan == scanTransposed:
 		return "a candidate scan of the cached transposed right half"
-	case cm.warmRight:
+	case cm.rightScan == scanTransposeOnce:
 		return "transpose the cached right half once, then a candidate scan"
+	case cm.rightScan == scanRows:
+		return "a row scan of the cached right half (a full bounded cache keeps no transpose)"
 	case cm.rentRight:
 		return "few reachable targets: propagate their rows only, nothing cached; materializes once rent reaches the chain's cold flops"
 	}

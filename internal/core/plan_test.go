@@ -224,6 +224,52 @@ func TestExplainReportsCacheWarmth(t *testing.T) {
 	}
 }
 
+// A bounded cache keeps a top-k's transpose only while it has room for it,
+// and the cost model prices the scan that runs: on a precomputed path a full
+// cache's top-k is a row scan of the cached right half with nothing left to
+// materialize, while a cache with room, like an unbounded one, transposes the
+// right half once.
+func TestExplainTopKScanFollowsCacheRoom(t *testing.T) {
+	g := randomBibGraph(31)
+	p := metapath.MustParse(g.Schema(), "APVCVPA")
+	ctx := context.Background()
+	precomputed := func(limit int) *Engine {
+		e := NewEngine(g, WithCacheLimit(limit))
+		if err := e.Precompute(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	full := len(residentKeys(precomputed(0)))
+	for _, limit := range []int{0, full, full + 1} {
+		e := precomputed(limit)
+		want, desc, mat := scanTransposeOnce, "transpose the cached right half once", true
+		if limit == full {
+			want, desc, mat = scanRows, "a row scan of the cached right half", false
+		}
+		out, _, err := e.Explain(p, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "top-k scan: "+desc) {
+			t.Errorf("limit %d: Explain does not describe %q:\n%s", limit, desc, out)
+		}
+		before := want.count.Value()
+		_, d, err := e.TopKSearchWithPlan(ctx, p, 0, 3, 0, PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran := want.count.Value() - before; ran != 1 {
+			t.Errorf("limit %d: the %s scan ran %d times, want once", limit, want.name, ran)
+		}
+		for _, pe := range d.Candidates {
+			if (pe.Materialize != 0) != mat || !strings.Contains(pe.Description, desc) {
+				t.Errorf("limit %d: top-k %s prices materialization %v, described as %q", limit, pe.Kind, pe.Materialize, pe.Description)
+			}
+		}
+	}
+}
+
 // With a walk budget and a deadline too short for the exact plan, the
 // optimizer proactively downgrades to Monte Carlo instead of letting the
 // exact plan burn the deadline and fail.

@@ -110,13 +110,17 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 
 	// Entries derived from a chain ("T:" transposes, "X:" metKey products) are
 	// derived again from the rewarmed chain, bit-identical to the cold path's.
-	// A chain that went missing (evicted upstream, dropped here) drops them.
+	// A chain that went missing (evicted upstream, dropped here) drops them;
+	// a "T:" without room (transposeFits) is dropped before it is built.
 	for _, key := range keys {
 		if strings.HasPrefix(key, "C:") {
 			continue
 		}
-		if nm, err := e.derive(ctx, key); err == nil {
-			e.cachePut(key, nm)
+		if base, ok := strings.CutPrefix(key, "T:"); ok && e.warmScan(base) != scanTransposeOnce {
+			st.Dropped++
+			continue
+		}
+		if nm, err := e.derive(ctx, key); err == nil && e.cachePut(key, nm) {
 			st.Carried++
 		} else {
 			st.Dropped++

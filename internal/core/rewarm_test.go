@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hetesim/internal/hin"
@@ -181,6 +182,49 @@ func TestRewarmNodeGrowthOnly(t *testing.T) {
 	}
 	if stats.RowPatched != 0 || stats.Rebuilt != 0 || stats.Dropped != 0 {
 		t.Fatalf("stats = %s, want carried only", stats)
+	}
+	cold := NewEngine(ng)
+	rewarmWarm(t, cold, ng)
+	compareCaches(t, cold, warm)
+}
+
+// A bounded engine rewarmed from an unbounded one that holds "T:" entries
+// builds those it has room for and counts the rest dropped, so what it
+// reports carried, patched and rebuilt is what it holds.
+func TestRewarmBoundedTransposesNeedRoom(t *testing.T) {
+	g := fig4Graph(t)
+	warmed := NewEngine(g)
+	rewarmWarm(t, warmed, g)
+	chains, transposes := map[string]*sparse.Matrix{}, 0
+	for k, m := range warmed.ExportChains() {
+		switch {
+		case strings.HasPrefix(k, "C:"):
+			chains[k] = m
+		case strings.HasPrefix(k, "T:"):
+			chains[k] = m
+			transposes++
+		}
+	}
+	if transposes < 2 {
+		t.Fatalf("the source engine holds %d transposes", transposes)
+	}
+	old := NewEngine(g) // chains and transposes, no odd-path products: nothing is evicted
+	old.ImportChains(chains)
+	ng, d := applyOps(t, g, []hin.Op{
+		{Kind: hin.OpUpsertEdge, Relation: "published_in", Src: "p1", Dst: "VLDB", Weight: 1},
+	})
+	limit := len(chains) - transposes + 1 // every chain, and room for one transpose
+	warm := NewEngine(ng, WithCacheLimit(limit))
+	stats, err := warm.RewarmFrom(context.Background(), old, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCacheInvariants(t, warm, "rewarmed")
+	keys := residentKeys(warm)
+	if got := stats.Carried + stats.RowPatched + stats.Rebuilt; got != len(keys) || len(keys) != limit ||
+		stats.Dropped != transposes-1 || warm.CacheStats().Evictions != 0 {
+		t.Fatalf("stats = %s, evictions %d, resident %v: want carried+row_patched+rebuilt = %d resident and dropped = %d transposes",
+			stats, warm.CacheStats().Evictions, keys, limit, transposes-1)
 	}
 	cold := NewEngine(ng)
 	rewarmWarm(t, cold, ng)

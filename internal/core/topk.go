@@ -37,11 +37,12 @@ func (e *Engine) TopKSearch(ctx context.Context, p *metapath.Path, src, k int, e
 // half crosses the middle relation first (meetLeft); the scans are even-shaped.
 //
 // Which scan runs follows cache residency (opScanChain): a right chain this
-// request had to materialize is scored row by row against the dense left
-// vector — one pass over its entries, no transpose; a cold chain few of whose
-// targets can meet left has only those targets' rows propagated and scored,
-// each by a sparse dot; a chain that was already cached is scanned through
-// its transpose, touching only the targets that share middle support
+// request had to materialize, or one a full bounded cache holds, is scored
+// row by row against the dense left vector — one pass over its entries, no
+// transpose; a cold chain few of whose targets can meet left has only those
+// targets' rows propagated and scored, each by a sparse dot; any other chain
+// that was already cached is scanned through its transpose, touching only the
+// targets that share middle support
 // (sparse.MulMatEach: pooled accumulator, nothing of the target population's
 // size allocated or cleared). All add each target's terms in ascending middle
 // order (skipped terms are +0) and offer every non-zero score to the one
