@@ -66,7 +66,7 @@ chaos:
 
 # Paper-property suite under the race detector: randomized symmetry /
 # self-maximum / semi-metric / indiscernibles checks (Properties 3-5)
-# plus the differential top-k and Monte Carlo cross-checks, run twice so
+# plus the differential top-k cross-checks, run twice so
 # per-run seeding shenanigans can't hide order dependence; part of
 # `make check`. The pattern picks up every TestDifferential* as it is
 # added — the reachable-rows scan's (TestDifferentialTopKReachableRows,
@@ -101,7 +101,11 @@ loc:
 # deleted comes back by name, or when the deleted
 # approximate top-k plane does (its plan name, its knobs, an import of
 # internal/embed — which bench/probes.go alone keeps alive until a
-# [benchmark] PR deletes both); part of `make check`.
+# [benchmark] PR deletes both), or when the deleted Monte Carlo serving path
+# does (its plan, the engine estimators, the degrade option and flag, the
+# planner's deadline constant, the degrade helpers, the "approximate" wire
+# fields: every answer is exact or a 504; the §4.6 estimator lives in
+# internal/exp as PairSampler); part of `make check`.
 contract:
 	@fail=0; \
 	for tag in shared_queries naive_row_steps source_type replication_lag_seconds; do \
@@ -121,6 +125,11 @@ contract:
 	for name in topk-approx error_budget ErrorBudget EmbedRank '"hetesim/internal/embed"'; do \
 		if grep -rnF --include='*.go' -- "$$name" . | grep -v '_test\.go:' | grep -vE '^\./(bench|internal/embed)/'; then \
 			echo "contract: deleted approximate top-k plane is back ($$name)"; fail=1; \
+		fi; \
+	done; \
+	for name in PlanMonteCarlo PairMonteCarlo SingleSourceMonteCarlo WithDegradedTopK DegradeWalks degradeWalks degrade-walks planFlopsPerSecond missedDecision degradeGrace 'json:"approximate'; do \
+		if grep -rnF --include='*.go' -- "$$name" . | grep -v '_test\.go:' | grep -v '^\./bench/'; then \
+			echo "contract: deleted Monte Carlo serving path is back ($$name)"; fail=1; \
 		fi; \
 	done; \
 	[ $$fail -eq 0 ] && echo "contract: ok"

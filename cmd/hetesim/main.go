@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hetesim -graph g.json -path APVC -source <id> [-target <id>] [-k 10]
-//	        [-measure hetesim|pcrw|pathsim] [-raw] [-montecarlo walks]
+//	        [-measure hetesim|pcrw|pathsim] [-raw] [-plan kind]
 //	hetesim -graph g.json -enumerate author,conference [-maxlen 4]
 //	hetesim -graph g.json -relevance -source <id> -source-type author
 //	        [-target <id>] -target-type author [-k 10] [-maxlen 4]
@@ -16,10 +16,8 @@
 //	        [-retries 3] [-retry-max-wait 5s]
 //
 // With -target it prints the pair's relevance; without, the top-k most
-// related objects of the path's target type. -montecarlo estimates a pair
-// by sampled walks instead of exact propagation (Section 4.6 of the
-// paper). -plan forces a physical query plan instead of letting the
-// cost-based optimizer choose (the chosen plan is reported on stderr);
+// related objects of the path's target type. -plan forces a physical query
+// plan instead of letting the cost-based optimizer choose (the chosen plan is reported on stderr);
 // -explain prints the optimizer's cost model for a path. -enumerate
 // lists the candidate relevance paths between two types, the input to
 // path selection. -v dumps the process metrics (Prometheus text format)
@@ -89,7 +87,6 @@ func main() {
 		k          = flag.Int("k", 10, "top-k for list queries")
 		measure    = flag.String("measure", "hetesim", "measure: hetesim | pcrw | pathsim")
 		raw        = flag.Bool("raw", false, "report unnormalized HeteSim (meeting probability)")
-		montecarlo = flag.Int("montecarlo", 0, "approximate a pair with this many sampled walks")
 		batchFile  = flag.String("batch", "", "run the JSON batch request in this file (\"-\" = stdin) through the batch scheduler")
 		applyFile  = flag.String("apply", "", "apply the JSON mutation batch in this file (\"-\" = stdin) and write the mutated graph")
 		outFile    = flag.String("out", "-", "output file for -apply (\"-\" = stdout)")
@@ -102,7 +99,7 @@ func main() {
 		weightsF   = flag.String("weights", "", "learned path-weights JSON file for -relevance ({\"weights\": {\"APA\": 0.6, ...}})")
 		maxPaths   = flag.Int("maxpaths", 16, "candidate-path cap for -relevance")
 		explain    = flag.Int("explain", 0, "print the query plans for -path amortized over this many queries")
-		planName   = flag.String("plan", "", "force a hetesim physical plan: "+core.PlanKindNames+" (monte-carlo takes its walks from -montecarlo)")
+		planName   = flag.String("plan", "", "force a hetesim physical plan: "+core.PlanKindNames)
 		why        = flag.Int("why", 0, "with -target: show this many top meeting-object contributions")
 		verbose    = flag.Bool("v", false, "dump process metrics to stderr after the query")
 		serverURL  = flag.String("server", "", "query a running hetesimd/hetesim-router at this base URL instead of loading -graph")
@@ -139,7 +136,7 @@ func main() {
 	case *why > 0 && *pathSpec != "" && *source != "" && *target != "":
 		err = runWhy(*graphPath, *pathSpec, *source, *target, *why, *raw)
 	case *pathSpec != "" && *source != "":
-		err = run(*graphPath, *pathSpec, *source, *target, *measure, *planName, *k, *raw, *montecarlo)
+		err = run(*graphPath, *pathSpec, *source, *target, *measure, *planName, *k, *raw)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -205,17 +202,13 @@ func runRelevance(graphPath, source, sourceType, target, targetType, weighting, 
 				fmt.Fprintf(os.Stderr, "  %-12s w=%.4f FAILED: %s\n", ps.Path, ps.Weight, ps.Error)
 				continue
 			}
-			approx := ""
-			if ps.Approximate {
-				approx = " (approximate)"
-			}
 			// Top-k paths contribute a score vector, not a scalar.
 			score := ""
 			if pair {
 				score = fmt.Sprintf(" score=%.6f", ps.Score)
 			}
-			fmt.Fprintf(os.Stderr, "  %-12s w=%.4f%s plan=%s%s\n",
-				ps.Path, ps.Weight, score, ps.Plan, approx)
+			fmt.Fprintf(os.Stderr, "  %-12s w=%.4f%s plan=%s\n",
+				ps.Path, ps.Weight, score, ps.Plan)
 		}
 		fmt.Fprintf(os.Stderr, "  shared %d/%d path queries; %d row-steps vs %d naive\n",
 			res.Stats.SharedQueries, len(res.Paths), res.Stats.RowSteps, res.Stats.NaiveRowSteps)
@@ -367,7 +360,7 @@ func loadGraphAndPath(graphPath, pathSpec string) (*hin.Graph, *metapath.Path, e
 	return g, p, err
 }
 
-func run(graphPath, pathSpec, source, target, measure, planName string, k int, raw bool, montecarlo int) error {
+func run(graphPath, pathSpec, source, target, measure, planName string, k int, raw bool) error {
 	g, p, err := loadGraphAndPath(graphPath, pathSpec)
 	if err != nil {
 		return err
@@ -379,34 +372,12 @@ func run(graphPath, pathSpec, source, target, measure, planName string, k int, r
 	if force != core.PlanAuto && measure != "hetesim" {
 		return fmt.Errorf("-plan applies only to the hetesim measure")
 	}
-	if montecarlo > 0 && force == core.PlanAuto {
-		if target == "" || measure != "hetesim" {
-			return fmt.Errorf("-montecarlo needs -target and the hetesim measure")
-		}
-		e := core.NewEngine(g, core.WithNormalization(!raw))
-		src, err := g.NodeIndex(p.Source(), source)
-		if err != nil {
-			return err
-		}
-		dst, err := g.NodeIndex(p.Target(), target)
-		if err != nil {
-			return err
-		}
-		res, err := e.PairMonteCarlo(context.Background(), p, src, dst, montecarlo, 1)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("hetesim~mc(%s, %s | %s) = %.6f (%d walks per endpoint)\n",
-			source, target, p, res.Score, res.Walks)
-		return nil
-	}
-
 	var single func(string) ([]float64, error)
 	var pair func(string, string) (float64, error)
 	switch measure {
 	case "hetesim":
 		e := core.NewEngine(g, core.WithNormalization(!raw))
-		po := core.PlanOptions{Force: force, Walks: montecarlo}
+		po := core.PlanOptions{Force: force}
 		single = func(s string) ([]float64, error) {
 			src, err := g.NodeIndex(p.Source(), s)
 			if err != nil {

@@ -5,7 +5,7 @@
 //
 //	hetesimd -graph g.json [-addr :8080] [-precompute APVC,CVPA]
 //	         [-query-timeout 10s] [-max-inflight 256] [-shutdown-grace 15s]
-//	         [-max-body-bytes 1048576] [-degrade-walks 20000] [-cache-limit 0]
+//	         [-max-body-bytes 1048576] [-cache-limit 0]
 //	         [-batch-max-queries 1024] [-batch-workers 0]
 //	         [-slowlog-threshold 1s] [-slowlog-size 128] [-debug-addr ""]
 //	         [-snapshot-path chains.snap] [-snapshot-save-interval 5m]
@@ -19,10 +19,9 @@
 // -precompute materializes the listed relevance paths in the background at
 // startup (the offline materialization of Section 4.6 of the paper);
 // /readyz answers 503 until materialization finishes, while /healthz is
-// pure liveness. Queries are bounded by -query-timeout, load beyond
-// -max-inflight concurrent queries is shed with 429, and a timed-out
-// exact hetesim query degrades to -degrade-walks Monte Carlo walks
-// (response marked "approximate": true; 0 disables the fallback).
+// pure liveness. Queries are bounded by -query-timeout (a query past it
+// answers 504 deadline_exceeded; every answer is exact), and load beyond
+// -max-inflight concurrent queries is shed with 429.
 // SIGINT/SIGTERM drain in-flight requests for up to -shutdown-grace.
 //
 // POST /v1/batch accepts up to -batch-max-queries queries per request and
@@ -108,7 +107,6 @@ func main() {
 		maxInflight   = flag.Int("max-inflight", 256, "concurrent /v1 queries before shedding with 429 (0 disables)")
 		shutdownGrace = flag.Duration("shutdown-grace", 15*time.Second, "how long to drain in-flight requests on SIGINT/SIGTERM")
 		maxBodyBytes  = flag.Int64("max-body-bytes", 1<<20, "request body size cap in bytes (0 disables)")
-		degradeWalks  = flag.Int("degrade-walks", 20000, "Monte Carlo walks answering a timed-out exact query (0 disables)")
 		forcePlan     = flag.String("force-plan", "", "default physical plan for hetesim queries without an explicit ?plan= ("+core.PlanKindNames+")")
 		cacheLimit    = flag.Int("cache-limit", 0, "max materialized chain matrices kept per engine (0 = unbounded)")
 		batchMax      = flag.Int("batch-max-queries", 1024, "max queries accepted per POST /v1/batch request (0 = unlimited)")
@@ -166,7 +164,6 @@ func main() {
 		server.WithQueryTimeout(*queryTimeout),
 		server.WithMaxInflight(*maxInflight),
 		server.WithMaxBodyBytes(*maxBodyBytes),
-		server.WithDegradedTopK(*degradeWalks),
 		server.WithEngineOptions(core.WithCacheLimit(*cacheLimit)),
 		server.WithBatchLimits(*batchMax, *batchWorkers),
 		server.WithSlowLog(*slowThreshold, *slowSize),

@@ -31,14 +31,13 @@ type Plan struct {
 
 // Pair is the GET /v1/pair answer.
 type Pair struct {
-	Path        string      `json:"path"`
-	Source      string      `json:"source"`
-	Target      string      `json:"target"`
-	Measure     string      `json:"measure"`
-	Score       float64     `json:"score"`
-	Approximate bool        `json:"approximate,omitempty"`
-	Plan        *Plan       `json:"plan,omitempty"`
-	Trace       *obs.Report `json:"trace,omitempty"`
+	Path    string      `json:"path"`
+	Source  string      `json:"source"`
+	Target  string      `json:"target"`
+	Measure string      `json:"measure"`
+	Score   float64     `json:"score"`
+	Plan    *Plan       `json:"plan,omitempty"`
+	Trace   *obs.Report `json:"trace,omitempty"`
 }
 
 // Hit is one ranked target of a top-k answer, solo, batched or ensemble.
@@ -49,13 +48,12 @@ type Hit struct {
 
 // TopK is the GET /v1/topk answer.
 type TopK struct {
-	Path        string      `json:"path"`
-	Source      string      `json:"source"`
-	Measure     string      `json:"measure"`
-	Approximate bool        `json:"approximate,omitempty"`
-	Plan        *Plan       `json:"plan,omitempty"`
-	Results     []Hit       `json:"results"`
-	Trace       *obs.Report `json:"trace,omitempty"`
+	Path    string      `json:"path"`
+	Source  string      `json:"source"`
+	Measure string      `json:"measure"`
+	Plan    *Plan       `json:"plan,omitempty"`
+	Results []Hit       `json:"results"`
+	Trace   *obs.Report `json:"trace,omitempty"`
 }
 
 // Why is the GET /v1/why answer: a pair's score by meeting object.
@@ -177,17 +175,15 @@ type RelevanceRequest struct {
 }
 
 // RelevancePath is one ensemble member's contribution. A replica scoring
-// the whole ensemble fills plan/approximate; the router scattering it fills
-// shared. A failed member carries error and code and is not summed.
+// the whole ensemble fills plan; the router scattering it fills shared. A failed member carries error and code and is not summed.
 type RelevancePath struct {
-	Path        string  `json:"path"`
-	Weight      float64 `json:"weight"`
-	Score       float64 `json:"score"`
-	Plan        string  `json:"plan,omitempty"`
-	Approximate bool    `json:"approximate,omitempty"`
-	Shared      bool    `json:"shared,omitempty"`
-	Error       string  `json:"error,omitempty"`
-	Code        string  `json:"code,omitempty"`
+	Path   string  `json:"path"`
+	Weight float64 `json:"weight"`
+	Score  float64 `json:"score"`
+	Plan   string  `json:"plan,omitempty"`
+	Shared bool    `json:"shared,omitempty"`
+	Error  string  `json:"error,omitempty"`
+	Code   string  `json:"code,omitempty"`
 }
 
 // RelevanceStats is the stats block of a relevance answer.
@@ -199,17 +195,16 @@ type RelevanceStats struct {
 
 // RelevanceResponse is the POST /v1/relevance answer; mode: "pair" | "topk".
 type RelevanceResponse struct {
-	Mode        string          `json:"mode"`
-	Source      string          `json:"source"`
-	Target      string          `json:"target,omitempty"`
-	Score       *float64        `json:"score,omitempty"`
-	Results     []Hit           `json:"results,omitempty"`
-	Paths       []RelevancePath `json:"paths"`
-	Weighting   string          `json:"weighting"`
-	Partial     bool            `json:"partial,omitempty"`
-	Approximate bool            `json:"approximate,omitempty"`
-	Stats       RelevanceStats  `json:"stats"`
-	Trace       *obs.Report     `json:"trace,omitempty"`
+	Mode      string          `json:"mode"`
+	Source    string          `json:"source"`
+	Target    string          `json:"target,omitempty"`
+	Score     *float64        `json:"score,omitempty"`
+	Results   []Hit           `json:"results,omitempty"`
+	Paths     []RelevancePath `json:"paths"`
+	Weighting string          `json:"weighting"`
+	Partial   bool            `json:"partial,omitempty"`
+	Stats     RelevanceStats  `json:"stats"`
+	Trace     *obs.Report     `json:"trace,omitempty"`
 }
 
 // Ready is a replica's GET /readyz body and the router's probe of it. The

@@ -25,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -65,9 +64,6 @@ type Engine struct {
 
 	planMu     sync.Mutex
 	planCounts map[PlanKind]uint64 // optimizer selections per physical plan
-
-	seedMu  sync.Mutex
-	seedRng *rand.Rand // engine-level source deriving per-query MC seeds
 }
 
 // Option configures an Engine.
@@ -175,7 +171,7 @@ func (e *Engine) transition(s metapath.Step) (*sparse.Matrix, error) {
 // laid out like W (entry k is instance k): the halves meet at T after one
 // SpMV, l·M, and the cosine norms become norms of the un-extended halves
 // weighted by dS[x] = Σ_y A[x,y]² and dT[y] = Σ_x B[y,x]². Rows of A and B
-// are the rows of U_SE and U_TE, which the Monte Carlo walkers sample.
+// are the rows of U_SE and U_TE.
 type middle struct {
 	a, b, m *sparse.Matrix
 	l, r    weights // dS, at the left half's end type; dT, at the right's

@@ -55,9 +55,6 @@ func TestPrecanceledContext(t *testing.T) {
 	if _, err := e.SingleSource(ctx, p, "Tom"); !errors.Is(err, context.Canceled) {
 		t.Errorf("SingleSource on canceled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := e.PairMonteCarlo(ctx, p, 0, 0, 1000, 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("PairMonteCarlo on canceled ctx: err = %v, want context.Canceled", err)
-	}
 	if err := e.Precompute(ctx, p); !errors.Is(err, context.Canceled) {
 		t.Errorf("Precompute on canceled ctx: err = %v, want context.Canceled", err)
 	}
@@ -281,45 +278,5 @@ func TestConcurrentQueriesWithEviction(t *testing.T) {
 	}
 	if reach := e.CacheStats().Chain; reach > 2 {
 		t.Errorf("reach cache holds %d entries after stress, limit is 2", reach)
-	}
-}
-
-func TestSingleSourceMonteCarlo(t *testing.T) {
-	g := fig4Graph(t)
-	e := NewEngine(g)
-	p := metapath.MustParse(g.Schema(), "APC")
-	ctx := context.Background()
-	scores, err := e.SingleSourceMonteCarlo(ctx, p, 0, 20000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != g.NodeCount("conference") {
-		t.Fatalf("got %d scores, want %d", len(scores), g.NodeCount("conference"))
-	}
-	var sum float64
-	for _, v := range scores {
-		if v < 0 || v > 1 {
-			t.Fatalf("walk frequency %v outside [0,1]", v)
-		}
-		sum += v
-	}
-	if sum > 1+1e-9 {
-		t.Errorf("walk frequencies sum to %v > 1", sum)
-	}
-	// Source a-index 0 is Tom, whose papers are all in KDD: the exact
-	// reaching probability of KDD is 1, so the estimate must be too.
-	kdd, err := g.NodeIndex("conference", "KDD")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tom, err := g.NodeIndex("author", "Tom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tom == 0 && scores[kdd] != 1 {
-		t.Errorf("MC reach of KDD from Tom = %v, want 1", scores[kdd])
-	}
-	if _, err := e.SingleSourceMonteCarlo(ctx, p, 0, 0, 1); err == nil {
-		t.Error("SingleSourceMonteCarlo accepted 0 walks")
 	}
 }

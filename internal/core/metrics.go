@@ -3,8 +3,8 @@ package core
 import "hetesim/internal/obs"
 
 // Engine-level observability: query counts and latencies per query kind,
-// materialized-path cache traffic, and Monte Carlo walk volume, all in
-// the process-wide registry. Per-stage structure (which multiply, which
+// materialized-path cache traffic, and plan and scan choices, all in the
+// process-wide registry. Per-stage structure (which multiply, which
 // dims, cache hit or miss) goes to the per-query tracer instead — the
 // registry answers "how much", the trace answers "where did this one
 // query go".
@@ -19,8 +19,6 @@ var (
 		"Chain-matrix cache misses (a chain had to be materialized).")
 	metCacheEvictions = obs.Default().Counter("hetesim_engine_cache_evictions_total",
 		"Chain matrices evicted by WithCacheLimit.")
-	metWalks = obs.Default().Counter("hetesim_engine_mc_walks_total",
-		"Monte Carlo walks sampled across all degraded and explicit MC queries.")
 	metPlanSelected = obs.Default().CounterVec("hetesim_engine_plan_selected_total",
 		"Physical query plans chosen by the cost-based optimizer, by plan kind.", "kind")
 	metTopKScan = obs.Default().CounterVec("hetesim_engine_topk_scan_total",
@@ -74,11 +72,9 @@ func newQueryInstr(kind string) queryInstr {
 }
 
 var queryInstrs = map[string]queryInstr{
-	"pair":             newQueryInstr("pair"),
-	"single_source":    newQueryInstr("single_source"),
-	"all_pairs":        newQueryInstr("all_pairs"),
-	"mc_pair":          newQueryInstr("mc_pair"),
-	"mc_single_source": newQueryInstr("mc_single_source"),
+	"pair":          newQueryInstr("pair"),
+	"single_source": newQueryInstr("single_source"),
+	"all_pairs":     newQueryInstr("all_pairs"),
 }
 
 // observeQuery records one finished engine query of the given kind.

@@ -567,85 +567,6 @@ func scoresHash(s []float64) uint64 {
 	return h.Sum64()
 }
 
-// TestDifferentialOddPathsMonteCarloFixedSeed: walkers sample rows of A and B,
-// which are the rows of U_SE and U_TE value for value and in the same order,
-// so fixed-seed estimates equal those of the edge-object build, recorded here
-// (3000 walks, seed 42, on oddGraph(7)).
-func TestDifferentialOddPathsMonteCarloFixedSeed(t *testing.T) {
-	ctx := context.Background()
-	g := oddGraph(7)
-	pairs := []struct {
-		normalized bool
-		spec       string
-		src, dst   int
-		bits       uint64
-	}{
-		{true, "AP", 3, 7, 0x3fd277223277275e},
-		{true, "AP", 3, 13, 0x3fe3a0569062e2d5},
-		{true, "AP", 4, 0, 0x3fdd2188e952ec3d},
-		{true, "PV", 2, 2, 0x3fcc4be574e94334},
-		{true, "PV", 4, 2, 0x3fe7ec6d670f5ca9},
-		{true, "PV", 6, 2, 0x3fd0a9d374b6756d},
-		{true, "APVC", 0, 2, 0x3fe30c1fceb3b5b6},
-		{true, "APVC", 1, 1, 0x3fbc44e5d3793638},
-		{true, "APVC", 5, 1, 0x3fbb4efca4260b4f},
-		{true, "CVPA", 1, 1, 0x3fc06d7c6a2cf504},
-		{true, "CVPA", 1, 5, 0x3fc06ef84376e5cd},
-		{true, "CVPA", 2, 0, 0x3fe3746e8a806828},
-		{true, "APTP", 0, 0, 0x3fcc7ad8127c3897},
-		{true, "APTP", 0, 4, 0x3fb0ed53e947377b},
-		{true, "APTP", 1, 7, 0x3fc85310ec8f0f75},
-		{true, "APAPVC", 0, 2, 0x3fea4c61ac0e58b5},
-		{true, "APAPVC", 1, 1, 0x3fca4669046ed135},
-		{true, "APAPVC", 3, 1, 0x3f910638ef8c29ae},
-		{false, "AP", 3, 7, 0x3fbf2fa3a34f6c96},
-		{false, "AP", 3, 13, 0x3fd0c8feca1668e0},
-		{false, "AP", 4, 0, 0x3fc8a94d242e6bdd},
-		{false, "PV", 2, 2, 0x3fb3848221f564e3},
-		{false, "PV", 4, 2, 0x3fd756b2dbd19423},
-		{false, "PV", 6, 2, 0x3fc04189374bc6a8},
-		{false, "APVC", 0, 2, 0x3fd7619f0fb38a95},
-		{false, "APVC", 1, 1, 0x3fa01308d963e3bd},
-		{false, "APVC", 5, 1, 0x3f8f822bbecaab8a},
-		{false, "CVPA", 1, 1, 0x3fa2d371d2c30f85},
-		{false, "CVPA", 1, 5, 0x3f9225a0eb0e4809},
-		{false, "CVPA", 2, 0, 0x3fd787d9c54a6921},
-		{false, "APTP", 0, 0, 0x3fb8d4fdf3b645a2},
-		{false, "APTP", 0, 4, 0x3fa2c5f92c5f92c6},
-		{false, "APTP", 1, 7, 0x3fa681935a2c0d16},
-		{false, "APAPVC", 0, 2, 0x3fbb3585dbee01b9},
-		{false, "APAPVC", 1, 1, 0x3f91b67ac28592c3},
-		{false, "APAPVC", 3, 1, 0x3f61b1d92b7fe08b},
-	}
-	for _, c := range pairs {
-		p := metapath.MustParse(g.Schema(), c.spec)
-		r, err := NewEngine(g, WithNormalization(c.normalized)).PairMonteCarlo(ctx, p, c.src, c.dst, 3000, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(r.Score) != c.bits {
-			t.Errorf("%s (%d,%d) normalized %v: %v, recorded %v", c.spec, c.src, c.dst, c.normalized, r.Score, math.Float64frombits(c.bits))
-		}
-	}
-	singleSource := map[string]uint64{
-		"AP":     0xfc6106bbeaf41dac,
-		"PV":     0xc8210784d8af5a5,
-		"APVC":   0xbb7feb7640a87550,
-		"CVPA":   0x3991ded4487a320a,
-		"APTP":   0x4bc3b3323f28f95c,
-		"APAPVC": 0x2f209c55e2fdad8,
-	}
-	for spec, want := range singleSource {
-		s, err := NewEngine(g).SingleSourceMonteCarlo(ctx, metapath.MustParse(g.Schema(), spec), 1, 3000, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := scoresHash(s); got != want {
-			t.Errorf("%s: single-source estimate hash %#x, recorded %#x", spec, got, want)
-		}
-	}
-}
-
 // TestDifferentialOddPathsToy is a hand-computed odd-path fixture in the
 // spirit of an odd-length meta-path toy graph. The length-1 path S-M runs over
 // R = {s1→m1, s1→m2, s2→m2}, every instance its own meeting object. The

@@ -321,21 +321,6 @@ func (e *Engine) reachableRows(ctx context.Context, c chain, v *sparse.Vector) (
 	return rows, nil
 }
 
-// chainTransitions resolves the transition matrix of every step of a chain
-// in order — the Monte Carlo sampler walks rows of these instead of
-// multiplying them.
-func (e *Engine) chainTransitions(ctx context.Context, c chain) ([]*sparse.Matrix, error) {
-	us := make([]*sparse.Matrix, 0, len(c.steps))
-	err := e.propagate(ctx, c, func(u *sparse.Matrix, _, _ string) error {
-		us = append(us, u)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return us, nil
-}
-
 // spanMatrixAttrs annotates a chain-multiply span with the result's
 // shape and sparsity — the per-step cost accounting that makes a trace
 // explain where a `PM_PL · PM'_{PR⁻¹}` query spent its time.

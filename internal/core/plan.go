@@ -11,28 +11,27 @@ import (
 
 	"hetesim/internal/metapath"
 	"hetesim/internal/obs"
-	"hetesim/internal/rank"
 	"hetesim/internal/sparse"
 )
 
 // The compile → optimize → execute pipeline. Every public entry point
 // lowers its request into one LogicalPlan (compile), the cost model picks a
-// physical PlanKind from live signals — chain-cache warmth, the amortization
-// hint, the remaining deadline (optimize) — and a small set of shared
-// physical operators runs it (execute). Section 4.6 of
+// physical PlanKind from live signals — chain-cache warmth and the
+// amortization hint (optimize) — and a small set of shared physical
+// operators runs it (execute). Section 4.6 of
 // the paper frames HeteSim computation as a trade-off between online vector
 // propagation and offline materialization of the reachable-probability
 // chains of Definition 9; this pipeline makes that trade-off a per-query
 // runtime decision instead of a property of which API method the caller
 // happened to pick.
 //
-// Auto-selected exact plans are bit-identical: vector, subset, and
-// materialized-row propagation accumulate each entry's contributions in the
-// same ascending-index order (see operators.go), so switching plans never
-// changes a score. Only the explicitly approximate Monte Carlo plan trades
-// accuracy for latency. Normalization is not a plan property: every plan
-// reads the same two reaching distributions and PlanOptions.Raw picks, at
-// the last step, Definition 3's dot or Definition 10's cosine.
+// Every plan is exact and bit-identical: vector, subset, and materialized-row
+// propagation accumulate each entry's contributions in the same
+// ascending-index order (see operators.go), so switching plans never changes
+// a score. A query that misses its deadline fails with the context's error;
+// no plan trades accuracy for latency. Normalization is not a plan property:
+// every plan reads the same two reaching distributions and PlanOptions.Raw
+// picks, at the last step, Definition 3's dot or Definition 10's cosine.
 
 // The plan kinds beyond the three exact plans of planner.go.
 const (
@@ -43,19 +42,14 @@ const (
 	// rows — the uncached subset plan of PairsSubset and the batch
 	// scheduler.
 	PlanSubsetChain PlanKind = "subset-chain"
-	// PlanMonteCarlo samples random walks instead of propagating
-	// distributions; approximate, chosen only when forced or when the
-	// remaining deadline cannot fit the cheapest exact plan.
-	PlanMonteCarlo PlanKind = "monte-carlo"
 )
 
 // ErrPlanNotApplicable marks a forced plan that cannot execute the query's
-// shape (e.g. pair-vectors for an all-pairs query, or monte-carlo without a
-// walk budget).
+// shape (e.g. pair-vectors for an all-pairs query).
 var ErrPlanNotApplicable = errors.New("core: plan not applicable")
 
 // PlanKindNames lists, for flag help, exactly the names ParsePlanKind accepts.
-const PlanKindNames = "auto | pair-vectors | single-vs-matrix | all-pairs | subset-chain | monte-carlo"
+const PlanKindNames = "auto | pair-vectors | single-vs-matrix | all-pairs | subset-chain"
 
 // ParsePlanKind validates a user-supplied plan name. The empty string means
 // auto.
@@ -63,7 +57,7 @@ func ParsePlanKind(s string) (PlanKind, error) {
 	switch k := PlanKind(s); k {
 	case "", PlanAuto:
 		return PlanAuto, nil
-	case PlanPairVectors, PlanSingleVsMatrix, PlanAllPairs, PlanSubsetChain, PlanMonteCarlo:
+	case PlanPairVectors, PlanSingleVsMatrix, PlanAllPairs, PlanSubsetChain:
 		return k, nil
 	}
 	return "", fmt.Errorf("%w: unknown plan %q", ErrPlanNotApplicable, s)
@@ -90,11 +84,6 @@ type PlanOptions struct {
 	// Queries is the anticipated number of queries on this path; one-time
 	// materialization costs amortize over it. < 1 means 1.
 	Queries int
-	// Walks is the Monte Carlo walk budget. 0 removes the approximate
-	// plan from consideration entirely.
-	Walks int
-	// Seed seeds the Monte Carlo plan (0 draws a per-query engine seed).
-	Seed int64
 	// Raw scores by Definition 3 (the meeting probability) even on an engine
 	// whose default is Definition 10's cosine.
 	Raw bool
@@ -128,16 +117,6 @@ type PlanDecision struct {
 	// Candidates is every applicable plan, cheapest first.
 	Candidates []PlanEstimate
 }
-
-// Approximate reports whether the answer is an estimate: Monte Carlo, forced
-// or deadline-driven, is the one approximate plan.
-func (d PlanDecision) Approximate() bool { return d.Kind == PlanMonteCarlo }
-
-// planFlopsPerSecond converts a plan's flops estimate into wall time for
-// the deadline check. Deliberately conservative (sparse kernels sustain far
-// more), so only a clearly hopeless deadline forces the approximate plan.
-// Overridable in tests.
-var planFlopsPerSecond = 100e6
 
 // costModel is the optimizer's view of one path's two half-chains: their
 // estimated shapes plus the live cache-warmth signals. The cold* fields
@@ -348,24 +327,8 @@ func planCandidates(cm costModel, lp LogicalPlan) []PlanEstimate {
 		add(PlanSubsetChain, fracL*cm.left.Flops+fracR*cm.right.Flops+subProd, 0,
 			"propagate selector matrices for the selected rows only; nothing cached")
 	}
-	if lp.Opts.Walks > 0 && mcShape(lp.Shape) {
-		steps := len(lp.h.leftSteps) + len(lp.h.rightSteps)
-		if lp.h.middle != nil {
-			steps += 2
-		}
-		if lp.Shape != ShapePair {
-			steps = len(lp.Path.Steps()) // full-path walks for single-source shapes
-		}
-		add(PlanMonteCarlo, q*float64(lp.Opts.Walks)*float64(maxInt(steps, 1)), 0,
-			"sample random walks; approximate, error O(1/sqrt(walks))")
-	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Flops < out[j].Flops })
 	return out
-}
-
-// mcShape reports whether the Monte Carlo estimator can produce a shape.
-func mcShape(s ResultShape) bool {
-	return s == ShapePair || s == ShapeSingleSource || s == ShapeTopK
 }
 
 func rowFraction(n, rows int) float64 {
@@ -404,11 +367,9 @@ func findCandidate(cands []PlanEstimate, k PlanKind) (PlanEstimate, bool) {
 }
 
 // pickPlan turns the candidate list into a decision: forced plans are
-// validated against the shape, auto selection takes the cheapest exact
-// candidate (subject to the caching pinning rule), and a walk budget plus a
-// hopeless remaining deadline downgrade the choice to the approximate Monte
-// Carlo plan.
-func (e *Engine) pickPlan(ctx context.Context, lp LogicalPlan, cm costModel, cands []PlanEstimate) (PlanDecision, error) {
+// validated against the shape, and auto selection takes the cheapest
+// candidate (subject to the caching pinning rule).
+func (e *Engine) pickPlan(lp LogicalPlan, cm costModel, cands []PlanEstimate) (PlanDecision, error) {
 	d := PlanDecision{WarmLeft: cm.warmLeft, WarmRight: cm.warmRight, Candidates: cands}
 	if f := lp.Opts.Force; f != "" && f != PlanAuto {
 		est, ok := findCandidate(cands, f)
@@ -422,49 +383,24 @@ func (e *Engine) pickPlan(ctx context.Context, lp LogicalPlan, cm costModel, can
 		return d, fmt.Errorf("%w: no plan for shape %s", ErrPlanNotApplicable, lp.Shape)
 	}
 
-	var chosen PlanEstimate
+	chosen := cands[0]
+	d.Reason = "cheapest"
 	if !e.caching {
-		chosen, _ = findCandidate(cands, legacyKind(lp.Shape))
-		d.Reason = "caching disabled"
-	} else {
-		for _, c := range cands {
-			if c.Kind != PlanMonteCarlo { // never approximate on cost alone
-				chosen = c
-				break
-			}
+		if c, ok := findCandidate(cands, legacyKind(lp.Shape)); ok {
+			chosen, d.Reason = c, "caching disabled"
 		}
-		d.Reason = "cheapest"
-		if lp.Shape == ShapeSubset && chosen.Kind == PlanSubsetChain {
-			// Cache-value rule (mirrors the batch scheduler): when subset
-			// propagation costs at least half of full materialization,
-			// materialize instead — nearly the same work now, and the
-			// cached chains serve every later query on the path.
-			fullProp := cm.coldLeft + cm.coldRight
-			subProp := rowFraction(len(lp.Srcs), cm.left.Rows)*cm.left.Flops +
-				rowFraction(len(lp.Dsts), cm.right.Rows)*cm.right.Flops
-			if 2*subProp >= fullProp {
-				if ap, ok := findCandidate(cands, PlanAllPairs); ok {
-					chosen = ap
-					d.Reason = "subset large enough to amortize materialization"
-				}
-			}
-		}
-	}
-	if chosen.Kind == "" {
-		chosen = cands[0]
-		d.Reason = "cheapest"
-	}
-
-	// Deadline rule: an exact plan whose estimated work cannot fit the
-	// remaining deadline is downgraded up front, instead of burning the
-	// whole budget to fail. Monte Carlo is the one fallback, available when
-	// there is a walk budget (its candidate exists only then).
-	if deadline, has := ctx.Deadline(); has {
-		remaining := time.Until(deadline).Seconds()
-		if remaining <= 0 || chosen.Flops > remaining*planFlopsPerSecond {
-			if mc, ok := findCandidate(cands, PlanMonteCarlo); ok {
-				chosen = mc
-				d.Reason = "remaining deadline cannot fit the exact plan"
+	} else if lp.Shape == ShapeSubset && chosen.Kind == PlanSubsetChain {
+		// Cache-value rule (mirrors the batch scheduler): when subset
+		// propagation costs at least half of full materialization,
+		// materialize instead — nearly the same work now, and the
+		// cached chains serve every later query on the path.
+		fullProp := cm.coldLeft + cm.coldRight
+		subProp := rowFraction(len(lp.Srcs), cm.left.Rows)*cm.left.Flops +
+			rowFraction(len(lp.Dsts), cm.right.Rows)*cm.right.Flops
+		if 2*subProp >= fullProp {
+			if ap, ok := findCandidate(cands, PlanAllPairs); ok {
+				chosen = ap
+				d.Reason = "subset large enough to amortize materialization"
 			}
 		}
 	}
@@ -481,7 +417,7 @@ func (e *Engine) optimize(ctx context.Context, lp *LogicalPlan) (PlanDecision, e
 		return PlanDecision{}, err
 	}
 	lp.h.mo = cm.mo
-	d, err := e.pickPlan(ctx, *lp, cm, planCandidates(cm, *lp))
+	d, err := e.pickPlan(*lp, cm, planCandidates(cm, *lp))
 	if err != nil {
 		return d, err
 	}
@@ -527,11 +463,6 @@ func (e *Engine) PlanSelections() map[string]uint64 {
 // share the combine/normalize tails and stay bit-identical.
 
 func (e *Engine) execPair(ctx context.Context, lp LogicalPlan, d PlanDecision) (float64, error) {
-	raw := e.raw(lp.Opts.Raw)
-	if d.Kind == PlanMonteCarlo {
-		res, err := e.pairMC(ctx, lp.Path, lp.Src, lp.Dst, lp.Opts.Walks, lp.Opts.Seed, raw)
-		return res.Score, err
-	}
 	left, err := e.leftVector(ctx, lp, d.Kind)
 	if err != nil {
 		return 0, err
@@ -550,7 +481,7 @@ func (e *Engine) execPair(ctx context.Context, lp LogicalPlan, d PlanDecision) (
 	}
 	sp := obs.FromContext(ctx).Start("normalize")
 	defer sp.End()
-	return pairScore(lp.h.mo, left, right, raw), nil
+	return pairScore(lp.h.mo, left, right, e.raw(lp.Opts.Raw)), nil
 }
 
 // pairScore combines a pair's two half distributions: their dot product at
@@ -592,9 +523,6 @@ func (e *Engine) leftVector(ctx context.Context, lp LogicalPlan, kind PlanKind) 
 }
 
 func (e *Engine) execSingleSource(ctx context.Context, lp LogicalPlan, d PlanDecision) ([]float64, error) {
-	if d.Kind == PlanMonteCarlo {
-		return e.singleSourceMC(ctx, lp.Path, lp.Src, lp.Opts.Walks, lp.Opts.Seed)
-	}
 	tr := obs.FromContext(ctx)
 	mo := lp.h.mo
 	left, err := e.leftVector(ctx, lp, d.Kind)
@@ -621,30 +549,11 @@ func (e *Engine) execSingleSource(ctx context.Context, lp LogicalPlan, d PlanDec
 }
 
 func (e *Engine) execTopK(ctx context.Context, lp LogicalPlan, d PlanDecision) ([]Scored, error) {
-	if d.Kind == PlanMonteCarlo {
-		scores, err := e.singleSourceMC(ctx, lp.Path, lp.Src, lp.Opts.Walks, lp.Opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return rankScores(scores, lp.K), nil
-	}
 	left, err := e.leftVector(ctx, lp, d.Kind)
 	if err != nil {
 		return nil, err
 	}
 	return e.topKFrom(ctx, lp.h, left, lp.K, lp.Eps, e.raw(lp.Opts.Raw))
-}
-
-// rankScores ranks a dense score vector exactly the way topKFrom ranks:
-// zeros dropped, the rest through the one selector.
-func rankScores(scores []float64, k int) []Scored {
-	sel := rank.NewSelector(k)
-	for i, s := range scores {
-		if s != 0 {
-			sel.Push(i, s)
-		}
-	}
-	return sel.Ranked()
 }
 
 func (e *Engine) execAllPairs(ctx context.Context, lp LogicalPlan, d PlanDecision) (*sparse.Matrix, error) {
@@ -748,28 +657,6 @@ func (e *Engine) execSubset(ctx context.Context, lp LogicalPlan, d PlanDecision)
 	return scaleByInvNorms(rel, subL.WeightedRowNorms(mo.weights('L').d), subR.WeightedRowNorms(mo.weights('R').d)), nil
 }
 
-// ---------------------------------------------------------------------------
-// The one deadline-degrade rule. A pair, single-source or top-k query with a
-// walk budget (PlanOptions.Walks) that cannot meet its deadline is answered,
-// once, by the Monte Carlo plan under a fresh degradeGrace budget detached
-// from the caller's spent context. The miss is either predicted — pickPlan
-// saw that the remaining time cannot fit the exact plan and chose Monte
-// Carlo up front (the decision keeps its estimate and reason) — or observed:
-// the deadline was already spent when planning ran, or the plan that did run
-// (exact, or a forced Monte Carlo) returned DeadlineExceeded
-// (the decision becomes missedDecision). A canceled context never degrades:
-// there is no one left to answer. Nobody else re-runs a timed-out query.
-
-// degradeGrace is the budget of a deadline-driven Monte Carlo answer.
-const degradeGrace = 2 * time.Second
-
-// missedDecision notes an observed miss in the trace and returns the
-// decision that reports it: no estimate, nothing was priced for it.
-func missedDecision(ctx context.Context) PlanDecision {
-	obs.FromContext(ctx).Event("degrade", map[string]string{"reason": "deadline_exceeded"})
-	return PlanDecision{Kind: PlanMonteCarlo, Reason: "degraded after exact plan exceeded deadline"}
-}
-
 // planResult carries whichever result form the query's shape produces.
 type planResult struct {
 	score  float64   // ShapePair
@@ -778,12 +665,9 @@ type planResult struct {
 }
 
 // exec dispatches a decided pair, single-source or top-k plan to its
-// executor and records the query metric under the kind that actually ran.
+// executor and records the query metric under its shape.
 func (e *Engine) exec(ctx context.Context, lp LogicalPlan, d PlanDecision) (r planResult, err error) {
 	kind := string(lp.Shape)
-	if d.Kind == PlanMonteCarlo {
-		kind = "mc_" + kind
-	}
 	start := time.Now()
 	defer func() { observeQuery(kind, time.Since(start).Seconds()) }()
 	switch lp.Shape {
@@ -795,43 +679,6 @@ func (e *Engine) exec(ctx context.Context, lp LogicalPlan, d PlanDecision) (r pl
 		r.top, err = e.execTopK(ctx, lp, d)
 	}
 	return r, err
-}
-
-// run executes a decided plan under the deadline-degrade rule and returns
-// the decision that actually produced the answer.
-func (e *Engine) run(ctx context.Context, lp LogicalPlan, d PlanDecision) (planResult, PlanDecision, error) {
-	if d.Kind != PlanMonteCarlo || d.Forced {
-		r, err := e.exec(ctx, lp, d)
-		if lp.Opts.Walks <= 0 || !mcShape(lp.Shape) || !errors.Is(err, context.DeadlineExceeded) {
-			return r, d, err
-		}
-		d = missedDecision(ctx)
-	} else if err := ctx.Err(); errors.Is(err, context.Canceled) {
-		return planResult{}, d, err // predicted, but the client is gone
-	} else if deadline, _ := ctx.Deadline(); !time.Now().Before(deadline) {
-		d = missedDecision(ctx) // predicted, and not merely tight: spent
-	}
-	r, err := e.degraded(ctx, lp, d)
-	return r, d, err
-}
-
-// degraded runs the Monte Carlo plan of lp under the grace budget, keeping
-// ctx's values (the trace) but neither its deadline nor its cancellation.
-func (e *Engine) degraded(ctx context.Context, lp LogicalPlan, d PlanDecision) (planResult, error) {
-	gctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), degradeGrace)
-	defer cancel()
-	return e.exec(gctx, lp, d)
-}
-
-// Degrade re-answers one batch query whose exact plan missed its per-query
-// deadline (BatchOptions.PerQueryTimeout): the observed arm of the rule, for
-// callers that schedule through ExecuteBatch — the relevance ensemble. The
-// result's Plan is "monte_carlo". (Batch kinds are the shapes by name.)
-func (e *Engine) Degrade(ctx context.Context, q BatchQuery, walks int) BatchResult {
-	lp := LogicalPlan{Path: q.Path, Shape: ResultShape(q.Kind), Src: q.Src, Dst: q.Dst, K: q.K,
-		Opts: PlanOptions{Walks: walks, Raw: q.Raw}, h: splitPath(q.Path)}
-	r, err := e.degraded(ctx, lp, missedDecision(ctx))
-	return BatchResult{Score: r.score, Scores: r.scores, TopK: r.top, Plan: "monte_carlo", Err: err}
 }
 
 // ---------------------------------------------------------------------------
@@ -853,7 +700,7 @@ func (e *Engine) PairWithPlan(ctx context.Context, p *metapath.Path, src, dst in
 	if err != nil {
 		return 0, d, err
 	}
-	r, d, err := e.run(ctx, lp, d)
+	r, err := e.exec(ctx, lp, d)
 	return r.score, d, err
 }
 
@@ -868,12 +715,11 @@ func (e *Engine) SingleSourceWithPlan(ctx context.Context, p *metapath.Path, src
 	if err != nil {
 		return nil, d, err
 	}
-	r, d, err := e.run(ctx, lp, d)
+	r, err := e.exec(ctx, lp, d)
 	return r.scores, d, err
 }
 
-// TopKSearchWithPlan runs a top-k search through the optimizer. The Monte
-// Carlo plan ranks walk frequencies and ignores eps.
+// TopKSearchWithPlan runs a top-k search through the optimizer.
 func (e *Engine) TopKSearchWithPlan(ctx context.Context, p *metapath.Path, src, k int, eps float64, o PlanOptions) ([]Scored, PlanDecision, error) {
 	if k <= 0 {
 		return nil, PlanDecision{}, fmt.Errorf("core: TopKSearch k=%d must be positive", k)
@@ -889,7 +735,7 @@ func (e *Engine) TopKSearchWithPlan(ctx context.Context, p *metapath.Path, src, 
 	if err != nil {
 		return nil, d, err
 	}
-	r, d, err := e.run(ctx, lp, d)
+	r, err := e.exec(ctx, lp, d)
 	return r.top, d, err
 }
 

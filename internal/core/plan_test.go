@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"hetesim/internal/metapath"
 )
@@ -114,30 +114,6 @@ func TestForcedPlansBitIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// The Monte Carlo plan is the one plan allowed to deviate — within sampling
-// error (O(1/sqrt(walks)); 20k walks keeps a [0,1] score within 0.08 in
-// practice, mirroring the montecarlo_test tolerances).
-func TestForcedMonteCarloWithinTolerance(t *testing.T) {
-	g := randomBibGraph(17)
-	p := metapath.MustParse(g.Schema(), "APVCVPA")
-	e := NewEngine(g)
-	exact, _, err := e.PairWithPlan(context.Background(), p, 0, 1, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	score, d, err := e.PairWithPlan(context.Background(), p, 0, 1,
-		PlanOptions{Force: PlanMonteCarlo, Walks: 20000, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Kind != PlanMonteCarlo || !d.Approximate() || !d.Forced {
-		t.Fatalf("decision = %+v", d)
-	}
-	if math.Abs(score-exact) > 0.08 {
-		t.Errorf("monte-carlo = %v, exact = %v", score, exact)
 	}
 }
 
@@ -270,38 +246,49 @@ func TestExplainTopKScanFollowsCacheRoom(t *testing.T) {
 	}
 }
 
-// With a walk budget and a deadline too short for the exact plan, the
-// optimizer proactively downgrades to Monte Carlo instead of letting the
-// exact plan burn the deadline and fail.
-func TestDeadlineForcesMonteCarlo(t *testing.T) {
-	old := planFlopsPerSecond
-	planFlopsPerSecond = 1e-6 // any exact plan now looks hopeless
-	defer func() { planFlopsPerSecond = old }()
-
+// TestSpentDeadlineKeepsPlan: a query whose deadline is already spent fails
+// with context.DeadlineExceeded on every pair, single-source and top-k plan,
+// and reports the plan it was given — auto's choice or the forced one — not
+// another. The context is created expired, so no timer runs.
+func TestSpentDeadlineKeepsPlan(t *testing.T) {
 	g := randomBibGraph(37)
 	p := metapath.MustParse(g.Schema(), "APVCVPA")
-	e := NewEngine(g)
-	ctx, cancel := context.WithTimeout(context.Background(), 5e9) // 5s: generous for the walks
+	spent, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	_, d, err := e.SingleSourceWithPlan(ctx, p, 0, PlanOptions{Walks: 200})
-	if err != nil {
-		t.Fatal(err)
+	kinds := map[ResultShape][]PlanKind{
+		ShapePair:         {PlanAuto, PlanPairVectors, PlanSingleVsMatrix, PlanAllPairs},
+		ShapeSingleSource: {PlanAuto, PlanSingleVsMatrix, PlanAllPairs},
+		ShapeTopK:         {PlanAuto, PlanSingleVsMatrix, PlanAllPairs},
 	}
-	if d.Kind != PlanMonteCarlo || !d.Approximate() {
-		t.Fatalf("decision = %+v, want deadline-driven monte-carlo", d)
-	}
-	if d.Forced {
-		t.Error("deadline downgrade should not report forced")
-	}
-
-	// Without a walk budget the same deadline keeps the exact plan: there
-	// is no approximate fallback to downgrade to.
-	_, d, err = e.SingleSourceWithPlan(ctx, p, 0, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Kind == PlanMonteCarlo {
-		t.Error("downgraded to monte-carlo without a walk budget")
+	for shape, forced := range kinds {
+		for _, force := range forced {
+			run := func(ctx context.Context) (PlanDecision, error) {
+				e, o := NewEngine(g), PlanOptions{Force: force}
+				var d PlanDecision
+				var err error
+				switch shape {
+				case ShapePair:
+					_, d, err = e.PairWithPlan(ctx, p, 0, 1, o)
+				case ShapeSingleSource:
+					_, d, err = e.SingleSourceWithPlan(ctx, p, 0, o)
+				case ShapeTopK:
+					_, d, err = e.TopKSearchWithPlan(ctx, p, 0, 3, 0, o)
+				}
+				return d, err
+			}
+			want, err := run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := run(spent)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s plan=%s: err = %v, want context.DeadlineExceeded", shape, force, err)
+			}
+			if got.Kind != want.Kind || got.Forced != want.Forced || got.Reason != want.Reason {
+				t.Errorf("%s plan=%s: spent deadline decided %s (%s), want %s (%s)",
+					shape, force, got.Kind, got.Reason, want.Kind, want.Reason)
+			}
+		}
 	}
 }
 
@@ -323,16 +310,8 @@ func TestForcedPlanNotApplicable(t *testing.T) {
 			_, _, err := e.PairWithPlan(ctx, p, 0, 0, PlanOptions{Force: PlanSubsetChain})
 			return err
 		}()},
-		{"monte-carlo without walks", func() error {
-			_, _, err := e.PairWithPlan(ctx, p, 0, 0, PlanOptions{Force: PlanMonteCarlo})
-			return err
-		}()},
 		{"pair-vectors for all-pairs", func() error {
 			_, _, err := e.AllPairsWithPlan(ctx, p, PlanOptions{Force: PlanPairVectors})
-			return err
-		}()},
-		{"monte-carlo for subset", func() error {
-			_, _, err := e.PairsSubsetWithPlan(ctx, p, []int{0}, []int{0}, PlanOptions{Force: PlanMonteCarlo, Walks: 100})
 			return err
 		}()},
 	}
@@ -349,7 +328,7 @@ func TestParsePlanKind(t *testing.T) {
 			t.Errorf("ParsePlanKind(%q) = %v", s, err)
 		}
 	}
-	for _, s := range []string{"bogus", "topk-approx"} {
+	for _, s := range []string{"bogus", "topk-approx", "monte-carlo"} {
 		if _, err := ParsePlanKind(s); !errors.Is(err, ErrPlanNotApplicable) {
 			t.Errorf("ParsePlanKind(%q) err = %v, want ErrPlanNotApplicable", s, err)
 		}

@@ -11,7 +11,7 @@ import (
 
 // Query planning for relevance paths. A HeteSim query has several physical
 // plans — sparse vector propagation from both endpoints, vector against a
-// materialized half, the full matrix product, Monte Carlo sampling — whose
+// materialized half, the full matrix product — whose
 // costs diverge by orders of magnitude depending on the path's type
 // cardinalities and densities. The planner estimates the work of each plan
 // from the adjacency statistics (a classic database cardinality estimation,

@@ -11,9 +11,9 @@ import (
 	"hetesim/internal/sparse"
 )
 
-// Scored is one target of a top-k search. Every top-k plan — exact scan or
-// Monte Carlo, solo or batch — ranks through the one selector of package
-// rank: descending by score, ties by ascending index.
+// Scored is one target of a top-k search. Every top-k plan, solo or batch,
+// ranks through the one selector of package rank: descending by score, ties
+// by ascending index.
 type Scored = rank.Scored
 
 // TopKSearch returns the k most related targets of one source along a path,

@@ -11,6 +11,7 @@ import (
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
 	"hetesim/internal/obs"
+	"hetesim/internal/rank"
 )
 
 func TestTopKSearchExactMatchesSingleSource(t *testing.T) {
@@ -182,4 +183,16 @@ func TestTopKCacheLimitOneMaterializesOnce(t *testing.T) {
 			t.Errorf("%s: cold top-k ran %d SpGEMMs, want %d", tc.spec, got, want)
 		}
 	}
+}
+
+// rankScores ranks a dense score vector exactly the way topKFrom ranks: zeros
+// dropped, the rest through the one selector.
+func rankScores(scores []float64, k int) []Scored {
+	sel := rank.NewSelector(k)
+	for i, s := range scores {
+		if s != 0 {
+			sel.Push(i, s)
+		}
+	}
+	return sel.Ranked()
 }

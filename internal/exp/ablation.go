@@ -44,10 +44,9 @@ func (r AblationPruningResult) Render() string {
 	return b.String()
 }
 
-// transition is the transition matrix of one step as the engine builds it
-// (Definition 8): row-normalized adjacency, transposed first for an inverse
-// step.
-func transition(g *hin.Graph, s metapath.Step) (*sparse.Matrix, error) {
+// adjacency is the relation matrix W one step walks: transposed for an
+// inverse step.
+func adjacency(g *hin.Graph, s metapath.Step) (*sparse.Matrix, error) {
 	w, err := g.Adjacency(s.Relation.Name)
 	if err != nil {
 		return nil, err
@@ -55,7 +54,39 @@ func transition(g *hin.Graph, s metapath.Step) (*sparse.Matrix, error) {
 	if s.Inverse {
 		w = w.Transpose()
 	}
+	return w, nil
+}
+
+// transition is the transition matrix of one step as the engine builds it
+// (Definition 8): row-normalized adjacency.
+func transition(g *hin.Graph, s metapath.Step) (*sparse.Matrix, error) {
+	w, err := adjacency(g, s)
+	if err != nil {
+		return nil, err
+	}
 	return w.RowNormalize(), nil
+}
+
+// transitions is transition for every step of a chain, in order.
+func transitions(g *hin.Graph, steps []metapath.Step) ([]*sparse.Matrix, error) {
+	us := make([]*sparse.Matrix, len(steps))
+	for i, s := range steps {
+		var err error
+		if us[i], err = transition(g, s); err != nil {
+			return nil, err
+		}
+	}
+	return us, nil
+}
+
+// towardMiddle is a decomposed path's right half as its target walks it:
+// reversed, target → meeting type.
+func towardMiddle(right []metapath.Step) []metapath.Step {
+	out := make([]metapath.Step, len(right))
+	for i, s := range right {
+		out[len(right)-1-i] = s.Reversed()
+	}
+	return out
 }
 
 // prunedChain is the reachable probability matrix of a step chain
@@ -88,19 +119,15 @@ func PrunedSingleSource(g *hin.Graph, p *metapath.Path, src int, eps float64) ([
 	if d.Middle != nil {
 		return nil, fmt.Errorf("exp: pruned single-source needs an even-length path, %s is odd", p)
 	}
+	us, err := transitions(g, d.Left)
+	if err != nil {
+		return nil, err
+	}
 	left := sparse.Unit(g.NodeCount(p.Source()), src)
-	for _, s := range d.Left {
-		u, err := transition(g, s)
-		if err != nil {
-			return nil, err
-		}
+	for _, u := range us {
 		left = left.MulMat(u)
 	}
-	right := make([]metapath.Step, len(d.Right)) // target → meeting type
-	for i, s := range d.Right {
-		right[len(d.Right)-1-i] = s.Reversed()
-	}
-	pmr, err := prunedChain(g, right, eps)
+	pmr, err := prunedChain(g, towardMiddle(d.Right), eps)
 	if err != nil {
 		return nil, err
 	}
@@ -199,9 +226,9 @@ func (r AblationMonteCarloResult) Render() string {
 	return b.String()
 }
 
-// AblationMonteCarlo measures the sampling estimator's error against exact
-// scores over author–conference pairs, across sample budgets: the error
-// should shrink roughly as 1/sqrt(walks).
+// AblationMonteCarlo measures the sampling estimator's error (PairSampler)
+// against exact scores over author–conference pairs, across sample budgets:
+// the error should shrink roughly as 1/sqrt(walks).
 func (c *Context) AblationMonteCarlo() (AblationMonteCarloResult, error) {
 	ds, err := c.ACM()
 	if err != nil {
@@ -229,6 +256,10 @@ func (c *Context) AblationMonteCarlo() (AblationMonteCarloResult, error) {
 		}
 		pairs = append(pairs, pair{a, ci})
 	}
+	sampler, err := NewPairSampler(g, p)
+	if err != nil {
+		return AblationMonteCarloResult{}, err
+	}
 	res := AblationMonteCarloResult{Path: spec, Pairs: len(pairs)}
 	for _, walks := range []int{1000, 10000, 100000} {
 		var sum, maxErr float64
@@ -237,11 +268,11 @@ func (c *Context) AblationMonteCarlo() (AblationMonteCarloResult, error) {
 			if err != nil {
 				return AblationMonteCarloResult{}, err
 			}
-			mc, err := e.PairMonteCarlo(context.Background(), p, pr.a, pr.c, walks, int64(i+1))
+			mc, err := sampler.Estimate(pr.a, pr.c, walks, int64(i+1), false)
 			if err != nil {
 				return AblationMonteCarloResult{}, err
 			}
-			d := math.Abs(mc.Score - exact)
+			d := math.Abs(mc - exact)
 			sum += d
 			if d > maxErr {
 				maxErr = d

@@ -15,9 +15,8 @@ import (
 // Span names map onto the paper's query pipeline (DESIGN.md
 // "Observability"): decode → plan (path decomposition, Defs. 5–6) →
 // chain_multiply per reachable-probability step (Defs. 8–9) →
-// normalize (the Def. 10 cosine), with cache_hit/cache_miss and
-// mc_sample spans where the materialized-path cache and the Monte Carlo
-// estimator short-circuit that pipeline.
+// normalize (the Def. 10 cosine), with cache_hit/cache_miss spans where
+// the materialized-path cache short-circuits that pipeline.
 
 // Span is one recorded stage of a traced query. Start is the offset
 // from the trace's origin, so spans order and nest without wall-clock

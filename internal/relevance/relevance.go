@@ -62,14 +62,9 @@ type Options struct {
 
 	// Workers and PerPathTimeout pass through to the batch scheduler: each
 	// per-path score runs under its own deadline so one pathological path
-	// cannot starve the ensemble.
+	// cannot starve the ensemble; a path that misses it fails alone.
 	Workers        int
 	PerPathTimeout time.Duration
-
-	// DegradeWalks > 0 turns a per-path deadline miss into a Monte Carlo
-	// estimate with that many walks (core.Engine.Degrade: the plan layer's
-	// one deadline-degrade rule, under its one grace budget).
-	DegradeWalks int
 
 	// Raw scores every member path by Definition 3 (core.BatchQuery.Raw).
 	Raw bool
@@ -139,12 +134,11 @@ func (l Limits) Admit(req *api.RelevanceRequest) (Options, error) {
 // contributed to it. Paths are in wire form (api.RelevancePath): the HTTP
 // surfaces relay them as they are.
 type Result struct {
-	Score       float64
-	Paths       []api.RelevancePath
-	Scored      int  // member paths that contributed to Score
-	Partial     bool // at least one path failed and was excluded from the sum
-	Approximate bool // at least one contributing score is an MC estimate
-	Stats       core.BatchStats
+	Score   float64
+	Paths   []api.RelevancePath
+	Scored  int  // member paths that contributed to Score
+	Partial bool // at least one path failed and was excluded from the sum
+	Stats   core.BatchStats
 
 	combined []float64 // top-k mode: Σ wᵢ·scoresᵢ over the target type
 }
@@ -152,17 +146,16 @@ type Result struct {
 // Outcome is one member path's raw result before weighting: a batch result
 // on a replica, or the routed pair slot the router decoded for the path.
 type Outcome struct {
-	Score       float64   // pair mode
-	Scores      []float64 // top-k mode: dense over the target type
-	Plan        string    // batch plan: "warm", "full", "subset", "solo"; "monte_carlo" when degraded
-	Shared      bool      // routed: the replica answered from shared chain state
-	Approximate bool      // the score is a Monte Carlo estimate
-	Err, Code   string    // Err non-empty: the path failed and is excluded
+	Score     float64   // pair mode
+	Scores    []float64 // top-k mode: dense over the target type
+	Plan      string    // batch plan: "warm", "full", "subset", "solo"
+	Shared    bool      // routed: the replica answered from shared chain state
+	Err, Code string    // Err non-empty: the path failed and is excluded
 }
 
 // Assemble is the ensemble combine, written once for the direct and the
 // routed surface: per-path bookkeeping, Σ wᵢ·sᵢ over the paths that scored,
-// and the partial / approximate flags. Weights are used as enumerated and
+// and the partial flag. Weights are used as enumerated and
 // never renormalized on failure — a partial answer is a lower bound, not a
 // silently re-weighted ensemble.
 func Assemble(paths []*metapath.Path, weights []float64, outs []Outcome) *Result {
@@ -173,10 +166,9 @@ func Assemble(paths []*metapath.Path, weights []float64, outs []Outcome) *Result
 			ps.Error, ps.Code = o.Err, o.Code
 			res.Partial = true
 		} else {
-			ps.Score, ps.Shared, ps.Approximate = o.Score, o.Shared, o.Approximate
+			ps.Score, ps.Shared = o.Score, o.Shared
 			res.Score += weights[i] * o.Score
 			res.Scored++
-			res.Approximate = res.Approximate || o.Approximate
 			if res.combined == nil && o.Scores != nil {
 				res.combined = make([]float64, len(o.Scores))
 			}
@@ -189,9 +181,19 @@ func Assemble(paths []*metapath.Path, weights []float64, outs []Outcome) *Result
 	return res
 }
 
+// PairScore is the score a pair-mode response carries, on the direct and the
+// routed surface alike: none when no member path scored, since a sum over no
+// paths is not a score of 0.
+func (r *Result) PairScore() *float64 {
+	if r.Scored == 0 {
+		return nil
+	}
+	return &r.Score
+}
+
 var (
 	metQueries = obs.Default().CounterVec("hetesim_relevance_queries_total",
-		"Auto-relevance queries by mode (pair, topk) and outcome (ok, partial, degraded, error).",
+		"Auto-relevance queries by mode (pair, topk) and outcome (ok, partial, error).",
 		"mode", "outcome")
 	metPaths = obs.Default().Histogram("hetesim_relevance_paths",
 		"Candidate paths scored per auto-relevance query.", obs.DefCountBuckets())
@@ -203,8 +205,6 @@ func observeOutcome(mode string, res *Result, err error) {
 		metQueries.With(mode, "error").Inc()
 	case res.Partial:
 		metQueries.With(mode, "partial").Inc()
-	case res.Approximate:
-		metQueries.With(mode, "degraded").Inc()
 	default:
 		metQueries.With(mode, "ok").Inc()
 	}
@@ -235,8 +235,8 @@ func TopK(ctx context.Context, e *core.Engine, srcType string, src int, targetTy
 
 // ensemble is the one assembly line behind Pair (k == 0) and TopK (k > 0):
 // enumerate the member paths, score them as one batch — pair queries against
-// dst, or single-source vectors to rank — degrade each path that missed its
-// deadline, assemble.
+// dst, or single-source vectors to rank — and assemble; a path that missed its
+// deadline fails alone.
 func ensemble(ctx context.Context, e *core.Engine, srcType string, src int, dstType string, dst, k int, o Options) (*Result, []rank.Scored, error) {
 	o.defaults()
 	tr := obs.FromContext(ctx)
@@ -272,14 +272,7 @@ func ensemble(ctx context.Context, e *core.Engine, srcType string, src int, dstT
 	csp := tr.Start("combine")
 	outs := make([]Outcome, len(brs))
 	for i, br := range brs {
-		approx := false
-		if o.DegradeWalks > 0 && errors.Is(br.Err, context.DeadlineExceeded) {
-			// The exact score blew its deadline share: estimate it instead.
-			if mc := e.Degrade(ctx, qs[i], o.DegradeWalks); mc.Err == nil {
-				br, approx = mc, true
-			}
-		}
-		outs[i] = Outcome{Score: br.Score, Scores: br.Scores, Plan: br.Plan, Approximate: approx}
+		outs[i] = Outcome{Score: br.Score, Scores: br.Scores, Plan: br.Plan}
 		if br.Err != nil {
 			outs[i].Err, outs[i].Code = br.Err.Error(), "path_failed"
 		}

@@ -66,8 +66,8 @@ func TestPairEnsembleMatchesSoloWeightedSum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if res.Partial || res.Approximate {
-			t.Fatalf("%s: unexpected partial/approximate: %+v", mode, res)
+		if res.Partial {
+			t.Fatalf("%s: unexpected partial: %+v", mode, res)
 		}
 
 		// Recompute solo on a fresh engine, same enumeration, same weights.
@@ -173,32 +173,8 @@ func TestPairNoPaths(t *testing.T) {
 	}
 }
 
-// TestPairDegradeMonteCarlo: a per-path deadline too short for exact work
-// degrades every path to a Monte Carlo estimate instead of failing.
-func TestPairDegradeMonteCarlo(t *testing.T) {
-	e := testEngine(t, 17)
-	res, err := Pair(context.Background(), e, "author", 1, "author", 2, Options{
-		PerPathTimeout: time.Nanosecond,
-		DegradeWalks:   64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Approximate {
-		t.Fatal("expected approximate result under 1ns per-path deadline")
-	}
-	for _, ps := range res.Paths {
-		if ps.Error != "" {
-			t.Errorf("path %s failed (%s) instead of degrading", ps.Path, ps.Error)
-		}
-		if !ps.Approximate || ps.Plan != "monte_carlo" {
-			t.Errorf("path %s = %+v, want monte_carlo degradation", ps.Path, ps)
-		}
-	}
-}
-
-// TestPairPartialFailure: with degradation off, a blown per-path deadline
-// excludes that path but still answers.
+// TestPairPartialFailure: a blown per-path deadline excludes that path but
+// still answers; with every path excluded, the answer carries no score.
 func TestPairPartialFailure(t *testing.T) {
 	e := testEngine(t, 19)
 	res, err := Pair(context.Background(), e, "author", 1, "author", 2, Options{
@@ -215,8 +191,39 @@ func TestPairPartialFailure(t *testing.T) {
 			t.Errorf("path %s should have failed under 1ns deadline", ps.Path)
 		}
 	}
-	if res.Score != 0 {
-		t.Errorf("score = %v with every path excluded", res.Score)
+	if res.Score != 0 || res.Scored != 0 || res.PairScore() != nil {
+		t.Errorf("score = %v (scored %d, pair score %v) with every path excluded", res.Score, res.Scored, res.PairScore())
+	}
+}
+
+// TestSpentDeadlineFailsPaths: a deadline miss has no approximate fallback.
+// A spent query deadline fails the whole pair or top-k ensemble with
+// context.DeadlineExceeded; a spent per-path deadline fails each member path
+// alone as path_failed, so a top-k ensemble ranks nothing.
+func TestSpentDeadlineFailsPaths(t *testing.T) {
+	e := testEngine(t, 17)
+	spent, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	if res, err := Pair(spent, e, "author", 1, "author", 2, Options{}); !errors.Is(err, context.DeadlineExceeded) || res != nil {
+		t.Errorf("pair under a spent deadline = %+v, %v; want context.DeadlineExceeded", res, err)
+	}
+	if res, _, err := TopK(spent, e, "author", 1, "conference", 3, Options{}); !errors.Is(err, context.DeadlineExceeded) || res != nil {
+		t.Errorf("top-k under a spent deadline = %+v, %v; want context.DeadlineExceeded", res, err)
+	}
+
+	res, ranked, err := TopK(context.Background(), e, "author", 1, "conference", 3, Options{
+		PerPathTimeout: time.Nanosecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Partial || res.Scored != 0 || len(ranked) != 0 {
+		t.Errorf("top-k with every path past its deadline: partial %v, scored %d, ranked %v", res.Partial, res.Scored, ranked)
+	}
+	for _, ps := range res.Paths {
+		if ps.Error == "" || ps.Code != "path_failed" || ps.Score != 0 {
+			t.Errorf("path %s = %+v, want a path_failed exclusion", ps.Path, ps)
+		}
 	}
 }
 
@@ -227,8 +234,8 @@ func TestTopKMatchesHandCombination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Partial || res.Approximate {
-		t.Fatalf("unexpected partial/approximate: %+v", res)
+	if res.Partial {
+		t.Fatalf("unexpected partial: %+v", res)
 	}
 	fresh := testEngine(t, 21)
 	paths, err := metapath.EnumerateWith(fresh.Graph().Schema(), "author", "conference",

@@ -104,15 +104,12 @@ func (r *Router) scatterRelevance(w http.ResponseWriter, req *http.Request, rreq
 	res := relevance.Assemble(paths, weights, outs)
 	resp := api.RelevanceResponse{
 		Mode: "pair", Source: rreq.Source, Target: rreq.Target,
-		Weighting: opts.Weighting, Paths: res.Paths, Partial: res.Partial,
+		Weighting: opts.Weighting, Score: res.PairScore(), Paths: res.Paths, Partial: res.Partial,
 		Stats: api.RelevanceStats{
 			Paths:      len(slots),
 			Sharing:    stats.Sharing,
 			DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
 		},
-	}
-	if res.Scored > 0 {
-		resp.Score = &res.Score
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -80,6 +80,30 @@ func TestQueryTimeout504(t *testing.T) {
 	}
 }
 
+// TestSpentDeadlineNoFallback: a query whose deadline is spent has no
+// approximate answer to fall back to. Pair and top-k, under hetesim and pcrw
+// alike, all come back 504 deadline_exceeded.
+func TestSpentDeadlineNoFallback(t *testing.T) {
+	_, ts := lifecycleServer(t, WithQueryTimeout(time.Nanosecond))
+	for _, q := range []string{
+		"/v1/topk?path=APC&source=Tom",
+		"/v1/pair?path=APC&source=Tom&target=KDD",
+		"/v1/topk?path=APC&source=Tom&measure=pcrw",
+		"/v1/pair?path=APC&source=Tom&target=KDD&measure=pcrw",
+	} {
+		resp, err := http.Get(ts.URL + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("%s: status = %d, want 504", q, resp.StatusCode)
+		} else if e := decodeError(t, resp.Body); e.Code != "deadline_exceeded" {
+			t.Errorf("%s: code = %q, want deadline_exceeded", q, e.Code)
+		}
+		resp.Body.Close()
+	}
+}
+
 // TestClientCancel499 serves a request whose context is already canceled —
 // the handler's engine call fails with context.Canceled, which must map to
 // the 499 client-closed-request status.
@@ -95,40 +119,6 @@ func TestClientCancel499(t *testing.T) {
 	}
 	if e := decodeError(t, rec.Body); e.Code != "canceled" {
 		t.Errorf("code = %q, want canceled", e.Code)
-	}
-}
-
-// TestDegradedTopK checks graceful degradation: with the exact plan's
-// deadline already spent, the Monte Carlo fallback answers 200 and the
-// response is marked approximate.
-func TestDegradedTopK(t *testing.T) {
-	_, ts := lifecycleServer(t, WithQueryTimeout(time.Nanosecond), WithDegradedTopK(5000))
-	var body topKBody
-	getJSON(t, ts.URL+"/v1/topk?path=APC&source=Tom", http.StatusOK, &body)
-	if !body.Approximate {
-		t.Error("degraded topk not marked approximate")
-	}
-	if len(body.Results) == 0 || body.Results[0].ID != "KDD" {
-		t.Errorf("degraded topk results = %+v, want KDD first", body.Results)
-	}
-
-	var pair pairBody
-	getJSON(t, ts.URL+"/v1/pair?path=APC&source=Tom&target=KDD", http.StatusOK, &pair)
-	if !pair.Approximate {
-		t.Error("degraded pair not marked approximate")
-	}
-	if pair.Score <= 0 {
-		t.Errorf("degraded pair score = %v, want > 0", pair.Score)
-	}
-
-	// Degradation is exact-hetesim-only: pcrw still times out with 504.
-	resp, err := http.Get(ts.URL + "/v1/topk?path=APC&source=Tom&measure=pcrw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Errorf("pcrw under degradation: status = %d, want 504", resp.StatusCode)
 	}
 }
 
@@ -405,7 +395,7 @@ func TestStatsCachedMatrices(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats missing options object: %v", after)
 	}
-	for _, key := range []string{"cache_limit", "degrade_walks", "query_timeout_ms",
+	for _, key := range []string{"cache_limit", "query_timeout_ms",
 		"max_inflight", "max_path_steps", "slowlog_threshold_ms"} {
 		if _, ok := options[key]; !ok {
 			t.Errorf("options missing %q: %v", key, options)

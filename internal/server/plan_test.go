@@ -10,8 +10,7 @@ import (
 	"hetesim/internal/hin"
 )
 
-// planTestServer is testServer plus a Monte Carlo degrade budget, so the
-// monte-carlo plan is a legal forced choice.
+// planTestServer is a small A-P-C server built with the given options.
 func planTestServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 	t.Helper()
 	s := hin.NewSchema()
@@ -56,9 +55,6 @@ func TestPlanOverrideExactKindsAgree(t *testing.T) {
 		if body.Plan == nil || body.Plan.Kind != kind || !body.Plan.Forced {
 			t.Errorf("plan=%s response plan = %+v", kind, body.Plan)
 		}
-		if body.Approximate {
-			t.Errorf("plan=%s reported approximate", kind)
-		}
 	}
 }
 
@@ -95,23 +91,22 @@ func TestPlanOverrideErrors(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/pair?path=APC&source=Tom&target=KDD&measure=pcrw&plan=all-pairs", http.StatusBadRequest, &e)
 	// pair-vectors produces a single score, not a ranking.
 	getJSON(t, ts.URL+"/v1/topk?path=APC&source=Mary&k=2&plan=pair-vectors", http.StatusBadRequest, &e)
-	// Monte Carlo needs a walk budget; the default server has none.
-	getJSON(t, ts.URL+"/v1/pair?path=APC&source=Tom&target=KDD&plan=monte-carlo", http.StatusBadRequest, &e)
 }
 
+// TestPlanForcedMonteCarlo: every answer is exact, so monte-carlo is not a
+// plan: forcing it on /v1/pair or /v1/topk is refused as an unknown plan, the
+// same 400 that any other unknown name gets.
 func TestPlanForcedMonteCarlo(t *testing.T) {
-	_, ts := planTestServer(t, WithDegradedTopK(4000))
-	var body pairBody
-	getJSON(t, ts.URL+"/v1/pair?path=APC&source=Tom&target=KDD&plan=monte-carlo", http.StatusOK, &body)
-	if body.Plan == nil || body.Plan.Kind != "monte-carlo" || !body.Plan.Forced {
-		t.Fatalf("plan = %+v", body.Plan)
-	}
-	if !body.Approximate {
-		t.Error("forced monte-carlo should report approximate")
-	}
-	// HeteSim(Tom, KDD | APC) = 1 exactly; sampling keeps it near 1.
-	if body.Score < 0.8 || body.Score > 1.2 {
-		t.Errorf("monte-carlo score = %v, want near 1", body.Score)
+	_, ts := planTestServer(t)
+	for _, target := range []string{
+		"/v1/pair?path=APC&source=Tom&target=KDD&plan=monte-carlo",
+		"/v1/topk?path=APC&source=Tom&k=2&plan=monte-carlo",
+	} {
+		var e errorBody
+		getJSON(t, ts.URL+target, http.StatusBadRequest, &e)
+		if e.Code != "bad_request" || !strings.Contains(e.Error, `unknown plan "monte-carlo"`) {
+			t.Errorf("%s: %+v, want bad_request for an unknown plan", target, e)
+		}
 	}
 }
 

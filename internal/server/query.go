@@ -18,14 +18,14 @@ import (
 // The query pipeline. A relevance query — HS(s, t | P), its top-k form, its
 // explanation — makes one journey whichever endpoint it arrived at:
 //
-//	adapter → decode/resolve → execute → degrade → encode
+//	adapter → decode/resolve → execute → encode
 //
 // A solo endpoint reads its URL parameters into the fields of a batch slot
 // (soloQuery); a batch hands its slots over as they are. decode is the only
 // place a path is parsed, capped and its nodes resolved, so every endpoint
 // enforces the same limits; execute is the only place a measure is switched
-// on and PlanOptions are built; the deadline degrade is the plan layer's one
-// rule (core/plan.go), reported through the PlanDecision planInfo renders;
+// on and PlanOptions are built, and the PlanDecision that answered is
+// reported through planInfo; a query past its deadline fails (504);
 // namedHits is the only place an (index, score) becomes an {id, score}.
 // Batch slots share decode and the encoders and run on the core batch
 // scheduler, whose results are bit-identical to solo execution, so batch ==
@@ -167,18 +167,16 @@ func endpoints(g *hin.Graph, srcType, src, dstType, dst string) (int, int, error
 	return i, j, err
 }
 
-// planInfo renders the decision that answered a hetesim query — including
-// the Monte Carlo decision a missed deadline was degraded to.
+// planInfo renders the decision that answered a hetesim query.
 func planInfo(d core.PlanDecision) *api.Plan {
 	return &api.Plan{Kind: string(d.Kind), EstFlops: d.Est.Flops, Forced: d.Forced, Reason: d.Reason}
 }
 
 // answer is what executing a pair or top-k query produced.
 type answer struct {
-	score       float64   // pair
-	hits        []api.Hit // top-k
-	plan        *api.Plan // hetesim only
-	approximate bool
+	score float64   // pair
+	hits  []api.Hit // top-k
+	plan  *api.Plan // hetesim only
 }
 
 // byIndex is the query surface the two baseline measures share.
@@ -188,9 +186,8 @@ type byIndex interface {
 }
 
 // execute answers a decoded pair or top-k query under its measure. HeteSim
-// goes through the optimizer — which owns plan choice and, given the walk
-// budget, the deadline degrade — and reports the decision that produced
-// the answer; the baselines have one plan and no fallback.
+// goes through the optimizer, which owns plan choice, and reports the
+// decision that produced the answer; the baselines have one plan.
 func (s *Server) execute(ctx context.Context, es *engineSet, q query) (answer, error) {
 	var a answer
 	topk := q.Kind == "topk"
@@ -218,7 +215,7 @@ func (s *Server) execute(ctx context.Context, es *engineSet, q query) (answer, e
 		return a, nil
 	}
 
-	opts := core.PlanOptions{Force: q.plan, Walks: s.degradeWalks, Raw: q.Raw}
+	opts := core.PlanOptions{Force: q.plan, Raw: q.Raw}
 	var d core.PlanDecision
 	var err error
 	if topk {
@@ -232,12 +229,6 @@ func (s *Server) execute(ctx context.Context, es *engineSet, q query) (answer, e
 	}
 	if d.Kind != "" {
 		a.plan = planInfo(d)
-	}
-	if err == nil && d.Approximate() {
-		a.approximate = true
-		if !d.Forced {
-			metDegraded.Inc() // deadline-driven, not asked for
-		}
 	}
 	return a, err
 }
@@ -311,10 +302,10 @@ func (s *Server) handleSolo(kind string) http.HandlerFunc {
 		path, trace := q.path.String(), inlineTrace(r.Context(), v)
 		if kind == "pair" {
 			writeJSON(w, http.StatusOK, api.Pair{Path: path, Source: q.Source, Target: q.Target, Measure: q.Measure,
-				Score: a.score, Approximate: a.approximate, Plan: a.plan, Trace: trace})
+				Score: a.score, Plan: a.plan, Trace: trace})
 		} else {
 			writeJSON(w, http.StatusOK, api.TopK{Path: path, Source: q.Source, Measure: q.Measure,
-				Approximate: a.approximate, Plan: a.plan, Results: a.hits, Trace: trace})
+				Plan: a.plan, Results: a.hits, Trace: trace})
 		}
 	}
 }

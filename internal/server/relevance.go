@@ -19,8 +19,7 @@ import (
 // prefixes — and combines the per-path scores into one weighted ensemble.
 // With a target it answers a pair query; with only a target type it ranks
 // the k most relevant nodes of that type. Failure is per path: a path that
-// blows its deadline degrades to Monte Carlo (when enabled) or is excluded
-// and flagged, never failing the whole answer.
+// blows its deadline is excluded and flagged, never failing the whole answer.
 
 func (s *Server) handleRelevance(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -57,11 +56,11 @@ func (s *Server) handleRelevance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if dst >= 0 {
-		body.Score = &res.Score
+		body.Score = res.PairScore()
 	} else {
 		body.Results = namedHits(es.g, req.TargetType, ranked, 0)
 	}
-	body.Paths, body.Partial, body.Approximate = res.Paths, res.Partial, res.Approximate
+	body.Paths, body.Partial = res.Paths, res.Partial
 	body.Stats = api.RelevanceStats{
 		Paths:      len(res.Paths),
 		Sharing:    sharing(res.Stats),
@@ -84,7 +83,6 @@ func (s *Server) decodeRelevance(es *engineSet, req *api.RelevanceRequest) (rele
 	o.Learned = s.pathWeights
 	o.Workers = s.batchWorkers
 	o.PerPathTimeout = s.queryTimeout
-	o.DegradeWalks = s.degradeWalks
 	src, dst, err := endpoints(es.g, req.SourceType, req.Source, req.TargetType, req.Target)
 	if err != nil {
 		return o, 0, 0, err

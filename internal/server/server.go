@@ -9,8 +9,8 @@
 // The server owns the request lifecycle: every query runs under the
 // request's context (bounded by an optional per-request deadline), panics
 // in handlers are recovered into 500 responses, load beyond a configurable
-// in-flight cap is shed with 429, and a timed-out exact query can degrade
-// to the Monte Carlo estimator instead of failing outright.
+// in-flight cap is shed with 429, and a query past its deadline fails with
+// 504: every answer is exact.
 package server
 
 import (
@@ -48,8 +48,6 @@ var (
 		"Currently executing /v1 queries.")
 	metShed = obs.Default().Counter("hetesim_http_shed_total",
 		"Queries shed with 429 at the in-flight cap.")
-	metDegraded = obs.Default().Counter("hetesim_http_degraded_total",
-		"Queries answered by the Monte Carlo fallback after the exact plan timed out.")
 	metSlowQueries = obs.Default().Counter("hetesim_http_slow_queries_total",
 		"Queries admitted to the slow-query log.")
 )
@@ -75,7 +73,6 @@ type Server struct {
 	maxInflight  int           // concurrent /v1 queries before shedding; 0 = unlimited
 	maxBody      int64         // request body cap in bytes
 	maxPathSteps int           // longest accepted relevance path
-	degradeWalks int           // Monte Carlo walks for degraded answers; 0 = disabled
 	defaultPlan  core.PlanKind // forced physical plan when a request has no ?plan=; "" = auto
 
 	slowThreshold time.Duration // slow-query log admission bar; 0 = disabled
@@ -126,12 +123,6 @@ func WithMaxPathSteps(n int) Option { return func(s *Server) { s.maxPathSteps = 
 func WithBatchLimits(maxQueries, workers int) Option {
 	return func(s *Server) { s.maxBatchQueries, s.batchWorkers = maxQueries, workers }
 }
-
-// WithDegradedTopK enables graceful degradation: when an exact hetesim
-// /v1/topk or /v1/pair query exceeds its deadline, the server answers
-// from `walks` Monte Carlo walks instead, marking the response
-// "approximate": true. 0 (the default) disables the fallback.
-func WithDegradedTopK(walks int) Option { return func(s *Server) { s.degradeWalks = walks } }
 
 // WithRelevanceLimits bounds POST /v1/relevance path enumeration: paths of
 // at most maxLen steps (0 keeps the default of 4), at most maxPaths
@@ -599,7 +590,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		// snapshot is interpretable on its own.
 		"options": map[string]any{
 			"cache_limit":          es.engine.CacheLimit(),
-			"degrade_walks":        s.degradeWalks,
 			"query_timeout_ms":     float64(s.queryTimeout) / float64(time.Millisecond),
 			"max_inflight":         s.maxInflight,
 			"max_path_steps":       s.maxPathSteps,
