@@ -105,7 +105,12 @@ loc:
 # does (its plan, the engine estimators, the degrade option and flag, the
 # planner's deadline constant, the degrade helpers, the "approximate" wire
 # fields: every answer is exact or a 504; the §4.6 estimator lives in
-# internal/exp as PairSampler); part of `make check`.
+# internal/exp as PairSampler), or when the CLI grows its own query path
+# again (cmd/hetesim importing internal/baseline or internal/rank: its local
+# modes are requests to an in-process server.Handler(), answered and ranked
+# there), or when a command links the fault injectors (any cmd/ binary
+# depending on internal/chaos: the in-process transport is router.Inproc);
+# part of `make check`.
 contract:
 	@fail=0; \
 	for tag in shared_queries naive_row_steps source_type replication_lag_seconds; do \
@@ -130,6 +135,16 @@ contract:
 	for name in PlanMonteCarlo PairMonteCarlo SingleSourceMonteCarlo WithDegradedTopK DegradeWalks degradeWalks degrade-walks planFlopsPerSecond missedDecision degradeGrace 'json:"approximate'; do \
 		if grep -rnF --include='*.go' -- "$$name" . | grep -v '_test\.go:' | grep -v '^\./bench/'; then \
 			echo "contract: deleted Monte Carlo serving path is back ($$name)"; fail=1; \
+		fi; \
+	done; \
+	for pkg in baseline rank; do \
+		if go list -f '{{join .Imports "\n"}}' ./cmd/hetesim | grep -qx "hetesim/internal/$$pkg"; then \
+			echo "contract: cmd/hetesim imports internal/$$pkg again (local modes go through server.Handler())"; fail=1; \
+		fi; \
+	done; \
+	for cmd in $$(go list ./cmd/...); do \
+		if go list -deps $$cmd | grep -qx 'hetesim/internal/chaos'; then \
+			echo "contract: $$cmd links internal/chaos"; fail=1; \
 		fi; \
 	done; \
 	[ $$fail -eq 0 ] && echo "contract: ok"

@@ -175,15 +175,17 @@ type RelevanceRequest struct {
 }
 
 // RelevancePath is one ensemble member's contribution. A replica scoring
-// the whole ensemble fills plan; the router scattering it fills shared. A failed member carries error and code and is not summed.
+// the whole ensemble fills plan; the router scattering it fills shared. A
+// failed member carries error and code instead, and no score: it is not
+// summed (relevance.Assemble writes both forms, for both surfaces).
 type RelevancePath struct {
-	Path   string  `json:"path"`
-	Weight float64 `json:"weight"`
-	Score  float64 `json:"score"`
-	Plan   string  `json:"plan,omitempty"`
-	Shared bool    `json:"shared,omitempty"`
-	Error  string  `json:"error,omitempty"`
-	Code   string  `json:"code,omitempty"`
+	Path   string   `json:"path"`
+	Weight float64  `json:"weight"`
+	Score  *float64 `json:"score,omitempty"`
+	Plan   string   `json:"plan,omitempty"`
+	Shared bool     `json:"shared,omitempty"`
+	Error  string   `json:"error,omitempty"`
+	Code   string   `json:"code,omitempty"`
 }
 
 // RelevanceStats is the stats block of a relevance answer.

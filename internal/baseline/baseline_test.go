@@ -39,7 +39,7 @@ func fig4Graph(t *testing.T) *hin.Graph {
 
 func TestPCRWValuesAndAsymmetry(t *testing.T) {
 	g := fig4Graph(t)
-	m := NewPCRW(g)
+	m := NewPCRWFromEngine(core.NewEngine(g))
 	apc := metapath.MustParse(g.Schema(), "APC")
 	cpa := apc.Reverse()
 
@@ -75,7 +75,7 @@ func TestPCRWValuesAndAsymmetry(t *testing.T) {
 
 func TestPCRWPlansAgree(t *testing.T) {
 	g := fig4Graph(t)
-	m := NewPCRW(g)
+	m := NewPCRWFromEngine(core.NewEngine(g))
 	p := metapath.MustParse(g.Schema(), "APC")
 	all, err := m.AllPairs(context.Background(), p)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestPCRWPlansAgree(t *testing.T) {
 
 func TestPCRWRowsAreDistributions(t *testing.T) {
 	g := fig4Graph(t)
-	m := NewPCRW(g)
+	m := NewPCRWFromEngine(core.NewEngine(g))
 	p := metapath.MustParse(g.Schema(), "APC")
 	all, _ := m.AllPairs(context.Background(), p)
 	for i, s := range all.RowSums() {

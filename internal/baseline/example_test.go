@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"hetesim/internal/baseline"
+	"hetesim/internal/core"
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
 )
@@ -27,7 +28,7 @@ func fig4() *hin.Graph {
 
 func ExamplePCRW_Pair() {
 	g := fig4()
-	m := baseline.NewPCRW(g)
+	m := baseline.NewPCRWFromEngine(core.NewEngine(g))
 	apc := metapath.MustParse(g.Schema(), "APC")
 	// PCRW is direction-dependent: the same pair scores differently
 	// along the path and against it.

@@ -24,14 +24,9 @@ type PCRW struct {
 	engine *core.Engine
 }
 
-// NewPCRW creates a PCRW measure over g. It shares the core engine's
-// transition-matrix machinery and caches.
-func NewPCRW(g *hin.Graph) *PCRW {
-	return &PCRW{engine: core.NewEngine(g)}
-}
-
-// NewPCRWFromEngine wraps an existing engine so PCRW queries share its
-// caches with HeteSim queries on the same graph.
+// NewPCRWFromEngine wraps an engine so PCRW queries share its
+// transition-matrix machinery and caches with HeteSim queries on the same
+// graph.
 func NewPCRWFromEngine(e *core.Engine) *PCRW { return &PCRW{engine: e} }
 
 // Pair returns PCRW(src, dst | p) for nodes identified by string IDs.

@@ -423,7 +423,7 @@ func (e *Engine) executeSoloQuery(ctx context.Context, q BatchQuery) BatchResult
 	case BatchPair:
 		res.Score, _, res.Err = e.PairWithPlan(ctx, q.Path, q.Src, q.Dst, o)
 	case BatchSingleSource:
-		res.Scores, _, res.Err = e.SingleSourceWithPlan(ctx, q.Path, q.Src, o)
+		res.Scores, _, res.Err = e.singleSourceWithPlan(ctx, q.Path, q.Src, o)
 	case BatchTopK:
 		res.TopK, _, res.Err = e.TopKSearchWithPlan(ctx, q.Path, q.Src, q.K, q.Eps, o)
 	default:

@@ -455,7 +455,7 @@ func (e *Engine) SingleSource(ctx context.Context, p *metapath.Path, srcID strin
 // SingleSourceByIndex is SingleSource addressed by node index, routed
 // through the query optimizer with default options.
 func (e *Engine) SingleSourceByIndex(ctx context.Context, p *metapath.Path, src int) ([]float64, error) {
-	scores, _, err := e.SingleSourceWithPlan(ctx, p, src, PlanOptions{})
+	scores, _, err := e.singleSourceWithPlan(ctx, p, src, PlanOptions{})
 	return scores, err
 }
 

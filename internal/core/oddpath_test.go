@@ -375,7 +375,7 @@ func TestDifferentialOddPathsBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := NewEngine(g, opts...).SingleSourceWithPlan(ctx, p, s, PlanOptions{Force: PlanAllPairs})
+				got, _, err := NewEngine(g, opts...).singleSourceWithPlan(ctx, p, s, PlanOptions{Force: PlanAllPairs})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -426,7 +426,7 @@ func checkPrecomputedOdd(t *testing.T, g *hin.Graph, p *metapath.Path, opts []Op
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := cold.SingleSourceWithPlan(ctx, p, s, PlanOptions{Force: PlanSingleVsMatrix})
+		want, _, err := cold.singleSourceWithPlan(ctx, p, s, PlanOptions{Force: PlanSingleVsMatrix})
 		if err != nil {
 			t.Fatal(err)
 		}

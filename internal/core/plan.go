@@ -704,9 +704,9 @@ func (e *Engine) PairWithPlan(ctx context.Context, p *metapath.Path, src, dst in
 	return r.score, d, err
 }
 
-// SingleSourceWithPlan computes the scores of one source against every
+// singleSourceWithPlan computes the scores of one source against every
 // target through the optimizer.
-func (e *Engine) SingleSourceWithPlan(ctx context.Context, p *metapath.Path, src int, o PlanOptions) ([]float64, PlanDecision, error) {
+func (e *Engine) singleSourceWithPlan(ctx context.Context, p *metapath.Path, src int, o PlanOptions) ([]float64, PlanDecision, error) {
 	if err := e.checkIndex(p.Source(), src); err != nil {
 		return nil, PlanDecision{}, err
 	}

@@ -49,7 +49,7 @@ func TestForcedPlansBitIdentical(t *testing.T) {
 			var baseScores []float64
 			for i, kind := range []PlanKind{PlanSingleVsMatrix, PlanAllPairs} {
 				e := NewEngine(g)
-				scores, _, err := e.SingleSourceWithPlan(context.Background(), p, src, PlanOptions{Force: kind})
+				scores, _, err := e.singleSourceWithPlan(context.Background(), p, src, PlanOptions{Force: kind})
 				if err != nil {
 					t.Fatalf("seed %d %s single-source %s: %v", seed, spec, kind, err)
 				}
@@ -270,7 +270,7 @@ func TestSpentDeadlineKeepsPlan(t *testing.T) {
 				case ShapePair:
 					_, d, err = e.PairWithPlan(ctx, p, 0, 1, o)
 				case ShapeSingleSource:
-					_, d, err = e.SingleSourceWithPlan(ctx, p, 0, o)
+					_, d, err = e.singleSourceWithPlan(ctx, p, 0, o)
 				case ShapeTopK:
 					_, d, err = e.TopKSearchWithPlan(ctx, p, 0, 3, 0, o)
 				}
@@ -303,7 +303,7 @@ func TestForcedPlanNotApplicable(t *testing.T) {
 		err  error
 	}{
 		{"pair-vectors for single-source", func() error {
-			_, _, err := e.SingleSourceWithPlan(ctx, p, 0, PlanOptions{Force: PlanPairVectors})
+			_, _, err := e.singleSourceWithPlan(ctx, p, 0, PlanOptions{Force: PlanPairVectors})
 			return err
 		}()},
 		{"subset-chain for pair", func() error {

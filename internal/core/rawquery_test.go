@@ -68,7 +68,7 @@ func TestDifferentialRawPerQuery(t *testing.T) {
 				sameFloat(what("pair "+string(kind)), got, want)
 			}
 
-			gotSS, _, err := norm.SingleSourceWithPlan(ctx, p, src, raw)
+			gotSS, _, err := norm.singleSourceWithPlan(ctx, p, src, raw)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -146,27 +146,45 @@ type Result struct {
 // Outcome is one member path's raw result before weighting: a batch result
 // on a replica, or the routed pair slot the router decoded for the path.
 type Outcome struct {
-	Score     float64   // pair mode
-	Scores    []float64 // top-k mode: dense over the target type
-	Plan      string    // batch plan: "warm", "full", "subset", "solo"
-	Shared    bool      // routed: the replica answered from shared chain state
-	Err, Code string    // Err non-empty: the path failed and is excluded
+	Score  float64   // pair mode
+	Scores []float64 // top-k mode: dense over the target type
+	Plan   string    // batch plan: "warm", "full", "subset", "solo"
+	Shared bool      // routed: the replica answered from shared chain state
+	// Err non-empty: the path failed and is excluded. Code is the wire code
+	// of the failure as its surface saw it ("" for a direct batch error);
+	// failCode maps it to the one the member reports.
+	Err, Code string
+}
+
+// failCode is the code a failed member reports, on the direct and the routed
+// surface alike: a failure while the path ran (a direct batch error, or a
+// replica slot's deadline_exceeded, canceled or internal) is path_failed; a
+// path refused before it ran (the replica's decode, the router finding no
+// replica for it) keeps the refusal's own code.
+func failCode(code string) string {
+	switch code {
+	case "", "deadline_exceeded", "canceled", "internal":
+		return "path_failed"
+	}
+	return code
 }
 
 // Assemble is the ensemble combine, written once for the direct and the
 // routed surface: per-path bookkeeping, Σ wᵢ·sᵢ over the paths that scored,
-// and the partial flag. Weights are used as enumerated and
-// never renormalized on failure — a partial answer is a lower bound, not a
-// silently re-weighted ensemble.
+// and the partial flag. A failed member carries its error and code, and no
+// score or plan. Weights are used as enumerated and never renormalized on
+// failure — a partial answer is a lower bound, not a silently re-weighted
+// ensemble.
 func Assemble(paths []*metapath.Path, weights []float64, outs []Outcome) *Result {
 	res := &Result{Paths: make([]api.RelevancePath, len(outs))}
 	for i, o := range outs {
-		ps := api.RelevancePath{Path: paths[i].String(), Weight: weights[i], Plan: o.Plan}
+		ps := api.RelevancePath{Path: paths[i].String(), Weight: weights[i]}
 		if o.Err != "" {
-			ps.Error, ps.Code = o.Err, o.Code
+			ps.Error, ps.Code = o.Err, failCode(o.Code)
 			res.Partial = true
 		} else {
-			ps.Score, ps.Shared = o.Score, o.Shared
+			score := o.Score
+			ps.Score, ps.Plan, ps.Shared = &score, o.Plan, o.Shared
 			res.Score += weights[i] * o.Score
 			res.Scored++
 			if res.combined == nil && o.Scores != nil {
@@ -274,7 +292,7 @@ func ensemble(ctx context.Context, e *core.Engine, srcType string, src int, dstT
 	for i, br := range brs {
 		outs[i] = Outcome{Score: br.Score, Scores: br.Scores, Plan: br.Plan}
 		if br.Err != nil {
-			outs[i].Err, outs[i].Code = br.Err.Error(), "path_failed"
+			outs[i].Err = br.Err.Error()
 		}
 	}
 	res := Assemble(paths, weights, outs)

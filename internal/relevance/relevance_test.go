@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hetesim/internal/api"
 	"hetesim/internal/core"
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
@@ -95,8 +96,8 @@ func TestPairEnsembleMatchesSoloWeightedSum(t *testing.T) {
 				t.Fatalf("%s: contribution %d = %+v, want path %s weight %v",
 					mode, n, res.Paths[n], p, weights[i])
 			}
-			if res.Paths[n].Score != v {
-				t.Errorf("%s: path %s batch score %v != solo %v", mode, p, res.Paths[n].Score, v)
+			if got := res.Paths[n].Score; got == nil || *got != v {
+				t.Errorf("%s: path %s batch score %v != solo %v", mode, p, got, v)
 			}
 			want += weights[i] * v
 			n++
@@ -196,6 +197,36 @@ func TestPairPartialFailure(t *testing.T) {
 	}
 }
 
+// TestAssembleFailedMember: the one mapping from a failed Outcome to its
+// wire form, for both surfaces. A path that ran and failed — a direct batch
+// error (no code) or a replica slot's deadline_exceeded, canceled or
+// internal — reads path_failed; a path refused before it ran keeps its
+// refusal's code; neither carries a score or a plan, nor counts as scored.
+func TestAssembleFailedMember(t *testing.T) {
+	s := hin.NewSchema()
+	s.MustAddType("author", 'A')
+	s.MustAddType("paper", 'P')
+	s.MustAddRelation("writes", "author", "paper")
+	p := metapath.MustParse(s, "APA")
+	for code, want := range map[string]string{
+		"": "path_failed", "deadline_exceeded": "path_failed", "canceled": "path_failed", "internal": "path_failed",
+		"not_found": "not_found", "replica_unavailable": "replica_unavailable", "stale_replicas": "stale_replicas",
+	} {
+		res := Assemble([]*metapath.Path{p, p}, []float64{0.5, 0.5}, []Outcome{
+			{Score: 0.25, Plan: "solo"},
+			{Score: 0.75, Plan: "solo", Shared: true, Err: "boom", Code: code},
+		})
+		failed := api.RelevancePath{Path: "APA", Weight: 0.5, Error: "boom", Code: want}
+		if res.Paths[1] != failed || !res.Partial || res.Scored != 1 || res.Score != 0.125 {
+			t.Errorf("code %q: %+v (partial %v, scored %d, score %v), want failed member %+v",
+				code, res.Paths[1], res.Partial, res.Scored, res.Score, failed)
+		}
+		if ok := res.Paths[0]; ok.Score == nil || *ok.Score != 0.25 || ok.Plan != "solo" || ok.Code != "" {
+			t.Errorf("code %q: scored member %+v", code, ok)
+		}
+	}
+}
+
 // TestSpentDeadlineFailsPaths: a deadline miss has no approximate fallback.
 // A spent query deadline fails the whole pair or top-k ensemble with
 // context.DeadlineExceeded; a spent per-path deadline fails each member path
@@ -221,7 +252,7 @@ func TestSpentDeadlineFailsPaths(t *testing.T) {
 		t.Errorf("top-k with every path past its deadline: partial %v, scored %d, ranked %v", res.Partial, res.Scored, ranked)
 	}
 	for _, ps := range res.Paths {
-		if ps.Error == "" || ps.Code != "path_failed" || ps.Score != 0 {
+		if ps.Error == "" || ps.Code != "path_failed" || ps.Score != nil || ps.Plan != "" {
 			t.Errorf("path %s = %+v, want a path_failed exclusion", ps.Path, ps)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hetesim/internal/chaos"
 	"hetesim/internal/server"
 )
 
@@ -29,7 +28,7 @@ func TestWarmQueryAllocs(t *testing.T) {
 	}
 	srv.MarkReady()
 	rt, err := New([]string{"http://replica0"},
-		WithClient(&http.Client{Transport: chaos.Inproc{"replica0": srv.Handler()}}),
+		WithClient(&http.Client{Transport: Inproc{"replica0": srv.Handler()}}),
 		WithSchema(goldenGraph().Schema()),
 		WithHealthInterval(time.Hour))
 	if err != nil {

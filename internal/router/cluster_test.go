@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"hetesim/internal/api"
 	"hetesim/internal/chaos"
 	"hetesim/internal/hin"
 	"hetesim/internal/server"
@@ -378,7 +379,7 @@ func TestRelevancePartialFailure(t *testing.T) {
 			continue
 		}
 		survived++
-		expect += pb.Weight * pb.Score
+		expect += pb.Weight * *pb.Score
 	}
 	if failed == 0 || survived == 0 {
 		t.Fatalf("want a mix of failed and surviving paths, got %d failed / %d survived", failed, survived)
@@ -389,6 +390,37 @@ func TestRelevancePartialFailure(t *testing.T) {
 	if *part.Score >= *full.Score {
 		t.Errorf("partial score %v not below full score %v; failed weight must not be redistributed",
 			*part.Score, *full.Score)
+	}
+}
+
+// TestRelevanceFailedMember: a member path that misses its deadline reads
+// the same through the router's scatter as from the replica itself — code
+// path_failed, no score and no plan — and the pair answer carries no score.
+func TestRelevanceFailedMember(t *testing.T) {
+	srv := server.New(testGraph(), server.WithQueryTimeout(time.Nanosecond), server.WithLogf(t.Logf))
+	t.Cleanup(srv.Close)
+	srv.MarkReady()
+	rt, err := New([]string{"http://replica0"},
+		WithClient(&http.Client{Transport: Inproc{"replica0": srv.Handler()}}),
+		WithSchema(testGraph().Schema()), WithHealthInterval(time.Hour), WithLogf(t.Logf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rt.Start(ctx)
+	const body = `{"source": "Tom", "source_type": "author", "target": "Mary", "target_type": "author", "paths": ["APA"]}`
+	want := api.RelevancePath{Path: "APA", Weight: 1, Error: "context deadline exceeded", Code: "path_failed"}
+	for name, h := range map[string]http.Handler{"direct": srv.Handler(), "routed": rt.Handler()} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/relevance", strings.NewReader(body)))
+		var resp api.RelevanceResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s (%v)", name, rec.Code, rec.Body, err)
+		}
+		if !resp.Partial || resp.Score != nil || len(resp.Paths) != 1 || resp.Paths[0] != want {
+			t.Errorf("%s: %s\nwant partial, no score, one path %+v", name, rec.Body, want)
+		}
 	}
 }
 
@@ -424,7 +456,7 @@ func TestRelevanceRoutedMatchesDirect(t *testing.T) {
 			t.Fatalf("%v: routed ensemble has %d paths, direct %d", req, len(routed.Paths), len(direct.Paths))
 		}
 		for i, pb := range routed.Paths {
-			if d := direct.Paths[i]; pb.Path != d.Path || pb.Weight != d.Weight || pb.Score != d.Score {
+			if d := direct.Paths[i]; pb.Path != d.Path || pb.Weight != d.Weight || pb.Score == nil || d.Score == nil || *pb.Score != *d.Score {
 				t.Errorf("%v: path %d routed %+v != direct %+v", req, i, pb, d)
 			}
 		}

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"hetesim/internal/chaos"
 	"hetesim/internal/hin"
 	"hetesim/internal/server"
 )
@@ -82,7 +81,7 @@ func newGoldenFleet(t *testing.T, replicas int, down bool, sopts []server.Option
 		srv.MarkReady()
 		return srv.Handler()
 	}
-	fleet := chaos.Inproc{}
+	fleet := Inproc{}
 	var urls []string
 	for i := 0; i < replicas; i++ {
 		host := fmt.Sprintf("replica%d", i)

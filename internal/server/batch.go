@@ -41,19 +41,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	body := s.Batch(ctx, req.Queries)
+	body := s.batch(ctx, req.Queries)
 	body.Stats.DurationMS = float64(time.Since(start)) / float64(time.Millisecond) // the request's, body decode included
 	body.Trace = inlineTrace(ctx, r.URL.Query())
 	writeJSON(w, http.StatusOK, body)
 }
 
-// Batch answers a batch's slots in order — the transport-free body of
-// POST /v1/batch, which cmd/hetesim -batch calls directly so the CLI and
-// the daemon cannot drift. Every slot goes through the solo endpoints'
+// batch answers a batch's slots in order — the transport-free body of
+// POST /v1/batch. Every slot goes through the solo endpoints'
 // decode; a bad one fails in place, never the batch. Batch supports the
 // hetesim measure only; raw (Definition 3) and normalized (Definition 10)
 // slots on one path share its group, since they differ at the last step only.
-func (s *Server) Batch(ctx context.Context, slots []api.BatchQuery) api.BatchResponse[api.BatchResult] {
+func (s *Server) batch(ctx context.Context, slots []api.BatchQuery) api.BatchResponse[api.BatchResult] {
 	start := time.Now()
 	es := s.current()
 	out := make([]api.BatchResult, len(slots))

@@ -57,7 +57,7 @@ func TestRelevanceAutoPair(t *testing.T) {
 	var sum float64
 	for _, ps := range body.Paths {
 		specs[ps.Path] = true
-		sum += ps.Weight * ps.Score
+		sum += ps.Weight * *ps.Score
 	}
 	if !specs["APA"] || !specs["APCPA"] {
 		t.Fatalf("paths = %+v, want APA and APCPA enumerated", body.Paths)

@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"hetesim/internal/chaos"
 	"hetesim/internal/hin"
+	"hetesim/internal/router"
 	"hetesim/internal/wal"
 )
 
@@ -338,7 +338,7 @@ func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { re
 // state request, with no other admin fetch.
 func TestFollowResyncIsOneGeneration(t *testing.T) {
 	primary, follower := newWALReplica(t), newWALReplica(t)
-	fleet := chaos.Inproc{"primary": primary.Handler(), "follower": follower.Handler()}
+	fleet := router.Inproc{"primary": primary.Handler(), "follower": follower.Handler()}
 	direct := &http.Client{Transport: fleet}
 	write := func(key string, ops []hin.Op) {
 		var ack mutateBody

@@ -12,13 +12,13 @@ import (
 	"strings"
 	"testing"
 
-	"hetesim/internal/chaos"
 	"hetesim/internal/hin"
+	"hetesim/internal/router"
 )
 
 // The follower schedule harness: seeded, step-driven replication runs of a
 // primary and a follower that joins with an empty log, served through a
-// socket-free chaos.Inproc transport. The follower loop's body (followTick)
+// socket-free router.Inproc transport. The follower loop's body (followTick)
 // is called as an explicit step instead of on a ticker, so a seed replays
 // exactly. Steps are keyed writes, retried writes, primary compaction,
 // primary Precompute, follower ticks and injected local divergence. After
@@ -60,7 +60,7 @@ type followFleet struct {
 func newFollowFleet(t *testing.T, seed uint64) *followFleet {
 	primary := newWALReplica(t)
 	follower := newWALReplica(t)
-	client := &http.Client{Transport: chaos.Inproc{"primary": primary.Handler(), "follower": follower.Handler()}}
+	client := &http.Client{Transport: router.Inproc{"primary": primary.Handler(), "follower": follower.Handler()}}
 	follower.publish(followState{})
 	base := reloadGraph(t, 0)
 	return &followFleet{
