@@ -73,9 +73,14 @@ chaos:
 # TestDifferentialTopKRentOrBuy), the odd-path suite's
 # (TestDifferentialOddPaths*) and the per-query normalization flag's
 # (TestDifferentialRawPerQuery) needed no change here, nor in `make race`,
-# whose package list already covers core and server.
+# whose package list already covers core and server. The write path's
+# row-splicing Apply rides along: TestApplyDifferential and FuzzApply's
+# seed corpus hold every relation's CSR to sparse.New, the fingerprint to a
+# from-scratch rebuild's and Dirty to the cells that changed, and the other
+# TestApply* tests cover node growth, sharing and rejection.
 properties:
 	go test -race -count=2 -run 'TestPropertyRandom|TestDifferential' ./internal/core
+	go test -race -count=2 -run 'TestApply|FuzzApply' ./internal/hin
 
 # Non-blank, non-test Go lines per internal package and per command, with a
 # total, so "this PR made the package smaller" is checkable in review.

@@ -854,6 +854,103 @@ func BenchmarkIncrementalApply(b *testing.B) {
 	})
 }
 
+// BenchmarkIncrementalWrite times the in-engine half of one acked write on
+// the paper-scale ACM network, stage by stage: apply (hin.Graph.Apply),
+// fingerprint (of the graph Apply returned), rewarm (a new engine
+// RewarmFrom one warmed with the end-to-end benchmark's eight warm paths)
+// and sequence, all three as the server's write path runs them. The batch
+// is fixed: a writes upsert, a mentions upsert and a mentions delete. The
+// base graph is fingerprinted before the clock, as a serving generation is.
+func BenchmarkIncrementalWrite(b *testing.B) {
+	ds, err := datagen.ACM(datagen.DefaultACMConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := ds.Graph
+	g.Fingerprint()
+	ctx := context.Background()
+	old := core.NewEngine(g)
+	for _, spec := range []string{"APA", "AFA", "APVC", "APVPA", "APSPA", "APTPA", "APVCVPA", "CVPA"} {
+		if err := old.Precompute(ctx, metapath.MustParse(g.Schema(), spec)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ops := []hin.Op{
+		incrementalUpsert(b, g, "writes", 7, 11),
+		incrementalUpsert(b, g, "mentions", 42, 3),
+		incrementalUpsert(b, g, "mentions", 99, 0), // one of paper 99's edges, deleted
+	}
+	ops[2].Kind, ops[2].Weight = hin.OpDeleteEdge, 0
+	ng, dirty, err := g.Apply(ops)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rewarm := func(ng *hin.Graph, dirty *hin.Dirty) {
+		if _, err := core.NewEngine(ng).RewarmFrom(ctx, old, dirty); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	b.Run("apply", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := g.Apply(ops); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fingerprint", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh, _, _ := g.Apply(ops)
+			b.StartTimer()
+			fresh.Fingerprint()
+		}
+	})
+	b.Run("rewarm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rewarm(ng, dirty)
+		}
+	})
+	b.Run("sequence", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ng, dirty, err := g.Apply(ops)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ng.Fingerprint()
+			rewarm(ng, dirty)
+		}
+	})
+}
+
+// incrementalUpsert returns an upsert of rel from source node src to the
+// first target at or after index from: one the source lacks, or, with from
+// 0, the source's first neighbor (an edge that exists, for a delete).
+func incrementalUpsert(b *testing.B, g *hin.Graph, rel string, src, from int) hin.Op {
+	b.Helper()
+	r, err := g.Schema().RelationByName(rel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	adj, _ := g.Adjacency(rel)
+	dst := from
+	if from == 0 {
+		cols, _ := adj.RowEntries(src)
+		dst = cols[0]
+	} else {
+		for adj.At(src, dst) != 0 {
+			dst++
+		}
+	}
+	s, _ := g.NodeID(r.Source, src)
+	t, _ := g.NodeID(r.Target, dst)
+	return hin.Op{Kind: hin.OpUpsertEdge, Relation: rel, Src: s, Dst: t, Weight: 1}
+}
+
 // BenchmarkPlanAuto races the cost-based optimizer against every static
 // plan it chooses between, on a mixed pair workload. Cold, auto should
 // track pair-vectors (no materialization for a handful of queries); after

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -45,11 +46,15 @@ func (s RewarmStats) String() string {
 // may be serving concurrently. A chain depends on the graph alone, so the two
 // engines' other options never make their chains differ.
 //
-// Per cached chain, only the dirty rows are recomputed and spliced in; a
+// First the per-relation state comes along (carryRelations): transitions of
+// relations the delta left alone are carried, those of changed relations are
+// row-patched, and odd-path middles of unchanged relations are carried. Then,
+// per cached chain, only the dirty rows are recomputed and spliced in; a
 // chain whose dirty rows cannot be told (a prefix is missing) is rebuilt. An
 // odd path's halves are ordinary step chains, and their norms come along
-// (carryNorms). Failure modes degrade to dropping a chain — always safe, the
-// next query rebuilds it cold.
+// (carryNorms); so do the transposes and "X:" products derived from a
+// chain, patched where it changed (patchDerived). Failure modes degrade to
+// dropping a chain — always safe, the next query rebuilds it cold.
 func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (RewarmStats, error) {
 	var st RewarmStats
 	if src == nil || d == nil {
@@ -58,6 +63,7 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 	if !e.caching {
 		return st, nil
 	}
+	e.carryRelations(src, d)
 
 	chains := src.ExportChains()
 	keys := make([]string, 0, len(chains))
@@ -69,6 +75,9 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 	// "X:") follow their base via the second pass below.
 	sort.Slice(keys, func(i, j int) bool { return len(keys[i]) < len(keys[j]) })
 
+	// patches[key] is what changed in a carried or row-patched chain: its
+	// recomputed rows and their new values (none for a carried chain).
+	patches := make(map[string]rowPatch)
 	for _, key := range keys {
 		if !strings.HasPrefix(key, "C:") {
 			continue
@@ -91,27 +100,28 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 		}
 		nRows, nCols := e.chainDims(c)
 		nm := chains[key].Resize(nRows, nCols)
+		p := rowPatch{rows: rows}
 		if len(rows) == 0 {
-			e.cachePut(key, nm)
-			e.carryNorms(src, key, nm, nil, nil)
 			st.Carried++
-			continue
+		} else {
+			if p.sub, err = e.opSubsetChain(ctx, rows, c); err != nil {
+				return st, err
+			}
+			nm = nm.ReplaceRows(rows, p.sub)
+			st.RowPatched++
+			st.Rows += len(rows)
 		}
-		sub, err := e.opSubsetChain(ctx, rows, c)
-		if err != nil {
-			return st, err
-		}
-		nm = nm.ReplaceRows(rows, sub)
 		e.cachePut(key, nm)
-		e.carryNorms(src, key, nm, rows, sub.RowNorms())
-		st.RowPatched++
-		st.Rows += len(rows)
+		e.carryNorms(src, key, nm, p)
+		patches[key] = p
 	}
 
-	// Entries derived from a chain ("T:" transposes, "X:" metKey products) are
-	// derived again from the rewarmed chain, bit-identical to the cold path's.
-	// A chain that went missing (evicted upstream, dropped here) drops them;
-	// a "T:" without room (transposeFits) is dropped before it is built.
+	// Entries derived from a chain ("T:" transposes, "X:" metKey products)
+	// are carried and patched where their chain changed (patchDerived), or
+	// derived again from the rewarmed chain when it was rebuilt — either way
+	// bit-identical to the cold path's. A chain that went missing (evicted
+	// upstream, dropped here) drops them; a "T:" without room
+	// (transposeFits) is dropped before it is built.
 	for _, key := range keys {
 		if strings.HasPrefix(key, "C:") {
 			continue
@@ -120,7 +130,11 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 			st.Dropped++
 			continue
 		}
-		if nm, err := e.derive(ctx, key); err == nil && e.cachePut(key, nm) {
+		nm, err := e.patchDerived(ctx, src, key, chains[key], chains, patches)
+		if nm == nil && err == nil {
+			nm, err = e.derive(ctx, key)
+		}
+		if err == nil && e.cachePut(key, nm) {
 			st.Carried++
 		} else {
 			st.Dropped++
@@ -129,13 +143,166 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 	return st, nil
 }
 
+// rowPatch is what RewarmFrom changed in one chain: the recomputed rows and
+// sub, their new values (row i of sub is row rows[i]); nil for none.
+type rowPatch struct {
+	rows []int
+	sub  *sparse.Matrix
+}
+
+// carryRelations brings src's per-relation state over to e, whose graph is
+// src's with delta d applied. A transition U of a relation d changed no cell
+// of is carried (padded if a type grew: the new rows and columns are empty,
+// as a rebuilt one's would be); a changed relation's U is row-patched at its
+// dirty source rows, and its inverse's at its dirty target rows, read off
+// the new adjacency by a column scan (TransposeRows) — each row normalized
+// on its own, so the patched matrix is bit for bit the rebuilt one (Property
+// 2: a delta moves one row of each direction). A middle is carried while
+// its relation and both its types are unchanged; otherwise middleOf builds
+// it again on first use.
+func (e *Engine) carryRelations(src *Engine, d *hin.Dirty) {
+	src.mu.Lock()
+	trans := maps.Clone(src.trans)
+	middles := maps.Clone(src.middles)
+	src.mu.Unlock()
+	s := e.g.Schema()
+	for key, u := range trans {
+		name, inverse := strings.CutSuffix(key, "~")
+		w, err := e.g.Adjacency(name)
+		if err != nil {
+			continue
+		}
+		rows, cols := w.Dims()
+		dirty := d.Rows[name]
+		if inverse {
+			rows, cols, dirty = cols, rows, d.Cols[name]
+		}
+		u = u.Resize(rows, cols)
+		switch {
+		case len(dirty) == 0:
+		case inverse:
+			u = u.ReplaceRows(dirty, w.TransposeRows(dirty).RowNormalize())
+		default:
+			u = u.ReplaceRows(dirty, w.SelectRows(dirty).RowNormalize())
+		}
+		e.mu.Lock()
+		e.trans[key] = u
+		e.mu.Unlock()
+	}
+	for key, mo := range middles {
+		name, _ := strings.CutSuffix(key, "~")
+		rel, err := s.RelationByName(name)
+		if err == nil && len(d.Rows[name]) == 0 && !d.Grown[rel.Source] && !d.Grown[rel.Target] {
+			e.mu.Lock()
+			e.middles[key] = mo
+			e.mu.Unlock()
+		}
+	}
+}
+
+// carriedMiddle returns the middle of step key mk if e carried it from src
+// (so its weights and M are src's), else nil.
+func (e *Engine) carriedMiddle(src *Engine, mk string) *middle {
+	src.mu.Lock()
+	old := src.middles[mk]
+	src.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if mo := e.middles[mk]; mo != nil && mo == old {
+		return mo
+	}
+	return nil
+}
+
+// patchDerived returns a "T:" transpose or an "X:" product carried from
+// src and patched where its chain changed, or nil, nil when it must be
+// derived whole: its chain was rebuilt, or, for a product, its middle was
+// not carried, or, for a transpose, the patch is over an eighth of it. A transpose changes only in the entries of the chain's dirty
+// rows: the old ones are deleted and the new ones set, row by row in
+// ascending chain-row order (SetCells), as Transpose lays them out. With the
+// middle carried, row r of PM_L·M changes only where row r of PM_L did, and
+// each row of a product is computed on its own — so either way the patched
+// entry is bit-identical to the derived one.
+func (e *Engine) patchDerived(ctx context.Context, src *Engine, key string, old *sparse.Matrix, chains map[string]*sparse.Matrix, patches map[string]rowPatch) (*sparse.Matrix, error) {
+	kind, mk, base := derivedKey(key)
+	p, ok := patches[base]
+	if !ok {
+		return nil, nil
+	}
+	pm, ok := e.cacheGet(base)
+	if !ok {
+		return nil, fmt.Errorf("core: chain %q of %q is gone", base, key)
+	}
+	if kind == "T" {
+		nm := old.Resize(pm.Cols(), pm.Rows())
+		if len(p.rows) == 0 {
+			return nm, nil
+		}
+		prev := chains[base]
+		n := p.sub.NNZ()
+		for _, r := range p.rows {
+			if r < prev.Rows() {
+				n += prev.RowNNZ(r)
+			}
+		}
+		if 8*n > pm.NNZ() { // sorting that many cells costs more than a transpose
+			return nil, nil
+		}
+		cells := make([]sparse.Triplet, 0, n) // (column, chain row): old entries zeroed, then the new ones
+		for i, r := range p.rows {
+			if r < prev.Rows() {
+				idx, _ := prev.RowEntries(r)
+				for _, c := range idx {
+					cells = append(cells, sparse.Triplet{Row: c, Col: r})
+				}
+			}
+			idx, val := p.sub.RowEntries(i)
+			for k, c := range idx {
+				cells = append(cells, sparse.Triplet{Row: c, Col: r, Val: val[k]})
+			}
+		}
+		sort.SliceStable(cells, func(i, j int) bool {
+			return cells[i].Row < cells[j].Row || cells[i].Row == cells[j].Row && cells[i].Col < cells[j].Col
+		})
+		n = 0 // keep the last of each coordinate: the new entry over the old
+		for i, c := range cells {
+			if i+1 < len(cells) && cells[i+1].Row == c.Row && cells[i+1].Col == c.Col {
+				continue
+			}
+			cells[n] = c
+			n++
+		}
+		return nm.SetCells(nm.Rows(), nm.Cols(), cells[:n]), nil
+	}
+	mo := e.carriedMiddle(src, mk)
+	if mo == nil {
+		return nil, nil
+	}
+	nm := old.Resize(pm.Rows(), mo.m.Cols())
+	if len(p.rows) == 0 {
+		return nm, nil
+	}
+	sub, err := p.sub.MulCtx(ctx, mo.m)
+	if err != nil {
+		return nil, err
+	}
+	return nm.ReplaceRows(p.rows, sub), nil
+}
+
+// derivedKey splits the key of an entry derived from a chain: its kind
+// ("T" or "X"), the middle step key of an "X:" product, and the chain key.
+func derivedKey(key string) (kind, mk, base string) {
+	kind, rest, _ := strings.Cut(key, ":")
+	if kind == "T" {
+		return kind, "", rest
+	}
+	mk, base, _ = strings.Cut(rest, ">")
+	return kind, mk, base
+}
+
 // derive builds a "T:" or "X:" entry from its chain, cached on e.
 func (e *Engine) derive(ctx context.Context, key string) (*sparse.Matrix, error) {
-	kind, rest, _ := strings.Cut(key, ":")
-	mk, base, _ := strings.Cut(rest, ">")
-	if kind == "T" {
-		base = rest
-	}
+	kind, mk, base := derivedKey(key)
 	pm, ok := e.cacheGet(base)
 	if !ok {
 		return nil, fmt.Errorf("core: chain %q of %q is gone", base, key)
@@ -166,10 +333,11 @@ func (e *Engine) chainDims(c chain) (int, int) {
 // inverse — Property 2) that s's step-(i-1) reaching distribution touches.
 // The old engine's cached prefix matrices answer exactly that reachability
 // question: a row not yet dirty at step i has an unchanged prefix
-// distribution, so consulting the OLD prefix is not an approximation. A
-// missing prefix forces a full rebuild (second return true).
+// distribution, so consulting the OLD prefix is not an approximation; its
+// rows are scanned in place. A missing prefix forces a full rebuild (second
+// return true).
 func (e *Engine) chainDirtyRows(src *Engine, c chain, d *hin.Dirty) ([]int, bool) {
-	dirty := make(map[int]bool)
+	dirty := make([]bool, e.g.NodeCount(c.start))
 	for i, step := range c.steps {
 		changed := d.Rows[step.Relation.Name]
 		if step.Inverse {
@@ -189,59 +357,82 @@ func (e *Engine) chainDirtyRows(src *Engine, c chain, d *hin.Dirty) ([]int, bool
 		if !ok {
 			return nil, true
 		}
-		changedSet := make(map[int]bool, len(changed))
+		hit := make([]bool, prefix.Cols())
 		for _, r := range changed {
-			changedSet[r] = true
+			if r < len(hit) { // a node the delta added: no old row reaches it
+				hit[r] = true
+			}
 		}
-		for _, t := range prefix.Triplets() {
-			if changedSet[t.Col] {
-				dirty[t.Row] = true
+		for r := 0; r < prefix.Rows(); r++ {
+			if dirty[r] {
+				continue
+			}
+			idx, _ := prefix.RowEntries(r)
+			for _, col := range idx {
+				if hit[col] {
+					dirty[r] = true
+					break
+				}
 			}
 		}
 	}
-	out := make([]int, 0, len(dirty))
-	for r := range dirty {
-		out = append(out, r)
+	var out []int
+	for r, on := range dirty {
+		if on {
+			out = append(out, r)
+		}
 	}
-	sort.Ints(out)
 	return out, false
 }
 
 // carryNorms carries the cached row norms of a carried or row-patched chain
-// nm. Plain norms are patched: untouched rows keep their old (bit-identical)
-// norms, appended rows are zero, and recomputed rows take the norms of their
-// recomputed values. Norms weighted by a middle relation are recomputed whole
-// under that relation rebuilt from the new graph — a write to it moves them
-// wherever a row reaches it — so the first odd-path read of the new
-// generation finds them as warm as src left them. Absent source norms stay
-// absent and rebuild lazily on first use.
-func (e *Engine) carryNorms(src *Engine, key string, nm *sparse.Matrix, rows []int, rowNorms []float64) {
-	src.mu.Lock()
-	old, plain := src.norms[key][""]
-	var weighted []string
-	for wk := range src.norms[key] {
-		if wk != "" {
-			weighted = append(weighted, wk)
-		}
-	}
-	src.mu.Unlock()
+// nm. Norms are patched — untouched rows keep their old (bit-identical)
+// norms, appended rows are zero, and recomputed rows take the norms of
+// their recomputed values — when plain, or weighted by a middle carried
+// from src (its weights are src's). Norms weighted by a middle that was not
+// carried are recomputed whole under the middle rebuilt from the new graph —
+// a write to it moves them wherever a row reaches it — so the first
+// odd-path read of the new generation finds them as warm as src left them.
+// Absent source norms stay absent and rebuild lazily on first use.
+func (e *Engine) carryNorms(src *Engine, key string, nm *sparse.Matrix, p rowPatch) {
 	e.mu.Lock()
 	_, cached := e.reach[key]
-	if cached && plain {
-		n := make([]float64, nm.Rows())
-		copy(n, old)
-		for i, r := range rows {
-			n[r] = rowNorms[i]
-		}
-		e.norms[key] = map[string][]float64{"": n}
-	}
 	e.mu.Unlock()
-	for _, wk := range weighted {
-		if step, err := parseStepKey(e.g.Schema(), wk[1:]); err == nil && cached {
-			if mo, err := e.middleOf(&step); err == nil {
-				e.chainRowNorms(key, nm, mo.weights(wk[0]))
+	if !cached {
+		return
+	}
+	src.mu.Lock()
+	old := maps.Clone(src.norms[key])
+	src.mu.Unlock()
+	for wk, n := range old {
+		var w weights
+		if wk != "" {
+			step, err := parseStepKey(e.g.Schema(), wk[1:])
+			if err != nil {
+				continue
+			}
+			mo := e.carriedMiddle(src, wk[1:])
+			if mo == nil {
+				if mo, err = e.middleOf(&step); err == nil {
+					e.chainRowNorms(key, nm, mo.weights(wk[0]))
+				}
+				continue
+			}
+			w = mo.weights(wk[0])
+		}
+		patched := make([]float64, nm.Rows())
+		copy(patched, n)
+		if p.sub != nil {
+			for i, v := range p.sub.WeightedRowNorms(w.d) {
+				patched[p.rows[i]] = v
 			}
 		}
+		e.mu.Lock()
+		if e.norms[key] == nil {
+			e.norms[key] = make(map[string][]float64)
+		}
+		e.norms[key][wk] = patched
+		e.mu.Unlock()
 	}
 }
 

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"hetesim/internal/datagen"
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
 	"hetesim/internal/sparse"
@@ -325,5 +327,169 @@ func TestChainColdFlopsPartialWarmth(t *testing.T) {
 	}
 	if cm.coldLeft != 0 || cm.coldRight != 0 {
 		t.Fatalf("warm engine: cold = %v/%v, want 0/0", cm.coldLeft, cm.coldRight)
+	}
+}
+
+// TestRewarmCarriesRelationState chains random batches — upserts, deletes
+// and node growth over every relation, middles included or left alone — and
+// after each rewarm holds every piece of carried or patched state to what a
+// cold engine over the new graph builds: transitions, middles, row norms
+// plain and weighted, and the chain cache with its "X:" products.
+func TestRewarmCarriesRelationState(t *testing.T) {
+	ctx := context.Background()
+	rels := []string{"writes", "published_in", "part_of", "mentions"}
+	for _, seed := range []int64{3, 11} {
+		rng := rand.New(rand.NewSource(seed))
+		g := oddGraph(seed)
+		// warm precomputes every path and leaves each right half's
+		// transpose cached, as top-k reads do.
+		warmUp := func(e *Engine, g *hin.Graph) {
+			for _, spec := range oddPathSpecs {
+				p := metapath.MustParse(g.Schema(), spec)
+				if err := e.Precompute(ctx, p); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.TopKSearch(ctx, p, 0, 3, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		old := NewEngine(g)
+		warmUp(old, g)
+		fresh, carried, transposes := 0, 0, 0
+		for batch := 0; batch < 8; batch++ {
+			var ops []hin.Op
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				// Every other batch leaves published_in (the middle of
+				// APVC, CVPA and APAPVC) alone, so its middle is carried.
+				rel := rels[rng.Intn(len(rels))]
+				if batch%2 == 0 && rel == "published_in" {
+					rel = "writes"
+				}
+				r, _ := g.Schema().RelationByName(rel)
+				node := func(typ string) string {
+					if rng.Intn(8) == 0 {
+						fresh++
+						return "new" + itoa(fresh)
+					}
+					id, _ := g.NodeID(typ, rng.Intn(g.NodeCount(typ)))
+					return id
+				}
+				src, dst := node(r.Source), node(r.Target)
+				adj, _ := g.Adjacency(rel)
+				i, err1 := g.NodeIndex(r.Source, src)
+				j, err2 := g.NodeIndex(r.Target, dst)
+				if err1 == nil && err2 == nil && adj.At(i, j) != 0 && rng.Intn(2) == 0 {
+					ops = append(ops, hin.Op{Kind: hin.OpDeleteEdge, Relation: rel, Src: src, Dst: dst})
+					break // one delete per batch: a second could name the same cell
+				}
+				ops = append(ops, hin.Op{Kind: hin.OpUpsertEdge, Relation: rel, Src: src, Dst: dst, Weight: []float64{1, 0.5, 2}[rng.Intn(3)]})
+			}
+			ng, d := applyOps(t, g, ops)
+			warm := NewEngine(ng)
+			if _, err := warm.RewarmFrom(ctx, old, d); err != nil {
+				t.Fatal(err)
+			}
+			cold := NewEngine(ng)
+			warmUp(cold, ng)
+			for key := range warm.ExportChains() {
+				if strings.HasPrefix(key, "T:") {
+					transposes++
+				}
+			}
+			what := func(s string) string { return "seed " + itoa(int(seed)) + " batch " + itoa(batch) + ": " + s }
+			for key, u := range warm.trans {
+				if want := cold.trans[key]; want == nil || !u.Equal(want) || u.NNZ() != want.NNZ() {
+					t.Fatal(what("transition " + key + " differs from a rebuilt one"))
+				}
+			}
+			for key, mo := range warm.middles {
+				if mo == old.middles[key] {
+					carried++
+				}
+				want := cold.middles[key]
+				if want == nil || !mo.a.Equal(want.a) || !mo.b.Equal(want.b) || !mo.m.Equal(want.m) ||
+					!reflect.DeepEqual(mo.l, want.l) || !reflect.DeepEqual(mo.r, want.r) {
+					t.Fatal(what("middle " + key + " differs from a rebuilt one"))
+				}
+			}
+			for key, byW := range warm.norms {
+				for wk, n := range byW {
+					if want, ok := cold.norms[key][wk]; !ok || !reflect.DeepEqual(n, want) {
+						t.Fatal(what("norms " + key + " " + wk + " differ from a rebuilt chain's"))
+					}
+				}
+			}
+			compareCaches(t, cold, warm)
+			for key := range old.ExportChains() {
+				if _, ok := warm.cacheGet(key); !ok {
+					t.Fatal(what("entry " + key + " lost in rewarm"))
+				}
+			}
+			g, old = ng, warm
+		}
+		if carried == 0 || transposes == 0 {
+			t.Fatalf("seed %d: %d middles carried, %d transposes rewarmed; the carry went untested", seed, carried, transposes)
+		}
+	}
+}
+
+// TestRewarmPatchesTransposes writes to a network large enough that a
+// chain's dirty rows are a small part of it, so its "T:" transpose is
+// patched in place rather than derived again, and holds every rewarmed
+// transpose to the transpose of the chain a cold engine builds.
+func TestRewarmPatchesTransposes(t *testing.T) {
+	ctx := context.Background()
+	ds, err := datagen.ACM(datagen.SmallACMConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	old := NewEngine(g)
+	for _, spec := range []string{"APA", "APVPA", "APTPA", "APVC"} {
+		p := metapath.MustParse(g.Schema(), spec)
+		if err := old.Precompute(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := old.TopKSearch(ctx, p, 0, 5, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := func(typ string, i int) string { s, _ := g.NodeID(typ, i); return s }
+	writes, _ := g.Adjacency("writes")
+	mentions, _ := g.Adjacency("mentions")
+	wc, _ := writes.RowEntries(3)
+	mc, _ := mentions.RowEntries(7)
+	ng, d := applyOps(t, g, []hin.Op{
+		{Kind: hin.OpDeleteEdge, Relation: "writes", Src: id("author", 3), Dst: id("paper", wc[0])},
+		{Kind: hin.OpDeleteEdge, Relation: "mentions", Src: id("paper", 7), Dst: id("term", mc[0])},
+		{Kind: hin.OpUpsertEdge, Relation: "mentions", Src: id("paper", 9), Dst: id("term", 11), Weight: 2},
+	})
+	warm := NewEngine(ng)
+	if _, err := warm.RewarmFrom(ctx, old, d); err != nil {
+		t.Fatal(err)
+	}
+	cold := NewEngine(ng)
+	checked := 0
+	for key, m := range warm.ExportChains() {
+		base, ok := strings.CutPrefix(key, "T:")
+		if !ok {
+			continue
+		}
+		c, _, err := parseChainKey(ng.Schema(), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := cold.opMatrixChain(ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := pm.Transpose(); !m.Equal(want) || m.NNZ() != want.NNZ() {
+			t.Errorf("%s differs from the transpose of the rebuilt chain", key)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no transpose was rewarmed")
 	}
 }

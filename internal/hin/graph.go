@@ -20,6 +20,8 @@ type Graph struct {
 	index map[string]map[string]int
 	// adj[r] is the |source| x |target| weighted adjacency of relation r.
 	adj map[string]*sparse.Matrix
+	// fp caches the fingerprint's per-type and per-relation spans.
+	fp *fpSections
 }
 
 // Schema returns the graph's schema.
@@ -219,6 +221,7 @@ func (b *Builder) Build() (*Graph, error) {
 		nodes:  make(map[string][]string, len(b.nodes)),
 		index:  make(map[string]map[string]int, len(b.index)),
 		adj:    make(map[string]*sparse.Matrix),
+		fp:     newFPSections(),
 	}
 	for t, ids := range b.nodes {
 		g.nodes[t] = append([]string(nil), ids...)

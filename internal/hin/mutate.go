@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hetesim/internal/sparse"
@@ -92,10 +93,13 @@ type Op struct {
 }
 
 // Dirty reports what a batch of deltas perturbed, in post-apply node
-// indexing. Rows[r] holds the source-node indices of relation r whose
-// outgoing edge set changed (the rows of the forward transition matrix that
-// must be recomputed); Cols[r] holds the target-node indices whose incoming
-// edge set changed (the rows of the inverse transition matrix). Grown names
+// indexing. Rows[r] holds, ascending, exactly the source-node indices of
+// relation r whose outgoing edges changed (the rows of the forward
+// transition matrix that must be recomputed); Cols[r] holds exactly the
+// target-node indices whose incoming edges changed (the rows of the inverse
+// transition matrix). A relation the ops touched without changing a cell
+// (an upsert of the weight a cell has, a delete of a cell the batch
+// upserted) has no entry. Grown names
 // the node types that gained nodes — existing transition rows are
 // untouched by growth, but matrices over a grown type need padding.
 type Dirty struct {
@@ -115,11 +119,19 @@ func newDirty() *Dirty {
 // edgeKey addresses one cell of a relation's adjacency.
 type edgeKey struct{ src, dst int }
 
+// cellEdit is a cell's state after the ops so far: its weight, or absent.
+type cellEdit struct {
+	w    float64
+	live bool
+}
+
 // Apply returns a new graph with the ops applied in order, plus the dirty
 // summary, leaving the receiver untouched. Node tables and adjacency
 // matrices of unaffected types and relations are shared between the two
-// graphs, so the cost of a delta is proportional to the touched relations,
-// not the graph. Any invalid op fails the whole batch with no effect —
+// graphs; a touched relation's new CSR block-copies its untouched rows and
+// merges each dirty row with its changed cells (sparse.SetCells), so the
+// cost of a delta is a copy of the touched relations plus the delta, never
+// a re-sort. Any invalid op fails the whole batch with no effect —
 // mutation batches are all-or-nothing.
 func (g *Graph) Apply(ops []Op) (*Graph, *Dirty, error) {
 	if len(ops) == 0 {
@@ -142,11 +154,9 @@ func (g *Graph) Apply(ops []Op) (*Graph, *Dirty, error) {
 	}
 
 	d := newDirty()
-	// Touched relations are edited as cell maps and rebuilt at the end;
-	// dirtyRows/dirtyCols collect perturbed indices as sets.
-	edits := make(map[string]map[edgeKey]float64)
-	dirtyRows := make(map[string]map[int]bool)
-	dirtyCols := make(map[string]map[int]bool)
+	// edits[rel] holds the cells the ops set, in their latest state; the
+	// old adjacency answers for every other cell.
+	edits := make(map[string]map[edgeKey]cellEdit)
 
 	addNode := func(typeName, id string) (int, error) {
 		if !ng.schema.HasType(typeName) {
@@ -172,21 +182,6 @@ func (g *Graph) Apply(ops []Op) (*Graph, *Dirty, error) {
 		ng.nodes[typeName] = append(ng.nodes[typeName], id)
 		ng.index[typeName][id] = i
 		return i, nil
-	}
-
-	cells := func(rel string) map[edgeKey]float64 {
-		if m, ok := edits[rel]; ok {
-			return m
-		}
-		adj := g.adj[rel]
-		m := make(map[edgeKey]float64, adj.NNZ())
-		for _, t := range adj.Triplets() {
-			m[edgeKey{t.Row, t.Col}] = t.Val
-		}
-		edits[rel] = m
-		dirtyRows[rel] = make(map[int]bool)
-		dirtyCols[rel] = make(map[int]bool)
-		return m
 	}
 
 	for i, op := range ops {
@@ -219,53 +214,69 @@ func (g *Graph) Apply(ops []Op) (*Graph, *Dirty, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("op %d (%s %s): %w", i, op.Kind, op.Relation, err)
 			}
-			m := cells(op.Relation)
+			m := edits[op.Relation]
+			if m == nil {
+				m = make(map[edgeKey]cellEdit)
+				edits[op.Relation] = m
+			}
 			k := edgeKey{s, t}
 			if op.Kind == OpDeleteEdge {
-				if _, ok := m[k]; !ok {
+				c, ok := m[k]
+				if !ok {
+					c.w = cellAt(g.adj[op.Relation], s, t)
+					c.live = c.w != 0
+				}
+				if !c.live {
 					return nil, nil, fmt.Errorf("op %d: %w: %s(%s->%s) does not exist",
 						i, ErrUnknownNode, op.Relation, op.Src, op.Dst)
 				}
-				delete(m, k)
+				m[k] = cellEdit{}
 			} else {
-				m[k] = op.Weight
+				m[k] = cellEdit{w: op.Weight, live: true}
 			}
-			dirtyRows[op.Relation][s] = true
-			dirtyCols[op.Relation][t] = true
 		default:
 			return nil, nil, fmt.Errorf("op %d: %w: kind %d", i, ErrBadOp, op.Kind)
 		}
 	}
 
-	// Rebuild the touched relations from their edited cells; resize every
-	// relation over a grown type (shared matrices stay shared otherwise).
+	// Splice the changed cells into the touched relations; resize every
+	// other relation over a grown type (its entries stay shared).
 	for _, rel := range ng.schema.Relations() {
 		rows := len(ng.nodes[rel.Source])
 		cols := len(ng.nodes[rel.Target])
-		if m, ok := edits[rel.Name]; ok {
-			ts := make([]sparse.Triplet, 0, len(m))
-			for k, w := range m {
-				ts = append(ts, sparse.Triplet{Row: k.src, Col: k.dst, Val: w})
+		old := g.adj[rel.Name]
+		var cells []sparse.Triplet
+		for k, c := range edits[rel.Name] {
+			if c.w != cellAt(old, k.src, k.dst) { // a net change: dirty
+				cells = append(cells, sparse.Triplet{Row: k.src, Col: k.dst, Val: c.w})
 			}
-			ng.adj[rel.Name] = sparse.New(rows, cols, ts)
-		} else if d.Grown[rel.Source] || d.Grown[rel.Target] {
-			ng.adj[rel.Name] = ng.adj[rel.Name].Resize(rows, cols)
 		}
+		if len(cells) == 0 {
+			ng.adj[rel.Name] = old.Resize(rows, cols)
+			continue
+		}
+		sort.Slice(cells, func(i, j int) bool {
+			return cells[i].Row < cells[j].Row || cells[i].Row == cells[j].Row && cells[i].Col < cells[j].Col
+		})
+		ng.adj[rel.Name] = old.SetCells(rows, cols, cells)
+		var rs, cs []int
+		for _, c := range cells {
+			if len(rs) == 0 || rs[len(rs)-1] != c.Row {
+				rs = append(rs, c.Row)
+			}
+			cs = append(cs, c.Col)
+		}
+		sort.Ints(cs)
+		d.Rows[rel.Name], d.Cols[rel.Name] = rs, slices.Compact(cs)
 	}
-	for rel, set := range dirtyRows {
-		d.Rows[rel] = sortedKeys(set)
-	}
-	for rel, set := range dirtyCols {
-		d.Cols[rel] = sortedKeys(set)
-	}
+	ng.fp = g.fp.carry(d.Grown, d.Rows)
 	return ng, d, nil
 }
 
-func sortedKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+// cellAt is m's entry at (r, c), 0 past its edge (a node the batch added).
+func cellAt(m *sparse.Matrix, r, c int) float64 {
+	if r >= m.Rows() || c >= m.Cols() {
+		return 0
 	}
-	sort.Ints(out)
-	return out
+	return m.At(r, c)
 }

@@ -308,6 +308,31 @@ func getJSON(t *testing.T, client *http.Client, url string, into any) {
 // scored path's replica is down answers partial=true with the surviving
 // contributions unrenormalized — the failed path's weight is not
 // redistributed, so the partial score is a lower bound on the full one.
+// TestRelevanceUnknownEndpointIs404 holds a routed pair ensemble naming a
+// node the graph lacks to the direct answer: a whole-request 404
+// not_found with the replica's message, not a 200 whose every member
+// failed.
+func TestRelevanceUnknownEndpointIs404(t *testing.T) {
+	rt, reps := newCluster(t, 2)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	client := &http.Client{Timeout: 5 * time.Second}
+	for _, ends := range [][2]string{{"Nobody", "Mary"}, {"Tom", "Nobody"}} {
+		req := map[string]any{
+			"source": ends[0], "source_type": "author",
+			"target": ends[1], "target_type": "author",
+		}
+		direct, dbody := postJSON(t, client, reps[0].ts.URL+"/v1/relevance", req)
+		routed, rbody := postJSON(t, client, front.URL+"/v1/relevance", req)
+		if direct.StatusCode != http.StatusNotFound {
+			t.Fatalf("%v direct: %d %s, want 404", ends, direct.StatusCode, dbody)
+		}
+		if routed.StatusCode != direct.StatusCode || !bytes.Equal(rbody, dbody) {
+			t.Errorf("%v routed: %d %s, direct: %d %s", ends, routed.StatusCode, rbody, direct.StatusCode, dbody)
+		}
+	}
+}
+
 func TestRelevancePartialFailure(t *testing.T) {
 	// retries=0: the dead path group must actually fail rather than fall
 	// back, and a long health interval keeps the stale "healthy" view.

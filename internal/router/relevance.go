@@ -21,7 +21,9 @@ import (
 // by construction). A path whose replica group is down is excluded and
 // flagged; the surviving contributions keep their original weights
 // (partial=true, unrenormalized — a partial answer is a lower bound, not a
-// silently re-weighted ensemble). Top-k mode and degree weighting need
+// silently re-weighted ensemble). A member answering not_found names an
+// endpoint the graph lacks, which fails the whole request with 404, as it
+// does direct. Top-k mode and degree weighting need
 // whole-graph state, so those proxy to one replica keyed by the
 // endpoint-type pair.
 
@@ -84,6 +86,7 @@ func (r *Router) scatterRelevance(w http.ResponseWriter, req *http.Request, rreq
 	slots, stats, _ := r.fanout(req.Context(), queries, keys, floor)
 
 	outs := make([]relevance.Outcome, len(slots))
+	var notFound *api.Error // an endpoint no replica knows: the whole request's error
 	for i, s := range slots {
 		var sr api.BatchResult
 		if s.raw == nil {
@@ -100,6 +103,16 @@ func (r *Router) scatterRelevance(w http.ResponseWriter, req *http.Request, rreq
 		default:
 			outs[i].Score, outs[i].Shared = *sr.Score, sr.Shared
 		}
+		if outs[i].Code == "not_found" && notFound == nil {
+			notFound = &api.Error{Error: outs[i].Err, Code: outs[i].Code}
+		}
+	}
+	// A replica resolves both endpoints before it scores any path, so an
+	// unknown source or target is a 404 for the whole ensemble there, not a
+	// member failure; the routed answer is the same.
+	if notFound != nil {
+		writeJSON(w, http.StatusNotFound, notFound)
+		return
 	}
 	res := relevance.Assemble(paths, weights, outs)
 	resp := api.RelevanceResponse{

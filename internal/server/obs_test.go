@@ -2,10 +2,12 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -152,6 +154,56 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if after[`hetesim_http_request_duration_seconds_bucket{le="+Inf"}`] !=
 		after["hetesim_http_request_duration_seconds_count"] {
 		t.Error("latency histogram +Inf bucket disagrees with _count")
+	}
+}
+
+// TestMetricsWritePhases asserts every applied batch lands in each phase
+// of hetesim_write_phase_seconds, whether a client wrote it to the primary
+// or a follower applied it from the primary's stream.
+func TestMetricsWritePhases(t *testing.T) {
+	newWAL := func() (*Server, *httptest.Server) {
+		srv := New(reloadGraph(t, 0), WithWALPath(filepath.Join(t.TempDir(), "edges.wal")), WithLogf(t.Logf))
+		t.Cleanup(srv.Close)
+		srv.MarkReady()
+		if _, err := srv.OpenWAL(); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return srv, ts
+	}
+	primary, pts := newWAL()
+	follower, _ := newWAL()
+	phases := []string{"apply", "log", "engine", "rewarm"}
+	counts := func() map[string]float64 {
+		m := scrapeMetrics(t, pts.URL)
+		out := make(map[string]float64)
+		for _, ph := range phases {
+			out[ph] = m[`hetesim_write_phase_seconds_count{phase="`+ph+`"}`]
+		}
+		return out
+	}
+
+	before := counts()
+	if resp, mb := postMutation(t, pts.URL, "phase-1", mutationBatches()[0]); resp.StatusCode != http.StatusOK {
+		t.Fatalf("mutation = %d %+v", resp.StatusCode, mb)
+	}
+	afterPrimary := counts()
+	stream, _, err := primary.st.tail(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if caught, err := follower.applyStream(context.Background(), &stream); err != nil || !caught {
+		t.Fatalf("follower applying the primary's stream: caught up %v, %v", caught, err)
+	}
+	afterFollower := counts()
+	for _, ph := range phases {
+		if d := afterPrimary[ph] - before[ph]; d < 1 {
+			t.Errorf("primary write: phase %s observed %v times, want 1", ph, d)
+		}
+		if d := afterFollower[ph] - afterPrimary[ph]; d < 1 {
+			t.Errorf("follower apply: phase %s observed %v times, want 1", ph, d)
+		}
 	}
 }
 

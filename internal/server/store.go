@@ -39,7 +39,17 @@ var (
 		"Current size of the edge-delta write-ahead log.")
 	metWALCompactions = obs.Default().Counter("hetesim_wal_compactions_total",
 		"Write-ahead log compactions (log folded into a new base graph).")
+	metWritePhase = obs.Default().HistogramVec("hetesim_write_phase_seconds",
+		"Time an applied delta batch spent per write-path phase, on primary and follower alike: apply (the next graph), log (WAL append and fsync), engine (the next generation's engines and fingerprint), rewarm (its chain cache, carried from the serving one).",
+		obs.DefSecondsBuckets(), "phase")
+	metPhaseApply  = metWritePhase.With("apply")
+	metPhaseLog    = metWritePhase.With("log")
+	metPhaseEngine = metWritePhase.With("engine")
+	metPhaseRewarm = metWritePhase.With("rewarm")
 )
+
+// since observes the seconds elapsed from t in h.
+func since(h *obs.Histogram, t time.Time) { h.Observe(time.Since(t).Seconds()) }
 
 // engineSet is one serving generation: a graph, its fingerprint, every
 // query engine over it, and the WAL sequence the graph embodies. It is
@@ -292,12 +302,15 @@ func (st *store) apply(ctx context.Context, b wal.Batch, durable bool) (applyRes
 	var ng *hin.Graph
 	var dirty *hin.Dirty
 	if !dup {
+		t := time.Now()
 		var err error
 		if ng, dirty, err = cur.g.Apply(b.Ops); err != nil {
 			return applyResult{}, err
 		}
+		since(metPhaseApply, t)
 	}
 	if !durable {
+		t := time.Now()
 		var err error
 		if b.Seq == 0 {
 			b.Seq, err = st.wal.Append(b.Key, b.Ops)
@@ -307,17 +320,22 @@ func (st *store) apply(ctx context.Context, b wal.Batch, durable bool) (applyRes
 		if err != nil {
 			return applyResult{}, fmt.Errorf("%w: %v", errWALAppend, err)
 		}
+		since(metPhaseLog, t)
 		metWALBytes.Set(float64(st.wal.Size()))
 	}
 	// Durable from here: even if this process dies mid-rewarm, boot replays
 	// the batch.
 	next, res := cur, applyResult{duplicate: dup}
 	if !dup {
+		t := time.Now()
 		next = st.newEngineSet(ng)
+		since(metPhaseEngine, t)
+		t = time.Now()
 		var err error
 		if res.rewarm, err = next.engine.RewarmFrom(ctx, cur.engine, dirty); err != nil {
 			st.logf("server: incremental rewarm: %v", err)
 		}
+		since(metPhaseRewarm, t)
 		st.rememberKeyLocked(b.Key, b.Seq)
 	}
 	st.walBatches++

@@ -234,6 +234,42 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
+// TransposeRows returns rows cols[i] of m's transpose — column cols[i] of m
+// as row i — bit for bit those rows of Transpose(), in one scan of m and
+// without building the others. cols may not repeat.
+func (m *Matrix) TransposeRows(cols []int) *Matrix {
+	at := make([]int, m.cols) // at[c] = 1 + the output row of column c, or 0
+	for i, c := range cols {
+		if c < 0 || c >= m.cols {
+			panic(fmt.Sprintf("sparse: TransposeRows column %d out of range for %d columns", c, m.cols))
+		}
+		if at[c] != 0 {
+			panic(fmt.Sprintf("sparse: TransposeRows column %d repeated", c))
+		}
+		at[c] = i + 1
+	}
+	t := &Matrix{rows: len(cols), cols: m.rows, rowPtr: make([]int, len(cols)+1)}
+	for _, c := range m.colIdx {
+		if i := at[c]; i != 0 {
+			t.rowPtr[i]++
+		}
+	}
+	for i := 0; i < len(cols); i++ {
+		t.rowPtr[i+1] += t.rowPtr[i]
+	}
+	t.colIdx, t.val = make([]int, t.rowPtr[len(cols)]), make([]float64, t.rowPtr[len(cols)])
+	next := append([]int(nil), t.rowPtr[:len(cols)]...)
+	for r := 0; r < m.rows; r++ {
+		for k := m.rowPtr[r]; k < m.rowPtr[r+1]; k++ {
+			if i := at[m.colIdx[k]]; i != 0 {
+				t.colIdx[next[i-1]], t.val[next[i-1]] = r, m.val[k]
+				next[i-1]++
+			}
+		}
+	}
+	return t
+}
+
 // MulVec returns m * x as a dense vector (length Rows). x must have length
 // Cols.
 func (m *Matrix) MulVec(x []float64) []float64 {
@@ -462,24 +498,56 @@ func (m *Matrix) Prune(eps float64) *Matrix {
 // SelectRows returns the submatrix formed by the given rows, in the given
 // order (rows may repeat). Column count is unchanged.
 func (m *Matrix) SelectRows(rows []int) *Matrix {
-	out := &Matrix{rows: len(rows), cols: m.cols, rowPtr: make([]int, len(rows)+1)}
-	for p, r := range rows {
+	nnz := 0
+	for _, r := range rows {
 		if r < 0 || r >= m.rows {
 			panic(fmt.Sprintf("sparse: SelectRows row %d out of range for %d rows", r, m.rows))
 		}
-		out.colIdx = append(out.colIdx, m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]]...)
-		out.val = append(out.val, m.val[m.rowPtr[r]:m.rowPtr[r+1]]...)
-		out.rowPtr[p+1] = len(out.val)
+		nnz += m.RowNNZ(r)
+	}
+	out := newSized(len(rows), m.cols, nnz)
+	for p := 0; p < len(rows); {
+		q := p + 1 // rows[p:q] is a run of consecutive rows: one block copy
+		for q < len(rows) && rows[q] == rows[q-1]+1 {
+			q++
+		}
+		out.appendRows(m, rows[p], rows[p]+q-p)
+		p = q
 	}
 	return out
 }
 
-// Resize returns a copy of the matrix padded to the given (never smaller)
-// dimensions. Existing entries keep their positions and values bit for bit;
-// the new rows and columns are empty — exactly what a freshly materialized
-// chain over a graph that only gained (edge-less) nodes would contain, which
-// is why incremental maintenance can pad a cached chain instead of
-// rebuilding it.
+// newSized returns an empty matrix of the given shape whose rows the
+// append methods fill, with room for nnz entries.
+func newSized(rows, cols, nnz int) *Matrix {
+	return &Matrix{rows: rows, cols: cols, rowPtr: make([]int, 1, rows+1),
+		colIdx: make([]int, 0, nnz), val: make([]float64, 0, nnz)}
+}
+
+// appendRows appends rows [lo, hi) of src as out's next rows, one block
+// copy; rows at or past src's last are empty.
+func (out *Matrix) appendRows(src *Matrix, lo, hi int) {
+	n := len(out.val)
+	top := min(hi, src.rows)
+	if lo < top {
+		a, b := src.rowPtr[lo], src.rowPtr[top]
+		out.colIdx = append(out.colIdx, src.colIdx[a:b]...)
+		out.val = append(out.val, src.val[a:b]...)
+		for r := lo + 1; r <= top; r++ {
+			out.rowPtr = append(out.rowPtr, n+src.rowPtr[r]-a)
+		}
+	}
+	for r := max(lo, top); r < hi; r++ {
+		out.rowPtr = append(out.rowPtr, len(out.val))
+	}
+}
+
+// Resize returns the matrix padded to the given (never smaller) dimensions.
+// Existing entries keep their positions and values bit for bit (the entry
+// arrays are shared: matrices are immutable); the new rows and columns are
+// empty — exactly what a freshly materialized chain over a graph that only
+// gained (edge-less) nodes would contain, which is why incremental
+// maintenance can pad a cached chain instead of rebuilding it.
 func (m *Matrix) Resize(rows, cols int) *Matrix {
 	if rows < m.rows || cols < m.cols {
 		panic(fmt.Sprintf("sparse: Resize to %dx%d would shrink a %dx%d matrix",
@@ -488,11 +556,10 @@ func (m *Matrix) Resize(rows, cols int) *Matrix {
 	if rows == m.rows && cols == m.cols {
 		return m
 	}
-	out := m.clone()
-	out.cols = cols
-	out.rows = rows
-	for r := m.rows; r < rows; r++ {
-		out.rowPtr = append(out.rowPtr, len(out.val))
+	out := &Matrix{rows: rows, cols: cols, rowPtr: make([]int, rows+1), colIdx: m.colIdx, val: m.val}
+	copy(out.rowPtr, m.rowPtr)
+	for r := m.rows + 1; r <= rows; r++ {
+		out.rowPtr[r] = len(m.val)
 	}
 	return out
 }
@@ -501,7 +568,8 @@ func (m *Matrix) Resize(rows, cols int) *Matrix {
 // i of src, all other rows kept bit for bit. src must have the same column
 // count; row indices may not repeat. This is the row-masked update of
 // incremental chain maintenance: recompute only the dirty rows, splice them
-// into the cached matrix.
+// into the cached matrix. The rows between two replaced ones are one block
+// copy each.
 func (m *Matrix) ReplaceRows(rows []int, src *Matrix) *Matrix {
 	if src.cols != m.cols {
 		panic(fmt.Sprintf("sparse: ReplaceRows column mismatch %d vs %d", src.cols, m.cols))
@@ -509,27 +577,86 @@ func (m *Matrix) ReplaceRows(rows []int, src *Matrix) *Matrix {
 	if len(rows) != src.rows {
 		panic(fmt.Sprintf("sparse: ReplaceRows got %d row indices for %d source rows", len(rows), src.rows))
 	}
-	from := make(map[int]int, len(rows))
-	for i, r := range rows {
+	order := make([]int, len(rows)) // positions in rows, ascending by row
+	for i := range order {
+		order[i] = i
+	}
+	if !sort.SliceIsSorted(order, func(a, b int) bool { return rows[order[a]] < rows[order[b]] }) {
+		sort.Slice(order, func(a, b int) bool { return rows[order[a]] < rows[order[b]] })
+	}
+	nnz := len(m.val) + len(src.val)
+	for k, i := range order {
+		r := rows[i]
 		if r < 0 || r >= m.rows {
 			panic(fmt.Sprintf("sparse: ReplaceRows row %d out of range for %d rows", r, m.rows))
 		}
-		if _, dup := from[r]; dup {
+		if k > 0 && rows[order[k-1]] == r {
 			panic(fmt.Sprintf("sparse: ReplaceRows row %d repeated", r))
 		}
-		from[r] = i
+		nnz -= m.RowNNZ(r)
 	}
-	out := &Matrix{rows: m.rows, cols: m.cols, rowPtr: make([]int, 1, m.rows+1)}
-	for r := 0; r < m.rows; r++ {
-		if i, ok := from[r]; ok {
-			out.colIdx = append(out.colIdx, src.colIdx[src.rowPtr[i]:src.rowPtr[i+1]]...)
-			out.val = append(out.val, src.val[src.rowPtr[i]:src.rowPtr[i+1]]...)
-		} else {
-			out.colIdx = append(out.colIdx, m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]]...)
-			out.val = append(out.val, m.val[m.rowPtr[r]:m.rowPtr[r+1]]...)
+	out := newSized(m.rows, m.cols, nnz)
+	next := 0
+	for _, i := range order {
+		out.appendRows(m, next, rows[i])
+		out.appendRows(src, i, i+1)
+		next = rows[i] + 1
+	}
+	out.appendRows(m, next, m.rows)
+	return out
+}
+
+// SetCells returns the matrix grown to rows x cols (never smaller) with the
+// given cells set: each cell's value replaces the entry at its coordinate,
+// and a zero value removes it. cells must be sorted by (row, col) with no
+// coordinate repeated. Rows no cell names are block-copied and each named
+// row is a sorted merge of its old entries and its cells, so the cost is
+// the copy plus the cells, and the result is bit for bit what New builds
+// from the same final entries.
+func (m *Matrix) SetCells(rows, cols int, cells []Triplet) *Matrix {
+	if rows < m.rows || cols < m.cols {
+		panic(fmt.Sprintf("sparse: SetCells to %dx%d would shrink a %dx%d matrix",
+			rows, cols, m.rows, m.cols))
+	}
+	for i, t := range cells {
+		if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
+			panic(fmt.Sprintf("sparse: cell (%d,%d) out of range for %dx%d matrix", t.Row, t.Col, rows, cols))
 		}
-		out.rowPtr = append(out.rowPtr, len(out.val))
+		if i > 0 && (t.Row < cells[i-1].Row || t.Row == cells[i-1].Row && t.Col <= cells[i-1].Col) {
+			panic(fmt.Sprintf("sparse: SetCells cells not sorted and distinct at (%d,%d)", t.Row, t.Col))
+		}
 	}
+	out := newSized(rows, cols, len(m.val)+len(cells))
+	next := 0
+	for i := 0; i < len(cells); {
+		r := cells[i].Row
+		j := i + 1
+		for j < len(cells) && cells[j].Row == r {
+			j++
+		}
+		out.appendRows(m, next, r)
+		var idx []int
+		var val []float64
+		if r < m.rows {
+			idx, val = m.RowEntries(r)
+		}
+		k := 0
+		for _, c := range cells[i:j] {
+			for ; k < len(idx) && idx[k] < c.Col; k++ {
+				out.colIdx, out.val = append(out.colIdx, idx[k]), append(out.val, val[k])
+			}
+			if k < len(idx) && idx[k] == c.Col {
+				k++
+			}
+			if c.Val != 0 {
+				out.colIdx, out.val = append(out.colIdx, c.Col), append(out.val, c.Val)
+			}
+		}
+		out.colIdx, out.val = append(out.colIdx, idx[k:]...), append(out.val, val[k:]...)
+		out.rowPtr = append(out.rowPtr, len(out.val))
+		next, i = r+1, j
+	}
+	out.appendRows(m, next, rows)
 	return out
 }
 

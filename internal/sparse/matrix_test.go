@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -437,5 +438,83 @@ func TestReplaceRows(t *testing.T) {
 	all := m.ReplaceRows([]int{0, 1, 2}, m.SelectRows([]int{0, 1, 2}))
 	if !all.Equal(m) {
 		t.Fatal("identity ReplaceRows diverged")
+	}
+}
+
+// sameArrays reports whether a and b hold equal CSR arrays (capacity aside).
+func sameArrays(a, b *Matrix) bool {
+	return a.rows == b.rows && a.cols == b.cols && slices.Equal(a.rowPtr, b.rowPtr) &&
+		slices.Equal(a.colIdx, b.colIdx) && slices.Equal(a.val, b.val)
+}
+
+// TestSetCellsMatchesNew sets random cells, zeros (removals) included, on
+// random matrices grown or not, and holds the result to New over the same
+// final entries, array for array.
+func TestSetCellsMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		m := randomMatrix(rng, rng.Intn(9), 1+rng.Intn(9), 0.3)
+		rows, cols := m.rows+rng.Intn(3), m.cols+rng.Intn(3)
+		final := map[[2]int]float64{}
+		for _, tr := range m.Triplets() {
+			final[[2]int{tr.Row, tr.Col}] = tr.Val
+		}
+		set := map[[2]int]float64{}
+		for k := rng.Intn(6); k > 0 && rows > 0; k-- {
+			c := [2]int{rng.Intn(rows), rng.Intn(cols)}
+			if rng.Intn(3) == 0 {
+				set[c] = 0
+			} else {
+				set[c] = float64(1 + rng.Intn(4))
+			}
+		}
+		var cells, ts []Triplet
+		for c, v := range set {
+			cells = append(cells, Triplet{c[0], c[1], v})
+			final[c] = v
+		}
+		slices.SortFunc(cells, func(a, b Triplet) int {
+			if a.Row != b.Row {
+				return a.Row - b.Row
+			}
+			return a.Col - b.Col
+		})
+		for c, v := range final {
+			ts = append(ts, Triplet{c[0], c[1], v})
+		}
+		if got, want := m.SetCells(rows, cols, cells), New(rows, cols, ts); !sameArrays(got, want) {
+			t.Fatalf("trial %d: SetCells(%v) on %v = %v, want %v", trial, cells, m.Triplets(), got.Triplets(), want.Triplets())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("unsorted cells did not panic")
+		}
+	}()
+	Identity(3).SetCells(3, 3, []Triplet{{1, 0, 1}, {0, 2, 1}})
+}
+
+// TestTransposeRowsMatchesTranspose holds TransposeRows to the selected rows
+// of a full transpose, and ReplaceRows under a shuffled row order to the
+// sorted one.
+func TestTransposeRowsMatchesTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 100; trial++ {
+		m := randomMatrix(rng, 1+rng.Intn(8), 1+rng.Intn(8), 0.4)
+		cols := rng.Perm(m.cols)[:rng.Intn(m.cols+1)]
+		if got, want := m.TransposeRows(cols), m.Transpose().SelectRows(cols); !sameArrays(got, want) {
+			t.Fatalf("TransposeRows(%v) = %v, want %v", cols, got.Triplets(), want.Triplets())
+		}
+		rows := rng.Perm(m.rows)[:rng.Intn(m.rows+1)]
+		sub := randomMatrix(rng, len(rows), m.cols, 0.5)
+		sorted := slices.Clone(rows)
+		slices.Sort(sorted)
+		perm := make([]int, len(rows)) // sub's rows in sorted order
+		for i, r := range sorted {
+			perm[i] = slices.Index(rows, r)
+		}
+		if got, want := m.ReplaceRows(rows, sub), m.ReplaceRows(sorted, sub.SelectRows(perm)); !sameArrays(got, want) {
+			t.Fatalf("ReplaceRows(%v) = %v, sorted %v", rows, got.Triplets(), want.Triplets())
+		}
 	}
 }
