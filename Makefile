@@ -166,12 +166,15 @@ check: vet staticcheck govulncheck contract build test race obs-selftest chaos p
 # (BenchmarkTopKDenseScan), the cold top-k on both sides of the
 # rent-or-buy rule (BenchmarkTopKColdReachable) and on odd paths
 # (BenchmarkTopKColdOdd; both matched by the BenchmarkTopK pattern), with
-# allocation stats, as JSON. Every benchmark is recorded at GOMAXPROCS=1
-# and at the box's core count ("procs" in each row), so the parallel SpGEMM
-# path has a baseline too.
+# allocation stats, as JSON — followed by internal/sparse's kernel
+# benchmark (BenchmarkSpGEMM, serial and parallel), so a kernel slowdown
+# shows in the committed file beside the end-to-end rows. Every benchmark
+# is recorded at GOMAXPROCS=1 and at the box's core count ("procs" in each
+# row), so the parallel SpGEMM path has a baseline too.
 NPROC := $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 bench-json:
-	go test -run '^$$' -bench 'BenchmarkTable|BenchmarkFig|BenchmarkSnapshot|BenchmarkBatch|BenchmarkPlan|BenchmarkIncremental|BenchmarkRelevance|BenchmarkTopK|BenchmarkAblationTopKSearch' -benchmem -cpu 1,$(NPROC) . | go run ./cmd/benchjson > BENCH_core.json
+	{ go test -run '^$$' -bench 'BenchmarkTable|BenchmarkFig|BenchmarkSnapshot|BenchmarkBatch|BenchmarkPlan|BenchmarkIncremental|BenchmarkRelevance|BenchmarkTopK|BenchmarkAblationTopKSearch' -benchmem -cpu 1,$(NPROC) . && \
+	  go test -run '^$$' -bench 'BenchmarkSpGEMM' -benchmem -cpu 1,$(NPROC) ./internal/sparse; } | go run ./cmd/benchjson > BENCH_core.json
 	@echo wrote BENCH_core.json
 
 # End-to-end regression gate: five runs of each bench/ workload against

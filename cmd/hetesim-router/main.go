@@ -147,6 +147,7 @@ func main() {
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("hetesim-router: %v", err)
 		}
+		rt.Close()
 		log.Print("hetesim-router: bye")
 	}
 }

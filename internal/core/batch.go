@@ -122,7 +122,7 @@ type batchGroup struct {
 	left       *batchSide
 	right      *batchSide
 	rightFull  *sparse.Matrix // full right chain when the group has matrix kinds
-	rightNorms []float64      // its row norms when some query is normalized
+	rightNorms rowNorms       // its row norms when some query is normalized
 	prepErr    error
 }
 
@@ -436,7 +436,7 @@ func (e *Engine) executeSoloQuery(ctx context.Context, q BatchQuery) BatchResult
 // right-half matrix — the shared combine/normalize of SingleSourceByIndex,
 // factored so batch and solo run the same code and produce bit-identical
 // scores. rightNorms may be nil for a raw query.
-func combineSingleSource(mo *middle, left leftHalf, pmr *sparse.Matrix, rightNorms []float64, raw bool) []float64 {
+func combineSingleSource(mo *middle, left leftHalf, pmr *sparse.Matrix, rightNorms rowNorms, raw bool) []float64 {
 	met, ln := mo.meetLeft(left, 0)
 	scores := pmr.MulVec(met.Dense())
 	if !raw {

@@ -50,13 +50,13 @@ type Engine struct {
 	cacheLimit int
 
 	mu         sync.Mutex
-	trans      map[string]*sparse.Matrix       // U per step key
-	middles    map[string]*middle              // collapsed odd-path middle relation per step key
-	reach      map[string]*cacheEntry          // PM per chain key (every prefix cached)
-	norms      map[string]map[string][]float64 // row norms per chain key, then per weights key
-	inflation  float64                         // GreedyDual-Size L: the credit of the last victim
-	chainBytes int64                           // resident bytes of every reach entry
-	evictions  int                             // chain matrices dropped by the cache limit
+	trans      map[string]*sparse.Matrix      // U per step key
+	middles    map[string]*middle             // collapsed odd-path middle relation per step key
+	reach      map[string]*cacheEntry         // PM per chain key (every prefix cached)
+	norms      map[string]map[string]rowNorms // row norms per chain key, then per weights key
+	inflation  float64                        // GreedyDual-Size L: the credit of the last victim
+	chainBytes int64                          // resident bytes of every reach entry
+	evictions  int                            // chain matrices dropped by the cache limit
 
 	estMu    sync.Mutex
 	estCache map[string]ChainEstimate // memoized cost estimates per chain key
@@ -106,7 +106,7 @@ func NewEngine(g *hin.Graph, opts ...Option) *Engine {
 		trans:      make(map[string]*sparse.Matrix),
 		middles:    make(map[string]*middle),
 		reach:      make(map[string]*cacheEntry),
-		norms:      make(map[string]map[string][]float64),
+		norms:      make(map[string]map[string]rowNorms),
 		estCache:   make(map[string]ChainEstimate),
 		rented:     make(map[string]float64),
 		planCounts: make(map[PlanKind]uint64),
@@ -395,26 +395,79 @@ func (e *Engine) evict(key string) {
 	metCacheEvictions.Inc()
 }
 
+// rowNorms is a chain's cosine row norms (Definition 10) in pages of 256
+// rows, as the chain's own CSR is paged (sparse): a rewarm that recomputes
+// a few rows copies their pages and shares every other one with the
+// previous generation's norms. Like matrices, they are never written once
+// built.
+type rowNorms [][]float64
+
+const (
+	normPageShift = 8
+	normPageRows  = 1 << normPageShift
+)
+
+// pagedNorms cuts n into page windows, without copying it.
+func pagedNorms(n []float64) rowNorms {
+	out := make(rowNorms, (len(n)+normPageRows-1)>>normPageShift)
+	for p := range out {
+		out[p] = n[p<<normPageShift : min((p+1)<<normPageShift, len(n))]
+	}
+	return out
+}
+
+// at returns row r's norm.
+func (n rowNorms) at(r int) float64 { return n[r>>normPageShift][r&(normPageRows-1)] }
+
+// patched returns n over size (never fewer) rows with row rows[i] set to
+// vals[i] and every added row zero. Pages that hold no such row and keep
+// their length are shared with n.
+func (n rowNorms) patched(size int, rows []int, vals []float64) rowNorms {
+	out := make(rowNorms, (size+normPageRows-1)>>normPageShift)
+	copy(out, n)
+	own := make([]bool, len(out))
+	fresh := func(p int) {
+		pg := make([]float64, min(size-p<<normPageShift, normPageRows))
+		if p < len(n) {
+			copy(pg, n[p])
+		}
+		out[p], own[p] = pg, true
+	}
+	for p := range out {
+		if p >= len(n) || len(n[p]) != min(size-p<<normPageShift, normPageRows) {
+			fresh(p)
+		}
+	}
+	for i, r := range rows {
+		p := r >> normPageShift
+		if !own[p] {
+			fresh(p)
+		}
+		out[p][r&(normPageRows-1)] = vals[i]
+	}
+	return out
+}
+
 // chainRowNorms returns the cached cosine norms of a chain's rows under w,
 // kept per chain and weights key: one chain can be the half of paths over
 // different middle relations (AFAP, APAP) or none (APA). Under a cache limit
 // they are kept only beside a resident chain (or an empty chain's identity),
 // so norms of a chain evicted mid-query do not outlive it.
-func (e *Engine) chainRowNorms(key string, pm *sparse.Matrix, w weights) []float64 {
+func (e *Engine) chainRowNorms(key string, pm *sparse.Matrix, w weights) rowNorms {
 	e.mu.Lock()
 	if n, ok := e.norms[key][w.key]; ok {
 		e.mu.Unlock()
 		return n
 	}
 	e.mu.Unlock()
-	n := pm.WeightedRowNorms(w.d)
+	n := pagedNorms(pm.WeightedRowNorms(w.d))
 	e.mu.Lock()
 	if _, ok := e.reach[key]; e.cacheLimit > 0 && !ok && !strings.HasPrefix(key, "C:@") {
 		e.mu.Unlock()
 		return n
 	}
 	if e.norms[key] == nil {
-		e.norms[key] = make(map[string][]float64)
+		e.norms[key] = make(map[string]rowNorms)
 	}
 	e.norms[key][w.key] = n
 	e.mu.Unlock()
@@ -463,12 +516,12 @@ func (e *Engine) SingleSourceByIndex(ctx context.Context, p *metapath.Path, src 
 // a combined single-source score vector in place: score_b / (|left| · |row_b|),
 // with zero-norm rows scored 0. Shared by the solo plan and the batch
 // scheduler so both produce bit-identical scores.
-func normalizeSingleSource(scores []float64, ln float64, rns []float64) {
+func normalizeSingleSource(scores []float64, ln float64, rns rowNorms) {
 	for b := range scores {
-		if ln == 0 || rns[b] == 0 {
+		if rn := rns.at(b); ln == 0 || rn == 0 {
 			scores[b] = 0
 		} else {
-			scores[b] /= ln * rns[b]
+			scores[b] /= ln * rn
 		}
 	}
 }
@@ -631,7 +684,7 @@ func (e *Engine) ClearCache() {
 	e.trans = make(map[string]*sparse.Matrix)
 	e.middles = make(map[string]*middle)
 	e.reach = make(map[string]*cacheEntry)
-	e.norms = make(map[string]map[string][]float64)
+	e.norms = make(map[string]map[string]rowNorms)
 	e.inflation, e.chainBytes = 0, 0
 	e.mu.Unlock()
 	e.estMu.Lock()

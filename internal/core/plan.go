@@ -535,7 +535,7 @@ func (e *Engine) execSingleSource(ctx context.Context, lp LogicalPlan, d PlanDec
 	}
 	raw := e.raw(lp.Opts.Raw)
 	sp := tr.Start("normalize")
-	var rns []float64
+	var rns rowNorms
 	if !raw {
 		rns = e.chainRowNorms(e.chainCacheKey(lp.h.right()), pmr, mo.weights('R'))
 	}
@@ -606,14 +606,14 @@ func (mo *middle) combine(ctx context.Context, pml, pmr *sparse.Matrix) (*sparse
 
 // scaleByInvNorms applies Definition 10 to a relevance matrix: row i over
 // ln[i], column j over rn[j], zero-norm rows and columns scored 0.
-func scaleByInvNorms(rel *sparse.Matrix, ln, rn []float64) *sparse.Matrix {
-	li := make([]float64, len(ln))
-	for i, x := range ln {
-		li[i] = invNorm(x)
+func scaleByInvNorms(rel *sparse.Matrix, ln, rn rowNorms) *sparse.Matrix {
+	li := make([]float64, rel.Rows())
+	for i := range li {
+		li[i] = invNorm(ln.at(i))
 	}
-	ri := make([]float64, len(rn))
-	for i, x := range rn {
-		ri[i] = invNorm(x)
+	ri := make([]float64, rel.Cols())
+	for i := range ri {
+		ri[i] = invNorm(rn.at(i))
 	}
 	return rel.ScaleRows(li).ScaleCols(ri)
 }
@@ -654,7 +654,7 @@ func (e *Engine) execSubset(ctx context.Context, lp LogicalPlan, d PlanDecision)
 	if err != nil || e.raw(lp.Opts.Raw) {
 		return rel, err
 	}
-	return scaleByInvNorms(rel, subL.WeightedRowNorms(mo.weights('L').d), subR.WeightedRowNorms(mo.weights('R').d)), nil
+	return scaleByInvNorms(rel, pagedNorms(subL.WeightedRowNorms(mo.weights('L').d)), pagedNorms(subR.WeightedRowNorms(mo.weights('R').d))), nil
 }
 
 // planResult carries whichever result form the query's shape produces.

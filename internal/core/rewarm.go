@@ -420,16 +420,14 @@ func (e *Engine) carryNorms(src *Engine, key string, nm *sparse.Matrix, p rowPat
 			}
 			w = mo.weights(wk[0])
 		}
-		patched := make([]float64, nm.Rows())
-		copy(patched, n)
+		var vals []float64
 		if p.sub != nil {
-			for i, v := range p.sub.WeightedRowNorms(w.d) {
-				patched[p.rows[i]] = v
-			}
+			vals = p.sub.WeightedRowNorms(w.d)
 		}
+		patched := n.patched(nm.Rows(), p.rows, vals)
 		e.mu.Lock()
 		if e.norms[key] == nil {
-			e.norms[key] = make(map[string][]float64)
+			e.norms[key] = make(map[string]rowNorms)
 		}
 		e.norms[key][wk] = patched
 		e.mu.Unlock()

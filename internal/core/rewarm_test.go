@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -491,5 +493,78 @@ func TestRewarmPatchesTransposes(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no transpose was rewarmed")
+	}
+}
+
+// TestRewarmAllocatesItsDelta pins what a one-edge write costs the rewarm
+// on the paper-scale ACM network warmed with the end-to-end benchmark's
+// eight paths (BenchmarkIncrementalWrite's): splices copy the CSR pages
+// and norm pages that hold a changed row, not whole matrices — a copy of
+// each touched chain would be about 9 MB — so RewarmFrom allocates under
+// a megabyte, and the rewarmed engine is still, entry for entry, the one a
+// cold engine over the new graph builds.
+func TestRewarmAllocatesItsDelta(t *testing.T) {
+	ctx := context.Background()
+	ds, err := datagen.ACM(datagen.DefaultACMConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Graph
+	specs := []string{"APA", "AFA", "APVC", "APVPA", "APSPA", "APTPA", "APVCVPA", "CVPA"}
+	warmUp := func(e *Engine, g *hin.Graph) {
+		for _, spec := range specs {
+			if err := e.Precompute(ctx, metapath.MustParse(g.Schema(), spec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	old := NewEngine(g)
+	warmUp(old, g)
+	writes, _ := g.Adjacency("writes")
+	held, _ := writes.RowEntries(7)
+	dst := 0 // the first paper author 7 did not write
+	for k := 0; k < len(held) && held[k] == dst; k++ {
+		dst++
+	}
+	author, _ := g.NodeID("author", 7)
+	paper, _ := g.NodeID("paper", dst)
+	ng, d := applyOps(t, g, []hin.Op{{Kind: hin.OpUpsertEdge, Relation: "writes", Src: author, Dst: paper, Weight: 1}})
+
+	var warm *Engine
+	least := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ { // the least of three: a stray allocation elsewhere is not the rewarm's
+		warm = NewEngine(ng)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		st, err := warm.RewarmFrom(ctx, old, d)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.RowPatched == 0 || st.Rebuilt != 0 {
+			t.Fatalf("rewarm %v: want row-patched chains and none rebuilt", st)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a one-edge write's RewarmFrom allocated %d bytes (%v)", least, d.Rows)
+	if least >= 1<<20 {
+		t.Errorf("a one-edge write's RewarmFrom allocated %d bytes, want < 1 MB", least)
+	}
+
+	cold := NewEngine(ng)
+	warmUp(cold, ng)
+	compareCaches(t, cold, warm)
+	for key, u := range warm.trans {
+		if want := cold.trans[key]; want == nil || !u.Equal(want) || u.NNZ() != want.NNZ() {
+			t.Errorf("transition %s differs from a rebuilt one", key)
+		}
+	}
+	for key, byW := range warm.norms {
+		for wk, n := range byW {
+			if want, ok := cold.norms[key][wk]; !ok || !reflect.DeepEqual(n, want) {
+				t.Errorf("norms %s %s differ from a rebuilt chain's", key, wk)
+			}
+		}
 	}
 }

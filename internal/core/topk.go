@@ -58,12 +58,12 @@ func (e *Engine) topKFrom(ctx context.Context, h halves, lh leftHalf, k int, eps
 	sc.kind.count.Inc()
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("normalize")
-	var rns []float64 // indexed like sc.pm's rows
+	var rns rowNorms // indexed like sc.pm's rows
 	if !raw {
 		w := mo.weights('R')
 		switch {
 		case sc.rows != nil: // bit for bit the chain's norms of these rows; not cached
-			rns = sc.pm.WeightedRowNorms(w.d)
+			rns = pagedNorms(sc.pm.WeightedRowNorms(w.d))
 		case sc.pm == nil: // transposed scan of a cached "T:" entry: norms need the chain itself
 			if sc.pm, err = e.opMatrixChain(ctx, h.right()); err != nil {
 				sp.End()
@@ -79,10 +79,11 @@ func (e *Engine) topKFrom(ctx context.Context, h halves, lh leftHalf, k int, eps
 	sel := rank.NewSelector(k)
 	offer := func(b, r int, s float64) { // target b is row r of sc.pm
 		if !raw {
-			if ln == 0 || rns[r] == 0 {
+			rn := rns.at(r)
+			if ln == 0 || rn == 0 {
 				return
 			}
-			s /= ln * rns[r]
+			s /= ln * rn
 		}
 		if s != 0 {
 			sel.Push(b, s)

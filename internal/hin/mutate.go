@@ -128,9 +128,10 @@ type cellEdit struct {
 // Apply returns a new graph with the ops applied in order, plus the dirty
 // summary, leaving the receiver untouched. Node tables and adjacency
 // matrices of unaffected types and relations are shared between the two
-// graphs; a touched relation's new CSR block-copies its untouched rows and
-// merges each dirty row with its changed cells (sparse.SetCells), so the
-// cost of a delta is a copy of the touched relations plus the delta, never
+// graphs; a touched relation's new CSR shares every 256-row page of the old
+// one that holds no dirty row and rebuilds the others, each dirty row
+// merged with its changed cells (sparse.SetCells), so the cost of a delta
+// is the pages it dirties plus the delta, never a copy of the relation or
 // a re-sort. Any invalid op fails the whole batch with no effect —
 // mutation batches are all-or-nothing.
 func (g *Graph) Apply(ops []Op) (*Graph, *Dirty, error) {

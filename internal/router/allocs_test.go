@@ -37,6 +37,7 @@ func TestWarmQueryAllocs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	rt.Start(ctx)
+	t.Cleanup(rt.Close)
 
 	for _, tc := range []struct {
 		name    string

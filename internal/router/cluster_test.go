@@ -101,6 +101,7 @@ func newCluster(t *testing.T, n int, opts ...Option) (*Router, []*testReplica) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	rt.Start(ctx)
+	t.Cleanup(rt.Close)
 	if rt.schema.Load() == nil {
 		t.Fatal("router did not fetch a schema from the fleet")
 	}
@@ -434,6 +435,7 @@ func TestRelevanceFailedMember(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rt.Start(ctx)
+	t.Cleanup(rt.Close)
 	const body = `{"source": "Tom", "source_type": "author", "target": "Mary", "target_type": "author", "paths": ["APA"]}`
 	want := api.RelevancePath{Path: "APA", Weight: 1, Error: "context deadline exceeded", Code: "path_failed"}
 	for name, h := range map[string]http.Handler{"direct": srv.Handler(), "routed": rt.Handler()} {

@@ -80,6 +80,7 @@ func newReplicatedCluster(t *testing.T, n int, opts ...Option) (*Router, *httpte
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	rt.Start(ctx)
+	t.Cleanup(rt.Close)
 	front := httptest.NewServer(rt.Handler())
 	done := make(chan struct{}, n)
 	for _, tr := range reps {
@@ -456,6 +457,7 @@ func TestDivergenceDetection(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	rt.Start(ctx)
+	t.Cleanup(rt.Close)
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 

@@ -105,6 +105,7 @@ func newGoldenFleet(t *testing.T, replicas int, down bool, sopts []server.Option
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	rt.Start(ctx)
+	t.Cleanup(rt.Close)
 	return goldenFleet{direct: newServer(), routed: rt.Handler()}
 }
 

@@ -74,6 +74,11 @@ type Router struct {
 	schema atomic.Pointer[hin.Schema] // set by option or fetched at Start; nil = raw-spec keys
 	logf   func(string, ...any)
 
+	// The health prober Start launches: stopProber cancels it and
+	// proberDone is closed once it has returned (Close).
+	stopProber context.CancelFunc
+	proberDone chan struct{}
+
 	mux *http.ServeMux
 }
 
@@ -176,14 +181,18 @@ func New(replicaURLs []string, opts ...Option) (*Router, error) {
 
 // Start probes every replica once, fetches the schema from the fleet when
 // none was pinned, and launches the periodic health checker (stopped by
-// ctx). It succeeds even with the whole fleet down — replicas join as
-// their probes start passing, and the schema fetch is retried every round
-// until one answers.
+// ctx or Close). It succeeds even with the whole fleet down — replicas join
+// as their probes start passing, and the schema fetch is retried every
+// round until one answers. Call it once; the caller that starts the router
+// owns it and closes it.
 func (r *Router) Start(ctx context.Context) {
+	ctx, r.stopProber = context.WithCancel(ctx)
+	r.proberDone = make(chan struct{})
 	if err := r.refresh(ctx); err != nil {
 		r.logf("router: schema fetch failed (path keys stay raw): %v", err)
 	}
 	go func() {
+		defer close(r.proberDone)
 		t := time.NewTicker(r.healthEvery)
 		defer t.Stop()
 		for {
@@ -195,6 +204,18 @@ func (r *Router) Start(ctx context.Context) {
 			}
 		}
 	}()
+}
+
+// Close stops the health checker Start launched and waits for it to
+// return, so nothing the router logs in the background arrives after Close
+// returns. Requests are still routed, by the health last probed. Close
+// without Start, or a second Close, does nothing.
+func (r *Router) Close() {
+	if r.stopProber == nil {
+		return
+	}
+	r.stopProber()
+	<-r.proberDone
 }
 
 // refresh is one health round: probe the fleet, then fetch the schema if

@@ -25,7 +25,7 @@ var (
 )
 
 // WriteMatrix serializes m to w in the binary CSR format. The element
-// arrays are encoded directly into a scratch buffer rather than through
+// arrays are encoded directly into the writer's buffer rather than through
 // binary.Write, whose per-element reflection dominates bulk serialization.
 func WriteMatrix(w io.Writer, m *Matrix) error {
 	bw := bufio.NewWriter(w)
@@ -36,36 +36,78 @@ func WriteMatrix(w io.Writer, m *Matrix) error {
 	binary.LittleEndian.PutUint32(hdr[0:4], matrixVersion)
 	binary.LittleEndian.PutUint64(hdr[4:12], uint64(m.rows))
 	binary.LittleEndian.PutUint64(hdr[12:20], uint64(m.cols))
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(len(m.val)))
+	binary.LittleEndian.PutUint64(hdr[20:28], uint64(m.nnz))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	var b [8]byte
-	for _, p := range m.rowPtr {
-		binary.LittleEndian.PutUint64(b[:], uint64(p))
-		if _, err := bw.Write(b[:]); err != nil {
+	// The row pointers are the running entry count, whatever the pages;
+	// the columns and values are each page's entries, page after page.
+	var ptr [pageRows + 1]int
+	if err := putWords(bw, ptr[:1], wordOfInt); err != nil {
+		return err
+	}
+	off := 0
+	for p := range m.pages {
+		pg := &m.pages[p]
+		n := len(pg.rowPtr) - 1
+		for k := 1; k <= n; k++ {
+			ptr[k] = off + pg.rowPtr[k] - pg.rowPtr[0]
+		}
+		if err := putWords(bw, ptr[1:n+1], wordOfInt); err != nil {
+			return err
+		}
+		off = ptr[n]
+	}
+	for p := range m.pages {
+		idx, _ := m.pages[p].entries()
+		if err := putWords(bw, idx, wordOfInt); err != nil {
 			return err
 		}
 	}
-	for _, c := range m.colIdx {
-		binary.LittleEndian.PutUint64(b[:], uint64(c))
-		if _, err := bw.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	for _, v := range m.val {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		if _, err := bw.Write(b[:]); err != nil {
+	for p := range m.pages {
+		_, val := m.pages[p].entries()
+		if err := putWords(bw, val, math.Float64bits); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
+func wordOfInt(x int) uint64 { return uint64(x) }
+
+// putWords writes xs to bw as little-endian 64-bit words, encoding straight
+// into bw's free buffer a buffer-full at a time.
+func putWords[T int | float64](bw *bufio.Writer, xs []T, word func(T) uint64) error {
+	for len(xs) > 0 {
+		if bw.Available() < 8 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		buf := bw.AvailableBuffer()
+		k := min(len(xs), cap(buf)/8)
+		for _, x := range xs[:k] {
+			buf = binary.LittleEndian.AppendUint64(buf, word(x))
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+		xs = xs[k:]
+	}
+	return nil
+}
+
 // ReadMatrix deserializes a matrix written by WriteMatrix, validating the
 // structural invariants (monotone row pointers, in-range sorted columns) so
 // a corrupted file cannot produce an inconsistent matrix.
 func ReadMatrix(r io.Reader) (*Matrix, error) {
+	// A stream that tells its length (the snapshot decoder's bytes.Reader)
+	// must hold what the header claims, so a corrupt header cannot make the
+	// decoder allocate its claim.
+	avail := -1
+	if l, ok := r.(interface{ Len() int }); ok {
+		avail = l.Len()
+	}
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -88,13 +130,14 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 	if rows > maxDim || cols > maxDim || nnz > maxDim {
 		return nil, fmt.Errorf("%w: implausible dimensions %dx%d nnz=%d", ErrBadFormat, rows, cols, nnz)
 	}
-	m := &Matrix{
-		rows:   int(rows),
-		cols:   int(cols),
+	if size := 32 + 8*(rows+1) + 16*nnz; avail >= 0 && uint64(avail) < size {
+		return nil, fmt.Errorf("%w: header claims %d bytes, the stream holds %d", ErrBadFormat, size, avail)
+	}
+	m := &csr{rows: int(rows), cols: int(cols), page: page{
 		rowPtr: make([]int, rows+1),
 		colIdx: make([]int, nnz),
 		val:    make([]float64, nnz),
-	}
+	}}
 	// Decode the element arrays through one fixed scratch buffer: a
 	// per-element binary.Read costs a reflection pass and an allocation,
 	// which at millions of nonzeros dominates a warm boot.
@@ -153,5 +196,5 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 			}
 		}
 	}
-	return m, nil
+	return m.matrix(), nil
 }

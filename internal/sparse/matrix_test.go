@@ -441,10 +441,22 @@ func TestReplaceRows(t *testing.T) {
 	}
 }
 
-// sameArrays reports whether a and b hold equal CSR arrays (capacity aside).
+// sameArrays reports whether a and b hold the same CSR rows bit for bit,
+// however they are paged (capacity aside).
 func sameArrays(a, b *Matrix) bool {
-	return a.rows == b.rows && a.cols == b.cols && slices.Equal(a.rowPtr, b.rowPtr) &&
-		slices.Equal(a.colIdx, b.colIdx) && slices.Equal(a.val, b.val)
+	if a.rows != b.rows || a.cols != b.cols || a.nnz != b.nnz {
+		return false
+	}
+	for r := 0; r < a.rows; r++ {
+		ai, av := a.row(r)
+		bi, bv := b.row(r)
+		if !slices.Equal(ai, bi) || !slices.EqualFunc(av, bv, func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		}) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSetCellsMatchesNew sets random cells, zeros (removals) included, on

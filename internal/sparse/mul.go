@@ -91,8 +91,9 @@ func (s *mulScratch) scatter(idx []int, val []float64, b *Matrix, numeric bool) 
 	n := 0
 	for k, j := range idx {
 		av := val[k]
-		for kb := b.rowPtr[j]; kb < b.rowPtr[j+1]; kb++ {
-			c := b.colIdx[kb]
+		bIdx, bVal := b.row(j)
+		bVal = bVal[:len(bIdx)]
+		for kb, c := range bIdx {
 			d := 0
 			if mark[c] != gen {
 				d = 1
@@ -101,7 +102,7 @@ func (s *mulScratch) scatter(idx []int, val []float64, b *Matrix, numeric bool) 
 			list[n] = c // overwritten by the next column unless c was new
 			n += d
 			if numeric {
-				acc[c] += av * b.val[kb]
+				acc[c] += av * bVal[kb]
 			}
 		}
 	}
@@ -112,7 +113,7 @@ func (s *mulScratch) scatter(idx []int, val []float64, b *Matrix, numeric bool) 
 // on shape mismatch.
 func (m *Matrix) Mul(b *Matrix) *Matrix {
 	out, _ := m.mul(context.Background(), b, 1, recordMul)
-	return out
+	return out.matrix()
 }
 
 // MulParallel is Mul over up to workers goroutines (0 means GOMAXPROCS).
@@ -121,42 +122,48 @@ func (m *Matrix) MulParallel(b *Matrix, workers int) *Matrix {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out, _ := m.mul(context.Background(), b, workers, recordMul)
-	return out
+	return out.matrix()
 }
 
 // MulAuto is Mul, fanned out across cores when the product is large enough.
 func (m *Matrix) MulAuto(b *Matrix) *Matrix {
 	out, _ := m.mul(context.Background(), b, 0, recordMul)
-	return out
+	return out.matrix()
 }
 
 // MulCtx is MulAuto that polls ctx between row blocks and returns its error
 // once it is done, so a canceled request releases its cores mid-product.
 func (m *Matrix) MulCtx(ctx context.Context, b *Matrix) (*Matrix, error) {
-	return m.mul(ctx, b, 0, recordMul)
+	out, err := m.mul(ctx, b, 0, recordMul)
+	if err != nil {
+		return nil, err
+	}
+	return out.matrix(), nil
 }
 
-// product is one a * b in flight.
+// product is one a * b in flight; out is its one contiguous output.
 type product struct {
-	ctx       context.Context
-	a, b, out *Matrix
-	fp        []int        // fp[r]: multiply-adds of rows [0, r)
-	zeros     atomic.Int64 // stored values that canceled to exactly zero
+	ctx   context.Context
+	a, b  *Matrix
+	out   csr
+	fp    []int        // fp[r]: multiply-adds of rows [0, r)
+	zeros atomic.Int64 // stored values that canceled to exactly zero
 }
 
 // mul is the SpGEMM driver. workers == 0 picks by flop count; record accounts
 // the finished product (flops are counted once per product, not per pass).
-func (m *Matrix) mul(ctx context.Context, b *Matrix, workers int, record func(flops, outNNZ int, parallel bool)) (*Matrix, error) {
+func (m *Matrix) mul(ctx context.Context, b *Matrix, workers int, record func(flops, outNNZ int, parallel bool)) (*csr, error) {
 	if m.cols != b.rows {
 		panic(fmt.Sprintf("sparse: Mul shape mismatch %dx%d * %dx%d",
 			m.rows, m.cols, b.rows, b.cols))
 	}
 	p := &product{ctx: ctx, a: m, b: b, fp: make([]int, m.rows+1),
-		out: &Matrix{rows: m.rows, cols: b.cols, rowPtr: make([]int, m.rows+1)}}
+		out: csr{rows: m.rows, cols: b.cols, page: page{rowPtr: make([]int, m.rows+1)}}}
 	for r := 0; r < m.rows; r++ {
 		p.fp[r+1] = p.fp[r]
-		for _, j := range m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]] {
-			p.fp[r+1] += b.rowPtr[j+1] - b.rowPtr[j]
+		aIdx, _ := m.row(r)
+		for _, j := range aIdx {
+			p.fp[r+1] += b.RowNNZ(j)
 		}
 	}
 	flops := p.fp[m.rows]
@@ -167,8 +174,10 @@ func (m *Matrix) mul(ctx context.Context, b *Matrix, workers int, record func(fl
 		}
 	}
 	// Ranges hold equal flops, not equal row counts: reachable-probability
-	// rows are as skewed as the degree distributions behind them.
-	cuts := make([]int, 1, workers+1)
+	// rows are as skewed as the degree distributions behind them. The cuts
+	// of a few workers stay on the stack.
+	var cutsBuf [16]int
+	cuts := cutsBuf[:1]
 	for w := 1; w < workers; w++ {
 		if c := sort.SearchInts(p.fp, (flops*w+workers-1)/workers); c > cuts[len(cuts)-1] && c < m.rows {
 			cuts = append(cuts, c)
@@ -176,7 +185,7 @@ func (m *Matrix) mul(ctx context.Context, b *Matrix, workers int, record func(fl
 	}
 	cuts = append(cuts, m.rows)
 
-	out := p.out
+	out := &p.out
 	if err := p.pass(cuts, false); err != nil {
 		return nil, err
 	}
@@ -206,9 +215,10 @@ func (p *product) pass(cuts []int, numeric bool) error {
 	var wg sync.WaitGroup
 	for i := 1; i < len(errs); i++ {
 		wg.Add(1)
+		lo, hi := cuts[i], cuts[i+1]
 		go func() {
 			defer wg.Done()
-			errs[i] = p.rows(cuts[i], cuts[i+1], numeric)
+			errs[i] = p.rows(lo, hi, numeric)
 		}()
 	}
 	errs[0] = p.rows(cuts[0], cuts[1], numeric)
@@ -226,7 +236,7 @@ func (p *product) pass(cuts []int, numeric bool) error {
 // numeric pass expects out.rowPtr prefix-summed and out.colIdx/out.val
 // allocated, and fills the row's slice of both in ascending column order.
 func (p *product) rows(lo, hi int, numeric bool) error {
-	m, b, out, fp := p.a, p.b, p.out, p.fp
+	m, b, out, fp := p.a, p.b, &p.out, p.fp
 	s := getScratch(b.cols)
 	acc, mark, list := s.acc, s.mark[:b.cols], s.cols
 	zeros := 0
@@ -239,12 +249,12 @@ func (p *product) rows(lo, hi int, numeric bool) error {
 			}
 			nextPoll = fp[r] + pollFlops
 		}
-		aCols := m.colIdx[m.rowPtr[r]:m.rowPtr[r+1]]
+		aCols, aVals := m.row(r)
 		n := 0
 		if len(aCols) == 1 {
 			n = fp[r+1] - fp[r] // one row of b, scaled: no collisions
 		} else if len(aCols) > 1 {
-			n = s.scatter(aCols, m.val[m.rowPtr[r]:m.rowPtr[r+1]], b, numeric)
+			n = s.scatter(aCols, aVals, b, numeric)
 		}
 		if !numeric {
 			out.rowPtr[r+1] = n
@@ -258,10 +268,10 @@ func (p *product) rows(lo, hi int, numeric bool) error {
 			// bit (a -0 product is dropped either way), so this is the
 			// accumulator's result without the accumulator — all of AFA, and
 			// every N:1 relation's rows.
-			j, av := aCols[0], m.val[m.rowPtr[r]]
-			copy(cols, b.colIdx[b.rowPtr[j]:b.rowPtr[j+1]])
-			for i, bv := range b.val[b.rowPtr[j]:b.rowPtr[j+1]] {
-				acc[cols[i]] = av * bv
+			bIdx, bVal := b.row(aCols[0])
+			copy(cols, bIdx)
+			for i, bv := range bVal {
+				acc[cols[i]] = aVals[0] * bv
 			}
 		case swept(n, b.cols):
 			n = 0

@@ -21,11 +21,12 @@ func refMul(a, b *Matrix) *Matrix {
 	for r := 0; r < a.rows; r++ {
 		acc := make([]float64, b.cols)
 		hit := make([]bool, b.cols)
-		for k := a.rowPtr[r]; k < a.rowPtr[r+1]; k++ {
-			j, av := a.colIdx[k], a.val[k]
-			for kb := b.rowPtr[j]; kb < b.rowPtr[j+1]; kb++ {
-				hit[b.colIdx[kb]] = true
-				acc[b.colIdx[kb]] += av * b.val[kb]
+		aIdx, aVal := a.row(r)
+		for k, j := range aIdx {
+			bIdx, bVal := b.row(j)
+			for kb, c := range bIdx {
+				hit[c] = true
+				acc[c] += aVal[k] * bVal[kb]
 			}
 		}
 		for c, v := range acc {
@@ -78,8 +79,8 @@ func TestMulDifferential(t *testing.T) {
 				if !got.Equal(want) {
 					t.Fatalf("Mul(%dx%d * %dx%d, density %g) != reference", sh.ar, sh.ac, sh.ac, sh.bc, density)
 				}
-				for _, v := range got.val {
-					if v == 0 {
+				for _, tr := range got.Triplets() {
+					if tr.Val == 0 {
 						t.Fatal("Mul stored an explicit zero")
 					}
 				}
@@ -110,8 +111,10 @@ func structuralNNZ(a, b *Matrix) int {
 	n := 0
 	for r := 0; r < a.rows; r++ {
 		hit := map[int]bool{}
-		for _, j := range a.colIdx[a.rowPtr[r]:a.rowPtr[r+1]] {
-			for _, c := range b.colIdx[b.rowPtr[j]:b.rowPtr[j+1]] {
+		aIdx, _ := a.row(r)
+		for _, j := range aIdx {
+			bIdx, _ := b.row(j)
+			for _, c := range bIdx {
 				hit[c] = true
 			}
 		}
@@ -242,8 +245,9 @@ func TestScratchGenerationWrap(t *testing.T) {
 		}
 		want := make([]float64, m.cols)
 		for k, j := range v.idx {
-			for kb := m.rowPtr[j]; kb < m.rowPtr[j+1]; kb++ {
-				want[m.colIdx[kb]] += v.val[k] * m.val[kb]
+			idx, val := m.row(j)
+			for kb, c := range idx {
+				want[c] += v.val[k] * val[kb]
 			}
 		}
 		if !slices.Equal(got, want) {

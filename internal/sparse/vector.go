@@ -217,7 +217,8 @@ func (v *Vector) MulMat(m *Matrix) *Vector {
 	if v.n != m.rows {
 		panic("sparse: MulMat length mismatch")
 	}
-	row := &Matrix{rows: 1, cols: v.n, rowPtr: []int{0, len(v.idx)}, colIdx: v.idx, val: v.val}
+	row := &Matrix{rows: 1, cols: v.n, nnz: len(v.idx),
+		pages: []page{{rowPtr: []int{0, len(v.idx)}, colIdx: v.idx, val: v.val}}}
 	out, _ := row.mul(context.Background(), m, 1, recordVecMul)
 	return &Vector{n: m.cols, idx: out.colIdx, val: out.val}
 }

@@ -165,7 +165,7 @@ func TestRowViewIsNeverWritten(t *testing.T) {
 			call(m.Row(r), m.Row((r+1)%m.Rows()))
 			call(m.Row(r), m.Row(r)) // aliased receiver and argument
 		}
-		if !m.Equal(before) || !reflect.DeepEqual(m.rowPtr, before.rowPtr) {
+		if !m.Equal(before) || !reflect.DeepEqual(m.pages, before.pages) {
 			t.Fatalf("Vector.%s wrote through a row view", name)
 		}
 	}
