@@ -51,17 +51,18 @@ obs-selftest:
 # at every byte offset, ENOSPC, torn renames, failed fsyncs, at-rest
 # corruption sweeps, WAL torn-tail / duplicate-replay / crash-window
 # recovery, hot-reload with concurrent queries and mutations, the state
-# transfer (torn and moved /v1/admin/state streams, warm joins), and the
-# replication suite (follower convergence/resync, the seeded follower
-# schedules, primary kill mid-write-stream, divergence detection). The reload
-# and follower tests run three times: they were the flaky ones (a goroutine
-# outliving its server, a tail read shedding a write), so they gate on
-# repetition. Short mode keeps the corruption sweeps seeded-sample-sized and
+# transfer (torn and moved /v1/admin/state streams, warm joins, old files
+# booting), and the replication suite (follower convergence/resync, the
+# seeded follower schedules, primary kill mid-write-stream, divergence
+# detection). The reload and follower tests, and Close stopping the rebuild
+# a reload or a resync started, run three times: they were the flaky ones (a
+# goroutine outliving its server, a tail read shedding a write), so they gate
+# on repetition. Short mode keeps the corruption sweeps seeded-sample-sized and
 # the follower schedules at 32 seeds; part of `make check`.
 chaos:
 	go test -race -short ./internal/snapshot ./internal/chaos ./internal/wal
 	go test -race -short -run 'TestHotReload|TestWarmStart|TestWarmFromState|TestFetchStateTornStream|TestStateResume|TestMutate|TestCompaction|TestAppliedKey' ./internal/server
-	go test -race -short -count=3 -run 'TestReload|TestFollow' ./internal/server
+	go test -race -short -count=3 -run 'TestReload|TestFollow|TestCloseStopsWarmUp' ./internal/server
 	go test -race -short -run 'TestClusterKillMidBatch|TestRelevancePartialFailure|TestFailover|TestFollow|TestDivergence' ./internal/router
 
 # Paper-property suite under the race detector: randomized symmetry /
@@ -101,9 +102,14 @@ loc:
 # to sum) or the batch scheduler's cross-group side planner (planBatchSides,
 # buildFamily, sideFamily: a group builds its halves with the solo operators)
 # or the one state transfer (FetchSnapshot, handleGraphFetch, handleSnapshot,
-# ImportSnapshot: a replica fetches graph, wal_seq and chains from one
+# ImportSnapshot: a replica fetches graph, wal_seq and path list from one
 # GET /v1/admin/state, and the router does not import internal/snapshot)
-# deleted comes back by name, or when the deleted
+# or stored chains (ImportChains, importSnapshot, RunSnapshotSaver,
+# snapshot-save-interval, snapAgeMS: every warm-up rebuilds the path list,
+# nothing is saved on a timer, and the router ranks no snapshot age)
+# deleted comes back by name, or when a non-test file outside
+# internal/snapshot and bench/ calls the chains codec (EncodeChains,
+# DecodeChains: only the benchmarks price stored chains), or when the deleted
 # approximate top-k plane does (its plan name, its knobs, an import of
 # internal/embed — which bench/probes.go alone keeps alive until a
 # [benchmark] PR deletes both), or when the deleted Monte Carlo serving path
@@ -124,9 +130,14 @@ contract:
 			echo "contract: json tag \"$$tag\" must be declared in exactly one file, found in: $$(echo $$files)"; fail=1; \
 		fi; \
 	done; \
-	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo planBatchSides buildFamily sideFamily FetchSnapshot handleGraphFetch handleSnapshot ImportSnapshot; do \
+	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo planBatchSides buildFamily sideFamily FetchSnapshot handleGraphFetch handleSnapshot ImportSnapshot ImportChains importSnapshot RunSnapshotSaver snapshot-save-interval snapAgeMS; do \
 		if grep -rnwE "$$name" --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./bench/'; then \
 			echo "contract: deleted helper $$name is back"; fail=1; \
+		fi; \
+	done; \
+	for name in EncodeChains DecodeChains; do \
+		if grep -rnwE "$$name" --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./(bench|internal/snapshot)/'; then \
+			echo "contract: $$name called outside internal/snapshot and bench/ (chains are rebuilt, not stored)"; fail=1; \
 		fi; \
 	done; \
 	if go list -deps ./internal/router | grep -qx 'hetesim/internal/snapshot'; then \

@@ -731,25 +731,22 @@ func BenchmarkRelevanceAuto(b *testing.B) {
 	})
 }
 
-// BenchmarkSnapshotBoot measures what the durability layer buys at boot.
+// BenchmarkSnapshotBoot measures a boot with and without a snapshot.
 // "cold" materializes the working-set chain matrices from the raw graph —
-// the Section 4.6 offline computation a fresh process must repeat.
-// "warm" restores the same matrices from a snapshot: parse and checksum
-// the container, validate the graph fingerprint, decode the sparse
-// matrices, and import them into a fresh engine — the path hetesimd takes
-// at startup when -snapshot-path names a matching snapshot.
+// the Section 4.6 offline computation a fresh process must repeat. "warm"
+// is what hetesimd does at startup when -snapshot-path names a matching
+// snapshot: parse and checksum the container, validate the graph
+// fingerprint, and rebuild the paths it lists in a fresh engine. Chains are
+// rebuilt, not stored, so warm is cold plus reading a path list.
 func BenchmarkSnapshotBoot(b *testing.B) {
 	ds := complexityGraph(3000)
 	g := ds.Graph
 	// The working set that makes warm starts matter: the long chain's
 	// materialization is real SpGEMM work, not a few sparse products.
-	paths := []*metapath.Path{
-		metapath.MustParse(g.Schema(), "APCPA"),
-		metapath.MustParse(g.Schema(), "APCPAPCPA"),
-	}
-	precompute := func(e *core.Engine) {
-		for _, p := range paths {
-			if err := e.Precompute(context.Background(), p); err != nil {
+	specs := []string{"APCPA", "APCPAPCPA"}
+	precompute := func(e *core.Engine, specs []string) {
+		for _, spec := range specs {
+			if err := e.Precompute(context.Background(), metapath.MustParse(g.Schema(), spec)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -757,12 +754,8 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 
 	// Build the snapshot once, outside every timed region.
 	fingerprint := g.Fingerprint()
-	donor := core.NewEngine(g)
-	precompute(donor)
 	snap := &snapshot.Snapshot{Fingerprint: fingerprint}
-	if err := snapshot.EncodeChains(snap, donor.ExportChains()); err != nil {
-		b.Fatal(err)
-	}
+	snapshot.EncodeSpecs(snap, specs)
 	var blob bytes.Buffer
 	if err := snapshot.Write(&blob, snap); err != nil {
 		b.Fatal(err)
@@ -770,11 +763,10 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			precompute(core.NewEngine(g))
+			precompute(core.NewEngine(g), specs)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		b.SetBytes(int64(blob.Len()))
 		for i := 0; i < b.N; i++ {
 			e := core.NewEngine(g)
 			s, err := snapshot.Read(bytes.NewReader(blob.Bytes()))
@@ -784,12 +776,9 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 			if err := s.CheckCompat(fingerprint); err != nil {
 				b.Fatal(err)
 			}
-			chains, err := snapshot.DecodeChains(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n, _ := e.ImportChains(chains); n == 0 {
-				b.Fatal("warm boot imported no chains")
+			precompute(e, snapshot.DecodeSpecs(s))
+			if e.CacheStats().Chain == 0 {
+				b.Fatal("warm boot built no chains")
 			}
 		}
 	})

@@ -8,7 +8,7 @@
 //	         [-max-body-bytes 1048576] [-cache-limit 0]
 //	         [-batch-max-queries 1024] [-batch-workers 0]
 //	         [-slowlog-threshold 1s] [-slowlog-size 128] [-debug-addr ""]
-//	         [-snapshot-path chains.snap] [-snapshot-save-interval 5m]
+//	         [-snapshot-path paths.snap]
 //	         [-warm-from http://peer:8080]
 //	         [-wal-path edges.wal] [-wal-compact-bytes 16777216]
 //	         [-follow http://primary:8080] [-follow-interval 1s]
@@ -37,11 +37,14 @@
 // LoadWeightsFile JSON format) and enables "weighting": "learned"; a
 // malformed weights file fails startup.
 //
-// Durability: -snapshot-path names a checksummed snapshot of the engine's
-// materialized chain matrices. At boot the daemon warm-starts from it when
-// it matches the graph (a corrupt or mismatched snapshot is rejected and
-// logged, never served); it is rewritten crash-safely after startup
-// materialization, every -snapshot-save-interval, and on shutdown.
+// Durability: -snapshot-path names a checksummed snapshot of the relevance
+// paths the daemon materializes (its -precompute list, and any a peer's
+// state added), under the graph's fingerprint. At boot the daemon rebuilds
+// those paths before it listens when the snapshot matches the graph (a
+// corrupt or mismatched snapshot is rejected and logged, never trusted); it
+// is rewritten crash-safely after every warm-up and on shutdown. Chains are
+// rebuilt, not stored: the rebuild costs about what decoding stored chains
+// did.
 // SIGHUP (or POST /v1/admin/reload) re-reads -graph and swaps the new
 // graph in atomically — in-flight queries finish on the old graph, not
 // one request fails, and a bad replacement leaves the old graph serving.
@@ -64,12 +67,13 @@
 // outruns the follower — or the follower's fingerprint diverges from the
 // primary's at the same sequence — it resyncs: one resumable GET
 // /v1/admin/state carries the primary's graph, the wal_seq it embodies and
-// its materialized chains, adopted as one generation, and it re-follows.
+// the paths it materializes; graph and wal_seq are adopted as one
+// generation, the paths are rebuilt in the background, and it re-follows.
 // With -follow pointed at a router, -advertise identifies this daemon in the
 // router's election: when elected it stands down as follower and accepts
 // writes. -warm-from fetches the same state from a peer once at boot but
-// imports only its chains, and only when the peer serves this very graph —
-// the join path of a fleet without write-ahead logs to follow.
+// only rebuilds the paths it lists, and only when the peer serves this very
+// graph — the join path of a fleet without write-ahead logs to follow.
 //
 // Observability: Prometheus metrics are served at GET /metrics on the
 // main listener, queries slower than -slowlog-threshold are retained
@@ -88,7 +92,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -114,9 +117,8 @@ func main() {
 		slowThreshold = flag.Duration("slowlog-threshold", time.Second, "retain /v1 queries slower than this in the slow-query log (0 disables)")
 		slowSize      = flag.Int("slowlog-size", 128, "slow-query log ring capacity")
 		debugAddr     = flag.String("debug-addr", "", "listen address for net/http/pprof (empty disables; do not expose publicly)")
-		snapshotPath  = flag.String("snapshot-path", "", "chain-cache snapshot file for warm starts (empty disables)")
-		warmFrom      = flag.String("warm-from", "", "base URL of a peer hetesimd serving the same graph to fetch its chains from at boot (empty disables)")
-		snapshotEvery = flag.Duration("snapshot-save-interval", 5*time.Minute, "how often to persist the chain cache (0 disables the periodic save)")
+		snapshotPath  = flag.String("snapshot-path", "", "snapshot file listing the materialized paths; they are rebuilt at boot when it matches the graph (empty disables)")
+		warmFrom      = flag.String("warm-from", "", "base URL of a peer hetesimd serving the same graph whose materialized paths are rebuilt at boot (empty disables)")
 		walPath       = flag.String("wal-path", "", "edge-delta write-ahead log enabling POST /v1/admin/edges (empty disables mutations)")
 		walCompact    = flag.Int64("wal-compact-bytes", 16<<20, "fold the WAL into a rewritten -graph file when it outgrows this many bytes (0 never compacts on size)")
 		follow        = flag.String("follow", "", "base URL of the write primary (or of a hetesim-router that elects one) to replicate WAL deltas from; makes this daemon a read replica that 503s direct mutations")
@@ -176,9 +178,9 @@ func main() {
 		server.WithLogf(log.Printf),
 	)
 
-	// Warm-start from the snapshot before materialization kicks off: paths
-	// already in the snapshot then cost nothing to "materialize" again. A
-	// bad snapshot is logged and skipped — recompute is always correct.
+	// Warm-start from the snapshot before materialization kicks off: the
+	// paths it lists are rebuilt here, so -precompute then finds them warm.
+	// A bad snapshot is logged and skipped — recompute is always correct.
 	if *snapshotPath != "" {
 		if warm, err := srv.WarmStart(); err != nil {
 			log.Printf("hetesimd: snapshot rejected, starting cold: %v", err)
@@ -187,11 +189,11 @@ func main() {
 		}
 	}
 
-	// A fresh replica joins warm by pulling a peer's chains over its state
-	// endpoint (resumable, CRC-validated end to end) instead of
-	// rematerializing; they are admitted only when the peer serves this very
-	// graph. Any failure here is tolerated — the local snapshot (if any)
-	// already warmed what it could, and cold is always correct.
+	// A fresh replica joins warm by pulling a peer's path list over its
+	// state endpoint (resumable, CRC-validated end to end) and rebuilding
+	// those paths; only when the peer serves this very graph. Any failure
+	// here is tolerated — the local snapshot (if any) already warmed what it
+	// could, and cold is always correct.
 	if *warmFrom != "" {
 		fctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		n, err := srv.WarmFrom(fctx, *warmFrom)
@@ -199,13 +201,13 @@ func main() {
 		if err != nil {
 			log.Printf("hetesimd: -warm-from %s failed, continuing cold: %v", *warmFrom, err)
 		} else {
-			log.Printf("hetesimd: warmed %d chains from %s", n, *warmFrom)
+			log.Printf("hetesimd: warmed %d paths from %s", n, *warmFrom)
 		}
 	}
 
 	// Open the write-ahead log after the snapshot warm start: replay runs
-	// through the incremental maintenance path, so snapshot-warmed chains
-	// are carried forward row-by-row instead of recomputed. /readyz reports
+	// through the incremental maintenance path, so the rebuilt chains are
+	// carried forward row-by-row instead of recomputed. /readyz reports
 	// "replaying" for the duration.
 	if *walPath != "" {
 		st, err := srv.OpenWAL()
@@ -273,42 +275,34 @@ func main() {
 				log.Printf("hetesimd: reload failed, old graph keeps serving: %v", err)
 				continue
 			}
-			log.Printf("hetesimd: reloaded %d nodes, %d edges (fingerprint %s, %d warm chains) in %s",
-				res.Nodes, res.Edges, res.Fingerprint, res.WarmChains, res.Duration.Round(time.Millisecond))
+			log.Printf("hetesimd: reloaded %d nodes, %d edges (fingerprint %s) in %s",
+				res.Nodes, res.Edges, res.Fingerprint, res.Duration.Round(time.Millisecond))
 		}
 	}()
-
-	// The saver and the follower are blocking calls that return once ctx is
-	// canceled; shutdown waits for them before closing the server, so
-	// neither can write after Close.
-	var loops sync.WaitGroup
-	runLoop := func(f func()) {
-		loops.Add(1)
-		go func() { defer loops.Done(); f() }()
-	}
-
-	// Periodic snapshot saves bound the materialization work lost to a
-	// crash to one interval.
-	if *snapshotPath != "" && *snapshotEvery > 0 {
-		runLoop(func() { srv.RunSnapshotSaver(ctx, *snapshotEvery) })
-	}
 
 	// Follower mode: replicate the primary's WAL tail into this process,
 	// applying each batch through the same incremental maintenance path as
 	// a local write. A full resync (compaction outran us, or we diverged)
-	// adopts the primary's graph, wal_seq and chains from one state fetch.
+	// adopts the primary's graph and wal_seq from one state fetch and
+	// rebuilds its paths in the background. RunFollower returns once ctx is
+	// canceled; shutdown waits for it before closing the server, and Close
+	// stops the rebuild of its last resync.
+	followerDone := make(chan struct{})
 	if *follow != "" {
 		if *walPath == "" {
 			log.Fatal("hetesimd: -follow requires -wal-path (replicated deltas must be durable before they are acked upstream)")
 		}
-		runLoop(func() {
+		go func() {
+			defer close(followerDone)
 			srv.RunFollower(ctx, server.FollowerOptions{
 				Target:   strings.TrimRight(*follow, "/"),
 				Self:     strings.TrimRight(*advertise, "/"),
 				Interval: *followEvery,
 			})
-		})
+		}()
 		log.Printf("hetesimd: following %s (interval %s)", *follow, *followEvery)
+	} else {
+		close(followerDone)
 	}
 
 	errc := make(chan error, 1)
@@ -324,13 +318,13 @@ func main() {
 		// Refuse mutations and reloads before the HTTP drain starts: no
 		// graph swap may race the shutdown, and a client whose mutation is
 		// 409ed here knows to retry against the replacement process. Close
-		// then stops the server's background work, saves the final snapshot
+		// then stops the server's background work, saves the path list
 		// (with -snapshot-path) and closes the write-ahead log.
 		srv.BeginDrain()
 		drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
 		defer cancel()
 		drainErr := httpSrv.Shutdown(drainCtx)
-		loops.Wait()
+		<-followerDone
 		srv.Close()
 		if drainErr != nil {
 			log.Printf("hetesimd: drain incomplete: %v", drainErr)

@@ -16,12 +16,14 @@ import (
 	"hetesim/internal/learn"
 	"hetesim/internal/metapath"
 	"hetesim/internal/server"
+	"hetesim/internal/snapshot"
 )
 
 // TestEndToEndPipeline exercises the full production flow across packages:
-// generate a dataset, serialize and reload the graph, materialize a path
-// and snapshot it, reload the snapshot in a fresh engine, and serve queries
-// over HTTP — verifying scores stay identical at every boundary.
+// generate a dataset, serialize and reload the graph, snapshot a
+// materialized path's name, rebuild it in a fresh engine from the snapshot,
+// and serve queries over HTTP — verifying scores stay identical at every
+// boundary.
 func TestEndToEndPipeline(t *testing.T) {
 	ds, err := datagen.ACM(datagen.ACMConfig{
 		Papers: 300, Authors: 250, Affiliations: 30,
@@ -60,14 +62,29 @@ func TestEndToEndPipeline(t *testing.T) {
 		}
 	}
 
-	// Materialized-chain round trip into a third engine, the way snapshots
-	// carry them: export the half-chain matrices, import, query.
-	if err := e1.Precompute(context.Background(), p); err != nil {
+	// Materialization round trip into a third engine, the way snapshots
+	// carry it: the path name crosses the container, the chains are rebuilt.
+	snap := &snapshot.Snapshot{Fingerprint: g.Fingerprint()}
+	snapshot.EncodeSpecs(snap, []string{p.String()})
+	var sbuf bytes.Buffer
+	if err := snapshot.Write(&sbuf, snap); err != nil {
+		t.Fatal(err)
+	}
+	snap, err = snapshot.Read(&sbuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.CheckCompat(g2.Fingerprint()); err != nil {
 		t.Fatal(err)
 	}
 	e3 := core.NewEngine(g2)
-	if n, _ := e3.ImportChains(e1.ExportChains()); n == 0 {
-		t.Fatal("no materialized chains crossed the export/import boundary")
+	for _, spec := range snapshot.DecodeSpecs(snap) {
+		if err := e3.Precompute(context.Background(), metapath.MustParse(g2.Schema(), spec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e3.CacheStats().Chain == 0 {
+		t.Fatal("no chains rebuilt from the snapshot's path list")
 	}
 	got3, err := e3.SingleSourceByIndex(context.Background(), p2, 0)
 	if err != nil {

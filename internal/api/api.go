@@ -220,7 +220,6 @@ type Ready struct {
 	Follows        *string  `json:"follows,omitempty"`
 	ReplicationLag *float64 `json:"replication_lag_seconds,omitempty"` // seconds since the last confirmed catch-up; -1 = never
 	Role           string   `json:"role,omitempty"`
-	SnapshotAge    float64  `json:"snapshot_age_seconds"` // -1 = never saved or imported
 	Status         string   `json:"status"`
 	WALSeq         uint64   `json:"wal_seq"`
 }
@@ -233,7 +232,6 @@ type Replica struct {
 	Diverged    bool    `json:"diverged"`
 	Breaker     string  `json:"breaker"`
 	WALSeq      uint64  `json:"wal_seq"`
-	SnapshotAge float64 `json:"snapshot_age_seconds"`    // -1: never
 	Lag         float64 `json:"replication_lag_seconds"` // -1: not a follower / unknown
 	Follows     string  `json:"follows,omitempty"`
 	Fingerprint string  `json:"fingerprint,omitempty"`

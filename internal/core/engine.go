@@ -21,11 +21,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 
@@ -629,9 +627,9 @@ func (e *Engine) CacheStats() CacheInfo {
 func (e *Engine) CacheLimit() int { return e.cacheLimit }
 
 // ExportChains returns the engine's materialized chain matrices keyed by
-// chain cache key — the state worth persisting across restarts (Section
-// 4.6's offline materialization). Matrices are immutable and shared, so the
-// export is cheap and safe under concurrent queries.
+// chain cache key — what RewarmFrom carries into the next generation.
+// Matrices are immutable and shared, so the export is cheap and safe under
+// concurrent queries.
 func (e *Engine) ExportChains() map[string]*sparse.Matrix {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -640,42 +638,6 @@ func (e *Engine) ExportChains() map[string]*sparse.Matrix {
 		out[k] = ent.m
 	}
 	return out
-}
-
-// ImportChains installs previously exported chain matrices in the cache,
-// returning how many of them are resident afterwards and how many were stale:
-// odd-path halves older builds keyed "…|SE(step)" / "…|TE(step)", in the
-// edge-object space no code builds any more. Keys and matrices must come from
-// an engine over the same graph (the snapshot layer checks the fingerprint).
-// Keys go in shortest first (ties in key order), as RewarmFrom's do, so a
-// "T:" follows its chain and a cache limit keeps the same chains on every
-// import. Row norms are recomputed lazily. A non-caching engine admits nothing.
-func (e *Engine) ImportChains(chains map[string]*sparse.Matrix) (admitted, stale int) {
-	keys := make([]string, 0, len(chains))
-	for k := range chains {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b string) int { return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b)) })
-	var put []string
-	for _, k := range keys {
-		m := chains[k]
-		last := k[strings.LastIndexAny(k, ":|")+1:]
-		switch {
-		case strings.HasPrefix(last, "SE(") || strings.HasPrefix(last, "TE("):
-			stale++
-		case m != nil && e.caching:
-			e.cachePut(k, m)
-			put = append(put, k)
-		}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, k := range put {
-		if _, ok := e.reach[k]; ok {
-			admitted++
-		}
-	}
-	return admitted, stale
 }
 
 // ClearCache drops all cached matrices, norms, and cost estimates.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -311,44 +310,6 @@ func TestHotExpensiveChainStaysResident(t *testing.T) {
 		}
 		if _, err := e.ReachableMatrix(ctx, hot); err != nil { // the hit refreshes its credit
 			t.Fatal(err)
-		}
-	}
-}
-
-// ImportChains into a bounded engine keeps the same chains on every import and
-// counts only the chains still resident.
-func TestImportChainsBoundedDeterministic(t *testing.T) {
-	g := randomBibGraph(11)
-	ctx := context.Background()
-	src := NewEngine(g)
-	for _, spec := range []string{"APVCVPA", "APTPA", "APA", "CVPA", "APVPA", "VPAPV", "TPAPT", "APVCV", "CVPAPT"} {
-		p := metapath.MustParse(g.Schema(), spec)
-		if err := src.Precompute(ctx, p); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			if _, err := src.TopKSearch(ctx, p, 0, 3, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	chains := src.ExportChains()
-	if len(chains) < 20 {
-		t.Fatalf("export holds %d chains, want at least 20", len(chains))
-	}
-	var first []string
-	for run := 0; run < 5; run++ {
-		e := NewEngine(g, WithCacheLimit(8))
-		n, stale := e.ImportChains(chains)
-		keys := residentKeys(e)
-		if stale != 0 || n != len(keys) || n > 8 {
-			t.Fatalf("run %d: admitted %d (stale %d), %d resident, limit 8", run, n, stale, len(keys))
-		}
-		checkCacheInvariants(t, e, fmt.Sprintf("import run %d", run))
-		if run == 0 {
-			first = keys
-		} else if !reflect.DeepEqual(keys, first) {
-			t.Fatalf("run %d kept %v, run 0 kept %v", run, keys, first)
 		}
 	}
 }

@@ -212,8 +212,14 @@ func TestRewarmBoundedTransposesNeedRoom(t *testing.T) {
 	if transposes < 2 {
 		t.Fatalf("the source engine holds %d transposes", transposes)
 	}
-	old := NewEngine(g) // chains and transposes, no odd-path products: nothing is evicted
-	old.ImportChains(chains)
+	old := NewEngine(g)                         // chains and transposes, no odd-path products: nothing is evicted
+	for _, kind := range []string{"C:", "T:"} { // a transpose is installed beside its chain
+		for k, m := range chains {
+			if strings.HasPrefix(k, kind) {
+				old.cachePut(k, m)
+			}
+		}
+	}
 	ng, d := applyOps(t, g, []hin.Op{
 		{Kind: hin.OpUpsertEdge, Relation: "published_in", Src: "p1", Dst: "VLDB", Weight: 1},
 	})

@@ -601,21 +601,20 @@ func TestProxyPairAndTopK(t *testing.T) {
 }
 
 // TestReadyzFreshnessFields (satellite): the replica's /readyz carries
-// wal_seq and snapshot_age_seconds so the router can rank freshness.
+// wal_seq and the fingerprint so the router can rank freshness, and no
+// snapshot age: chains are rebuilt, not stored, so there is none to rank.
 func TestReadyzFreshnessFields(t *testing.T) {
 	rep := newTestReplica(t)
 	client := &http.Client{Timeout: 5 * time.Second}
 	var ready map[string]any
 	getJSON(t, client, rep.ts.URL+"/readyz", &ready)
-	if _, ok := ready["wal_seq"]; !ok {
-		t.Error("readyz missing wal_seq")
+	for _, key := range []string{"wal_seq", "fingerprint"} {
+		if _, ok := ready[key]; !ok {
+			t.Errorf("readyz missing %s", key)
+		}
 	}
-	age, ok := ready["snapshot_age_seconds"].(float64)
-	if !ok {
-		t.Fatalf("readyz snapshot_age_seconds = %v", ready["snapshot_age_seconds"])
-	}
-	if age != -1 {
-		t.Errorf("never-snapshotted replica reports age %v, want -1", age)
+	if age, ok := ready["snapshot_age_seconds"]; ok {
+		t.Errorf("readyz still carries snapshot_age_seconds = %v", age)
 	}
 }
 

@@ -83,7 +83,7 @@ func (w *latencyWindow) quantile(q float64) time.Duration {
 
 // replica is the router's view of one hetesimd backend: its base URL,
 // health as last probed at /readyz, circuit-breaker state, recent latency,
-// and the freshness signals (wal_seq, snapshot age) the backend reports.
+// and the freshness signals (wal_seq, fingerprint) the backend reports.
 type replica struct {
 	base string // normalized base URL, no trailing slash
 
@@ -92,7 +92,6 @@ type replica struct {
 	// Freshness as of the last successful probe (walSeq is also raised by
 	// write acks the router relays to this replica as primary).
 	walSeq      atomic.Uint64
-	snapAgeMS   atomic.Int64 // -1: never snapshotted
 	fingerprint atomic.Value // string
 
 	// Replication view, as self-reported in /readyz. lagMS is -1 for
@@ -124,7 +123,6 @@ func newReplica(base string, threshold int, cooldown time.Duration) *replica {
 	}
 	r.fingerprint.Store("")
 	r.follows.Store("")
-	r.snapAgeMS.Store(-1)
 	r.lagMS.Store(-1)
 	return r
 }
@@ -229,11 +227,6 @@ func (r *replica) probe(ctx context.Context, client *http.Client) bool {
 	if json.NewDecoder(resp.Body).Decode(&body) == nil {
 		r.walSeq.Store(body.WALSeq)
 		r.fingerprint.Store(body.Fingerprint)
-		if body.SnapshotAge >= 0 {
-			r.snapAgeMS.Store(int64(body.SnapshotAge * 1000))
-		} else {
-			r.snapAgeMS.Store(-1)
-		}
 		follows := ""
 		if body.Follows != nil {
 			follows = *body.Follows

@@ -725,7 +725,6 @@ func (r *Router) handleReplicas(w http.ResponseWriter, _ *http.Request) {
 			Diverged:    rep.isDiverged(),
 			Breaker:     breakerStateName(rep.state.Load()),
 			WALSeq:      rep.walSeq.Load(),
-			SnapshotAge: secs(rep.snapAgeMS.Load()),
 			Lag:         secs(rep.lagMS.Load()),
 			Follows:     rep.follows.Load().(string),
 			Fingerprint: rep.fingerprint.Load().(string),

@@ -9,10 +9,13 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hetesim/internal/hin"
+	"hetesim/internal/router"
 )
 
 // lifecycleGraph is the small Fig. 4 graph used across lifecycle tests.
@@ -449,5 +452,82 @@ func TestRawQueryReusesWarmChains(t *testing.T) {
 	}
 	if len(raw.Results) == 0 || slices.Equal(raw.Results, norm.Results) {
 		t.Errorf("raw hits %v, normalized %v: want the raw meeting probabilities", raw.Results, norm.Results)
+	}
+}
+
+// TestCloseStopsWarmUp: the background rebuild a reload or a resync starts
+// belongs to the server. Close, called while such a rebuild is in flight —
+// its first path built and being logged, three more to go — cancels it and
+// returns only once it stopped: the other paths are never built, the step
+// in flight has finished, and no line arrives after Close returns. A
+// rebuild that outlived its server would log into a finished test, which
+// panics the whole test binary.
+func TestCloseStopsWarmUp(t *testing.T) {
+	specs := []string{"APA", "APCPA", "CPC", "APCPAPA"}
+	for _, trigger := range []string{"reload", "resync"} {
+		t.Run(trigger, func(t *testing.T) {
+			var (
+				srv                  *Server
+				built, late          atomic.Int64
+				closed, stepFinished atomic.Bool
+				once                 sync.Once
+				inFlight             = make(chan struct{})
+			)
+			logf := func(format string, args ...any) {
+				if closed.Load() {
+					late.Add(1)
+					return
+				}
+				if strings.HasPrefix(format, "server: materialized") {
+					built.Add(1)
+					once.Do(func() {
+						close(inFlight)
+						<-srv.st.ctx.Done()               // hold the rebuild until Close cancels it
+						time.Sleep(20 * time.Millisecond) // a step slow to notice
+						stepFinished.Store(true)
+					})
+				}
+			}
+			srv = newWALReplica(t, WithLogf(logf))
+			switch trigger {
+			case "reload":
+				for _, spec := range specs {
+					if err := srv.Precompute(spec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := srv.Reload(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			case "resync":
+				primary := newWALReplica(t)
+				for _, spec := range specs {
+					if err := primary.Precompute(spec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				o := FollowerOptions{Client: &http.Client{Transport: router.Inproc{"primary": primary.Handler()}}, Logf: logf}
+				if err := srv.resyncFromPrimary(context.Background(), o, schedulePrimary); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case <-inFlight:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the rebuild never built its first path")
+			}
+			srv.Close()
+			closed.Store(true)
+			if !stepFinished.Load() {
+				t.Fatal("Close returned while the rebuild's step was still running")
+			}
+			if n := built.Load(); n != 1 {
+				t.Fatalf("%d of %d paths built: Close must stop the rebuild after the one in flight", n, len(specs))
+			}
+			time.Sleep(20 * time.Millisecond)
+			if n := late.Load(); n != 0 {
+				t.Fatalf("%d lines logged after Close returned", n)
+			}
+		})
 	}
 }

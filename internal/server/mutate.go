@@ -88,7 +88,9 @@ func (s *Server) OpenWAL() (*WALStatus, error) {
 	// unless the base warm start already landed, in which case the replay
 	// loop carried its chains forward incrementally.
 	if es := s.current(); es.engine.CacheSize() == 0 {
-		s.st.loadSnapshot(es) // best effort: cold is always correct
+		if snap, _ := s.st.loadSnapshot(); snap != nil {
+			s.st.warmStart(s.st.ctx, es, snap) // best effort: cold is always correct
+		}
 	}
 	return st, nil
 }

@@ -74,57 +74,40 @@ func (s *Server) Ready() bool {
 	return st == StateReady || st == StateReloading
 }
 
-// WarmStart loads the configured snapshot into the current engine set. It
-// returns true when the engines were warmed; a missing snapshot file is a
-// normal cold start (false, nil). A snapshot that fails checksum, version,
-// fingerprint, or option validation is rejected with a reason, counted in
-// hetesim_snapshot_corrupt_total, and never served (false, error).
+// WarmStart rebuilds, before the server takes traffic, the relevance paths
+// the configured snapshot lists, and remembers them like -precompute paths.
+// It returns true when it built at least one; a missing snapshot file, or
+// one older builds wrote (chain sections, no path list), is a normal cold
+// start (false, nil). A snapshot that fails checksum, version or
+// fingerprint validation is rejected with a reason, counted in
+// hetesim_snapshot_corrupt_total, and warms nothing (false, error).
 func (s *Server) WarmStart() (bool, error) {
-	n, err := s.st.loadSnapshot(s.current())
+	snap, err := s.st.loadSnapshot()
+	if snap == nil {
+		return false, err
+	}
+	n, err := s.st.warmStart(s.st.ctx, s.current(), snap)
 	return n > 0, err
 }
 
-// WarmFrom fetches a peer's state from base+/v1/admin/state and imports its
-// chains when the state's fingerprint is the serving graph's — the
-// -warm-from boot path, for a replica without a log to follow. The peer's
-// graph and wal_seq are never adopted. It returns how many chains were
-// admitted; the state of a different graph is rejected whole.
+// WarmFrom fetches a peer's state from base+/v1/admin/state and, when the
+// state's fingerprint is the serving graph's, rebuilds the paths it lists
+// before returning — the -warm-from boot path, for a replica without a log
+// to follow. The peer's graph and wal_seq are never adopted. It returns how
+// many paths it built; the state of a different graph is rejected whole.
 func (s *Server) WarmFrom(ctx context.Context, base string) (int, error) {
 	state, err := fetchState(ctx, http.DefaultClient, base)
 	if err != nil {
 		return 0, err
 	}
-	return s.st.importSnapshot(s.current(), state)
+	return s.st.warmStart(ctx, s.current(), state)
 }
 
-// SaveSnapshot writes the current engines' materialized chain matrices
-// crash-safely to the configured snapshot path. Concurrent calls (periodic
-// saver, shutdown, post-precompute) serialize; the previous snapshot
-// survives any failure.
+// SaveSnapshot writes the remembered relevance paths crash-safely to the
+// configured snapshot path, under the serving graph's fingerprint.
+// Concurrent calls (post-warm-up, shutdown) serialize; the previous
+// snapshot survives any failure.
 func (s *Server) SaveSnapshot() error { return s.st.saveSnapshot() }
-
-// RunSnapshotSaver persists the chain cache every interval until ctx is
-// canceled, so a crash costs at most one interval of materialization work.
-// Each tick's save gets a few bounded, jitter-backed retries (counted in
-// hetesim_snapshot_save_retries_total); a tick that still fails is logged
-// and retried next tick — the previous snapshot stays intact throughout.
-func (s *Server) RunSnapshotSaver(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if !s.Ready() {
-				continue
-			}
-			if err := s.st.saveSnapshotRetry(ctx, 3, 100*time.Millisecond); err != nil {
-				s.st.logf("server: periodic snapshot save: %v", err)
-			}
-		}
-	}
-}
 
 // BeginDrain puts the server into shutdown drain: in-flight and new
 // queries keep being answered (the HTTP server's own Shutdown bounds
@@ -136,11 +119,11 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Close ends the server's lifecycle: it begins the drain, cancels and waits
-// for every goroutine the server started (background warmup, post-reload
-// re-warm), saves a final snapshot when a snapshot path is configured, and
-// closes the write-ahead log. Call it after the HTTP listener has shut down
-// and any RunFollower / RunSnapshotSaver context has been canceled; when it
-// returns nothing the server started is running or writing. Idempotent.
+// for every goroutine the server started (the boot warm-up, the rebuild a
+// reload or a resync started), saves the spec list when a snapshot path is
+// configured, and closes the write-ahead log. Call it after the HTTP
+// listener has shut down and any RunFollower has returned; when it returns
+// nothing the server started is running or writing. Idempotent.
 func (s *Server) Close() {
 	s.BeginDrain()
 	s.st.close()
@@ -150,7 +133,6 @@ func (s *Server) Close() {
 type ReloadResult struct {
 	Nodes       int           `json:"nodes"`
 	Edges       int           `json:"edges"`
-	WarmChains  int           `json:"warm_chains"` // chains restored from the snapshot
 	Fingerprint string        `json:"fingerprint"`
 	Duration    time.Duration `json:"-"`
 	DurationMS  float64       `json:"duration_ms"`
@@ -165,8 +147,8 @@ var (
 
 // Reload atomically replaces the served graph: it re-reads the configured
 // graph file, builds and fully validates a fresh engine set off to the
-// side (including a snapshot warm start when the snapshot still matches),
-// then publishes it. In-flight queries finish against the set they started
+// side, then publishes it and rebuilds the remembered paths in the
+// background. In-flight queries finish against the set they started
 // with; new requests see the new graph. Any failure leaves the old set
 // serving untouched. The reload holds the writers' admission lock across
 // its whole read-build-publish window, so a batch acked mid-reload can
@@ -216,14 +198,13 @@ func (s *Server) reload(ctx context.Context) (*ReloadResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	next, warm, err := s.st.adopt(g, s.current().seq, nil)
+	next, err := s.st.adopt(g, s.current().seq, nil)
 	if err != nil {
 		return nil, fmt.Errorf("server: reload: %w", err)
 	}
 	return &ReloadResult{
 		Nodes:       g.TotalNodes(),
 		Edges:       g.TotalEdges(),
-		WarmChains:  warm,
 		Fingerprint: fmt.Sprintf("%016x", next.fingerprint),
 	}, nil
 }

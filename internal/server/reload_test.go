@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"hetesim/internal/hin"
+	"hetesim/internal/snapshot"
 )
 
 // reloadSchema builds the bibliographic test schema shared by the reload
@@ -341,114 +343,39 @@ func TestWarmStartFromSnapshot(t *testing.T) {
 }
 
 // TestWarmStartSkipsEmbedSections boots through WithSnapshotPath from files
-// carrying sections this build's chain reader has no decoder for:
+// the parent build (the last one that stored chains) wrote over
+// reloadGraph(t, 0):
 //
-//   - the snapshot written by the last build that had the topk-approx plan —
-//     its exportSnapshot, after a forced topk-approx query over
-//     reloadGraph(t, 0) — with an "embed:" section;
-//   - a body saved from GET /v1/admin/state after an APCPA precompute over
-//     the same graph, with "graph" and "seq" sections (what the README tells
-//     operators to do with one).
+//   - a -snapshot-path file, its SaveSnapshot after APCPA and APC
+//     precomputes, with "chain:" sections, plus the "embed:" section and the
+//     odd-path "SE(…)"/"TE(…)" chains that still older builds wrote;
+//   - a GET /v1/admin/state body after an APCPA precompute: chain sections,
+//     "graph" and "seq".
 //
-// The chains are admitted, the first top-k is answered from them without
-// materializing anything, and the file is not counted as corrupt. The
-// skipped sections' CRCs are still verified: a bit flipped in a state's
-// graph section fails the load. What this build saves carries none of them.
+// Each boots as bootOldFile checks. The skipped sections' CRCs are still
+// verified: a byte flipped in a state's graph section fails the load.
 func TestWarmStartSkipsEmbedSections(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "v2_with_embeds.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	donor := New(reloadGraph(t, 0), WithLogf(t.Logf))
-	t.Cleanup(donor.Close)
-	if err := donor.Precompute("APCPA"); err != nil {
-		t.Fatal(err)
-	}
-	rec := httptest.NewRecorder()
-	donor.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/admin/state", nil))
-	state := rec.Body.Bytes()
-
 	for _, in := range []struct {
-		name     string
-		raw      []byte
-		skipped  []string // section names the chain reader skips
-		chains   int
-		saveSkip []string // section names the saved snapshot must not carry
+		name, file string
+		skipped    []string // section names the warm start skips
 	}{
-		{"embed-fixture", fixture, []string{"embed:E:"}, 3, []string{"embed:"}},
-		{"state-body", state, []string{"\x05\x00graph", "\x03\x00seq"}, donor.current().engine.CacheStats().Chain, []string{"graph", "seq"}},
+		{"embed-fixture", "parent_chains.snap", []string{"chain:C:", "embed:"}},
+		{"state-body", "parent_state.snap", []string{"chain:C:", "\x05\x00graph", "\x03\x00seq"}},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			for _, name := range in.skipped {
-				if !bytes.Contains(in.raw, []byte(name)) {
-					t.Fatalf("input carries no %q section; the test proves nothing", name)
-				}
-			}
-			snapPath := filepath.Join(t.TempDir(), "chains.snap") // a copy: Close saves over it
-			if err := os.WriteFile(snapPath, in.raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			corruptBefore := metSnapshotCorrupt.Value()
-
-			srv := New(reloadGraph(t, 0), WithSnapshotPath(snapPath), WithLogf(t.Logf))
-			t.Cleanup(srv.Close)
-			warm, err := srv.WarmStart()
-			if err != nil || !warm {
-				t.Fatalf("warm start from a snapshot with unknown sections: warm=%v err=%v", warm, err)
-			}
-			if n := srv.current().engine.CacheStats().Chain; n != in.chains || n == 0 {
-				t.Fatalf("admitted %d chains, want the input's %d", n, in.chains)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			t.Cleanup(ts.Close)
-			var body topKBody
-			getJSON(t, ts.URL+"/v1/topk?path=APCPA&source=Tom&k=3&trace=1", http.StatusOK, &body)
-			want := []hitBody{{ID: "Tom", Score: 1}, {ID: "Mary", Score: 0.7071067811865475}}
-			if len(body.Results) != len(want) || body.Results[0] != want[0] || body.Results[1] != want[1] {
-				t.Errorf("results = %+v, want %+v (what the writing build answered)", body.Results, want)
-			}
-			hits := 0
-			for _, sp := range body.Trace.Spans {
-				if sp.Name == "cache_miss" || sp.Name == "chain_multiply" {
-					t.Errorf("first top-k after the warm start shows a %s span: not answered warm", sp.Name)
-				}
-				if sp.Name == "cache_hit" {
-					hits++
-				}
-			}
-			if hits == 0 {
-				t.Error("first top-k after the warm start read no cached chain")
-			}
-			if got := metSnapshotCorrupt.Value(); got != corruptBefore {
-				t.Errorf("hetesim_snapshot_corrupt_total moved %d -> %d", corruptBefore, got)
-			}
-
-			// What this build saves carries no skipped section and is still
-			// version 2.
-			if err := srv.SaveSnapshot(); err != nil {
-				t.Fatal(err)
-			}
-			saved, err := os.ReadFile(snapPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range in.saveSkip {
-				if bytes.Contains(saved, []byte(name)) {
-					t.Errorf("saved snapshot still carries a %q section", name)
-				}
-			}
-			if saved[4] != 2 {
-				t.Errorf("saved snapshot has version byte %d, want 2 (a bump would make a mixed fleet refuse it)", saved[4])
-			}
+			bootOldFile(t, filepath.Join("testdata", in.file), in.skipped)
 		})
 	}
 
 	// The graph section is skipped, not unchecked.
+	state, err := os.ReadFile(filepath.Join("testdata", "parent_state.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	at := bytes.Index(state, []byte("\x05\x00graph")) + 2 + len("graph") + 8 // first byte of its data
-	flipped := bytes.Clone(state)
-	flipped[at+16] ^= 1
+	state[at+16] ^= 1
 	snapPath := filepath.Join(t.TempDir(), "flipped.snap")
-	if err := os.WriteFile(snapPath, flipped, 0o644); err != nil {
+	if err := os.WriteFile(snapPath, state, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(reloadGraph(t, 0), WithSnapshotPath(snapPath), WithLogf(t.Logf))
@@ -458,109 +385,147 @@ func TestWarmStartSkipsEmbedSections(t *testing.T) {
 	}
 }
 
-// TestWarmStartSkipsOddChains boots from a snapshot written by the last build
-// that met odd paths on the edge-object type — its exportSnapshot after APCPA
-// and APCP queries over reloadGraph(t, 0) — so three of its seven chains are
-// APCP's "SE(…)"/"TE(…)" half-chains no code builds any more. They are skipped
-// and logged, the four step chains are admitted, APCPA is answered warm with
-// the writing build's bits, and APCP is answered from step chains alone.
+// TestWarmStartSkipsOddChains boots, as bootOldFile checks, from the parent
+// build's -snapshot-path file, whose APCP chains include the "SE(…)"/"TE(…)"
+// half-chains over the edge-object type that no code builds any more.
 func TestWarmStartSkipsOddChains(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("..", "snapshot", "testdata", "v2_with_odd_chains.snap"))
+	bootOldFile(t, filepath.Join("testdata", "parent_chains.snap"), []string{"SE(", "TE("})
+}
+
+// bootOldFile boots a server over reloadGraph(t, 0) from a copy of the file
+// at path, which must carry each of the skipped section names. The file lists
+// no paths, so the server boots cold without counting it corrupt, caches no
+// chain, and serves the bits a fresh engine serves. The first save rewrites
+// the file in the new form: a path list and nothing else, which the next boot
+// rebuilds.
+func bootOldFile(t *testing.T, path string, skipped []string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapPath := filepath.Join(t.TempDir(), "chains.snap") // a copy: Close saves over it
+	for _, name := range skipped {
+		if !bytes.Contains(raw, []byte(name)) {
+			t.Fatalf("fixture carries no %q section; the test proves nothing", name)
+		}
+	}
+	snapPath := filepath.Join(t.TempDir(), "paths.snap") // a copy: the save rewrites it
 	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	corruptBefore := metSnapshotCorrupt.Value()
-	var mu sync.Mutex
-	var logs []string
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
 
-	srv := New(reloadGraph(t, 0), WithSnapshotPath(snapPath), WithLogf(logf))
+	srv := New(reloadGraph(t, 0), WithSnapshotPath(snapPath), WithLogf(t.Logf))
 	t.Cleanup(srv.Close)
-	warm, err := srv.WarmStart()
-	if err != nil || !warm {
-		t.Fatalf("warm start from a snapshot with odd-path chains: warm=%v err=%v", warm, err)
-	}
-	if n := srv.current().engine.CacheStats().Chain; n != 4 {
-		t.Fatalf("admitted %d chains, want the fixture's 4 step chains", n)
-	}
-	mu.Lock()
-	logged := strings.Contains(strings.Join(logs, "\n"), "skipped 3 odd-path chains")
-	mu.Unlock()
-	if !logged {
-		t.Errorf("load log does not count the 3 skipped chains: %q", logs)
+	if warm, err := srv.WarmStart(); err != nil || warm {
+		t.Fatalf("warm start from a file that lists no paths: warm=%v err=%v, want cold and nil", warm, err)
 	}
 	if got := metSnapshotCorrupt.Value(); got != corruptBefore {
 		t.Errorf("hetesim_snapshot_corrupt_total moved %d -> %d", corruptBefore, got)
 	}
-	for key := range srv.current().engine.ExportChains() {
-		if strings.Contains(key, "SE(") || strings.Contains(key, "TE(") {
-			t.Errorf("edge-object chain %q admitted", key)
-		}
+	if n := srv.current().engine.CacheStats().Chain; n != 0 {
+		t.Errorf("%d chains cached: an old file's chains must be ignored", n)
 	}
-
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	var even topKBody
-	getJSON(t, ts.URL+"/v1/topk?path=APCPA&source=Tom&k=3&trace=1", http.StatusOK, &even)
-	want := []hitBody{{ID: "Tom", Score: 1}, {ID: "Mary", Score: 0.7071067811865475}}
-	if len(even.Results) != len(want) || even.Results[0] != want[0] || even.Results[1] != want[1] {
-		t.Errorf("APCPA results = %+v, want %+v (what the writing build answered)", even.Results, want)
-	}
-	for _, sp := range even.Trace.Spans {
-		if sp.Name == "cache_miss" || sp.Name == "chain_multiply" {
-			t.Errorf("first APCPA top-k after the warm start shows a %s span: not answered warm", sp.Name)
+	fresh := httptest.NewServer(New(reloadGraph(t, 0), WithLogf(t.Logf)).Handler())
+	t.Cleanup(fresh.Close)
+	for _, q := range []string{
+		"/v1/topk?path=APCPA&source=Tom&k=3",
+		"/v1/topk?path=APCP&source=Tom&k=2",
+		"/v1/pair?path=APCP&source=Mary&target=p1",
+	} {
+		var got, want struct {
+			Score   *float64  `json:"score"`
+			Results []hitBody `json:"results"`
+		}
+		getJSON(t, ts.URL+q, http.StatusOK, &got)
+		getJSON(t, fresh.URL+q, http.StatusOK, &want)
+		if fmt.Sprint(bitsOf(got.Score), got.Results) != fmt.Sprint(bitsOf(want.Score), want.Results) {
+			t.Errorf("%s = %v %+v, a fresh engine answers %v %+v", q, got.Score, got.Results, want.Score, want.Results)
 		}
 	}
-	// The writing build's APCP answers, bit for bit.
-	var odd topKBody
-	getJSON(t, ts.URL+"/v1/topk?path=APCP&source=Tom&k=1", http.StatusOK, &odd)
-	if len(odd.Results) != 1 || odd.Results[0] != (hitBody{ID: "p1", Score: 1}) {
-		t.Errorf("APCP results = %+v, want p1 at 1", odd.Results)
-	}
-	var pair pairBody
-	getJSON(t, ts.URL+"/v1/pair?path=APCP&source=Mary&target=p1", http.StatusOK, &pair)
-	if pair.Score != 0.7071067811865475 {
-		t.Errorf("APCP pair (Mary, p1) = %v, want 0.7071067811865475", pair.Score)
-	}
-}
 
-// TestReloadWarmsFromSnapshot checks a hot-reload re-warms the incoming
-// engine set from the snapshot when the snapshot matches the new graph.
-func TestReloadWarmsFromSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	graphPath := filepath.Join(dir, "graph.json")
-	snapPath := filepath.Join(dir, "chains.snap")
-	writeGraphFile(t, graphPath, reloadGraph(t, 2))
-
-	// Save a snapshot for generation 2 — the generation the reload loads.
-	donor := New(reloadGraph(t, 2), WithSnapshotPath(snapPath))
-	if err := donor.Precompute("APC"); err != nil {
+	// The first save writes a path list and nothing the old file held.
+	if err := srv.Precompute("APCPA"); err != nil {
 		t.Fatal(err)
 	}
-	if err := donor.SaveSnapshot(); err != nil {
+	if err := srv.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-
-	srv := New(reloadGraph(t, 0), WithReloadFrom(graphPath), WithSnapshotPath(snapPath), WithLogf(t.Logf))
-	t.Cleanup(srv.Close)
-	srv.MarkReady()
-	res, err := srv.Reload(context.Background())
+	saved, err := snapshot.Load(snapshot.OS{}, snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.WarmChains == 0 {
-		t.Fatal("reload into the snapshot's generation imported no chains")
+	if len(saved.Sections) != 1 || saved.Sections[0].Name != "specs" || string(saved.Sections[0].Data) != "APCPA" {
+		t.Errorf("saved snapshot holds %+v, want one specs section listing APCPA", saved.Sections)
 	}
-	if n := srv.current().engine.CacheSize(); n == 0 {
-		t.Fatal("reloaded engine has an empty cache despite a matching snapshot")
+	if raw, _ := os.ReadFile(snapPath); raw[4] != 2 {
+		t.Errorf("saved snapshot has version byte %d, want 2 (a bump would make a mixed fleet refuse it)", raw[4])
+	}
+	next := New(reloadGraph(t, 0), WithSnapshotPath(snapPath), WithLogf(t.Logf))
+	t.Cleanup(next.Close)
+	if warm, err := next.WarmStart(); err != nil || !warm {
+		t.Fatalf("warm start from the rewritten file: warm=%v err=%v", warm, err)
+	}
+}
+
+// bitsOf is a score's bit pattern, or nil for no score.
+func bitsOf(f *float64) any {
+	if f == nil {
+		return nil
+	}
+	return math.Float64bits(*f)
+}
+
+// waitChains waits until srv's serving engine caches at least n chains — a
+// background warm-up landing.
+func waitChains(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); srv.current().engine.CacheStats().Chain < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("serving engine caches %d chains after 10s, want %d", srv.current().engine.CacheStats().Chain, n)
+		}
+	}
+}
+
+// TestReloadWarmsFromSnapshot checks a hot-reload rebuilds the remembered
+// paths in the incoming engine set, in the background, and then saves the
+// path list under the new generation's fingerprint, so the next boot warms
+// the reloaded graph.
+func TestReloadWarmsFromSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	graphPath := filepath.Join(dir, "graph.json")
+	snapPath := filepath.Join(dir, "paths.snap")
+	writeGraphFile(t, graphPath, reloadGraph(t, 2))
+
+	srv := New(reloadGraph(t, 0), WithReloadFrom(graphPath), WithSnapshotPath(snapPath), WithLogf(t.Logf))
+	t.Cleanup(srv.Close)
+	if err := srv.Precompute("APC"); err != nil {
+		t.Fatal(err)
+	}
+	want := srv.current().engine.CacheStats().Chain
+	srv.MarkReady()
+	if _, err := srv.Reload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitChains(t, srv, want)
+	fp := srv.current().fingerprint
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if snap, err := snapshot.Load(snapshot.OS{}, snapPath); err == nil && snap.Fingerprint == fp {
+			if specs := snapshot.DecodeSpecs(snap); fmt.Sprint(specs) != "[APC]" {
+				t.Fatalf("saved specs %q, want [APC]", specs)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the path list was never saved under the reloaded generation's fingerprint")
+		}
+	}
+	next := New(reloadGraph(t, 2), WithSnapshotPath(snapPath), WithLogf(t.Logf))
+	t.Cleanup(next.Close)
+	if warm, err := next.WarmStart(); err != nil || !warm || next.current().engine.CacheStats().Chain != want {
+		t.Fatalf("boot over the reloaded graph: warm=%v err=%v, %d chains, want %d", warm, err, next.current().engine.CacheStats().Chain, want)
 	}
 }
 

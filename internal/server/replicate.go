@@ -140,7 +140,10 @@ var (
 // /readyz gains follows, replication_lag_seconds and diverged fields, and
 // POST /v1/admin/edges refuses with 503/not_primary unless the router
 // elected this replica primary. Call after OpenWAL (the local log position
-// is where following resumes).
+// is where following resumes). When ctx ends it returns once the tick in
+// flight has stopped; the one thing it can leave running is the background
+// rebuild of a resync it performed, which the server owns: Close cancels
+// that rebuild and waits for it.
 func (s *Server) RunFollower(ctx context.Context, o FollowerOptions) {
 	if o.Interval <= 0 {
 		o.Interval = time.Second
@@ -342,9 +345,10 @@ func (s *Server) applyStream(ctx context.Context, st *wal.Stream) (bool, error) 
 }
 
 // resyncFromPrimary replaces the follower's generation wholesale with the
-// primary's: one GET /v1/admin/state, whose graph, sequence and chains adopt
+// primary's: one GET /v1/admin/state, whose graph and sequence adopt
 // publishes as one generation (durable base first, then log rebind, then
-// chains imported, then serve).
+// serve), and whose path list joins the follower's own for the background
+// rebuild that follows.
 func (s *Server) resyncFromPrimary(ctx context.Context, o FollowerOptions, primary string) error {
 	metFollowResyncs.Inc()
 	state, err := fetchState(ctx, o.Client, primary)
@@ -356,12 +360,12 @@ func (s *Server) resyncFromPrimary(ctx context.Context, o FollowerOptions, prima
 		return err
 	}
 	s.st.admit.Lock()
-	_, warm, err := s.st.adopt(g, seq, state)
+	_, err = s.st.adopt(g, seq, state)
 	s.st.admit.Unlock()
 	if err != nil {
 		return err
 	}
-	o.Logf("server: follower: resynced from %s at seq %d (fingerprint %016x, %d warm chains)", primary, seq, state.Fingerprint, warm)
+	o.Logf("server: follower: resynced from %s at seq %d (fingerprint %016x, warming %d paths)", primary, seq, state.Fingerprint, len(s.st.specList()))
 	return nil
 }
 

@@ -333,9 +333,9 @@ func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { re
 // TestFollowResyncIsOneGeneration is the regression test for the
 // two-generation resync: one keyed write lands on the primary right after
 // the follower's first resync response. The follower must still publish one
-// generation — graph, wal_seq and chains from that one response — so the
-// primary's materialized path answers warm on it, and the transfer is one
-// state request, with no other admin fetch.
+// generation — graph, wal_seq and path list from that one response — so the
+// primary's materialized path is rebuilt on it and answers warm, and the
+// transfer is one state request, with no other admin fetch.
 func TestFollowResyncIsOneGeneration(t *testing.T) {
 	primary, follower := newWALReplica(t), newWALReplica(t)
 	fleet := router.Inproc{"primary": primary.Handler(), "follower": follower.Handler()}
@@ -382,13 +382,15 @@ func TestFollowResyncIsOneGeneration(t *testing.T) {
 			got.seq, got.fingerprint, resynced.seq, resynced.fingerprint)
 	}
 	if got := metSnapshotCorrupt.Value(); got != corrupt {
-		t.Errorf("hetesim_snapshot_corrupt_total moved %d -> %d: the resync's chains were rejected", corrupt, got)
+		t.Errorf("hetesim_snapshot_corrupt_total moved %d -> %d: the resync's state was rejected", corrupt, got)
 	}
 	if want := []string{"/v1/admin/primary", "/v1/admin/wal", "/v1/admin/state"}; fmt.Sprint(paths) != fmt.Sprint(want) {
 		t.Errorf("resync requests %v, want %v: one state transfer, no other fetch", paths, want)
 	}
 
-	// The first query on the primary's materialized path builds nothing.
+	// Once the background rebuild lands, the first query on the primary's
+	// materialized path builds nothing.
+	waitChains(t, follower, primary.current().engine.CacheStats().Chain)
 	var br batchResponse
 	if status := callJSON(t, direct, http.MethodPost, "http://follower/v1/batch", groupBatch("APCPA"), &br); status != http.StatusOK {
 		t.Fatalf("follower batch = %d", status)
@@ -576,7 +578,7 @@ func TestFollowRoleNeverTorn(t *testing.T) {
 		<-followerDone
 	})
 
-	base := []string{"fingerprint", "snapshot_age_seconds", "status", "wal_seq"}
+	base := []string{"fingerprint", "status", "wal_seq"}
 	shapes := map[string][]string{
 		"":         base,
 		"primary":  append([]string{"role"}, base...),

@@ -158,9 +158,10 @@ func WithSlowLog(threshold time.Duration, capacity int) Option {
 	return func(s *Server) { s.slowThreshold, s.slowCapacity = threshold, capacity }
 }
 
-// WithSnapshotPath points the server at its chain-cache snapshot: WarmStart
-// loads it at boot, SaveSnapshot/RunSnapshotSaver persist to it, and
-// reloads try to re-warm from it. Empty (the default) disables snapshots.
+// WithSnapshotPath points the server at its snapshot: the list of relevance
+// paths it materializes, under the serving graph's fingerprint. WarmStart
+// rebuilds those paths at boot; the save after every warm-up, SaveSnapshot
+// and Close write the list. Empty (the default) disables snapshots.
 func WithSnapshotPath(path string) Option { return func(s *Server) { s.st.snapshotPath = path } }
 
 // WithReloadFrom names the graph file POST /v1/admin/reload (and SIGHUP in
@@ -440,12 +441,13 @@ func (s *Server) applyTimeout(next http.Handler) http.Handler {
 
 // Precompute materializes the given relevance path in the HeteSim engine,
 // so subsequent queries on it are served from cached reaching
-// distributions. The spec is remembered for hot-reload re-warming.
+// distributions. The spec is remembered: every later warm-up (reload,
+// resync, the next boot through the snapshot) rebuilds it.
 func (s *Server) Precompute(spec string) error {
 	if err := precompute(s.st.ctx, s.current(), spec); err != nil {
 		return err
 	}
-	s.st.recordSpec(spec)
+	s.st.recordSpecs(spec)
 	return nil
 }
 
@@ -456,15 +458,15 @@ func (s *Server) Precompute(spec string) error {
 // materialization finishes, then flips to ready; with no specs it flips
 // immediately. A path that fails to materialize is logged and skipped
 // rather than blocking readiness, since its queries can still be answered
-// from cold caches. After a successful warmup the chain cache is persisted
-// to the snapshot path, so the next boot warm-starts.
+// from cold caches. After the warmup the path list is saved to the snapshot
+// path, so the next boot rebuilds the same paths.
 func (s *Server) PrecomputeBackground(specs []string) error {
 	es := s.current()
 	for _, spec := range specs {
 		if _, err := metapath.Parse(es.g.Schema(), spec); err != nil {
 			return err
 		}
-		s.st.recordSpec(spec)
+		s.st.recordSpecs(spec)
 	}
 	if len(specs) == 0 {
 		s.MarkReady()
@@ -539,12 +541,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		Status:      s.State().String(),
 		Fingerprint: fmt.Sprintf("%016x", es.fingerprint),
 		WALSeq:      es.seq,
-		// Ranks replica warmth: how long ago this process last saved or
-		// imported a chain-cache snapshot.
-		SnapshotAge: -1,
-	}
-	if t := s.st.snapSavedAt.Load(); t > 0 {
-		body.SnapshotAge = time.Since(time.Unix(0, t)).Seconds()
 	}
 	s.follow.Load().describe(&body)
 	status := http.StatusOK

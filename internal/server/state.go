@@ -19,15 +19,17 @@ import (
 )
 
 // State transfer: GET /v1/admin/state ships one serving generation — its
-// graph, the WAL sequence the graph embodies and its materialized chains —
-// as one snapshot container: the chain sections of the one encoder, plus a
-// "graph" section (hin.Write bytes) and a "seq" section (u64), under the
-// graph's fingerprint. A resyncing follower adopts all three from one
-// response; -warm-from imports the chains alone. Chain readers skip section
-// names they do not know, so a saved body also warm-starts a replica through
-// WithSnapshotPath, while the on-disk snapshot stays chains-only.
+// graph, the WAL sequence the graph embodies and the relevance paths the
+// replica materializes — as one snapshot container: a "graph" section
+// (hin.Write bytes), a "seq" section (u64) and the "specs" section the
+// on-disk snapshot holds too, under the graph's fingerprint. A resyncing
+// follower adopts graph and seq from one response and rebuilds the paths;
+// -warm-from rebuilds the paths alone. Chains are never shipped: rebuilding
+// them costs about what decoding them did. Readers skip section names they
+// do not know, so a saved body also warm-starts a replica through
+// WithSnapshotPath.
 //
-// One generation's cache state always encodes to the same bytes, so the body
+// One generation and path list always encode to the same bytes, so the body
 // is resumable: ?offset=N with If-Match carrying the ETag (fingerprint, seq,
 // body CRC) continues a torn stream, and a state that moved on in between
 // answers 412, on which the client restarts from zero rather than splice two
@@ -47,26 +49,23 @@ const (
 	stateFetchAttempts = 5 // requests per fetch, resumes and restarts included
 )
 
-// encodeState serializes es as a state container.
-func encodeState(es *engineSet) ([]byte, error) {
-	snap, err := exportSnapshot(es)
-	if err != nil {
-		return nil, err
-	}
+// encodeState serializes es and the path list specs as a state container.
+func encodeState(es *engineSet, specs []string) ([]byte, error) {
 	var g, buf bytes.Buffer
 	if err := hin.Write(&g, es.g); err != nil {
 		return nil, err
 	}
-	snap.Sections = append(snap.Sections,
-		snapshot.Section{Name: stateGraphSection, Data: g.Bytes()},
-		snapshot.Section{Name: stateSeqSection, Data: binary.LittleEndian.AppendUint64(nil, es.seq)})
-	err = snapshot.Write(&buf, snap)
+	snap := &snapshot.Snapshot{Fingerprint: es.fingerprint, Sections: []snapshot.Section{
+		{Name: stateGraphSection, Data: g.Bytes()},
+		{Name: stateSeqSection, Data: binary.LittleEndian.AppendUint64(nil, es.seq)},
+	}}
+	snapshot.EncodeSpecs(snap, specs)
+	err := snapshot.Write(&buf, snap)
 	return buf.Bytes(), err
 }
 
 // decodeState extracts the graph and WAL sequence a state container
-// carries, checking the graph against the header fingerprint that its chain
-// sections were validated under.
+// carries, checking the graph against the header fingerprint.
 func decodeState(snap *snapshot.Snapshot) (*hin.Graph, uint64, error) {
 	var (
 		g   *hin.Graph
@@ -103,7 +102,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	es := s.current()
-	raw, err := encodeState(es)
+	raw, err := encodeState(es, s.st.specList())
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError,
 			api.Error{Error: "encoding state: " + err.Error(), Code: "state_encode_failed"})

@@ -55,23 +55,32 @@ func stateBytes(t *testing.T, client *http.Client, base string) ([]byte, string)
 	return raw, resp.Header.Get("ETag")
 }
 
-// TestWarmFromState: a replica that warms from a peer's state serves its
-// first query from the transferred chains — zero chain builds, the donor's
-// score bits — while the donor needed real builds for the same query. A
-// replica over a different graph admits nothing and keeps its own graph and
-// wal_seq: -warm-from never adopts the peer's.
+// TestWarmFromState: a replica that warms from a peer's state rebuilds the
+// paths the peer materializes and serves its first query on one of them
+// warm — zero chain builds, the donor's score bits. A path only a query
+// built on the donor is not in its state. A replica over a different graph
+// rebuilds nothing and keeps its own graph and wal_seq: -warm-from never
+// adopts the peer's.
 func TestWarmFromState(t *testing.T) {
-	_, donor := stateServer(t, 0)
+	donorSrv, donor := stateServer(t, 0)
 	client := &http.Client{Timeout: 5 * time.Second}
+	if err := donorSrv.Precompute("APCPA"); err != nil {
+		t.Fatal(err)
+	}
+	// A query-built chain on another path: not a spec, not transferred.
+	apc := batchRequest{Queries: []batchQueryBody{
+		{Kind: "pair", Path: "APC", Source: "Tom", Target: "KDD"},
+		{Kind: "pair", Path: "APC", Source: "Mary", Target: "KDD"},
+	}}
+	if status := callJSON(t, client, http.MethodPost, donor.URL+"/v1/batch", apc, nil); status != http.StatusOK {
+		t.Fatalf("donor APC batch = %d", status)
+	}
 	var br batchResponse
 	if status := callJSON(t, client, http.MethodPost, donor.URL+"/v1/batch", groupBatch("APCPA"), &br); status != http.StatusOK {
 		t.Fatalf("donor batch = %d", status)
 	}
 	if br.Results[0].Error != "" || br.Results[0].Score == nil {
 		t.Fatalf("donor result: %+v", br.Results[0])
-	}
-	if br.Stats.ChainBuilds == 0 {
-		t.Fatal("cold donor reported zero chain builds; the warmth assertion below would be vacuous")
 	}
 	donorScore := *br.Results[0].Score
 
@@ -80,8 +89,8 @@ func TestWarmFromState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("warming from the donor admitted zero chains")
+	if n != 1 || fmt.Sprint(joiner.st.specList()) != "[APCPA]" {
+		t.Fatalf("warming from the donor built %d paths and remembers %q, want the donor's one spec", n, joiner.st.specList())
 	}
 	br = batchResponse{}
 	br.Stats.ChainBuilds = -1
@@ -97,13 +106,9 @@ func TestWarmFromState(t *testing.T) {
 	if br.Stats.ChainBuilds != 0 {
 		t.Fatalf("joiner's first query built %d chains; a warm joiner must build none", br.Stats.ChainBuilds)
 	}
-	// The joiner's /readyz now advertises its warmth.
-	var ready struct {
-		SnapshotAge float64 `json:"snapshot_age_seconds"`
-	}
-	getJSON(t, jts.URL+"/readyz", http.StatusOK, &ready)
-	if ready.SnapshotAge < 0 {
-		t.Fatalf("snapshot_age_seconds = %v after warming, want >= 0", ready.SnapshotAge)
+	br = batchResponse{}
+	if status := callJSON(t, client, http.MethodPost, jts.URL+"/v1/batch", apc, &br); status != http.StatusOK || br.Stats.ChainBuilds == 0 {
+		t.Fatalf("joiner's APC batch = %d with %d chain builds; a path only a query built does not travel", status, br.Stats.ChainBuilds)
 	}
 
 	other, _ := stateServer(t, 1)
@@ -111,7 +116,7 @@ func TestWarmFromState(t *testing.T) {
 	if n, err := other.WarmFrom(context.Background(), donor.URL); !errors.Is(err, snapshot.ErrMismatch) || n != 0 {
 		t.Fatalf("warming over a different graph: n=%d err=%v, want ErrMismatch", n, err)
 	}
-	if after := other.current(); after != before || other.current().engine.CacheStats().Chain != 0 {
+	if after := other.current(); after != before || other.current().engine.CacheStats().Chain != 0 || len(other.st.specList()) != 0 {
 		t.Fatalf("a rejected warm-from moved the replica: fingerprint %016x seq %d -> %016x seq %d",
 			before.fingerprint, before.seq, after.fingerprint, after.seq)
 	}
@@ -119,14 +124,15 @@ func TestWarmFromState(t *testing.T) {
 
 // TestFetchStateTornStream: a mid-body connection reset during the state
 // download resumes from the reached offset and yields the identical bytes;
-// a state that moves on between the tear and the resume answers the resume
-// 412 and the fetch restarts from zero, ending on the new state.
+// a state that moves on between the tear and the resume — one more path
+// materialized — answers the resume 412 and the fetch restarts from zero,
+// ending on the new state.
 func TestFetchStateTornStream(t *testing.T) {
 	donor, dts := stateServer(t, 0)
 	client := &http.Client{Timeout: 5 * time.Second}
 	for _, p := range []string{"APCPA", "APA"} {
-		if status := callJSON(t, client, http.MethodPost, dts.URL+"/v1/batch", groupBatch(p), nil); status != http.StatusOK {
-			t.Fatalf("warming donor on %s: %d", p, status)
+		if err := donor.Precompute(p); err != nil {
+			t.Fatal(err)
 		}
 	}
 	encode := func(s *snapshot.Snapshot) []byte {
@@ -152,9 +158,9 @@ func TestFetchStateTornStream(t *testing.T) {
 	if !bytes.Equal(encode(state), whole) {
 		t.Fatal("the resumed state differs from the whole one")
 	}
-	joiner, _ := stateServer(t, 0)
-	if n, err := joiner.st.importSnapshot(joiner.current(), state); err != nil || n == 0 {
-		t.Fatalf("importing the resumed state: n=%d err=%v", n, err)
+	if g, seq, err := decodeState(state); err != nil || g.Fingerprint() != donor.current().fingerprint || seq != 0 ||
+		fmt.Sprint(snapshot.DecodeSpecs(state)) != "[APCPA APA]" {
+		t.Fatalf("decoding the resumed state: seq %d, specs %q, err %v", seq, snapshot.DecodeSpecs(state), err)
 	}
 
 	// Tear again, and materialize one more path before the resume lands.

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,15 +24,13 @@ import (
 // bookkeeping, all in the process-wide registry.
 var (
 	metSnapshotLoads = obs.Default().Counter("hetesim_snapshot_load_total",
-		"Snapshots loaded and admitted at boot or reload.")
+		"Snapshots (a -snapshot-path file or a peer's state) admitted at boot.")
 	metSnapshotSaves = obs.Default().Counter("hetesim_snapshot_save_total",
 		"Snapshots written crash-safely to disk.")
 	metSnapshotCorrupt = obs.Default().Counter("hetesim_snapshot_corrupt_total",
 		"Snapshots rejected by checksum, version, or fingerprint validation.")
-	metSnapshotSaveRetries = obs.Default().Counter("hetesim_snapshot_save_retries_total",
-		"Snapshot save attempts retried after a failure.")
 	metWarmStart = obs.Default().Gauge("hetesim_warm_start",
-		"1 when the serving engine was warm-started from a snapshot, else 0.")
+		"1 when the serving engine was warmed at boot by the paths a snapshot lists, else 0.")
 	metMutationDuplicates = obs.Default().Counter("hetesim_mutation_duplicates_total",
 		"Mutation batches answered from the idempotency table without re-applying.")
 	metWALBytes = obs.Default().Gauge("hetesim_wal_bytes",
@@ -79,13 +77,15 @@ var (
 
 // store owns everything that changes together when the served graph moves:
 // the serving generation, the WAL handle, the idempotency table, compaction
-// bookkeeping, the precompute spec list, snapshot save/import, and every
-// goroutine the server itself starts. New generations are produced only by
-// apply (one delta batch) and adopt (a whole graph); see DESIGN §9.
+// bookkeeping, the precompute spec list and its snapshot, and every
+// goroutine the server itself starts — the warm-ups included, so Close
+// stops and waits for a rebuild a reload or a resync started. New
+// generations are produced only by apply (one delta batch) and adopt (a
+// whole graph); see DESIGN §9.
 type store struct {
 	// Configuration, fixed once New returns.
 	engineOpts      []core.Option
-	snapshotPath    string      // chain-cache snapshot location; "" disables
+	snapshotPath    string      // spec-list snapshot location; "" disables
 	graphPath       string      // base graph file (reload source, compaction target); "" disables
 	walPath         string      // edge-delta write-ahead log; "" disables mutations
 	walCompactBytes int64       // log size that triggers compaction; 0 = never
@@ -111,10 +111,8 @@ type store struct {
 	appliedOrder []string          // applied keys, oldest ack first (FIFO eviction)
 	walBatches   int               // batches in the log since its base graph
 	lastSavedFP  uint64            // fingerprint of the graph this process last wrote to graphPath
-	specs        []string          // boot-time materialization paths, re-warmed on adopt
+	specs        []string          // materialization paths: every warm-up rebuilds them
 	closed       bool
-
-	snapSavedAt atomic.Int64 // unix nanos of the last snapshot save or import; 0 = never
 
 	ctx    context.Context // canceled by close; parents all background work
 	cancel context.CancelFunc
@@ -162,8 +160,9 @@ func (st *store) spawn(f func(ctx context.Context)) {
 	}()
 }
 
-// close stops and waits for all tracked work, takes a final snapshot when
-// one is configured, and closes the log. Idempotent.
+// close stops and waits for all tracked work — a warm-up in flight stops at
+// its next step — saves the spec list when a snapshot path is configured,
+// and closes the log. Idempotent.
 func (st *store) close() {
 	st.mu.Lock()
 	already := st.closed
@@ -359,79 +358,77 @@ func (st *store) apply(ctx context.Context, b wal.Batch, durable bool) (applyRes
 // decoded from). Order: a transferred graph is written as the durable base
 // first, then the log is rebound when the fingerprint changed or seq is
 // ahead of the log (a follower adopting the primary's graph: its next ack
-// must continue above seq, not above its own stale position), then the
-// chains are imported, then the set serves — the order compaction uses, so
-// a crash at any point leaves a coherent (base, log) pair, and any failure
-// leaves the old generation serving. The rebind matters: a log still naming
-// the old base would be set aside — its acked batches never replayed — at
-// the next boot. The idempotency table rides along as checkpoint records.
-// A reload warms from the on-disk snapshot when that matches (a snapshot of
-// another generation just fails the fingerprint check: cold, not an error);
-// a transfer warms from its own chain sections, which belong to g by
-// construction. Afterwards the boot-time paths re-materialize and the
-// snapshot is saved in the background. Returns the published set and how
-// many chains warmed it. Callers hold admit.
-func (st *store) adopt(g *hin.Graph, seq uint64, state *snapshot.Snapshot) (*engineSet, int, error) {
+// must continue above seq, not above its own stale position), then the set
+// serves — the order compaction uses, so a crash at any point leaves a
+// coherent (base, log) pair, and any failure leaves the old generation
+// serving. The rebind matters: a log still naming the old base would be set
+// aside — its acked batches never replayed — at the next boot. The
+// idempotency table rides along as checkpoint records. The new generation
+// serves cold: the paths the store remembers, and those a transferred state
+// lists, are rebuilt in the background (warm), and the spec list is saved.
+// Callers hold admit.
+func (st *store) adopt(g *hin.Graph, seq uint64, state *snapshot.Snapshot) (*engineSet, error) {
 	next := st.newEngineSet(g)
 	st.mu.Lock()
 	if state != nil && st.graphPath != "" {
 		if err := st.saveGraph(g); err != nil {
 			st.mu.Unlock()
-			return nil, 0, fmt.Errorf("writing adopted base graph: %w", err)
+			return nil, fmt.Errorf("writing adopted base graph: %w", err)
 		}
 		st.lastSavedFP = next.fingerprint
 	}
 	if st.wal != nil && (next.fingerprint != st.wal.Fingerprint() || seq > st.wal.LastSeq()) {
 		if err := st.wal.Reset(next.fingerprint, st.checkpointEntriesLocked(), seq); err != nil {
 			st.mu.Unlock()
-			return nil, 0, fmt.Errorf("rebinding wal to adopted graph: %w", err)
+			return nil, fmt.Errorf("rebinding wal to adopted graph: %w", err)
 		}
 		st.walBatches = 0
 		metWALBytes.Set(float64(st.wal.Size()))
 	}
-	var warm int
 	if state != nil {
-		var err error
-		if warm, err = st.importSnapshot(next, state); err != nil {
-			st.logf("server: transferred chains rejected, adopting cold: %v", err)
-		}
-	} else {
-		warm, _ = st.loadSnapshot(next) // another generation's snapshot fails the fingerprint check: cold
+		st.recordSpecsLocked(snapshot.DecodeSpecs(state))
 	}
-	if warm == 0 {
-		metWarmStart.Set(0)
-	}
+	metWarmStart.Set(0)
 	next = st.publish(next, seq)
-	specs := append([]string(nil), st.specs...)
+	specs := slices.Clone(st.specs)
 	st.mu.Unlock()
 
 	st.warm(next, specs, func() {})
-	return next, warm, nil
+	return next, nil
 }
 
-// warm materializes specs in es on a tracked goroutine (instant for paths a
-// snapshot already warmed), calls ready, then persists the chain cache so
-// the next boot warm-starts from this generation. A path that fails to
-// materialize is logged and skipped: its queries still answer from cold
-// caches.
+// warm rebuilds specs in es on a tracked goroutine, calls ready, then saves
+// the spec list under es's fingerprint so the next boot rebuilds the same
+// paths. Close cancels it between steps and waits for it.
 func (st *store) warm(es *engineSet, specs []string, ready func()) {
 	st.spawn(func(ctx context.Context) {
-		for _, spec := range specs {
-			if err := precompute(ctx, es, spec); err != nil {
-				if ctx.Err() == nil {
-					st.logf("server: precomputing %s: %v", spec, err)
-				}
-				continue
-			}
-			st.logf("server: materialized %s", spec)
-		}
+		st.rebuild(ctx, es, specs)
 		ready()
 		if st.snapshotPath != "" && ctx.Err() == nil {
-			if err := st.saveSnapshotRetry(ctx, 3, 100*time.Millisecond); err != nil {
+			if err := st.saveSnapshot(); err != nil {
 				st.logf("server: snapshot save after warming %016x: %v", es.fingerprint, err)
 			}
 		}
 	})
+}
+
+// rebuild materializes specs in es (instant for a path already warm) and
+// returns how many it built. A path that fails to materialize is logged and
+// skipped: its queries still answer from cold caches. Once ctx is done it
+// builds and logs nothing more.
+func (st *store) rebuild(ctx context.Context, es *engineSet, specs []string) int {
+	n := 0
+	for _, spec := range specs {
+		if err := precompute(ctx, es, spec); err != nil {
+			if ctx.Err() == nil {
+				st.logf("server: precomputing %s: %v", spec, err)
+			}
+			continue
+		}
+		st.logf("server: materialized %s", spec)
+		n++
+	}
+	return n
 }
 
 // precompute materializes one relevance path spec in es's HeteSim engine.
@@ -443,17 +440,28 @@ func precompute(ctx context.Context, es *engineSet, spec string) error {
 	return es.engine.Precompute(ctx, p)
 }
 
-// recordSpec remembers a boot-time materialization path so adopt can
-// re-warm a replacement graph with the same working set.
-func (st *store) recordSpec(spec string) {
+// recordSpecs remembers materialization paths, so every later warm-up —
+// a reload's, a resync's, the next boot's through the saved snapshot —
+// rebuilds the same working set.
+func (st *store) recordSpecs(specs ...string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, have := range st.specs {
-		if have == spec {
-			return
+	st.recordSpecsLocked(specs)
+}
+
+func (st *store) recordSpecsLocked(specs []string) {
+	for _, spec := range specs {
+		if !slices.Contains(st.specs, spec) {
+			st.specs = append(st.specs, spec)
 		}
 	}
-	st.specs = append(st.specs, spec)
+}
+
+// specList is the remembered paths, in the order they were first recorded.
+func (st *store) specList() []string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return slices.Clone(st.specs)
 }
 
 // compact is compactLocked for callers outside apply.
@@ -523,108 +531,60 @@ func (st *store) saveGraph(g *hin.Graph) error {
 	return snapshot.WriteAtomic(st.fsys, st.graphPath, func(w io.Writer) error { return hin.Write(w, g) })
 }
 
-// exportSnapshot captures es's materialized chain matrices in the snapshot
-// format — the one encoder behind the on-disk snapshot and the chain
-// sections of GET /v1/admin/state. The codec sorts its sections, so the same
-// cache state always encodes to the same bytes.
-func exportSnapshot(es *engineSet) (*snapshot.Snapshot, error) {
-	snap := &snapshot.Snapshot{Fingerprint: es.fingerprint}
-	if err := snapshot.EncodeChains(snap, es.engine.ExportChains()); err != nil {
+// warmStart checks that snap — a -snapshot-path file or a peer's state —
+// belongs to es's graph, then rebuilds, synchronously, the paths it lists
+// and remembers them; it returns how many it built. A snapshot of another
+// graph is rejected whole and counted in hetesim_snapshot_corrupt_total.
+// Sections other than the specs (a state's "graph" and "seq"; the "chain:",
+// "embed:" and odd-path "SE(…)"/"TE(…)" chain sections older builds wrote)
+// are skipped: chains are rebuilt, not read.
+func (st *store) warmStart(ctx context.Context, es *engineSet, snap *snapshot.Snapshot) (int, error) {
+	if err := snap.CheckCompat(es.fingerprint); err != nil {
+		metSnapshotCorrupt.Inc()
+		return 0, err
+	}
+	metSnapshotLoads.Inc()
+	specs := snapshot.DecodeSpecs(snap)
+	st.recordSpecs(specs...)
+	n := st.rebuild(ctx, es, specs)
+	if n > 0 {
+		metWarmStart.Set(1)
+	}
+	return n, nil
+}
+
+// loadSnapshot reads the on-disk snapshot. A missing file (or no configured
+// path) is a normal cold start: nil, nil.
+func (st *store) loadSnapshot() (*snapshot.Snapshot, error) {
+	if st.snapshotPath == "" {
+		return nil, nil
+	}
+	snap, err := snapshot.Load(st.fsys, st.snapshotPath)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		metSnapshotCorrupt.Inc()
 		return nil, err
 	}
 	return snap, nil
 }
 
-// importSnapshot validates snap against es's graph and admits its chains
-// into the engine, returning how many were admitted — the one decoder
-// behind warm starts from disk and states transferred from a peer. A
-// snapshot that fails any check is rejected whole and counted in
-// hetesim_snapshot_corrupt_total; sections other than chains (a state's
-// "graph" and "seq", the "embed:" sections older builds wrote) are skipped,
-// and so are the odd-path "SE(…)"/"TE(…)" chains older builds wrote, with a
-// log line.
-func (st *store) importSnapshot(es *engineSet, snap *snapshot.Snapshot) (int, error) {
-	err := snap.CheckCompat(es.fingerprint)
-	if err != nil {
-		metSnapshotCorrupt.Inc()
-		return 0, err
-	}
-	chains, err := snapshot.DecodeChains(snap)
-	if err != nil {
-		metSnapshotCorrupt.Inc()
-		return 0, err
-	}
-	n, stale := es.engine.ImportChains(chains)
-	if stale > 0 {
-		st.logf("server: snapshot: skipped %d odd-path chains over the edge-object type older builds wrote", stale)
-	}
-	metSnapshotLoads.Inc()
-	if n > 0 {
-		metWarmStart.Set(1)
-		st.snapSavedAt.Store(time.Now().UnixNano())
-	}
-	return n, nil
-}
-
-// loadSnapshot warms es from the on-disk snapshot. A missing file (or no
-// configured path) is a normal cold start: 0, nil.
-func (st *store) loadSnapshot(es *engineSet) (int, error) {
-	if st.snapshotPath == "" {
-		return 0, nil
-	}
-	snap, err := snapshot.Load(st.fsys, st.snapshotPath)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		metSnapshotCorrupt.Inc()
-		return 0, err
-	}
-	return st.importSnapshot(es, snap)
-}
-
-// saveSnapshot writes the serving generation's caches crash-safely to the
-// snapshot path. Saves serialize on mu (so the file always holds the most
-// recent save's state); the previous snapshot survives any failure.
+// saveSnapshot writes the spec list crash-safely to the snapshot path, under
+// the serving generation's fingerprint. Saves serialize on mu (so the file
+// always holds the most recent save's state); the previous snapshot survives
+// any failure.
 func (st *store) saveSnapshot() error {
 	if st.snapshotPath == "" {
 		return errors.New("server: no snapshot path configured")
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	snap, err := exportSnapshot(st.cur.Load())
-	if err != nil {
-		return err
-	}
+	snap := &snapshot.Snapshot{Fingerprint: st.cur.Load().fingerprint}
+	snapshot.EncodeSpecs(snap, st.specs)
 	if err := snapshot.Save(st.fsys, st.snapshotPath, snap); err != nil {
 		return err
 	}
 	metSnapshotSaves.Inc()
-	st.snapSavedAt.Store(time.Now().UnixNano())
 	return nil
-}
-
-// saveSnapshotRetry is saveSnapshot with bounded retries and jittered
-// exponential backoff — transient filesystem failures (the disk filling
-// briefly, a slow NFS rename) should not cost a whole snapshot interval of
-// warmth. Each retry is counted in hetesim_snapshot_save_retries_total.
-func (st *store) saveSnapshotRetry(ctx context.Context, attempts int, backoff time.Duration) error {
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			metSnapshotSaveRetries.Inc()
-			d := backoff << uint(i-1)
-			d += rand.N(d) // jitter in [d, 2d)
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(d):
-			}
-		}
-		if err = st.saveSnapshot(); err == nil {
-			return nil
-		}
-		st.logf("server: snapshot save attempt %d/%d: %v", i+1, attempts, err)
-	}
-	return err
 }

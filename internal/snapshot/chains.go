@@ -12,7 +12,10 @@ import (
 
 // The chains codec maps an engine's materialized chain-matrix cache — the
 // reachable-probability matrices PM_P of Definition 9, keyed by the chain
-// cache key — onto snapshot sections named "chain:<key>".
+// cache key — onto snapshot sections named "chain:<key>". No server writes
+// or reads them: a warm start rebuilds its chains from the specs section,
+// which costs about what decoding them did. The codec stays for the
+// benchmarks that price the decode against the rebuild.
 
 const chainPrefix = "chain:"
 

@@ -24,6 +24,7 @@ func matrixSnapshot(tag byte) *snapshot.Snapshot {
 		Fingerprint: 0x1111111111111111 * uint64(tag),
 		Sections: []snapshot.Section{
 			{Name: "meta", Data: bytes.Repeat([]byte{tag}, 64)},
+			{Name: "specs", Data: bytes.Repeat([]byte("APCPA\n"), int(tag))},
 			{Name: "chain:C:k", Data: bytes.Repeat([]byte{tag, ^tag}, 200)},
 			// A section this build skips on load (older builds wrote
 			// embed: sections), so every kill/corruption sweep below also

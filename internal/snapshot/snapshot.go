@@ -1,8 +1,12 @@
-// Package snapshot implements the durable, verifiable on-disk state that
-// lets hetesimd warm-start: a versioned, checksummed binary container for
-// the engine's materialized chain matrices (the reachable-probability
-// matrices PM_P of Definition 9 that Section 4.6 materializes offline)
-// keyed to a fingerprint of the graph that produced them.
+// Package snapshot implements the durable, verifiable container behind
+// hetesimd's warm start and its state transfer: a versioned, checksummed
+// binary file of named sections keyed to a fingerprint of the graph they
+// belong to. What a server writes into it is names, not matrices: a "specs"
+// section lists the relevance paths it materializes (Section 4.6's offline
+// speed-up, rebuilt from the graph at boot), and GET /v1/admin/state adds
+// the graph and its WAL sequence. The chains codec (chains.go) still maps
+// materialized chain matrices onto "chain:" sections for the benchmarks
+// that price the old way; readers skip section names they do not decode.
 //
 // The format is defensive by construction. Every region of the file is
 // covered by a CRC — the fixed header by a header CRC, each section by a
@@ -35,6 +39,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 )
 
 // ErrCorrupt marks a snapshot that failed structural validation: bad magic,
@@ -68,8 +73,8 @@ const (
 )
 
 // Section is one named, independently checksummed payload. The snapshot
-// layer treats payloads as opaque bytes; the chains codec in this package
-// maps them to sparse matrices.
+// layer treats payloads as opaque bytes; the specs and chains codecs in
+// this package give two kinds of them a meaning.
 type Section struct {
 	Name string
 	Data []byte
@@ -89,9 +94,29 @@ type Snapshot struct {
 	version uint32
 }
 
-// CheckCompat reports whether the snapshot holds exact chains of the graph
-// with the given fingerprint, with a reason when it does not. Engines build
-// exact chains only, so a non-zero PruneEps (truncated chains) is refused;
+// specsSection names the section that lists relevance path specs, one per
+// line.
+const specsSection = "specs"
+
+// EncodeSpecs appends the specs section listing specs in order.
+func EncodeSpecs(s *Snapshot, specs []string) {
+	s.Sections = append(s.Sections, Section{Name: specsSection, Data: []byte(strings.Join(specs, "\n"))})
+}
+
+// DecodeSpecs returns the specs the snapshot lists, in order; nil when it
+// has no specs section (a file older builds wrote holds chains instead).
+func DecodeSpecs(s *Snapshot) []string {
+	for _, sec := range s.Sections {
+		if sec.Name == specsSection && len(sec.Data) > 0 {
+			return strings.Split(string(sec.Data), "\n")
+		}
+	}
+	return nil
+}
+
+// CheckCompat reports whether the snapshot belongs to the graph with the
+// given fingerprint, with a reason when it does not. Engines build exact
+// chains only, so a non-zero PruneEps (older builds' truncated chains) is refused;
 // keeping the header field costs no format version. Version compatibility
 // is already enforced by Read.
 func (s *Snapshot) CheckCompat(fingerprint uint64) error {

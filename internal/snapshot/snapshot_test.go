@@ -153,6 +153,33 @@ func TestSaveLoad(t *testing.T) {
 	}
 }
 
+// TestSpecsCodec: the path list round-trips in order through the container,
+// an empty list and a snapshot with no specs section both decode to none,
+// and other sections are left alone.
+func TestSpecsCodec(t *testing.T) {
+	for _, specs := range [][]string{{"APCPA", "author>paper>author", "APC"}, nil} {
+		s := &Snapshot{Fingerprint: 7, Sections: []Section{{Name: "graph", Data: []byte("g")}}}
+		EncodeSpecs(s, specs)
+		var buf bytes.Buffer
+		if err := Write(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := DecodeSpecs(loaded); !reflect.DeepEqual(got, specs) {
+			t.Errorf("specs %q round-tripped to %q", specs, got)
+		}
+		if loaded.Sections[0].Name != "graph" || string(loaded.Sections[0].Data) != "g" {
+			t.Errorf("the other section came back as %+v", loaded.Sections[0])
+		}
+	}
+	if got := DecodeSpecs(&Snapshot{Sections: []Section{{Name: "chain:C:writes"}}}); got != nil {
+		t.Errorf("a chains-only snapshot lists %q", got)
+	}
+}
+
 func TestChainsCodec(t *testing.T) {
 	chains := map[string]*sparse.Matrix{
 		"C:write":       sparse.New(3, 4, []sparse.Triplet{{Row: 0, Col: 1, Val: 0.5}, {Row: 2, Col: 3, Val: 1}}),
