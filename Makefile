@@ -76,12 +76,15 @@ chaos:
 # (TestDifferentialRawPerQuery) needed no change here, nor in `make race`,
 # whose package list already covers core and server. The write path's
 # row-splicing Apply rides along: TestApplyDifferential and FuzzApply's
-# seed corpus hold every relation's CSR to sparse.New, the fingerprint to a
-# from-scratch rebuild's and Dirty to the cells that changed, and the other
-# TestApply* tests cover node growth, sharing and rejection.
+# seed corpus hold every relation's CSR and its kept transpose to sparse.New,
+# the fingerprint to a from-scratch rebuild's and Dirty to the cells that
+# changed, and the other TestApply* tests cover node growth, sharing and
+# rejection. The fingerprint's section trees ride along too: TestFingerprint*
+# holds them to the one-stream definition over random Apply chains and
+# fingerprints one graph from several goroutines at once.
 properties:
 	go test -race -count=2 -run 'TestPropertyRandom|TestDifferential' ./internal/core
-	go test -race -count=2 -run 'TestApply|FuzzApply' ./internal/hin
+	go test -race -count=2 -run 'TestApply|FuzzApply|TestFingerprint' ./internal/hin
 
 # Non-blank, non-test Go lines per internal package and per command, with a
 # total, so "this PR made the package smaller" is checkable in review.
@@ -107,7 +110,8 @@ loc:
 # or stored chains (ImportChains, importSnapshot, RunSnapshotSaver,
 # snapshot-save-interval, snapAgeMS: every warm-up rebuilds the path list,
 # nothing is saved on a timer, and the router ranks no snapshot age)
-# deleted comes back by name, or when a non-test file outside
+# or the column scan of an adjacency (TransposeRows: inverse transition rows
+# are read off the graph's kept transpose) deleted comes back by name, or when a non-test file outside
 # internal/snapshot and bench/ calls the chains codec (EncodeChains,
 # DecodeChains: only the benchmarks price stored chains), or when the deleted
 # approximate top-k plane does (its plan name, its knobs, an import of
@@ -130,7 +134,7 @@ contract:
 			echo "contract: json tag \"$$tag\" must be declared in exactly one file, found in: $$(echo $$files)"; fail=1; \
 		fi; \
 	done; \
-	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo planBatchSides buildFamily sideFamily FetchSnapshot handleGraphFetch handleSnapshot ImportSnapshot ImportChains importSnapshot RunSnapshotSaver snapshot-save-interval snapAgeMS; do \
+	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo planBatchSides buildFamily sideFamily FetchSnapshot handleGraphFetch handleSnapshot ImportSnapshot ImportChains importSnapshot RunSnapshotSaver snapshot-save-interval snapAgeMS TransposeRows; do \
 		if grep -rnwE "$$name" --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./bench/'; then \
 			echo "contract: deleted helper $$name is back"; fail=1; \
 		fi; \

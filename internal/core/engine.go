@@ -149,18 +149,24 @@ func (e *Engine) transition(s metapath.Step) (*sparse.Matrix, error) {
 		return u, nil
 	}
 	e.mu.Unlock()
-	w, err := e.g.Adjacency(s.Relation.Name)
+	w, err := e.adjacency(s)
 	if err != nil {
 		return nil, err
-	}
-	if s.Inverse {
-		w = w.Transpose()
 	}
 	u := w.RowNormalize()
 	e.mu.Lock()
 	e.trans[key] = u
 	e.mu.Unlock()
 	return u, nil
+}
+
+// adjacency returns the weighted adjacency a step walks: W of its
+// relation, or, traversed inversely, the graph's kept Wᵀ.
+func (e *Engine) adjacency(s metapath.Step) (*sparse.Matrix, error) {
+	if s.Inverse {
+		return e.g.TransposedAdjacency(s.Relation.Name)
+	}
+	return e.g.Adjacency(s.Relation.Name)
 }
 
 // middle is the middle relation R (S → T) of an odd-length path with the
@@ -220,12 +226,9 @@ func (e *Engine) middleOf(s *metapath.Step) (*middle, error) {
 	if ok {
 		return mo, nil
 	}
-	w, err := e.g.Adjacency(s.Relation.Name)
+	w, err := e.adjacency(*s)
 	if err != nil {
 		return nil, err
-	}
-	if s.Inverse {
-		w = w.Transpose()
 	}
 	rows, cols := w.Dims()
 	ts := w.Triplets()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -30,14 +31,13 @@ import (
 type RewarmStats struct {
 	Carried    int `json:"carried"`     // chains reused unchanged (dimension-padded at most)
 	RowPatched int `json:"row_patched"` // chains maintained by row-masked recompute
-	Rebuilt    int `json:"rebuilt"`     // chains fully rematerialized
 	Dropped    int `json:"dropped"`     // chains abandoned (cold recompute on next use)
 	Rows       int `json:"rows"`        // rows recomputed across all row-patched chains
 }
 
 func (s RewarmStats) String() string {
-	return fmt.Sprintf("carried=%d row_patched=%d (rows=%d) rebuilt=%d dropped=%d",
-		s.Carried, s.RowPatched, s.Rows, s.Rebuilt, s.Dropped)
+	return fmt.Sprintf("carried=%d row_patched=%d (rows=%d) dropped=%d",
+		s.Carried, s.RowPatched, s.Rows, s.Dropped)
 }
 
 // RewarmFrom fills this engine's chain cache from src — an engine over the
@@ -49,9 +49,9 @@ func (s RewarmStats) String() string {
 // First the per-relation state comes along (carryRelations): transitions of
 // relations the delta left alone are carried, those of changed relations are
 // row-patched, and odd-path middles of unchanged relations are carried. Then,
-// per cached chain, only the dirty rows are recomputed and spliced in; a
-// chain whose dirty rows cannot be told (a prefix is missing) is rebuilt. An
-// odd path's halves are ordinary step chains, and their norms come along
+// per cached chain, only the dirty rows — those that reach a changed
+// transition row (chainDirtyRows) — are recomputed and spliced in. An odd
+// path's halves are ordinary step chains, and their norms come along
 // (carryNorms); so do the transposes and "X:" products derived from a
 // chain, patched where it changed (patchDerived). Failure modes degrade to
 // dropping a chain — always safe, the next query rebuilds it cold.
@@ -71,8 +71,8 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 		keys = append(keys, k)
 	}
 	// Shortest chains first so prefixes are warm before the longer chains
-	// that could rebuild through them; entries derived from a chain ("T:",
-	// "X:") follow their base via the second pass below.
+	// whose dirty rows could resume from them; entries derived from a chain
+	// ("T:", "X:") follow their base via the second pass below.
 	sort.Slice(keys, func(i, j int) bool { return len(keys[i]) < len(keys[j]) })
 
 	// patches[key] is what changed in a carried or row-patched chain: its
@@ -90,14 +90,7 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 			st.Dropped++
 			continue
 		}
-		rows, full := e.chainDirtyRows(src, c, d)
-		if full {
-			if _, err := e.opMatrixChain(ctx, c); err != nil {
-				return st, err
-			}
-			st.Rebuilt++
-			continue
-		}
+		rows := chainDirtyRows(src.g, c, d)
 		nRows, nCols := e.chainDims(c)
 		nm := chains[key].Resize(nRows, nCols)
 		p := rowPatch{rows: rows}
@@ -118,8 +111,8 @@ func (e *Engine) RewarmFrom(ctx context.Context, src *Engine, d *hin.Dirty) (Rew
 
 	// Entries derived from a chain ("T:" transposes, "X:" metKey products)
 	// are carried and patched where their chain changed (patchDerived), or
-	// derived again from the rewarmed chain when it was rebuilt — either way
-	// bit-identical to the cold path's. A chain that went missing (evicted
+	// derived again from the rewarmed chain — either way bit-identical to
+	// the cold path's. A chain that went missing (evicted
 	// upstream, dropped here) drops them; a "T:" without room
 	// (transposeFits) is dropped before it is built.
 	for _, key := range keys {
@@ -155,9 +148,9 @@ type rowPatch struct {
 // of is carried (padded if a type grew: the new rows and columns are empty,
 // as a rebuilt one's would be); a changed relation's U is row-patched at its
 // dirty source rows, and its inverse's at its dirty target rows, read off
-// the new adjacency by a column scan (TransposeRows) — each row normalized
-// on its own, so the patched matrix is bit for bit the rebuilt one (Property
-// 2: a delta moves one row of each direction). A middle is carried while
+// the new graph's kept transposed adjacency — each row normalized on its
+// own, so the patched matrix is bit for bit the rebuilt one (Property 2: a
+// delta moves one row of each direction). A middle is carried while
 // its relation and both its types are unchanged; otherwise middleOf builds
 // it again on first use.
 func (e *Engine) carryRelations(src *Engine, d *hin.Dirty) {
@@ -167,22 +160,16 @@ func (e *Engine) carryRelations(src *Engine, d *hin.Dirty) {
 	src.mu.Unlock()
 	s := e.g.Schema()
 	for key, u := range trans {
-		name, inverse := strings.CutSuffix(key, "~")
-		w, err := e.g.Adjacency(name)
+		step, err := parseStepKey(s, key)
 		if err != nil {
 			continue
 		}
-		rows, cols := w.Dims()
-		dirty := d.Rows[name]
-		if inverse {
-			rows, cols, dirty = cols, rows, d.Cols[name]
-		}
-		u = u.Resize(rows, cols)
-		switch {
-		case len(dirty) == 0:
-		case inverse:
-			u = u.ReplaceRows(dirty, w.TransposeRows(dirty).RowNormalize())
-		default:
+		u = u.Resize(e.g.NodeCount(step.From()), e.g.NodeCount(step.To()))
+		if dirty := changedRows(step, d); len(dirty) > 0 {
+			w, err := e.adjacency(step)
+			if err != nil {
+				continue
+			}
 			u = u.ReplaceRows(dirty, w.SelectRows(dirty).RowNormalize())
 		}
 		e.mu.Lock()
@@ -327,62 +314,58 @@ func (e *Engine) chainDims(c chain) (int, int) {
 	return e.g.NodeCount(c.start), e.g.NodeCount(c.steps[len(c.steps)-1].To())
 }
 
-// chainDirtyRows computes which rows of a chain's matrix the delta
+// changedRows returns the rows of a step's transition matrix the delta
+// changed: the relation's dirty source rows, or, traversed inversely, its
+// dirty target rows (Property 2).
+func changedRows(s metapath.Step, d *hin.Dirty) []int {
+	if s.Inverse {
+		return d.Cols[s.Relation.Name]
+	}
+	return d.Rows[s.Relation.Name]
+}
+
+// chainDirtyRows returns, ascending, the rows of a chain's matrix the delta
 // perturbed, in the new graph's indexing. Row s is dirty iff some step i
-// has a perturbed transition row r (d.Rows for forward steps, d.Cols for
-// inverse — Property 2) that s's step-(i-1) reaching distribution touches.
-// The old engine's cached prefix matrices answer exactly that reachability
-// question: a row not yet dirty at step i has an unchanged prefix
-// distribution, so consulting the OLD prefix is not an approximation; its
-// rows are scanned in place. A missing prefix forces a full rebuild (second
-// return true).
-func (e *Engine) chainDirtyRows(src *Engine, c chain, d *hin.Dirty) ([]int, bool) {
-	dirty := make([]bool, e.g.NodeCount(c.start))
-	for i, step := range c.steps {
-		changed := d.Rows[step.Relation.Name]
-		if step.Inverse {
-			changed = d.Cols[step.Relation.Name]
-		}
-		if len(changed) == 0 {
-			continue
-		}
-		if i == 0 {
-			// The first step's transition rows ARE the chain rows.
-			for _, r := range changed {
-				dirty[r] = true
+// has a changed transition row r that s reaches in i steps of the old
+// graph old: every other row walks through bit-identical transition rows.
+// The rows are found by walking back from the changed rows, last step
+// first: the set of nodes at step i's start that reach a changed row from
+// there on is step i's changed rows plus the predecessors, through step i,
+// of that set at step i+1, and the set at step 0 is the answer. Through a
+// forward step the predecessors of x are row x of the kept transposed
+// adjacency; through an inverse one, row x of the adjacency. A node the
+// delta added has no predecessor in the old graph, and a chain row the
+// delta added is dirty when its first step changed it. The walk reads the
+// adjacency rows of the nodes it reaches and nothing else: no cached
+// prefix, no array over a whole type.
+func chainDirtyRows(old *hin.Graph, c chain, d *hin.Dirty) []int {
+	var reach []int
+	for i := len(c.steps) - 1; i >= 0; i-- {
+		step := c.steps[i]
+		if len(reach) > 0 {
+			back, err := old.Adjacency(step.Relation.Name)
+			if !step.Inverse {
+				back, err = old.TransposedAdjacency(step.Relation.Name)
 			}
-			continue
-		}
-		prefix, ok := src.cacheGet(stepsKey(c.steps[:i]))
-		if !ok {
-			return nil, true
-		}
-		hit := make([]bool, prefix.Cols())
-		for _, r := range changed {
-			if r < len(hit) { // a node the delta added: no old row reaches it
-				hit[r] = true
+			if err != nil {
+				panic(err) // the chain parsed against this schema
 			}
-		}
-		for r := 0; r < prefix.Rows(); r++ {
-			if dirty[r] {
-				continue
-			}
-			idx, _ := prefix.RowEntries(r)
-			for _, col := range idx {
-				if hit[col] {
-					dirty[r] = true
-					break
+			var pred []int
+			for _, x := range reach {
+				if x < back.Rows() {
+					idx, _ := back.RowEntries(x)
+					pred = append(pred, idx...)
 				}
 			}
+			reach = pred
+		}
+		reach = append(reach, changedRows(step, d)...)
+		if len(reach) > 0 {
+			slices.Sort(reach)
+			reach = slices.Compact(reach)
 		}
 	}
-	var out []int
-	for r, on := range dirty {
-		if on {
-			out = append(out, r)
-		}
-	}
-	return out, false
+	return reach
 }
 
 // carryNorms carries the cached row norms of a carried or row-patched chain

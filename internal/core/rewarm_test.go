@@ -138,9 +138,9 @@ func TestRewarmPatchesOnlyDirtyRows(t *testing.T) {
 	}
 	// Left chain "C:writes" never walks published_in: carried untouched.
 	// Right chain "C:published_in~" starts at conferences; VLDB is its only
-	// dirty row. Nothing needs a full rebuild.
-	if stats.Rebuilt != 0 || stats.Dropped != 0 {
-		t.Fatalf("stats = %s, want no rebuilds/drops", stats)
+	// dirty row.
+	if stats.Dropped != 0 {
+		t.Fatalf("stats = %s, want no drops", stats)
 	}
 	if stats.Carried != 1 || stats.RowPatched != 1 || stats.Rows != 1 {
 		t.Fatalf("stats = %s, want 1 carried + 1 chain patched with 1 row", stats)
@@ -184,7 +184,7 @@ func TestRewarmNodeGrowthOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.RowPatched != 0 || stats.Rebuilt != 0 || stats.Dropped != 0 {
+	if stats.RowPatched != 0 || stats.Dropped != 0 {
 		t.Fatalf("stats = %s, want carried only", stats)
 	}
 	cold := NewEngine(ng)
@@ -194,7 +194,7 @@ func TestRewarmNodeGrowthOnly(t *testing.T) {
 
 // A bounded engine rewarmed from an unbounded one that holds "T:" entries
 // builds those it has room for and counts the rest dropped, so what it
-// reports carried, patched and rebuilt is what it holds.
+// reports carried and patched is what it holds.
 func TestRewarmBoundedTransposesNeedRoom(t *testing.T) {
 	g := fig4Graph(t)
 	warmed := NewEngine(g)
@@ -231,9 +231,9 @@ func TestRewarmBoundedTransposesNeedRoom(t *testing.T) {
 	}
 	checkCacheInvariants(t, warm, "rewarmed")
 	keys := residentKeys(warm)
-	if got := stats.Carried + stats.RowPatched + stats.Rebuilt; got != len(keys) || len(keys) != limit ||
+	if got := stats.Carried + stats.RowPatched; got != len(keys) || len(keys) != limit ||
 		stats.Dropped != transposes-1 || warm.CacheStats().Evictions != 0 {
-		t.Fatalf("stats = %s, evictions %d, resident %v: want carried+row_patched+rebuilt = %d resident and dropped = %d transposes",
+		t.Fatalf("stats = %s, evictions %d, resident %v: want carried+row_patched = %d resident and dropped = %d transposes",
 			stats, warm.CacheStats().Evictions, keys, limit, transposes-1)
 	}
 	cold := NewEngine(ng)
@@ -366,33 +366,13 @@ func TestRewarmCarriesRelationState(t *testing.T) {
 		warmUp(old, g)
 		fresh, carried, transposes := 0, 0, 0
 		for batch := 0; batch < 8; batch++ {
-			var ops []hin.Op
-			for k := 1 + rng.Intn(3); k > 0; k-- {
-				// Every other batch leaves published_in (the middle of
-				// APVC, CVPA and APAPVC) alone, so its middle is carried.
-				rel := rels[rng.Intn(len(rels))]
-				if batch%2 == 0 && rel == "published_in" {
-					rel = "writes"
-				}
-				r, _ := g.Schema().RelationByName(rel)
-				node := func(typ string) string {
-					if rng.Intn(8) == 0 {
-						fresh++
-						return "new" + itoa(fresh)
-					}
-					id, _ := g.NodeID(typ, rng.Intn(g.NodeCount(typ)))
-					return id
-				}
-				src, dst := node(r.Source), node(r.Target)
-				adj, _ := g.Adjacency(rel)
-				i, err1 := g.NodeIndex(r.Source, src)
-				j, err2 := g.NodeIndex(r.Target, dst)
-				if err1 == nil && err2 == nil && adj.At(i, j) != 0 && rng.Intn(2) == 0 {
-					ops = append(ops, hin.Op{Kind: hin.OpDeleteEdge, Relation: rel, Src: src, Dst: dst})
-					break // one delete per batch: a second could name the same cell
-				}
-				ops = append(ops, hin.Op{Kind: hin.OpUpsertEdge, Relation: rel, Src: src, Dst: dst, Weight: []float64{1, 0.5, 2}[rng.Intn(3)]})
+			// Every other batch leaves published_in (the middle of APVC,
+			// CVPA and APAPVC) alone, so its middle is carried.
+			batchRels := rels
+			if batch%2 == 0 {
+				batchRels = []string{"writes", "part_of", "mentions"}
 			}
+			ops := randomBatch(rng, g, batchRels, &fresh)
 			ng, d := applyOps(t, g, ops)
 			warm := NewEngine(ng)
 			if _, err := warm.RewarmFrom(ctx, old, d); err != nil {
@@ -548,8 +528,8 @@ func TestRewarmAllocatesItsDelta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.RowPatched == 0 || st.Rebuilt != 0 {
-			t.Fatalf("rewarm %v: want row-patched chains and none rebuilt", st)
+		if st.RowPatched == 0 {
+			t.Fatalf("rewarm %v: want row-patched chains", st)
 		}
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}

@@ -268,6 +268,9 @@ func checkApply(t testing.TB, s *Schema, g *Graph, m *applyModel, ops []Op) (*Gr
 		if !sameCSR(got, cold) {
 			t.Fatalf("%s after %+v:\n got %v\nwant %v", r.name, ops, got.Triplets(), cold.Triplets())
 		}
+		if gotT, _ := ng.TransposedAdjacency(r.name); !sameCSR(gotT, cold.Transpose()) {
+			t.Fatalf("%s transposed after %+v:\n got %v\nwant %v", r.name, ops, gotT.Triplets(), cold.Transpose().Triplets())
+		}
 		var rows, cols []int
 		seenR, seenC := map[int]bool{}, map[int]bool{}
 		for k := range unionKeys(m.cells[r.name], want.cells[r.name]) {
@@ -400,11 +403,13 @@ func FuzzApply(f *testing.F) {
 }
 
 // TestFingerprintConcurrent fingerprints one graph from several goroutines
-// at once, while its spans are first filled, and a child graph carries
-// them mid-fill: every caller gets the stream definition's value.
+// at once, while its section trees are first built, and a child graph
+// derives its own from them mid-build: every caller gets the stream
+// definition's value. The kept transposes are first read the same way.
 func TestFingerprintConcurrent(t *testing.T) {
 	g := randomApplyGraph(rand.New(rand.NewSource(9)))
 	want := referenceFingerprint(g)
+	ab, _ := g.Adjacency("ab")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -420,6 +425,13 @@ func TestFingerprintConcurrent(t *testing.T) {
 			}
 			if got, ref := ng.Fingerprint(), referenceFingerprint(ng); got != ref {
 				t.Errorf("child Fingerprint = %016x, want %016x", got, ref)
+			}
+			if abT, _ := g.TransposedAdjacency("ab"); !sameCSR(abT, ab.Transpose()) {
+				t.Error("concurrent TransposedAdjacency differs from Transpose")
+			}
+			nab, _ := ng.Adjacency("ab")
+			if nabT, _ := ng.TransposedAdjacency("ab"); !sameCSR(nabT, nab.Transpose()) {
+				t.Error("child TransposedAdjacency differs from Transpose")
 			}
 		}()
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"hetesim/internal/sparse"
 )
@@ -20,7 +21,10 @@ type Graph struct {
 	index map[string]map[string]int
 	// adj[r] is the |source| x |target| weighted adjacency of relation r.
 	adj map[string]*sparse.Matrix
-	// fp caches the fingerprint's per-type and per-relation spans.
+	// adjT[r] is adj[r]'s transpose, built on first use and kept by Apply;
+	// never serialized or fingerprinted.
+	adjT map[string]*transposed
+	// fp holds the fingerprint's section trees, built on first use.
 	fp *fpSections
 }
 
@@ -96,6 +100,60 @@ func (g *Graph) Adjacency(relName string) (*sparse.Matrix, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, relName)
 	}
 	return m, nil
+}
+
+// TransposedAdjacency returns Wᵀ of a relation (|R.T| x |R.S|): row j
+// lists the sources adjacent to target j. It is bit for bit
+// Adjacency(relName).Transpose(), shared and immutable like W. A graph
+// from Apply derives it from its parent's by the changed cells, so a
+// reader of a relation's in-neighbors never transposes it.
+func (g *Graph) TransposedAdjacency(relName string) (*sparse.Matrix, error) {
+	t, ok := g.adjT[relName]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, relName)
+	}
+	return t.get(), nil
+}
+
+// transposed is one relation's Wᵀ, built on first use: by transposing W
+// (w), or from the parent graph's Wᵀ (from) with the cells a batch changed
+// set and the shape grown (SetCells). A graph lineage transposes each
+// relation once; every later generation pays only its changed cells, when
+// it first reads the matrix. next keeps the chain of unbuilt generations
+// at most two long, so nothing unread holds a lineage's history.
+type transposed struct {
+	mu         sync.Mutex
+	m          *sparse.Matrix
+	w          *sparse.Matrix
+	from       *transposed
+	rows, cols int
+	cells      []sparse.Triplet // sorted by (row, column)
+}
+
+func (t *transposed) get() *sparse.Matrix {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m == nil {
+		if t.from != nil {
+			t.m = t.from.get().SetCells(t.rows, t.cols, t.cells)
+		} else {
+			t.m = t.w.Transpose()
+		}
+		t.w, t.from, t.cells = nil, nil, nil
+	}
+	return t.m
+}
+
+// next returns the transpose of w, the child graph's W: t's with cells set
+// and grown to rows x cols, or, when t is itself unbuilt and derived, w's
+// own.
+func (t *transposed) next(w *sparse.Matrix, rows, cols int, cells []sparse.Triplet) *transposed {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m == nil && t.from != nil {
+		return &transposed{w: w}
+	}
+	return &transposed{from: t, rows: rows, cols: cols, cells: cells}
 }
 
 // Degree returns the out-degree of node i under the relation (the number of
@@ -221,7 +279,8 @@ func (b *Builder) Build() (*Graph, error) {
 		nodes:  make(map[string][]string, len(b.nodes)),
 		index:  make(map[string]map[string]int, len(b.index)),
 		adj:    make(map[string]*sparse.Matrix),
-		fp:     newFPSections(),
+		adjT:   make(map[string]*transposed),
+		fp:     new(fpSections),
 	}
 	for t, ids := range b.nodes {
 		g.nodes[t] = append([]string(nil), ids...)
@@ -242,6 +301,7 @@ func (b *Builder) Build() (*Graph, error) {
 			ts[i] = sparse.Triplet{Row: e.src, Col: e.dst, Val: e.w}
 		}
 		g.adj[rel.Name] = sparse.New(rows, cols, ts)
+		g.adjT[rel.Name] = &transposed{w: g.adj[rel.Name]}
 	}
 	return g, nil
 }

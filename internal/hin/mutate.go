@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"hetesim/internal/sparse"
@@ -132,8 +131,10 @@ type cellEdit struct {
 // one that holds no dirty row and rebuilds the others, each dirty row
 // merged with its changed cells (sparse.SetCells), so the cost of a delta
 // is the pages it dirties plus the delta, never a copy of the relation or
-// a re-sort. Any invalid op fails the whole batch with no effect —
-// mutation batches are all-or-nothing.
+// a re-sort. Its transpose takes the same cells transposed, when first
+// read (TransposedAdjacency), and its fingerprint rehashes the dirty
+// blocks, when first asked. Any invalid op fails the whole batch with no
+// effect — mutation batches are all-or-nothing.
 func (g *Graph) Apply(ops []Op) (*Graph, *Dirty, error) {
 	if len(ops) == 0 {
 		return nil, nil, fmt.Errorf("%w: empty batch", ErrBadOp)
@@ -143,15 +144,13 @@ func (g *Graph) Apply(ops []Op) (*Graph, *Dirty, error) {
 		nodes:  make(map[string][]string, len(g.nodes)),
 		index:  make(map[string]map[string]int, len(g.index)),
 		adj:    make(map[string]*sparse.Matrix, len(g.adj)),
+		adjT:   make(map[string]*transposed, len(g.adjT)),
 	}
 	for t, ids := range g.nodes {
 		ng.nodes[t] = ids // shared until the type gains a node
 	}
 	for t, m := range g.index {
 		ng.index[t] = m
-	}
-	for r, m := range g.adj {
-		ng.adj[r] = m
 	}
 
 	d := newDirty()
@@ -240,12 +239,13 @@ func (g *Graph) Apply(ops []Op) (*Graph, *Dirty, error) {
 		}
 	}
 
-	// Splice the changed cells into the touched relations; resize every
-	// other relation over a grown type (its entries stay shared).
+	// Splice the changed cells into the touched relations and their
+	// transposes; resize every other relation over a grown type (its
+	// entries stay shared).
 	for _, rel := range ng.schema.Relations() {
 		rows := len(ng.nodes[rel.Source])
 		cols := len(ng.nodes[rel.Target])
-		old := g.adj[rel.Name]
+		old, oldT := g.adj[rel.Name], g.adjT[rel.Name]
 		var cells []sparse.Triplet
 		for k, c := range edits[rel.Name] {
 			if c.w != cellAt(old, k.src, k.dst) { // a net change: dirty
@@ -253,25 +253,42 @@ func (g *Graph) Apply(ops []Op) (*Graph, *Dirty, error) {
 			}
 		}
 		if len(cells) == 0 {
-			ng.adj[rel.Name] = old.Resize(rows, cols)
+			ng.adj[rel.Name], ng.adjT[rel.Name] = old.Resize(rows, cols), oldT
+			if rows != old.Rows() || cols != old.Cols() {
+				ng.adjT[rel.Name] = oldT.next(ng.adj[rel.Name], cols, rows, nil)
+			}
 			continue
 		}
-		sort.Slice(cells, func(i, j int) bool {
-			return cells[i].Row < cells[j].Row || cells[i].Row == cells[j].Row && cells[i].Col < cells[j].Col
-		})
-		ng.adj[rel.Name] = old.SetCells(rows, cols, cells)
-		var rs, cs []int
-		for _, c := range cells {
-			if len(rs) == 0 || rs[len(rs)-1] != c.Row {
-				rs = append(rs, c.Row)
-			}
-			cs = append(cs, c.Col)
+		tcells := make([]sparse.Triplet, len(cells))
+		for i, c := range cells {
+			tcells[i] = sparse.Triplet{Row: c.Col, Col: c.Row, Val: c.Val}
 		}
-		sort.Ints(cs)
-		d.Rows[rel.Name], d.Cols[rel.Name] = rs, slices.Compact(cs)
+		sortCells(cells)
+		sortCells(tcells)
+		ng.adj[rel.Name] = old.SetCells(rows, cols, cells)
+		ng.adjT[rel.Name] = oldT.next(ng.adj[rel.Name], cols, rows, tcells)
+		d.Rows[rel.Name], d.Cols[rel.Name] = distinctRows(cells), distinctRows(tcells)
 	}
-	ng.fp = g.fp.carry(d.Grown, d.Rows)
+	ng.fp = g.fp.next(d)
 	return ng, d, nil
+}
+
+// sortCells sorts cells by (row, column).
+func sortCells(cells []sparse.Triplet) {
+	sort.Slice(cells, func(i, j int) bool {
+		return cells[i].Row < cells[j].Row || cells[i].Row == cells[j].Row && cells[i].Col < cells[j].Col
+	})
+}
+
+// distinctRows returns the rows of sorted cells, ascending, once each.
+func distinctRows(cells []sparse.Triplet) []int {
+	var rs []int
+	for _, c := range cells {
+		if len(rs) == 0 || rs[len(rs)-1] != c.Row {
+			rs = append(rs, c.Row)
+		}
+	}
+	return rs
 }
 
 // cellAt is m's entry at (r, c), 0 past its edge (a node the batch added).

@@ -64,13 +64,11 @@ func (s *Server) OpenWAL() (*WALStatus, error) {
 		TruncatedBytes: rep.TruncatedBytes,
 		SetAside:       rep.SetAside,
 	}
-	if len(rep.Batches) == 0 {
-		return st, nil
+	if len(rep.Batches) > 0 {
+		prev := s.State()
+		s.setState(StateReplaying)
+		defer s.setState(prev)
 	}
-
-	prev := s.State()
-	s.setState(StateReplaying)
-	defer s.setState(prev)
 	for _, b := range rep.Batches {
 		res, err := s.st.apply(s.st.ctx, b, true)
 		if err != nil {
@@ -82,14 +80,13 @@ func (s *Server) OpenWAL() (*WALStatus, error) {
 		}
 	}
 
-	// Delta-snapshot retry: a snapshot saved after mutations names the
-	// post-replay fingerprint, so the boot-time warm start against the base
-	// graph rejected it. Now that replay caught the graph up, try again —
-	// unless the base warm start already landed, in which case the replay
-	// loop carried its chains forward incrementally.
-	if es := s.current(); es.engine.CacheSize() == 0 {
-		if snap, _ := s.st.loadSnapshot(); snap != nil {
-			s.st.warmStart(s.st.ctx, es, snap) // best effort: cold is always correct
+	// A snapshot saved after mutations names the post-replay fingerprint,
+	// so WarmStart kept it for now: the graph has caught up, warm from it.
+	// A base warm start that landed instead was carried forward by the
+	// replay row by row.
+	if snap := s.st.takeDeferredWarmStart(); snap != nil {
+		if _, err := s.st.warmStart(s.st.ctx, s.current(), snap); err != nil { // cold is always correct
+			s.st.logf("server: snapshot rejected after wal replay, starting cold: %v", err)
 		}
 	}
 	return st, nil

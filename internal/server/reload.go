@@ -80,11 +80,18 @@ func (s *Server) Ready() bool {
 // one older builds wrote (chain sections, no path list), is a normal cold
 // start (false, nil). A snapshot that fails checksum, version or
 // fingerprint validation is rejected with a reason, counted in
-// hetesim_snapshot_corrupt_total, and warms nothing (false, error).
+// hetesim_snapshot_corrupt_total, and warms nothing (false, error) — except
+// that, while a write-ahead log is configured and not yet open, a snapshot
+// of another fingerprint is what a clean restart after a write finds (the
+// file names the post-write graph, the log not replayed yet): it is kept
+// for OpenWAL, which warms from it after replay or rejects it then.
 func (s *Server) WarmStart() (bool, error) {
 	snap, err := s.st.loadSnapshot()
 	if snap == nil {
 		return false, err
+	}
+	if s.st.deferWarmStart(snap) {
+		return false, nil
 	}
 	n, err := s.st.warmStart(s.st.ctx, s.current(), snap)
 	return n > 0, err

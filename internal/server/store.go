@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -38,7 +39,7 @@ var (
 	metWALCompactions = obs.Default().Counter("hetesim_wal_compactions_total",
 		"Write-ahead log compactions (log folded into a new base graph).")
 	metWritePhase = obs.Default().HistogramVec("hetesim_write_phase_seconds",
-		"Time an applied delta batch spent per write-path phase, on primary and follower alike: apply (the next graph), log (WAL append and fsync), engine (the next generation's engines and fingerprint), rewarm (its chain cache, carried from the serving one).",
+		"Time an applied delta batch spent per write-path phase, on primary and follower alike: apply (the next graph), log (WAL append and fsync), engine (the next generation's engines and fingerprint), rewarm (its chain cache, carried from the serving one). log runs beside engine + rewarm, so the phases do not sum to the ack.",
 		obs.DefSecondsBuckets(), "phase")
 	metPhaseApply  = metWritePhase.With("apply")
 	metPhaseLog    = metWritePhase.With("log")
@@ -107,11 +108,12 @@ type store struct {
 	// the log's last sequence and cur.g the graph all logged batches yield.
 	mu           sync.Mutex
 	wal          *wal.Log
-	applied      map[string]uint64 // idempotency key -> acked sequence number
-	appliedOrder []string          // applied keys, oldest ack first (FIFO eviction)
-	walBatches   int               // batches in the log since its base graph
-	lastSavedFP  uint64            // fingerprint of the graph this process last wrote to graphPath
-	specs        []string          // materialization paths: every warm-up rebuilds them
+	applied      map[string]uint64  // idempotency key -> acked sequence number
+	appliedOrder []string           // applied keys, oldest ack first (FIFO eviction)
+	walBatches   int                // batches in the log since its base graph
+	lastSavedFP  uint64             // fingerprint of the graph this process last wrote to graphPath
+	specs        []string           // materialization paths: every warm-up rebuilds them
+	deferredWarm *snapshot.Snapshot // a boot snapshot of another fingerprint, kept for after replay
 	closed       bool
 
 	ctx    context.Context // canceled by close; parents all background work
@@ -274,8 +276,10 @@ type applyResult struct {
 // write (b.Seq == 0: the log assigns the sequence), a follower's replicated
 // batch (sequenced by the primary, logged verbatim) or a boot replay
 // (durable: already in the log). Order: dedupe by key, validate by computing
-// the copy-on-write graph once, make the batch durable, rewarm the engine
-// from the serving set's (Property 2 locality), publish, compact on size. A
+// the copy-on-write graph once, make the batch durable while the next
+// generation is built beside it (logBeside: engines, fingerprint, rewarm
+// from the serving set — Property 2 locality), publish, compact on size.
+// Only a logged batch is published, so an ack still implies durability. A
 // batch the graph rejects leaves no trace in the log, or replay would fail
 // on it forever; a duplicate client retry leaves none either, while a
 // sequenced duplicate (a retry that raced a crash reached the log twice)
@@ -296,45 +300,25 @@ func (st *store) apply(ctx context.Context, b wal.Batch, durable bool) (applyRes
 			return applyResult{es: cur, seq: ackSeq, duplicate: true, walBytes: st.wal.Size()}, nil
 		}
 	}
-	// Validate before logging by computing the next graph — once; the
-	// result is what gets published after the append.
-	var ng *hin.Graph
-	var dirty *hin.Dirty
-	if !dup {
+	next, res := cur, applyResult{duplicate: dup}
+	if dup {
+		if !durable {
+			if err := st.log(&b); err != nil {
+				return applyResult{}, err
+			}
+		}
+	} else {
+		// Validate before logging by computing the next graph — once; the
+		// result is what gets published after the append.
 		t := time.Now()
-		var err error
-		if ng, dirty, err = cur.g.Apply(b.Ops); err != nil {
+		ng, dirty, err := cur.g.Apply(b.Ops)
+		if err != nil {
 			return applyResult{}, err
 		}
 		since(metPhaseApply, t)
-	}
-	if !durable {
-		t := time.Now()
-		var err error
-		if b.Seq == 0 {
-			b.Seq, err = st.wal.Append(b.Key, b.Ops)
-		} else {
-			err = st.wal.AppendBatch(b)
+		if next, res.rewarm, err = st.logBeside(ctx, &b, durable, cur, ng, dirty); err != nil {
+			return applyResult{}, err
 		}
-		if err != nil {
-			return applyResult{}, fmt.Errorf("%w: %v", errWALAppend, err)
-		}
-		since(metPhaseLog, t)
-		metWALBytes.Set(float64(st.wal.Size()))
-	}
-	// Durable from here: even if this process dies mid-rewarm, boot replays
-	// the batch.
-	next, res := cur, applyResult{duplicate: dup}
-	if !dup {
-		t := time.Now()
-		next = st.newEngineSet(ng)
-		since(metPhaseEngine, t)
-		t = time.Now()
-		var err error
-		if res.rewarm, err = next.engine.RewarmFrom(ctx, cur.engine, dirty); err != nil {
-			st.logf("server: incremental rewarm: %v", err)
-		}
-		since(metPhaseRewarm, t)
 		st.rememberKeyLocked(b.Key, b.Seq)
 	}
 	st.walBatches++
@@ -350,6 +334,91 @@ func (st *store) apply(ctx context.Context, b wal.Batch, durable bool) (applyRes
 	}
 	res.walBytes = st.wal.Size()
 	return res, nil
+}
+
+// logBeside makes b durable on this goroutine, unless it already is, while
+// another goroutine builds the generation over ng beside it, and returns
+// that generation once both are done — an error, and nothing to publish,
+// if the append failed. The build is joined on every path, a panicking
+// append included. A build that panicked after the batch became durable
+// is replaced by a cold generation built here: the batch is in the log,
+// so the serving graph must have it too. Callers hold mu.
+func (st *store) logBeside(ctx context.Context, b *wal.Batch, durable bool, cur *engineSet, ng *hin.Graph, dirty *hin.Dirty) (*engineSet, core.RewarmStats, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var next *engineSet
+	var stats core.RewarmStats
+	built := make(chan any, 1) // the build's panic, or nil
+	go func() {
+		defer func() { built <- recover() }()
+		next, stats = st.build(ctx, cur, ng, dirty)
+	}()
+	joined := false
+	defer func() {
+		if !joined {
+			<-built
+		}
+	}()
+	var err error
+	if !durable {
+		// Yield once, so the build takes this P at once and the append
+		// resumes on the first P to free up: an fsync keeps its P while it
+		// waits, so without the yield the build would wait in this P's
+		// queue for the fsync to return, and the two would run one after
+		// the other.
+		runtime.Gosched()
+		if err = st.log(b); err != nil {
+			cancel() // what the build makes is discarded
+		}
+	}
+	joined = true
+	switch p := <-built; {
+	case err != nil:
+		return nil, stats, err
+	case p != nil:
+		st.logf("server: building generation %d panicked, serving it cold: %v", b.Seq, p)
+		return st.newEngineSet(ng), core.RewarmStats{}, nil
+	}
+	return next, stats, nil
+}
+
+// log appends b to the WAL and fsyncs it, assigning b.Seq to a client
+// write. Callers hold mu.
+func (st *store) log(b *wal.Batch) error {
+	t := time.Now()
+	var err error
+	if b.Seq == 0 {
+		b.Seq, err = st.wal.Append(b.Key, b.Ops)
+	} else {
+		err = st.wal.AppendBatch(*b)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", errWALAppend, err)
+	}
+	since(metPhaseLog, t)
+	metWALBytes.Set(float64(st.wal.Size()))
+	return nil
+}
+
+// rewarmFrom is core's RewarmFrom, a variable so tests can make the build
+// fail.
+var rewarmFrom = (*core.Engine).RewarmFrom
+
+// build returns the generation over ng, cur's graph with delta dirty
+// applied: its engines and fingerprint, and its chain cache rewarmed from
+// cur's. It reads only cur and ng, both immutable, so it runs beside the
+// log write. A rewarm error is logged: the set then serves colder.
+func (st *store) build(ctx context.Context, cur *engineSet, ng *hin.Graph, dirty *hin.Dirty) (*engineSet, core.RewarmStats) {
+	t := time.Now()
+	next := st.newEngineSet(ng)
+	since(metPhaseEngine, t)
+	t = time.Now()
+	stats, err := rewarmFrom(next.engine, ctx, cur.engine, dirty)
+	if err != nil {
+		st.logf("server: incremental rewarm: %v", err)
+	}
+	since(metPhaseRewarm, t)
+	return next, stats
 }
 
 // adopt is the one way a whole graph becomes the next generation — a
@@ -551,6 +620,29 @@ func (st *store) warmStart(ctx context.Context, es *engineSet, snap *snapshot.Sn
 		metWarmStart.Set(1)
 	}
 	return n, nil
+}
+
+// deferWarmStart keeps snap for takeDeferredWarmStart and reports true
+// when it names another graph than the serving one while a log is
+// configured but not open: the graph replay will reach, not a bad file.
+func (st *store) deferWarmStart(snap *snapshot.Snapshot) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.walPath == "" || st.wal != nil || snap.Fingerprint == st.cur.Load().fingerprint {
+		return false
+	}
+	st.deferredWarm = snap
+	return true
+}
+
+// takeDeferredWarmStart returns and forgets the snapshot deferWarmStart
+// kept, if any.
+func (st *store) takeDeferredWarmStart() *snapshot.Snapshot {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	snap := st.deferredWarm
+	st.deferredWarm = nil
+	return snap
 }
 
 // loadSnapshot reads the on-disk snapshot. A missing file (or no configured

@@ -229,46 +229,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t.matrix()
 }
 
-// TransposeRows returns rows cols[i] of m's transpose — column cols[i] of m
-// as row i — bit for bit those rows of Transpose(), in one scan of m and
-// without building the others. cols may not repeat.
-func (m *Matrix) TransposeRows(cols []int) *Matrix {
-	at := make([]int, m.cols) // at[c] = 1 + the output row of column c, or 0
-	for i, c := range cols {
-		if c < 0 || c >= m.cols {
-			panic(fmt.Sprintf("sparse: TransposeRows column %d out of range for %d columns", c, m.cols))
-		}
-		if at[c] != 0 {
-			panic(fmt.Sprintf("sparse: TransposeRows column %d repeated", c))
-		}
-		at[c] = i + 1
-	}
-	t := &csr{rows: len(cols), cols: m.rows, page: page{rowPtr: make([]int, len(cols)+1)}}
-	for p := range m.pages {
-		idx, _ := m.pages[p].entries()
-		for _, c := range idx {
-			if i := at[c]; i != 0 {
-				t.rowPtr[i]++
-			}
-		}
-	}
-	for i := 0; i < len(cols); i++ {
-		t.rowPtr[i+1] += t.rowPtr[i]
-	}
-	t.colIdx, t.val = make([]int, t.rowPtr[len(cols)]), make([]float64, t.rowPtr[len(cols)])
-	next := append([]int(nil), t.rowPtr[:len(cols)]...)
-	for r := 0; r < m.rows; r++ {
-		idx, val := m.row(r)
-		for k, c := range idx {
-			if i := at[c]; i != 0 {
-				t.colIdx[next[i-1]], t.val[next[i-1]] = r, val[k]
-				next[i-1]++
-			}
-		}
-	}
-	return t.matrix()
-}
-
 // MulVec returns m * x as a dense vector (length Rows). x must have length
 // Cols.
 func (m *Matrix) MulVec(x []float64) []float64 {

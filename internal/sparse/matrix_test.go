@@ -506,17 +506,12 @@ func TestSetCellsMatchesNew(t *testing.T) {
 	Identity(3).SetCells(3, 3, []Triplet{{1, 0, 1}, {0, 2, 1}})
 }
 
-// TestTransposeRowsMatchesTranspose holds TransposeRows to the selected rows
-// of a full transpose, and ReplaceRows under a shuffled row order to the
-// sorted one.
-func TestTransposeRowsMatchesTranspose(t *testing.T) {
+// TestReplaceRowsShuffledOrder holds ReplaceRows under a shuffled row order
+// to the sorted one.
+func TestReplaceRowsShuffledOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 100; trial++ {
 		m := randomMatrix(rng, 1+rng.Intn(8), 1+rng.Intn(8), 0.4)
-		cols := rng.Perm(m.cols)[:rng.Intn(m.cols+1)]
-		if got, want := m.TransposeRows(cols), m.Transpose().SelectRows(cols); !sameArrays(got, want) {
-			t.Fatalf("TransposeRows(%v) = %v, want %v", cols, got.Triplets(), want.Triplets())
-		}
 		rows := rng.Perm(m.rows)[:rng.Intn(m.rows+1)]
 		sub := randomMatrix(rng, len(rows), m.cols, 0.5)
 		sorted := slices.Clone(rows)

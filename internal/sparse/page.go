@@ -15,11 +15,9 @@ import (
 // edge delta's few dirty rows cost their pages, not the matrix.
 
 const (
-	// pageShift fixes the page size at 256 rows: the fingerprint's 256-row
-	// sections (hin), so a dirty row dirties one page and one section, and
-	// a page of a paper-scale chain is a few tens of KB — small next to the
-	// matrix a splice used to copy, large enough that a product's pages
-	// array stays a few KB.
+	// pageShift fixes the page size at 256 rows: a page of a paper-scale
+	// chain is a few tens of KB — small next to the matrix a splice used to
+	// copy, large enough that a product's pages array stays a few KB.
 	pageShift = 8
 	pageRows  = 1 << pageShift
 )
