@@ -111,7 +111,14 @@ loc:
 # snapshot-save-interval, snapAgeMS: every warm-up rebuilds the path list,
 # nothing is saved on a timer, and the router ranks no snapshot age)
 # or the column scan of an adjacency (TransposeRows: inverse transition rows
-# are read off the graph's kept transpose) deleted comes back by name, or when a non-test file outside
+# are read off the graph's kept transpose) or served PathSim's own chain
+# builder and caches (countMatrix, halfCountMatrix, countDiagonal: a pair
+# meets two half-count vectors, a top-k builds its half per call with MulCtx,
+# and both divide by the one squares sum, so nothing outside the engine's
+# cache bound holds a matrix) or the second weighted-path combine
+# (NewCombined: learned weights score through relevance's ensemble) or the
+# context-blind product driver (MulAuto: MulCtx is the same driver and can be
+# canceled) deleted comes back by name, or when a non-test file outside
 # internal/snapshot and bench/ calls the chains codec (EncodeChains,
 # DecodeChains: only the benchmarks price stored chains), or when the deleted
 # approximate top-k plane does (its plan name, its knobs, an import of
@@ -134,7 +141,7 @@ contract:
 			echo "contract: json tag \"$$tag\" must be declared in exactly one file, found in: $$(echo $$files)"; fail=1; \
 		fi; \
 	done; \
-	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo planBatchSides buildFamily sideFamily FetchSnapshot handleGraphFetch handleSnapshot ImportSnapshot ImportChains importSnapshot RunSnapshotSaver snapshot-save-interval snapAgeMS TransposeRows; do \
+	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo planBatchSides buildFamily sideFamily FetchSnapshot handleGraphFetch handleSnapshot ImportSnapshot ImportChains importSnapshot RunSnapshotSaver snapshot-save-interval snapAgeMS TransposeRows countMatrix halfCountMatrix countDiagonal NewCombined MulAuto; do \
 		if grep -rnwE "$$name" --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./bench/'; then \
 			echo "contract: deleted helper $$name is back"; fail=1; \
 		fi; \

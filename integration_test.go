@@ -15,6 +15,7 @@ import (
 	"hetesim/internal/hin"
 	"hetesim/internal/learn"
 	"hetesim/internal/metapath"
+	"hetesim/internal/relevance"
 	"hetesim/internal/server"
 	"hetesim/internal/snapshot"
 )
@@ -164,18 +165,26 @@ func TestLearnedMixtureBeatsSinglePath(t *testing.T) {
 	if w[0]+w[1] == 0 {
 		t.Fatal("learner zeroed all paths")
 	}
-	combined, err := learn.NewCombined(e, paths, w)
-	if err != nil {
-		t.Fatal(err)
+	// The learned mixture, scored by the relevance ensemble, must produce
+	// finite, non-negative scores that favor same-area authors on average.
+	opts := relevance.Options{
+		Paths:     []string{paths[0].String(), paths[1].String()},
+		Weighting: relevance.WeightLearned,
+		Learned:   relevance.WeightsMap(paths, w),
 	}
-	// The combined measure must produce finite, non-negative scores that
-	// favor same-area authors on average.
 	var same, diff float64
 	var nSame, nDiff int
 	for ci := 0; ci < g.NodeCount("conference"); ci++ {
-		scores, err := combined.SingleSourceByIndex(context.Background(), ci)
+		_, ranked, err := relevance.TopK(context.Background(), e, "conference", ci, "author", g.NodeCount("author"), opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		scores := make([]float64, g.NodeCount("author")) // unranked authors score 0
+		for _, s := range ranked {
+			if s.Score < 0 || math.IsInf(s.Score, 0) || math.IsNaN(s.Score) {
+				t.Fatalf("conference %d: author %d scores %v", ci, s.Index, s.Score)
+			}
+			scores[s.Index] = s.Score
 		}
 		for _, a := range authors {
 			if ds.AreaOf("conference", ci) == ds.AreaOf("author", a) {
@@ -188,7 +197,7 @@ func TestLearnedMixtureBeatsSinglePath(t *testing.T) {
 		}
 	}
 	if same/float64(nSame) <= diff/float64(nDiff) {
-		t.Errorf("combined measure does not separate areas: same=%v diff=%v",
+		t.Errorf("learned mixture does not separate areas: same=%v diff=%v",
 			same/float64(nSame), diff/float64(nDiff))
 	}
 }

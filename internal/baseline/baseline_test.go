@@ -116,6 +116,36 @@ func TestPCRWRowsAreDistributions(t *testing.T) {
 	}
 }
 
+// pathSimReference is PathSim by its definition: the full n×n count matrix
+// M of p, the product of the raw adjacency matrices along the whole path,
+// and 2·M(a,b) / (M(a,a) + M(b,b)) over its stored entries. The measure
+// itself never builds M; the tests hold it to this.
+func pathSimReference(t *testing.T, g *hin.Graph, p *metapath.Path) *sparse.Matrix {
+	t.Helper()
+	var cnt *sparse.Matrix
+	for _, s := range p.Steps() {
+		w, err := g.Adjacency(s.Relation.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Inverse {
+			w = w.Transpose()
+		}
+		if cnt == nil {
+			cnt = w
+		} else {
+			cnt = cnt.Mul(w)
+		}
+	}
+	n, _ := cnt.Dims()
+	var out []sparse.Triplet
+	for _, tr := range cnt.Triplets() {
+		out = append(out, sparse.Triplet{Row: tr.Row, Col: tr.Col,
+			Val: 2 * tr.Val / (cnt.At(tr.Row, tr.Row) + cnt.At(tr.Col, tr.Col))})
+	}
+	return sparse.New(n, n, out)
+}
+
 func TestPathSimKnownValues(t *testing.T) {
 	g := fig4Graph(t)
 	m := NewPathSim(g)
@@ -142,8 +172,8 @@ func TestPathSimRejectsAsymmetricPaths(t *testing.T) {
 	g := fig4Graph(t)
 	m := NewPathSim(g)
 	apc := metapath.MustParse(g.Schema(), "APC")
-	if _, err := m.AllPairs(context.Background(), apc); !errors.Is(err, ErrAsymmetricPath) {
-		t.Errorf("AllPairs on APC err = %v, want ErrAsymmetricPath", err)
+	if _, err := m.SingleSourceByIndex(context.Background(), apc, 0); !errors.Is(err, ErrAsymmetricPath) {
+		t.Errorf("SingleSourceByIndex on APC err = %v, want ErrAsymmetricPath", err)
 	}
 	if _, err := m.Pair(context.Background(), apc, "Tom", "KDD"); !errors.Is(err, ErrAsymmetricPath) {
 		t.Errorf("Pair on APC err = %v", err)
@@ -157,10 +187,7 @@ func TestPathSimMatrixSymmetricWithUnitDiagonal(t *testing.T) {
 	g := fig4Graph(t)
 	m := NewPathSim(g)
 	apa := metapath.MustParse(g.Schema(), "APA")
-	all, err := m.AllPairs(context.Background(), apa)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := pathSimReference(t, g, apa)
 	if !all.ApproxEqual(all.Transpose(), 1e-12) {
 		t.Error("PathSim matrix not symmetric")
 	}
@@ -185,10 +212,7 @@ func TestPathSimSubsetMatchesAllPairs(t *testing.T) {
 	g := fig4Graph(t)
 	m := NewPathSim(g)
 	apa := metapath.MustParse(g.Schema(), "APA")
-	all, err := m.AllPairs(context.Background(), apa)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := pathSimReference(t, g, apa)
 	idx := []int{2, 0}
 	sub, err := m.Subset(context.Background(), apa, idx)
 	if err != nil {

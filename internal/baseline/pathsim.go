@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
@@ -23,121 +22,115 @@ var ErrAsymmetricPath = errors.New("baseline: PathSim requires a symmetric relev
 // only for same-typed objects connected by symmetric paths — the limitation
 // (Section 2 of the HeteSim paper) that motivates HeteSim's uniform
 // treatment of arbitrary paths.
+//
+// A symmetric path P = PL·PL⁻¹ counts M = C·Cᵀ, with C the raw path-count
+// matrix of its left half, so M(a,b) = c_a·c_b for rows c_a, c_b of C. No
+// entry point builds M: a pair propagates two rows of C as vectors, a top-k
+// or a subset builds the rows of C it reads. PathSim is a stateless value
+// over one graph; every call walks the half afresh and nothing is cached.
 type PathSim struct {
 	g *hin.Graph
-
-	mu    sync.Mutex
-	cache map[string]*sparse.Matrix // count matrices per cache key
-	diag  map[string][]float64      // count-matrix diagonals per path
 }
 
 // NewPathSim creates a PathSim measure over g.
-func NewPathSim(g *hin.Graph) *PathSim {
-	return &PathSim{
-		g:     g,
-		cache: make(map[string]*sparse.Matrix),
-		diag:  make(map[string][]float64),
-	}
-}
+func NewPathSim(g *hin.Graph) PathSim { return PathSim{g: g} }
 
-// countMatrix returns the path-count matrix M_P: the product of the raw
-// (unnormalized) adjacency matrices along the path, whose (i,j) entry counts
-// path instances between i and j.
-func (m *PathSim) countMatrix(ctx context.Context, p *metapath.Path) (*sparse.Matrix, error) {
-	key := p.String()
-	m.mu.Lock()
-	c, ok := m.cache[key]
-	m.mu.Unlock()
-	if ok {
-		return c, nil
-	}
-	var acc *sparse.Matrix
-	for _, s := range p.Steps() {
+// walkHalf calls step with the raw adjacency of every step of p's left
+// half, in order, checking ctx before each; an inverse step reads the
+// graph's kept transpose. p must be symmetric, so its length is even (a
+// middle step would have to equal its own reverse) and the half is p's
+// first len/2 steps.
+func (m PathSim) walkHalf(ctx context.Context, p *metapath.Path, step func(w *sparse.Matrix) error) error {
+	for _, s := range p.Decompose().Left {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		w, err := m.g.Adjacency(s.Relation.Name)
-		if err != nil {
-			return nil, err
-		}
+		adj := m.g.Adjacency
 		if s.Inverse {
-			w = w.Transpose()
+			adj = m.g.TransposedAdjacency
 		}
-		if acc == nil {
-			acc = w
-		} else {
-			acc = acc.Mul(w)
+		w, err := adj(s.Relation.Name)
+		if err != nil {
+			return err
+		}
+		if err := step(w); err != nil {
+			return err
 		}
 	}
-	m.mu.Lock()
-	m.cache[key] = acc
-	m.mu.Unlock()
-	return acc, nil
+	return nil
 }
 
-// AllPairs returns the PathSim similarity matrix for a symmetric path.
-func (m *PathSim) AllPairs(ctx context.Context, p *metapath.Path) (*sparse.Matrix, error) {
-	if !p.IsSymmetric() {
-		return nil, fmt.Errorf("%w: %s", ErrAsymmetricPath, p)
-	}
-	cnt, err := m.countMatrix(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	n, _ := cnt.Dims()
-	diag := make([]float64, n)
-	for i := 0; i < n; i++ {
-		diag[i] = cnt.At(i, i)
-	}
-	ts := cnt.Triplets()
-	out := make([]sparse.Triplet, 0, len(ts))
-	for _, t := range ts {
-		den := diag[t.Row] + diag[t.Col]
-		if den > 0 {
-			out = append(out, sparse.Triplet{Row: t.Row, Col: t.Col, Val: 2 * t.Val / den})
+// halfCounts builds the rows of C listed in rows (all of C when rows is
+// nil). A row of a product depends only on that row of its left factor, so
+// the rows are selected at the first step and every later step multiplies
+// only them.
+func (m PathSim) halfCounts(ctx context.Context, p *metapath.Path, rows []int) (*sparse.Matrix, error) {
+	var c *sparse.Matrix
+	err := m.walkHalf(ctx, p, func(w *sparse.Matrix) (err error) {
+		switch {
+		case c != nil:
+			c, err = c.MulCtx(ctx, w)
+		case rows != nil:
+			c = w.SelectRows(rows)
+		default:
+			c = w
 		}
+		return err
+	})
+	return c, err
+}
+
+// pathSim is 2·M(a,b) / (M(a,a) + M(b,b)), and 0 when neither object has
+// a path instance. Every diagonal M(x,x) = ‖c_x‖² is one sparse squares sum
+// (Vector.Squares, Matrix.RowSquares), added in the order Dot adds c_x·c_y,
+// so pair, top-k and subset agree bit for bit and PathSim(a, a) is exactly 1.
+func pathSim(mab, maa, mbb float64) float64 {
+	den := maa + mbb
+	if den == 0 {
+		return 0
 	}
-	return sparse.New(n, n, out), nil
+	return 2 * mab / den
+}
+
+// checkIndex reports whether i indexes an object of p's source type.
+func (m PathSim) checkIndex(p *metapath.Path, i int) error {
+	if n := m.g.NodeCount(p.Source()); i < 0 || i >= n {
+		return fmt.Errorf("%w: index %d of %d", hin.ErrUnknownNode, i, n)
+	}
+	return nil
 }
 
 // Subset returns the PathSim similarity matrix restricted to the given
-// node-index subset (in the given order). For a symmetric path P = PL·PL^-1
-// the path-count matrix factors as M = C·C' with C the raw path-count
-// matrix of PL, so only the selected rows of C are ever multiplied — the
-// same submatrix plan the HeteSim engine uses for clustering experiments.
-func (m *PathSim) Subset(ctx context.Context, p *metapath.Path, idx []int) (*sparse.Matrix, error) {
+// node-index subset (in the given order): only the selected rows of C are
+// multiplied — the same submatrix plan the HeteSim engine uses for
+// clustering experiments.
+func (m PathSim) Subset(ctx context.Context, p *metapath.Path, idx []int) (*sparse.Matrix, error) {
 	if !p.IsSymmetric() {
 		return nil, fmt.Errorf("%w: %s", ErrAsymmetricPath, p)
 	}
-	left, err := m.halfCountMatrix(ctx, p)
+	for _, i := range idx {
+		if err := m.checkIndex(p, i); err != nil {
+			return nil, err
+		}
+	}
+	c, err := m.halfCounts(ctx, p, idx)
 	if err != nil {
 		return nil, err
 	}
-	n := left.Rows()
-	for _, i := range idx {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("%w: index %d of %d", hin.ErrUnknownNode, i, n)
-		}
+	cnt, err := c.MulCtx(ctx, c.Transpose())
+	if err != nil {
+		return nil, err
 	}
-	sub := left.SelectRows(idx)
-	cnt := sub.Mul(sub.Transpose())
-	diag := make([]float64, len(idx))
-	for i := range idx {
-		diag[i] = cnt.At(i, i)
-	}
+	diag := c.RowSquares()
 	ts := cnt.Triplets()
-	out := make([]sparse.Triplet, 0, len(ts))
-	for _, t := range ts {
-		den := diag[t.Row] + diag[t.Col]
-		if den > 0 {
-			out = append(out, sparse.Triplet{Row: t.Row, Col: t.Col, Val: 2 * t.Val / den})
-		}
+	for i, t := range ts {
+		ts[i].Val = pathSim(t.Val, diag[t.Row], diag[t.Col])
 	}
-	return sparse.New(len(idx), len(idx), out), nil
+	return sparse.New(len(idx), len(idx), ts), nil
 }
 
 // Pair returns PathSim(src, dst | p) for nodes identified by string IDs.
-func (m *PathSim) Pair(ctx context.Context, p *metapath.Path, srcID, dstID string) (float64, error) {
+func (m PathSim) Pair(ctx context.Context, p *metapath.Path, srcID, dstID string) (float64, error) {
 	if !p.IsSymmetric() {
 		return 0, fmt.Errorf("%w: %s", ErrAsymmetricPath, p)
 	}
@@ -152,31 +145,34 @@ func (m *PathSim) Pair(ctx context.Context, p *metapath.Path, srcID, dstID strin
 	return m.PairByIndex(ctx, p, i, j)
 }
 
-// PairByIndex is Pair addressed by node indices.
-func (m *PathSim) PairByIndex(ctx context.Context, p *metapath.Path, src, dst int) (float64, error) {
+// PairByIndex is Pair addressed by node indices. It propagates e_src and
+// e_dst along the left half as sparse vectors, c_src and c_dst, and meets
+// them: three dot products.
+func (m PathSim) PairByIndex(ctx context.Context, p *metapath.Path, src, dst int) (float64, error) {
 	if !p.IsSymmetric() {
 		return 0, fmt.Errorf("%w: %s", ErrAsymmetricPath, p)
 	}
-	cnt, err := m.countMatrix(ctx, p)
+	if err := m.checkIndex(p, src); err != nil {
+		return 0, err
+	}
+	if err := m.checkIndex(p, dst); err != nil {
+		return 0, err
+	}
+	n := m.g.NodeCount(p.Source())
+	ca, cb := sparse.Unit(n, src), sparse.Unit(n, dst)
+	err := m.walkHalf(ctx, p, func(w *sparse.Matrix) error {
+		ca, cb = ca.MulMat(w), cb.MulMat(w)
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	n, _ := cnt.Dims()
-	if src < 0 || src >= n || dst < 0 || dst >= n {
-		return 0, hin.ErrUnknownNode
-	}
-	den := cnt.At(src, src) + cnt.At(dst, dst)
-	if den == 0 {
-		return 0, nil
-	}
-	return 2 * cnt.At(src, dst) / den, nil
+	return pathSim(ca.Dot(cb), ca.Squares(), cb.Squares()), nil
 }
 
 // SingleSource returns PathSim scores of one source against all same-typed
-// objects. For a symmetric path the count matrix factors as M = C·C', so
-// one row of M is a single matrix-vector product — the full n×n count
-// matrix is never materialized.
-func (m *PathSim) SingleSource(ctx context.Context, p *metapath.Path, srcID string) ([]float64, error) {
+// objects.
+func (m PathSim) SingleSource(ctx context.Context, p *metapath.Path, srcID string) ([]float64, error) {
 	i, err := m.g.NodeIndex(p.Source(), srcID)
 	if err != nil {
 		return nil, err
@@ -184,84 +180,23 @@ func (m *PathSim) SingleSource(ctx context.Context, p *metapath.Path, srcID stri
 	return m.SingleSourceByIndex(ctx, p, i)
 }
 
-// SingleSourceByIndex is SingleSource addressed by node index.
-func (m *PathSim) SingleSourceByIndex(ctx context.Context, p *metapath.Path, src int) ([]float64, error) {
+// SingleSourceByIndex is SingleSource addressed by node index: row src of
+// M is C·c_src, one matrix-vector product over C built on the call.
+func (m PathSim) SingleSourceByIndex(ctx context.Context, p *metapath.Path, src int) ([]float64, error) {
 	if !p.IsSymmetric() {
 		return nil, fmt.Errorf("%w: %s", ErrAsymmetricPath, p)
 	}
-	left, err := m.halfCountMatrix(ctx, p)
+	if err := m.checkIndex(p, src); err != nil {
+		return nil, err
+	}
+	c, err := m.halfCounts(ctx, p, nil)
 	if err != nil {
 		return nil, err
 	}
-	n := left.Rows()
-	if src < 0 || src >= n {
-		return nil, fmt.Errorf("%w: index %d of %d", hin.ErrUnknownNode, src, n)
-	}
-	diag := m.countDiagonal(p, left)
-	row := left.MulVec(left.RowDense(src, nil))
+	diag := c.RowSquares()
+	row := c.MulVec(c.RowDense(src, nil)) // row[j] = c_j·c_src, added as Dot adds it
 	for j := range row {
-		den := diag[src] + diag[j]
-		if den > 0 {
-			row[j] = 2 * row[j] / den
-		} else {
-			row[j] = 0
-		}
+		row[j] = pathSim(row[j], diag[src], diag[j])
 	}
 	return row, nil
-}
-
-// halfCountMatrix returns (and caches) the raw path-count matrix of the
-// left half PL of a symmetric path P = PL·PL^-1.
-func (m *PathSim) halfCountMatrix(ctx context.Context, p *metapath.Path) (*sparse.Matrix, error) {
-	key := "half:" + p.String()
-	m.mu.Lock()
-	c, ok := m.cache[key]
-	m.mu.Unlock()
-	if ok {
-		return c, nil
-	}
-	d := p.Decompose()
-	if d.Middle != nil {
-		return nil, fmt.Errorf("%w: %s has odd length", ErrAsymmetricPath, p)
-	}
-	var left *sparse.Matrix
-	for _, s := range d.Left {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		w, err := m.g.Adjacency(s.Relation.Name)
-		if err != nil {
-			return nil, err
-		}
-		if s.Inverse {
-			w = w.Transpose()
-		}
-		if left == nil {
-			left = w
-		} else {
-			left = left.Mul(w)
-		}
-	}
-	m.mu.Lock()
-	m.cache[key] = left
-	m.mu.Unlock()
-	return left, nil
-}
-
-// countDiagonal returns (and caches) the diagonal of M = C·C': the per-row
-// squared Euclidean norms of the half-count matrix.
-func (m *PathSim) countDiagonal(p *metapath.Path, left *sparse.Matrix) []float64 {
-	key := "diag:" + p.String()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if d, ok := m.diag[key]; ok {
-		return d
-	}
-	norms := left.RowNorms()
-	d := make([]float64, len(norms))
-	for i, x := range norms {
-		d[i] = x * x
-	}
-	m.diag[key] = d
-	return d
 }

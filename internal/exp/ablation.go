@@ -102,8 +102,8 @@ func prunedChain(g *hin.Graph, steps []metapath.Step, eps float64) (*sparse.Matr
 		}
 		if pm == nil {
 			pm = u
-		} else {
-			pm = pm.MulAuto(u)
+		} else if pm, err = pm.MulCtx(context.Background(), u); err != nil {
+			return nil, err
 		}
 		pm = pm.Prune(eps)
 	}

@@ -4,7 +4,10 @@
 // their weights by some learning algorithms." Given candidate paths with
 // common endpoint types and labeled object pairs, PathWeights fits
 // non-negative per-path weights by projected gradient descent on squared
-// loss, and Combined scores queries with the learned mixture.
+// loss. The fit is scored by the one weighted-path combine there is:
+// relevance.WeightsMap(paths, w) is a relevance.Options.Learned map, and
+// relevance.Pair / relevance.TopK with Weighting relevance.WeightLearned
+// (or hetesimd's -path-weights file) answer with the learned mixture.
 package learn
 
 import (
@@ -138,80 +141,4 @@ func featurize(ctx context.Context, e *core.Engine, paths []*metapath.Path, exam
 		labels[i] = ex.Label
 	}
 	return features, labels, nil
-}
-
-// Combined scores object pairs with a learned weighted mixture of HeteSim
-// over several relevance paths.
-type Combined struct {
-	engine  *core.Engine
-	paths   []*metapath.Path
-	weights []float64
-}
-
-// NewCombined builds a combined measure; weights must align with paths and
-// be non-negative.
-func NewCombined(e *core.Engine, paths []*metapath.Path, weights []float64) (*Combined, error) {
-	if len(paths) == 0 || len(paths) != len(weights) {
-		return nil, fmt.Errorf("%w: %d paths vs %d weights", ErrBadInput, len(paths), len(weights))
-	}
-	src, dst := paths[0].Source(), paths[0].Target()
-	for _, p := range paths[1:] {
-		if p.Source() != src || p.Target() != dst {
-			return nil, fmt.Errorf("%w: mixed endpoint types", ErrBadInput)
-		}
-	}
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("%w: weight %d = %v", ErrBadInput, i, w)
-		}
-	}
-	return &Combined{
-		engine:  e,
-		paths:   append([]*metapath.Path(nil), paths...),
-		weights: append([]float64(nil), weights...),
-	}, nil
-}
-
-// Weights returns a copy of the mixture weights.
-func (c *Combined) Weights() []float64 { return append([]float64(nil), c.weights...) }
-
-// PairByIndex returns the weighted relevance of one pair.
-func (c *Combined) PairByIndex(ctx context.Context, src, dst int) (float64, error) {
-	var s float64
-	for k, p := range c.paths {
-		if c.weights[k] == 0 {
-			continue
-		}
-		v, err := c.engine.PairByIndex(ctx, p, src, dst)
-		if err != nil {
-			return 0, err
-		}
-		s += c.weights[k] * v
-	}
-	return s, nil
-}
-
-// SingleSourceByIndex returns the weighted relevance of one source against
-// every target.
-func (c *Combined) SingleSourceByIndex(ctx context.Context, src int) ([]float64, error) {
-	var out []float64
-	for k, p := range c.paths {
-		if c.weights[k] == 0 {
-			continue
-		}
-		v, err := c.engine.SingleSourceByIndex(ctx, p, src)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = make([]float64, len(v))
-		}
-		for j := range v {
-			out[j] += c.weights[k] * v[j]
-		}
-	}
-	if out == nil {
-		out = make([]float64, c.engine.Graph().NodeCount(c.paths[0].Target()))
-	}
-	return out, nil
 }

@@ -172,79 +172,3 @@ func TestPathWeightsValidation(t *testing.T) {
 		t.Errorf("bad index err = %v", err)
 	}
 }
-
-func TestCombinedMeasure(t *testing.T) {
-	g := testGraph(7)
-	e := core.NewEngine(g)
-	paths := []*metapath.Path{
-		metapath.MustParse(g.Schema(), "APVC"),
-		metapath.MustParse(g.Schema(), "APTPVC"),
-	}
-	c, err := NewCombined(e, paths, []float64{0.6, 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := c.SingleSourceByIndex(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range ss {
-		pv, err := c.PairByIndex(context.Background(), 0, j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(pv-ss[j]) > 1e-12 {
-			t.Fatalf("combined plans disagree at %d", j)
-		}
-		// Mixture equals the manual combination.
-		v1, _ := e.PairByIndex(context.Background(), paths[0], 0, j)
-		v2, _ := e.PairByIndex(context.Background(), paths[1], 0, j)
-		if math.Abs(pv-(0.6*v1+0.4*v2)) > 1e-12 {
-			t.Fatalf("combined score wrong at %d", j)
-		}
-	}
-	if w := c.Weights(); len(w) != 2 || w[0] != 0.6 {
-		t.Errorf("Weights = %v", w)
-	}
-}
-
-func TestCombinedZeroWeightsGiveZeroScores(t *testing.T) {
-	g := testGraph(9)
-	e := core.NewEngine(g)
-	paths := []*metapath.Path{metapath.MustParse(g.Schema(), "APVC")}
-	c, err := NewCombined(e, paths, []float64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := c.SingleSourceByIndex(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ss) != g.NodeCount("conference") {
-		t.Fatalf("length = %d", len(ss))
-	}
-	for _, v := range ss {
-		if v != 0 {
-			t.Fatal("zero-weight mixture must score zero")
-		}
-	}
-}
-
-func TestNewCombinedValidation(t *testing.T) {
-	g := testGraph(11)
-	e := core.NewEngine(g)
-	apvc := metapath.MustParse(g.Schema(), "APVC")
-	apt := metapath.MustParse(g.Schema(), "APT")
-	if _, err := NewCombined(e, nil, nil); !errors.Is(err, ErrBadInput) {
-		t.Errorf("empty err = %v", err)
-	}
-	if _, err := NewCombined(e, []*metapath.Path{apvc}, []float64{1, 2}); !errors.Is(err, ErrBadInput) {
-		t.Errorf("length mismatch err = %v", err)
-	}
-	if _, err := NewCombined(e, []*metapath.Path{apvc, apt}, []float64{1, 1}); !errors.Is(err, ErrBadInput) {
-		t.Errorf("mixed endpoints err = %v", err)
-	}
-	if _, err := NewCombined(e, []*metapath.Path{apvc}, []float64{-1}); !errors.Is(err, ErrBadInput) {
-		t.Errorf("negative weight err = %v", err)
-	}
-}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"hetesim/internal/api"
+	"hetesim/internal/baseline"
 	"hetesim/internal/core"
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
@@ -192,9 +193,9 @@ func (s *Server) execute(ctx context.Context, es *engineSet, q query) (answer, e
 	var a answer
 	topk := q.Kind == "topk"
 	if q.Measure != "hetesim" {
-		var m byIndex = es.pcrw
+		var m byIndex = baseline.NewPCRWFromEngine(es.engine)
 		if q.Measure == "pathsim" {
-			m = es.pathsim
+			m = baseline.NewPathSim(es.g)
 		}
 		if !topk {
 			score, err := m.PairByIndex(ctx, q.path, q.src, q.dst)

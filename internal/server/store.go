@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hetesim/internal/baseline"
 	"hetesim/internal/core"
 	"hetesim/internal/hin"
 	"hetesim/internal/metapath"
@@ -50,18 +49,18 @@ var (
 // since observes the seconds elapsed from t in h.
 func since(h *obs.Histogram, t time.Time) { h.Observe(time.Since(t).Seconds()) }
 
-// engineSet is one serving generation: a graph, its fingerprint, every
-// query engine over it, and the WAL sequence the graph embodies. It is
-// immutable once published; a request resolves the current set once and
-// uses it throughout, so publishing the next set swaps graph and sequence
-// together while in-flight queries drain against the set they started with.
+// engineSet is one serving generation: a graph, its fingerprint, its one
+// query engine, and the WAL sequence the graph embodies. It is immutable
+// once published; a request resolves the current set once and uses it
+// throughout, so publishing the next set swaps graph and sequence together
+// while in-flight queries drain against the set they started with. The
+// baselines keep no state of their own: a query builds its measure over g
+// or engine at use.
 type engineSet struct {
 	g           *hin.Graph
 	fingerprint uint64
 	seq         uint64       // last WAL sequence folded into g
 	engine      *core.Engine // HeteSim: Definition 10, or Definition 3 for a ?raw=1 query
-	pcrw        *baseline.PCRW
-	pathsim     *baseline.PathSim
 }
 
 // maxAppliedKeys bounds the idempotency table: beyond it the oldest acked
@@ -128,14 +127,7 @@ func (st *store) start(g *hin.Graph) {
 }
 
 func (st *store) newEngineSet(g *hin.Graph) *engineSet {
-	e := core.NewEngine(g, st.engineOpts...)
-	return &engineSet{
-		g:           g,
-		fingerprint: g.Fingerprint(),
-		engine:      e,
-		pcrw:        baseline.NewPCRWFromEngine(e),
-		pathsim:     baseline.NewPathSim(g),
-	}
+	return &engineSet{g: g, fingerprint: g.Fingerprint(), engine: core.NewEngine(g, st.engineOpts...)}
 }
 
 // publish makes (es, seq) the serving generation. Callers hold mu (or are

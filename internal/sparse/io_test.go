@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -84,7 +85,8 @@ func TestMulParallelMatchesMul(t *testing.T) {
 				return false
 			}
 		}
-		return a.MulAuto(b).Equal(a.Mul(b))
+		got, err := a.MulCtx(context.Background(), b)
+		return err == nil && got.Equal(a.Mul(b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -99,8 +101,8 @@ func TestMulParallelLarge(t *testing.T) {
 	if !a.MulParallel(b, 4).ApproxEqual(a.Mul(b), 0) {
 		t.Error("parallel result differs on large product")
 	}
-	if !a.MulAuto(b).ApproxEqual(a.Mul(b), 0) {
-		t.Error("MulAuto differs on large product")
+	if got, err := a.MulCtx(context.Background(), b); err != nil || !got.ApproxEqual(a.Mul(b), 0) {
+		t.Errorf("MulCtx differs on large product (err %v)", err)
 	}
 }
 

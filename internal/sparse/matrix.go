@@ -389,14 +389,23 @@ func (m *Matrix) RowNorms() []float64 {
 }
 
 // RowSquares returns every row's sum of squared entries, added in ascending
-// column order: the squares of RowNorms before the square root.
+// column order: the squares of RowNorms before the square root, and bit for
+// bit what Row(r).Squares() returns.
 func (m *Matrix) RowSquares() []float64 {
 	s := make([]float64, m.rows)
 	for r := range s {
 		_, val := m.row(r)
-		for _, v := range val {
-			s[r] += v * v
-		}
+		s[r] = squares(val)
+	}
+	return s
+}
+
+// squares is Σ x² over val, added in order — for ascending indices, the
+// terms and order in which Dot adds v·v.
+func squares(val []float64) float64 {
+	var s float64
+	for _, v := range val {
+		s += v * v
 	}
 	return s
 }

@@ -21,8 +21,8 @@ import (
 // the range layout, so all entry points return bit-identical matrices.
 // DESIGN §6 has the measurements behind the constants.
 const (
-	// parallelFlopThreshold is the multiply-add count from which MulAuto and
-	// MulCtx fan out across cores; below it the fork/join costs more.
+	// parallelFlopThreshold is the multiply-add count from which MulCtx fans
+	// out across cores; below it the fork/join costs more.
 	parallelFlopThreshold = 1 << 15
 	// A row of n distinct columns is put in column order by sweeping the
 	// mark array when n·log2(n)·sweepFactor exceeds the matrix width (one
@@ -125,14 +125,9 @@ func (m *Matrix) MulParallel(b *Matrix, workers int) *Matrix {
 	return out.matrix()
 }
 
-// MulAuto is Mul, fanned out across cores when the product is large enough.
-func (m *Matrix) MulAuto(b *Matrix) *Matrix {
-	out, _ := m.mul(context.Background(), b, 0, recordMul)
-	return out.matrix()
-}
-
-// MulCtx is MulAuto that polls ctx between row blocks and returns its error
-// once it is done, so a canceled request releases its cores mid-product.
+// MulCtx is Mul, fanned out across cores when the product is large enough.
+// It polls ctx between row blocks and returns its error once it is done, so
+// a canceled request releases its cores mid-product.
 func (m *Matrix) MulCtx(ctx context.Context, b *Matrix) (*Matrix, error) {
 	out, err := m.mul(ctx, b, 0, recordMul)
 	if err != nil {

@@ -91,9 +91,6 @@ func TestMulDifferential(t *testing.T) {
 							sh.ar, sh.ac, sh.ac, sh.bc, density, workers)
 					}
 				}
-				if !a.MulAuto(b).Equal(want) {
-					t.Fatal("MulAuto != reference")
-				}
 				if c, err := a.MulCtx(context.Background(), b); err != nil || !c.Equal(want) {
 					t.Fatalf("MulCtx != reference (err %v)", err)
 				}

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -57,13 +58,13 @@ func TestMulParallelShapeMismatchPanics(t *testing.T) {
 	Zeros(3, 4).MulParallel(Zeros(5, 2), 2)
 }
 
-// TestMulAutoMatchesMul checks the dispatching wrapper picks an
-// equivalent kernel on both sides of the flop threshold.
-func TestMulAutoMatchesMul(t *testing.T) {
+// TestMulCtxMatchesMul checks the dispatching driver picks an equivalent
+// kernel on both sides of the flop threshold.
+func TestMulCtxMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	small := randomMatrix(rng, 10, 10, 0.3)
-	if !small.MulAuto(small).Equal(small.Mul(small)) {
-		t.Error("MulAuto small != Mul")
+	if got, err := small.MulCtx(context.Background(), small); err != nil || !got.Equal(small.Mul(small)) {
+		t.Errorf("MulCtx small != Mul (err %v)", err)
 	}
 	// Dense enough that the flop count crosses parallelFlopThreshold by
 	// orders of magnitude (n³d² multiply-adds at both sizes); short mode
@@ -73,8 +74,8 @@ func TestMulAutoMatchesMul(t *testing.T) {
 		n = 400
 	}
 	big := randomMatrix(rng, n, n, 0.5)
-	if !big.MulAuto(big).Equal(big.Mul(big)) {
-		t.Error("MulAuto big != Mul")
+	if got, err := big.MulCtx(context.Background(), big); err != nil || !got.Equal(big.Mul(big)) {
+		t.Errorf("MulCtx big != Mul (err %v)", err)
 	}
 }
 

@@ -133,13 +133,11 @@ func (v *Vector) DotEntries(idx []int, val []float64) float64 {
 }
 
 // Norm returns the Euclidean norm of v.
-func (v *Vector) Norm() float64 {
-	var s float64
-	for _, x := range v.val {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
+func (v *Vector) Norm() float64 { return math.Sqrt(v.Squares()) }
+
+// Squares returns ‖v‖², bit for bit v.Dot(v) and, for a row view, the
+// row's entry of RowSquares.
+func (v *Vector) Squares() float64 { return squares(v.val) }
 
 // WeightedNorm returns √(Σ_i d[i]·v_i²): the Euclidean norm of v scaled
 // entrywise by √d, with d indexed like v. A nil d weighs every entry 1, and

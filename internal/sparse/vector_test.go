@@ -94,6 +94,21 @@ func TestVectorMulMatChainMatchesMatrixRow(t *testing.T) {
 	}
 }
 
+// TestSquaresIsSelfDot: a vector's Squares, its Dot with itself and, for a
+// row view, its RowSquares entry are one sum with the same bits — PathSim
+// divides by it in pair and top-k alike.
+func TestSquaresIsSelfDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	m := randomMatrix(rng, 40, 30, 0.3)
+	rs := m.RowSquares()
+	for r := range rs {
+		v := m.Row(r)
+		if sq := v.Squares(); math.Float64bits(sq) != math.Float64bits(v.Dot(v)) || math.Float64bits(sq) != math.Float64bits(rs[r]) {
+			t.Fatalf("row %d: Squares %v, Dot %v, RowSquares %v", r, sq, v.Dot(v), rs[r])
+		}
+	}
+}
+
 func TestVectorEntriesOrder(t *testing.T) {
 	v := NewVector(6, []int{4, 0, 2}, []float64{4, 0.5, 2})
 	var idx []int
@@ -145,6 +160,7 @@ func TestRowViewIsNeverWritten(t *testing.T) {
 		"DotEntries":   func(v, w *Vector) { v.DotEntries(w.idx, w.val) },
 		"WeightedNorm": func(v, _ *Vector) { v.WeightedNorm(make([]float64, v.Len())) },
 		"Norm":         func(v, _ *Vector) { v.Norm() },
+		"Squares":      func(v, _ *Vector) { v.Squares() },
 		"Sum":          func(v, _ *Vector) { v.Sum() },
 		"Scale":        func(v, _ *Vector) { scribble(v.Scale(3)); scribble(v.Scale(0)) },
 		"Add":          func(v, w *Vector) { scribble(v.Add(w)); scribble(v.Add(v.Scale(-1))) },
