@@ -118,7 +118,8 @@ loc:
 # cache bound holds a matrix) or the second weighted-path combine
 # (NewCombined: learned weights score through relevance's ensemble) or the
 # context-blind product driver (MulAuto: MulCtx is the same driver and can be
-# canceled) deleted comes back by name, or when a non-test file outside
+# canceled) or the graph carver only tests reached (Subgraph: nothing
+# carves a graph) deleted comes back by name, or when a non-test file outside
 # internal/snapshot and bench/ calls the chains codec (EncodeChains,
 # DecodeChains: only the benchmarks price stored chains), or when the deleted
 # approximate top-k plane does (its plan name, its knobs, an import of
@@ -141,7 +142,7 @@ contract:
 			echo "contract: json tag \"$$tag\" must be declared in exactly one file, found in: $$(echo $$files)"; fail=1; \
 		fi; \
 	done; \
-	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo planBatchSides buildFamily sideFamily FetchSnapshot handleGraphFetch handleSnapshot ImportSnapshot ImportChains importSnapshot RunSnapshotSaver snapshot-save-interval snapAgeMS TransposeRows countMatrix halfCountMatrix countDiagonal NewCombined MulAuto; do \
+	for name in degradedPair degradedTopK strconvUint io2 middleEdgeTransitions edgeU WithPruning pruneEps addCacheInfo planBatchSides buildFamily sideFamily FetchSnapshot handleGraphFetch handleSnapshot ImportSnapshot ImportChains importSnapshot RunSnapshotSaver snapshot-save-interval snapAgeMS TransposeRows countMatrix halfCountMatrix countDiagonal NewCombined MulAuto Subgraph; do \
 		if grep -rnwE "$$name" --include='*.go' . | grep -v '_test\.go:' | grep -v '^\./bench/'; then \
 			echo "contract: deleted helper $$name is back"; fail=1; \
 		fi; \
@@ -187,15 +188,16 @@ check: vet staticcheck govulncheck contract build test race obs-selftest chaos p
 # sparse best case (BenchmarkAblationTopKSearch) and dense worst case
 # (BenchmarkTopKDenseScan), the cold top-k on both sides of the
 # rent-or-buy rule (BenchmarkTopKColdReachable) and on odd paths
-# (BenchmarkTopKColdOdd; both matched by the BenchmarkTopK pattern), with
-# allocation stats, as JSON — followed by internal/sparse's kernel
+# (BenchmarkTopKColdOdd; both matched by the BenchmarkTopK pattern), and
+# paper-scale graph construction (BenchmarkGraphBuild: generating the ACM
+# network, reading its JSON file), with allocation stats, as JSON — followed by internal/sparse's kernel
 # benchmark (BenchmarkSpGEMM, serial and parallel), so a kernel slowdown
 # shows in the committed file beside the end-to-end rows. Every benchmark
 # is recorded at GOMAXPROCS=1 and at the box's core count ("procs" in each
 # row), so the parallel SpGEMM path has a baseline too.
 NPROC := $(shell getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 bench-json:
-	{ go test -run '^$$' -bench 'BenchmarkTable|BenchmarkFig|BenchmarkSnapshot|BenchmarkBatch|BenchmarkPlan|BenchmarkIncremental|BenchmarkRelevance|BenchmarkTopK|BenchmarkAblationTopKSearch' -benchmem -cpu 1,$(NPROC) . && \
+	{ go test -run '^$$' -bench 'BenchmarkTable|BenchmarkFig|BenchmarkSnapshot|BenchmarkBatch|BenchmarkPlan|BenchmarkIncremental|BenchmarkRelevance|BenchmarkTopK|BenchmarkAblationTopKSearch|BenchmarkGraphBuild' -benchmem -cpu 1,$(NPROC) . && \
 	  go test -run '^$$' -bench 'BenchmarkSpGEMM' -benchmem -cpu 1,$(NPROC) ./internal/sparse; } | go run ./cmd/benchjson > BENCH_core.json
 	@echo wrote BENCH_core.json
 

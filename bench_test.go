@@ -784,6 +784,37 @@ func BenchmarkSnapshotBoot(b *testing.B) {
 	})
 }
 
+// BenchmarkGraphBuild prices graph construction at paper scale, the step
+// every boot waits behind: "acm" generates the ACM network (datagen.ACM,
+// node IDs and edges through hin.Builder), "read" decodes that graph's JSON
+// file (hin.Read, the -graph boot, reload and resync path).
+func BenchmarkGraphBuild(b *testing.B) {
+	b.Run("acm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := datagen.ACM(datagen.DefaultACMConfig()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		ds, err := paperACM()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := hin.Write(&file, ds.Graph); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(file.Len()))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := hin.Read(bytes.NewReader(file.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkIncrementalApply is the mutation path's acceptance benchmark.
 // A warmed engine serves a bibliographic working set — author relevance
 // through conferences (APC, APCPA, and the long APCPAPCPA whose

@@ -3,6 +3,7 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"hetesim/internal/hin"
 )
@@ -126,16 +127,17 @@ func ACM(cfg ACMConfig) (*Dataset, error) {
 		confsByArea[a] = append(confsByArea[a], c)
 	}
 
-	// Register conferences and their venues (proceedings).
-	venueIDs := make([][]string, nConf) // per conference, per year
+	// Register conferences and their venues (proceedings): venue item
+	// c*Years+y is conference c's proceedings of year y.
+	conference := newNodes(b, "conference", nConf, named(ACMConferences))
+	venue := newNodes(b, "venue", nConf*cfg.Years, func(v int) string {
+		return pad(ACMConferences[v/cfg.Years]+"'", v%cfg.Years, 2)
+	})
 	venueArea := make([]int, 0, nConf*cfg.Years)
-	for c, name := range ACMConferences {
-		b.AddNode("conference", name)
-		venueIDs[c] = make([]string, cfg.Years)
+	for c := range ACMConferences {
+		conf := conference.of(c)
 		for y := 0; y < cfg.Years; y++ {
-			vid := fmt.Sprintf("%s'%02d", name, y)
-			venueIDs[c][y] = vid
-			b.AddEdge("part_of", vid, name)
+			b.AddEdgeIndex("part_of", venue.of(c*cfg.Years+y), conf, 1)
 			venueArea = append(venueArea, acmAreaOfConf[c])
 		}
 	}
@@ -143,10 +145,13 @@ func ACM(cfg ACMConfig) (*Dataset, error) {
 	// Authors with latent state, registered up front so indices are
 	// stable and labels align.
 	authors := buildAuthors(rng, cfg.Authors, nAreas, confsByArea, 10)
-	for i := range authors {
-		b.AddNode("author", id("author", i))
-	}
+	author := newNodes(b, "author", cfg.Authors, prefixed("author"))
+	author.all()
 	groups := groupMembers(authors)
+	paper := newNodes(b, "paper", cfg.Papers, prefixed("paper"))
+	affil := newNodes(b, "affiliation", cfg.Affiliations, prefixed("affil"))
+	term := newNodes(b, "term", cfg.Terms, prefixed("term"))
+	subject := newNodes(b, "subject", cfg.Subjects, prefixed("subject"))
 
 	// Affiliations: each author joins one, drawn from an area-specific
 	// Zipf so each area has its dominant organizations.
@@ -156,7 +161,7 @@ func ACM(cfg ACMConfig) (*Dataset, error) {
 		affSamplers[a] = permutedZipf(cfg.Affiliations, 1.1, affPerm, a*cfg.Affiliations/nAreas)
 	}
 	for i, a := range authors {
-		b.AddEdge("affiliated_with", id("author", i), id("affil", affSamplers[a.area].draw(rng)))
+		b.AddEdgeIndex("affiliated_with", author.of(i), affil.of(affSamplers[a.area].draw(rng)), 1)
 	}
 
 	// Area-specific term and subject vocabularies (overlapping Zipf).
@@ -195,16 +200,17 @@ func ACM(cfg ACMConfig) (*Dataset, error) {
 			confs := confsByArea[area]
 			conf = confs[rng.Intn(len(confs))]
 		}
-		pid := id("paper", p)
-		b.AddEdge("published_in", pid, venueIDs[conf][rng.Intn(cfg.Years)])
+		pid := paper.of(p)
+		b.AddEdgeIndex("published_in", pid, venue.of(conf*cfg.Years+rng.Intn(cfg.Years)), 1)
 
 		// Authors: the lead plus co-authors drawn mostly from the
 		// lead's group; the author set is deduplicated so writes stays
 		// a 0/1 relation.
-		b.AddEdge("writes", id("author", la), pid)
+		b.AddEdgeIndex("writes", author.of(la), pid, 1)
 		nCo := coauthorCount(rng, la, cfg.Authors)
 		pool := groups[[2]int{am.area, am.group}]
-		seen := map[int]bool{la: true}
+		var wrote [5]int
+		byline := append(wrote[:0], la)
 		for k := 0; k < nCo; k++ {
 			// Mostly in-group co-authors with a cross-area minority
 			// from the global productivity distribution.
@@ -214,20 +220,20 @@ func ACM(cfg ACMConfig) (*Dataset, error) {
 			} else {
 				co = lead.draw(rng)
 			}
-			if !seen[co] {
-				seen[co] = true
-				b.AddEdge("writes", id("author", co), pid)
+			if !slices.Contains(byline, co) {
+				byline = append(byline, co)
+				b.AddEdgeIndex("writes", author.of(co), pid, 1)
 			}
 		}
 
 		// Terms and subjects from the paper area's vocabulary.
 		nT := 5 + rng.Intn(6)
 		for k := 0; k < nT; k++ {
-			b.AddEdge("mentions", pid, id("term", termSamplers[area].draw(rng)))
+			b.AddEdgeIndex("mentions", pid, term.of(termSamplers[area].draw(rng)), 1)
 		}
 		nS := 1 + rng.Intn(2)
 		for k := 0; k < nS; k++ {
-			b.AddEdge("about", pid, id("subject", subjSamplers[area].draw(rng)))
+			b.AddEdgeIndex("about", pid, subject.of(subjSamplers[area].draw(rng)), 1)
 		}
 	}
 

@@ -10,9 +10,9 @@
 package datagen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"hetesim/internal/hin"
 )
@@ -136,7 +136,60 @@ func permutedZipf(n int, s float64, perm []int, offset int) *sampler {
 	return newSampler(w)
 }
 
-func id(prefix string, i int) string { return fmt.Sprintf("%s%04d", prefix, i) }
+// pad returns prefix followed by i, padded with zeros to width digits.
+func pad(prefix string, i, width int) string {
+	var buf, num [32]byte
+	digits := strconv.AppendInt(num[:0], int64(i), 10)
+	b := append(buf[:0], prefix...)
+	for d := len(digits); d < width; d++ {
+		b = append(b, '0')
+	}
+	return string(append(b, digits...))
+}
+
+// nodes resolves one node type's item numbers — the generator's own
+// numbering of authors, terms, venues — to builder indices. An item's ID is
+// formatted and added at its first appearance, so the graph's node order
+// stays first-appearance order, and every later edge to it goes in by
+// index.
+type nodes struct {
+	b    *hin.Builder
+	typ  string
+	name func(item int) string
+	at   []int // builder index + 1 per item; 0 until it appears
+}
+
+func newNodes(b *hin.Builder, typ string, items int, name func(item int) string) *nodes {
+	return &nodes{b: b, typ: typ, name: name, at: make([]int, items)}
+}
+
+// prefixed names items by the prefix and the item number padded to four
+// digits: author0000, author0001, ...
+func prefixed(prefix string) func(int) string {
+	return func(i int) string { return pad(prefix, i, 4) }
+}
+
+// named names items by a fixed list.
+func named(names []string) func(int) string {
+	return func(i int) string { return names[i] }
+}
+
+// of returns item i's builder index, adding the node on first use.
+func (n *nodes) of(i int) int {
+	if k := n.at[i]; k > 0 {
+		return k - 1
+	}
+	k := n.b.AddNode(n.typ, n.name(i))
+	n.at[i] = k + 1
+	return k
+}
+
+// all adds every item in order.
+func (n *nodes) all() {
+	for i := range n.at {
+		n.of(i)
+	}
+}
 
 // authorModel is the per-author latent state shared by both generators.
 type authorModel struct {

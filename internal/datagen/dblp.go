@@ -3,6 +3,7 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"hetesim/internal/hin"
 )
@@ -106,15 +107,15 @@ func DBLP(cfg DBLPConfig) (*Dataset, error) {
 	for c := 0; c < nConf; c++ {
 		confsByArea[dblpAreaOfConf(c)] = append(confsByArea[dblpAreaOfConf(c)], c)
 	}
-	for _, name := range DBLPConferences {
-		b.AddNode("conference", name)
-	}
+	conference := newNodes(b, "conference", nConf, named(DBLPConferences))
+	conference.all()
 
 	authors := buildAuthors(rng, cfg.Authors, nAreas, confsByArea, 8)
-	for i := range authors {
-		b.AddNode("author", id("author", i))
-	}
+	author := newNodes(b, "author", cfg.Authors, prefixed("author"))
+	author.all()
 	groups := groupMembers(authors)
+	paper := newNodes(b, "paper", cfg.Papers, prefixed("paper"))
+	term := newNodes(b, "term", cfg.Terms, prefixed("term"))
 
 	termPerm := rng.Perm(cfg.Terms)
 	termSamplers := make([]*sampler, nAreas)
@@ -142,10 +143,11 @@ func DBLP(cfg DBLPConfig) (*Dataset, error) {
 			confs := confsByArea[area]
 			conf = confs[rng.Intn(len(confs))]
 		}
-		pid := id("paper", p)
-		b.AddEdge("published_in", pid, DBLPConferences[conf])
-		b.AddEdge("writes", id("author", la), pid)
-		seen := map[int]bool{la: true}
+		pid := paper.of(p)
+		b.AddEdgeIndex("published_in", pid, conference.of(conf), 1)
+		b.AddEdgeIndex("writes", author.of(la), pid, 1)
+		var wrote [5]int
+		byline := append(wrote[:0], la)
 		pool := groups[[2]int{am.area, am.group}]
 		for k, nCo := 0, coauthorCount(rng, la, cfg.Authors); k < nCo; k++ {
 			// Co-authors come mostly from the lead's group; a sizable
@@ -159,13 +161,13 @@ func DBLP(cfg DBLPConfig) (*Dataset, error) {
 			} else {
 				co = lead.draw(rng)
 			}
-			if !seen[co] {
-				seen[co] = true
-				b.AddEdge("writes", id("author", co), pid)
+			if !slices.Contains(byline, co) {
+				byline = append(byline, co)
+				b.AddEdgeIndex("writes", author.of(co), pid, 1)
 			}
 		}
 		for k, nT := 0, 4+rng.Intn(5); k < nT; k++ {
-			b.AddEdge("mentions", pid, id("term", termSamplers[area].draw(rng)))
+			b.AddEdgeIndex("mentions", pid, term.of(termSamplers[area].draw(rng)), 1)
 		}
 	}
 

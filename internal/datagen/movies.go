@@ -3,6 +3,7 @@ package datagen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"hetesim/internal/hin"
 )
@@ -79,20 +80,21 @@ func Movies(cfg MoviesConfig) (*Dataset, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := hin.NewBuilder(MoviesSchema())
 	nG := len(MovieGenres)
-	for _, g := range MovieGenres {
-		b.AddNode("genre", g)
-	}
+	genre := newNodes(b, "genre", nG, named(MovieGenres))
+	genre.all()
 
 	// Actors and directors specialize in a genre.
+	actor := newNodes(b, "actor", cfg.Actors, prefixed("actor"))
 	actorGenre := make([]int, cfg.Actors)
 	for a := range actorGenre {
 		actorGenre[a] = rng.Intn(nG)
-		b.AddNode("actor", id("actor", a))
+		actor.of(a)
 	}
+	director := newNodes(b, "director", cfg.Directors, prefixed("director"))
 	directorGenre := make([]int, cfg.Directors)
 	for d := range directorGenre {
 		directorGenre[d] = rng.Intn(nG)
-		b.AddNode("director", id("director", d))
+		director.of(d)
 	}
 	actorsByGenre := make([][]int, nG)
 	for a, g := range actorGenre {
@@ -105,19 +107,21 @@ func Movies(cfg MoviesConfig) (*Dataset, error) {
 
 	// Movies: primary genre, 0-1 secondary genre, 2-4 actors mostly from
 	// the genre, one director.
+	movie := newNodes(b, "movie", cfg.Movies, prefixed("movie"))
 	movieGenre := make([]int, cfg.Movies)
 	moviesByGenre := make([][]int, nG)
 	for m := 0; m < cfg.Movies; m++ {
 		g := rng.Intn(nG)
 		movieGenre[m] = g
 		moviesByGenre[g] = append(moviesByGenre[g], m)
-		mid := id("movie", m)
-		b.AddEdge("has_genre", mid, MovieGenres[g])
+		mid := movie.of(m)
+		b.AddEdgeIndex("has_genre", mid, genre.of(g), 1)
 		if rng.Float64() < 0.3 {
-			b.AddEdge("has_genre", mid, MovieGenres[rng.Intn(nG)])
+			b.AddEdgeIndex("has_genre", mid, genre.of(rng.Intn(nG)), 1)
 		}
 		nA := 2 + rng.Intn(3)
-		seen := map[int]bool{}
+		var starring [4]int
+		cast := starring[:0]
 		for k := 0; k < nA; k++ {
 			var a int
 			if pool := actorsByGenre[g]; len(pool) > 0 && rng.Float64() < 0.8 {
@@ -125,9 +129,9 @@ func Movies(cfg MoviesConfig) (*Dataset, error) {
 			} else {
 				a = rng.Intn(cfg.Actors)
 			}
-			if !seen[a] {
-				seen[a] = true
-				b.AddEdge("stars", mid, id("actor", a))
+			if !slices.Contains(cast, a) {
+				cast = append(cast, a)
+				b.AddEdgeIndex("stars", mid, actor.of(a), 1)
 			}
 		}
 		var d int
@@ -136,7 +140,7 @@ func Movies(cfg MoviesConfig) (*Dataset, error) {
 		} else {
 			d = rng.Intn(cfg.Directors)
 		}
-		b.AddEdge("directed_by", mid, id("director", d))
+		b.AddEdgeIndex("directed_by", mid, director.of(d), 1)
 	}
 
 	// Users rate movies, mostly from their favorite genre; movie
@@ -148,12 +152,12 @@ func Movies(cfg MoviesConfig) (*Dataset, error) {
 		}
 	}
 	userGenre := make([]int, cfg.Users)
+	user := newNodes(b, "user", cfg.Users, prefixed("user"))
+	ratedBy := make([]int, cfg.Movies) // the last user + 1 to rate each movie
 	for u := 0; u < cfg.Users; u++ {
 		fav := rng.Intn(nG)
 		userGenre[u] = fav
-		uid := id("user", u)
-		b.AddNode("user", uid)
-		seen := map[int]bool{}
+		uid := user.of(u)
 		for k := 0; k < cfg.RatingsPerUser; k++ {
 			g := fav
 			if rng.Float64() > 0.75 {
@@ -163,9 +167,9 @@ func Movies(cfg MoviesConfig) (*Dataset, error) {
 				continue
 			}
 			m := moviesByGenre[g][popularity[g].draw(rng)]
-			if !seen[m] {
-				seen[m] = true
-				b.AddEdge("rates", uid, id("movie", m))
+			if ratedBy[m] != u+1 {
+				ratedBy[m] = u + 1
+				b.AddEdgeIndex("rates", uid, movie.of(m), 1)
 			}
 		}
 	}

@@ -1,8 +1,10 @@
 package hin
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -185,55 +187,69 @@ func (g *Graph) Neighbors(relName string, i int) ([]int, error) {
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph.
-// Adding an edge implicitly creates its endpoints. Duplicate edges sum their
-// weights, matching sparse triplet semantics.
+// Nodes take indices in the order they are first added. Edges go in by
+// node index (AddEdgeIndex), or by ID (AddEdge, AddWeightedEdge), which adds
+// the endpoints first. Duplicate edges sum their weights, matching sparse
+// triplet semantics. Build hands the builder's tables to the graph, so a
+// builder builds once: it refuses every later call.
 type Builder struct {
 	schema *Schema
-	nodes  map[string][]string
-	index  map[string]map[string]int
-	edges  map[string][]edge
-	err    error
+	// ids[t] and index[t] are schema type t's node IDs and their indices;
+	// edges[r] holds schema relation r's edges and its endpoint types.
+	ids   [][]string
+	index []map[string]int
+	edges []relEdges
+	err   error
 }
 
-type edge struct {
-	src, dst int
-	w        float64
+type relEdges struct {
+	src, dst int // schema type indices
+	ts       []sparse.Triplet
 }
+
+// errSpent is the error of every call on a builder after its Build.
+var errSpent = errors.New("hin: builder already built its graph")
 
 // NewBuilder creates a Builder over the given schema.
-func NewBuilder(s *Schema) *Builder {
-	return &Builder{
-		schema: s,
-		nodes:  make(map[string][]string),
-		index:  make(map[string]map[string]int),
-		edges:  make(map[string][]edge),
-	}
-}
+func NewBuilder(s *Schema) *Builder { return &Builder{schema: s} }
 
 // Err returns the first error encountered by the builder, if any.
 func (b *Builder) Err() error { return b.err }
 
+// sync extends the builder's tables to the schema's types and relations:
+// a schema may still gain both until a graph is built over it.
+func (b *Builder) sync() {
+	for len(b.ids) < len(b.schema.types) {
+		b.ids = append(b.ids, nil)
+		b.index = append(b.index, make(map[string]int))
+	}
+	for r := len(b.edges); r < len(b.schema.relations); r++ {
+		rel := b.schema.relations[r]
+		b.edges = append(b.edges, relEdges{src: b.schema.typeIdx[rel.Source], dst: b.schema.typeIdx[rel.Target]})
+	}
+}
+
 // AddNode registers a node of the given type, returning its index. Adding
-// an existing node is a no-op returning the existing index.
+// an existing node is a no-op returning the existing index. It returns -1
+// once the builder has failed.
 func (b *Builder) AddNode(typeName, id string) int {
 	if b.err != nil {
 		return -1
 	}
-	if !b.schema.HasType(typeName) {
+	t, ok := b.schema.typeIdx[typeName]
+	if !ok {
 		b.err = fmt.Errorf("%w: %q", ErrUnknownType, typeName)
 		return -1
 	}
-	idx, ok := b.index[typeName]
-	if !ok {
-		idx = make(map[string]int)
-		b.index[typeName] = idx
+	if t >= len(b.ids) {
+		b.sync()
 	}
-	if i, ok := idx[id]; ok {
+	if i, ok := b.index[t][id]; ok {
 		return i
 	}
-	i := len(b.nodes[typeName])
-	idx[id] = i
-	b.nodes[typeName] = append(b.nodes[typeName], id)
+	i := len(b.ids[t])
+	b.index[t][id] = i
+	b.ids[t] = append(b.ids[t], id)
 	return i
 }
 
@@ -243,66 +259,82 @@ func (b *Builder) AddEdge(relName, srcID, dstID string) {
 	b.AddWeightedEdge(relName, srcID, dstID, 1)
 }
 
-// AddWeightedEdge records a relation instance with an explicit weight.
-// Weights must be positive and finite: adjacency weights are relation
-// instance strengths, and the Definition 6 decomposition splits them as
-// square roots.
+// AddWeightedEdge records a relation instance between two identified nodes
+// with an explicit weight, creating the nodes as needed.
 func (b *Builder) AddWeightedEdge(relName, srcID, dstID string, w float64) {
+	rel, err := b.schema.RelationByName(relName)
+	if err != nil {
+		if b.err == nil {
+			b.err = err
+		}
+		return
+	}
+	b.AddEdgeIndex(relName, b.AddNode(rel.Source, srcID), b.AddNode(rel.Target, dstID), w)
+}
+
+// AddEdgeIndex records a relation instance between the source node src
+// and the target node dst, by their indices, which must name nodes already
+// added. Weights must be positive and finite: adjacency weights are
+// relation instance strengths, and the Definition 6 decomposition splits
+// them as square roots.
+func (b *Builder) AddEdgeIndex(relName string, src, dst int, w float64) {
 	if b.err != nil {
+		return
+	}
+	r, ok := b.schema.relIdx[relName]
+	if !ok {
+		b.err = fmt.Errorf("%w: %q", ErrUnknownRelation, relName)
+		return
+	}
+	if r >= len(b.edges) {
+		b.sync()
+	}
+	e := &b.edges[r]
+	srcIDs, dstIDs := b.ids[e.src], b.ids[e.dst]
+	if src < 0 || src >= len(srcIDs) || dst < 0 || dst >= len(dstIDs) {
+		rel := b.schema.relations[r]
+		b.err = fmt.Errorf("%w: relation %q edge (%d,%d): have %d %s and %d %s nodes",
+			ErrUnknownNode, relName, src, dst, len(srcIDs), rel.Source, len(dstIDs), rel.Target)
 		return
 	}
 	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		b.err = fmt.Errorf("hin: edge %s(%s->%s) has invalid weight %v", relName, srcID, dstID, w)
+		b.err = fmt.Errorf("hin: edge %s(%s->%s) has invalid weight %v", relName, srcIDs[src], dstIDs[dst], w)
 		return
 	}
-	rel, err := b.schema.RelationByName(relName)
-	if err != nil {
-		b.err = err
-		return
+	if len(e.ts) == cap(e.ts) {
+		e.ts = slices.Grow(e.ts, len(e.ts)+1) // double: append grows large slices by a quarter
 	}
-	s := b.AddNode(rel.Source, srcID)
-	d := b.AddNode(rel.Target, dstID)
-	if b.err != nil {
-		return
-	}
-	b.edges[relName] = append(b.edges[relName], edge{s, d, w})
+	e.ts = append(e.ts, sparse.Triplet{Row: src, Col: dst, Val: w})
 }
 
 // Build finalizes the graph. Every schema relation gets an adjacency matrix
-// (possibly empty). Build fails if any prior builder call failed.
+// (possibly empty). Build fails if any prior builder call failed. The
+// graph takes over the builder's node tables, and the builder is spent.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	b.sync()
 	g := &Graph{
 		schema: b.schema,
-		nodes:  make(map[string][]string, len(b.nodes)),
-		index:  make(map[string]map[string]int, len(b.index)),
-		adj:    make(map[string]*sparse.Matrix),
-		adjT:   make(map[string]*transposed),
+		nodes:  make(map[string][]string, len(b.ids)),
+		index:  make(map[string]map[string]int, len(b.ids)),
+		adj:    make(map[string]*sparse.Matrix, len(b.edges)),
+		adjT:   make(map[string]*transposed, len(b.edges)),
 		fp:     new(fpSections),
 	}
-	for t, ids := range b.nodes {
-		g.nodes[t] = append([]string(nil), ids...)
-	}
-	for t, m := range b.index {
-		cp := make(map[string]int, len(m))
-		for k, v := range m {
-			cp[k] = v
+	for t, ids := range b.ids {
+		if len(ids) > 0 { // a type no node was added to has no tables
+			name := b.schema.types[t].Name
+			g.nodes[name], g.index[name] = ids, b.index[t]
 		}
-		g.index[t] = cp
 	}
-	for _, rel := range b.schema.Relations() {
-		rows := len(b.nodes[rel.Source])
-		cols := len(b.nodes[rel.Target])
-		es := b.edges[rel.Name]
-		ts := make([]sparse.Triplet, len(es))
-		for i, e := range es {
-			ts[i] = sparse.Triplet{Row: e.src, Col: e.dst, Val: e.w}
-		}
-		g.adj[rel.Name] = sparse.New(rows, cols, ts)
-		g.adjT[rel.Name] = &transposed{w: g.adj[rel.Name]}
+	for r, e := range b.edges {
+		name := b.schema.relations[r].Name
+		g.adj[name] = sparse.New(len(b.ids[e.src]), len(b.ids[e.dst]), e.ts)
+		g.adjT[name] = &transposed{w: g.adj[name]}
 	}
+	*b = Builder{schema: b.schema, err: errSpent}
 	return g, nil
 }
 

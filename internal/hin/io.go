@@ -111,18 +111,16 @@ func Read(r io.Reader) (*Graph, error) {
 		// occurrence and shift the index of every node after it — so each
 		// edge written against the original indices would land on the wrong
 		// endpoint. Reject the file instead of building a subtly wrong graph.
-		seen := make(map[string]int, len(ff.Nodes[t.Name]))
 		for i, id := range ff.Nodes[t.Name] {
 			if id == "" {
 				return nil, fmt.Errorf("hin: type %q node %d has an empty id", t.Name, i)
 			}
-			if j, dup := seen[id]; dup {
+			if j := b.AddNode(t.Name, id); j != i {
 				return nil, fmt.Errorf("hin: type %q has duplicate node id %q (entries %d and %d)", t.Name, id, j, i)
 			}
-			seen[id] = i
-			b.AddNode(t.Name, id)
 		}
 	}
+	// The builder's node indices are the file's, so edges go in by them.
 	for _, rel := range ff.Relations {
 		nodesS := ff.Nodes[rel.Source]
 		nodesT := ff.Nodes[rel.Target]
@@ -139,7 +137,7 @@ func Read(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("hin: relation %q edge %d (%s->%s) has invalid weight %v: want a finite positive number",
 					rel.Name, i, nodesS[e.Src], nodesT[e.Dst], w)
 			}
-			b.AddWeightedEdge(rel.Name, nodesS[e.Src], nodesT[e.Dst], w)
+			b.AddEdgeIndex(rel.Name, e.Src, e.Dst, w)
 		}
 	}
 	return b.Build()

@@ -18,8 +18,10 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -42,46 +44,76 @@ type Triplet struct {
 }
 
 // New builds a CSR matrix of the given shape from coordinate triplets.
-// Duplicate coordinates are summed; resulting exact zeros are dropped.
-// It panics if the shape is negative or any coordinate is out of range,
-// since those are programming errors rather than data errors.
+// Duplicate coordinates are summed in the order they appear in entries;
+// resulting exact zeros are dropped. Entries are placed by a counting pass
+// over rows, and a row is sorted by column only when its entries arrive out
+// of order, so input already in (row, column) order is never sorted. It
+// panics if the shape is negative or any coordinate is out of range, since
+// those are programming errors rather than data errors.
 func New(rows, cols int, entries []Triplet) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("sparse: negative dimensions %dx%d", rows, cols))
 	}
+	m := &csr{rows: rows, cols: cols, page: page{rowPtr: make([]int, rows+1),
+		colIdx: make([]int, len(entries)), val: make([]float64, len(entries))}}
 	for _, t := range entries {
 		if t.Row < 0 || t.Row >= rows || t.Col < 0 || t.Col >= cols {
 			panic(fmt.Sprintf("sparse: entry (%d,%d) out of range for %dx%d matrix",
 				t.Row, t.Col, rows, cols))
 		}
+		m.rowPtr[t.Row+1]++
 	}
-	// Sort by (row, col) and merge duplicates.
-	ts := make([]Triplet, len(entries))
-	copy(ts, entries)
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Row != ts[j].Row {
-			return ts[i].Row < ts[j].Row
-		}
-		return ts[i].Col < ts[j].Col
-	})
-	m := &csr{rows: rows, cols: cols, page: page{rowPtr: make([]int, rows+1)}}
-	var lastRow, lastCol = -1, -1
-	for _, t := range ts {
-		if t.Row == lastRow && t.Col == lastCol {
-			m.val[len(m.val)-1] += t.Val
-			continue
-		}
-		m.colIdx = append(m.colIdx, t.Col)
-		m.val = append(m.val, t.Val)
-		for r := lastRow + 1; r <= t.Row; r++ {
-			m.rowPtr[r] = len(m.val) - 1
-		}
-		lastRow, lastCol = t.Row, t.Col
+	for r := 0; r < rows; r++ {
+		m.rowPtr[r+1] += m.rowPtr[r]
 	}
-	for r := lastRow + 1; r <= rows; r++ {
-		m.rowPtr[r] = len(m.val)
+	// Place each entry at its row's next free slot: rowPtr[r] walks from
+	// row r's start to row r+1's, then every pointer shifts back one row.
+	for _, t := range entries {
+		p := m.rowPtr[t.Row]
+		m.colIdx[p], m.val[p] = t.Col, t.Val
+		m.rowPtr[t.Row]++
 	}
+	copy(m.rowPtr[1:], m.rowPtr[:rows])
+	m.rowPtr[0] = 0
+	// Order each row by column and merge its duplicates, compacting in place.
+	var buf []Triplet
+	n := 0
+	for r := 0; r < rows; r++ {
+		lo, hi := m.rowPtr[r], m.rowPtr[r+1]
+		idx, val := m.colIdx[lo:hi], m.val[lo:hi]
+		if !slices.IsSorted(idx) {
+			buf = sortRow(idx, val, buf)
+		}
+		m.rowPtr[r] = n
+		for k, c := range idx {
+			if n > m.rowPtr[r] && m.colIdx[n-1] == c {
+				m.val[n-1] += val[k]
+				continue
+			}
+			m.colIdx[n], m.val[n] = c, val[k]
+			n++
+		}
+	}
+	m.rowPtr[rows] = n
+	m.colIdx, m.val = m.colIdx[:n], m.val[:n]
 	return m.dropZeros().matrix()
+}
+
+// sortRow orders one row's entries by column, stably: duplicates keep the
+// order they were given in, because each entry carries its position in Row
+// as the tie-break. buf is scratch space, returned for reuse.
+func sortRow(idx []int, val []float64, buf []Triplet) []Triplet {
+	buf = buf[:0]
+	for k, c := range idx {
+		buf = append(buf, Triplet{Row: k, Col: c, Val: val[k]})
+	}
+	slices.SortFunc(buf, func(a, b Triplet) int {
+		return cmp.Or(cmp.Compare(a.Col, b.Col), cmp.Compare(a.Row, b.Row))
+	})
+	for k, t := range buf {
+		idx[k], val[k] = t.Col, t.Val
+	}
+	return buf
 }
 
 // Identity returns the n x n identity matrix.
