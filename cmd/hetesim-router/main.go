@@ -15,12 +15,14 @@
 //
 // The router consistent-hashes pair/topk/batch/relevance traffic across
 // the replicas by canonical relevance-path key, so each replica's chain
-// cache stays hot on a disjoint path set. Batch requests are split per
-// path group, fanned out, and re-assembled slot-for-slot; a group whose
-// replicas are all down fails per-slot, never the whole request. Upstream
-// failures are retried with exponential backoff + jitter (Retry-After
-// honored), -hedge races a second replica once the first is slower than
-// its p99, and per-replica circuit breakers shed a replica after
+// cache stays hot on a disjoint path set. Batch requests are split into
+// one sub-batch per replica order (each path group whole), fanned out, and
+// re-assembled slot-for-slot; a sub-batch whose replicas are all down fails
+// per-slot, never the whole request. Upstream connections are pooled and
+// kept per replica. Upstream failures are retried with exponential
+// backoff + jitter (Retry-After honored), -hedge races a second replica
+// once the first is slower than its p99, and per-replica circuit breakers
+// shed a replica after
 // -breaker-threshold consecutive failures until a half-open probe
 // succeeds. GET /metrics aggregates per-replica health, retries, hedges,
 // breaker transitions, and routing decisions; GET /v1/admin/replicas is
@@ -98,6 +100,7 @@ func main() {
 	}
 
 	opts := []router.Option{
+		// No Transport: the router relays through its own pooled one.
 		router.WithClient(&http.Client{Timeout: *upTimeout}),
 		router.WithRetryPolicy(router.RetryPolicy{Retries: *retries, Base: *retryBase, MaxWait: *retryMaxWait}),
 		router.WithBreaker(*brkThreshold, *brkCooldown),

@@ -5,20 +5,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"hetesim/internal/api"
 )
 
-// POST /v1/batch at the router: the batch is split into per-path groups
-// (by canonical path key — the unit of both cache affinity and rendezvous
-// placement), each group is fanned out to the replica owning its key, and
-// the replies are re-assembled slot-for-slot in the original order. A
-// group whose replica fleet is entirely unavailable fails per-slot with
-// code "replica_unavailable"; the batch as a whole always answers 200 once
-// it decodes. Slots travel as raw JSON both ways: the router reads only
-// the fields it places by, and relays a replica's rendered slot verbatim.
+// POST /v1/batch at the router: each slot is placed by its canonical path
+// key — the unit of cache affinity and rendezvous placement — and the slots
+// whose keys rank the fleet in the same order travel together, one
+// sub-batch per order, so a replica gets one request per batch however many
+// of its path groups the batch holds. The replies are re-assembled
+// slot-for-slot in the original order. A sub-batch whose replica fleet is
+// entirely unavailable fails per-slot with code "replica_unavailable"; the
+// batch as a whole always answers 200 once it decodes. Slots travel as raw
+// JSON both ways: the router reads only the fields it places by, and relays
+// a replica's rendered slot verbatim.
 
 // subResult is one slot's outcome after fan-out: the replica's rendered
 // result verbatim, or a router-synthesized error.
@@ -27,16 +30,38 @@ type subResult struct {
 	err api.Error
 }
 
-// fanout routes queries[i] under keys[i]: slots sharing a key travel in
-// one sub-batch to the key's owner (keeping the replica-side scheduler's
-// amortization within the group), groups run concurrently, and every
-// slot comes back filled — with the replica's result or with a routing
-// error. Returns the slots, the summed replica stats, and the fan-out
-// width.
+// orderGroup is one sub-batch: the rendezvous order its keys share and the
+// slots it carries, in slot order.
+type orderGroup struct {
+	order []*replica
+	slots []int
+}
+
+// fanout routes queries[i] under keys[i]. Slots are grouped by the replica
+// order rank gives their key, not by the key: forward reads a key only
+// through that order, so every attempt, retry, fallback and hedge of a
+// sub-batch picks the replica each of its keys would pick alone, and a key's
+// owner is what it was. Every slot of a key is in one sub-batch, so the
+// replica-side scheduler still amortizes each path group whole. Sub-batches
+// run concurrently, and every slot comes back filled — with the replica's
+// result or with a routing error. Returns the slots, the summed replica
+// stats, and the number of distinct keys.
 func (r *Router) fanout(ctx context.Context, queries []json.RawMessage, keys []string, minSeq uint64) ([]subResult, api.BatchStats, int) {
-	groups := make(map[string][]int)
+	var groups []*orderGroup
+	groupOf := make(map[string]*orderGroup) // key → its sub-batch
 	for i, k := range keys {
-		groups[k] = append(groups[k], i)
+		g := groupOf[k]
+		if g == nil {
+			order := r.rank(k)
+			if j := slices.IndexFunc(groups, func(g *orderGroup) bool { return slices.Equal(g.order, order) }); j >= 0 {
+				g = groups[j]
+			} else {
+				g = &orderGroup{order: order}
+				groups = append(groups, g)
+			}
+			groupOf[k] = g
+		}
+		g.slots = append(g.slots, i)
 	}
 	out := make([]subResult, len(queries))
 	var (
@@ -44,9 +69,9 @@ func (r *Router) fanout(ctx context.Context, queries []json.RawMessage, keys []s
 		stats api.BatchStats
 		wg    sync.WaitGroup
 	)
-	for key, slots := range groups {
+	for _, g := range groups {
 		wg.Add(1)
-		go func(key string, slots []int) {
+		go func(order []*replica, slots []int) {
 			defer wg.Done()
 			metFanout.Inc()
 			fail := func(e api.Error) {
@@ -63,7 +88,7 @@ func (r *Router) fanout(ctx context.Context, queries []json.RawMessage, keys []s
 				fail(api.Error{Error: "encoding sub-batch: " + err.Error(), Code: "internal"})
 				return
 			}
-			res, err := r.forward(ctx, key, minSeq, jsonPost("/v1/batch", body))
+			res, err := r.forward(ctx, order, minSeq, jsonPost("/v1/batch", body))
 			if err != nil {
 				e, _ := unrouted(err, true)
 				fail(e)
@@ -93,10 +118,10 @@ func (r *Router) fanout(ctx context.Context, queries []json.RawMessage, keys []s
 			stats.Groups += sr.Stats.Groups
 			stats.Sharing.Add(sr.Stats.Sharing)
 			mu.Unlock()
-		}(key, slots)
+		}(g.order, g.slots)
 	}
 	wg.Wait()
-	return out, stats, len(groups)
+	return out, stats, len(groupOf)
 }
 
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
@@ -116,11 +141,19 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	// The router reads a slot only to place it (and to echo its identity if
 	// it cannot be served); undecodable slots fail replica-side, in place.
+	// Each distinct path spec is parsed once.
 	metas := make([]api.BatchQuery, len(breq.Queries))
 	keys := make([]string, len(breq.Queries))
+	keyOf := make(map[string]string)
 	for i, q := range breq.Queries {
 		json.Unmarshal(q, &metas[i])
-		keys[i] = r.canonicalKey(metas[i].Path)
+		spec := metas[i].Path
+		k, ok := keyOf[spec]
+		if !ok {
+			k = r.canonicalKey(spec)
+			keyOf[spec] = k
+		}
+		keys[i] = k
 	}
 	slots, stats, groups := r.fanout(req.Context(), breq.Queries, keys, floor)
 

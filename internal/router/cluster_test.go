@@ -335,11 +335,14 @@ func TestRelevanceUnknownEndpointIs404(t *testing.T) {
 }
 
 func TestRelevancePartialFailure(t *testing.T) {
+	// Fixed member names over an in-process fleet pin the rendezvous layout,
+	// so the ensemble's paths split across replicas the same way on every
+	// run; a host with no handler refuses, as a dead replica does.
 	// retries=0: the dead path group must actually fail rather than fall
 	// back, and a long health interval keeps the stale "healthy" view.
-	rt, reps := newCluster(t, 3,
-		WithRetryPolicy(RetryPolicy{Retries: 0, Base: time.Millisecond, MaxWait: 5 * time.Millisecond}),
-		WithHealthInterval(time.Hour))
+	fleet, urls := inprocReplicas(t, 3)
+	rt := startRouter(t, urls, WithClient(&http.Client{Transport: fleet}),
+		WithRetryPolicy(RetryPolicy{Retries: 0, Base: time.Millisecond, MaxWait: 5 * time.Millisecond}))
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -363,20 +366,19 @@ func TestRelevancePartialFailure(t *testing.T) {
 		t.Fatalf("healthy ensemble: partial=%v score=%v paths=%d", full.Partial, full.Score, len(full.Paths))
 	}
 
-	// Kill the replica owning the first path's group. Distinct-ownership is
-	// not guaranteed by hashing, so skip (rather than fail) if one replica
-	// owns every path — with 3 replicas and 2+ paths this is rare.
-	victimKey := rt.canonicalKey(full.Paths[0].Path)
+	// Kill the replica owning the first path's group; with these member
+	// names another replica owns a later path.
+	victim := rt.rank(rt.canonicalKey(full.Paths[0].Path))[0]
 	survivors := false
 	for _, pb := range full.Paths[1:] {
-		if rt.rank(rt.canonicalKey(pb.Path))[0] != rt.rank(victimKey)[0] {
+		if rt.rank(rt.canonicalKey(pb.Path))[0] != victim {
 			survivors = true
 		}
 	}
 	if !survivors {
-		t.Skip("one replica owns every candidate path; partial-failure split not reachable with this hash layout")
+		t.Fatalf("%s owns every candidate path: the pinned layout no longer splits the ensemble", victim.base)
 	}
-	replicaFor(rt, reps, victimKey).kill()
+	delete(fleet, strings.TrimPrefix(victim.base, "http://")) // no probe runs concurrently: the interval is an hour
 
 	var part relevanceResponse
 	resp, body = postJSON(t, client, front.URL+"/v1/relevance", relReq)

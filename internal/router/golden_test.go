@@ -263,7 +263,7 @@ func goldenCases() []goldenCase {
 		goldenCase{name: "pair canceled", fleet: "main", via: "direct", method: http.MethodGet,
 			target: "/v1/pair?path=APC&source=Tom&target=KDD", canceled: true},
 		// --- configured limits
-		post("batch over max queries", "limits", "/v1/batch", batchMixed).only("direct"), // routed, each path group is its own sub-batch under the cap
+		post("batch over max queries", "limits", "/v1/batch", batchMixed).only("direct"), // routed, the cap bounds each replica's share of the batch (DESIGN §14), which placement decides
 		post("relevance explicit paths over", "limits", "/v1/relevance", `{`+relTomMary+`,"paths":["APA","APCPA","APTPA"]}`),
 		post("relevance within limits", "limits", "/v1/relevance", `{`+relTomMary+`}`),
 		get("topk over path cap", "limits", "/v1/topk?path=APCPA&source=Tom"),

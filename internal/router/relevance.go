@@ -15,7 +15,8 @@ import (
 // POST /v1/relevance at the router. Pair-mode ensembles scatter: each
 // candidate meta path becomes one pair query routed to the replica owning
 // that path's key — so the ensemble's member paths are scored by the
-// replicas whose caches are hot on them — and the router recombines the
+// replicas whose caches are hot on them, each replica scoring its share in
+// one sub-batch (fanout) — and the router recombines the
 // raw per-path scores with its own weights, through the same
 // relevance.Assemble a replica answering directly runs (routed == direct
 // by construction). A path whose replica group is down is excluded and
@@ -73,15 +74,15 @@ func (r *Router) scatterRelevance(w http.ResponseWriter, req *http.Request, rreq
 		return
 	}
 
-	// One raw pair query per path, routed by the path's canonical key.
+	// One raw pair query per path, placed by the path's canonical key; fanout
+	// sends each replica order one sub-batch of them.
 	queries := make([]json.RawMessage, len(paths))
 	keys := make([]string, len(paths))
 	for i, p := range paths {
-		spec := p.String()
 		queries[i], _ = json.Marshal(api.BatchQuery{
-			Kind: "pair", Path: spec, Source: rreq.Source, Target: rreq.Target, Raw: rreq.Raw,
+			Kind: "pair", Path: p.String(), Source: rreq.Source, Target: rreq.Target, Raw: rreq.Raw,
 		})
-		keys[i] = r.canonicalKey(spec)
+		keys[i] = pathKey(p)
 	}
 	slots, stats, _ := r.fanout(req.Context(), queries, keys, floor)
 

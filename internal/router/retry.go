@@ -7,9 +7,9 @@
 // health checks, bounded retries with exponential backoff + jitter
 // (honoring Retry-After), optional hedged reads after a p99-derived delay,
 // per-replica circuit breakers, and graceful degradation to any healthy
-// replica when the hash owner is down. Batch requests are split per path
-// group, fanned out, and re-assembled slot-for-slot; failure stays
-// per-slot, never whole-request.
+// replica when the hash owner is down. Batch requests are split into one
+// sub-batch per replica order, fanned out, and re-assembled slot-for-slot;
+// failure stays per-slot, never whole-request.
 package router
 
 import (

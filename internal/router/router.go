@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -46,12 +47,38 @@ var (
 		"1 when the replica's circuit breaker is open or half-open.", "replica")
 	metFanout = obs.Default().Counter("hetesim_router_batch_fanout_total",
 		"Per-replica sub-batches fanned out for /v1/batch and scattered /v1/relevance requests.")
+	metDials = obs.Default().Counter("hetesim_router_upstream_dials_total",
+		"New connections the router's own upstream transport dialed to replicas; a steady climb under steady load is connection churn.")
 )
+
+// upstreamIdlePerHost is how many idle connections the router keeps to each
+// replica. A routed request holds one connection per replica it reaches
+// (two while a hedge races), so the fan-out to one replica is about as wide
+// as the router's concurrent client requests; http.DefaultTransport keeps 2
+// per host and closes every connection past those after one request. This
+// is the clone's whole MaxIdleConns, which still bounds idle connections
+// across the fleet.
+const upstreamIdlePerHost = 100
+
+// newUpstreamTransport is the transport a router relays through when its
+// client names none: http.DefaultTransport's settings, an idle pool per
+// replica that covers the router's fan-out, and every dial counted.
+func newUpstreamTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns, t.MaxIdleConnsPerHost = upstreamIdlePerHost, upstreamIdlePerHost
+	dial := t.DialContext
+	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		metDials.Inc()
+		return dial(ctx, network, addr)
+	}
+	return t
+}
 
 // Router fronts a fleet of hetesimd replicas. Safe for concurrent use.
 type Router struct {
 	replicas []*replica
 	client   *http.Client
+	upstream *http.Transport // built by New for a client that named no transport; Close closes its idle connections
 
 	policy           RetryPolicy
 	hedge            bool
@@ -86,7 +113,9 @@ type Router struct {
 type Option func(*Router)
 
 // WithClient substitutes the upstream HTTP client (fault-injection tests
-// wrap its transport in chaos.Transport).
+// wrap its transport in chaos.Transport). A client with its own Transport is
+// used as is, and the caller owns its connections; one with none (e.g. only
+// a Timeout) relays through the pooled transport the router owns.
 func WithClient(c *http.Client) Option { return func(r *Router) { r.client = c } }
 
 // WithRetryPolicy sets the per-request upstream retry policy.
@@ -145,6 +174,12 @@ func New(replicaURLs []string, opts ...Option) (*Router, error) {
 	}
 	for _, o := range opts {
 		o(r)
+	}
+	if r.client.Transport == nil {
+		r.upstream = newUpstreamTransport()
+		c := *r.client
+		c.Transport = r.upstream
+		r.client = &c
 	}
 	seen := make(map[string]bool)
 	for _, u := range replicaURLs {
@@ -208,14 +243,19 @@ func (r *Router) Start(ctx context.Context) {
 
 // Close stops the health checker Start launched and waits for it to
 // return, so nothing the router logs in the background arrives after Close
-// returns. Requests are still routed, by the health last probed. Close
-// without Start, or a second Close, does nothing.
+// returns, and then closes the idle connections of the transport the router
+// owns (a caller's client is left alone); a connection still carrying a
+// request closes as that request ends, unless the router has sent another
+// request since. Requests are still routed, by the health last probed, on
+// fresh connections. A second Close does nothing more.
 func (r *Router) Close() {
-	if r.stopProber == nil {
-		return
+	if r.stopProber != nil {
+		r.stopProber()
+		<-r.proberDone
 	}
-	r.stopProber()
-	<-r.proberDone
+	if r.upstream != nil {
+		r.upstream.CloseIdleConnections()
+	}
 }
 
 // refresh is one health round: probe the fleet, then fetch the schema if
@@ -300,14 +340,16 @@ func (w *statusWriter) WriteHeader(code int) {
 func (r *Router) canonicalKey(spec string) string {
 	if schema := r.schema.Load(); schema != nil {
 		if p, err := metapath.Parse(schema, spec); err == nil {
-			a, b := p.String(), p.Reverse().String()
-			if b < a {
-				a = b
-			}
-			return a
+			return pathKey(p)
 		}
 	}
 	return spec
+}
+
+// pathKey is a parsed path's routing key: the lesser of its and its
+// reverse's string form.
+func pathKey(p *metapath.Path) string {
+	return min(p.String(), p.Reverse().String())
 }
 
 // rank orders the replicas for a key: rendezvous (highest-random-weight)
@@ -355,18 +397,18 @@ var (
 	errStaleFleet = errors.New("router: no replica has reached the requested wal_seq")
 )
 
-// forward routes one buffered request: pick a replica by rendezvous order
-// (healthy + breaker-admitted first, hash owner preferred), try it with an
-// optional hedge, and on retryable failure back off and move to the next
-// candidate. minSeq > 0 is the client's read-your-writes floor: only
-// replicas whose last probed (or write-acked) wal_seq has reached it are
-// candidates, with no forced fallback — a stale answer would silently
-// violate the session guarantee, so the caller turns errStaleFleet into a
-// 503 the client retries. It returns the first final response; when every
-// attempt fails, the last retryable response (so the client sees the
-// upstream's 429/503 with its Retry-After) or errNoReplicas.
-func (r *Router) forward(ctx context.Context, key string, minSeq uint64, build func(base string) (*http.Request, error)) (*result, error) {
-	order := r.rank(key)
+// forward routes one buffered request over order, the rendezvous order rank
+// gave its key: pick a replica (healthy + breaker-admitted first, hash owner
+// preferred), try it with an optional hedge, and on retryable failure back
+// off and move to the next candidate. minSeq > 0 is the client's
+// read-your-writes floor: only replicas whose last probed (or write-acked)
+// wal_seq has reached it are candidates, with no forced fallback — a stale
+// answer would silently violate the session guarantee, so the caller turns
+// errStaleFleet into a 503 the client retries. It returns the first final
+// response; when every attempt fails, the last retryable response (so the
+// client sees the upstream's 429/503 with its Retry-After) or
+// errNoReplicas.
+func (r *Router) forward(ctx context.Context, order []*replica, minSeq uint64, build func(base string) (*http.Request, error)) (*result, error) {
 	attempts := r.policy.Retries + 1
 	var last *result
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -620,7 +662,7 @@ func (r *Router) relay(w http.ResponseWriter, req *http.Request, key string, bui
 	if !ok {
 		return
 	}
-	res, err := r.forward(req.Context(), key, floor, build)
+	res, err := r.forward(req.Context(), r.rank(key), floor, build)
 	if err != nil {
 		e, retryAfter := unrouted(err, false)
 		if retryAfter != "" {

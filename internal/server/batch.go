@@ -49,7 +49,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // batch answers a batch's slots in order — the transport-free body of
 // POST /v1/batch. Every slot goes through the solo endpoints'
-// decode; a bad one fails in place, never the batch. Batch supports the
+// decode, which parses each distinct path spec once per batch; a bad slot
+// fails in place, never the batch. Batch supports the
 // hetesim measure only; raw (Definition 3) and normalized (Definition 10)
 // slots on one path share its group, since they differ at the last step only.
 func (s *Server) batch(ctx context.Context, slots []api.BatchQuery) api.BatchResponse[api.BatchResult] {
@@ -59,9 +60,10 @@ func (s *Server) batch(ctx context.Context, slots []api.BatchQuery) api.BatchRes
 	paths := make([]*metapath.Path, len(slots))
 	var cqs []core.BatchQuery
 	var pos []int // cqs[k] answers slot pos[k]
+	parsed := make(map[string]*metapath.Path)
 	for i, slot := range slots {
 		out[i] = api.BatchResult{Kind: slot.Kind, Path: slot.Path, Source: slot.Source, Target: slot.Target}
-		q, err := s.decode(es, wireQuery{BatchQuery: slot})
+		q, err := s.decode(es, wireQuery{BatchQuery: slot, parsed: parsed})
 		if err != nil {
 			failSlot(&out[i], err)
 			continue

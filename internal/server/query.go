@@ -36,9 +36,23 @@ import (
 // batch slot, plus what only a solo URL can carry.
 type wireQuery struct {
 	api.BatchQuery
-	plan   string // ?plan=; "" = the server default
-	rawSet bool   // ?raw= was given, whatever its value
-	solo   bool   // read off a URL: all measures allowed, fields are "parameters"
+	plan   string                    // ?plan=; "" = the server default
+	rawSet bool                      // ?raw= was given, whatever its value
+	solo   bool                      // read off a URL: all measures allowed, fields are "parameters"
+	parsed map[string]*metapath.Path // a batch's paths by spec, each parsed once; nil = parse every time
+}
+
+// parse parses the query's path spec, once per distinct spec when the query
+// belongs to a batch (Paths are immutable, so slots share one).
+func (in wireQuery) parse(s *hin.Schema) (*metapath.Path, error) {
+	if p := in.parsed[in.Path]; p != nil {
+		return p, nil
+	}
+	p, err := metapath.Parse(s, in.Path)
+	if err == nil && in.parsed != nil {
+		in.parsed[in.Path] = p
+	}
+	return p, err
 }
 
 // query is one decoded query: the request's own fields with defaults
@@ -92,7 +106,7 @@ func (s *Server) decode(es *engineSet, in wireQuery) (query, error) {
 		return q, fmt.Errorf("%w: missing path%s", errBadRequest, noun)
 	}
 	var err error
-	if q.path, err = metapath.Parse(es.g.Schema(), q.Path); err != nil {
+	if q.path, err = in.parse(es.g.Schema()); err != nil {
 		return q, err
 	}
 	if s.maxPathSteps > 0 && q.path.Len() > s.maxPathSteps {
