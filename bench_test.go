@@ -391,11 +391,14 @@ func BenchmarkTopKDenseScan(b *testing.B) {
 // engine builds them once per graph generation, not per query), so the chain
 // cache is cold and nothing else is. The ACM AFAFA meets few targets (a
 // source's co-affiliated authors), so the caching engine propagates only
-// their rows; on the complexity graph's APCPA a source meets two authors in
-// five through 20 conferences — just under the rule's one-in-two, where
-// renting and buying cost about the same. Each runs against the non-caching
-// engine, which always materializes the right half-chain and scans its rows:
-// the first must win, the second must not lose.
+// their rows; APAFA, the cold-adhoc workload's slowest op, rents too, with a
+// short left (a source's co-authors) against long candidate rows (every
+// author of each co-author's affiliation); on the complexity graph's APCPA a
+// source meets two authors in five through 20 conferences — just under the
+// rule's one-in-two, where renting and buying cost about the same. Each runs
+// against the non-caching engine, which always materializes the right
+// half-chain and scans its rows: the first two must win, the third must not
+// lose.
 func BenchmarkTopKColdReachable(b *testing.B) {
 	acm, err := benchCtx().ACM()
 	if err != nil {
@@ -409,6 +412,7 @@ func BenchmarkTopKColdReachable(b *testing.B) {
 		warm []string // walked once per engine: every transition matrix spec needs, both directions
 	}{
 		{"acm-AFAFA", acm.Graph, "AFAFA", []string{"AFA"}},
+		{"acm-APAFA", acm.Graph, "APAFA", []string{"APA", "AFA"}},
 		{"complexity-APCPA", complexityGraph(2000).Graph, "APCPA", []string{"APC", "CPA"}},
 	} {
 		p := metapath.MustParse(tc.g.Schema(), tc.spec)

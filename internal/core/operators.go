@@ -221,10 +221,11 @@ func (e *Engine) opSubsetChain(ctx context.Context, rows []int, c chain) (*spars
 // scans runs (DESIGN §11) and what it reads.
 type chainScan struct {
 	kind   *scanKind
-	pm     *sparse.Matrix // the chain — or, with rows set, only those rows of it
-	pmT    *sparse.Matrix // the transposed chain
-	rows   []int          // reachable-rows scan: pm's row r is target rows[r]
-	rented float64        // reachable-rows scan: the chain's rent so far
+	pm     *sparse.Matrix   // the chain
+	pmT    *sparse.Matrix   // the transposed chain
+	rows   []int            // reachable-rows scan: the candidate targets, ascending
+	scores sparse.RowScores // reachable-rows scan: entry i scores target rows[i]
+	rented float64          // reachable-rows scan: the chain's rent so far
 }
 
 // opScanChain resolves what a top-k scan reads for a right half-chain, from
@@ -234,7 +235,8 @@ type chainScan struct {
 //   - the chain cached, with room for its transpose — it is being reused, so
 //     its transpose will be too: build it, cache it under "T:"+key, return both.
 //   - neither, and few targets can meet left (rentRows): their rows alone,
-//     propagated and cached nowhere.
+//     propagated, scored against left and by the norm weights d in the
+//     kernel, and cached nowhere.
 //   - otherwise pm alone, scored row by row: a chain this request builds may
 //     have no other user, and a transpose a full bounded cache would evict
 //     next is not worth building.
@@ -242,7 +244,7 @@ type chainScan struct {
 // An empty chain's identity is its own transpose and always at hand. Besides
 // RewarmFrom this is the only producer of "T:" entries, and a non-caching
 // engine never stores one.
-func (e *Engine) opScanChain(ctx context.Context, c chain, left *sparse.Vector) (chainScan, error) {
+func (e *Engine) opScanChain(ctx context.Context, c chain, left *sparse.Vector, d []float64) (chainScan, error) {
 	if len(c.steps) == 0 {
 		id := e.identity(c.start)
 		return chainScan{kind: scanTransposed, pm: id, pmT: id}, nil
@@ -256,7 +258,7 @@ func (e *Engine) opScanChain(ctx context.Context, c chain, left *sparse.Vector) 
 	}
 	kind := e.warmScan(key)
 	if kind == nil && e.caching { // a non-caching engine has nothing to buy
-		if sc, err := e.rentRows(ctx, c, key, left); err != nil || sc.rows != nil {
+		if sc, err := e.rentRows(ctx, c, key, left, d); err != nil || sc.rows != nil {
 			return sc, err
 		}
 	}
@@ -270,14 +272,14 @@ func (e *Engine) opScanChain(ctx context.Context, c chain, left *sparse.Vector) 
 }
 
 // rentRows is the rent-or-buy rule of a cold chain's top-k. Renting
-// propagates only the rows of the targets that can meet left, at the
-// estimated cost of that fraction of the chain; it is chosen while one scan
-// costs under half of what materializing still would (pickPlan's cache-value
-// rule) and the chain's rent so far, this scan included, stays within that
-// cold cost. Otherwise rows stays nil, the rent restarts at zero and the
+// propagates and scores only the rows of the targets that can meet left
+// (opSubsetScore), at the estimated cost of that fraction of the chain; it
+// is chosen while one scan costs under half of what materializing still
+// would (pickPlan's cache-value rule) and the chain's rent so far, this scan
+// included, stays within that cold cost. Otherwise rows stays nil, the rent restarts at zero and the
 // caller buys — so a hot chain ends up cached after at most twice the work
 // of materializing at once, and a one-off path never pays for every target.
-func (e *Engine) rentRows(ctx context.Context, c chain, key string, left *sparse.Vector) (chainScan, error) {
+func (e *Engine) rentRows(ctx context.Context, c chain, key string, left *sparse.Vector, d []float64) (chainScan, error) {
 	est, err := e.estimateChainCached(c, nil)
 	if err != nil {
 		return chainScan{}, err
@@ -296,8 +298,50 @@ func (e *Engine) rentRows(ctx context.Context, c chain, key string, left *sparse
 	}
 	e.rented[key] = rented
 	e.estMu.Unlock()
-	pm, err := e.opSubsetChain(ctx, rows, c)
-	return chainScan{kind: scanReachable, pm: pm, rows: rows, rented: rented}, err
+	scores, err := e.opSubsetScore(ctx, rows, c, left, d)
+	return chainScan{kind: scanReachable, rows: rows, scores: scores, rented: rented}, err
+}
+
+// opSubsetScore is opSubsetChain whose last step is scored instead of
+// built: each row's dot with left and its norm by d come out of the kernel
+// (sparse.MulScore), bit for bit those of the row opSubsetChain would
+// return, and no row of the last step is stored. A one-step chain's rows
+// are its transition's own, scored by the same code.
+func (e *Engine) opSubsetScore(ctx context.Context, rows []int, c chain, left *sparse.Vector, d []float64) (sparse.RowScores, error) {
+	last := len(c.steps) - 1
+	var pm *sparse.Matrix
+	if last > 0 {
+		var err error
+		if pm, err = e.opSubsetChain(ctx, rows, chain{steps: c.steps[:last], start: c.start, side: c.side}); err != nil {
+			return sparse.RowScores{}, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return sparse.RowScores{}, err
+	}
+	u, err := e.transition(c.steps[last])
+	if err != nil {
+		return sparse.RowScores{}, err
+	}
+	sp := obs.FromContext(ctx).Start("chain_multiply")
+	var sc sparse.RowScores
+	if pm == nil {
+		sc = u.ScoreRows(rows, left, d)
+	} else if sc, err = pm.MulScore(ctx, u, left, d); err != nil {
+		return sparse.RowScores{}, err
+	}
+	if sp != nil {
+		_, cols := u.Dims()
+		sp.SetAttr("side", string(c.side)).
+			SetAttr("step", stepKey(c.steps[last])).
+			SetAttr("kind", "score").
+			SetAttr("rows", strconv.Itoa(len(rows))).
+			SetAttr("cols", strconv.Itoa(cols)).
+			SetAttr("entries", strconv.Itoa(sc.Entries)).
+			SetAttr("flops", strconv.Itoa(sc.Flops)).
+			End()
+	}
+	return sc, nil
 }
 
 // reachableRows walks a distribution over the chain's end type back through

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"hetesim/internal/hin"
@@ -43,6 +45,30 @@ func sparseBibGraph(seed int64) *hin.Graph {
 	return b.MustBuild()
 }
 
+// venueGraph is the shape of ACM's APAFA on randomBibGraph's schema: a
+// dozen venues of some 80 papers, and papers with one to three authors who
+// write two papers each on average. PAPVP's left half (a paper's co-authored papers) is
+// short and its right half-chain PVP (one venue, then every paper in it)
+// has long rows; PVPAP is the reverse, a long left against short PAP rows;
+// APAPVP is odd, so its rented rows are normed by the middle's weights.
+func venueGraph(seed int64) *hin.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := hin.NewBuilder(bibSchema())
+	nA, nP, nV := 1000+rng.Intn(100), 1000+rng.Intn(100), 12+rng.Intn(3)
+	id := func(prefix byte, i int) string { return string(prefix) + itoa(i) }
+	for i := 0; i < nP; i++ {
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			b.AddEdge("writes", id('a', rng.Intn(nA)), id('p', i))
+		}
+		b.AddEdge("published_in", id('p', i), id('v', rng.Intn(nV)))
+		b.AddEdge("mentions", id('p', i), id('t', rng.Intn(10)))
+	}
+	for i := 0; i < nV; i++ {
+		b.AddEdge("part_of", id('v', i), id('c', rng.Intn(3)))
+	}
+	return b.MustBuild()
+}
+
 // buyAtOnce exhausts the rent of p's right half-chain on e, so the next cold
 // top-k materializes it — today's row scan, forced.
 func buyAtOnce(e *Engine, p *metapath.Path) {
@@ -51,71 +77,107 @@ func buyAtOnce(e *Engine, p *metapath.Path) {
 	e.estMu.Unlock()
 }
 
-// TestDifferentialTopKReachableRows holds the reachable-rows scan to the two
+// TestDifferentialTopKReachableRows holds the reachable-rows scan to the
 // scans that read the whole right half-chain — the row scan of a chain
-// materialized for the query, and a non-caching engine's — at tolerance 0:
-// the same target ids and the same score bits, on random sparse graphs, even
-// paths of 2 to 8 steps, sources with and without papers, eps 0 and 1e-3,
-// normalized and raw engines, a k-prefix and a k beyond the candidates. The
-// engine under test keeps its rent from source to source, so scans both rent
-// and buy; its solo answers must also be what a batch slot on a fresh engine
+// materialized for the query, a non-caching engine's, and the forced
+// all-pairs plan — at tolerance 0: the same target ids and the same score
+// bits, on random sparse graphs, even paths of 2 to 8 steps, sources with
+// and without papers, eps 0 and 1e-3, normalized and raw engines, a
+// k-prefix and a k beyond the candidates; and on venueGraph, where the
+// kernel scores long candidate rows against a short left and short rows
+// against a long left (each side of the dot looked up in the other), even
+// and odd. The engine
+// under test keeps its rent from source to source, so scans both rent and
+// buy; its solo answers must also be what a batch slot on a fresh engine
 // answers (lone slots run the solo plan, shared groups the transposed scan).
 func TestDifferentialTopKReachableRows(t *testing.T) {
 	ctx := context.Background()
 	rentedBefore, rowsBefore := scanReachable.count.Value(), scanRows.count.Value()
-	emptyLeft, zeroNorm := 0, 0
+	emptyLeft, zeroNorm, longRows, longLeft, oddRented := 0, 0, 0, 0, 0
 	for _, seed := range []int64{5, 23, 67} {
-		g := sparseBibGraph(seed)
 		rng := rand.New(rand.NewSource(seed + 300))
-		for _, opts := range [][]Option{nil, {WithNormalization(false)}} {
-			for _, spec := range []string{"APA", "APT", "PAP", "APAPA", "APVPA", "TPAPT", "APVCVPA", "APAPAPAPA"} {
-				p := metapath.MustParse(g.Schema(), spec)
-				nS, nT := g.NodeCount(p.Source()), g.NodeCount(p.Target())
-				auto := NewEngine(g, opts...)
-				plain := NewEngine(g, append([]Option{WithCaching(false)}, opts...)...)
-				var batch []BatchQuery
-				var solo [][]Scored
-				for _, src := range []int{rng.Intn(nS), rng.Intn(nS), nS - 1, rng.Intn(nS)} {
-					for _, eps := range []float64{0, 1e-3} {
-						for _, k := range []int{3, nT + 1} {
-							what := fmt.Sprintf("seed %d %s src %d eps %v k %d normalized %v", seed, spec, src, eps, k, opts == nil)
-							got, err := auto.TopKSearch(ctx, p, src, k, eps)
-							if err != nil {
-								t.Fatal(err)
-							}
-							forced := NewEngine(g, opts...)
-							buyAtOnce(forced, p)
-							for name, ref := range map[string]*Engine{"materialized row scan": forced, "non-caching engine": plain} {
-								want, err := ref.TopKSearch(ctx, p, src, k, eps)
+		for _, fx := range []struct {
+			g     *hin.Graph
+			specs []string
+		}{
+			{sparseBibGraph(seed), []string{"APA", "APT", "PAP", "APAPA", "APVPA", "TPAPT", "APVCVPA", "APAPAPAPA"}},
+			{venueGraph(seed), []string{"PAPVP", "PVPAP", "APAPVP"}},
+		} {
+			g := fx.g
+			for _, opts := range [][]Option{nil, {WithNormalization(false)}} {
+				for _, spec := range fx.specs {
+					p := metapath.MustParse(g.Schema(), spec)
+					nS, nT := g.NodeCount(p.Source()), g.NodeCount(p.Target())
+					auto := NewEngine(g, opts...)
+					plain := NewEngine(g, append([]Option{WithCaching(false)}, opts...)...)
+					var batch []BatchQuery
+					var solo [][]Scored
+					for _, src := range []int{rng.Intn(nS), rng.Intn(nS), nS - 1, rng.Intn(nS)} {
+						for _, eps := range []float64{0, 1e-3} {
+							for _, k := range []int{3, nT + 1} {
+								what := fmt.Sprintf("seed %d %s src %d eps %v k %d normalized %v", seed, spec, src, eps, k, opts == nil)
+								tctx, tr := obs.NewTrace(ctx)
+								got, err := auto.TopKSearch(tctx, p, src, k, eps)
+								if err != nil {
+									t.Fatal(err)
+								}
+								rows, entries := scoredRows(tr)
+								if rows > 0 && p.Len()%2 == 1 {
+									oddRented++ // normed by the middle relation's weights
+								}
+								if rows > 0 && eps == 0 && p.Len()%2 == 0 {
+									left, err := auto.opVectorChain(ctx, src, splitPath(p).left())
+									if err != nil {
+										t.Fatal(err)
+									}
+									switch mean, l := entries/rows, left.NNZ(); { // DotEntries' lookups, on the mean row
+									case l*bits.Len(uint(mean)) < mean:
+										longRows++
+									case mean*bits.Len(uint(l)) < l:
+										longLeft++
+									}
+								}
+								forced := NewEngine(g, opts...)
+								buyAtOnce(forced, p)
+								for name, ref := range map[string]*Engine{"materialized row scan": forced, "non-caching engine": plain} {
+									want, err := ref.TopKSearch(ctx, p, src, k, eps)
+									if err != nil {
+										t.Fatal(err)
+									}
+									if !sameHits(got, want) {
+										t.Fatalf("%s: %v, %s %v", what, got, name, want)
+									}
+								}
+								want, _, err := NewEngine(g, opts...).TopKSearchWithPlan(ctx, p, src, k, eps, PlanOptions{Force: PlanAllPairs})
 								if err != nil {
 									t.Fatal(err)
 								}
 								if !sameHits(got, want) {
-									t.Fatalf("%s: %v, %s %v", what, got, name, want)
+									t.Fatalf("%s: %v, forced all-pairs %v", what, got, want)
 								}
+								if !forced.chainWarm(forced.chainCacheKey(splitPath(p).right())) {
+									t.Fatalf("%s: an exhausted rent did not buy the chain", what)
+								}
+								if len(got) == 0 {
+									emptyLeft++
+								}
+								if k > nT && len(got) < nT && len(got) > 0 && spec == "APT" {
+									zeroNorm++ // the unmentioned terms are among the targets left out
+								}
+								batch = append(batch, BatchQuery{Kind: BatchTopK, Path: p, Src: src, K: k, Eps: eps})
+								solo = append(solo, got)
 							}
-							if !forced.chainWarm(forced.chainCacheKey(splitPath(p).right())) {
-								t.Fatalf("%s: an exhausted rent did not buy the chain", what)
-							}
-							if len(got) == 0 {
-								emptyLeft++
-							}
-							if k > nT && len(got) < nT && len(got) > 0 && spec == "APT" {
-								zeroNorm++ // the unmentioned terms are among the targets left out
-							}
-							batch = append(batch, BatchQuery{Kind: BatchTopK, Path: p, Src: src, K: k, Eps: eps})
-							solo = append(solo, got)
 						}
 					}
-				}
-				for _, queries := range [][]BatchQuery{batch, batch[:1]} { // a shared group, then a lone slot
-					res, _, err := NewEngine(g, opts...).ExecuteBatch(ctx, queries, BatchOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i, r := range res {
-						if r.Err != nil || !sameHits(r.TopK, solo[i]) {
-							t.Fatalf("seed %d %s batch of %d slot %d (%s): %v %v, solo %v", seed, spec, len(queries), i, r.Plan, r.TopK, r.Err, solo[i])
+					for _, queries := range [][]BatchQuery{batch, batch[:1]} { // a shared group, then a lone slot
+						res, _, err := NewEngine(g, opts...).ExecuteBatch(ctx, queries, BatchOptions{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, r := range res {
+							if r.Err != nil || !sameHits(r.TopK, solo[i]) {
+								t.Fatalf("seed %d %s batch of %d slot %d (%s): %v %v, solo %v", seed, spec, len(queries), i, r.Plan, r.TopK, r.Err, solo[i])
+							}
 						}
 					}
 				}
@@ -123,11 +185,24 @@ func TestDifferentialTopKReachableRows(t *testing.T) {
 		}
 	}
 	rented, rows := scanReachable.count.Value()-rentedBefore, scanRows.count.Value()-rowsBefore
-	t.Logf("%d reachable-rows scans, %d row scans, %d empty rankings, %d rankings around zero-norm targets", rented, rows, emptyLeft, zeroNorm)
-	if rented < 100 || rows < 100 || emptyLeft == 0 || zeroNorm == 0 {
-		t.Fatalf("fixture too thin: %d reachable-rows scans, %d row scans, %d sources with no middle support, %d rankings around zero-norm targets",
-			rented, rows, emptyLeft, zeroNorm)
+	t.Logf("%d reachable-rows scans (%d on odd paths), %d row scans, %d empty rankings, %d rankings around zero-norm targets, %d scored long rows against a shorter left, %d short rows against a longer left",
+		rented, oddRented, rows, emptyLeft, zeroNorm, longRows, longLeft)
+	if rented < 100 || rows < 100 || emptyLeft == 0 || zeroNorm == 0 || longRows < 10 || longLeft < 10 || oddRented == 0 {
+		t.Fatalf("fixture too thin: %d reachable-rows scans (%d odd), %d row scans, %d sources with no middle support, %d rankings around zero-norm targets, %d long-row and %d long-left scored scans",
+			rented, oddRented, rows, emptyLeft, zeroNorm, longRows, longLeft)
 	}
+}
+
+// scoredRows reads a traced top-k's kernel score span: the candidate rows
+// it scored and their entries (0, 0 if it rented nothing).
+func scoredRows(tr *obs.Trace) (rows, entries int) {
+	for _, sp := range tr.Report(0).Spans {
+		if sp.Name == "chain_multiply" && sp.Attrs["kind"] == "score" {
+			rows, _ = strconv.Atoi(sp.Attrs["rows"])
+			entries, _ = strconv.Atoi(sp.Attrs["entries"])
+		}
+	}
+	return rows, entries
 }
 
 // TestDifferentialTopKRentOrBuy pins the rent-or-buy rule with the kernel's flop

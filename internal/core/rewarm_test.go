@@ -30,7 +30,7 @@ func rewarmWarm(t *testing.T, e *Engine, g *hin.Graph) {
 		}
 		// Populate a transposed entry too (what top-k scans cache).
 		h := splitPath(p)
-		if _, err := e.opScanChain(ctx, h.right(), nil); err != nil {
+		if _, err := e.opScanChain(ctx, h.right(), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,7 +40,8 @@ func (e *Engine) TopKSearch(ctx context.Context, p *metapath.Path, src, k int, e
 // request had to materialize, or one a full bounded cache holds, is scored
 // row by row against the dense left vector — one pass over its entries, no
 // transpose; a cold chain few of whose targets can meet left has only those
-// targets' rows propagated and scored, each by a sparse dot; any other chain
+// targets' rows propagated, and its last step scored in the kernel — a dot
+// with left and a norm per row, no row stored; any other chain
 // that was already cached is scanned through its transpose, touching only the
 // targets that share middle support
 // (sparse.MulMatEach: pooled accumulator, nothing of the target population's
@@ -51,19 +52,19 @@ func (e *Engine) TopKSearch(ctx context.Context, p *metapath.Path, src, k int, e
 func (e *Engine) topKFrom(ctx context.Context, h halves, lh leftHalf, k int, eps float64, raw bool) ([]Scored, error) {
 	mo := h.mo
 	left, ln := mo.meetLeft(lh, eps)
-	sc, err := e.opScanChain(ctx, h.right(), left)
+	w := mo.weights('R')
+	sc, err := e.opScanChain(ctx, h.right(), left, w.d)
 	if err != nil {
 		return nil, err
 	}
 	sc.kind.count.Inc()
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("normalize")
-	var rns rowNorms // indexed like sc.pm's rows
+	var rns rowNorms // indexed like sc.pm's rows, or like sc.rows
 	if !raw {
-		w := mo.weights('R')
 		switch {
 		case sc.rows != nil: // bit for bit the chain's norms of these rows; not cached
-			rns = pagedNorms(sc.pm.WeightedRowNorms(w.d))
+			rns = pagedNorms(sc.scores.Norms)
 		case sc.pm == nil: // transposed scan of a cached "T:" entry: norms need the chain itself
 			if sc.pm, err = e.opMatrixChain(ctx, h.right()); err != nil {
 				sp.End()
@@ -77,7 +78,7 @@ func (e *Engine) topKFrom(ctx context.Context, h halves, lh leftHalf, k int, eps
 	sp.End()
 	sp = tr.Start("combine")
 	sel := rank.NewSelector(k)
-	offer := func(b, r int, s float64) { // target b is row r of sc.pm
+	offer := func(b, r int, s float64) { // target b is row r of sc.pm, or sc.rows[r]
 		if !raw {
 			rn := rns.at(r)
 			if ln == 0 || rn == 0 {
@@ -92,7 +93,7 @@ func (e *Engine) topKFrom(ctx context.Context, h halves, lh leftHalf, k int, eps
 	switch {
 	case sc.rows != nil:
 		for r, b := range sc.rows {
-			offer(b, r, left.DotEntries(sc.pm.RowEntries(r)))
+			offer(b, r, sc.scores.Dots[r])
 		}
 	case sc.pmT == nil:
 		for b, s := range sc.pm.MulVec(left.Dense()) {
@@ -107,8 +108,9 @@ func (e *Engine) topKFrom(ctx context.Context, h halves, lh leftHalf, k int, eps
 		sp.SetAttr("scan", sc.kind.name)
 		if sc.rows != nil {
 			sp.SetAttr("candidates", strconv.Itoa(len(sc.rows))).
-				SetAttr("rows_nnz", strconv.Itoa(sc.pm.NNZ())).
-				SetAttr("rented_flops", strconv.FormatFloat(sc.rented, 'f', 0, 64))
+				SetAttr("rows_nnz", strconv.Itoa(sc.scores.Entries)).
+				SetAttr("rented_flops", strconv.FormatFloat(sc.rented, 'f', 0, 64)).
+				SetAttr("kernel_flops", strconv.Itoa(sc.scores.Flops))
 		}
 	}
 	sp.End()

@@ -18,7 +18,10 @@ import (
 // distinct columns, which sizes the output exactly; the numeric pass emits
 // each row straight into its slice of that output. Every output entry adds
 // its terms ascending over m's row, then ascending over b's row, whatever
-// the range layout, so all entry points return bit-identical matrices.
+// the range layout, so all entry points return bit-identical matrices. A
+// third pass, score, runs alone over the same ranges: it emits each row as
+// the numeric pass does, but into scratch, and reduces it to a dot and a
+// norm, so no product is stored.
 // DESIGN §6 has the measurements behind the constants.
 const (
 	// parallelFlopThreshold is the multiply-add count from which MulCtx fans
@@ -43,11 +46,13 @@ func swept(n, width int) bool {
 // already appeared in the current row (gen only grows, so marks left by an
 // earlier product never collide, and nothing is cleared between uses); cols
 // collects the row's distinct columns, with one slot of slack for the
-// branch-free append.
+// branch-free append. vals holds a scored row's values, made on the first
+// score pass.
 type mulScratch struct {
 	acc  []float64
 	mark []int
 	cols []int
+	vals []float64
 	gen  int
 }
 
@@ -136,24 +141,87 @@ func (m *Matrix) MulCtx(ctx context.Context, b *Matrix) (*Matrix, error) {
 	return out.matrix(), nil
 }
 
-// product is one a * b in flight; out is its one contiguous output.
-type product struct {
-	ctx   context.Context
-	a, b  *Matrix
-	out   csr
-	fp    []int        // fp[r]: multiply-adds of rows [0, r)
-	zeros atomic.Int64 // stored values that canceled to exactly zero
+// RowScores is a score pass's result. For row r of a product x = a * b,
+// Dots[r] is v.DotEntries(x's row r) and Norms[r] is its WeightedNorm(d),
+// bit for bit, for v and d finite.
+type RowScores struct {
+	Dots, Norms []float64
+	Flops       int // multiply-adds the pass ran
+	Entries     int // distinct (row, column) pairs scored, exact zeros included
 }
 
-// mul is the SpGEMM driver. workers == 0 picks by flop count; record accounts
-// the finished product (flops are counted once per product, not per pass).
-func (m *Matrix) mul(ctx context.Context, b *Matrix, workers int, record func(flops, outNNZ int, parallel bool)) (*csr, error) {
+// MulScore scores every row of m * b against v (length b's columns) and
+// by d (nil, or one weight per column of b) without building the product:
+// the driver, ranges, context polls and flop accounting of MulCtx, one
+// pass, and nothing of the product's size allocated. It returns ctx's
+// error if canceled mid-pass.
+func (m *Matrix) MulScore(ctx context.Context, b *Matrix, v *Vector, d []float64) (RowScores, error) {
+	return m.mulScore(ctx, b, v, d, 0)
+}
+
+func (m *Matrix) mulScore(ctx context.Context, b *Matrix, v *Vector, d []float64, workers int) (RowScores, error) {
+	if v.n != b.cols || (d != nil && len(d) < b.cols) {
+		panic(fmt.Sprintf("sparse: MulScore of %d columns by a vector of %d and %d weights", b.cols, v.n, len(d)))
+	}
+	p := m.start(ctx, b, workers)
+	p.v, p.d = v, d
+	p.scores = RowScores{Dots: make([]float64, m.rows), Norms: make([]float64, m.rows), Flops: p.fp[m.rows]}
+	if err := p.pass(scoring); err != nil {
+		return RowScores{}, err
+	}
+	p.scores.Entries = int(p.entries.Load())
+	recordMul(p.scores.Flops, p.scores.Entries, len(p.cuts) > 2)
+	return p.scores, nil
+}
+
+// ScoreRows is MulScore for the rows of m a selection picks: entry i scores
+// m's row rows[i]. Nothing is multiplied, so no flops are counted.
+func (m *Matrix) ScoreRows(rows []int, v *Vector, d []float64) RowScores {
+	if v.n != m.cols || (d != nil && len(d) < m.cols) {
+		panic(fmt.Sprintf("sparse: ScoreRows of %d columns by a vector of %d and %d weights", m.cols, v.n, len(d)))
+	}
+	out := RowScores{Dots: make([]float64, len(rows)), Norms: make([]float64, len(rows))}
+	for i, r := range rows {
+		idx, val := m.row(r)
+		out.Dots[i], out.Norms[i] = v.DotEntries(idx, val), weightedNorm(idx, val, d)
+		out.Entries += len(idx)
+	}
+	return out
+}
+
+// passKind is what one pass of the kernel does with a row.
+type passKind uint8
+
+const (
+	symbolic passKind = iota // count its distinct columns
+	numeric                  // emit it into the output
+	scoring                  // reduce it to a dot and a norm
+)
+
+// product is one a * b in flight: its flop prefix and ranges, and what its
+// passes write — out for a built product, scores for a scored one.
+type product struct {
+	ctx     context.Context
+	a, b    *Matrix
+	fp      []int // fp[r]: multiply-adds of rows [0, r)
+	cuts    []int // range r is rows cuts[r]..cuts[r+1]
+	cutsBuf [16]int
+	out     csr
+	zeros   atomic.Int64 // stored values that canceled to exactly zero
+	v       *Vector
+	d       []float64
+	scores  RowScores
+	entries atomic.Int64
+}
+
+// start lays out a * b: the flop prefix and the ranges. workers == 0 picks
+// by flop count.
+func (m *Matrix) start(ctx context.Context, b *Matrix, workers int) *product {
 	if m.cols != b.rows {
 		panic(fmt.Sprintf("sparse: Mul shape mismatch %dx%d * %dx%d",
 			m.rows, m.cols, b.rows, b.cols))
 	}
-	p := &product{ctx: ctx, a: m, b: b, fp: make([]int, m.rows+1),
-		out: csr{rows: m.rows, cols: b.cols, page: page{rowPtr: make([]int, m.rows+1)}}}
+	p := &product{ctx: ctx, a: m, b: b, fp: make([]int, m.rows+1)}
 	for r := 0; r < m.rows; r++ {
 		p.fp[r+1] = p.fp[r]
 		aIdx, _ := m.row(r)
@@ -170,18 +238,24 @@ func (m *Matrix) mul(ctx context.Context, b *Matrix, workers int, record func(fl
 	}
 	// Ranges hold equal flops, not equal row counts: reachable-probability
 	// rows are as skewed as the degree distributions behind them. The cuts
-	// of a few workers stay on the stack.
-	var cutsBuf [16]int
-	cuts := cutsBuf[:1]
+	// of a few workers live in the product.
+	p.cuts = p.cutsBuf[:1]
 	for w := 1; w < workers; w++ {
-		if c := sort.SearchInts(p.fp, (flops*w+workers-1)/workers); c > cuts[len(cuts)-1] && c < m.rows {
-			cuts = append(cuts, c)
+		if c := sort.SearchInts(p.fp, (flops*w+workers-1)/workers); c > p.cuts[len(p.cuts)-1] && c < m.rows {
+			p.cuts = append(p.cuts, c)
 		}
 	}
-	cuts = append(cuts, m.rows)
+	p.cuts = append(p.cuts, m.rows)
+	return p
+}
 
+// mul is the SpGEMM driver. workers == 0 picks by flop count; record accounts
+// the finished product (flops are counted once per product, not per pass).
+func (m *Matrix) mul(ctx context.Context, b *Matrix, workers int, record func(flops, outNNZ int, parallel bool)) (*csr, error) {
+	p := m.start(ctx, b, workers)
 	out := &p.out
-	if err := p.pass(cuts, false); err != nil {
+	*out = csr{rows: m.rows, cols: b.cols, page: page{rowPtr: make([]int, m.rows+1)}}
+	if err := p.pass(symbolic); err != nil {
 		return nil, err
 	}
 	for r := 0; r < m.rows; r++ {
@@ -189,22 +263,23 @@ func (m *Matrix) mul(ctx context.Context, b *Matrix, workers int, record func(fl
 	}
 	out.colIdx = make([]int, out.rowPtr[m.rows])
 	out.val = make([]float64, out.rowPtr[m.rows])
-	if err := p.pass(cuts, true); err != nil {
+	if err := p.pass(numeric); err != nil {
 		return nil, err
 	}
 	if p.zeros.Load() > 0 {
 		out.dropZeros() // exact cancellation: rare, so compacted after the fact
 	}
-	record(flops, len(out.val), len(cuts) > 2)
+	record(p.fp[m.rows], len(out.val), len(p.cuts) > 2)
 	return out, nil
 }
 
-// pass runs one pass of the kernel over the ranges cuts[i]..cuts[i+1] — the
-// first on the calling goroutine, every further one on its own — and returns
-// the first error in range order once all of them have finished.
-func (p *product) pass(cuts []int, numeric bool) error {
+// pass runs one pass of the kernel over the ranges — the first on the
+// calling goroutine, every further one on its own — and returns the first
+// error in range order once all of them have finished.
+func (p *product) pass(kind passKind) error {
+	cuts := p.cuts
 	if len(cuts) == 2 {
-		return p.rows(cuts[0], cuts[1], numeric)
+		return p.run(cuts[0], cuts[1], kind)
 	}
 	errs := make([]error, len(cuts)-1)
 	var wg sync.WaitGroup
@@ -213,10 +288,10 @@ func (p *product) pass(cuts []int, numeric bool) error {
 		lo, hi := cuts[i], cuts[i+1]
 		go func() {
 			defer wg.Done()
-			errs[i] = p.rows(lo, hi, numeric)
+			errs[i] = p.run(lo, hi, kind)
 		}()
 	}
-	errs[0] = p.rows(cuts[0], cuts[1], numeric)
+	errs[0] = p.run(cuts[0], cuts[1], kind)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -224,6 +299,14 @@ func (p *product) pass(cuts []int, numeric bool) error {
 		}
 	}
 	return nil
+}
+
+// run is one pass over rows [lo, hi).
+func (p *product) run(lo, hi int, kind passKind) error {
+	if kind == scoring {
+		return p.scored(lo, hi)
+	}
+	return p.rows(lo, hi, kind == numeric)
 }
 
 // rows is the kernel over rows [lo, hi) of a * b. The symbolic pass (numeric
@@ -289,6 +372,67 @@ func (p *product) rows(lo, hi int, numeric bool) error {
 	}
 	putScratch(s)
 	p.zeros.Add(int64(zeros))
+	return err
+}
+
+// scored is the score pass over rows [lo, hi) of a * b. Each row is built
+// as the numeric pass builds it — read in place from b when a's row has one
+// entry, else scattered and put in column order — and emitted into scratch,
+// where it is reduced to scores.Dots[r] and scores.Norms[r]. Its exact
+// zeros, which a stored product drops, are ±0 terms of the dot and the norm
+// and change neither's bits. It is a loop of its own so that the build
+// passes' loop stays as tight as it was (folded into rows, the extra cases
+// cost BenchmarkSpGEMM 10–20 %).
+func (p *product) scored(lo, hi int) error {
+	m, b, fp := p.a, p.b, p.fp
+	s := getScratch(b.cols)
+	if len(s.vals) < b.cols {
+		s.vals = make([]float64, len(s.acc))
+	}
+	acc, mark, list := s.acc, s.mark[:b.cols], s.cols
+	entries := 0
+	var err error
+	nextPoll := fp[lo] + pollFlops
+	for r := lo; r < hi; r++ {
+		if fp[r] >= nextPoll {
+			if err = p.ctx.Err(); err != nil {
+				break
+			}
+			nextPoll = fp[r] + pollFlops
+		}
+		aCols, aVals := m.row(r)
+		var cols []int
+		vals := s.vals[:0]
+		switch {
+		case len(aCols) == 1:
+			bIdx, bVal := b.row(aCols[0])
+			cols, vals = bIdx, s.vals[:len(bIdx)]
+			for i, bv := range bVal[:len(bIdx)] {
+				vals[i] = aVals[0] * bv
+			}
+		case len(aCols) > 1:
+			n := s.scatter(aCols, aVals, b, true)
+			cols, vals = list[:n], s.vals[:n]
+			if swept(n, b.cols) {
+				n = 0
+				for c, g := range mark {
+					if g == s.gen {
+						cols[n] = c
+						n++
+					}
+				}
+			} else {
+				slices.Sort(cols)
+			}
+			for i, c := range cols {
+				vals[i], acc[c] = acc[c], 0
+			}
+		}
+		p.scores.Dots[r], p.scores.Norms[r] = p.v.DotEntries(cols, vals), weightedNorm(cols, vals, p.d)
+		entries += len(cols)
+	}
+	putScratch(s)
+	p.entries.Add(int64(entries))
 	return err
 }
 

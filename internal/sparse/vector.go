@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -114,19 +116,42 @@ func (v *Vector) Dot(w *Vector) float64 {
 // DotEntries returns the inner product of v and the sparse vector stored as
 // idx (ascending) and val — a row from Matrix.RowEntries, dotted without a
 // Vector header. Terms are added in ascending index order, as Dot adds them.
+// It walks the shorter side: when one side is shorter than the other by
+// more than the log of its length, each of its indices is looked up in the
+// other by binary search; otherwise the two are merged.
 func (v *Vector) DotEntries(idx []int, val []float64) float64 {
 	var s float64
-	a, b := 0, 0
-	for a < len(v.idx) && b < len(idx) {
-		switch {
-		case v.idx[a] < idx[b]:
-			a++
-		case idx[b] < v.idx[a]:
-			b++
-		default:
-			s += v.val[a] * val[b]
-			a++
-			b++
+	vIdx, vVal := v.idx, v.val
+	switch {
+	case len(vIdx)*bits.Len(uint(len(idx))) < len(idx):
+		for a, c := range vIdx {
+			b, ok := slices.BinarySearch(idx, c)
+			if ok {
+				s += vVal[a] * val[b]
+			}
+			idx, val = idx[b:], val[b:]
+		}
+	case len(idx)*bits.Len(uint(len(vIdx))) < len(vIdx):
+		for b, c := range idx {
+			a, ok := slices.BinarySearch(vIdx, c)
+			if ok {
+				s += vVal[a] * val[b]
+			}
+			vIdx, vVal = vIdx[a:], vVal[a:]
+		}
+	default:
+		a, b := 0, 0
+		for a < len(vIdx) && b < len(idx) {
+			switch {
+			case vIdx[a] < idx[b]:
+				a++
+			case idx[b] < vIdx[a]:
+				b++
+			default:
+				s += vVal[a] * val[b]
+				a++
+				b++
+			}
 		}
 	}
 	return s
