@@ -132,8 +132,14 @@ loc:
 # again (cmd/hetesim importing internal/baseline or internal/rank: its local
 # modes are requests to an in-process server.Handler(), answered and ranked
 # there), or when a command links the fault injectors (any cmd/ binary
-# depending on internal/chaos: the in-process transport is router.Inproc);
-# part of `make check`.
+# depending on internal/chaos: the in-process transport is router.Inproc),
+# or when TestExportsHaveCallers (exports_test.go) finds an exported function
+# or method in internal/ that no non-test file of the module uses. The two
+# checks guard different things: the deleted-helper list above keeps a
+# design decision from coming back *with* a caller, while the scan catches
+# code that comes back, or is added, *without* one, so the names the scan
+# deleted (ReadCSV, NewPPR, Purity, PrecisionAtK, AppendCheckpoint, ...) are
+# not on the list; part of `make check`.
 contract:
 	@fail=0; \
 	for tag in shared_queries naive_row_steps source_type replication_lag_seconds; do \
@@ -175,6 +181,9 @@ contract:
 			echo "contract: $$cmd links internal/chaos"; fail=1; \
 		fi; \
 	done; \
+	if ! go test -count=1 -run '^TestExportsHaveCallers$$' .; then \
+		echo "contract: exported code with no non-test caller"; fail=1; \
+	fi; \
 	[ $$fail -eq 0 ] && echo "contract: ok"
 
 check: vet staticcheck govulncheck contract build test race obs-selftest chaos properties

@@ -66,7 +66,7 @@ func TestBatchFileEqualsDaemon(t *testing.T) {
 	}
 
 	var cli bytes.Buffer
-	if err := runBatch(graphPath, batchPath, &cli); err != nil {
+	if err := runQuery(&options{graph: graphPath, batch: batchPath}, &cli); err != nil {
 		t.Fatal(err)
 	}
 	srv := server.New(g)

@@ -84,11 +84,6 @@ func runQuery(o *options, out io.Writer) error {
 	return rc.render(out, endpoint, raw, o)
 }
 
-// runBatch answers a -batch file against the graph file.
-func runBatch(graphPath, file string, out io.Writer) error {
-	return runQuery(&options{graph: graphPath, batch: file}, out)
-}
-
 type remoteClient struct {
 	base   string
 	policy router.RetryPolicy

@@ -1,7 +1,9 @@
 // Quickstart: build a tiny bibliographic network by hand (the Fig. 4
 // example of the paper), define relevance paths, and run HeteSim queries —
 // pair scores, symmetry, and a top-k search.
-package main
+//
+// Run it with: go test ./examples/quickstart -v
+package quickstart
 
 import (
 	"context"
@@ -14,7 +16,7 @@ import (
 	"hetesim/internal/rank"
 )
 
-func main() {
+func Example() {
 	// 1. Declare the schema: authors write papers, papers are published
 	// in conferences.
 	schema := hin.NewSchema()
@@ -86,4 +88,15 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nHeteSim(Tom, Mary | APA)   = %.4f\n", coauth)
+
+	// Output:
+	// HeteSim(Tom, KDD | APC)    = 1.0000
+	// HeteSim(KDD, Tom | CPA)    = 1.0000 (symmetric)
+	// unnormalized meeting prob  = 0.5000 (Example 2 of the paper)
+	//
+	// Mary's conference profile (APC):
+	//  1  KDD     0.5000
+	//  2  SIGMOD  0.5000
+	//
+	// HeteSim(Tom, Mary | APA)   = 0.5000
 }

@@ -223,11 +223,4 @@ func TestBaselineMeasuresOnGeneratedData(t *testing.T) {
 	if _, err := baseline.NewPathSim(g).SingleSourceByIndex(context.Background(), apcpa, 0); err != nil {
 		t.Errorf("PathSim: %v", err)
 	}
-	ppr, err := baseline.NewPPR(g, 0.85, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ppr.FromIndex("conference", 0, "author"); err != nil {
-		t.Errorf("PPR: %v", err)
-	}
 }

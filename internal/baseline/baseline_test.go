@@ -374,54 +374,6 @@ func TestGlobalGraph(t *testing.T) {
 	}
 }
 
-func TestPPRBasics(t *testing.T) {
-	g := fig4Graph(t)
-	m, err := NewPPR(g, 0.85, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores, err := m.FromNode("author", "Tom", "conference")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kdd, _ := g.NodeIndex("conference", "KDD")
-	sigmod, _ := g.NodeIndex("conference", "SIGMOD")
-	if !(scores[kdd] > scores[sigmod]) {
-		t.Errorf("PPR should rank KDD above SIGMOD for Tom: %v vs %v", scores[kdd], scores[sigmod])
-	}
-	for _, s := range scores {
-		if s < 0 || s > 1 {
-			t.Errorf("score %v outside [0,1]", s)
-		}
-	}
-}
-
-func TestPPRValidation(t *testing.T) {
-	g := fig4Graph(t)
-	if _, err := NewPPR(g, 0, 10); err == nil {
-		t.Error("damping 0 accepted")
-	}
-	if _, err := NewPPR(g, 1, 10); err == nil {
-		t.Error("damping 1 accepted")
-	}
-	if _, err := NewPPR(g, 0.85, 0); err == nil {
-		t.Error("iters 0 accepted")
-	}
-	m, _ := NewPPR(g, 0.85, 5)
-	if _, err := m.FromNode("author", "Nobody", "conference"); !errors.Is(err, hin.ErrUnknownNode) {
-		t.Errorf("unknown node err = %v", err)
-	}
-	if _, err := m.FromIndex("author", 0, "movie"); !errors.Is(err, hin.ErrUnknownType) {
-		t.Errorf("unknown type err = %v", err)
-	}
-	if _, err := m.GlobalIndex("movie", 0); !errors.Is(err, hin.ErrUnknownType) {
-		t.Errorf("GlobalIndex type err = %v", err)
-	}
-	if _, err := m.GlobalIndex("author", 99); !errors.Is(err, hin.ErrUnknownNode) {
-		t.Errorf("GlobalIndex node err = %v", err)
-	}
-}
-
 func TestPCRWSharesEngineCaches(t *testing.T) {
 	g := fig4Graph(t)
 	e := core.NewEngine(g)

@@ -157,29 +157,6 @@ func AverageRankDifference(truth, measured []float64, topK int) (float64, error)
 	return sum / float64(count), nil
 }
 
-// PrecisionAtK returns the fraction of the top-k scored items that are
-// relevant.
-func PrecisionAtK(scores []float64, relevant []bool, k int) (float64, error) {
-	if len(scores) != len(relevant) {
-		return 0, fmt.Errorf("%w: %d scores vs %d labels", ErrBadInput, len(scores), len(relevant))
-	}
-	if k <= 0 || k > len(scores) {
-		return 0, fmt.Errorf("%w: k=%d with %d items", ErrBadInput, k, len(scores))
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	hits := 0
-	for _, i := range idx[:k] {
-		if relevant[i] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(k), nil
-}
-
 // Spearman returns Spearman's rank correlation coefficient between two
 // score vectors (ordinal ranks, ties broken by index).
 func Spearman(a, b []float64) (float64, error) {

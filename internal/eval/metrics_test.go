@@ -181,25 +181,6 @@ func TestAverageRankDifference(t *testing.T) {
 	}
 }
 
-func TestPrecisionAtK(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.7, 0.1}
-	rel := []bool{true, false, true, true}
-	got, err := PrecisionAtK(scores, rel, 2)
-	if err != nil || got != 0.5 {
-		t.Errorf("P@2 = %v, %v; want 0.5", got, err)
-	}
-	got, _ = PrecisionAtK(scores, rel, 3)
-	if math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("P@3 = %v, want 2/3", got)
-	}
-	if _, err := PrecisionAtK(scores, rel, 0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("k=0 err = %v", err)
-	}
-	if _, err := PrecisionAtK(scores, rel[:2], 1); !errors.Is(err, ErrBadInput) {
-		t.Errorf("length mismatch err = %v", err)
-	}
-}
-
 func TestSpearman(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	got, err := Spearman(a, a)

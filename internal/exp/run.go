@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Renderer is implemented by every experiment result.
 type Renderer interface {
@@ -72,12 +69,5 @@ func IDs() []string {
 	for _, e := range Registry() {
 		ids = append(ids, e.ID)
 	}
-	return ids
-}
-
-// SortedIDs returns the experiment ids sorted lexicographically.
-func SortedIDs() []string {
-	ids := IDs()
-	sort.Strings(ids)
 	return ids
 }

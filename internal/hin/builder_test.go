@@ -100,8 +100,10 @@ func TestBuilderSpent(t *testing.T) {
 			t.Errorf("NodeIndex(%q) = %d, %v, want %d", id, j, err, i)
 		}
 	}
-	if g.HasNode("author", "Bob") || g.HasNode("paper", "p2") {
-		t.Error("a spent builder's node reached the graph")
+	for _, n := range [][2]string{{"author", "Bob"}, {"paper", "p2"}} {
+		if _, err := g.NodeIndex(n[0], n[1]); !errors.Is(err, ErrUnknownNode) {
+			t.Errorf("a spent builder's node %s %q reached the graph", n[0], n[1])
+		}
 	}
 	if after, _ := g.Adjacency("writes"); !reflect.DeepEqual(after.Triplets(), before.Triplets()) {
 		t.Errorf("writes moved: %v, was %v", after.Triplets(), before.Triplets())

@@ -57,46 +57,3 @@ func FuzzRead(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadCSV checks the CSV loader never panics and that anything it
-// accepts survives a CSV round trip with sizes intact.
-func FuzzReadCSV(f *testing.F) {
-	f.Add("relation,source,target,weight\nr,x,y,1\nr,x,z,2.5\n")
-	f.Add("r,x,y\n")
-	f.Add("r,x,y,0\n")
-	f.Add("r,x,y,-3\n")
-	f.Add("r,x,y,NaN\n")
-	f.Add("r,x,y,+Inf\n")
-	f.Add("r,,y\n")
-	f.Add("bogus,x,y\n")
-	f.Add("# comment\n\nr,x,y\n")
-	f.Add("r,x\n")
-	f.Add("r,x,y,1,extra\n")
-	f.Add("r,\"x\"\"quoted\",y\n")
-
-	f.Fuzz(func(t *testing.T, data string) {
-		s := NewSchema()
-		s.MustAddType("a", 'A')
-		s.MustAddType("b", 'B')
-		s.MustAddRelation("r", "a", "b")
-		g, err := ReadCSV(strings.NewReader(data), s)
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := WriteCSV(&out, g); err != nil {
-			t.Fatalf("accepted graph does not serialize: %v", err)
-		}
-		s2 := NewSchema()
-		s2.MustAddType("a", 'A')
-		s2.MustAddType("b", 'B')
-		s2.MustAddRelation("r", "a", "b")
-		g2, err := ReadCSV(bytes.NewReader(out.Bytes()), s2)
-		if err != nil {
-			t.Fatalf("round trip fails to parse: %v", err)
-		}
-		if g2.TotalEdges() != g.TotalEdges() {
-			t.Fatalf("round trip changed edges: %s vs %s", g2.Stats(), g.Stats())
-		}
-	})
-}

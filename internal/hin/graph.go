@@ -87,12 +87,6 @@ func (g *Graph) NodeIndex(typeName, id string) (int, error) {
 	return i, nil
 }
 
-// HasNode reports whether the identified node exists.
-func (g *Graph) HasNode(typeName, id string) bool {
-	_, err := g.NodeIndex(typeName, id)
-	return err == nil
-}
-
 // Adjacency returns the weighted adjacency matrix W of a relation
 // (|R.S| x |R.T|). The matrix is shared and must not be mutated (sparse
 // matrices are immutable by construction).

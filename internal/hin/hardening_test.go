@@ -5,59 +5,6 @@ import (
 	"testing"
 )
 
-func hardeningSchema() *Schema {
-	s := NewSchema()
-	s.MustAddType("author", 'A')
-	s.MustAddType("paper", 'P')
-	s.MustAddRelation("writes", "author", "paper")
-	return s
-}
-
-// TestReadCSVRejectsBadRecords sweeps the malformed-input matrix: every
-// case must be rejected, and the error must name the offending line so an
-// operator can fix a million-row export without bisecting it.
-func TestReadCSVRejectsBadRecords(t *testing.T) {
-	cases := []struct {
-		name, csv, wantInErr string
-	}{
-		{"nan weight", "writes,Tom,p1,NaN\n", "line 1"},
-		{"inf weight", "writes,Tom,p1,Inf\n", "line 1"},
-		{"negative weight", "writes,Tom,p1,-2\n", "line 1"},
-		{"zero weight", "writes,Tom,p1,0\n", "line 1"},
-		{"unparseable weight", "writes,Tom,p1,heavy\n", "line 1"},
-		{"unknown relation", "writes,Tom,p1\ncites,p1,p2\n", "line 2"},
-		{"empty source", "writes,,p1\n", "line 1"},
-		{"empty target", "writes,Tom,\n", "line 1"},
-		{"too few fields", "writes,Tom\n", "line 1"},
-		{"too many fields", "writes,Tom,p1,1,extra\n", "line 1"},
-		{"bad line after good ones", "writes,Tom,p1\nwrites,Mary,p2\nwrites,Mary,p3,NaN\n", "line 3"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadCSV(strings.NewReader(tc.csv), hardeningSchema())
-			if err == nil {
-				t.Fatalf("ReadCSV accepted %q", tc.csv)
-			}
-			if !strings.Contains(err.Error(), tc.wantInErr) {
-				t.Fatalf("error %q does not name %q", err, tc.wantInErr)
-			}
-		})
-	}
-}
-
-// TestReadCSVHeaderAndComments checks the lenient paths stay lenient: a
-// header line, comments, and blank lines are skipped, not rejected.
-func TestReadCSVHeaderAndComments(t *testing.T) {
-	in := "relation,source,target,weight\n# a comment\n\nwrites,Tom,p1,2\nwrites,Mary,p1\n"
-	g, err := ReadCSV(strings.NewReader(in), hardeningSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.TotalEdges() != 2 {
-		t.Fatalf("edges = %d, want 2", g.TotalEdges())
-	}
-}
-
 // TestReadRejectsDuplicateNodeIDs is the index-shift regression test: a
 // JSON graph whose node list repeats an id must be rejected outright —
 // silently deduplicating would shift every later node's index and wire

@@ -126,8 +126,8 @@ func TestBuilderAndGraphAccessors(t *testing.T) {
 	if _, err := g.NodeIndex("movie", "x"); !errors.Is(err, ErrUnknownType) {
 		t.Errorf("unknown type err = %v", err)
 	}
-	if !g.HasNode("author", "Tom") || g.HasNode("author", "Zed") {
-		t.Error("HasNode wrong")
+	if _, err := g.NodeIndex("author", "Tom"); err != nil {
+		t.Errorf("known node err = %v", err)
 	}
 	ids := g.NodeIDs("conference")
 	if !reflect.DeepEqual(ids, []string{"KDD", "SIGMOD"}) {

@@ -17,46 +17,6 @@ type Vector struct {
 	val []float64
 }
 
-// NewVector builds a sparse vector of length n from index/value pairs.
-// Duplicate indices are summed; exact zeros are dropped.
-func NewVector(n int, idx []int, val []float64) *Vector {
-	if len(idx) != len(val) {
-		panic("sparse: NewVector index/value length mismatch")
-	}
-	type pair struct {
-		i int
-		v float64
-	}
-	ps := make([]pair, 0, len(idx))
-	for k, i := range idx {
-		if i < 0 || i >= n {
-			panic(fmt.Sprintf("sparse: vector index %d out of range for length %d", i, n))
-		}
-		ps = append(ps, pair{i, val[k]})
-	}
-	sort.Slice(ps, func(a, b int) bool { return ps[a].i < ps[b].i })
-	v := &Vector{n: n}
-	for _, p := range ps {
-		if k := len(v.idx); k > 0 && v.idx[k-1] == p.i {
-			v.val[k-1] += p.v
-			continue
-		}
-		v.idx = append(v.idx, p.i)
-		v.val = append(v.val, p.v)
-	}
-	// Drop zeros produced by cancellation.
-	var di []int
-	var dv []float64
-	for k, x := range v.val {
-		if x != 0 {
-			di = append(di, v.idx[k])
-			dv = append(dv, x)
-		}
-	}
-	v.idx, v.val = di, dv
-	return v
-}
-
 // Unit returns the length-n indicator vector e_i. It is the starting
 // distribution of a single-source reachable-probability computation.
 func Unit(n, i int) *Vector {

@@ -8,19 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestNewVectorMergesAndDrops(t *testing.T) {
-	v := NewVector(5, []int{3, 1, 3, 2, 2}, []float64{1, 4, 2, 5, -5})
-	if got := v.At(3); got != 3 {
-		t.Errorf("At(3) = %v, want 3", got)
-	}
-	if got := v.At(2); got != 0 {
-		t.Errorf("At(2) = %v, want 0 (cancelled)", got)
-	}
-	if v.NNZ() != 2 {
-		t.Errorf("NNZ = %d, want 2", v.NNZ())
-	}
-}
-
 func TestUnit(t *testing.T) {
 	v := Unit(4, 2)
 	if !reflect.DeepEqual(v.Dense(), []float64{0, 0, 1, 0}) {
@@ -110,7 +97,7 @@ func TestSquaresIsSelfDot(t *testing.T) {
 }
 
 func TestVectorEntriesOrder(t *testing.T) {
-	v := NewVector(6, []int{4, 0, 2}, []float64{4, 0.5, 2})
+	v := FromDenseVector([]float64{0.5, 0, 2, 0, 4, 0})
 	var idx []int
 	v.Entries(func(i int, _ float64) { idx = append(idx, i) })
 	if !reflect.DeepEqual(idx, []int{0, 2, 4}) {
@@ -130,15 +117,6 @@ func TestVectorApproxEqual(t *testing.T) {
 	if v.ApproxEqual(FromDenseVector([]float64{1, 0}), 1) {
 		t.Error("ApproxEqual ignored length mismatch")
 	}
-}
-
-func TestVectorOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewVector(3, []int{3}, []float64{1})
 }
 
 // TestRowViewIsNeverWritten is the safety net under Matrix.Row returning a

@@ -20,6 +20,11 @@ func TestTailSinceBasics(t *testing.T) {
 		t.Fatalf("fresh MinRetained = %d, want 1", l.MinRetained())
 	}
 
+	// Reset writes checkpoint records ahead of the batches; a tail read
+	// must skip them.
+	if err := l.Reset(testFP, []CheckpointEntry{{Key: "k0", Seq: 0}}, 0); err != nil {
+		t.Fatal(err)
+	}
 	want := []Batch{
 		{Seq: 1, Key: "k1", Ops: testOps(3)},
 		{Seq: 2, Key: "k2", Ops: testOps(1)},
@@ -29,10 +34,6 @@ func TestTailSinceBasics(t *testing.T) {
 		if _, err := l.Append(b.Key, b.Ops); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// A checkpoint record interleaved with batches must be skipped.
-	if err := l.AppendCheckpoint([]CheckpointEntry{{Key: "k1", Seq: 1}}); err != nil {
-		t.Fatal(err)
 	}
 
 	got, err := l.TailSince(0, 100)

@@ -273,36 +273,6 @@ func (l *Log) AppendBatch(b Batch) error {
 	if err != nil {
 		return err
 	}
-	return l.appendRecord(payload, func() {
-		if l.minRetained == l.nextSeq && b.Seq > l.minRetained {
-			// The log held no batches and this one opens a gap after a
-			// compaction horizon: the retained tail starts here.
-			l.minRetained = b.Seq
-		}
-		l.nextSeq = b.Seq + 1
-	})
-}
-
-// AppendCheckpoint logs an idempotency checkpoint with the same
-// durability contract as Append. Oversized entry sets are split across
-// consecutive records; replay concatenates them back.
-func (l *Log) AppendCheckpoint(entries []CheckpointEntry) error {
-	if l.f == nil {
-		return ErrClosed
-	}
-	payloads, err := encodeCheckpoints(entries)
-	if err != nil {
-		return err
-	}
-	for _, payload := range payloads {
-		if err := l.appendRecord(payload, func() {}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (l *Log) appendRecord(payload []byte, commit func()) error {
 	rec := frameRecord(payload)
 	if err := writeSync(l.f, rec); err != nil {
 		// Roll the file back to its last good length so the torn record
@@ -315,7 +285,12 @@ func (l *Log) appendRecord(payload []byte, commit func()) error {
 		return fmt.Errorf("wal: appending record: %w", err)
 	}
 	l.size += int64(len(rec))
-	commit()
+	if l.minRetained == l.nextSeq && b.Seq > l.minRetained {
+		// The log held no batches and this one opens a gap after a
+		// compaction horizon: the retained tail starts here.
+		l.minRetained = b.Seq
+	}
+	l.nextSeq = b.Seq + 1
 	return nil
 }
 
